@@ -158,7 +158,8 @@ def _interesting_attributes(attributes: Mapping[str, object]) -> str:
     """The cardinality/context attributes of a span, compactly rendered."""
     parts = []
     for key in ("mode", "kind", "left_rows", "right_rows", "output_rows",
-                "rows_removed", "plan_cache_hit", "candidates"):
+                "rows_removed", "plan_cache_hit", "core_edges",
+                "partitions_examined", "candidates"):
         if key in attributes:
             parts.append(f"{key}={attributes[key]}")
     return " ".join(parts)

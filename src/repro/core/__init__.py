@@ -74,6 +74,7 @@ from .graham import (
     random_order_reduction,
     reduces_to_nothing,
 )
+from .graham_kernel import graham_survivors
 from .hypergraph import Edge, Hypergraph
 from .independent_path import (
     IndependentPathCertificate,
@@ -133,7 +134,7 @@ __all__ = [
     "graham_reduction", "graham_reduce", "gyo_reduction", "reduces_to_nothing",
     "GrahamResult", "ReductionTrace", "NodeRemoval", "EdgeRemoval",
     "applicable_steps", "applicable_node_removals", "applicable_edge_removals",
-    "apply_step", "random_order_reduction", "check_confluence",
+    "apply_step", "random_order_reduction", "check_confluence", "graham_survivors",
     # acyclicity
     "is_acyclic", "is_acyclic_gyo", "is_acyclic_by_definition",
     "is_acyclic_via_join_tree", "is_berge_acyclic", "is_beta_acyclic",

@@ -12,32 +12,37 @@ the PR-1 planner/reducer machinery applies to it unchanged.
 
 The search has two stages:
 
-1. **Core detection** — ear removal (the edge-level form of GYO reduction)
-   peels off every edge whose outside-shared nodes are covered by a witness;
-   what remains stuck is the cyclic core.  Each connected component of the
-   core collapsed to a single cluster always yields an acyclic quotient
-   (peeled ears re-attach to the collapsed cluster in reverse order), so a
-   valid baseline cover exists for every hypergraph.
+1. **Core detection** — one run of the in-place GYO kernel
+   (:func:`~repro.core.graham_kernel.graham_survivors`) splits the edges into
+   ears (eliminated: their outside-shared nodes are covered by a witness) and
+   the stuck cyclic core (survivors).  Each connected component of the core
+   collapsed to a single cluster always yields an acyclic quotient (peeled
+   ears re-attach to the collapsed cluster in reverse order), so a valid
+   baseline cover exists for every hypergraph.
 2. **Refinement** — small stuck components are additionally partitioned into
    finer clusters (candidate groupings seeded by exhaustive set partitions,
    the same search space :func:`~repro.relational.maximal_objects.enumerate_maximal_objects`
-   walks); every candidate cover is validated for quotient acyclicity and
-   scored by cluster *width* (attributes a cluster materialises) and
-   *fan-out* (edges joined inside one cluster), and the minimal-width cover
-   wins.
+   walks).  The ears peel off every quotient exactly as they peel off the
+   original (Lemma 2.1: the order of removals does not matter) and core
+   components share no nodes, so a candidate's quotient is acyclic exactly
+   when each component's cluster schemes are: every partition is validated
+   once, on its own component's ≤ 7 cluster edges, and candidates are the
+   product of the valid partitions only.  Candidates are scored by cluster
+   *width* (attributes a cluster materialises) and *fan-out* (edges joined
+   inside one cluster), and the minimal-width cover wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice, product
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..catalog import StatisticsCatalog
 
-from ...core.acyclicity import is_acyclic
 from ...core.components import edge_components
+from ...core.graham_kernel import graham_survivors
 from ...core.hypergraph import Edge, Hypergraph
 from ...core.nodes import format_node_set, sorted_nodes
 from ...exceptions import CoverSearchBudgetExceededError
@@ -49,13 +54,16 @@ __all__ = [
     "core_periphery_cover",
     "enumerate_covers",
     "cover_score",
+    "select_cover",
     "choose_cover",
 ]
 
 #: Stuck components larger than this are not refined (set partitions are exponential).
 _REFINEMENT_EDGE_LIMIT = 7
 
-#: Upper bound on how many candidate covers one search examines.
+#: Upper bound on how many candidate covers one search builds and returns.
+#: Candidates are assembled from already-validated partitions, so every cover
+#: built is admitted and the search never walks combinations past the bound.
 _CANDIDATE_LIMIT = 256
 
 #: The budget policies of :func:`enumerate_covers` for over-cap core components.
@@ -128,7 +136,7 @@ class ClusterCover:
         built = [EdgeCluster(edges=frozenset(group)) for group in groups]
         built = [cluster for cluster in built if cluster.edges]
         built.sort(key=lambda cluster: (_edge_sort_key(cluster.attributes),
-                                        tuple(_edge_sort_key(e) for e in cluster.sorted_edges())))
+                                        tuple(sorted(map(_edge_sort_key, cluster.edges)))))
         return cls(clusters=tuple(built))
 
     @property
@@ -175,31 +183,6 @@ class ClusterCover:
         return "\n".join(lines)
 
 
-def _ear_removal(edges: Sequence[Edge]) -> Tuple[List[Edge], List[Edge]]:
-    """Peel ears off an edge list; return (peeled ears, stuck residual).
-
-    An ear is an edge whose nodes shared with the remaining edges are covered
-    by a single witness edge.  The residual is empty or a single edge for
-    acyclic inputs and the cyclic core otherwise; like GYO reduction the
-    stuck set is order-independent, but the scan order is deterministic
-    anyway so that plans are reproducible.
-    """
-    remaining = list(edges)
-    ears: List[Edge] = []
-    changed = True
-    while changed and len(remaining) > 1:
-        changed = False
-        for index, edge in enumerate(remaining):
-            others = remaining[:index] + remaining[index + 1:]
-            outside = frozenset().union(*others)
-            shared = edge & outside
-            if any(shared <= other for other in others):
-                ears.append(remaining.pop(index))
-                changed = True
-                break
-    return ears, remaining
-
-
 def _attach_empty_edges(groups: List[List[Edge]], empty_edges: List[Edge]) -> List[List[Edge]]:
     """Fold empty edges (0-ary atoms) into the first cluster; they never widen it."""
     if not empty_edges:
@@ -213,18 +196,21 @@ def _attach_empty_edges(groups: List[List[Edge]], empty_edges: List[Edge]) -> Li
 
 def _core_decomposition(hypergraph: Hypergraph
                         ) -> Tuple[List[Edge], List[Edge], List[Edge], List[List[Edge]]]:
-    """One ear-removal pass: (proper edges, empty edges, ears, core components).
+    """One GYO kernel run: (proper edges, empty edges, ears, core components).
 
-    ``ears`` and the component list are empty for acyclic hypergraphs; cover
-    search and the baseline cover both build on this single decomposition so
-    the O(E²) ear scan runs once per search.
+    The kernel's survivors are the cyclic core and every other proper edge is
+    an ear.  ``ears`` and the component list are empty for acyclic
+    hypergraphs; cover search and the baseline cover both build on this
+    single decomposition, so one reduction runs per search.
     """
     proper = [edge for edge in hypergraph.edges if edge]
     empty = [edge for edge in hypergraph.edges if not edge]
-    if not proper or is_acyclic(Hypergraph(proper)):
+    core = graham_survivors(proper)
+    if len(core) <= 1:
         return proper, empty, [], []
-    ears, residual = _ear_removal(proper)
-    components = [list(component) for component in edge_components(Hypergraph(residual))]
+    stuck = frozenset(core)
+    ears = [edge for edge in proper if edge not in stuck]
+    components = [list(component) for component in edge_components(Hypergraph(core))]
     return proper, empty, ears, components
 
 
@@ -240,7 +226,7 @@ def core_periphery_cover(hypergraph: Hypergraph) -> ClusterCover:
     """The baseline cover: singleton ears, one cluster per stuck-core component.
 
     Acyclic hypergraphs get the all-singleton (trivial) cover.  For cyclic
-    ones the ears peeled by :func:`_ear_removal` stay singletons and each
+    ones the ears the GYO kernel eliminates stay singletons and each
     connected component of the stuck residual becomes one cluster; the
     resulting quotient is acyclic by construction (collapsing a component to
     the union of its nodes makes every peeled ear an ear again).
@@ -262,6 +248,12 @@ def _set_partitions(items: List[Edge]) -> Iterator[List[List[Edge]]]:
         yield partition + [[first]]
 
 
+def _schemes_acyclic(partition: List[List[Edge]]) -> bool:
+    """``True`` when the partition's cluster schemes form an acyclic hypergraph."""
+    schemes = [frozenset().union(*group) for group in partition]
+    return len(graham_survivors(schemes)) <= 1
+
+
 def enumerate_covers(hypergraph: Hypergraph, *,
                      max_component_edges: int = _REFINEMENT_EDGE_LIMIT,
                      max_candidates: int = _CANDIDATE_LIMIT,
@@ -269,10 +261,12 @@ def enumerate_covers(hypergraph: Hypergraph, *,
     """Enumerate valid candidate covers (acyclic quotient), baseline included.
 
     Stuck-core components with at most ``max_component_edges`` edges are
-    refined by exhaustive set partition; every candidate's quotient is
-    validated with the GYO acyclicity test before it is admitted.  The
-    baseline :func:`core_periphery_cover` is always part of the result, so
-    the enumeration is never empty.
+    refined by exhaustive set partition.  A partition is valid when its own
+    cluster schemes pass the GYO acyclicity test (ears and the other
+    components cannot change that verdict, see the module docstring), and the
+    candidates are the combinations of valid partitions, at most
+    ``max_candidates`` of them.  The baseline :func:`core_periphery_cover` is
+    always the first candidate, so the enumeration is never empty.
 
     ``on_budget`` governs core components *beyond* the cap, where exhaustive
     set partition would blow up (Bell numbers): ``"degrade"`` (the default)
@@ -281,74 +275,71 @@ def enumerate_covers(hypergraph: Hypergraph, *,
     :class:`~repro.exceptions.CoverSearchBudgetExceededError` so callers that
     would rather fail than accept an unrefined wide cluster can.
     """
-    span = current_tracer().span("cover_search")
-    with span:
-        covers = _enumerate_covers(hypergraph,
-                                   max_component_edges=max_component_edges,
-                                   max_candidates=max_candidates,
-                                   on_budget=on_budget)
-        if span.is_recording:
-            span.set("edges", len(hypergraph.edges))
-            span.set("candidates", len(covers))
-        return covers
-
-
-def _enumerate_covers(hypergraph: Hypergraph, *,
-                      max_component_edges: int,
-                      max_candidates: int,
-                      on_budget: str) -> Tuple[ClusterCover, ...]:
-    """The untraced cover enumeration (see :func:`enumerate_covers`)."""
     if on_budget not in _BUDGET_POLICIES:
         raise ValueError(f"unknown on_budget policy {on_budget!r}; "
                          f"expected one of {_BUDGET_POLICIES}")
-    proper, empty, ears, components = _core_decomposition(hypergraph)
-    over_budget = [component for component in components
-                   if len(component) > max_component_edges]
-    if over_budget and on_budget == "raise":
-        worst = max(len(component) for component in over_budget)
-        raise CoverSearchBudgetExceededError(
-            f"cyclic core component with {worst} edges exceeds the refinement "
-            f"cap of {max_component_edges}; exhaustive partition search would "
-            "blow up — raise max_component_edges, or use on_budget='degrade' "
-            "to accept the greedy collapsed-component cover")
-    baseline = ClusterCover.of(
-        _attach_empty_edges(_baseline_groups(proper, ears, components), empty))
-    if baseline.is_trivial or not proper:
-        return (baseline,)
+    span = current_tracer().span("cover_search")
+    with span:
+        proper, empty, ears, components = _core_decomposition(hypergraph)
+        over_budget = [component for component in components
+                       if len(component) > max_component_edges]
+        if over_budget and on_budget == "raise":
+            worst = max(len(component) for component in over_budget)
+            raise CoverSearchBudgetExceededError(
+                f"cyclic core component with {worst} edges exceeds the refinement "
+                f"cap of {max_component_edges}; exhaustive partition search would "
+                "blow up — raise max_component_edges, or use on_budget='degrade' "
+                "to accept the greedy collapsed-component cover")
+        covers = [ClusterCover.of(
+            _attach_empty_edges(_baseline_groups(proper, ears, components), empty))]
+        partitions_examined = 0
+        per_component: List[List[List[List[Edge]]]] = []
+        for component in components:
+            options: List[List[List[Edge]]] = [[list(component)]]
+            if len(component) <= max_component_edges:
+                for partition in _set_partitions(sorted(component, key=_edge_sort_key)):
+                    if len(partition) == 1:
+                        continue  # already present as the collapsed baseline option
+                    partitions_examined += 1
+                    if _schemes_acyclic(partition):
+                        options.append(partition)
+            per_component.append(options)
+        refinements = product(*per_component)
+        next(refinements)  # every component collapsed: the baseline again
+        for combination in islice(refinements, max(max_candidates - 1, 0)):
+            groups: List[List[Edge]] = [[edge] for edge in ears]
+            for partition in combination:
+                groups.extend(partition)
+            covers.append(ClusterCover.of(_attach_empty_edges(groups, empty)))
+        if span.is_recording:
+            span.set("edges", len(hypergraph.edges))
+            span.set("core_edges", sum(len(component) for component in components))
+            span.set("partitions_examined", partitions_examined)
+            span.set("candidates", len(covers))
+        return tuple(covers)
 
-    per_component: List[List[List[List[Edge]]]] = []
-    for component in components:
-        options: List[List[List[Edge]]] = [[list(component)]]
-        if 1 < len(component) <= max_component_edges:
-            for partition in _set_partitions(sorted(component, key=_edge_sort_key)):
-                if len(partition) == 1:
-                    continue  # already present as the collapsed baseline option
-                options.append(partition)
-        per_component.append(options)
 
-    seen: set = set()
-    covers: List[ClusterCover] = []
+def _numeric_score(cover: ClusterCover, catalog: Optional["StatisticsCatalog"],
+                   estimated_rows: Dict[EdgeCluster, int]) -> Tuple[int, ...]:
+    """:func:`cover_score` without its rendering; cluster estimates memoised in ``estimated_rows``."""
+    materialised = sum(cluster.width for cluster in cover.clusters
+                       if not cluster.is_singleton)
+    if catalog is None:
+        return (cover.width, cover.fan_out, materialised)
+    estimates = []
+    for cluster in cover.clusters:
+        if cluster.is_singleton:
+            continue
+        if cluster not in estimated_rows:
+            estimated_rows[cluster] = cluster.estimated_rows(catalog)
+        estimates.append(estimated_rows[cluster])
+    return (cover.width, max(estimates, default=0), sum(estimates),
+            cover.fan_out, materialised)
 
-    def admit(candidate: ClusterCover) -> None:
-        if candidate.clusters in seen:
-            return
-        seen.add(candidate.clusters)
-        if not candidate.covers(hypergraph):
-            return
-        if is_acyclic(candidate.quotient_hypergraph()):
-            covers.append(candidate)
 
-    admit(baseline)
-    for combination in product(*per_component):
-        if len(covers) >= max_candidates:
-            break
-        groups: List[List[Edge]] = [[edge] for edge in ears]
-        for partition in combination:
-            groups.extend(partition)
-        admit(ClusterCover.of(_attach_empty_edges(groups, empty)))
-    if not covers:  # unreachable: the baseline always validates
-        covers.append(baseline)
-    return tuple(covers)
+def _rendering(cover: ClusterCover) -> Tuple[str, ...]:
+    """The deterministic last tie-break of :func:`cover_score`."""
+    return tuple(cluster.describe() for cluster in cover.clusters)
 
 
 def cover_score(cover: ClusterCover,
@@ -367,15 +358,24 @@ def cover_score(cover: ClusterCover,
     separated by how many rows their cores would actually produce on this
     database — the adaptive half of cover selection.
     """
-    materialised = sum(cluster.width for cluster in cover.clusters
-                      if not cluster.is_singleton)
-    rendering = tuple(cluster.describe() for cluster in cover.clusters)
-    if catalog is None:
-        return (cover.width, cover.fan_out, materialised, rendering)
-    estimates = [cluster.estimated_rows(catalog) for cluster in cover.clusters
-                 if not cluster.is_singleton]
-    return (cover.width, max(estimates, default=0), sum(estimates),
-            cover.fan_out, materialised, rendering)
+    return _numeric_score(cover, catalog, {}) + (_rendering(cover),)
+
+
+def select_cover(candidates: Iterable[ClusterCover],
+                 catalog: Optional["StatisticsCatalog"] = None) -> ClusterCover:
+    """The minimal-:func:`cover_score` candidate, computed without scoring each in full.
+
+    Only the candidates tied on the numeric part of the score are rendered,
+    and with a ``catalog`` each distinct cluster's cardinality is estimated
+    once for the whole selection: the candidates of one search share most of
+    their clusters.
+    """
+    estimated_rows: Dict[EdgeCluster, int] = {}
+    scored = [(_numeric_score(cover, catalog, estimated_rows), cover)
+              for cover in candidates]
+    best = min(score for score, _ in scored)
+    tied = [cover for score, cover in scored if score == best]
+    return tied[0] if len(tied) == 1 else min(tied, key=_rendering)
 
 
 def choose_cover(hypergraph: Hypergraph, *,
@@ -391,4 +391,4 @@ def choose_cover(hypergraph: Hypergraph, *,
     """
     candidates = enumerate_covers(hypergraph, max_component_edges=max_component_edges,
                                   max_candidates=max_candidates, on_budget=on_budget)
-    return min(candidates, key=lambda cover: cover_score(cover, catalog=catalog))
+    return select_cover(candidates, catalog)

@@ -473,7 +473,7 @@ class QueryPlanner:
         quotient's inner plan still comes from the fingerprint cache, and the
         static plan stays cached untouched.
         """
-        from .cyclic.covers import cover_score, enumerate_covers
+        from .cyclic.covers import enumerate_covers, select_cover
         from .cyclic.plans import CyclicExecutionPlan
         from .cyclic.quotient import AcyclicQuotient
 
@@ -482,7 +482,7 @@ class QueryPlanner:
         plan = self._cache_get(key)
         if plan is None:
             candidates = enumerate_covers(hypergraph)
-            cover = min(candidates, key=cover_score)
+            cover = select_cover(candidates)
             quotient = AcyclicQuotient.build(hypergraph, cover)
             inner = self.plan_for(quotient.hypergraph)
             plan = CyclicExecutionPlan(fingerprint=fingerprint, cover=cover,
@@ -492,7 +492,7 @@ class QueryPlanner:
         if catalog is None:
             return plan
         candidates = plan.candidates or (plan.cover,)
-        best = min(candidates, key=lambda cover: cover_score(cover, catalog=catalog))
+        best = select_cover(candidates, catalog)
         if best == plan.cover:
             return plan
         # The adaptive variant is keyed by the *chosen cover*, not by the

@@ -14,6 +14,7 @@ from repro.engine.cyclic.covers import (
     core_periphery_cover,
     cover_score,
     enumerate_covers,
+    select_cover,
 )
 from repro.exceptions import CoverSearchBudgetExceededError
 from repro.generators import (
@@ -25,6 +26,7 @@ from repro.generators import (
     triangle_core_chain,
 )
 from repro.relational import DatabaseSchema
+from repro.telemetry import Tracer, use_tracer
 
 
 class TestEdgeCluster:
@@ -169,6 +171,38 @@ class TestSearchBudget:
         with pytest.raises(ValueError):
             enumerate_covers(k_cycle_hypergraph(3), on_budget="explode")
 
+    def test_candidate_limit_bounds_the_covers_built_not_just_admitted(self, monkeypatch):
+        # Two disconnected 6-cycles: 203 partitions each, most with a cyclic
+        # quotient.  Counting only admitted covers used to let the search
+        # build every invalid combination (up to 203²) on the way to the
+        # limit; the product now ranges over validated partitions only.
+        two_cores = k_cycle_hypergraph(6, prefix="X").union(
+            k_cycle_hypergraph(6, prefix="Y"))
+        built = []
+        build = ClusterCover.of.__func__
+        monkeypatch.setattr(
+            ClusterCover, "of",
+            classmethod(lambda cls, groups: built.append(1) or build(cls, groups)))
+        covers = enumerate_covers(two_cores, max_candidates=5)
+        assert len(covers) == 5 == len(built)
+        assert covers[0] == core_periphery_cover(two_cores)
+        for cover in covers:
+            assert cover.covers(two_cores)
+            assert is_acyclic(cover.quotient_hypergraph())
+
+    def test_search_span_reports_effort_next_to_the_result(self):
+        two_cores = k_cycle_hypergraph(4, prefix="X").union(
+            k_cycle_hypergraph(5, prefix="Y")).add_edge({"X0", "Z"})
+        tracer = Tracer()
+        with use_tracer(tracer):
+            covers = enumerate_covers(two_cores)
+        (record,) = [r for r in tracer.records if r["name"] == "cover_search"]
+        assert record["attributes"] == {
+            "edges": 10, "core_edges": 9,
+            # Bell(4) + Bell(5) partitions, less the two collapsed ones.
+            "partitions_examined": 15 + 52 - 2,
+            "candidates": len(covers)}
+
 
 class TestCatalogAwareScore:
     def _catalog_for(self, hypergraph, *, seed=0):
@@ -199,3 +233,31 @@ class TestCatalogAwareScore:
         chosen = choose_cover(hypergraph, catalog=catalog)
         assert cover_score(chosen, catalog=catalog) \
             == min(cover_score(c, catalog=catalog) for c in candidates)
+
+    def test_selection_renders_only_the_candidates_tied_on_the_numbers(self, monkeypatch):
+        candidates = enumerate_covers(k_cycle_hypergraph(5))
+        best = min(cover_score(cover)[:-1] for cover in candidates)
+        tied = [cover for cover in candidates if cover_score(cover)[:-1] == best]
+        assert 1 < len(tied) < len(candidates)
+        rendered = []
+        describe = EdgeCluster.describe
+        monkeypatch.setattr(EdgeCluster, "describe",
+                            lambda cluster: rendered.append(cluster) or describe(cluster))
+        chosen = select_cover(candidates)
+        assert len(rendered) == sum(len(cover.clusters) for cover in tied)
+        assert cover_score(chosen) == min(cover_score(cover) for cover in candidates)
+
+    def test_selection_estimates_each_distinct_cluster_once(self, monkeypatch):
+        hypergraph = clique_augmented_chain(3)
+        catalog = self._catalog_for(hypergraph)
+        candidates = enumerate_covers(hypergraph)
+        estimated = []
+        estimate = EdgeCluster.estimated_rows
+        monkeypatch.setattr(
+            EdgeCluster, "estimated_rows",
+            lambda cluster, catalog: estimated.append(cluster) or estimate(cluster, catalog))
+        select_cover(candidates, catalog)
+        joined = [cluster for cover in candidates for cluster in cover.clusters
+                  if not cluster.is_singleton]
+        assert len(estimated) == len(set(joined)) < len(joined)
+        assert set(estimated) == set(joined)
