@@ -5,7 +5,9 @@ data-independent — it depends only on the schema's hypergraph and is cached
 by fingerprint.  Everything *data-dependent* about planning lives here:
 
 * :class:`RelationStatistics` — one relation's measured cardinality and
-  per-attribute distinct counts (exact, or extrapolated from a row sample);
+  per-attribute distinct counts (exact — counted from the id columns of the
+  relation's columnar block, which measuring builds if nothing has yet — or
+  extrapolated from a row sample);
 * :class:`StatisticsCatalog` — the per-database collection of those
   measurements plus the textbook estimators built on them (join selectivity,
   join/semijoin output sizes);
@@ -51,6 +53,7 @@ from ..core.join_tree import JoinTree, RootedJoinTree
 from ..core.nodes import format_node_set, node_sort_key, sorted_nodes
 from ..relational.relation import Relation
 from ..relational.schema import Attribute
+from .deadline import check_deadline
 
 __all__ = [
     "RelationStatistics",
@@ -97,30 +100,46 @@ class RelationStatistics:
                 sample_limit: Optional[int] = None) -> "RelationStatistics":
         """Measure a relation, optionally from a bounded row sample.
 
+        The exact measurement is *encode, then count*: the relation's cached
+        columnar block (:func:`~repro.engine.columnar.block.block_for`) is
+        built if this is the first time the engine sees the relation, and
+        the distinct counts are set sizes over its id columns
+        (:func:`~repro.engine.columnar.executor.statistics_from_block`) — so
+        the first catalog of a database is what encodes it, and the
+        evaluator that runs next finds every block cached instead of walking
+        the rows again.
+
         With ``sample_limit`` below the relation's size, distinct counts are
         computed over the first ``sample_limit`` rows of the relation's
         deterministic iteration order and scaled linearly — the cheap refresh
         a serving system can afford on every write burst, and reproducible
         across processes (a raw ``frozenset`` walk would vary with the hash
         seed).  Scaled counts are clamped to the cardinality.
+
+        Measuring is where a never-seen database is ingested, so each
+        relation starts with a cooperative ``"ingest"`` deadline check: a
+        request whose ambient budget is spent stops here instead of reading
+        the rest of the database first.
         """
-        attributes = relation.schema.attributes
-        size = len(relation)
         if sample_limit is not None and sample_limit < 1:
             raise ValueError("sample_limit must be at least 1")
+        check_deadline("ingest")
+        size = len(relation)
         if sample_limit is not None and size > sample_limit:
             sample = list(islice(iter(relation), sample_limit))
             scale = size / len(sample)
             distinct = {
                 attribute: min(size, _rows(len({row[attribute] for row in sample}) * scale))
-                for attribute in attributes
+                for attribute in relation.schema.attributes
             }
             return cls(edge=relation.schema.attribute_set, cardinality=size,
                        distinct_counts=distinct, exact=False)
-        distinct = {attribute: len({row[attribute] for row in relation.rows})
-                    for attribute in attributes}
-        return cls(edge=relation.schema.attribute_set, cardinality=size,
-                   distinct_counts=distinct, exact=True)
+        # Imported here: ``columnar.executor`` imports this module for the
+        # statistics classes, so a module-level import would be circular.
+        from .columnar.block import block_for
+        from .columnar.executor import statistics_from_block
+
+        return statistics_from_block(block_for(relation))
 
     def merged_with(self, other: "RelationStatistics") -> "RelationStatistics":
         """Combine measurements of two same-scheme relations.

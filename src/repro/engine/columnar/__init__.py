@@ -11,14 +11,15 @@ boundary:
 * :mod:`~repro.engine.columnar.block` — :class:`ColumnBlock` with zero-copy
   project/rename/select, grouped key encoding (per-storage cached key
   arrays and position groups in canonical attribute order, so keys compare
-  across blocks with no shared state), the weak per-relation block cache
-  (:func:`block_for`), and the process-wide execution-mode switch;
+  across blocks with no shared state), the one-walk transposed encode, the
+  weak block cache keyed by relation identity (:func:`block_for`), and the
+  process-wide execution-mode switch;
 * :mod:`~repro.engine.columnar.kernels` — whole-block semijoin / antijoin /
   natural join with fused projection, plus scheme merging;
 * :mod:`~repro.engine.columnar.executor` — the end-to-end pipeline (reduce
   the vertex blocks, fold the join tree bottom-up, decode last) shared by
-  the acyclic evaluator and the cyclic executor, plus exact columnar-side
-  statistics measurement for the adaptive quotient catalog.
+  the acyclic evaluator and the cyclic executor, plus exact statistics
+  counted from id columns — every exact catalog, the quotient's included.
 
 The engine runs columnar by default; ``execution_mode="row"`` (on
 :class:`~repro.engine.session.ExecutionOptions` or any evaluator entry

@@ -23,10 +23,15 @@ base-block storages, so every reducer step and join build probes a cached
 structure — the ``keyset_hits`` counter in :func:`column_cache_info` makes
 that observable.
 
-Blocks built from relations are cached weakly per relation instance
-(:func:`block_for`), mirroring the row engine's
-:func:`~repro.engine.indexes.index_for` cache, so repeated executions over
-one database encode each stored relation exactly once.
+Blocks built from relations are cached per relation *object*, weakly
+(:func:`block_for`: ``id(relation)`` → weakref + block), so repeated
+executions over one database encode each stored relation exactly once, a hot
+lookup is O(1) instead of a whole-relation comparison, and two value-equal
+relations that differ in name or column order each get their own block.
+Encoding is one transposed walk over the rows
+(:meth:`ColumnBlock.from_relation`); the first thing that touches a
+never-seen relation — normally its statistics catalog, which is counted from
+the id columns — pays it, and everything after finds the block cached.
 
 The process-wide **execution mode** switch also lives here:
 ``"columnar"`` (the default) runs the engine's physical layer on blocks,
@@ -39,6 +44,7 @@ from __future__ import annotations
 import threading
 import weakref
 from array import array
+from functools import partial
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.nodes import sorted_nodes
@@ -354,19 +360,23 @@ class ColumnBlock:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_relation(cls, relation: Relation) -> "ColumnBlock":
-        """Encode a relation into id columns (one interning pass per attribute).
+        """Encode a relation into id columns: one walk over the rows, transposed.
 
-        The source rows are retained on the storage so the row engine's
+        :meth:`Relation.to_columns <repro.relational.relation.Relation.to_columns>`
+        slices every value column out of the rows' items tuples in a single
+        pass (no per-cell ``row[attribute]`` lookup); each column is then
+        interned whole.  The source rows are retained on the storage,
+        position-aligned with the id columns, so the row engine's
         :meth:`HashIndex.build_columnar
         <repro.engine.indexes.HashIndex.build_columnar>` path can bucket the
         *original* ``Row`` objects by encoded key without re-materialising
         them.
         """
         attributes = relation.schema.attributes
-        rows = tuple(relation.rows)
+        rows, values = relation.to_columns()
         interner = _INTERNER
         columns: Dict[Attribute, array] = {
-            attribute: interner.encode(row[attribute] for row in rows)
+            attribute: interner.encode(values[attribute])
             for attribute in attributes}
         storage = _ColumnStorage(columns, len(rows), interner, source_rows=rows)
         return cls(relation.name, attributes, storage)
@@ -664,40 +674,80 @@ class ColumnBlock:
 # --------------------------------------------------------------------------- #
 # Per-relation block cache
 # --------------------------------------------------------------------------- #
-# Relations are immutable, so a block encoding never goes stale; the weak
-# dictionary lets relations (and their blocks) be reclaimed together.  The
-# lock keeps the WeakKeyDictionary (not thread-safe under concurrent
-# mutation) and the hit/miss counters coherent across concurrent executes;
-# encoding itself runs outside the lock — two threads racing on the same
-# cold relation may both encode (blocks are immutable and interchangeable;
-# the first insert wins), which trades a little duplicate work for never
-# blocking the cache on a large scan.  The per-storage derived caches are
-# deliberately lock-free for the same reason: a race rebuilds an equivalent
-# structure and last-write-wins.
-_BLOCK_CACHE: "weakref.WeakKeyDictionary[Relation, ColumnBlock]" = weakref.WeakKeyDictionary()
+# Relations are immutable, so a block encoding never goes stale.  The cache
+# is keyed by relation *identity* — ``id(relation) -> (weakref, block)``, the
+# idiom ``EngineSession._prepared_queries`` uses — and an entry is a hit only
+# when its weakref still resolves to the very object asked about:
+#
+# * a hot lookup is O(1) (``Relation.__eq__`` compares whole row sets, so a
+#   value-keyed cache paid O(rows) on every hit);
+# * value-equal relations may differ in name and column order, and a block
+#   carries both, so each object gets its own block;
+# * a recycled ``id()`` can never return a stale block — the dead relation's
+#   weakref no longer resolves, whether or not its finalizer has run yet.
+#
+# The weakref's finalizer drops the entry, so relations and their blocks are
+# reclaimed together.  The lock keeps the hit/miss counters and the
+# check-then-insert coherent across concurrent executes; encoding itself runs
+# outside the lock — two threads racing on the same cold relation may both
+# encode (blocks are immutable and interchangeable; the first insert wins),
+# which trades a little duplicate work for never blocking the cache on a
+# large scan.  The per-storage derived caches are deliberately lock-free for
+# the same reason: a race rebuilds an equivalent structure and last-write-wins.
+_BLOCK_CACHE: Dict[int, Tuple["weakref.ref[Relation]", ColumnBlock]] = {}
 _BLOCK_CACHE_LOCK = threading.Lock()
 _BLOCK_HITS = 0
 _BLOCK_MISSES = 0
 
 
+def _cached_block(relation: Relation) -> Optional[ColumnBlock]:
+    """The entry under ``id(relation)`` — if it still belongs to this very object."""
+    entry = _BLOCK_CACHE.get(id(relation))
+    if entry is not None and entry[0]() is relation:
+        return entry[1]
+    return None
+
+
+def _forget_block(key: int, reference: "weakref.ref[Relation]") -> None:
+    """Weakref finalizer: drop a dead relation's entry — without the lock.
+
+    The garbage collector can fire this on an allocation *inside*
+    :func:`block_for`, on the thread that already holds
+    ``_BLOCK_CACHE_LOCK``; taking the (non-re-entrant) lock here would
+    deadlock.  ``dict.get`` / ``dict.pop`` are each atomic, and the ``is``
+    check keeps a finalizer from removing an entry that has since been
+    replaced (the relation's memory is not released — so its ``id`` cannot be
+    reissued — until this callback returns).
+    """
+    entry = _BLOCK_CACHE.get(key)
+    if entry is not None and entry[0] is reference:
+        _BLOCK_CACHE.pop(key, None)
+
+
 def block_for(relation: Relation) -> ColumnBlock:
-    """The (cached) columnar encoding of ``relation``."""
+    """The (cached) columnar encoding of ``relation``, one block per relation object."""
     global _BLOCK_HITS, _BLOCK_MISSES
     with _BLOCK_CACHE_LOCK:
-        cached = _BLOCK_CACHE.get(relation)
+        cached = _cached_block(relation)
         if cached is not None:
             _BLOCK_HITS += 1
             return cached
         _BLOCK_MISSES += 1
     block = ColumnBlock.from_relation(relation)
+    key = id(relation)
+    reference = weakref.ref(relation, partial(_forget_block, key))
     with _BLOCK_CACHE_LOCK:
-        return _BLOCK_CACHE.setdefault(relation, block)
+        cached = _cached_block(relation)
+        if cached is not None:
+            return cached
+        _BLOCK_CACHE[key] = (reference, block)
+        return block
 
 
 def peek_block(relation: Relation) -> Optional[ColumnBlock]:
     """The cached block of ``relation``, or ``None`` (no build, no counter bump)."""
     with _BLOCK_CACHE_LOCK:
-        return _BLOCK_CACHE.get(relation)
+        return _cached_block(relation)
 
 
 def column_cache_info() -> Dict[str, int]:

@@ -100,9 +100,11 @@ class ValueInterner:
             for value in column:
                 encoded = ids.get(value)
                 if encoded is None:
+                    # Value before id: an id is never published while the
+                    # lock-free ``decode`` could not yet resolve it.
                     encoded = len(values)
-                    ids[value] = encoded
                     values.append(value)
+                    ids[value] = encoded
                 append(encoded)
         return out
 
@@ -117,8 +119,8 @@ class ValueInterner:
                 encoded = ids.get(key)
                 if encoded is None:
                     encoded = len(values)
-                    ids[key] = encoded
                     values.append(key)
+                    ids[key] = encoded
                 append(encoded)
         return out
 

@@ -110,15 +110,20 @@ def statistics_from_block(block: ColumnBlock) -> RelationStatistics:
     """Exact relation statistics measured columnar-side (no row decode).
 
     Cardinality is the selection length; the per-attribute distinct counts
-    are set sizes over the selected column values — the same numbers
+    are set sizes over the selected ids, built at C level — interning maps
+    equal values to equal ids, so these are the numbers a walk over the
+    rows' values would count.  This is the exact branch of
     :meth:`RelationStatistics.measure
-    <repro.engine.catalog.RelationStatistics.measure>` computes from rows.
+    <repro.engine.catalog.RelationStatistics.measure>` and the statistics of
+    every materialised cluster block.
     """
     positions = block.positions
+    full_range = type(positions) is range
     distinct = {}
     for attribute in block.attributes:
         column = block.column(attribute)
-        distinct[attribute] = len({column[position] for position in positions})
+        distinct[attribute] = len(set(
+            column if full_range else map(column.__getitem__, positions)))
     return RelationStatistics(edge=block.attribute_set, cardinality=len(block),
                               distinct_counts=distinct, exact=True)
 

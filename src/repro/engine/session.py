@@ -746,10 +746,13 @@ class PreparedQuery:
         """The memoized per-database execution state (resolved on first use).
 
         Resolution (catalog measurement + annotation) runs *outside* the
-        session lock — it can scan data, and holding the lock would stall
-        every other warm execution behind one cold database.  Two threads
-        racing on the same cold database may both resolve; bindings are
-        immutable and interchangeable, and the first insert wins.
+        session lock — measuring is what ingests a never-seen database (the
+        exact catalog encodes every relation into its cached block and
+        counts from the id columns), and holding the lock would stall every
+        other warm execution behind one cold database.  It honours an
+        ambient deadline relation by relation (phase ``"ingest"``).  Two
+        threads racing on the same cold database may both resolve; bindings
+        are immutable and interchangeable, and the first insert wins.
         """
         with self._session._lock:
             binding = self._bindings.get(database)
@@ -993,8 +996,9 @@ class EngineSession:
         :meth:`Database.statistics_catalog
         <repro.relational.database.Database.statistics_catalog>`), keyed by
         ``sample_limit`` — which defaults to the session's option.
-        ``refresh=True`` forces a re-measure.  Measurement scans data and
-        runs entirely outside the session lock.
+        ``refresh=True`` forces a re-measure.  Measurement reads data (the
+        first exact catalog of a database is what encodes it) and runs
+        entirely outside the session lock.
         """
         if sample_limit is _UNSET_SAMPLE_LIMIT:
             sample_limit = self._options.sample_limit

@@ -8,7 +8,7 @@ relational-algebra operators live in :mod:`repro.relational.algebra`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.nodes import sorted_nodes
 from ..exceptions import ArityError, SchemaError, UnknownAttributeError
@@ -224,6 +224,25 @@ class Relation:
         if not self._schema.has_attribute(attribute):
             raise UnknownAttributeError(attribute)
         return frozenset(row[attribute] for row in self._rows)
+
+    def to_columns(self) -> Tuple[Tuple[Row, ...], Dict[Attribute, List[Any]]]:
+        """The rows in one fixed order plus every attribute's values in that order.
+
+        The transpose the columnar encode boundary starts from, and the
+        mirror of :meth:`Row._from_sorted_items` on the decode side: one walk
+        over the row set and no per-cell attribute lookup.  Every row of a
+        relation holds its items in the same canonical attribute order (the
+        invariant ``Row.__eq__`` and ``Row.__hash__`` already rest on), so
+        slot ``k`` of every items tuple belongs to one attribute and a column
+        is a plain slice — ``columns[a][i] == rows[i][a]`` for every
+        position ``i``.
+        """
+        rows = tuple(self._rows)
+        if not rows:
+            return rows, {attribute: [] for attribute in self._schema.attributes}
+        items = [row._items for row in rows]
+        return rows, {attribute: [cells[slot][1] for cells in items]
+                      for slot, (attribute, _) in enumerate(items[0])}
 
     def is_empty(self) -> bool:
         """``True`` when the relation has no rows."""

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro.engine import (
@@ -17,6 +22,7 @@ from repro.engine.columnar import (
     block_for,
     clear_column_caches,
     column_cache_info,
+    current_interner,
     default_execution_mode,
     intersect_blocks,
     merge_blocks_by_scheme,
@@ -26,6 +32,7 @@ from repro.engine.columnar import (
     semijoin_blocks,
     set_default_execution_mode,
 )
+from repro.engine.columnar import block as block_module
 from repro.engine.reducer import FullReducer, verify_full_reduction_blocks
 from repro.exceptions import SchemaError, UnknownAttributeError
 from repro.relational import Relation, RelationSchema
@@ -113,6 +120,124 @@ class TestBlockCache:
         assert peek_block(relation) is None
         block_for(relation)
         assert peek_block(relation) is not None
+
+    def test_value_equal_relations_get_their_own_blocks(self):
+        # Regression: the cache was keyed by relation *value*, so S(B, A) was
+        # handed R(A, B)'s block — name and column order included.
+        clear_column_caches()
+        r = Relation.from_tuples(RelationSchema.of("R", ("A", "B")), [(1, 2)])
+        s = Relation.from_tuples(RelationSchema.of("S", ("B", "A")), [(2, 1)])
+        assert r == s
+        r_block, s_block = block_for(r), block_for(s)
+        assert r_block is not s_block
+        assert (r_block.name, r_block.attributes) == ("R", ("A", "B"))
+        assert (s_block.name, s_block.attributes) == ("S", ("B", "A"))
+        decoded = block_for(s).to_relation()
+        assert decoded.name == "S"
+        assert decoded.schema.attributes == ("B", "A")
+        assert decoded == s
+        info = column_cache_info()
+        assert (info["misses"], info["hits"], info["relations"]) == (2, 1, 2)
+
+    def test_entry_is_dropped_with_its_relation(self, r_ab):
+        clear_column_caches()
+        block_for(r_ab)
+        relation = Relation.from_tuples(RelationSchema.of("P", ("A",)), [(1,)])
+        block_for(relation)
+        assert column_cache_info()["relations"] == 2
+        del relation
+        gc.collect()
+        assert column_cache_info()["relations"] == 1
+        assert peek_block(r_ab) is not None
+
+    def test_recycled_id_never_returns_a_stale_block(self):
+        # An entry left under a dead relation's id (its finalizer not yet
+        # run) must not answer for a new relation allocated at that address.
+        clear_column_caches()
+        dead = Relation.from_tuples(RelationSchema.of("Old", ("A",)), [(1,)])
+        stale = ColumnBlock.from_relation(dead)
+        dead_reference = weakref.ref(dead)
+        del dead
+        gc.collect()
+        relation = Relation.from_tuples(RelationSchema.of("New", ("A",)), [(2,)])
+        block_module._BLOCK_CACHE[id(relation)] = (dead_reference, stale)
+        assert peek_block(relation) is None
+        block = block_for(relation)
+        assert block is not stale and block.name == "New"
+        assert block.to_relation() == relation
+        assert block_for(relation) is block
+
+    def test_clear_empties_the_cache_and_swaps_the_generation(self, r_ab):
+        before = block_for(r_ab)
+        interner = current_interner()
+        clear_column_caches()
+        info = column_cache_info()
+        assert (info["relations"], info["hits"], info["misses"]) == (0, 0, 0)
+        assert peek_block(r_ab) is None
+        assert current_interner() is not interner
+        after = block_for(r_ab)
+        assert after is not before and after.interner is current_interner()
+        assert before.to_relation() == r_ab  # a survivor still decodes
+
+    def test_finalizer_under_the_held_cache_lock_does_not_deadlock(self):
+        # The collector can run a dead relation's finalizer on an allocation
+        # inside block_for, on the thread that already holds the cache lock.
+        clear_column_caches()
+        dropped = []
+
+        def drop_while_locked():
+            relation = Relation.from_tuples(RelationSchema.of("P", ("A",)), [(1,)])
+            block_for(relation)
+            key = id(relation)
+            with block_module._BLOCK_CACHE_LOCK:
+                del relation
+                gc.collect()
+                dropped.append(key not in block_module._BLOCK_CACHE)
+
+        worker = threading.Thread(target=drop_while_locked, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert dropped == [True]
+
+    def test_concurrent_block_for_loses_no_counter_increment(self, r_ab):
+        clear_column_caches()
+        threads, rounds = 8, 150
+        shared_blocks, failures = [], []
+        start = threading.Barrier(threads)
+
+        def hammer(worker):
+            try:
+                start.wait(timeout=10)
+                for index in range(rounds):
+                    shared_blocks.append(block_for(r_ab))
+                    short_lived = Relation.from_tuples(
+                        RelationSchema.of("T", ("A", "B")), [(worker, index)])
+                    block = block_for(short_lived)
+                    assert block_for(short_lived) is block
+                    assert block.to_relation() == short_lived
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=hammer, args=(worker,), daemon=True)
+                       for worker in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
+        assert len(set(map(id, shared_blocks))) == 1
+        gc.collect()
+        info = column_cache_info()
+        assert info["hits"] + info["misses"] == threads * rounds * 3
+        assert info["misses"] >= threads * rounds + 1
+        assert info["relations"] == 1
 
 
 class TestKernels:

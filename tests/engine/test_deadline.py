@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.columnar import clear_column_caches, column_cache_info, peek_block
 from repro.engine.deadline import (
     active_deadline,
     check_deadline,
@@ -128,6 +129,22 @@ def test_ambient_scope_times_out_an_unoptioned_execution(chain_database):
         with pytest.raises(ExecutionTimeoutError):
             prepared.execute(chain_database)
     prepared.execute(chain_database)  # the scope does not stick
+
+
+def test_spent_budget_stops_ingest_before_any_block_is_cached():
+    # Binding resolution is where a never-seen database is measured and
+    # encoded; a request whose budget is already spent must not ingest first.
+    database = skewed_chain_database(3, heads=10, fanout=5, junction_values=3,
+                                     seed=11)
+    prepared = EngineSession().prepare(database)
+    clear_column_caches()
+    with deadline_scope(1e-9):
+        with pytest.raises(ExecutionTimeoutError) as caught:
+            prepared.execute(database)
+    assert caught.value.phase == "ingest"
+    assert column_cache_info()["misses"] == 0
+    assert all(peek_block(relation) is None for relation in database.relations())
+    prepared.execute(database)  # nothing half-resolved was memoised
 
 
 def test_deadline_failures_reach_the_monitor(chain_database):
