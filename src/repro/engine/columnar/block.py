@@ -45,6 +45,7 @@ import threading
 import weakref
 from array import array
 from functools import partial
+from itertools import repeat
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.nodes import sorted_nodes
@@ -626,19 +627,43 @@ class ColumnBlock:
         return tuple(values[self._storage.columns[attribute][position]]
                      for attribute in self._attributes)
 
-    def iter_rows(self) -> Iterator[Tuple[Any, ...]]:
-        """The selected rows as plain value tuples, in column order."""
+    def _gathered_values(self, attributes: KeyAttributes) -> List[Iterable[Any]]:
+        """Per attribute, the decoded values at the selected positions, in order.
+
+        The one bulk gather both result views are built on: each decoded
+        column is indexed by the whole selection vector in a single C-level
+        ``map`` (an unselected block *is* its decoded columns), so no
+        per-row, per-cell Python code runs here or in the zips over it.
+        """
         decoded = [self._storage.decoded_column(attribute)
-                   for attribute in self._attributes]
-        for position in self.positions:
-            yield tuple(column[position] for column in decoded)
+                   for attribute in attributes]
+        if self._sel is None:
+            return decoded
+        return [map(column.__getitem__, self._sel) for column in decoded]
+
+    def iter_rows(self) -> Iterator[Tuple[Any, ...]]:
+        """The selected rows as plain value tuples, in column order.
+
+        The bulk row view — the gathered columns zipped — and what the query
+        service serialises from: no :class:`Row`, no set.  A 0-ary block has
+        no column to zip, so it yields one ``()`` per selected position.
+        """
+        if not self._attributes:
+            return repeat((), len(self))
+        return zip(*self._gathered_values(self._attributes))
 
     def to_relation(self, name: Optional[str] = None) -> Relation:
         """Decode the block back into a :class:`Relation` (the result boundary).
 
-        Rows are assembled directly in canonical attribute order through
-        :meth:`Row._from_sorted_items <repro.relational.relation.Row>` — no
-        per-row dict build, no per-row re-sort.
+        Eager, and assembled column-wise: per canonical attribute
+        ``zip(repeat(attribute), gathered values)`` yields that column's
+        ``(attribute, value)`` pairs, and zipping those pair columns *is* the
+        rows' canonically sorted items tuples.  What stays per row is what a
+        ``Relation`` is made of — one :meth:`Row._from_sorted_items
+        <repro.relational.relation.Row>` and one ``Row.__hash__`` into the
+        ``frozenset`` — so the cost is linear in rows with a small constant
+        and two tracked objects (items tuple, ``Row``) per row, plus the pair
+        tuples.
         """
         attributes = self._attributes
         schema = RelationSchema(name or self._name, attributes)
@@ -646,14 +671,10 @@ class ColumnBlock:
             rows = frozenset([Row._from_sorted_items(())] if len(self) else [])
             return Relation.from_valid_rows(schema, rows)
         ordered = tuple(sorted_nodes(attributes))
-        decoded = [self._storage.decoded_column(attribute)
-                   for attribute in ordered]
-        from_items = Row._from_sorted_items
-        rows = frozenset(
-            from_items(tuple(zip(ordered, values)))
-            for values in zip(*(
-                [column[position] for position in self.positions]
-                for column in decoded)))
+        pair_columns = [zip(repeat(attribute), values)
+                        for attribute, values
+                        in zip(ordered, self._gathered_values(ordered))]
+        rows = frozenset(map(Row._from_sorted_items, zip(*pair_columns)))
         return Relation.from_valid_rows(schema, rows)
 
     def __reduce__(self):

@@ -46,7 +46,11 @@ from ..deadline import check_deadline
 from ..indexes import index_cache_info
 from ..planner import DEFAULT_PLANNER, QueryPlanner, annotate_plan, schema_fingerprint
 from ..reducer import ReductionTrace
-from ..yannakakis import evaluate as evaluate_acyclic, resolve_decode_mode
+from ..yannakakis import (
+    decode_result_block,
+    evaluate as evaluate_acyclic,
+    resolve_decode_mode,
+)
 from ...telemetry.tracing import current_tracer, merge_phase_times
 from .plans import CyclicEngineStatistics, CyclicExecutionPlan
 from .quotient import materialise_cluster_blocks, materialise_clusters
@@ -123,7 +127,8 @@ class CyclicEngineResult:
 
     Mirrors :class:`~repro.engine.yannakakis.EngineResult`'s decode contract:
     under ``decode="block"`` ``relation`` is ``None`` and :meth:`decoded`
-    materialises it lazily from ``block``.
+    materialises it lazily from ``block`` (a sharded run that merged as rows
+    carries that relation and no block instead).
     """
 
     relation: Optional[Relation]
@@ -308,19 +313,8 @@ def evaluate_cyclic(relations: Sequence[Relation],
             result_block = result_block.with_column_order(
                 sorted_nodes(result_block.attributes))
             check_deadline("decode")
-            if decode == "rows":
-                decode_span = tracer.span("decode")
-                decode_started = perf_counter()
-                with decode_span:
-                    relation = result_block.to_relation(name)
-                    if decode_span.is_recording:
-                        decode_span.set("mode", mode)
-                        decode_span.set("backend", backend_name)
-                        decode_span.set("output_rows", len(relation))
-                decode_seconds = perf_counter() - decode_started
-            else:
-                relation = None
-                decode_seconds = 0.0
+            relation, decode_seconds = decode_result_block(
+                result_block, name, decode, backend_name)
         phase_times = (("prepare", prepare_seconds),
                        ("materialise", materialise_seconds),
                        ("encode", encode_seconds),

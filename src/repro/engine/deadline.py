@@ -5,7 +5,8 @@ budget.  The budget is enforced *cooperatively*: the evaluators call
 :func:`check_deadline` between phases (prepare / materialise / encode /
 reduce / fold / decode), the catalog once per relation while a never-seen
 database is measured and encoded (``ingest`` — under an ambient scope such as
-the query service's), and both raise
+the query service's), the query service once before it builds a response's
+rows from the result block (``payload``), and all raise
 :class:`~repro.exceptions.ExecutionTimeoutError` when the budget is spent.
 A phase that is already running is never interrupted mid-flight — the
 overshoot is bounded by the longest single phase, which keeps the check

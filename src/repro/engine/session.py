@@ -144,9 +144,11 @@ class ExecutionOptions:
       change compute, never results.
     * ``decode`` — how results cross the engine boundary: ``"rows"``
       (default) decodes eagerly into a :class:`Relation`; ``"block"``
-      (columnar only) skips the decode phase and defers it to
+      (columnar only) builds no rows and defers that to
       ``result.decoded()`` — the win for callers that only need counts,
-      emptiness, or re-feed blocks into further columnar work.
+      emptiness, re-feed blocks into further columnar work, or read the
+      answer as plain tuples (``result.block.iter_rows()``, which is how the
+      query service serialises every columnar answer).
     * ``trace`` — record spans of every prepare/execute into the owning
       session's :class:`~repro.telemetry.tracing.Tracer` when no ambient
       tracer is already active.  Off by default: the untraced hot path pays

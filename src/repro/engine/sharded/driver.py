@@ -92,14 +92,15 @@ def run_sharded(prepared, binding):
     merge_seconds = perf_counter() - merge_started
     check_deadline("decode")
 
+    # A rows merge already holds the answer as a relation: under
+    # decode="block" the result carries it as is (``block=None``,
+    # ``decoded()`` returns it) — re-encoding it to fill ``.block`` would be
+    # a whole extra pass nobody reads.
     decode_started = perf_counter()
-    if blocks_merge:
-        relation = None if decode_mode == "block" \
-            else merged_block.to_relation(name)
+    if blocks_merge and decode_mode == "rows":
+        relation = merged_block.to_relation(name)
     else:
         relation = merged_relation
-        if decode_mode == "block":
-            merged_block = ColumnBlock.from_relation(merged_relation)
     decode_seconds = perf_counter() - decode_started
 
     output_size = len(relation) if relation is not None else len(merged_block)

@@ -73,15 +73,44 @@ def resolve_decode_mode(decode: str, execution_mode: str) -> str:
     return decode
 
 
+def decode_result_block(block: ColumnBlock, name: str, decode: str,
+                        backend_name: str) -> Tuple[Optional[Relation], float]:
+    """The decode step both columnar evaluators end on: ``(relation, seconds)``.
+
+    ``decode="rows"`` builds the relation here, eagerly
+    (:meth:`ColumnBlock.to_relation`); ``decode="block"`` builds no rows and
+    returns ``None``.  The ``decode`` span opens either way — EXPLAIN ANALYZE
+    reads the output actual from its ``output_rows`` — and a run that built
+    no rows marks it ``deferred``.
+    """
+    span = current_tracer().span("decode")
+    started = perf_counter()
+    with span:
+        relation = block.to_relation(name) if decode == "rows" else None
+        if span.is_recording:
+            span.set("mode", "columnar")
+            span.set("backend", backend_name)
+            span.set("output_rows",
+                     len(block) if relation is None else len(relation))
+            if relation is None:
+                span.set("deferred", True)
+    return relation, perf_counter() - started
+
+
 @dataclass(frozen=True)
 class EngineResult:
     """The engine's answer plus the plan that produced it and its accounting.
 
-    Under ``decode="rows"`` (the default) ``relation`` is the decoded answer
-    and, in columnar mode, ``block`` additionally exposes the typed result
-    block.  Under ``decode="block"`` the engine skips the decode phase
-    entirely: ``relation`` is ``None`` and :meth:`decoded` materialises it
-    on first request (cached on the result).
+    Under ``decode="rows"`` (the default) ``relation`` is the decoded answer,
+    built eagerly inside the call, and, in columnar mode, ``block``
+    additionally exposes the typed result block.  Under ``decode="block"``
+    the engine builds no rows: ``relation`` is ``None``, ``block`` is the
+    answer (:meth:`ColumnBlock.iter_rows` walks it without building a
+    relation — the query service's wire path) and :meth:`decoded`
+    materialises the relation on first request (cached on the result).  The
+    one exception is a sharded run whose shards merge as rows (process
+    executor, row mode, 0-ary output): it already holds the merged relation,
+    so it carries that and no block under either decode mode.
     """
 
     relation: Optional[Relation]
@@ -169,9 +198,9 @@ def evaluate(relations: Sequence[Relation],
 
     ``column_backend`` pins the columnar compute backend (``"array"`` or
     ``"numpy"``) for this evaluation; ``None`` keeps the ambient default.
-    ``decode="block"`` (columnar only) skips the decode phase and returns a
-    result whose ``relation`` is materialised lazily via
-    :meth:`EngineResult.decoded`.
+    ``decode="block"`` (columnar only) builds no rows — the ``decode`` span
+    still opens, ``deferred``, with the output count — and returns a result
+    whose ``relation`` is materialised lazily via :meth:`EngineResult.decoded`.
     """
     if not relations:
         raise SchemaError("the engine needs at least one relation to evaluate")
@@ -247,19 +276,8 @@ def evaluate(relations: Sequence[Relation],
             result_block = result_block.with_column_order(
                 sorted_nodes(result_block.attributes))
             check_deadline("decode")
-            if decode == "rows":
-                decode_span = tracer.span("decode")
-                decode_started = perf_counter()
-                with decode_span:
-                    result = result_block.to_relation(name)
-                    if decode_span.is_recording:
-                        decode_span.set("mode", mode)
-                        decode_span.set("backend", backend_name)
-                        decode_span.set("output_rows", len(result))
-                decode_seconds = perf_counter() - decode_started
-            else:
-                result = None
-                decode_seconds = 0.0
+            result, decode_seconds = decode_result_block(
+                result_block, name, decode, backend_name)
         intermediates = list(intermediate_sizes)
         column_after = column_cache_info()
         cache_hits = column_after["hits"] - column_before["hits"]

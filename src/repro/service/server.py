@@ -25,6 +25,13 @@ threads its own request occupies.  Each request runs under
 :func:`~repro.telemetry.tracing.use_span_tags`, so every trace span an
 execution produces carries the client and request id.
 
+Result boundary: the service, not the client, chooses how answers leave the
+engine.  Every columnar query is prepared with the decode deferred
+(``decode="block"``), and ``execute`` / ``execute_many`` build the
+``relation`` documents straight from the result block's id columns
+(:func:`_relation_payload`) inside the request's deadline scope — no ``Row``
+is built for the wire, and ``include_rows=false`` never decodes.
+
 Graceful drain (:meth:`ServiceServer.close`): stop accepting connections →
 flip the admission gate (new work gets 503 ``shutting-down``) → wait for
 in-flight requests to retire → cancel idle keep-alive connections → stop
@@ -37,14 +44,17 @@ import asyncio
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from itertools import repeat
+from time import perf_counter
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..engine.deadline import deadline_scope
+from ..engine.columnar import resolve_execution_mode
+from ..engine.deadline import check_deadline, deadline_scope
 from ..engine.planner import fingerprint_digest
 from ..engine.session import EngineSession, ExecutionOptions
 from ..relational.database import Database
-from ..telemetry.tracing import use_span_tags
+from ..telemetry.tracing import current_tracer, use_span_tags
 from .admission import AdmissionConfig, AdmissionController, ClientRegistry
 from .pool import ExecutionPool
 from .protocol import (
@@ -68,8 +78,10 @@ _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: The ``ExecutionOptions`` fields a client may set over the wire.  ``root``
-#: needs an in-process Edge object and ``decode`` must stay ``"rows"`` (the
-#: service serialises relations), so neither is reachable remotely.
+#: needs an in-process Edge object, and ``decode`` is the service's own
+#: choice, not the client's: it owns the result boundary, defers the decode
+#: of every columnar query (``"block"``) and serialises the answer straight
+#: from the id block — so neither is reachable remotely.
 WIRE_OPTION_FIELDS = frozenset({
     "adaptive", "check_reduction", "cluster_row_bound", "sample_limit",
     "force_cyclic", "execution_mode", "column_backend", "trace",
@@ -96,21 +108,60 @@ def _statistics_payload(statistics: object) -> Dict[str, Any]:
     return payload
 
 
-def _relation_payload(relation: Any) -> Dict[str, Any]:
-    """One relation as JSON: ordered columns, deterministically sorted rows.
+def _relation_payload(result: Any) -> Dict[str, Any]:
+    """One result's answer as JSON: ordered columns, deterministically sorted rows.
 
-    ``Relation.rows`` is a frozenset, so the sort (by each value's ``repr``)
-    is what makes two equal relations serialise byte-identically — the
+    One serialiser, two row sources.  A deferred-decode result (every
+    columnar query — see ``_method_prepare``) is read straight off its id
+    block: :meth:`ColumnBlock.iter_rows
+    <repro.engine.columnar.block.ColumnBlock.iter_rows>` gathers each decoded
+    column at the selected positions and zips them, so the wire path builds
+    no ``Row`` and no ``frozenset``.  A result that holds a relation (row
+    execution mode; sharded runs that merge as rows) is transposed in one
+    walk (:meth:`Relation.to_columns
+    <repro.relational.relation.Relation.to_columns>`) and zipped the same
+    way.  Neither source has an order, so the sort (by each row's ``repr``)
+    is what makes two equal answers serialise byte-identically — the
     property suite compares concurrent and serial responses literally.
     """
-    attributes = relation.attributes
-    rows = [[row[attribute] for attribute in attributes]
-            for row in relation.rows]
-    rows.sort(key=repr)
-    return {"name": relation.name,
+    relation = result.relation
+    if relation is None:
+        name, attributes = result.result_name, result.block.attributes
+        tuples = result.block.iter_rows()
+    else:
+        name, attributes = relation.name, relation.attributes
+        columns = relation.to_columns()[1]
+        tuples = zip(*map(columns.__getitem__, attributes)) if attributes \
+            else repeat((), len(relation))
+    rows = sorted(map(list, tuples), key=repr)
+    return {"name": name,
             "columns": [str(attribute) for attribute in attributes],
             "rows": rows,
             "row_count": len(rows)}
+
+
+def _relation_payloads(results: Sequence[Any],
+                       statistics: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The ``relation`` documents of ``results``, timed into ``statistics``.
+
+    Called inside the request's deadline scope: under deferred decode this
+    is where rows are first built and sorted, so a spent budget stops here
+    (phase ``payload``) before any row list exists.  The seconds join the
+    statistics document's ``phase_seconds`` as ``payload`` (``decode`` reads
+    ~0 there now — this entry carries the moved work), and the step is a
+    ``payload`` span, carrying ``rows``, on the ambient tracer.
+    """
+    check_deadline("payload")
+    span = current_tracer().span("payload")
+    started = perf_counter()
+    with span:
+        documents = [_relation_payload(result) for result in results]
+        if span.is_recording:
+            span.set("rows", sum(document["row_count"]
+                                 for document in documents))
+    statistics.setdefault("phase_seconds", {})["payload"] = \
+        perf_counter() - started
+    return documents
 
 
 class QueryService:
@@ -214,7 +265,13 @@ class QueryService:
                 f"a subset of {sorted(WIRE_OPTION_FIELDS)}",
                 code="invalid-param")
         try:
-            options = self.session.options.merged(**overrides)
+            # The service owns the result boundary: a columnar answer is
+            # serialised straight from its id block, so its decode is
+            # deferred; row mode has no block and keeps producing a relation.
+            mode = resolve_execution_mode(overrides.get(
+                "execution_mode", self.session.options.execution_mode))
+            options = self.session.options.merged(
+                **overrides, decode="block" if mode == "columnar" else "rows")
         except (TypeError, ValueError) as error:
             raise ProtocolError(f"invalid options: {error}",
                                 code="invalid-param")
@@ -238,13 +295,14 @@ class QueryService:
                                 code="invalid-param")
         with deadline_scope(deadline):
             result = prepared.execute(database)
-        payload: Dict[str, Any] = {
-            "database": params["database"],
-            "row_count": result.statistics.output_size,
-            "statistics": _statistics_payload(result.statistics),
-        }
-        if params.get("include_rows", True):
-            payload["relation"] = _relation_payload(result.relation)
+            payload: Dict[str, Any] = {
+                "database": params["database"],
+                "row_count": result.statistics.output_size,
+                "statistics": _statistics_payload(result.statistics),
+            }
+            if params.get("include_rows", True):
+                payload["relation"] = _relation_payloads(
+                    (result,), payload["statistics"])[0]
         return payload
 
     def _method_execute_many(self, request: ServiceRequest) -> Dict[str, Any]:
@@ -269,15 +327,15 @@ class QueryService:
             run_options["pool"] = self.pool
         with deadline_scope(deadline):
             batch = prepared.execute_many(databases, **run_options)
-        payload: Dict[str, Any] = {
-            "databases": list(names),
-            "row_counts": [result.statistics.output_size
-                           for result in batch.results],
-            "statistics": _statistics_payload(batch.statistics),
-        }
-        if params.get("include_rows", False):
-            payload["relations"] = [_relation_payload(relation)
-                                    for relation in batch.relations]
+            payload: Dict[str, Any] = {
+                "databases": list(names),
+                "row_counts": [result.statistics.output_size
+                               for result in batch.results],
+                "statistics": _statistics_payload(batch.statistics),
+            }
+            if params.get("include_rows", False):
+                payload["relations"] = _relation_payloads(
+                    batch.results, payload["statistics"])
         return payload
 
     def _method_explain(self, request: ServiceRequest) -> Dict[str, Any]:

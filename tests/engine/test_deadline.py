@@ -147,6 +147,27 @@ def test_spent_budget_stops_ingest_before_any_block_is_cached():
     prepared.execute(database)  # nothing half-resolved was memoised
 
 
+def test_spent_budget_stops_the_service_payload_before_any_row_is_built(
+        chain_database, monkeypatch):
+    # Under deferred decode the query service builds the answer's rows from
+    # the result block; that step sits behind its own check (``payload``).
+    from repro.service import server
+
+    result = EngineSession().prepare(chain_database).execute(chain_database)
+    built = []
+    monkeypatch.setattr(server, "_relation_payload", built.append)
+    with deadline_scope(1e-9):
+        with pytest.raises(ExecutionTimeoutError) as caught:
+            server._relation_payloads((result,), {})
+    assert caught.value.phase == "payload"
+    assert built == []
+    statistics = {}
+    with deadline_scope(60.0):
+        server._relation_payloads((result,), statistics)
+    assert built == [result]
+    assert statistics["phase_seconds"]["payload"] > 0
+
+
 def test_deadline_failures_reach_the_monitor(chain_database):
     session = EngineSession(monitor=True, deadline_seconds=1e-9)
     with pytest.raises(ExecutionTimeoutError):

@@ -243,6 +243,70 @@ class TestExecution:
             frozenset(baseline.relation.rows)
         assert sharded.statistics.plan_name.startswith("engine-sharded-cyclic")
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("outputs", [None, ["C0", "C3"], []])
+    def test_service_documents_equal_the_unsharded_one(
+            self, chain_database, cycle_database, shards, executor, outputs):
+        # The service defers decode; sharded results reach it as a merged
+        # block (thread executor) or a merged relation (process executor,
+        # row mode, 0-ary output) and must serialise to the same text.
+        import json
+
+        from repro.service import QueryService
+
+        service = QueryService(EngineSession())
+        try:
+            for name, database in (("chain", chain_database),
+                                   ("cycle", cycle_database)):
+                if name == "cycle" and outputs:
+                    continue
+                service.add_database(name, database)
+                documents = []
+                for options in ({}, {"shards": shards,
+                                     "shard_executor": executor}):
+                    params = {"database": name, "options": options}
+                    if outputs is not None:
+                        params["outputs"] = outputs
+                    _, prepared = service.handle({
+                        "version": 1, "method": "prepare", "client": "t",
+                        "id": "p", "params": params})
+                    status, envelope = service.handle({
+                        "version": 1, "method": "execute", "client": "t",
+                        "id": "e", "params": {
+                            "query": prepared["result"]["query"],
+                            "database": name}})
+                    assert status == 200, envelope
+                    documents.append(json.dumps(
+                        {key: envelope["result"][key]
+                         for key in ("row_count", "relation")}))
+                assert documents[0] == documents[1]
+        finally:
+            service.pool.shutdown(wait=True)
+
+    def test_a_rows_merge_is_not_re_encoded_under_deferred_decode(
+            self, chain_database, monkeypatch):
+        # A process-executor merge already holds the answer as a relation;
+        # decode="block" hands that back instead of encoding it again.
+        from repro.engine.columnar import ColumnBlock
+
+        session = EngineSession(execution_mode="columnar", decode="block",
+                                shards=2, shard_executor="process")
+        prepared = session.prepare(chain_database)
+        prepared.execute(chain_database)      # warm: the inputs are encoded
+        encoded = []
+        encode = ColumnBlock.from_relation.__func__
+        monkeypatch.setattr(ColumnBlock, "from_relation", classmethod(
+            lambda cls, relation: encoded.append(relation)
+            or encode(cls, relation)))
+        result = prepared.execute(chain_database)
+        assert encoded == []
+        assert result.block is None
+        assert result.decoded() is result.relation
+        assert result.statistics.output_size == len(result.relation)
+        baseline = EngineSession().execute(chain_database, chain_database)
+        assert result.relation == baseline.relation
+
     def test_warm_prepared_queries_stay_identical(self, chain_database):
         prepared = EngineSession(shards=2).prepare(chain_database)
         first = prepared.execute(chain_database)

@@ -94,6 +94,42 @@ def test_eight_thread_hammer_on_the_cyclic_path(cycle_database,
     _hammer(worker)
 
 
+@pytest.mark.parametrize("fixture", ["chain_database", "cycle_database"])
+def test_eight_thread_hammer_on_handle_returns_one_document(request, fixture):
+    # The wire path reads the result block's decoded columns, which the
+    # storage caches lock-free (racing threads decode equivalent lists): every
+    # response to one query on one database must be the same text.
+    import json
+
+    from repro.service import QueryService
+
+    service = QueryService(EngineSession())
+    service.add_database("db", request.getfixturevalue(fixture))
+
+    def call(method, **params):
+        status, envelope = service.handle({
+            "version": 1, "method": method, "client": "hammer", "id": "r",
+            "params": params})
+        assert status == 200, envelope
+        return envelope["result"]
+
+    handle = call("prepare", database="db")["query"]
+    documents = set()
+
+    def worker(_index):
+        for _ in range(ROUNDS):
+            result = call("execute", query=handle, database="db")
+            documents.add(json.dumps(
+                {key: result[key] for key in ("row_count", "relation")}))
+
+    try:
+        _hammer(worker)
+    finally:
+        service.pool.shutdown(wait=True)
+    assert len(documents) == 1
+    assert json.loads(documents.pop())["row_count"] > 0
+
+
 def test_keyset_counters_stay_exact_under_concurrency(chain_database):
     # The global hit/miss counters are guarded by a lock, so a concurrent
     # hammer must account for every lookup — no lost read-add-store updates.

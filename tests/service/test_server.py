@@ -125,6 +125,19 @@ def test_explain_renders_the_plan(service):
     assert "acyclic dispatch" in envelope["result"]["explain"]
 
 
+def test_explain_analyze_reports_a_numeric_output_actual(service):
+    # The service defers decode, and the output actual comes from the
+    # ``decode`` span — which a deferred run must still open.
+    for database in ("chain", "cycle"):
+        handle = _prepare(service, database)
+        status, envelope = _rpc(service, "explain", {
+            "query": handle, "database": database, "analyze": True})
+        assert status == 200
+        output = next(line for line in envelope["result"]["explain"].splitlines()
+                      if line.lstrip().startswith("output:"))
+        assert output.rsplit("actual=", 1)[1].isdigit(), output
+
+
 def test_explain_analyze_requires_a_database(service):
     handle = _prepare(service)
     status, envelope = _rpc(service, "explain",
@@ -143,6 +156,120 @@ def test_stats_reports_the_service_shape(service):
     assert result["pool"]["max_workers"] >= 1
     assert any(s["client"] == "tenant-1"
                for s in result["clients"]["sessions"])
+
+
+# --------------------------------------------------------------------------- #
+# The result boundary: rows are serialised from the id block
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def row_constructions(monkeypatch):
+    """Count every ``Row`` built, through either of its two constructors."""
+    from repro.relational.relation import Row
+
+    built = []
+    from_items, init = Row._from_sorted_items.__func__, Row.__init__
+    monkeypatch.setattr(Row, "_from_sorted_items", classmethod(
+        lambda cls, items: built.append(items) or from_items(cls, items)))
+    monkeypatch.setattr(Row, "__init__", lambda self, values:
+                        built.append(values) or init(self, values))
+    return built
+
+
+@pytest.mark.parametrize("database", ["chain", "cycle"])
+def test_a_columnar_query_builds_no_rows_for_the_wire(service, database,
+                                                      row_constructions):
+    handle = _prepare(service, database)
+    for include_rows in (False, True):
+        status, envelope = _rpc(service, "execute", {
+            "query": handle, "database": database,
+            "include_rows": include_rows})
+        assert status == 200
+        assert envelope["result"]["row_count"] > 0
+    assert len(envelope["result"]["relation"]["rows"]) \
+        == envelope["result"]["row_count"]
+    status, envelope = _rpc(service, "execute_many", {
+        "query": handle, "databases": [database] * 2, "include_rows": True})
+    assert status == 200 and len(envelope["result"]["relations"]) == 2
+    assert row_constructions == []
+
+
+@pytest.mark.parametrize("database", ["chain", "cycle"])
+def test_a_row_mode_query_returns_the_literally_same_document(service,
+                                                              database):
+    documents = []
+    for options in ({}, {"execution_mode": "row"}):
+        handle = _prepare(service, database, options=options)
+        status, envelope = _rpc(service, "execute",
+                                {"query": handle, "database": database})
+        assert status == 200
+        documents.append(json.dumps(envelope["result"]["relation"]))
+    assert documents[0] == documents[1]
+
+
+def test_the_payload_phase_is_reported_when_rows_are_included(service):
+    handle = _prepare(service)
+    _, with_rows = _rpc(service, "execute",
+                        {"query": handle, "database": "chain"})
+    _, without = _rpc(service, "execute", {
+        "query": handle, "database": "chain", "include_rows": False})
+    assert with_rows["result"]["statistics"]["phase_seconds"]["payload"] > 0
+    assert "payload" not in without["result"]["statistics"]["phase_seconds"]
+    _, batch = _rpc(service, "execute_many", {
+        "query": handle, "databases": ["chain", "chain"],
+        "include_rows": True})
+    assert batch["result"]["statistics"]["phase_seconds"]["payload"] > 0
+    _, bare_batch = _rpc(service, "execute_many", {
+        "query": handle, "databases": ["chain", "chain"]})
+    assert "payload" not in \
+        bare_batch["result"]["statistics"]["phase_seconds"]
+
+
+def test_the_payload_is_a_span_carrying_its_row_count(service):
+    from repro.telemetry.tracing import Tracer, use_tracer
+
+    handle = _prepare(service)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        _, envelope = _rpc(service, "execute",
+                           {"query": handle, "database": "chain"})
+        _rpc(service, "execute", {"query": handle, "database": "chain",
+                                  "include_rows": False})
+    (payload,) = [record for record in tracer.records
+                  if record["name"] == "payload"]
+    assert payload["attributes"]["rows"] == envelope["result"]["row_count"]
+
+
+@pytest.mark.parametrize("method, params", [
+    ("execute", {"database": "chain"}),
+    ("execute_many", {"databases": ["chain"], "include_rows": True}),
+])
+def test_a_budget_spent_by_the_engine_stops_before_the_payload(
+        service, monkeypatch, method, params):
+    # The rows are built inside the deadline scope, behind one check: when
+    # the engine has used the budget up, no row list is ever materialised.
+    from repro.engine.session import PreparedQuery
+    from repro.service import server as server_module
+
+    handle = _prepare(service)
+    _rpc(service, "execute", {"query": handle, "database": "chain"})  # warm
+    run = PreparedQuery.execute
+
+    def execute_then_overrun(self, database):
+        result = run(self, database)
+        time.sleep(0.3)
+        return result
+
+    built = []
+    build = server_module._relation_payload
+    monkeypatch.setattr(PreparedQuery, "execute", execute_then_overrun)
+    monkeypatch.setattr(server_module, "_relation_payload",
+                        lambda result: built.append(result) or build(result))
+    status, envelope = _rpc(service, method, {
+        "query": handle, "deadline_seconds": 0.25, **params})
+    assert status == 504
+    assert envelope["error"]["code"] == "timeout"
+    assert envelope["error"]["phase"] == "payload"
+    assert built == []
 
 
 # --------------------------------------------------------------------------- #

@@ -77,6 +77,39 @@ class TestExplainAnalyze:
         assert "output:" in text
         assert "est=" in text and "actual=" in text
 
+    @pytest.mark.parametrize("fixture", ["acyclic_database",
+                                         "cyclic_database"])
+    def test_output_line_is_the_same_under_deferred_decode(self, request,
+                                                           fixture):
+        # The output actual is read off the ``decode`` span, which a run that
+        # builds no rows must still open (``deferred``).
+        database = request.getfixturevalue(fixture)
+        lines = []
+        for decode in ("rows", "block"):
+            prepared = EngineSession(execution_mode="columnar",
+                                     decode=decode).prepare(database)
+            text = prepared.explain(database, analyze=True)
+            lines.append(next(line for line in text.splitlines()
+                              if line.lstrip().startswith("output:")))
+        assert lines[0] == lines[1]
+        assert "actual=-" not in lines[0]
+
+    def test_a_deferred_decode_span_says_so(self, acyclic_database):
+        from repro.telemetry.tracing import Tracer, use_tracer
+
+        prepared = EngineSession(execution_mode="columnar",
+                                 decode="block").prepare(acyclic_database)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = prepared.execute(acyclic_database)
+        (decode,) = [record for record in tracer.records
+                     if record["name"] == "decode"]
+        assert decode["attributes"]["deferred"] is True
+        assert decode["attributes"]["output_rows"] == len(result.block)
+        assert decode["attributes"]["mode"] == "columnar"
+        assert decode["attributes"]["backend"] \
+            == result.statistics.column_backend
+
     def test_analyze_requires_a_database(self, acyclic_database):
         prepared = EngineSession().prepare(acyclic_database)
         with pytest.raises(ValueError):
