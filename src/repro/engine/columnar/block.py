@@ -11,9 +11,11 @@ key-id sets, join tables) is shared zero-copy by every derived block.
 Values are interned through the generation's
 :class:`~repro.engine.columnar.buffers.ValueInterner`, so equal values in
 *different* blocks encode to equal integer ids and every kernel compares
-machine integers; multi-attribute keys intern their id tuples through the
-same id space.  Decoding back to values happens only at the result boundary
-(or on the opt-in :meth:`ColumnBlock.value_at` accessors).
+machine integers; a multi-attribute key is the arithmetic pack of its
+component ids (:func:`~repro.engine.columnar.buffers.key_radix`), equal
+across blocks for the same reason, and only a row the radix cannot hold
+interns its id tuple.  Decoding back to values happens only at the result
+boundary (or on the opt-in :meth:`ColumnBlock.value_at` accessors).
 
 **Selection-aware derived caches** are what make warm prepared-query runs
 cheap: key-id sets, membership structures and join tables are cached on the
@@ -125,6 +127,9 @@ _INTERNER = ValueInterner()
 # counters feed bench/test assertions that expect exact totals.
 _KEYSET_HITS = 0
 _KEYSET_MISSES = 0
+#: Key rows that took the interner fallback instead of the arithmetic pack
+#: (same lock, same reason).
+_KEY_OVERFLOW_ROWS = 0
 _KEYSET_LOCK = threading.Lock()
 
 
@@ -137,6 +142,12 @@ def _count_keyset(hit: bool) -> None:
             _KEYSET_MISSES += 1
 
 
+def _count_key_overflow(rows: int) -> None:
+    global _KEY_OVERFLOW_ROWS
+    with _KEYSET_LOCK:
+        _KEY_OVERFLOW_ROWS += rows
+
+
 def current_interner() -> ValueInterner:
     """The interner new encodings go through (swapped by :func:`clear_column_caches`)."""
     return _INTERNER
@@ -146,7 +157,7 @@ class _ColumnStorage:
     """The shared, immutable id arrays one or more blocks view.
 
     ``key_codes`` memoises the grouped key encoding per key-attribute tuple
-    (the bare id column for a single attribute, interned id tuples
+    (the bare id column for a single attribute, packed component ids
     otherwise); the ``_derived`` cache memoises everything computed *from*
     codes under a selection — key-id sets, backend membership structures,
     join tables, position groups — keyed by the selection's bytes, so every
@@ -161,10 +172,11 @@ class _ColumnStorage:
     (CPython dict get/set are single bytecode operations).  The one compound
     mutation — the cap-eviction ``clear()`` followed by the insert in
     :meth:`_derived_put` — runs under the storage lock so an eviction cannot
-    interleave halfway into another thread's insert.  Interner encode/combine
-    are locked in :class:`~repro.engine.columnar.buffers.ValueInterner`
-    itself; its decode is lock-free by the values-before-ids publication
-    order there.
+    interleave halfway into another thread's insert.  Packing a key takes no
+    lock at all — the code is arithmetic on immutable columns; interner
+    encode/combine (the latter only for overflow rows) are locked in
+    :class:`~repro.engine.columnar.buffers.ValueInterner` itself; its decode
+    is lock-free by the values-before-ids publication order there.
     """
 
     __slots__ = ("columns", "length", "source_rows", "interner",
@@ -184,13 +196,32 @@ class _ColumnStorage:
 
     # -- codes ----------------------------------------------------------- #
     def key_codes(self, attributes: KeyAttributes) -> array:
-        """One encoded key id per storage position (cached per attribute tuple)."""
+        """One encoded key id per storage position (cached per attribute tuple).
+
+        A key of two or more attributes is packed by the active backend in
+        one arithmetic pass (non-negative codes).  The rows it reports as
+        overflowing — a component id at or above the width's radix — get
+        ``-1 - interner.combine(their id tuple)`` instead: negative, so the
+        two families cannot collide, and decided row by row, so equal tuples
+        get equal codes whichever block, backend or thread computes them.
+        ``key_overflow_rows`` counts the rows whose fallback code was
+        actually *computed*: a ``_code_cache`` hit counts nothing, and two
+        threads racing on one cold key both count.
+        """
         if len(attributes) == 1:
             return self.columns[attributes[0]]
         cached = self._code_cache.get(attributes)
         if cached is None:
-            cached = self._code_cache[attributes] = self.interner.combine(
-                [self.columns[attribute] for attribute in attributes])
+            backend = active_column_backend()
+            columns = [self.columns[attribute] for attribute in attributes]
+            cached, overflow = backend.pack_keys(columns)
+            if overflow:
+                _count_key_overflow(len(overflow))
+                interned = self.interner.combine(
+                    [backend.take(column, overflow) for column in columns])
+                for position, encoded in zip(overflow, interned):
+                    cached[position] = -1 - encoded
+            self._code_cache[attributes] = cached
         return cached
 
     # -- selection-aware derived structures ------------------------------ #
@@ -772,18 +803,24 @@ def peek_block(relation: Relation) -> Optional[ColumnBlock]:
 
 
 def column_cache_info() -> Dict[str, int]:
-    """Cumulative counters of the block cache and the key-id-set cache.
+    """Cumulative counters of the block cache, the key-id-set cache and the interner.
 
     ``hits``/``misses``/``relations`` describe the per-relation block cache;
     ``keyset_hits``/``keyset_misses`` count selection-aware key-id-set
     lookups on block storages — the structure every semijoin fast path and
     membership probe starts from, so warm prepared-query runs should be
-    nearly all hits.
+    nearly all hits.  ``interned_values`` is the current interner's size
+    (it only grows within a generation); ``key_overflow_rows`` counts the
+    multi-attribute key rows that could not be packed and interned their id
+    tuple instead — non-zero means some key width's radix has been outgrown
+    and those rows pay the per-row loop.
     """
     with _BLOCK_CACHE_LOCK:
         return {"hits": _BLOCK_HITS, "misses": _BLOCK_MISSES,
                 "relations": len(_BLOCK_CACHE),
-                "keyset_hits": _KEYSET_HITS, "keyset_misses": _KEYSET_MISSES}
+                "keyset_hits": _KEYSET_HITS, "keyset_misses": _KEYSET_MISSES,
+                "interned_values": len(_INTERNER),
+                "key_overflow_rows": _KEY_OVERFLOW_ROWS}
 
 
 def clear_column_caches() -> None:
@@ -795,11 +832,13 @@ def clear_column_caches() -> None:
     combined with blocks encoded after the clear (the kernels reject mixed
     generations).
     """
-    global _BLOCK_HITS, _BLOCK_MISSES, _KEYSET_HITS, _KEYSET_MISSES, _INTERNER
+    global _BLOCK_HITS, _BLOCK_MISSES, _KEYSET_HITS, _KEYSET_MISSES, \
+        _KEY_OVERFLOW_ROWS, _INTERNER
     with _BLOCK_CACHE_LOCK:
         _BLOCK_CACHE.clear()
         _BLOCK_HITS = 0
         _BLOCK_MISSES = 0
         _KEYSET_HITS = 0
         _KEYSET_MISSES = 0
+        _KEY_OVERFLOW_ROWS = 0
         _INTERNER = ValueInterner()

@@ -2,16 +2,24 @@
 
 The columnar layer stores every column as a compact ``array('q')`` of
 **value ids**: a process-generation :class:`ValueInterner` maps each distinct
-value (and each distinct multi-attribute key tuple) to a dense integer, so
-equal values in *different* blocks encode to equal ids and every kernel
-compares machine integers instead of Python objects.  Decoding happens only
-at the result boundary, through the interner's reverse table.
+value to a dense integer, so equal values in *different* blocks encode to
+equal ids and every kernel compares machine integers instead of Python
+objects.  Decoding happens only at the result boundary, through the
+interner's reverse table.
+
+A **multi-attribute key** is not interned: its code is a pure function of
+its component ids — the Horner pack ``((c1·P + c2)·P + c3)…`` over the fixed
+per-width radix of :func:`key_radix` — computed for a whole block in one
+arithmetic pass by the backends' ``pack_keys``.  Only a row with a component
+the radix cannot hold falls back to the interner (see
+:meth:`ValueInterner.combine`), and that decision is taken **per row**, so a
+tuple's code never depends on which block, backend or thread computed it.
 
 On top of the id arrays sits a small **column-buffer backend** interface —
-the batched counterparts of "probe one key": filter a whole position vector
-by key-set membership, probe a join table with a whole code array, gather a
-column by a position vector, keep first occurrences.  Two implementations
-ship:
+the batched counterparts of "probe one key": pack a multi-attribute key,
+filter a whole position vector by key-set membership, probe a join table
+with a whole code array, gather a column by a position vector, keep first
+occurrences.  Two implementations ship:
 
 * :class:`ArrayColumnBackend` — pure Python over ``array('q')``; always
   available, and the reference the property suite holds numpy to;
@@ -31,6 +39,7 @@ other without conversion — the backend changes *compute*, never *state*.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from array import array
 from contextlib import contextmanager
@@ -39,6 +48,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tup
 
 __all__ = [
     "ValueInterner",
+    "key_radix",
     "ArrayColumnBackend",
     "NumpyColumnBackend",
     "COLUMN_BACKENDS",
@@ -67,10 +77,13 @@ IdArray = array
 class ValueInterner:
     """A dense value → id dictionary shared by every block of one generation.
 
-    Ids are allocated from a single counter across plain values and
-    multi-attribute key tuples (two separate forward dictionaries, so a
-    tuple-*valued* column entry can never collide with a tuple-of-ids key),
-    which keeps every id usable as an index into one reverse table.  A new
+    Ids are allocated from a single counter and index one reverse table.
+    Besides plain values the counter also serves the **overflow** key tuples
+    — the rows of a multi-attribute key with a component id too large for
+    that width's :func:`key_radix`, which cannot be packed arithmetically
+    (:meth:`combine`; nothing else reaches ``_tuple_ids``).  They get a
+    forward dictionary of their own so a tuple-*valued* column entry can
+    never collide with a tuple-of-ids key.  A new
     interner is installed by :func:`~repro.engine.columnar.clear_column_caches`;
     storages keep a reference to the interner they were encoded under, so
     blocks that survive a cache clear still decode — they just cannot be
@@ -82,8 +95,8 @@ class ValueInterner:
     def __init__(self) -> None:
         self._value_ids: Dict[Any, int] = {}
         self._tuple_ids: Dict[Tuple[int, ...], int] = {}
-        #: id → original value (key tuples are stored too, keeping indexes
-        #: aligned; they are never decoded).
+        #: id → original value (overflow key tuples are stored too, keeping
+        #: indexes aligned; they are never decoded).
         self.values: List[Any] = []
         self._lock = threading.Lock()
 
@@ -109,7 +122,14 @@ class ValueInterner:
         return out
 
     def combine(self, columns: Sequence[IdArray]) -> IdArray:
-        """Intern per-position id tuples of a multi-attribute key into one id array."""
+        """Intern per-position id tuples of a multi-attribute key into one id array.
+
+        The overflow path of key packing, and only that: its one caller is
+        ``_ColumnStorage.key_codes``, which hands it the rows ``pack_keys``
+        could not pack (and stores ``-1 - id``, so an interned code can never
+        equal a packed one).  A per-row loop under the interner lock — as
+        slow as every multi-attribute key was before packing.
+        """
         out = array("q")
         append = out.append
         ids = self._tuple_ids
@@ -128,6 +148,32 @@ class ValueInterner:
         """The original values of one id column (reads are lock-free)."""
         values = self.values
         return [values[encoded] for encoded in column]
+
+
+# --------------------------------------------------------------------------- #
+# Packed multi-attribute keys
+# --------------------------------------------------------------------------- #
+# Per key width k (from 2), the largest prime P with P**k < 2**63.  Odd on
+# purpose: CPython hashes an int to itself, so with a power-of-two radix
+# (``a << 31 | b``) every key sharing its last component would land on the
+# same low bits of every set and dict the codes go into.
+_KEY_RADIX = dict(enumerate((
+    3037000493, 2097143, 55103, 6203, 1447, 509, 233, 127, 73, 47, 37, 23, 19,
+    17, 13, 13, 11, 7, 7, 7, 7, 5, 5, 5, 5, 5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
+    3), start=2))
+
+
+def key_radix(width: int) -> int:
+    """The radix ``P`` keys of ``width`` attributes are packed over.
+
+    A row whose every component id is below ``P`` packs to
+    ``((c1·P + c2)·P + c3)…``, which is below ``P**width < 2**63`` and unique
+    to the tuple; any other row overflows to the interner.  ``P`` depends on
+    the width alone — never on the data — which is what makes a tuple's code
+    the same in every block.  No odd prime fits from width 40 on: the radix
+    is then 1, which only the all-zero tuple is below.
+    """
+    return _KEY_RADIX.get(width, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -153,6 +199,59 @@ class ArrayColumnBackend:
     def take(self, column: IdArray, positions: Positions) -> IdArray:
         """Gather ``column[p]`` for every selected position, as a new id array."""
         return array("q", map(column.__getitem__, positions))
+
+    @staticmethod
+    def _lanes(column: IdArray) -> int:
+        """The column's bytes as one big integer: a 64-bit lane per row."""
+        return int.from_bytes(column.tobytes(), sys.byteorder)
+
+    @staticmethod
+    def _from_lanes(lanes: int, count: int) -> IdArray:
+        """The inverse of :meth:`_lanes`: ``count`` lanes back into an id array."""
+        out = array("q")
+        out.frombytes(lanes.to_bytes(8 * count, sys.byteorder))
+        return out
+
+    def pack_keys(self, columns: Sequence[IdArray]) -> Tuple[IdArray, IdArray]:
+        """Horner-pack the id columns of a multi-attribute key over :func:`key_radix`.
+
+        Returns ``(codes, overflow)``: one non-negative code per position,
+        and the positions of the rows with a component the radix cannot hold
+        (their code is a placeholder the caller replaces).
+
+        The arithmetic runs on whole columns: a column read as one big
+        integer holds a 64-bit lane per row, and as long as no lane reaches
+        ``2**64`` nothing carries into its neighbour, so one big-integer
+        operation *is* that operation on every row.  Ids are non-negative
+        and every Horner intermediate of a fitting row stays below
+        ``radix**width < 2**63``, so ``lanes·P + next lanes`` is the per-row
+        multiply-add.  (Nested ``map(add, map(P.__mul__, …), …)`` computes
+        the same codes three to six times slower — at width 4 slower than
+        interning the tuples was.)
+        """
+        radix = key_radix(len(columns))
+        count = len(columns[0])
+        lanes = [self._lanes(column) for column in columns]
+        ones = self._lanes(array("q", (1,)) * count)
+        # Lifting an id by 2**63 - radix sets its lane's top bit exactly when
+        # the id is at or above the radix.
+        lift = ones * ((1 << 63) - radix)
+        high = 0
+        for column_lanes in lanes:
+            high |= column_lanes + lift
+        high &= ones << 63
+        overflow = array("q")
+        if high:
+            overflow = array("q", compress(range(count),
+                                           self._from_lanes(high, count)))
+            # An overflow row's pack would spill out of its lane: zero the
+            # row in every column before the multiply.
+            fitting = ~((high >> 63) * ((1 << 64) - 1))
+            lanes = [column_lanes & fitting for column_lanes in lanes]
+        packed = 0
+        for column_lanes in lanes:
+            packed = packed * radix + column_lanes
+        return self._from_lanes(packed, count), overflow
 
     def prepare_set(self, key_set: FrozenSet[int]) -> FrozenSet[int]:
         """The membership structure :meth:`filter_membership` probes (cached upstream)."""
@@ -291,6 +390,34 @@ class NumpyColumnBackend:
 
     def take(self, column: IdArray, positions: Positions) -> IdArray:
         return self._to_q(self._view(column)[self._positions(positions)])
+
+    def pack_keys(self, columns: Sequence[IdArray]) -> Tuple[IdArray, IdArray]:
+        """The array backend's pack, byte for byte, as int64 multiply-adds.
+
+        The arithmetic runs over the zero-copy column views straight into the
+        returned ``array('q')``'s buffer.
+        """
+        radix = key_radix(len(columns))
+        codes = array("q", (0,)) * len(columns[0])
+        overflow = array("q")
+        if not codes:
+            return codes, overflow
+        views = [self._view(column) for column in columns]
+        fits = views[0] < radix
+        for view in views[1:]:
+            fits &= view < radix
+        if not fits.all():
+            overflow = self._to_q(_np.flatnonzero(~fits))
+            # int64 wraps silently, so the overflow rows are zeroed before
+            # the multiply.
+            views = [view * fits for view in views]
+        packed = _np.frombuffer(codes, dtype=_np.int64)
+        _np.multiply(views[0], radix, out=packed)
+        _np.add(packed, views[1], out=packed)
+        for view in views[2:]:
+            _np.multiply(packed, radix, out=packed)
+            _np.add(packed, view, out=packed)
+        return codes, overflow
 
     def prepare_set(self, key_set: FrozenSet[int]) -> "Any":
         if not key_set:

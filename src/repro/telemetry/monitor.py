@@ -561,7 +561,8 @@ class SessionMonitor:
         """Poll every cache into gauges on the session registry; return the values.
 
         Covers the planner LRU (hits/misses/size/capacity), the hash-index
-        cache, the column-block cache, the query-log occupancy and the
+        cache, the column-block cache, the interner's size and the key rows
+        that overflowed the packing radix, the query-log occupancy and the
         per-database relation/row counts of every database the monitor has
         seen (weakly tracked — collected databases drop out on their own).
         """
@@ -606,6 +607,13 @@ class SessionMonitor:
         gauge("engine_keyset_cache_misses",
               "Selection-aware key-id-set cache misses on block storages.",
               column_info["keyset_misses"])
+        gauge("engine_interner_values",
+              "Values held by the current interner generation (only grows).",
+              column_info["interned_values"])
+        gauge("engine_key_overflow_rows",
+              "Multi-attribute key rows interned because their ids outgrew "
+              "the packing radix.",
+              column_info["key_overflow_rows"])
         gauge("engine_querylog_entries",
               "Entries retained in the query log ring buffer.", len(self.log))
         gauge("engine_querylog_dropped",

@@ -3,19 +3,22 @@
 The documented contract (see ``_ColumnStorage``'s docstring) is that one
 prepared query may be executed from many threads at once: lock-free derived
 caches are benign (immutable values, equivalent rebuilds, last-write-wins),
-the interner locks its writes, and the keyset counters are exact.  These
+the interner locks its writes, key packing needs no lock, and the keyset and
+key-overflow counters are exact.  These
 tests hammer exactly those paths with 8 threads and compare every result
 against the serial answer.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+from array import array
 
 import pytest
 
-from repro.engine.columnar import column_cache_info
-from repro.engine.columnar.buffers import ValueInterner
+from repro.engine.columnar import ColumnBlock, column_cache_info
+from repro.engine.columnar.buffers import ValueInterner, key_radix
 from repro.engine.session import EngineSession
 from repro.generators import (
     generate_consistent_database,
@@ -179,6 +182,74 @@ def test_interner_encoding_is_consistent_across_threads():
         for value, code in zip(columns[index], encoded[index]):
             # One value, one id — no duplicate interning under the race.
             assert codes.setdefault(value, code) == code
+
+
+def test_key_codes_agree_and_count_every_overflow_row_across_threads():
+    """8 threads race ``key_codes`` on cold storages that share key tuples.
+
+    Packing takes no lock and the overflow rows go through the interner's,
+    so every thread must read equal arrays, and equal tuples equal codes
+    across storages.  ``key_overflow_rows`` counts the rows whose fallback
+    code was actually *computed*: a ``_code_cache`` hit counts nothing, while
+    threads racing on one cold key each compute — and each count — it.  The
+    total therefore lies between one and ``THREADS`` times the storages'
+    overflow rows, and must equal exactly what reached the interner: a lost
+    read-add-store update would leave it short.
+    """
+    width, storages, rows = 4, 240, 6
+    radix = key_radix(width)
+    attributes = tuple(f"K{index}" for index in range(width))
+    interned_rows = []
+
+    class CountingInterner(ValueInterner):
+        def combine(self, columns):
+            interned_rows.append(len(columns[0]))  # list.append is atomic
+            return super().combine(columns)
+
+    interner = CountingInterner()
+    blocks, overflow_rows = [], 0
+    for storage in range(storages):
+        # Every third row carries an id at or past the radix; the tuples
+        # repeat across storages, so the threads also race inside combine.
+        tuples = [tuple((row + part) % 5 + (radix if row % 3 == 0 else 0)
+                        for part in range(width))
+                  for row in range(storage % 4, storage % 4 + rows)]
+        overflow_rows += sum(max(key) >= radix for key in tuples)
+        columns = {attribute: array("q", (key[index] for key in tuples))
+                   for index, attribute in enumerate(attributes)}
+        blocks.append((tuples, ColumnBlock._from_ids(
+            f"s{storage}", attributes, columns, rows, interner)))
+    seen = [None] * THREADS
+
+    def worker(index):
+        # Each thread starts on its own stretch of cold storages, so the
+        # fallback (and its counter) runs on all threads at once.
+        start = index * storages // THREADS
+        codes = {}
+        for _ in range(ROUNDS):
+            for position in [*range(start, storages), *range(start)]:
+                read = blocks[position][1].key_codes(attributes).tobytes()
+                assert codes.setdefault(position, read) == read
+        seen[index] = codes
+
+    before = column_cache_info()["key_overflow_rows"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(worker)
+    finally:
+        sys.setswitchinterval(interval)
+    counted = column_cache_info()["key_overflow_rows"] - before
+
+    assert all(codes == seen[0] for codes in seen)
+    assert counted == sum(interned_rows)
+    assert overflow_rows <= counted <= THREADS * overflow_rows
+    code_of = {}
+    for tuples, block in blocks:
+        for key, code in zip(tuples, block.key_codes(attributes)):
+            assert (code < 0) == (max(key) >= radix)
+            assert code_of.setdefault(key, code) == code
+    assert len(set(code_of.values())) == len(code_of)
 
 
 def test_parallel_execute_many_matches_serial(chain_database, cycle_database):

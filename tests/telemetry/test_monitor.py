@@ -3,7 +3,8 @@
 Covers the ring buffer's bounds and bookkeeping, the rolling-history
 percentiles, slow-query trace retention (arm on the offending run, capture
 on the next), error capture including bindings that fail before the engine
-runs, the cache collector's gauges, the live HTTP endpoint, and the whole
+runs, the cache collector's gauges (the interner's size and the key rows
+that overflowed the packing radix among them), the live HTTP endpoint, and the whole
 stack under concurrent ``execute_many`` traffic from multiple threads.
 """
 
@@ -17,6 +18,13 @@ import urllib.request
 import pytest
 
 from repro.engine import EngineSession
+from repro.engine.columnar import (
+    ColumnBlock,
+    clear_column_caches,
+    column_cache_info,
+    current_interner,
+    natural_join_blocks,
+)
 from repro.exceptions import SchemaError
 from repro.generators import skewed_chain_database, skewed_chain_endpoints
 from repro.telemetry import (
@@ -301,6 +309,38 @@ class TestCollector:
             values["engine_planner_cache_size"]
         assert snapshot["engine_database_rows{database=db0}"] == \
             values["engine_database_rows{database=db0}"]
+
+    def test_collect_exports_interner_size_and_key_overflow_rows(self):
+        # Kernels on hand-built blocks: the counters sit below the session,
+        # so this reads the same under either execution mode.
+        def block(name, payload, values, width):
+            attributes = tuple(f"K{index}" for index in range(width)) + (payload,)
+            return ColumnBlock.from_columns(
+                name, attributes, {attribute: values for attribute in attributes})
+
+        clear_column_caches()
+        try:
+            monitor = monitored_session().monitor
+            joined = natural_join_blocks(block("left", "L", ["a", "b", "c"], 2),
+                                         block("right", "R", ["b", "c", "d"], 2))
+            assert len(joined) == 2
+            values = monitor.collect()
+            assert values["engine_key_overflow_rows"] == 0
+            assert values["engine_interner_values"] == len(current_interner()) == 4
+            # Push the next ids past the width-4 radix (55 103): every key row
+            # of the wide join below interns its id tuple instead of packing.
+            current_interner().encode(range(60_000))
+            joined = natural_join_blocks(block("left", "L", ["p", "q", "r"], 4),
+                                         block("right", "R", ["q", "r", "s"], 4))
+            assert sorted(joined.iter_rows()) == [("q",) * 6, ("r",) * 6]
+            values = monitor.collect()
+            assert values["engine_key_overflow_rows"] == 6
+            assert values["engine_key_overflow_rows"] == \
+                column_cache_info()["key_overflow_rows"]
+            # Four values, the filler, four more values and four key tuples.
+            assert values["engine_interner_values"] == 4 + 60_000 + 4 + 4
+        finally:
+            clear_column_caches()
 
     def test_unbound_monitor_collects_nothing(self):
         assert SessionMonitor().collect() == {}
