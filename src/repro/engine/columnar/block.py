@@ -47,12 +47,12 @@ import threading
 import weakref
 from array import array
 from functools import partial
-from itertools import repeat
+from itertools import count, repeat
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.nodes import sorted_nodes
 from ...exceptions import SchemaError, UnknownAttributeError
-from ...relational.relation import Relation, Row
+from ...relational.relation import Relation, Row, _RowSchema
 from ...relational.schema import Attribute, RelationSchema
 from .buffers import ValueInterner, active_column_backend
 
@@ -153,6 +153,12 @@ def current_interner() -> ValueInterner:
     return _INTERNER
 
 
+#: Where storages draw their ``token`` from: process-unique, never reused
+#: (``next`` on a ``count`` is one C call, so concurrent builders cannot draw
+#: the same serial).
+_STORAGE_TOKENS = count()
+
+
 class _ColumnStorage:
     """The shared, immutable id arrays one or more blocks view.
 
@@ -177,9 +183,18 @@ class _ColumnStorage:
     encode/combine (the latter only for overflow rows) are locked in
     :class:`~repro.engine.columnar.buffers.ValueInterner` itself; its decode
     is lock-free by the values-before-ids publication order there.
+
+    ``token`` is what *other* storages' derived keys name this one by
+    (:meth:`ColumnBlock.storage_token`): a serial, not the storage.  The
+    reducer's two passes file each neighbour's result under the other, so a
+    key holding the storage itself would tie every base storage of a
+    database into a reference cycle only the cyclic collector can free, and
+    let one live storage pin up to ``_DERIVED_CACHE_CAP`` dead ones.  A
+    serial holds no reference (a dead database is freed by refcount) and is
+    never reissued (a stale key can never match a later storage).
     """
 
-    __slots__ = ("columns", "length", "source_rows", "interner",
+    __slots__ = ("columns", "length", "source_rows", "interner", "token",
                  "_code_cache", "_derived", "_decoded", "_lock")
 
     def __init__(self, columns: Dict[Attribute, array], length: int,
@@ -189,6 +204,7 @@ class _ColumnStorage:
         self.length = length
         self.interner = interner
         self.source_rows = source_rows
+        self.token = next(_STORAGE_TOKENS)
         self._code_cache: Dict[KeyAttributes, array] = {}
         self._derived: Dict[Tuple, Any] = {}
         self._decoded: Dict[Attribute, List[Any]] = {}
@@ -395,7 +411,7 @@ class ColumnBlock:
         """Encode a relation into id columns: one walk over the rows, transposed.
 
         :meth:`Relation.to_columns <repro.relational.relation.Relation.to_columns>`
-        slices every value column out of the rows' items tuples in a single
+        slices every value column out of the rows' values tuples in a single
         pass (no per-cell ``row[attribute]`` lookup); each column is then
         interned whole.  The source rows are retained on the storage,
         position-aligned with the id columns, so the row engine's
@@ -561,9 +577,14 @@ class ColumnBlock:
         """
         return None if self._sel is None else self._sel.tobytes()
 
-    def storage_token(self) -> object:
-        """An identity token for this block's storage, for cross-block cache keys."""
-        return self._storage
+    def storage_token(self) -> int:
+        """This block's storage's serial, for cross-block cache keys.
+
+        Equal exactly when the storages are the same object, and — unlike
+        the storage itself — safe to embed in *another* storage's cache keys
+        without keeping this one alive.
+        """
+        return self._storage.token
 
     def derived_get(self, key: Tuple) -> Any:
         """Look up a kernel-level derived result cached on this block's storage."""
@@ -686,26 +707,23 @@ class ColumnBlock:
     def to_relation(self, name: Optional[str] = None) -> Relation:
         """Decode the block back into a :class:`Relation` (the result boundary).
 
-        Eager, and assembled column-wise: per canonical attribute
-        ``zip(repeat(attribute), gathered values)`` yields that column's
-        ``(attribute, value)`` pairs, and zipping those pair columns *is* the
-        rows' canonically sorted items tuples.  What stays per row is what a
-        ``Relation`` is made of — one :meth:`Row._from_sorted_items
-        <repro.relational.relation.Row>` and one ``Row.__hash__`` into the
-        ``frozenset`` — so the cost is linear in rows with a small constant
-        and two tracked objects (items tuple, ``Row``) per row, plus the pair
-        tuples.
+        Eager, and assembled column-wise: the values gathered per attribute
+        in the row schema's canonical order, zipped, *are* the rows' values
+        tuples, and every row points at the one interned schema.  What stays
+        per row is what a ``Relation`` is made of — one
+        :meth:`Row._from_values <repro.relational.relation.Row>` and one
+        ``Row.__hash__`` into the ``frozenset`` — so the cost is linear in
+        rows with a small constant and two allocations per row (values tuple,
+        ``Row``), whatever the width.
         """
         attributes = self._attributes
         schema = RelationSchema(name or self._name, attributes)
+        layout = _RowSchema.of(attributes)
         if not attributes:
-            rows = frozenset([Row._from_sorted_items(())] if len(self) else [])
+            rows = frozenset([Row._from_values(layout, ())] if len(self) else [])
             return Relation.from_valid_rows(schema, rows)
-        ordered = tuple(sorted_nodes(attributes))
-        pair_columns = [zip(repeat(attribute), values)
-                        for attribute, values
-                        in zip(ordered, self._gathered_values(ordered))]
-        rows = frozenset(map(Row._from_sorted_items, zip(*pair_columns)))
+        rows = frozenset(map(partial(Row._from_values, layout),
+                             zip(*self._gathered_values(layout.attributes))))
         return Relation.from_valid_rows(schema, rows)
 
     def __reduce__(self):

@@ -8,6 +8,7 @@ relational-algebra operators live in :mod:`repro.relational.algebra`.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.nodes import sorted_nodes
@@ -17,69 +18,113 @@ from .schema import Attribute, RelationSchema
 __all__ = ["Row", "Relation"]
 
 
-class Row(Mapping[Attribute, Any]):
-    """An immutable tuple of a relation, viewed as a mapping attribute → value."""
+class _RowSchema:
+    """The layout every row over one attribute *set* shares.
 
-    __slots__ = ("_items", "_mapping", "_hash")
+    ``attributes`` is the set in canonical (:func:`sorted_nodes`) order and
+    ``index`` maps each attribute to its slot in that order.  Schemas are
+    interned by attribute set (:meth:`of`), so in practice all rows over one
+    set point at one object and ``Row.__eq__`` decides "same attributes" by
+    identity; an equal duplicate (hand-built, or raced into existence) is
+    still correct — it costs one tuple comparison.
+    """
+
+    __slots__ = ("attributes", "index")
+
+    _interned: Dict[FrozenSet[Attribute], "_RowSchema"] = {}
+
+    def __init__(self, attributes: Tuple[Attribute, ...]) -> None:
+        self.attributes = attributes
+        self.index: Dict[Attribute, int] = {
+            attribute: slot for slot, attribute in enumerate(attributes)}
+
+    @classmethod
+    def of(cls, attributes: Iterable[Attribute]) -> "_RowSchema":
+        """The interned schema over ``attributes`` (any order, any iterable)."""
+        key = frozenset(attributes)
+        schema = cls._interned.get(key)
+        if schema is None:
+            # ``setdefault`` is one atomic dict operation: of two threads
+            # racing on a never-seen set, both leave with the same schema.
+            schema = cls._interned.setdefault(key, cls(sorted_nodes(key)))
+        return schema
+
+
+class Row(Mapping[Attribute, Any]):
+    """An immutable tuple of a relation, viewed as a mapping attribute → value.
+
+    Stored as ``(_schema, _values, _hash)``: the shared :class:`_RowSchema` of
+    the row's attribute set, the cells as a plain tuple in the schema's
+    canonical order, and the lazily cached hash of that tuple.  A row is thus
+    two allocations — itself and its values tuple, which the collector stops
+    tracking once it has seen that it holds only atoms — and carries no
+    per-row attribute names and no per-row ``dict``.
+    """
+
+    __slots__ = ("_schema", "_values", "_hash")
 
     def __init__(self, values: Mapping[Attribute, Any]) -> None:
-        self._items: Tuple[Tuple[Attribute, Any], ...] = tuple(
-            sorted(values.items(), key=lambda item: sorted_nodes([item[0]])))
-        self._mapping: Optional[Dict[Attribute, Any]] = None
+        schema = self._schema = _RowSchema.of(values)
+        self._values: Tuple[Any, ...] = tuple(
+            map(values.__getitem__, schema.attributes))
         self._hash: Optional[int] = None
 
     @classmethod
-    def _from_sorted_items(cls, items: Tuple[Tuple[Attribute, Any], ...]) -> "Row":
-        """Wrap an already-canonically-sorted items tuple without re-sorting.
+    def _from_values(cls, schema: _RowSchema, values: Tuple[Any, ...]) -> "Row":
+        """Wrap a values tuple already arranged in ``schema.attributes`` order.
 
         The columnar decode boundary builds rows in bulk from columns it has
-        already arranged in canonical attribute order; going through
-        ``__init__`` would re-sort (and re-dict) every row.  The caller is
-        responsible for the sort order — equality/hash semantics depend on it.
+        gathered in canonical order; going through ``__init__`` would look
+        the schema up and re-gather every row.  The caller is responsible for
+        the order and the arity — equality/hash semantics depend on both.
         """
         row = cls.__new__(cls)
-        row._items = items
-        row._mapping = None
+        row._schema = schema
+        row._values = values
         row._hash = None
         return row
+
+    def __reduce__(self):
+        """Pickle as ``(attributes, values)``; the schema is re-interned on load.
+
+        Every row over one attribute set ships the *same* attributes tuple,
+        which pickle memoises: a payload of many rows spells the attribute
+        names once, not once per cell.
+        """
+        return _rebuild_row, (self._schema.attributes, self._values)
 
     # Mapping interface ------------------------------------------------- #
     def __getitem__(self, attribute: Attribute) -> Any:
         # Attribute lookup is the hottest operation under joins and
-        # semijoins; the dict gives O(1) access while _items keeps the
-        # sorted-tuple hash/eq semantics.  Built lazily so rows that are
-        # only stored (never probed) don't pay the duplicate storage.
-        mapping = self._mapping
-        if mapping is None:
-            mapping = self._mapping = dict(self._items)
-        return mapping[attribute]
+        # semijoins: one probe of the shared slot index, one tuple read.
+        return self._values[self._schema.index[attribute]]
 
     def __iter__(self) -> Iterator[Attribute]:
-        return iter(key for key, _ in self._items)
+        return iter(self._schema.attributes)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._values)
 
     # Value semantics ---------------------------------------------------- #
     def __hash__(self) -> int:
+        # Over the values alone: rows over different attribute sets may
+        # collide, which ``__eq__`` resolves; rows of one relation never mix.
         if self._hash is None:
-            self._hash = hash(self._items)
+            self._hash = hash(self._values)
         return self._hash
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Row):
-            return self._items == other._items
+            schema, theirs = self._schema, other._schema
+            return (schema is theirs or schema.attributes == theirs.attributes) \
+                and self._values == other._values
         if isinstance(other, Mapping):
-            # Reuse (and keep) the lazily built lookup dict instead of
-            # allocating a fresh dict for the left side on every comparison.
-            mapping = self._mapping
-            if mapping is None:
-                mapping = self._mapping = dict(self._items)
-            return mapping == dict(other)
+            return dict(zip(self._schema.attributes, self._values)) == dict(other)
         return NotImplemented
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{key}={value!r}" for key, value in self._items)
+        inner = ", ".join(f"{key}={value!r}" for key, value
+                          in zip(self._schema.attributes, self._values))
         return f"Row({inner})"
 
     # Convenience -------------------------------------------------------- #
@@ -96,7 +141,8 @@ class Row(Mapping[Attribute, Any]):
 
         This is the tuple-level operation underlying the natural join.
         """
-        combined: Dict[Attribute, Any] = dict(self._items)
+        combined: Dict[Attribute, Any] = dict(
+            zip(self._schema.attributes, self._values))
         for attribute, value in other.items():
             if attribute in combined and combined[attribute] != value:
                 return None
@@ -106,6 +152,16 @@ class Row(Mapping[Attribute, Any]):
     def agrees_with(self, other: "Row", attributes: Iterable[Attribute]) -> bool:
         """``True`` when both rows have the same value on every listed attribute."""
         return all(self.get(attribute) == other.get(attribute) for attribute in attributes)
+
+
+def _rebuild_row(attributes: Tuple[Attribute, ...], values: Tuple[Any, ...]) -> Row:
+    """Unpickle a row under *this* process' schema intern table."""
+    schema = _RowSchema.of(attributes)
+    if schema.attributes == attributes:
+        return Row._from_values(schema, values)
+    # The sender's canonical order is not ours (a node whose ``repr`` is not
+    # stable across processes): rebuild through the sorting constructor.
+    return Row(dict(zip(attributes, values)))
 
 
 class Relation:
@@ -229,20 +285,26 @@ class Relation:
         """The rows in one fixed order plus every attribute's values in that order.
 
         The transpose the columnar encode boundary starts from, and the
-        mirror of :meth:`Row._from_sorted_items` on the decode side: one walk
-        over the row set and no per-cell attribute lookup.  Every row of a
-        relation holds its items in the same canonical attribute order (the
+        mirror of :meth:`Row._from_values` on the decode side: one walk over
+        the row set and no per-cell attribute lookup.  Every row of a
+        relation holds its values in the same canonical attribute order (the
         invariant ``Row.__eq__`` and ``Row.__hash__`` already rest on), so
-        slot ``k`` of every items tuple belongs to one attribute and a column
-        is a plain slice — ``columns[a][i] == rows[i][a]`` for every
+        slot ``k`` of every values tuple belongs to one attribute and a
+        column is a plain slice — ``columns[a][i] == rows[i][a]`` for every
         position ``i``.
+
+        Sliced per *slot* — one C-level ``map(itemgetter(slot), …)`` per
+        attribute — and deliberately not ``zip(*values)``: star-zipping N
+        tuples allocates one collector-tracked tuple iterator per *row*,
+        which on an 18 000-row database multiplies the young collections
+        sevenfold; this form allocates nothing per row.
         """
         rows = tuple(self._rows)
         if not rows:
             return rows, {attribute: [] for attribute in self._schema.attributes}
-        items = [row._items for row in rows]
-        return rows, {attribute: [cells[slot][1] for cells in items]
-                      for slot, (attribute, _) in enumerate(items[0])}
+        values = list(map(attrgetter("_values"), rows))
+        return rows, {attribute: list(map(itemgetter(slot), values))
+                      for slot, attribute in enumerate(rows[0]._schema.attributes)}
 
     def is_empty(self) -> bool:
         """``True`` when the relation has no rows."""

@@ -34,6 +34,7 @@ scrapes ``/metrics`` / ``/health`` over live HTTP and validates the
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -562,9 +563,12 @@ class SessionMonitor:
 
         Covers the planner LRU (hits/misses/size/capacity), the hash-index
         cache, the column-block cache, the interner's size and the key rows
-        that overflowed the packing radix, the query-log occupancy and the
-        per-database relation/row counts of every database the monitor has
-        seen (weakly tracked — collected databases drop out on their own).
+        that overflowed the packing radix, the process' cyclic-collector
+        runs per generation (``gc.get_stats()``, read here at scrape time —
+        nothing is hooked into the execute path), the query-log occupancy
+        and the per-database relation/row counts of every database the
+        monitor has seen (weakly tracked — collected databases drop out on
+        their own).
         """
         from ..engine.columnar.block import column_cache_info
         from ..engine.indexes import index_cache_info
@@ -614,6 +618,14 @@ class SessionMonitor:
               "Multi-attribute key rows interned because their ids outgrew "
               "the packing radix.",
               column_info["key_overflow_rows"])
+        for generation, stats in enumerate(gc.get_stats()):
+            labels = {"generation": generation}
+            gauge("process_gc_collections",
+                  "Runs of the cyclic garbage collector, per generation.",
+                  stats["collections"], labels)
+            gauge("process_gc_collected",
+                  "Objects the cyclic garbage collector has freed, per "
+                  "generation.", stats["collected"], labels)
         gauge("engine_querylog_entries",
               "Entries retained in the query log ring buffer.", len(self.log))
         gauge("engine_querylog_dropped",

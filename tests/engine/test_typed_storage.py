@@ -3,11 +3,17 @@ deferred decoding, and the operational reporting around all of it."""
 
 from __future__ import annotations
 
+import gc
+import pickle
+import platform
+from array import array
+
 import pytest
 
 from repro.analysis import statistics_table
 from repro.engine import EngineSession, ExecutionOptions
 from repro.engine.columnar import (
+    ColumnBlock,
     available_column_backends,
     block_for,
     clear_column_caches,
@@ -20,11 +26,17 @@ from repro.engine.columnar import (
     set_default_column_backend,
     use_column_backend,
 )
+from repro.engine.columnar.block import _ColumnStorage
 from repro.exceptions import SchemaError
 from repro.generators import chain_hypergraph, generate_database
 from repro.relational import DatabaseSchema, Relation, RelationSchema
 
 NUMPY_INSTALLED = "numpy" in available_column_backends()
+
+#: Allocation counts read off ``gc.get_count()`` are CPython's.
+cpython_only = pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="counts collector-tracked allocations the way CPython does")
 
 
 @pytest.fixture()
@@ -212,3 +224,73 @@ class TestDeferredDecoding:
         eager = EngineSession(execution_mode="columnar") \
             .prepare(database).execute(database)
         assert frozenset(result.decoded().rows) == frozenset(eager.relation.rows)
+
+
+class TestStorageTokens:
+    """Cross-storage cache keys name a storage by serial, never by reference."""
+
+    def test_a_dead_database_is_freed_by_refcount(self):
+        # The reducer's two passes cache each neighbour's filtered selection
+        # under the other; were the keys to hold the storages, every base
+        # storage of the database would wait in a cycle for the collector.
+        # (_ColumnStorage has no __weakref__ slot: observe the garbage.)
+        schema = DatabaseSchema.from_hypergraph(
+            chain_hypergraph(4, arity=3, overlap=2))
+
+        def fresh_database():
+            return generate_database(schema, universe_rows=40, domain_size=4,
+                                     dangling_fraction=0.4, seed=11)
+
+        prepared = EngineSession().prepare(fresh_database())
+        gc.collect()
+        flags = gc.get_debug()
+        gc.disable()
+        try:
+            database = fresh_database()
+            result = prepared.execute(database)
+            assert len(result.relation) > 0
+            del database, result
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [type(item).__name__ for item in gc.garbage
+                      if isinstance(item, (_ColumnStorage, array))]
+            assert leaked == []
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            gc.enable()
+
+    def test_no_two_storages_share_a_token(self, r_ab, s_bc):
+        blocks = [block_for(r_ab), block_for(s_bc),
+                  ColumnBlock.from_columns("T", ("A",), {"A": [1, 2]})]
+        blocks += [pickle.loads(pickle.dumps(block)) for block in blocks]
+        tokens = [block.storage_token() for block in blocks]
+        assert len(set(tokens)) == len(tokens)
+        # ... while every view of one storage names it alike.
+        base = blocks[0]
+        assert base.select([0]).storage_token() == base.storage_token() \
+            == base.rename("R2").project_onto(["A"]).storage_token()
+
+
+class TestDecodeAllocations:
+    @cpython_only
+    @pytest.mark.parametrize("selected", [False, True])
+    def test_to_relation_keeps_two_tracked_allocations_per_row(self, selected):
+        rows = 2_000
+        block = ColumnBlock.from_columns(
+            "R", ("B", "A"), {"A": list(range(rows)),
+                              "B": [f"b{index}" for index in range(rows)]})
+        if selected:
+            block = block.select(range(0, rows, 2))
+        block.to_relation()                 # fills the decoded-column cache
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            relation = block.to_relation()
+            kept = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert len(relation) == len(block)
+        # One Row and one values tuple per row; a constant for the rest.
+        assert kept <= 2 * len(block) + 32

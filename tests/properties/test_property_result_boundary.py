@@ -11,8 +11,8 @@ an oracle that does nothing *but* per-row, per-cell Python:
       text, the ``repro.relational`` answer serialised row by row with
       ``row[a]`` and the ``repr`` sort;
 (ii)  ``block.to_relation(n)`` equals ``Row({a: block.value_at(a, p)})`` per
-      selected position — name, attribute order and every row's ``_items``
-      order included;
+      selected position — name, attribute order and every row's canonical
+      key order included;
 (iii) ``list(block.iter_rows())`` equals ``block.row_values(p)`` per selected
       position, under a selection and without.
 
@@ -175,8 +175,7 @@ def check_to_relation(block: ColumnBlock, name: str) -> None:
     # items in another order; ``repr`` shows both.
     assert sorted(map(repr, relation.rows)) == sorted(map(repr, expected))
     canonical = sorted_nodes(block.attributes)
-    assert all(tuple(attribute for attribute, _ in row._items) == canonical
-               for row in relation.rows)
+    assert all(tuple(row) == canonical for row in relation.rows)
 
 
 def check_iter_rows(block: ColumnBlock) -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import platform
+
 import pytest
 
 from repro.exceptions import ArityError, UnknownAttributeError
@@ -35,10 +38,9 @@ class TestRow:
     def test_mapping_equality_reuses_the_lookup_dict(self):
         row = Row({"A": 1, "B": 2})
         assert row == {"A": 1, "B": 2}
-        cached = row._mapping
-        assert cached is not None  # the comparison built (and kept) it
         assert row == {"B": 2, "A": 1}
-        assert row._mapping is cached  # ... and later comparisons reuse it
+        # ... and no comparison (or lookup) leaves a per-row mapping behind
+        assert Row.__slots__ == ("_schema", "_values", "_hash")
         assert row != {"A": 1, "B": 3}
         assert row != {"A": 1}
 
@@ -120,3 +122,41 @@ class TestRelation:
 
     def test_repr(self, relation):
         assert "3 rows" in repr(relation)
+
+    def test_to_columns_is_the_transpose(self, relation):
+        rows, columns = relation.to_columns()
+        assert frozenset(rows) == relation.rows and len(rows) == 3
+        assert set(columns) == {"A", "B"}
+        assert all(columns[attribute][position] == row[attribute]
+                   for position, row in enumerate(rows)
+                   for attribute in relation.attributes)
+        assert Relation.empty(relation.schema).to_columns() \
+            == ((), {"A": [], "B": []})
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="counts collector-tracked allocations the "
+                               "way CPython does")
+    def test_to_columns_allocates_nothing_per_row(self):
+        # Keeps the star-zip trap shut: ``zip(*values tuples)`` allocates one
+        # tracked tuple iterator per row (14 young collections here); the
+        # per-slot transpose allocates a handful of lists in all.
+        schema = RelationSchema.of("R", ["C", "A", "B"])
+        relation = Relation.from_tuples(
+            schema, [(index % 7, index, f"b{index}") for index in range(10_000)])
+        thresholds = gc.get_threshold()
+        gc.collect()
+        gc.set_threshold(700, 10, 10)
+        try:
+            young = gc.get_stats()[0]["collections"]
+            transposed = relation.to_columns()
+            assert gc.get_stats()[0]["collections"] == young
+            del transposed
+            gc.disable()
+            before = gc.get_count()[0]
+            transposed = relation.to_columns()
+            kept = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+            gc.set_threshold(*thresholds)
+        assert len(transposed[0]) == 10_000
+        assert kept <= 16

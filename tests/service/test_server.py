@@ -167,9 +167,10 @@ def row_constructions(monkeypatch):
     from repro.relational.relation import Row
 
     built = []
-    from_items, init = Row._from_sorted_items.__func__, Row.__init__
-    monkeypatch.setattr(Row, "_from_sorted_items", classmethod(
-        lambda cls, items: built.append(items) or from_items(cls, items)))
+    from_values, init = Row._from_values.__func__, Row.__init__
+    monkeypatch.setattr(Row, "_from_values", classmethod(
+        lambda cls, schema, values:
+        built.append(values) or from_values(cls, schema, values)))
     monkeypatch.setattr(Row, "__init__", lambda self, values:
                         built.append(values) or init(self, values))
     return built

@@ -342,6 +342,27 @@ class TestCollector:
         finally:
             clear_column_caches()
 
+    def test_collect_exports_the_cyclic_collector(self):
+        # The collector is triggered by allocation counts, so a batch of
+        # decoded executes (two allocations per answer row) must move gen0.
+        session = monitored_session()
+        database = skewed_chain_database(CHAIN, heads=40, fanout=6,
+                                         junction_values=2, seed=0)
+        prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
+        before = session.monitor.collect()
+        for generation in range(3):
+            for gauge in ("process_gc_collections", "process_gc_collected"):
+                assert before[f"{gauge}{{generation={generation}}}"] >= 0
+        results = [prepared.execute(database) for _ in range(40)]
+        assert sum(len(result.relation) for result in results) > 2_000
+        after = session.monitor.collect()
+        assert after["process_gc_collections{generation=0}"] \
+            > before["process_gc_collections{generation=0}"]
+        assert all(after[name] >= before[name] for name in before
+                   if name.startswith("process_gc_"))
+        assert 'process_gc_collections{generation="0"}' \
+            in session.metrics.render_prometheus()
+
     def test_unbound_monitor_collects_nothing(self):
         assert SessionMonitor().collect() == {}
 
