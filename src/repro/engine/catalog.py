@@ -164,7 +164,8 @@ class RelationStatistics:
 
     def describe(self) -> str:
         """``{A, B}: 120 rows, distinct A=30 B=4``-style rendering."""
-        parts = " ".join(f"{attribute}={self.distinct_counts[attribute]}"
+        parts = " ".join(f"{attribute}="
+                         f"{self.distinct_counts.get(attribute, self.cardinality)}"
                          for attribute in sorted_nodes(self.edge))
         marker = "" if self.exact else " (sampled)"
         return f"{format_node_set(self.edge)}: {self.cardinality} rows{marker}" \

@@ -501,6 +501,17 @@ class ColumnBlock:
     def __len__(self) -> int:
         return len(self._sel) if self._sel is not None else self._storage.length
 
+    @property
+    def storage_length(self) -> int:
+        """How many rows the underlying storage holds, selected or not.
+
+        For a join kernel's output this is the number of pairs the probe
+        produced *before* the fused projection's duplicate elimination
+        (``len`` is what survived it) — the same on a whole-result cache hit,
+        which returns the very block.
+        """
+        return self._storage.length
+
     def is_empty(self) -> bool:
         """``True`` when no rows are selected."""
         return len(self) == 0

@@ -468,15 +468,17 @@ class NumpyColumnBackend:
 
     def first_occurrence(self, columns: Sequence[IdArray],
                          positions: Positions) -> IdArray:
+        """First occurrences by one plain sort (see :meth:`_first_indexes`)."""
         selected = self._positions(positions)
+        if selected.size == 0:
+            return array("q")
         if len(columns) == 1:
             values = self._view(columns[0])[selected]
         else:
             # Pack the per-column ids into one int64 key (mixed-radix over
-            # each column's id range) — far cheaper than np.unique(axis=0)'s
-            # row-view machinery.  Ids are dense and small, so the packed
-            # range almost never overflows; when it would, fall back to the
-            # scalar tuple loop.
+            # each column's id range).  Ids are dense and small, so the
+            # packed range almost never overflows; when it would, fall back
+            # to the scalar tuple loop.
             gathered = [self._view(column)[selected] for column in columns]
             values = self._pack(gathered)
             if values is None:
@@ -489,10 +491,39 @@ class NumpyColumnBackend:
                         add(key)
                         append(int(selected[index]))
                 return keep
-        _, first = _np.unique(values, return_index=True)
+        first = self._first_indexes(values)
         if first.size == selected.size:
             return self._to_q(selected)
-        return self._to_q(selected[_np.sort(first)])
+        return self._to_q(selected[first])
+
+    @staticmethod
+    def _first_indexes(values: "Any") -> "Any":
+        """The index of every value's first occurrence, ascending (``values`` non-empty).
+
+        Each value is tagged with its index — ``(value − min)·n + index`` in
+        one int64 — so one plain ``sort`` groups equal values *and* orders
+        each group by index: the head of every run is a first occurrence,
+        found by one neighbour compare.  When the tag would not fit 63 bits
+        the same run-head scan reads a stable argsort instead.
+        """
+        count = values.size
+        low = int(values.min())
+        head = _np.empty(count, dtype=bool)
+        head[0] = True
+        if (int(values.max()) - low + 1) * count < (1 << 63):
+            tagged = (values - low) * count
+            tagged += _np.arange(count)
+            tagged.sort()
+            keys = tagged // count
+            _np.not_equal(keys[1:], keys[:-1], out=head[1:])
+            first = tagged[head] - keys[head] * count
+        else:
+            order = _np.argsort(values, kind="stable")
+            ordered = values[order]
+            _np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+            first = order[head]
+        first.sort()
+        return first
 
     @staticmethod
     def _pack(gathered: Sequence["Any"]) -> Optional["Any"]:

@@ -17,6 +17,7 @@ produced — no decode/re-encode round trip between the phases.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
@@ -45,16 +46,20 @@ def _skip_check(blocks, rooted) -> bool:
 
 
 def vertex_blocks(relations: Sequence[Relation],
-                  vertices: Tuple[Edge, ...]) -> Dict[Edge, ColumnBlock]:
+                  vertices: Tuple[Edge, ...],
+                  schemes: Optional[Sequence[Edge]] = None) -> Dict[Edge, ColumnBlock]:
     """One block per join-tree vertex (same-scheme inputs intersected).
 
     ``relations`` may mix :class:`Relation` objects (encoded through the
     per-relation block cache) and pre-built :class:`ColumnBlock` values (the
-    cyclic executor's materialised clusters).
+    cyclic executor's materialised clusters).  ``schemes``, position-aligned
+    with ``relations``, names the vertex each input stands for when that is
+    not its own attribute set — a cluster block projected onto what the
+    cluster exports.
     """
     span = current_tracer().span("encode")
     with span:
-        merged = merge_blocks_by_scheme(relations)
+        merged = merge_blocks_by_scheme(relations, schemes)
         result: Dict[Edge, ColumnBlock] = {}
         for vertex in vertices:
             block = merged.get(vertex)
@@ -128,6 +133,17 @@ def statistics_from_block(block: ColumnBlock) -> RelationStatistics:
                               distinct_counts=distinct, exact=True)
 
 
-def catalog_from_blocks(blocks: Iterable[ColumnBlock]) -> StatisticsCatalog:
-    """An exact statistics catalog of already-materialised blocks."""
-    return StatisticsCatalog(statistics_from_block(block) for block in blocks)
+def catalog_from_blocks(blocks: Iterable[ColumnBlock],
+                        schemes: Optional[Iterable[Edge]] = None
+                        ) -> StatisticsCatalog:
+    """An exact statistics catalog of already-materialised blocks.
+
+    With ``schemes`` (position-aligned) each block's measurement is filed
+    under the given scheme instead of its own attribute set — the quotient
+    catalog of projected cluster blocks; an attribute the block dropped has
+    no count and estimates as fully distinct, the catalog's usual fallback.
+    """
+    if schemes is None:
+        return StatisticsCatalog(map(statistics_from_block, blocks))
+    return StatisticsCatalog(replace(statistics_from_block(block), edge=scheme)
+                             for block, scheme in zip(blocks, schemes))

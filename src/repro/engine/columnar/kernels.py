@@ -26,7 +26,7 @@ records the active backend and its batch size.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ...core.hypergraph import Edge
 from ...core.nodes import sorted_nodes
@@ -265,7 +265,9 @@ def intersect_blocks(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
     return semijoin_blocks(left, right, on=left.attributes)
 
 
-def merge_blocks_by_scheme(relations: Iterable[Relation]) -> Dict[Edge, ColumnBlock]:
+def merge_blocks_by_scheme(relations: Iterable[Relation],
+                           schemes: Optional[Sequence[Edge]] = None
+                           ) -> Dict[Edge, ColumnBlock]:
     """One (cached) block per distinct scheme, same-scheme relations intersected.
 
     The columnar counterpart of
@@ -275,11 +277,16 @@ def merge_blocks_by_scheme(relations: Iterable[Relation]) -> Dict[Edge, ColumnBl
     cached block through untouched, and the intersect path's subset fast
     path returns the existing block itself when the second relation filters
     nothing, so no position vectors are re-materialised for identities.
+
+    ``schemes`` (position-aligned with ``relations``) names each block's
+    scheme where it is not the block's own attribute set: a projected
+    cluster block stands for its whole quotient vertex.  Blocks filed under
+    one scheme still share one attribute set (both export the same part).
     """
     grouped: Dict[Edge, ColumnBlock] = {}
-    for relation in relations:
+    for index, relation in enumerate(relations):
         block = block_for(relation) if isinstance(relation, Relation) else relation
-        edge = block.attribute_set
+        edge = block.attribute_set if schemes is None else schemes[index]
         existing = grouped.get(edge)
         if existing is None:
             grouped[edge] = block

@@ -6,7 +6,9 @@ The cyclic analogue of :mod:`repro.engine.yannakakis`.  The phases are
    schema's hypergraph from the planner's LRU cache (cover search runs once
    per schema fingerprint);
 2. **materialise** — evaluate every non-trivial cluster with a bounded,
-   greedily ordered nested-loop join (:func:`~repro.engine.cyclic.quotient.materialise_clusters`);
+   greedily ordered nested-loop join, projected (columnar) onto what the
+   cluster exports: the requested outputs and the attributes it shares with
+   another cluster (:func:`~repro.engine.cyclic.quotient.materialise_cluster_blocks`);
 3. **reduce + join** — hand the cluster relations to the acyclic evaluator:
    the quotient is acyclic by construction, so the PR-1 full reducer removes
    every dangling cluster tuple and the bottom-up join with fused projection
@@ -62,22 +64,26 @@ __all__ = ["CyclicEngineResult", "evaluate_cyclic", "evaluate_cyclic_database"]
 # Warm-prepare memoisation (columnar path)
 # --------------------------------------------------------------------------- #
 class _WarmPrepare:
-    """Memoised cover/catalog bookkeeping for one (plan, relations, catalog).
+    """Memoised cover/catalog bookkeeping for one (plan, relations, catalog, outputs).
 
     A warm cyclic run re-executes over the *same* plan object (memoised by
     :class:`~repro.engine.session.PreparedQuery`), the same relation tuple
     and the same catalog, yet previously re-derived three prepare-phase
     artefacts every time: the per-cluster cardinality estimates, the
     materialised cluster blocks (immutable, fully determined by cover +
-    relations + catalog order keys) and the quotient-level cost annotation.
-    This entry caches all three; identity validation (``is`` on every input,
-    plus the interner generation) makes a hit exact, and the bounded FIFO
-    below keeps eviction trivial.  Fields hold ``(key…, value)`` tuples so a
-    racing rebuild swaps atomically — equivalent values, last write wins,
-    matching the storage-cache contract in :mod:`repro.engine.columnar.block`.
+    relations + catalog order keys + outputs) and the quotient-level cost
+    annotation.  This entry caches all three; identity validation (``is`` on
+    every input, plus the interner generation) makes a hit exact, and the
+    bounded FIFO below keeps eviction trivial.  The outputs are part of the
+    entry's *key*, so prepared queries that differ only in their outputs
+    each stay warm instead of evicting each other; their cluster joins over
+    the same members still share storage through the kernels' whole-result
+    cache.  Fields hold ``(key…, value)`` tuples so a racing rebuild swaps
+    atomically — equivalent values, last write wins, matching the
+    storage-cache contract in :mod:`repro.engine.columnar.block`.
     """
 
-    __slots__ = ("plan", "relations", "catalog", "estimates",
+    __slots__ = ("plan", "relations", "catalog", "estimated_cluster_sizes",
                  "materialised_state", "annotated_state")
 
     def __init__(self, plan: CyclicExecutionPlan,
@@ -86,12 +92,11 @@ class _WarmPrepare:
         self.plan = plan
         self.relations = relations
         self.catalog = catalog
-        #: (estimated_cluster_sizes, estimated_materialisation) or None.
-        self.estimates: Optional[Tuple[tuple, tuple]] = None
+        self.estimated_cluster_sizes: Optional[tuple] = None
         #: (row_bound, interner, materialisation) or None.
         self.materialised_state: Optional[Tuple[Any, Any, Any]] = None
-        #: (wanted, materialisation identity, annotated plan) or None.
-        self.annotated_state: Optional[Tuple[Any, Any, Any]] = None
+        #: (materialisation identity, annotated plan) or None.
+        self.annotated_state: Optional[Tuple[Any, Any]] = None
 
 
 _WARM_PREPARE_CAP = 32
@@ -101,11 +106,12 @@ _WARM_PREPARE_CACHE: "OrderedDict[tuple, _WarmPrepare]" = OrderedDict()
 
 def _warm_prepare_entry(plan: CyclicExecutionPlan,
                         relations: Sequence[Relation],
-                        catalog: Optional[StatisticsCatalog]) -> _WarmPrepare:
-    """The (validated) memo entry for this exact plan/relations/catalog trio."""
+                        catalog: Optional[StatisticsCatalog],
+                        wanted: Optional[FrozenSet[Attribute]]) -> _WarmPrepare:
+    """The (validated) memo entry for this exact plan/relations/catalog/outputs."""
     relations = tuple(relations)
     key = (id(plan), tuple(map(id, relations)),
-           None if catalog is None else id(catalog))
+           None if catalog is None else id(catalog), wanted)
     with _WARM_PREPARE_LOCK:
         entry = _WARM_PREPARE_CACHE.get(key)
         if entry is not None and entry.plan is plan \
@@ -183,8 +189,14 @@ def evaluate_cyclic(relations: Sequence[Relation],
     ``execution_mode`` selects the physical layer (``"columnar"`` — the
     process default — or ``"row"``): columnar runs materialise the clusters
     as blocks and feed them straight into the columnar quotient pipeline,
-    decoding only the final result.  Answers and all logical accounting are
-    byte-identical across modes.
+    decoding only the final result.  Answers are identical across modes; the
+    logical accounting is byte-identical across modes for unprojected
+    queries (``output_attributes=None``) — with outputs the columnar run
+    projects every multi-member cluster onto what it exports while joining
+    it, so its ``cluster_sizes`` / ``intermediate_sizes`` are smaller than
+    the row reference's, which materialises whole cluster schemes.
+    ``cluster_row_bound`` is checked against the rows each intra-cluster
+    join produced *before* that projection.
     """
     if not relations:
         raise SchemaError("the cyclic engine needs at least one relation to evaluate")
@@ -220,25 +232,13 @@ def evaluate_cyclic(relations: Sequence[Relation],
     prepare_seconds = perf_counter() - prepare_started
     check_deadline("materialise")
 
-    warm = _warm_prepare_entry(plan, relations, catalog)
+    warm = _warm_prepare_entry(plan, relations, catalog, wanted)
     estimated_cluster_sizes: tuple = ()
-    estimated_materialisation: tuple = ()
     if catalog is not None:
-        estimates = warm.estimates
-        if estimates is None:
-            estimated_cluster_sizes = tuple(cluster.estimated_rows(catalog)
-                                            for cluster in plan.clusters)
-            # Non-singleton clusters contribute intra-cluster join
-            # intermediates to ``intermediate_sizes``; their estimated final
-            # sizes stand in for those steps so the est-max column stays
-            # comparable to the actual.
-            estimated_materialisation = tuple(
-                estimate for cluster, estimate in zip(plan.clusters,
-                                                      estimated_cluster_sizes)
-                if not cluster.is_singleton)
-            warm.estimates = (estimated_cluster_sizes, estimated_materialisation)
-        else:
-            estimated_cluster_sizes, estimated_materialisation = estimates
+        estimated_cluster_sizes = warm.estimated_cluster_sizes
+        if estimated_cluster_sizes is None:
+            estimated_cluster_sizes = warm.estimated_cluster_sizes = tuple(
+                cluster.estimated_rows(catalog) for cluster in plan.clusters)
     # The quotient plan is executed from the cyclic plan itself — no second
     # planner lookup, so a small LRU never thrashes between the cyclic plan
     # and its own embedded quotient plan.  Adaptively, the quotient runs with
@@ -260,10 +260,11 @@ def evaluate_cyclic(relations: Sequence[Relation],
             materialise_started = perf_counter()
             with materialise_span:
                 # Cluster blocks are immutable and fully determined by the
-                # cover, the relation tuple and the catalog's order keys, so a
-                # warm run (same plan/relations/catalog identities, same row
-                # bound, same interner generation) reuses them outright —
-                # materialisation dominated warm cyclic prepare time.
+                # cover, the relation tuple, the catalog's order keys and the
+                # outputs, so a warm run (same plan/relations/catalog
+                # identities and outputs, same row bound, same interner
+                # generation) reuses them outright — materialisation
+                # dominated warm cyclic prepare time.
                 interner = current_interner()
                 cached = warm.materialised_state
                 if cached is not None and cached[0] == cluster_row_bound \
@@ -273,7 +274,8 @@ def evaluate_cyclic(relations: Sequence[Relation],
                 else:
                     materialised = materialise_cluster_blocks(plan.cover, relations,
                                                               row_bound=cluster_row_bound,
-                                                              catalog=catalog)
+                                                              catalog=catalog,
+                                                              wanted=wanted)
                     warm.materialised_state = (cluster_row_bound, interner,
                                                materialised)
                     materialise_cached = False
@@ -285,26 +287,35 @@ def evaluate_cyclic(relations: Sequence[Relation],
                                          list(materialised.cluster_sizes))
                     materialise_span.set("intermediates",
                                          list(materialised.intermediate_sizes))
+                    materialise_span.set("probe_rows",
+                                         list(materialised.probe_rows))
+                    materialise_span.set("fan_out", [cluster.fan_out
+                                                     for cluster in plan.clusters])
+                    materialise_span.set("schemes", [list(sorted_nodes(scheme))
+                                                     for scheme in materialised.schemes])
+                    materialise_span.set("kept", [list(sorted_nodes(block.attribute_set))
+                                                  for block in materialised.blocks])
             materialise_seconds = perf_counter() - materialise_started
             check_deadline("encode")
             annotate_started = perf_counter()
             inner_annotated = None
             if catalog is not None:
                 annotated_state = warm.annotated_state
-                if annotated_state is not None and annotated_state[0] == wanted \
-                        and annotated_state[1] is materialised:
-                    inner_annotated = annotated_state[2]
+                if annotated_state is not None and annotated_state[0] is materialised:
+                    inner_annotated = annotated_state[1]
                 else:
-                    inner_annotated = annotate_plan(inner_plan,
-                                                    catalog_from_blocks(materialised.blocks),
-                                                    output_attributes=wanted)
-                    warm.annotated_state = (wanted, materialised, inner_annotated)
+                    inner_annotated = annotate_plan(
+                        inner_plan,
+                        catalog_from_blocks(materialised.blocks, materialised.schemes),
+                        output_attributes=wanted)
+                    warm.annotated_state = (materialised, inner_annotated)
             # The quotient-level annotation is planning work, so its time counts
             # toward the prepare phase even though it runs post-materialisation.
             prepare_seconds += perf_counter() - annotate_started
             trace = ReductionTrace()
             encode_started = perf_counter()
-            blocks = vertex_blocks(materialised.blocks, inner_plan.vertices)
+            blocks = vertex_blocks(materialised.blocks, inner_plan.vertices,
+                                   materialised.schemes)
             encode_seconds = perf_counter() - encode_started
             check_deadline("reduce")
             result_block, inner_intermediates, physical_seconds = run_columnar_plan(
@@ -387,7 +398,8 @@ def evaluate_cyclic(relations: Sequence[Relation],
         execution_mode=mode,
         column_backend=backend_name,
         adaptive=catalog is not None,
-        estimated_intermediate_sizes=estimated_materialisation + tuple(inner_estimated),
+        estimated_intermediate_sizes=(materialised.estimated_intermediate_sizes
+                                      + tuple(inner_estimated)),
         estimated_output_size=estimated_output,
         cluster_sizes=materialised.cluster_sizes,
         cluster_widths=tuple(cluster.width for cluster in plan.clusters),

@@ -73,8 +73,11 @@ class CyclicEngineStatistics(EngineStatistics):
     """Engine accounting extended with the cyclic executor's cluster counters.
 
     ``intermediate_sizes`` (inherited) includes the intra-cluster join steps
-    *and* the quotient's bottom-up join steps; ``cluster_sizes`` are the
-    materialised cluster relations the quotient reducer then works on.
+    *and* the quotient's bottom-up join steps — both as rows *kept* after the
+    step's fused projection, with ``estimated_intermediate_sizes`` aligned
+    step for step; ``cluster_sizes`` are the materialised cluster relations
+    the quotient reducer then works on (for a multi-member cluster of a
+    columnar run with outputs: its projection onto what the cluster exports).
     """
 
     cluster_sizes: Tuple[int, ...] = ()

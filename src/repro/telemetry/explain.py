@@ -17,7 +17,8 @@ telemetry package stays dependency-free and import-cycle-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["ExplainEntry", "ExplainAnalysis", "build_explain_analysis"]
@@ -30,11 +31,15 @@ class ExplainEntry:
     label: str
     estimated: Optional[float]
     actual: Optional[int]
+    #: Free-text detail appended to the rendered line (a projected cluster's
+    #: ``scheme → keeps …`` account); empty for everything else.
+    note: str = ""
 
     def render(self) -> str:
         est = "-" if self.estimated is None else f"{self.estimated:g}"
         actual = "-" if self.actual is None else str(self.actual)
-        return f"{self.label}  est={est}  actual={actual}"
+        line = f"{self.label}  est={est}  actual={actual}"
+        return f"{line}  {self.note}" if self.note else line
 
 
 def _last_span(records: Sequence[Mapping[str, object]],
@@ -66,6 +71,34 @@ def _paired(labels: Sequence[str], estimates: Sequence[Optional[float]],
         entries.append(ExplainEntry(label=label, estimated=estimated,
                                     actual=actual))
     return tuple(entries)
+
+
+def _braced(attributes: Sequence[object]) -> str:
+    return "{" + ", ".join(str(attribute) for attribute in attributes) + "}"
+
+
+def _cluster_notes(records: Sequence[Mapping[str, object]],
+                   cluster_actuals: Sequence[int]) -> List[str]:
+    """Per cluster, what a projected cluster kept of its scheme and what it probed.
+
+    ``{C0, T1, T2} → keeps {C0}: 40 rows (32538 probed)`` — the scheme, the
+    attributes the cluster exports, the rows that survived, and the largest
+    join inside the cluster before duplicate elimination (the number
+    ``cluster_row_bound`` guards).  Empty for a cluster materialised over its
+    whole scheme, and for runs whose ``materialise`` span carries no
+    ``kept`` / ``probe_rows`` (row mode).
+    """
+    schemes = _span_attr(records, "materialise", "schemes") or ()
+    kept = _span_attr(records, "materialise", "kept") or ()
+    steps = iter(_span_attr(records, "materialise", "probe_rows") or ())
+    fan_out = _span_attr(records, "materialise", "fan_out") or ()
+    notes: List[str] = []
+    for scheme, keeps, members, rows in zip(schemes, kept, fan_out, cluster_actuals):
+        probed = max((int(step) for step in islice(steps, members - 1)), default=rows)
+        notes.append("" if len(keeps) == len(scheme) else
+                     f"{_braced(scheme)} → keeps {_braced(keeps)}: "
+                     f"{rows} rows ({probed} probed)")
+    return notes
 
 
 @dataclass(frozen=True)
@@ -145,7 +178,9 @@ def build_explain_analysis(*, name: str, kind: str, statistics: object,
       ``sizes_after`` attributes;
     * intermediate sizes — the ``materialise`` span's ``intermediates``
       (cyclic runs) followed by the ``fold`` span's ``intermediates``;
-    * cluster sizes — the ``materialise`` span's ``cluster_sizes``;
+    * cluster sizes — the ``materialise`` span's ``cluster_sizes``, annotated
+      from its ``schemes`` / ``kept`` / ``probe_rows`` where a cluster was
+      projected onto what it exports (see :func:`_cluster_notes`);
     * the output count — the ``decode`` span's ``output_rows``.
 
     ``vertex_estimates`` maps vertex labels (as the reduce span records
@@ -171,6 +206,9 @@ def build_explain_analysis(*, name: str, kind: str, statistics: object,
         [f"cluster[{index}]" for index in range(
             max(len(cluster_actuals), len(cluster_estimates)))],
         cluster_estimates, cluster_actuals)
+    notes = _cluster_notes(records, cluster_actuals)
+    clusters = tuple(replace(entry, note=note)
+                     for entry, note in zip(clusters, notes)) + clusters[len(notes):]
 
     step_actuals = ([int(size) for size
                      in (_span_attr(records, "materialise", "intermediates")

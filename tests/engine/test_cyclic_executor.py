@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import QueryPlanner, evaluate_cyclic, evaluate_cyclic_database
+from repro.engine import (
+    EngineSession,
+    QueryPlanner,
+    evaluate_cyclic,
+    evaluate_cyclic_database,
+)
+from repro.engine.cyclic import executor as cyclic_executor
 from repro.exceptions import ClusterBoundExceededError, SchemaError
 from repro.generators import (
     generate_database,
@@ -15,9 +21,11 @@ from repro.generators import (
 from repro.relational import (
     DatabaseSchema,
     execute_plan,
+    join_all,
     naive_join_plan,
     project,
 )
+from repro.telemetry import Tracer, use_tracer
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +42,15 @@ def triangle_db():
     schema = DatabaseSchema.from_hypergraph(k_cycle_hypergraph(3))
     return generate_database(schema, universe_rows=18, domain_size=3,
                              dangling_fraction=0.4, seed=7)
+
+
+@pytest.fixture(scope="module")
+def benchmark_shaped_db():
+    """The benchmark's cyclic shape, scaled down: the triangle's first join
+    probes far more pairs than survive the projection onto ``C0``."""
+    schema = DatabaseSchema.from_hypergraph(triangle_core_chain(4))
+    return generate_database(schema, universe_rows=200, domain_size=8,
+                             dangling_fraction=0.5, seed=4)
 
 
 class TestEquivalence:
@@ -144,3 +161,75 @@ class TestValidation:
         result = evaluate_cyclic_database(triangle_db)
         text = result.plan.describe()
         assert "CyclicExecutionPlan" in text and "clusters" in text
+
+
+class TestClusterExports:
+    """A multi-member cluster exports only outputs ∪ what other clusters share."""
+
+    TRIANGLE = ("C0", "T1", "T2")
+
+    def test_projected_cluster_keeps_its_articulation_set(self, benchmark_shaped_db,
+                                                          engine_execution_mode):
+        if engine_execution_mode != "columnar":
+            pytest.skip("the row reference materialises whole cluster schemes")
+        # Asking for the triangle's own attributes keeps its whole scheme.
+        whole = evaluate_cyclic_database(benchmark_shaped_db, self.TRIANGLE,
+                                         adaptive=True)
+        projected = evaluate_cyclic_database(benchmark_shaped_db, ("C0", "C5"),
+                                             adaptive=True)
+        core = next(index for index, cluster in enumerate(projected.plan.clusters)
+                    if not cluster.is_singleton)
+        sizes = projected.statistics.cluster_sizes
+        assert sizes[core] < whole.statistics.cluster_sizes[core]
+        assert sizes[:core] + sizes[core + 1:] == (
+            whole.statistics.cluster_sizes[:core]
+            + whole.statistics.cluster_sizes[core + 1:])
+        triangle = join_all([relation for relation in benchmark_shaped_db.relations()
+                             if relation.schema.attribute_set <= frozenset(self.TRIANGLE)])
+        assert sizes[core] == len(project(triangle, ("C0",)))
+
+    @pytest.mark.parametrize("outputs", [None, ("C0", "C5")])
+    def test_row_bound_guards_the_probe_not_the_leftovers(self, benchmark_shaped_db,
+                                                          outputs):
+        unprojected = evaluate_cyclic_database(benchmark_shaped_db, self.TRIANGLE,
+                                               adaptive=True)
+        probe = max(unprojected.statistics.intermediate_sizes[:2])
+        with pytest.raises(ClusterBoundExceededError, match="C0, T1"):
+            evaluate_cyclic_database(benchmark_shaped_db, outputs, adaptive=True,
+                                     cluster_row_bound=probe - 1)
+        bounded = evaluate_cyclic_database(benchmark_shaped_db, ("C0", "C5"),
+                                           adaptive=True, cluster_row_bound=probe)
+        assert 0 < bounded.statistics.intermediate_sizes[0] <= probe
+
+
+class TestWarmMemo:
+    def test_alternating_output_sets_both_stay_warm(self, benchmark_shaped_db,
+                                                    engine_execution_mode,
+                                                    monkeypatch):
+        if engine_execution_mode != "columnar":
+            pytest.skip("the warm-prepare memo serves the columnar path")
+        annotations = []
+        real_annotate = cyclic_executor.annotate_plan
+
+        def counting_annotate(*args, **kwargs):
+            annotations.append(kwargs.get("output_attributes"))
+            return real_annotate(*args, **kwargs)
+
+        monkeypatch.setattr(cyclic_executor, "annotate_plan", counting_annotate)
+        session = EngineSession(adaptive=True)
+        queries = [session.prepare(benchmark_shaped_db, outputs)
+                   for outputs in (("C0", "C5"), ("C1", "C5"))]
+        answers = [query.execute(benchmark_shaped_db).relation for query in queries]
+        first_round = len(annotations)  # one per query (and per ambient shard)
+        assert first_round >= 2
+        for _ in range(3):
+            for query, answer in zip(queries, answers):
+                tracer = Tracer()
+                with use_tracer(tracer):
+                    result = query.execute(benchmark_shaped_db)
+                spans = [record for record in tracer.records
+                         if record["name"] == "materialise"]
+                assert spans and all(span["attributes"]["cached"] is True
+                                     for span in spans)
+                assert result.relation == answer
+        assert len(annotations) == first_round

@@ -61,6 +61,21 @@ def test_cyclic_explain_actuals_equal_statistics(database, mode):
 
 @pytest.mark.slow
 @COMMON_SETTINGS
+@given(database=skewed_cyclic_databases(), mode=MODES, projected=st.booleans())
+def test_cyclic_adaptive_runs_estimate_every_join_step(database, mode, projected):
+    """One estimate per intra-cluster and per fold step, projected or not."""
+    session = EngineSession(execution_mode=mode, adaptive=True)
+    outputs = sorted(database.schema.attributes)[:2] if projected else None
+    analysis = session.prepare(database, outputs).explain_analyze(database)
+    statistics = analysis.statistics
+    assert len(statistics.estimated_intermediate_sizes) \
+        == len(statistics.intermediate_sizes)
+    assert analysis.actual_cluster_sizes == tuple(statistics.cluster_sizes)
+    _assert_actuals_match(analysis)
+
+
+@pytest.mark.slow
+@COMMON_SETTINGS
 @given(database=skewed_acyclic_databases(), mode=MODES)
 def test_traced_runs_emit_schema_valid_records(database, mode):
     # Not the cyclic flag: a random acyclic instance may reduce with zero

@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine import EngineSession
 from repro.generators import (
+    cyclic_workload_families,
     generate_database,
     skewed_chain_database,
     skewed_chain_endpoints,
@@ -118,6 +119,67 @@ class TestExplainAnalyze:
     def test_plain_explain_needs_no_database(self, acyclic_database):
         prepared = EngineSession().prepare(acyclic_database)
         assert prepared.explain()  # the static plan description still renders
+
+
+class TestProjectedClusters:
+    """What a cyclic core probed and what it kept, side by side."""
+
+    @pytest.fixture
+    def triangle_chain_database(self):
+        schema = DatabaseSchema.from_hypergraph(triangle_core_chain(4))
+        return generate_database(schema, universe_rows=200, domain_size=8,
+                                 dangling_fraction=0.5, seed=4)
+
+    def test_a_projected_cluster_says_what_it_kept_and_probed(
+            self, triangle_chain_database, engine_execution_mode):
+        prepared = EngineSession(adaptive=True).prepare(triangle_chain_database,
+                                                       ("C0", "C5"))
+        analysis = prepared.explain_analyze(triangle_chain_database)
+        notes = [entry.note for entry in analysis.clusters if entry.note]
+        if engine_execution_mode == "row":
+            # The row reference materialises whole cluster schemes.
+            assert notes == []
+            return
+        span = next(record for record in analysis.records
+                    if record["name"] == "materialise")["attributes"]
+        core = next(index for index, members in enumerate(span["fan_out"])
+                    if members > 1)
+        assert span["schemes"][core] == ["C0", "T1", "T2"]
+        assert span["kept"][core] == ["C0"]
+        assert [kept for index, kept in enumerate(span["kept"]) if index != core] \
+            == [scheme for index, scheme in enumerate(span["schemes"])
+                if index != core]
+        assert len(span["probe_rows"]) == len(span["intermediates"])
+        assert all(probed >= kept for probed, kept
+                   in zip(span["probe_rows"], span["intermediates"]))
+        rows = span["cluster_sizes"][core]
+        assert notes == [f"{{C0, T1, T2}} → keeps {{C0}}: {rows} rows "
+                         f"({max(span['probe_rows'][:2])} probed)"]
+        assert notes[0] in analysis.render()
+
+    def test_an_unprojected_run_carries_no_note(self, cyclic_database):
+        analysis = EngineSession().prepare(cyclic_database).explain_analyze(
+            cyclic_database)
+        assert all(entry.note == "" for entry in analysis.clusters)
+        assert "keeps" not in analysis.render()
+
+    @pytest.mark.parametrize("family", [name for name, _
+                                        in cyclic_workload_families()])
+    def test_one_estimate_per_join_step(self, family):
+        hypergraph = dict(cyclic_workload_families())[family]
+        database = generate_database(DatabaseSchema.from_hypergraph(hypergraph),
+                                     universe_rows=30, domain_size=4,
+                                     dangling_fraction=0.3, seed=5)
+        outputs = sorted(hypergraph.nodes)[:2]
+        session = EngineSession(adaptive=True)
+        for wanted in (None, outputs):
+            statistics = session.prepare(database, wanted).execute(
+                database).statistics
+            assert len(statistics.estimated_intermediate_sizes) \
+                == len(statistics.intermediate_sizes)
+        analysis = session.prepare(database, outputs).explain_analyze(database)
+        assert all(entry.estimated is not None and entry.actual is not None
+                   for entry in analysis.steps)
 
 
 class TestBuildExplainAnalysis:
