@@ -62,6 +62,8 @@ def workload():
         "second_codes": second_codes,
         "probe_positions": range(N_PROBE),
         "key_set": key_set,
+        "key_codes": array("q", key_set),
+        "key_positions": range(KEY_SET_SIZE),
     }
 
 
@@ -133,7 +135,7 @@ def _kernel_races(w):
                                        w["key_set"]),
             batched(lambda b: b.filter_membership(
                 w["probe_codes"], w["probe_positions"],
-                b.prepare_set(w["key_set"]))),
+                b.key_set(w["key_codes"], w["key_positions"]))),
         ),
         "join_probe": (
             lambda: _scalar_join_probe(w["build_codes"], w["build_positions"],
@@ -156,7 +158,7 @@ def _kernel_races(w):
             batched(lambda b: b.take(
                 w["probe_codes"],
                 b.filter_membership(w["probe_codes"], w["probe_positions"],
-                                    b.prepare_set(w["key_set"])))),
+                                    b.key_set(w["key_codes"], w["key_positions"])))),
         ),
     }
 
@@ -219,7 +221,8 @@ def test_batched_kernels_beat_scalar_probing(workload):
 @pytest.mark.parametrize("backend_name", sorted(available_column_backends()))
 def test_membership_timing(benchmark, workload, backend_name):
     backend = resolve_column_backend(backend_name)
-    prepared = backend.prepare_set(workload["key_set"])
+    prepared = backend.key_set(workload["key_codes"],
+                               workload["key_positions"])
     benchmark(lambda: backend.filter_membership(
         workload["probe_codes"], workload["probe_positions"], prepared))
 

@@ -14,8 +14,8 @@ This example shows the three knobs that exposes:
 * ``decode="block"`` — skip the result-decoding phase entirely: the answer
   stays a :class:`ColumnBlock` of interned ids, and ``result.decoded()``
   materialises rows only if and when you need them;
-* ``column_cache_info()`` — watch the selection-aware key-id-set cache
-  that makes warm re-executions nearly decode- and probe-free.
+* ``column_cache_info()`` — watch the memoised semijoin outcomes that make
+  warm re-executions nearly decode- and probe-free.
 
 Run with::
 
@@ -69,7 +69,7 @@ def main() -> None:
           f"schema {relation.schema.attributes}")
     print()
 
-    # --- warm executions ride the key-id-set cache ------------------------ #
+    # --- warm executions ride the memoised semijoin outcomes --------------- #
     clear_column_caches()
     prepared = EngineSession(execution_mode="columnar").prepare(database,
                                                                endpoints)
@@ -82,9 +82,9 @@ def main() -> None:
     warm_seconds = time.perf_counter() - started
     warm = column_cache_info()
     print(f"cold execution {cold_seconds * 1000:.1f} ms "
-          f"({cold['keyset_misses']} key-set builds), "
+          f"({cold['keyset_misses']} membership structures built), "
           f"warm {warm_seconds * 1000:.1f} ms "
-          f"({warm['keyset_hits'] - cold['keyset_hits']} key-set cache hits, "
+          f"({warm['keyset_hits'] - cold['keyset_hits']} semijoin memo hits, "
           f"{warm['keyset_misses'] - cold['keyset_misses']} builds)")
 
 

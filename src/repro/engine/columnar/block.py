@@ -6,7 +6,8 @@ optional *selection vector* of storage positions.  Filtering a block
 (semijoin, antijoin) only replaces the selection vector; projecting or
 renaming it only changes the visible column set — the underlying
 :class:`_ColumnStorage` (and everything cached on it: grouped key encodings,
-key-id sets, join tables) is shared zero-copy by every derived block.
+membership structures, join tables, memoised semijoin outcomes) is shared
+zero-copy by every derived block.
 
 Values are interned through the generation's
 :class:`~repro.engine.columnar.buffers.ValueInterner`, so equal values in
@@ -18,12 +19,15 @@ interns its id tuple.  Decoding back to values happens only at the result
 boundary (or on the opt-in :meth:`ColumnBlock.value_at` accessors).
 
 **Selection-aware derived caches** are what make warm prepared-query runs
-cheap: key-id sets, membership structures and join tables are cached on the
-storage keyed by ``(kind, attributes, selection bytes, backend)``.  A warm
-re-execution reproduces the same selection vectors over the same cached
-base-block storages, so every reducer step and join build probes a cached
-structure — the ``keyset_hits`` counter in :func:`column_cache_info` makes
-that observable.
+cheap: membership structures and join tables are cached on the storage
+keyed by ``(kind, attributes, selection bytes, backend)``, and the kernels
+file whole semijoin outcomes and join results there under both sides'
+selections.  A warm re-execution reproduces the same selection vectors over
+the same cached base-block storages, so every reducer step is answered from
+its memoised outcome and builds nothing — ``keyset_hits`` /
+``keyset_misses`` in :func:`column_cache_info` make that observable.  No
+Python set of key ids exists anywhere: a membership structure is built from
+the id codes by the backend (``key_set``).
 
 Blocks built from relations are cached per relation *object*, weakly
 (:func:`block_for`: ``id(relation)`` → weakref + block), so repeated
@@ -71,9 +75,10 @@ __all__ = [
 
 KeyAttributes = Tuple[Attribute, ...]
 
-#: How many derived structures (key sets, join tables, …) one storage retains
-#: before its cache is dropped wholesale — a crude bound that keeps adversarial
-#: selection churn from accumulating unboundedly on long-lived base blocks.
+#: How many derived structures (membership structures, join tables, …) one
+#: storage retains before its cache is dropped wholesale — a crude bound that
+#: keeps adversarial selection churn from accumulating unboundedly on
+#: long-lived base blocks.
 _DERIVED_CACHE_CAP = 512
 
 # --------------------------------------------------------------------------- #
@@ -120,8 +125,9 @@ def resolve_execution_mode(mode: Optional[str]) -> str:
 # --------------------------------------------------------------------------- #
 _INTERNER = ValueInterner()
 
-# Selection-aware key-id-set cache traffic (storage-level, process-wide
-# counters so ``column_cache_info`` can report reuse across warm runs).
+# Semijoin membership traffic: structures built (misses) against semijoins
+# answered without building one (hits) — process-wide counters so
+# ``column_cache_info`` can report reuse across warm runs.
 # Guarded by ``_KEYSET_LOCK``: a bare ``+= 1`` compiles to a read-add-store
 # sequence that loses updates when concurrent executes interleave, and these
 # counters feed bench/test assertions that expect exact totals.
@@ -133,7 +139,8 @@ _KEY_OVERFLOW_ROWS = 0
 _KEYSET_LOCK = threading.Lock()
 
 
-def _count_keyset(hit: bool) -> None:
+def count_keyset(hit: bool) -> None:
+    """Count one semijoin: ``hit`` unless it built a membership structure."""
     global _KEYSET_HITS, _KEYSET_MISSES
     with _KEYSET_LOCK:
         if hit:
@@ -165,8 +172,9 @@ class _ColumnStorage:
     ``key_codes`` memoises the grouped key encoding per key-attribute tuple
     (the bare id column for a single attribute, packed component ids
     otherwise); the ``_derived`` cache memoises everything computed *from*
-    codes under a selection — key-id sets, backend membership structures,
-    join tables, position groups — keyed by the selection's bytes, so every
+    codes under a selection — backend membership structures, join tables,
+    position groups, the kernels' semijoin outcomes and join results —
+    keyed by the selection's bytes, so every
     block with an equal selection over this storage (including the fresh but
     identical selections of a warm re-execution) reuses one build.
 
@@ -255,30 +263,22 @@ class _ColumnStorage:
             self._derived[key] = value
         return value
 
-    def key_set_for(self, attributes: KeyAttributes,
-                    sel: Optional[array]) -> FrozenSet[int]:
-        """The distinct key ids among the selected positions (cached, counted)."""
-        key = ("set", attributes, None if sel is None else sel.tobytes())
-        cached = self._derived_get(key)
-        if cached is not None:
-            _count_keyset(hit=True)
-            return cached
-        _count_keyset(hit=False)
-        codes = self.key_codes(attributes)
-        if sel is None:
-            return self._derived_put(key, frozenset(codes))
-        return self._derived_put(key,
-                                 frozenset(map(codes.__getitem__, sel)))
-
     def prepared_set_for(self, attributes: KeyAttributes, sel: Optional[array],
                          backend) -> Any:
-        """The backend's membership structure over the selected key ids (cached)."""
+        """The backend's membership structure over the selected key ids.
+
+        Built from the id codes directly (``backend.key_set``), cached, and
+        counted: a build is a ``keyset_misses``, a cached one a
+        ``keyset_hits``.
+        """
         key = ("prepared", backend.name, attributes,
                None if sel is None else sel.tobytes())
         cached = self._derived_get(key)
+        count_keyset(hit=cached is not None)
         if cached is None:
+            positions = sel if sel is not None else range(self.length)
             cached = self._derived_put(
-                key, backend.prepare_set(self.key_set_for(attributes, sel)))
+                key, backend.key_set(self.key_codes(attributes), positions))
         return cached
 
     def table_for(self, attributes: KeyAttributes, sel: Optional[array],
@@ -548,19 +548,6 @@ class ColumnBlock:
             if attribute not in self._attribute_set:
                 raise UnknownAttributeError(attribute)
         return self._storage.groups_for(attributes, self._sel)
-
-    def key_code_set(self, attributes: KeyAttributes) -> FrozenSet[int]:
-        """The distinct encoded key ids present among the selected rows.
-
-        Selection-aware and storage-cached: warm reducer fixpoint steps (and
-        the subset/disjointness fast paths built on these sets) rebuild
-        nothing, whether the block is a base relation or a reduced view of
-        one — a warm run's identical selection bytes hit the same entry.
-        """
-        for attribute in attributes:
-            if attribute not in self._attribute_set:
-                raise UnknownAttributeError(attribute)
-        return self._storage.key_set_for(attributes, self._sel)
 
     def prepared_key_set(self, attributes: KeyAttributes, backend) -> Any:
         """The backend's membership structure over the selected key ids (cached)."""
@@ -832,13 +819,15 @@ def peek_block(relation: Relation) -> Optional[ColumnBlock]:
 
 
 def column_cache_info() -> Dict[str, int]:
-    """Cumulative counters of the block cache, the key-id-set cache and the interner.
+    """Cumulative counters of the block cache, semijoin membership and the interner.
 
-    ``hits``/``misses``/``relations`` describe the per-relation block cache;
-    ``keyset_hits``/``keyset_misses`` count selection-aware key-id-set
-    lookups on block storages — the structure every semijoin fast path and
-    membership probe starts from, so warm prepared-query runs should be
-    nearly all hits.  ``interned_values`` is the current interner's size
+    ``hits``/``misses``/``relations`` describe the per-relation block cache.
+    Every columnar (anti)semijoin over a non-empty separator counts once:
+    ``keyset_misses`` is the membership structures built, ``keyset_hits``
+    the semijoins answered without building one — from the memoised outcome
+    or over a structure already cached — so a warm prepared-query run is all
+    hits and a first run over new data nearly all misses, one per reducer
+    step.  ``interned_values`` is the current interner's size
     (it only grows within a generation); ``key_overflow_rows`` counts the
     multi-attribute key rows that could not be packed and interned their id
     tuple instead — non-zero means some key width's radix has been outgrown

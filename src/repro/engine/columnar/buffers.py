@@ -17,7 +17,8 @@ tuple's code never depends on which block, backend or thread computed it.
 
 On top of the id arrays sits a small **column-buffer backend** interface —
 the batched counterparts of "probe one key": pack a multi-attribute key,
-filter a whole position vector by key-set membership, probe a join table
+build a membership structure from a code column and filter a whole position
+vector by it, probe a join table
 with a whole code array, gather a column by a position vector, keep first
 occurrences.  Two implementations ship:
 
@@ -179,6 +180,14 @@ def key_radix(width: int) -> int:
 # --------------------------------------------------------------------------- #
 # Backends
 # --------------------------------------------------------------------------- #
+#: The span rule of the numpy membership structure: codes spanning fewer than
+#: this many slots per build row are addressed directly, wider ones sorted.
+#: A property of the input — how dense the build side's ids are — and the
+#: rule ``numpy.isin`` applies internally for the same choice: a table costs
+#: a byte per slot of span, a sorted probe ~log2(rows) compares per probe.
+DENSE_SPAN_FACTOR = 8
+
+
 class ArrayColumnBackend:
     """The always-available pure-Python backend over ``array('q')`` buffers.
 
@@ -253,10 +262,6 @@ class ArrayColumnBackend:
             packed = packed * radix + column_lanes
         return self._from_lanes(packed, count), overflow
 
-    def prepare_set(self, key_set: FrozenSet[int]) -> FrozenSet[int]:
-        """The membership structure :meth:`filter_membership` probes (cached upstream)."""
-        return key_set
-
     @staticmethod
     def _gathered(codes: IdArray, positions: Positions) -> Iterable[int]:
         """``codes[p]`` for every selected position, as a C-level iterator."""
@@ -264,10 +269,19 @@ class ArrayColumnBackend:
             return codes
         return map(codes.__getitem__, positions)
 
+    def key_set(self, codes: IdArray, positions: Positions) -> FrozenSet[int]:
+        """The membership structure :meth:`filter_membership` probes (cached upstream).
+
+        Built from the id codes at the selected positions directly; here it
+        is their ``frozenset`` — the reference every other backend's
+        structure must answer like.
+        """
+        return frozenset(self._gathered(codes, positions))
+
     def filter_membership(self, codes: IdArray, positions: Positions,
                           prepared: FrozenSet[int], *,
                           negate: bool = False) -> IdArray:
-        """The positions whose code is (not) in the prepared key set."""
+        """The positions whose code is (not) in the :meth:`key_set` structure."""
         gathered = self._gathered(codes, positions)
         if negate:
             flags = [code not in prepared for code in gathered]
@@ -378,7 +392,9 @@ class NumpyColumnBackend:
     @staticmethod
     def _to_q(vector: "Any") -> IdArray:
         out = array("q")
-        out.frombytes(_np.ascontiguousarray(vector, dtype=_np.int64).tobytes())
+        # ``frombytes`` reads the contiguous array's own buffer: one copy.
+        out.frombytes(_np.ascontiguousarray(vector, dtype=_np.int64)
+                      .view(_np.uint8))
         return out
 
     def selection(self, positions: Iterable[int]) -> IdArray:
@@ -419,19 +435,60 @@ class NumpyColumnBackend:
             _np.add(packed, view, out=packed)
         return codes, overflow
 
-    def prepare_set(self, key_set: FrozenSet[int]) -> "Any":
-        if not key_set:
-            return _np.empty(0, dtype=_np.int64)
-        return _np.sort(_np.fromiter(key_set, dtype=_np.int64, count=len(key_set)))
+    def _gathered(self, codes: IdArray, positions: Positions) -> "Any":
+        """``codes[p]`` for every selected position (the bare view for all of them)."""
+        view = self._view(codes)
+        if type(positions) is range and len(positions) == len(view):
+            return view
+        return view[self._positions(positions)]
 
-    def _member_mask(self, sorted_keys: "Any", values: "Any") -> "Any":
-        if sorted_keys.size == 0:
+    def key_set(self, codes: IdArray, positions: Positions) -> "Any":
+        """The selected codes as a membership structure, built without boxing one.
+
+        Ids are dense by construction — that is what the interner is for —
+        so a column's codes normally span little more than its row count,
+        and membership is then **direct addressing**: ``(floor, table)``, a
+        boolean table over ``[min, max]`` with one ``False`` sentinel slot
+        at each end (``floor = min - 1``), which :meth:`_member_mask` reads
+        after clipping every probe into ``[floor, max + 1]``.  When the span
+        exceeds :data:`DENSE_SPAN_FACTOR` times the build rows — every
+        packed multi-attribute key — the structure is the sorted distinct
+        codes, probed by ``searchsorted``.
+        """
+        values = self._gathered(codes, positions)
+        if values.size == 0:
+            return values
+        low = int(values.min())
+        high = int(values.max())
+        # The sentinels' own codes must be int64s too, or clipping to them
+        # would wrap.
+        if high - low < DENSE_SPAN_FACTOR * values.size \
+                and -(1 << 63) < low and high < (1 << 63) - 1:
+            table = _np.zeros(high - low + 3, dtype=bool)
+            table[values - (low - 1)] = True
+            return low - 1, table
+        ordered = _np.sort(values)
+        head = _np.empty(ordered.size, dtype=bool)
+        head[0] = True
+        _np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        return ordered[head]
+
+    @staticmethod
+    def _member_mask(prepared: "Any", values: "Any") -> "Any":
+        if type(prepared) is tuple:
+            floor, table = prepared
+            # Clip first, subtract second: the difference of two clipped
+            # codes always fits, so no int64 wrap can land on a True slot.
+            slots = _np.clip(values, floor, floor + (table.size - 1))
+            slots -= floor
+            return table[slots]
+        if prepared.size == 0:
             return _np.zeros(values.shape, dtype=bool)
-        slots = _np.searchsorted(sorted_keys, values)
+        slots = _np.searchsorted(prepared, values)
         # A value greater than every key lands one past the end; clamping it
-        # to slot 0 is safe — such a value can never equal sorted_keys[0].
-        slots[slots == sorted_keys.size] = 0
-        return sorted_keys[slots] == values
+        # to slot 0 is safe — such a value can never equal prepared[0].
+        slots[slots == prepared.size] = 0
+        return prepared[slots] == values
 
     def filter_membership(self, codes: IdArray, positions: Positions,
                           prepared: "Any", *, negate: bool = False) -> IdArray:

@@ -6,10 +6,12 @@ rows, same attribute order rules) but move whole typed position vectors per
 call through the active :mod:`column-buffer backend <repro.engine.columnar.buffers>`
 instead of probing rows one at a time:
 
-* a **semijoin** compares the two blocks' cached key-id sets first — a
-  subset means fixpoint (return ``left`` itself), disjoint means empty —
-  and only then filters the left position vector by batched membership of
-  its id codes in the right side's prepared key structure;
+* a **semijoin** is one batched membership pass — the left position
+  vector filtered by its id codes' membership in the right side's cached
+  key structure, which the backend builds from the right side's codes
+  directly — and its whole outcome is memoised on the left storage:
+  fixpoint (return ``left`` itself), dead end (no row kept) or the kept
+  position vector, so a warm step is one dictionary lookup;
 * a **natural join** probes the smaller side's cached join table with the
   other side's whole code array, then materialises the output by batched
   positional gathers — no intermediate ``Row`` objects and no per-match
@@ -26,7 +28,7 @@ records the active backend and its batch size.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from ...core.hypergraph import Edge
 from ...core.nodes import sorted_nodes
@@ -34,7 +36,7 @@ from ...exceptions import SchemaError, UnknownAttributeError
 from ...relational.relation import Relation
 from ...relational.schema import Attribute
 from ...telemetry.tracing import current_tracer
-from .block import ColumnBlock, block_for
+from .block import ColumnBlock, block_for, count_keyset
 from .buffers import active_column_backend
 
 __all__ = [
@@ -57,13 +59,15 @@ def _separator(left: ColumnBlock, right: ColumnBlock,
     """The effective separator, canonicalised so key dictionaries are shared.
 
     An ``on`` override must be a subset of both blocks' schemes.  Unlike the
-    row operators the attribute order is always canonical here — the grouped
-    key encoding is cached per attribute *tuple*, and key-set membership is
-    order-invariant anyway.
+    row operators the attribute order is canonical here — the grouped key
+    encoding is cached per attribute *tuple*, and key-set membership is
+    order-invariant anyway.  A ``tuple`` is taken as already canonical (the
+    compiled reducer hands over each step's, sorted once at compile time);
+    any other iterable is sorted.
     """
     if on is None:
         return shared_block_attributes(left, right)
-    separator = tuple(sorted_nodes(on))
+    separator = on if type(on) is tuple else tuple(sorted_nodes(on))
     for attribute in separator:
         if attribute not in left.attribute_set or attribute not in right.attribute_set:
             raise UnknownAttributeError(attribute)
@@ -80,82 +84,37 @@ def _same_generation(left: ColumnBlock, right: ColumnBlock) -> None:
 
 def semijoin_blocks(left: ColumnBlock, right: ColumnBlock,
                     on: Optional[Iterable[Attribute]] = None) -> ColumnBlock:
-    """``left ⋉ right`` by batched key-id membership.
+    """``left ⋉ right`` by one batched key-id membership pass, memoised whole.
 
     Returns ``left`` itself when nothing is filtered out, exactly like
-    :func:`~repro.engine.semijoin.semijoin_indexed`.  The cached key-id
-    sets decide fixpoint (subset) and dead-end (disjoint) cases without
-    touching a single position; only genuine partial overlaps run the
-    backend's batched membership filter.
+    :func:`~repro.engine.semijoin.semijoin_indexed`.
     """
-    span = current_tracer().span("kernel:semijoin")
-    with span:
-        backend = active_column_backend()
-        separator = _separator(left, right, on)
-        if not separator:
-            result = left if len(right) else left.empty()
-        else:
-            _same_generation(left, right)
-            left_ids = left.key_code_set(separator)
-            right_ids = right.key_code_set(separator)
-            if left_ids <= right_ids:
-                result = left
-            elif left_ids.isdisjoint(right_ids):
-                result = left.empty()
-            else:
-                keep = _filtered_selection(left, right, separator, backend,
-                                           negate=False)
-                result = left if len(keep) == len(left) else left.select(keep)
-        if span.is_recording:
-            span.set("mode", "columnar")
-            span.set("backend", backend.name)
-            span.set("batch", len(left))
-            span.set("left_rows", len(left))
-            span.set("right_rows", len(right))
-            span.set("output_rows", len(result))
-        return result
-
-
-def _filtered_selection(left: ColumnBlock, right: ColumnBlock,
-                        separator: Tuple[Attribute, ...], backend, *,
-                        negate: bool) -> "array":
-    """The (cached) kept-position vector of a partial-overlap (anti)semijoin.
-
-    Keyed by both sides' storage identity and selection bytes, so the fresh
-    but byte-identical selections a warm re-execution produces hit the vector
-    filtered on the previous run instead of re-probing the key set.
-    """
-    key = ("semi", negate, backend.name, separator, left.selection_bytes(),
-           right.storage_token(), right.selection_bytes())
-    keep = left.derived_get(key)
-    if keep is None:
-        keep = left.derived_put(key, backend.filter_membership(
-            left.key_codes(separator), left.positions,
-            right.prepared_key_set(separator, backend), negate=negate))
-    return keep
+    return _membership_filter("kernel:semijoin", left, right, on, negate=False)
 
 
 def antijoin_blocks(left: ColumnBlock, right: ColumnBlock,
                     on: Optional[Iterable[Attribute]] = None) -> ColumnBlock:
     """``left ▷ right`` — the selected rows of ``left`` with no partner in ``right``."""
-    span = current_tracer().span("kernel:antijoin")
+    return _membership_filter("kernel:antijoin", left, right, on, negate=True)
+
+
+def _membership_filter(span_name: str, left: ColumnBlock, right: ColumnBlock,
+                       on: Optional[Iterable[Attribute]], *,
+                       negate: bool) -> ColumnBlock:
+    """The (anti)semijoin kernel: ``left``'s rows with (``negate``: without) a partner."""
+    span = current_tracer().span(span_name)
     with span:
         backend = active_column_backend()
         separator = _separator(left, right, on)
+        memo_hit = None
         if not separator:
-            result = left.empty() if len(right) else left
+            # No shared attribute: every row has a partner iff ``right`` has a row.
+            result = left if (len(right) > 0) != negate else left.empty()
         else:
             _same_generation(left, right)
-            left_ids = left.key_code_set(separator)
-            right_ids = right.key_code_set(separator)
-            if left_ids.isdisjoint(right_ids):
-                result = left
-            elif left_ids <= right_ids:
-                result = left.empty()
-            else:
-                keep = _filtered_selection(left, right, separator, backend,
-                                           negate=True)
-                result = left if len(keep) == len(left) else left.select(keep)
+            keep, memo_hit = _filtered_selection(left, right, separator,
+                                                 backend, negate=negate)
+            result = left if keep is True else left.select(keep)
         if span.is_recording:
             span.set("mode", "columnar")
             span.set("backend", backend.name)
@@ -163,7 +122,37 @@ def antijoin_blocks(left: ColumnBlock, right: ColumnBlock,
             span.set("left_rows", len(left))
             span.set("right_rows", len(right))
             span.set("output_rows", len(result))
+            span.set("outcome", "fixpoint" if result is left
+                     else "partial" if len(result) else "empty")
+            if memo_hit is not None:
+                span.set("memo", "hit" if memo_hit else "miss")
         return result
+
+
+def _filtered_selection(left: ColumnBlock, right: ColumnBlock,
+                        separator: Tuple[Attribute, ...], backend, *,
+                        negate: bool) -> Tuple[Union[bool, "array"], bool]:
+    """The memoised outcome of one (anti)semijoin, and whether the memo held it.
+
+    All three outcomes are recorded: ``True`` for a fixpoint (every row
+    kept — the caller hands ``left`` itself back), an empty vector for a
+    dead end, the kept-position vector otherwise.  Keyed by both sides'
+    storage identity and selection bytes, so the fresh but byte-identical
+    selections a warm re-execution produces are answered by one lookup; a
+    miss is one membership pass of ``left``'s codes over ``right``'s
+    (cached) membership structure.  Counted as ``keyset_hits`` here and,
+    on a miss, by the structure's own cache.
+    """
+    key = ("semi", negate, backend.name, separator, left.selection_bytes(),
+           right.storage_token(), right.selection_bytes())
+    keep = left.derived_get(key)
+    if keep is not None:
+        count_keyset(hit=True)
+        return keep, True
+    keep = backend.filter_membership(
+        left.key_codes(separator), left.positions,
+        right.prepared_key_set(separator, backend), negate=negate)
+    return left.derived_put(key, True if len(keep) == len(left) else keep), False
 
 
 def natural_join_blocks(left: ColumnBlock, right: ColumnBlock, *,
@@ -262,7 +251,7 @@ def _joined_block(left: ColumnBlock, right: ColumnBlock,
 
 def intersect_blocks(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
     """The intersection of two same-scheme blocks (keeps ``left``'s name/order)."""
-    return semijoin_blocks(left, right, on=left.attributes)
+    return semijoin_blocks(left, right, on=left.attribute_set)
 
 
 def merge_blocks_by_scheme(relations: Iterable[Relation],
@@ -274,9 +263,9 @@ def merge_blocks_by_scheme(relations: Iterable[Relation],
     :func:`~repro.engine.semijoin.merge_relations_by_scheme`, feeding the
     evaluator's vertex mapping and the cluster materialisation.  A scheme
     with a single relation — the overwhelmingly common case — passes its
-    cached block through untouched, and the intersect path's subset fast
-    path returns the existing block itself when the second relation filters
-    nothing, so no position vectors are re-materialised for identities.
+    cached block through untouched, and the intersect path's fixpoint
+    contract returns the existing block itself when the second relation
+    filters nothing, so no position vectors are re-materialised for identities.
 
     ``schemes`` (position-aligned with ``relations``) names each block's
     scheme where it is not the block's own attribute set: a projected

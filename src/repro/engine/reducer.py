@@ -59,6 +59,13 @@ class ReductionStep:
     source: Edge
     separator: FrozenSet
     direction: str  # "up" (child into parent) or "down" (parent into child)
+    #: ``separator`` as the canonical tuple the semijoin operators take for
+    #: ``on=`` (``None`` when empty) — sorted once, when the step is compiled.
+    on: Optional[Tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "on",
+                           tuple(sorted_nodes(self.separator)) or None)
 
     def describe(self) -> str:
         """Render the step in ``R := R ⋉ S  [separator]`` notation."""
@@ -223,8 +230,7 @@ class FullReducer:
                 if component_of[step.target] in dead_components:
                     continue
                 target = current[step.target]
-                reduced = semijoin(target, current[step.source],
-                                   on=sorted_nodes(step.separator) if step.separator else None)
+                reduced = semijoin(target, current[step.source], on=step.on)
                 steps_run += 1
                 if reduced is not target:
                     removed += len(target) - len(reduced)

@@ -606,10 +606,10 @@ class SessionMonitor:
                   info["relations"])
         column_info = column_cache_info()
         gauge("engine_keyset_cache_hits",
-              "Selection-aware key-id-set cache hits on block storages.",
+              "Columnar semijoins answered without building a membership structure.",
               column_info["keyset_hits"])
         gauge("engine_keyset_cache_misses",
-              "Selection-aware key-id-set cache misses on block storages.",
+              "Semijoin membership structures built on block storages.",
               column_info["keyset_misses"])
         gauge("engine_interner_values",
               "Values held by the current interner generation (only grows).",
