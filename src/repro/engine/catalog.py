@@ -36,7 +36,7 @@ the annotation only needs the *ordering* of candidate plans to be right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from heapq import nsmallest
 from typing import (
     Dict,
     FrozenSet,
@@ -51,7 +51,7 @@ from typing import (
 from ..core.hypergraph import Edge
 from ..core.join_tree import JoinTree, RootedJoinTree
 from ..core.nodes import format_node_set, node_sort_key, sorted_nodes
-from ..relational.relation import Relation
+from ..relational.relation import Relation, Row
 from ..relational.schema import Attribute
 from .deadline import check_deadline
 
@@ -76,6 +76,24 @@ def _edge_key(edge: Edge) -> Tuple:
 def _rows(estimate: float) -> int:
     """Round a fractional cardinality estimate to whole rows (never negative)."""
     return max(int(estimate + 0.5), 0)
+
+
+def _leading_rows(relation: Relation, limit: int) -> List[Row]:
+    """``list(islice(iter(relation), limit))`` without sorting every row.
+
+    ``Relation.__iter__`` sorts the whole row set by the tuple of each row's
+    value reprs in schema order, rows with equal keys left in row-set order
+    by the stable sort.  The same keys are built here column-wise from the
+    transpose (one C-level ``map(repr, …)`` per attribute, no per-row key
+    function), each followed by the row's row-set position, and
+    ``heapq.nsmallest`` selects the ``limit`` smallest — by definition
+    ``sorted(...)[:limit]``, and the position breaks ties exactly as the
+    stable sort does.
+    """
+    rows, columns = relation.to_columns()
+    tagged = zip(*[map(repr, columns[attribute]) for attribute in relation.attributes],
+                 range(len(rows)))
+    return [rows[entry[-1]] for entry in nsmallest(limit, tagged)]
 
 
 # --------------------------------------------------------------------------- #
@@ -103,7 +121,8 @@ class RelationStatistics:
         The exact measurement is *encode, then count*: the relation's cached
         columnar block (:func:`~repro.engine.columnar.block.block_for`) is
         built if this is the first time the engine sees the relation, and
-        the distinct counts are set sizes over its id columns
+        the distinct counts are read off its id columns by the column
+        backend — on numpy from the dense id table, no id boxed
         (:func:`~repro.engine.columnar.executor.statistics_from_block`) — so
         the first catalog of a database is what encodes it, and the
         evaluator that runs next finds every block cached instead of walking
@@ -114,7 +133,9 @@ class RelationStatistics:
         deterministic iteration order and scaled linearly — the cheap refresh
         a serving system can afford on every write burst, and reproducible
         across processes (a raw ``frozenset`` walk would vary with the hash
-        seed).  Scaled counts are clamped to the cardinality.
+        seed).  Scaled counts are clamped to the cardinality.  The sample is
+        selected, not sorted (:func:`_leading_rows`): a refresh no longer
+        orders every row of the relation to keep a few of them.
 
         Measuring is where a never-seen database is ingested, so each
         relation starts with a cooperative ``"ingest"`` deadline check: a
@@ -126,7 +147,7 @@ class RelationStatistics:
         check_deadline("ingest")
         size = len(relation)
         if sample_limit is not None and size > sample_limit:
-            sample = list(islice(iter(relation), sample_limit))
+            sample = _leading_rows(relation, sample_limit)
             scale = size / len(sample)
             distinct = {
                 attribute: min(size, _rows(len({row[attribute] for row in sample}) * scale))

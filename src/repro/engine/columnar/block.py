@@ -188,9 +188,10 @@ class _ColumnStorage:
     :meth:`_derived_put` — runs under the storage lock so an eviction cannot
     interleave halfway into another thread's insert.  Packing a key takes no
     lock at all — the code is arithmetic on immutable columns; interner
-    encode/combine (the latter only for overflow rows) are locked in
-    :class:`~repro.engine.columnar.buffers.ValueInterner` itself; its decode
-    is lock-free by the values-before-ids publication order there.
+    stores (new values in encode, overflow rows in combine) are locked in
+    :class:`~repro.engine.columnar.buffers.ValueInterner` itself; its
+    lookups of known values and its decode are lock-free by the
+    values-before-ids publication order there.
 
     ``token`` is what *other* storages' derived keys name this one by
     (:meth:`ColumnBlock.storage_token`): a serial, not the storage.  The
@@ -413,7 +414,11 @@ class ColumnBlock:
         :meth:`Relation.to_columns <repro.relational.relation.Relation.to_columns>`
         slices every value column out of the rows' values tuples in a single
         pass (no per-cell ``row[attribute]`` lookup); each column is then
-        interned whole.  The source rows are retained on the storage,
+        interned whole — its already-known values in one lock-free C-level
+        pass, only the new ones under the interner lock
+        (:meth:`ValueInterner.encode
+        <repro.engine.columnar.buffers.ValueInterner.encode>`).  The source
+        rows are retained on the storage,
         position-aligned with the id columns, so the row engine's
         :meth:`HashIndex.build_columnar
         <repro.engine.indexes.HashIndex.build_columnar>` path can bucket the
@@ -828,7 +833,10 @@ def column_cache_info() -> Dict[str, int]:
     or over a structure already cached — so a warm prepared-query run is all
     hits and a first run over new data nearly all misses, one per reducer
     step.  ``interned_values`` is the current interner's size
-    (it only grows within a generation); ``key_overflow_rows`` counts the
+    (it only grows within a generation); ``interner_locked_cells`` the
+    column cells its ``encode`` resolved under the lock — every cell of a
+    column that starts with a new value, otherwise only the new values' —
+    so re-encoding known values adds 0; ``key_overflow_rows`` counts the
     multi-attribute key rows that could not be packed and interned their id
     tuple instead — non-zero means some key width's radix has been outgrown
     and those rows pay the per-row loop.
@@ -838,6 +846,7 @@ def column_cache_info() -> Dict[str, int]:
                 "relations": len(_BLOCK_CACHE),
                 "keyset_hits": _KEYSET_HITS, "keyset_misses": _KEYSET_MISSES,
                 "interned_values": len(_INTERNER),
+                "interner_locked_cells": _INTERNER.locked_cells,
                 "key_overflow_rows": _KEY_OVERFLOW_ROWS}
 
 

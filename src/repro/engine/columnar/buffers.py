@@ -18,7 +18,7 @@ tuple's code never depends on which block, backend or thread computed it.
 On top of the id arrays sits a small **column-buffer backend** interface —
 the batched counterparts of "probe one key": pack a multi-attribute key,
 build a membership structure from a code column and filter a whole position
-vector by it, probe a join table
+vector by it, count a column's distinct codes, probe a join table
 with a whole code array, gather a column by a position vector, keep first
 occurrences.  Two implementations ship:
 
@@ -79,6 +79,12 @@ class ValueInterner:
     """A dense value → id dictionary shared by every block of one generation.
 
     Ids are allocated from a single counter and index one reverse table.
+    Reads never lock: :meth:`encode` resolves the values it already knows in
+    one lock-free C-level pass and :meth:`decode` indexes the reverse table;
+    only *storing* a value takes the lock, and stores the value before its id
+    is published, so every id a reader can see already decodes.
+    ``locked_cells`` counts the cells :meth:`encode` resolved under the lock
+    (read by :func:`~repro.engine.columnar.column_cache_info`).
     Besides plain values the counter also serves the **overflow** key tuples
     — the rows of a multi-attribute key with a component id too large for
     that width's :func:`key_radix`, which cannot be packed arithmetically
@@ -91,7 +97,7 @@ class ValueInterner:
     combined with blocks of a newer generation (the kernels check).
     """
 
-    __slots__ = ("_value_ids", "_tuple_ids", "values", "_lock")
+    __slots__ = ("_value_ids", "_tuple_ids", "values", "locked_cells", "_lock")
 
     def __init__(self) -> None:
         self._value_ids: Dict[Any, int] = {}
@@ -99,28 +105,60 @@ class ValueInterner:
         #: id → original value (overflow key tuples are stored too, keeping
         #: indexes aligned; they are never decoded).
         self.values: List[Any] = []
+        self.locked_cells = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.values)
 
     def encode(self, column: Iterable[Any]) -> IdArray:
-        """Intern one column of values into an id array (one pass, one lock)."""
-        out = array("q")
-        append = out.append
+        """Intern one column of values into an id array.
+
+        Known values resolve **lock-free in one C-level pass**
+        (``map(ids.get, column)``); a column of known values never takes the
+        lock.  Only the cells that pass left unresolved go under the lock,
+        in column order, where each is looked up again — an earlier cell of
+        this column or another thread may have stored it since — and stored
+        otherwise.  A column whose *first* value is unknown is taken to be
+        mostly new (a first ingest) and sends every cell to the locked loop
+        without the lookup pass, which would only add to its cost.  Either
+        way the ids are those a per-cell loop assigns: dense, new values
+        numbered in first-appearance order.
+        """
+        column = column if type(column) is list else list(column)
         ids = self._value_ids
+        if column and ids.get(column[0]) is None:
+            resolved: List[Any] = [None] * len(column)
+            misses: Iterable[int] = range(len(column))
+        else:
+            resolved = list(map(ids.get, column))
+            # ``list.index`` scans at C level: one pass, a call per miss.
+            find = resolved.index
+            try:
+                position = find(None)
+            except ValueError:  # every value known
+                return array("q", resolved)
+            misses = []
+            try:
+                while True:
+                    misses.append(position)
+                    position = find(None, position + 1)
+            except ValueError:
+                pass
         with self._lock:
             values = self.values
-            for value in column:
+            for index in misses:
+                value = column[index]
                 encoded = ids.get(value)
                 if encoded is None:
                     # Value before id: an id is never published while the
-                    # lock-free ``decode`` could not yet resolve it.
+                    # lock-free readers could not yet resolve it.
                     encoded = len(values)
                     values.append(value)
                     ids[value] = encoded
-                append(encoded)
-        return out
+                resolved[index] = encoded
+            self.locked_cells += len(misses)
+        return array("q", resolved)
 
     def combine(self, columns: Sequence[IdArray]) -> IdArray:
         """Intern per-position id tuples of a multi-attribute key into one id array.
@@ -146,9 +184,8 @@ class ValueInterner:
         return out
 
     def decode(self, column: IdArray) -> List[Any]:
-        """The original values of one id column (reads are lock-free)."""
-        values = self.values
-        return [values[encoded] for encoded in column]
+        """The original values of one id column (lock-free, one C-level pass)."""
+        return list(map(self.values.__getitem__, column))
 
 
 # --------------------------------------------------------------------------- #
@@ -277,6 +314,10 @@ class ArrayColumnBackend:
         structure must answer like.
         """
         return frozenset(self._gathered(codes, positions))
+
+    def distinct_count(self, codes: IdArray, positions: Positions) -> int:
+        """How many distinct codes the selected positions hold: the set size."""
+        return len(set(self._gathered(codes, positions)))
 
     def filter_membership(self, codes: IdArray, positions: Positions,
                           prepared: FrozenSet[int], *,
@@ -472,6 +513,17 @@ class NumpyColumnBackend:
         head[0] = True
         _np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
         return ordered[head]
+
+    def distinct_count(self, codes: IdArray, positions: Positions) -> int:
+        """How many distinct codes the selected positions hold, none boxed.
+
+        The size of the :meth:`key_set` structure: the ``True`` slots of the
+        dense table, or the length of the sorted distinct codes.
+        """
+        prepared = self.key_set(codes, positions)
+        if type(prepared) is tuple:
+            return int(_np.count_nonzero(prepared[1]))
+        return int(prepared.size)
 
     @staticmethod
     def _member_mask(prepared: "Any", values: "Any") -> "Any":

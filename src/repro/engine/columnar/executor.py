@@ -30,6 +30,7 @@ from ..catalog import RelationStatistics, StatisticsCatalog
 from ..fold import fold_join_tree
 from ..reducer import ReductionTrace
 from .block import ColumnBlock
+from .buffers import active_column_backend
 from .kernels import merge_blocks_by_scheme, natural_join_blocks
 
 __all__ = [
@@ -114,21 +115,19 @@ def run_columnar_plan(plan, annotated, blocks: Dict[Edge, ColumnBlock],
 def statistics_from_block(block: ColumnBlock) -> RelationStatistics:
     """Exact relation statistics measured columnar-side (no row decode).
 
-    Cardinality is the selection length; the per-attribute distinct counts
-    are set sizes over the selected ids, built at C level — interning maps
-    equal values to equal ids, so these are the numbers a walk over the
-    rows' values would count.  This is the exact branch of
+    Cardinality is the selection length; each per-attribute distinct count
+    is the active backend's ``distinct_count`` over the selected ids — on
+    numpy the occupied slots of the dense id table, no id boxed — and
+    interning maps equal values to equal ids, so these are the numbers a
+    walk over the rows' values would count.  This is the exact branch of
     :meth:`RelationStatistics.measure
     <repro.engine.catalog.RelationStatistics.measure>` and the statistics of
-    every materialised cluster block.
+    every materialised cluster block (the cyclic quotient's catalog).
     """
+    backend = active_column_backend()
     positions = block.positions
-    full_range = type(positions) is range
-    distinct = {}
-    for attribute in block.attributes:
-        column = block.column(attribute)
-        distinct[attribute] = len(set(
-            column if full_range else map(column.__getitem__, positions)))
+    distinct = {attribute: backend.distinct_count(block.column(attribute), positions)
+                for attribute in block.attributes}
     return RelationStatistics(edge=block.attribute_set, cardinality=len(block),
                               distinct_counts=distinct, exact=True)
 

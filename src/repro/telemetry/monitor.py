@@ -614,6 +614,10 @@ class SessionMonitor:
         gauge("engine_interner_values",
               "Values held by the current interner generation (only grows).",
               column_info["interned_values"])
+        gauge("engine_interner_locked_cells",
+              "Column cells the interner resolved under its lock (known "
+              "values resolve lock-free).",
+              column_info["interner_locked_cells"])
         gauge("engine_key_overflow_rows",
               "Multi-attribute key rows interned because their ids outgrew "
               "the packing radix.",

@@ -162,26 +162,47 @@ def test_keyset_counters_stay_exact_under_concurrency(chain_database):
 
 def test_interner_encoding_is_consistent_across_threads():
     # Many threads encoding overlapping columns must agree: every id decodes
-    # back to the value it was interned for, and equal values share one id —
-    # across all 8 threads (encode takes the interner lock; decode is
-    # lock-free and relies on values-before-ids publication order).
-    interner = ValueInterner()
-    columns = [[f"v{(worker * 7 + offset) % 40}" for offset in range(120)]
+    # back to the value it was interned for, equal values share one id and
+    # ids stay dense — across all 8 threads.  Known values resolve lock-free
+    # and only new ones are stored under the lock (value before id; decode
+    # is lock-free too).  Half-warm columns start with a value interned
+    # beforehand, so each takes the lock-free pass, and alternate it with
+    # values nobody has stored yet, which the threads race to store in the
+    # locked fix-up while the others read; every round a fresh interner.
+    columns = [[f"v{(14 * worker + offset) % 40}" for offset in range(120)]
                for worker in range(THREADS)]
-    encoded = [None] * THREADS
+    half = [f"v{index}" for index in range(0, 40, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seeded in [[]] * (ROUNDS // 2) + [half] * (ROUNDS // 2):
+            interner = ValueInterner()
+            interner.encode(seeded)
+            before = interner.locked_cells
+            encoded = [None] * THREADS
 
-    def worker(index):
-        for _ in range(ROUNDS):
-            encoded[index] = interner.encode(columns[index])
+            def worker(index):
+                encoded[index] = interner.encode(columns[index])
+                assert interner.encode(columns[index]) == encoded[index]
 
-    _hammer(worker)
-    codes = {}
-    for index in range(THREADS):
-        decoded = interner.decode(encoded[index])
-        assert decoded == columns[index]
-        for value, code in zip(columns[index], encoded[index]):
-            # One value, one id — no duplicate interning under the race.
-            assert codes.setdefault(value, code) == code
+            _hammer(worker)
+            codes = {}
+            for index in range(THREADS):
+                decoded = interner.decode(encoded[index])
+                assert decoded == columns[index]
+                for value, code in zip(columns[index], encoded[index]):
+                    # One value, one id — no duplicate interning under the race.
+                    assert codes.setdefault(value, code) == code
+            assert sorted(codes.values()) == list(range(len(interner))) \
+                == list(range(40))
+            # Every new value was stored under the lock by some thread; a
+            # warm re-encode resolved nothing there.
+            locked = interner.locked_cells - before
+            assert 40 - len(seeded) <= locked <= THREADS * 120
+            if seeded:
+                assert locked <= THREADS * 60
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_key_codes_agree_and_count_every_overflow_row_across_threads():

@@ -3,8 +3,9 @@
 Covers the ring buffer's bounds and bookkeeping, the rolling-history
 percentiles, slow-query trace retention (arm on the offending run, capture
 on the next), error capture including bindings that fail before the engine
-runs, the cache collector's gauges (the interner's size and the key rows
-that overflowed the packing radix among them), the live HTTP endpoint, and the whole
+runs, the cache collector's gauges (the interner's size, the cells it
+resolved under its lock and the key rows that overflowed the packing radix
+among them), the live HTTP endpoint, and the whole
 stack under concurrent ``execute_many`` traffic from multiple threads.
 """
 
@@ -27,6 +28,7 @@ from repro.engine.columnar import (
 )
 from repro.exceptions import SchemaError
 from repro.generators import skewed_chain_database, skewed_chain_endpoints
+from repro.relational import Relation, RelationSchema
 from repro.telemetry import (
     MonitorConfig,
     MonitoringServer,
@@ -339,6 +341,34 @@ class TestCollector:
                 column_cache_info()["key_overflow_rows"]
             # Four values, the filler, four more values and four key tuples.
             assert values["engine_interner_values"] == 4 + 60_000 + 4 + 4
+        finally:
+            clear_column_caches()
+
+    def test_collect_exports_the_cells_the_interner_resolved_under_its_lock(self):
+        relation = Relation.from_tuples(RelationSchema.of("R", ("A", "B")),
+                                        [(f"a{index}", index % 3)
+                                         for index in range(50)])
+        clear_column_caches()
+        try:
+            monitor = monitored_session().monitor
+            assert monitor.collect()["engine_interner_locked_cells"] == 0
+            # Cold: every cell of both columns goes under the lock.
+            ColumnBlock.from_relation(relation)
+            values = monitor.collect()
+            assert values["engine_interner_locked_cells"] == 100
+            assert values["engine_interner_locked_cells"] == \
+                column_cache_info()["interner_locked_cells"]
+            # A re-ingest of the same values resolves lock-free: adds 0.
+            ColumnBlock.from_relation(relation)
+            ColumnBlock.from_columns("S", ("B",), {"B": [2, 0, 1, 1]})
+            assert monitor.collect()["engine_interner_locked_cells"] == 100
+            # A known first value takes the lock-free pass: only the new
+            # cells (two of them, one value) go under the lock.
+            current_interner().encode(["a0", "new", "a1", "new"])
+            assert monitor.collect()["engine_interner_locked_cells"] == 102
+            # A new first value: the whole column, known cells included.
+            current_interner().encode(["cold", "a0", "a1"])
+            assert monitor.collect()["engine_interner_locked_cells"] == 105
         finally:
             clear_column_caches()
 
