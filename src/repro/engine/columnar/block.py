@@ -24,10 +24,11 @@ keyed by ``(kind, attributes, selection bytes, backend)``, and the kernels
 file whole semijoin outcomes and join results there under both sides'
 selections.  A warm re-execution reproduces the same selection vectors over
 the same cached base-block storages, so every reducer step is answered from
-its memoised outcome and builds nothing — ``keyset_hits`` /
-``keyset_misses`` in :func:`column_cache_info` make that observable.  No
-Python set of key ids exists anywhere: a membership structure is built from
-the id codes by the backend (``key_set``).
+its memoised outcome and builds nothing, and the answer's decode is served
+from the result storage's memo — ``keyset_hits`` / ``keyset_misses`` and
+``relation_hits`` / ``relation_misses`` in :func:`column_cache_info` make
+that observable.  No Python set of key ids exists anywhere: a membership
+structure is built from the id codes by the backend (``key_set``).
 
 Blocks built from relations are cached per relation *object*, weakly
 (:func:`block_for`: ``id(relation)`` → weakref + block), so repeated
@@ -125,34 +126,29 @@ def resolve_execution_mode(mode: Optional[str]) -> str:
 # --------------------------------------------------------------------------- #
 _INTERNER = ValueInterner()
 
-# Semijoin membership traffic: structures built (misses) against semijoins
-# answered without building one (hits) — process-wide counters so
-# ``column_cache_info`` can report reuse across warm runs.
-# Guarded by ``_KEYSET_LOCK``: a bare ``+= 1`` compiles to a read-add-store
+# Process-wide traffic counters, so ``column_cache_info`` can report reuse
+# across warm runs: semijoin membership structures built (``keyset_misses``)
+# against semijoins answered without building one (``keyset_hits``), result
+# relations decoded against ones served from their storage's memo
+# (``relation_misses`` / ``relation_hits``), and key rows that took the
+# interner fallback instead of the arithmetic pack (``key_overflow_rows``).
+# Guarded by ``_COUNTER_LOCK``: a bare ``+= 1`` compiles to a read-add-store
 # sequence that loses updates when concurrent executes interleave, and these
 # counters feed bench/test assertions that expect exact totals.
-_KEYSET_HITS = 0
-_KEYSET_MISSES = 0
-#: Key rows that took the interner fallback instead of the arithmetic pack
-#: (same lock, same reason).
-_KEY_OVERFLOW_ROWS = 0
-_KEYSET_LOCK = threading.Lock()
+_COUNTER_NAMES = ("keyset_hits", "keyset_misses", "relation_hits",
+                  "relation_misses", "key_overflow_rows")
+_COUNTERS: Dict[str, int] = dict.fromkeys(_COUNTER_NAMES, 0)
+_COUNTER_LOCK = threading.Lock()
+
+
+def _count(counter: str, amount: int = 1) -> None:
+    with _COUNTER_LOCK:
+        _COUNTERS[counter] += amount
 
 
 def count_keyset(hit: bool) -> None:
     """Count one semijoin: ``hit`` unless it built a membership structure."""
-    global _KEYSET_HITS, _KEYSET_MISSES
-    with _KEYSET_LOCK:
-        if hit:
-            _KEYSET_HITS += 1
-        else:
-            _KEYSET_MISSES += 1
-
-
-def _count_key_overflow(rows: int) -> None:
-    global _KEY_OVERFLOW_ROWS
-    with _KEYSET_LOCK:
-        _KEY_OVERFLOW_ROWS += rows
+    _count("keyset_hits" if hit else "keyset_misses")
 
 
 def current_interner() -> ValueInterner:
@@ -173,8 +169,8 @@ class _ColumnStorage:
     (the bare id column for a single attribute, packed component ids
     otherwise); the ``_derived`` cache memoises everything computed *from*
     codes under a selection — backend membership structures, join tables,
-    position groups, the kernels' semijoin outcomes and join results —
-    keyed by the selection's bytes, so every
+    position groups, the kernels' semijoin outcomes and join results, the
+    decoded result relation — keyed by the selection's bytes, so every
     block with an equal selection over this storage (including the fresh but
     identical selections of a warm re-execution) reuses one build.
 
@@ -241,7 +237,7 @@ class _ColumnStorage:
             columns = [self.columns[attribute] for attribute in attributes]
             cached, overflow = backend.pack_keys(columns)
             if overflow:
-                _count_key_overflow(len(overflow))
+                _count("key_overflow_rows", len(overflow))
                 interned = self.interner.combine(
                     [backend.take(column, overflow) for column in columns])
                 for position, encoded in zip(overflow, interned):
@@ -718,16 +714,38 @@ class ColumnBlock:
         ``Row.__hash__`` into the ``frozenset`` — so the cost is linear in
         rows with a small constant and two allocations per row (values tuple,
         ``Row``), whatever the width.
+
+        Memoised on the storage's derived cache under ``("relation", name,
+        attributes, selection bytes)``, so a warm re-execution, which ends on
+        the same result storage and selection, is handed the very
+        ``Relation`` it decoded before (immutable, so shareable across calls
+        and threads) — counted as ``relation_hits`` / ``relation_misses``.
+        The memo dies with its storage and obeys the cache's cap; it holds
+        no reference back to the storage.
         """
+        key = self._relation_key(name)
+        relation = self._storage._derived_get(key)
+        _count("relation_misses" if relation is None else "relation_hits")
+        if relation is not None:
+            return relation
         attributes = self._attributes
-        schema = RelationSchema(name or self._name, attributes)
+        schema = RelationSchema(key[1], attributes)
         layout = _RowSchema.of(attributes)
         if not attributes:
             rows = frozenset([Row._from_values(layout, ())] if len(self) else [])
-            return Relation.from_valid_rows(schema, rows)
-        rows = frozenset(map(partial(Row._from_values, layout),
-                             zip(*self._gathered_values(layout.attributes))))
-        return Relation.from_valid_rows(schema, rows)
+        else:
+            rows = frozenset(map(partial(Row._from_values, layout),
+                                 zip(*self._gathered_values(layout.attributes))))
+        return self._storage._derived_put(
+            key, Relation.from_valid_rows(schema, rows))
+
+    def peek_relation(self, name: Optional[str] = None) -> Optional[Relation]:
+        """The relation :meth:`to_relation` memoised, or ``None`` (no build, no count)."""
+        return self._storage._derived_get(self._relation_key(name))
+
+    def _relation_key(self, name: Optional[str]) -> Tuple:
+        return ("relation", name or self._name, self._attributes,
+                self.selection_bytes())
 
     def __reduce__(self):
         """Pickle as (name, attributes, storage, selection bytes).
@@ -832,7 +850,10 @@ def column_cache_info() -> Dict[str, int]:
     the semijoins answered without building one — from the memoised outcome
     or over a structure already cached — so a warm prepared-query run is all
     hits and a first run over new data nearly all misses, one per reducer
-    step.  ``interned_values`` is the current interner's size
+    step.  ``relation_misses`` counts the answers
+    :meth:`ColumnBlock.to_relation` decoded, ``relation_hits`` those its
+    storage memo served — a warm re-execution is a hit, a fresh database
+    always misses.  ``interned_values`` is the current interner's size
     (it only grows within a generation); ``interner_locked_cells`` the
     column cells its ``encode`` resolved under the lock — every cell of a
     column that starts with a new value, otherwise only the new values' —
@@ -841,13 +862,11 @@ def column_cache_info() -> Dict[str, int]:
     tuple instead — non-zero means some key width's radix has been outgrown
     and those rows pay the per-row loop.
     """
-    with _BLOCK_CACHE_LOCK:
+    with _BLOCK_CACHE_LOCK, _COUNTER_LOCK:
         return {"hits": _BLOCK_HITS, "misses": _BLOCK_MISSES,
-                "relations": len(_BLOCK_CACHE),
-                "keyset_hits": _KEYSET_HITS, "keyset_misses": _KEYSET_MISSES,
+                "relations": len(_BLOCK_CACHE), **_COUNTERS,
                 "interned_values": len(_INTERNER),
-                "interner_locked_cells": _INTERNER.locked_cells,
-                "key_overflow_rows": _KEY_OVERFLOW_ROWS}
+                "interner_locked_cells": _INTERNER.locked_cells}
 
 
 def clear_column_caches() -> None:
@@ -859,13 +878,10 @@ def clear_column_caches() -> None:
     combined with blocks encoded after the clear (the kernels reject mixed
     generations).
     """
-    global _BLOCK_HITS, _BLOCK_MISSES, _KEYSET_HITS, _KEYSET_MISSES, \
-        _KEY_OVERFLOW_ROWS, _INTERNER
-    with _BLOCK_CACHE_LOCK:
+    global _BLOCK_HITS, _BLOCK_MISSES, _INTERNER
+    with _BLOCK_CACHE_LOCK, _COUNTER_LOCK:
         _BLOCK_CACHE.clear()
         _BLOCK_HITS = 0
         _BLOCK_MISSES = 0
-        _KEYSET_HITS = 0
-        _KEYSET_MISSES = 0
-        _KEY_OVERFLOW_ROWS = 0
+        _COUNTERS.update(dict.fromkeys(_COUNTER_NAMES, 0))
         _INTERNER = ValueInterner()

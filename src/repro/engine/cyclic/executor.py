@@ -49,6 +49,7 @@ from ..indexes import index_cache_info
 from ..planner import DEFAULT_PLANNER, QueryPlanner, annotate_plan, schema_fingerprint
 from ..reducer import ReductionTrace
 from ..yannakakis import (
+    DecodedResult,
     decode_result_block,
     evaluate as evaluate_acyclic,
     resolve_decode_mode,
@@ -128,7 +129,7 @@ def _warm_prepare_entry(plan: CyclicExecutionPlan,
 
 
 @dataclass(frozen=True)
-class CyclicEngineResult:
+class CyclicEngineResult(DecodedResult):
     """The cyclic engine's answer plus the plan that produced it and its accounting.
 
     Mirrors :class:`~repro.engine.yannakakis.EngineResult`'s decode contract:
@@ -142,17 +143,6 @@ class CyclicEngineResult:
     statistics: CyclicEngineStatistics
     block: Optional[ColumnBlock] = None
     result_name: str = "cyclic"
-
-    def decoded(self) -> Relation:
-        """The answer as a :class:`Relation`, decoding the block if deferred."""
-        if self.relation is not None:
-            return self.relation
-        if self.block is None:
-            raise SchemaError("this result holds neither a decoded relation "
-                              "nor a column block")
-        relation = self.block.to_relation(self.result_name)
-        object.__setattr__(self, "relation", relation)
-        return relation
 
 
 def evaluate_cyclic(relations: Sequence[Relation],

@@ -426,9 +426,7 @@ class ExecutionBatch:
         Decodes deferred (``decode="block"``) results on access, so batch
         callers see relations regardless of the decode option.
         """
-        return tuple(result.decoded() if result.relation is None
-                     and hasattr(result, "decoded") else result.relation
-                     for result in self.results)
+        return tuple(result.decoded() for result in self.results)
 
 
 # --------------------------------------------------------------------------- #

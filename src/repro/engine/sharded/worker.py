@@ -92,8 +92,7 @@ def _execute_spec(session, relations: Tuple[Relation, ...],
             result = prepared._run(binding)
     else:
         result = prepared._run(binding)
-    return result.decoded() if result.relation is None else result.relation, \
-        result.statistics
+    return result.decoded(), result.statistics
 
 
 def worker_main(connection) -> None:

@@ -80,25 +80,42 @@ def decode_result_block(block: ColumnBlock, name: str, decode: str,
     ``decode="rows"`` builds the relation here, eagerly
     (:meth:`ColumnBlock.to_relation`); ``decode="block"`` builds no rows and
     returns ``None``.  The ``decode`` span opens either way — EXPLAIN ANALYZE
-    reads the output actual from its ``output_rows`` — and a run that built
-    no rows marks it ``deferred``.
+    reads the output actual from its ``output_rows`` — a run that built
+    no rows marks it ``deferred``, and ``memo_hit`` says whether the result
+    storage already held the decoded relation.
     """
     span = current_tracer().span("decode")
     started = perf_counter()
     with span:
+        memo_hit = span.is_recording and decode == "rows" \
+            and block.peek_relation(name) is not None
         relation = block.to_relation(name) if decode == "rows" else None
         if span.is_recording:
             span.set("mode", "columnar")
             span.set("backend", backend_name)
             span.set("output_rows",
                      len(block) if relation is None else len(relation))
+            span.set("memo_hit", memo_hit)
             if relation is None:
                 span.set("deferred", True)
     return relation, perf_counter() - started
 
 
+class DecodedResult:
+    """Both results' ``decoded()`` (a field-less mixin over their fields)."""
+
+    def decoded(self) -> Relation:
+        """The answer as a :class:`Relation`; a deferred block decodes (memoised)."""
+        if self.relation is not None:
+            return self.relation
+        if self.block is None:
+            raise SchemaError("this result holds neither a decoded relation "
+                              "nor a column block")
+        return self.block.to_relation(self.result_name)
+
+
 @dataclass(frozen=True)
-class EngineResult:
+class EngineResult(DecodedResult):
     """The engine's answer plus the plan that produced it and its accounting.
 
     Under ``decode="rows"`` (the default) ``relation`` is the decoded answer,
@@ -107,7 +124,7 @@ class EngineResult:
     the engine builds no rows: ``relation`` is ``None``, ``block`` is the
     answer (:meth:`ColumnBlock.iter_rows` walks it without building a
     relation — the query service's wire path) and :meth:`decoded`
-    materialises the relation on first request (cached on the result).  The
+    materialises the relation on first request (memoised on the block).  The
     one exception is a sharded run whose shards merge as rows (process
     executor, row mode, 0-ary output): it already holds the merged relation,
     so it carries that and no block under either decode mode.
@@ -119,17 +136,6 @@ class EngineResult:
     annotated: Optional[AnnotatedPlan] = None
     block: Optional[ColumnBlock] = None
     result_name: str = "yannakakis"
-
-    def decoded(self) -> Relation:
-        """The answer as a :class:`Relation`, decoding the block if deferred."""
-        if self.relation is not None:
-            return self.relation
-        if self.block is None:
-            raise SchemaError("this result holds neither a decoded relation "
-                              "nor a column block")
-        relation = self.block.to_relation(self.result_name)
-        object.__setattr__(self, "relation", relation)
-        return relation
 
 
 def _SKIP_CHECK(relations, rooted) -> bool:

@@ -611,6 +611,12 @@ class SessionMonitor:
         gauge("engine_keyset_cache_misses",
               "Semijoin membership structures built on block storages.",
               column_info["keyset_misses"])
+        gauge("engine_result_memo_hits",
+              "Result relations served from their storage's decode memo.",
+              column_info["relation_hits"])
+        gauge("engine_result_memo_misses",
+              "Result relations decoded from their column block.",
+              column_info["relation_misses"])
         gauge("engine_interner_values",
               "Values held by the current interner generation (only grows).",
               column_info["interned_values"])

@@ -26,6 +26,7 @@ swaps two columns must fail all three.
 from __future__ import annotations
 
 import json
+import pickle
 import random
 
 import pytest
@@ -256,7 +257,11 @@ def test_a_column_swapping_gather_fails_all_three(monkeypatch):
         lambda self, attributes: gather(self, attributes)[::-1])
     with pytest.raises(AssertionError):
         check_wire_document(database, outputs, answer)
+    # ``block`` has its relation memoised by now; a pickled copy is a fresh
+    # storage, so its decode runs the (mutant) gather.
+    unmemoised = pickle.loads(pickle.dumps(block))
+    assert unmemoised.peek_relation("decoded") is None
     with pytest.raises(AssertionError):
-        check_to_relation(block, "decoded")
+        check_to_relation(unmemoised, "decoded")
     with pytest.raises(AssertionError):
         check_iter_rows(block)

@@ -4,8 +4,8 @@ Covers the ring buffer's bounds and bookkeeping, the rolling-history
 percentiles, slow-query trace retention (arm on the offending run, capture
 on the next), error capture including bindings that fail before the engine
 runs, the cache collector's gauges (the interner's size, the cells it
-resolved under its lock and the key rows that overflowed the packing radix
-among them), the live HTTP endpoint, and the whole
+resolved under its lock, the key rows that overflowed the packing radix and
+the result memo's hits among them), the live HTTP endpoint, and the whole
 stack under concurrent ``execute_many`` traffic from multiple threads.
 """
 
@@ -36,7 +36,9 @@ from repro.telemetry import (
     QueryLogEntry,
     QueryLogValidationError,
     SessionMonitor,
+    Tracer,
     rolling_history,
+    use_tracer,
     validate_query_log,
 )
 
@@ -312,6 +314,31 @@ class TestCollector:
         assert snapshot["engine_database_rows{database=db0}"] == \
             values["engine_database_rows{database=db0}"]
 
+    def test_collect_exports_the_result_memo_and_the_decode_span_reports_it(self):
+        database = chain_db()
+        clear_column_caches()
+        try:
+            session = EngineSession(execution_mode="columnar",
+                                    monitor=MonitorConfig())
+            prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
+            assert session.monitor.collect()["engine_result_memo_misses"] == 0
+            tracer = Tracer()
+            with use_tracer(tracer):
+                first = prepared.execute(database).relation
+                second = prepared.execute(database).relation
+            assert first is second
+            values = session.monitor.collect()
+            assert values["engine_result_memo_misses"] == 1
+            assert values["engine_result_memo_hits"] == 1
+            info = column_cache_info()
+            assert (info["relation_misses"], info["relation_hits"]) == (1, 1)
+            decodes = [record["attributes"] for record in tracer.records
+                       if record["name"] == "decode"]
+            assert [span["memo_hit"] for span in decodes] == [False, True]
+            assert [span["output_rows"] for span in decodes] == [len(first)] * 2
+        finally:
+            clear_column_caches()
+
     def test_collect_exports_interner_size_and_key_overflow_rows(self):
         # Kernels on hand-built blocks: the counters sit below the session,
         # so this reads the same under either execution mode.
@@ -375,15 +402,18 @@ class TestCollector:
     def test_collect_exports_the_cyclic_collector(self):
         # The collector is triggered by allocation counts, so a batch of
         # decoded executes (two allocations per answer row) must move gen0.
+        # Fresh databases: a repeat over one database is served from the
+        # result memo and allocates no rows.
         session = monitored_session()
-        database = skewed_chain_database(CHAIN, heads=40, fanout=6,
-                                         junction_values=2, seed=0)
-        prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
+        databases = [skewed_chain_database(CHAIN, heads=40, fanout=6,
+                                           junction_values=2, seed=seed)
+                     for seed in range(40)]
+        prepared = session.prepare(databases[0], skewed_chain_endpoints(CHAIN))
         before = session.monitor.collect()
         for generation in range(3):
             for gauge in ("process_gc_collections", "process_gc_collected"):
                 assert before[f"{gauge}{{generation={generation}}}"] >= 0
-        results = [prepared.execute(database) for _ in range(40)]
+        results = [prepared.execute(database) for database in databases]
         assert sum(len(result.relation) for result in results) > 2_000
         after = session.monitor.collect()
         assert after["process_gc_collections{generation=0}"] \
