@@ -24,10 +24,10 @@ keyed by ``(kind, attributes, selection bytes, backend)``, and the kernels
 file whole semijoin outcomes and join results there under both sides'
 selections.  A warm re-execution reproduces the same selection vectors over
 the same cached base-block storages, so every reducer step is answered from
-its memoised outcome and builds nothing, and the answer's decode is served
-from the result storage's memo — ``keyset_hits`` / ``keyset_misses`` and
-``relation_hits`` / ``relation_misses`` in :func:`column_cache_info` make
-that observable.  No Python set of key ids exists anywhere: a membership
+its memoised outcome and builds nothing, and the answer's decode and wire
+rows are served from the result storage's memo — ``keyset_*``,
+``relation_*`` and ``payload_*`` hits / misses in :func:`column_cache_info`
+make that observable.  No Python set of key ids exists anywhere: a membership
 structure is built from the id codes by the backend (``key_set``).
 
 Blocks built from relations are cached per relation *object*, weakly
@@ -130,13 +130,15 @@ _INTERNER = ValueInterner()
 # across warm runs: semijoin membership structures built (``keyset_misses``)
 # against semijoins answered without building one (``keyset_hits``), result
 # relations decoded against ones served from their storage's memo
-# (``relation_misses`` / ``relation_hits``), and key rows that took the
-# interner fallback instead of the arithmetic pack (``key_overflow_rows``).
+# (``relation_*``; ``payload_*`` for sorted wire rows), and key rows that
+# took the interner fallback instead of the arithmetic pack
+# (``key_overflow_rows``).
 # Guarded by ``_COUNTER_LOCK``: a bare ``+= 1`` compiles to a read-add-store
 # sequence that loses updates when concurrent executes interleave, and these
 # counters feed bench/test assertions that expect exact totals.
 _COUNTER_NAMES = ("keyset_hits", "keyset_misses", "relation_hits",
-                  "relation_misses", "key_overflow_rows")
+                  "relation_misses", "payload_hits", "payload_misses",
+                  "key_overflow_rows")
 _COUNTERS: Dict[str, int] = dict.fromkeys(_COUNTER_NAMES, 0)
 _COUNTER_LOCK = threading.Lock()
 
@@ -723,7 +725,7 @@ class ColumnBlock:
         The memo dies with its storage and obeys the cache's cap; it holds
         no reference back to the storage.
         """
-        key = self._relation_key(name)
+        key = self._memo_key("relation", name)
         relation = self._storage._derived_get(key)
         _count("relation_misses" if relation is None else "relation_hits")
         if relation is not None:
@@ -741,10 +743,30 @@ class ColumnBlock:
 
     def peek_relation(self, name: Optional[str] = None) -> Optional[Relation]:
         """The relation :meth:`to_relation` memoised, or ``None`` (no build, no count)."""
-        return self._storage._derived_get(self._relation_key(name))
+        return self._storage._derived_get(self._memo_key("relation", name))
 
-    def _relation_key(self, name: Optional[str]) -> Tuple:
-        return ("relation", name or self._name, self._attributes,
+    def wire_rows(self, name: Optional[str] = None) -> Tuple[Tuple[Any, ...], ...]:
+        """The query service's rows: :meth:`iter_rows` sorted by *list* ``repr``.
+
+        Frozen as a tuple of tuples (``json.dumps`` writes them as lists) and
+        memoised like :meth:`to_relation` under ``("payload", name,
+        attributes, selection bytes)``, counted as ``payload_hits`` /
+        ``payload_misses``: a warm re-execution neither gathers nor sorts.
+        """
+        key = self._memo_key("payload", name)
+        rows = self._storage._derived_get(key)
+        _count("payload_misses" if rows is None else "payload_hits")
+        if rows is not None:
+            return rows
+        rows = tuple(map(tuple, sorted(map(list, self.iter_rows()), key=repr)))
+        return self._storage._derived_put(key, rows)
+
+    def peek_wire_rows(self, name: Optional[str] = None) -> Optional[Tuple]:
+        """The rows :meth:`wire_rows` memoised, or ``None`` (no build, no count)."""
+        return self._storage._derived_get(self._memo_key("payload", name))
+
+    def _memo_key(self, kind: str, name: Optional[str]) -> Tuple:
+        return (kind, name or self._name, self._attributes,
                 self.selection_bytes())
 
     def __reduce__(self):
@@ -853,7 +875,8 @@ def column_cache_info() -> Dict[str, int]:
     step.  ``relation_misses`` counts the answers
     :meth:`ColumnBlock.to_relation` decoded, ``relation_hits`` those its
     storage memo served — a warm re-execution is a hit, a fresh database
-    always misses.  ``interned_values`` is the current interner's size
+    always misses (``payload_*`` likewise for :meth:`ColumnBlock.wire_rows`).
+    ``interned_values`` is the current interner's size
     (it only grows within a generation); ``interner_locked_cells`` the
     column cells its ``encode`` resolved under the lock — every cell of a
     column that starts with a new value, otherwise only the new values' —

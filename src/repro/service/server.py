@@ -30,7 +30,8 @@ engine.  Every columnar query is prepared with the decode deferred
 (``decode="block"``), and ``execute`` / ``execute_many`` build the
 ``relation`` documents straight from the result block's id columns
 (:func:`_relation_payload`) inside the request's deadline scope — no ``Row``
-is built for the wire, and ``include_rows=false`` never decodes.
+is built for the wire, and ``include_rows=false`` never decodes.  A memo
+miss gathers and sorts the rows once; a warm repeat reuses them.
 
 Graceful drain (:meth:`ServiceServer.close`): stop accepting connections →
 flip the admission gate (new work gets 503 ``shutting-down``) → wait for
@@ -113,10 +114,10 @@ def _relation_payload(result: Any) -> Dict[str, Any]:
 
     One serialiser, two row sources.  A deferred-decode result (every
     columnar query — see ``_method_prepare``) is read straight off its id
-    block: :meth:`ColumnBlock.iter_rows
-    <repro.engine.columnar.block.ColumnBlock.iter_rows>` gathers each decoded
-    column at the selected positions and zips them, so the wire path builds
-    no ``Row`` and no ``frozenset``.  A result that holds a relation (row
+    block: :meth:`ColumnBlock.wire_rows
+    <repro.engine.columnar.block.ColumnBlock.wire_rows>` gathers, zips and
+    sorts the selected rows once — no ``Row``, no ``frozenset`` — and
+    memoises them on the result storage.  A result that holds a relation (row
     execution mode; sharded runs that merge as rows) is transposed in one
     walk (:meth:`Relation.to_columns
     <repro.relational.relation.Relation.to_columns>`) and zipped the same
@@ -127,13 +128,13 @@ def _relation_payload(result: Any) -> Dict[str, Any]:
     relation = result.relation
     if relation is None:
         name, attributes = result.result_name, result.block.attributes
-        tuples = result.block.iter_rows()
+        rows = result.block.wire_rows(name)
     else:
         name, attributes = relation.name, relation.attributes
         columns = relation.to_columns()[1]
         tuples = zip(*map(columns.__getitem__, attributes)) if attributes \
             else repeat((), len(relation))
-    rows = sorted(map(list, tuples), key=repr)
+        rows = sorted(map(list, tuples), key=repr)
     return {"name": name,
             "columns": [str(attribute) for attribute in attributes],
             "rows": rows,
@@ -144,21 +145,26 @@ def _relation_payloads(results: Sequence[Any],
                        statistics: Dict[str, Any]) -> List[Dict[str, Any]]:
     """The ``relation`` documents of ``results``, timed into ``statistics``.
 
-    Called inside the request's deadline scope: under deferred decode this
-    is where rows are first built and sorted, so a spent budget stops here
-    (phase ``payload``) before any row list exists.  The seconds join the
-    statistics document's ``phase_seconds`` as ``payload`` (``decode`` reads
-    ~0 there now — this entry carries the moved work), and the step is a
-    ``payload`` span, carrying ``rows``, on the ambient tracer.
+    Called inside the request's deadline scope: under deferred decode a
+    memo miss is where rows are first built and sorted, so a spent budget
+    stops here (phase ``payload``) before any row list exists.  The seconds
+    join the statistics document's ``phase_seconds`` as ``payload``, and the
+    step is a ``payload`` span, carrying ``rows`` and ``memo_hit`` (every
+    answer's rows were memoised), on the ambient tracer.
     """
     check_deadline("payload")
     span = current_tracer().span("payload")
     started = perf_counter()
     with span:
+        memo_hit = span.is_recording and all(
+            result.relation is None
+            and result.block.peek_wire_rows(result.result_name) is not None
+            for result in results)
         documents = [_relation_payload(result) for result in results]
         if span.is_recording:
             span.set("rows", sum(document["row_count"]
                                  for document in documents))
+            span.set("memo_hit", memo_hit)
     statistics.setdefault("phase_seconds", {})["payload"] = \
         perf_counter() - started
     return documents

@@ -617,6 +617,12 @@ class SessionMonitor:
         gauge("engine_result_memo_misses",
               "Result relations decoded from their column block.",
               column_info["relation_misses"])
+        gauge("engine_payload_memo_hits",
+              "Sorted wire rows served from their storage's payload memo.",
+              column_info["payload_hits"])
+        gauge("engine_payload_memo_misses",
+              "Sorted wire rows gathered and sorted from their column block.",
+              column_info["payload_misses"])
         gauge("engine_interner_values",
               "Values held by the current interner generation (only grows).",
               column_info["interned_values"])

@@ -255,8 +255,12 @@ def test_a_column_swapping_gather_fails_all_three(monkeypatch):
     monkeypatch.setattr(
         ColumnBlock, "_gathered_values",
         lambda self, attributes: gather(self, attributes)[::-1])
+    # ``database``'s answer has its wire rows memoised by now; a value-equal
+    # copy is fresh storage, so its payload runs the (mutant) gather.
+    fresh = skewed_chain_database(3, heads=4, fanout=3, junction_values=2,
+                                  seed=1)
     with pytest.raises(AssertionError):
-        check_wire_document(database, outputs, answer)
+        check_wire_document(fresh, outputs, answer)
     # ``block`` has its relation memoised by now; a pickled copy is a fresh
     # storage, so its decode runs the (mutant) gather.
     unmemoised = pickle.loads(pickle.dumps(block))

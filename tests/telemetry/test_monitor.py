@@ -5,7 +5,7 @@ percentiles, slow-query trace retention (arm on the offending run, capture
 on the next), error capture including bindings that fail before the engine
 runs, the cache collector's gauges (the interner's size, the cells it
 resolved under its lock, the key rows that overflowed the packing radix and
-the result memo's hits among them), the live HTTP endpoint, and the whole
+the result and payload memos' hits among them), the live HTTP endpoint, and the whole
 stack under concurrent ``execute_many`` traffic from multiple threads.
 """
 
@@ -337,6 +337,47 @@ class TestCollector:
             assert [span["memo_hit"] for span in decodes] == [False, True]
             assert [span["output_rows"] for span in decodes] == [len(first)] * 2
         finally:
+            clear_column_caches()
+
+    def test_collect_exports_the_payload_memo_and_the_payload_span_reports_it(
+            self, monkeypatch):
+        from repro.service import QueryService
+
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)  # sharded: no block
+        clear_column_caches()
+        service = QueryService(EngineSession(monitor=MonitorConfig()),
+                               databases={"db": chain_db()})
+        try:
+            def call(method, **params):
+                status, envelope = service.handle(
+                    {"version": 1, "method": method, "client": "c", "id": "r",
+                     "params": params})
+                assert status == 200, envelope
+                return envelope["result"]
+
+            outputs = [str(attribute)
+                       for attribute in skewed_chain_endpoints(CHAIN)]
+            handle = call("prepare", database="db", outputs=outputs,
+                          options={"execution_mode": "columnar"})["query"]
+            monitor = service.session.monitor
+            assert monitor.collect()["engine_payload_memo_misses"] == 0
+            tracer = Tracer()
+            with use_tracer(tracer):
+                first = call("execute", query=handle, database="db")
+                second = call("execute", query=handle, database="db")
+            assert first["relation"]["rows"] is second["relation"]["rows"]
+            values = monitor.collect()
+            assert values["engine_payload_memo_misses"] == 1
+            assert values["engine_payload_memo_hits"] == 1
+            info = column_cache_info()
+            assert (info["payload_misses"], info["payload_hits"]) == (1, 1)
+            payloads = [record["attributes"] for record in tracer.records
+                        if record["name"] == "payload"]
+            assert [span["memo_hit"] for span in payloads] == [False, True]
+            assert [span["rows"] for span in payloads] == \
+                [first["row_count"]] * 2
+        finally:
+            service.pool.shutdown(wait=True)
             clear_column_caches()
 
     def test_collect_exports_interner_size_and_key_overflow_rows(self):
