@@ -20,15 +20,26 @@ boundary (or on the opt-in :meth:`ColumnBlock.value_at` accessors).
 
 **Selection-aware derived caches** are what make warm prepared-query runs
 cheap: membership structures and join tables are cached on the storage
-keyed by ``(kind, attributes, selection bytes, backend)``, and the kernels
+keyed by ``(kind, attributes, selection key, backend)``, and the kernels
 file whole semijoin outcomes and join results there under both sides'
-selections.  A warm re-execution reproduces the same selection vectors over
-the same cached base-block storages, so every reducer step is answered from
-its memoised outcome and builds nothing, and the answer's decode and wire
-rows are served from the result storage's memo — ``keyset_*``,
+selection keys.  A warm re-execution reproduces the same selection vectors
+over the same cached base-block storages, so every reducer step is answered
+from its memoised outcome and builds nothing, and the answer's decode and
+wire rows are served from the result storage's memo — ``keyset_*``,
 ``relation_*`` and ``payload_*`` hits / misses in :func:`column_cache_info`
 make that observable.  No Python set of key ids exists anywhere: a membership
 structure is built from the id codes by the backend (``key_set``).
+
+**A selection's key is hashed once.**  The key is the selection vector's
+bytes (``None`` for an unselected block), so keys stay content-addressed:
+two blocks with byte-identical selections share every entry.  Each block
+materialises its key at most once (:meth:`ColumnBlock.selection_bytes`), the
+zero-copy derivations hand it to the blocks they make, and a memoised
+semijoin outcome stores its kept vector *with* its key — so a warm run meets
+the very bytes objects its cache keys already hold: CPython has cached their
+hash, and key equality short-circuits on identity.  A warm step is an O(1)
+lookup, not an O(rows) copy, hash and compare (``selection_keys`` in
+:func:`column_cache_info` counts the keys materialised: 0 on a warm run).
 
 Blocks built from relations are cached per relation *object*, weakly
 (:func:`block_for`: ``id(relation)`` → weakref + block), so repeated
@@ -130,15 +141,15 @@ _INTERNER = ValueInterner()
 # across warm runs: semijoin membership structures built (``keyset_misses``)
 # against semijoins answered without building one (``keyset_hits``), result
 # relations decoded against ones served from their storage's memo
-# (``relation_*``; ``payload_*`` for sorted wire rows), and key rows that
-# took the interner fallback instead of the arithmetic pack
-# (``key_overflow_rows``).
+# (``relation_*``; ``payload_*`` for sorted wire rows), selection keys
+# materialised (``selection_keys``), and key rows that took the interner
+# fallback instead of the arithmetic pack (``key_overflow_rows``).
 # Guarded by ``_COUNTER_LOCK``: a bare ``+= 1`` compiles to a read-add-store
 # sequence that loses updates when concurrent executes interleave, and these
 # counters feed bench/test assertions that expect exact totals.
 _COUNTER_NAMES = ("keyset_hits", "keyset_misses", "relation_hits",
                   "relation_misses", "payload_hits", "payload_misses",
-                  "key_overflow_rows")
+                  "selection_keys", "key_overflow_rows")
 _COUNTERS: Dict[str, int] = dict.fromkeys(_COUNTER_NAMES, 0)
 _COUNTER_LOCK = threading.Lock()
 
@@ -151,6 +162,12 @@ def _count(counter: str, amount: int = 1) -> None:
 def count_keyset(hit: bool) -> None:
     """Count one semijoin: ``hit`` unless it built a membership structure."""
     _count("keyset_hits" if hit else "keyset_misses")
+
+
+def selection_key(selection: array) -> bytes:
+    """A selection vector's cache key — its bytes — counted as ``selection_keys``."""
+    _count("selection_keys")
+    return selection.tobytes()
 
 
 def current_interner() -> ValueInterner:
@@ -172,8 +189,9 @@ class _ColumnStorage:
     otherwise); the ``_derived`` cache memoises everything computed *from*
     codes under a selection — backend membership structures, join tables,
     position groups, the kernels' semijoin outcomes and join results, the
-    decoded result relation — keyed by the selection's bytes, so every
-    block with an equal selection over this storage (including the fresh but
+    decoded result relation — keyed by the selection's key (its bytes, which
+    the block hands in: :meth:`ColumnBlock.selection_bytes`), so every block
+    with an equal selection over this storage (including the fresh but
     identical selections of a warm re-execution) reuses one build.
 
     **Concurrency contract** (concurrent executes share storages through the
@@ -263,15 +281,14 @@ class _ColumnStorage:
         return value
 
     def prepared_set_for(self, attributes: KeyAttributes, sel: Optional[array],
-                         backend) -> Any:
+                         sel_key: Optional[bytes], backend) -> Any:
         """The backend's membership structure over the selected key ids.
 
-        Built from the id codes directly (``backend.key_set``), cached, and
-        counted: a build is a ``keyset_misses``, a cached one a
-        ``keyset_hits``.
+        Built from the id codes directly (``backend.key_set``), cached under
+        the selection's key ``sel_key``, and counted: a build is a
+        ``keyset_misses``, a cached one a ``keyset_hits``.
         """
-        key = ("prepared", backend.name, attributes,
-               None if sel is None else sel.tobytes())
+        key = ("prepared", backend.name, attributes, sel_key)
         cached = self._derived_get(key)
         count_keyset(hit=cached is not None)
         if cached is None:
@@ -281,10 +298,9 @@ class _ColumnStorage:
         return cached
 
     def table_for(self, attributes: KeyAttributes, sel: Optional[array],
-                  backend) -> Any:
+                  sel_key: Optional[bytes], backend) -> Any:
         """The backend's join build table over the selected positions (cached)."""
-        key = ("table", backend.name, attributes,
-               None if sel is None else sel.tobytes())
+        key = ("table", backend.name, attributes, sel_key)
         cached = self._derived_get(key)
         if cached is None:
             codes = self.key_codes(attributes)
@@ -292,10 +308,10 @@ class _ColumnStorage:
             cached = self._derived_put(key, backend.build_table(codes, positions))
         return cached
 
-    def groups_for(self, attributes: KeyAttributes,
-                   sel: Optional[array]) -> Dict[int, Tuple[int, ...]]:
+    def groups_for(self, attributes: KeyAttributes, sel: Optional[array],
+                   sel_key: Optional[bytes]) -> Dict[int, Tuple[int, ...]]:
         """Selected positions grouped by key id, as a plain dict (cached)."""
-        key = ("groups", attributes, None if sel is None else sel.tobytes())
+        key = ("groups", attributes, sel_key)
         cached = self._derived_get(key)
         if cached is None:
             codes = self.key_codes(attributes)
@@ -373,11 +389,13 @@ def _rebuild_storage(column_items: Tuple[Tuple[Attribute, bytes], ...],
 def _rebuild_block(name: str, attributes: KeyAttributes,
                    storage: _ColumnStorage,
                    selection_bytes: Optional[bytes]) -> "ColumnBlock":
+    # The shipped bytes are the selection's key: the rebuilt block hits the
+    # same derived entries without materialising it again.
     selection = None
     if selection_bytes is not None:
         selection = array("q")
         selection.frombytes(selection_bytes)
-    return ColumnBlock(name, attributes, storage, selection)
+    return ColumnBlock(name, attributes, storage, selection, selection_bytes)
 
 
 class ColumnBlock:
@@ -386,20 +404,23 @@ class ColumnBlock:
     Blocks are immutable; every operation returns a new block.  ``project``,
     ``rename`` and ``select`` are zero-copy (they share the storage), so the
     reducer's semijoin fixpoints and the join phase's fused projections never
-    duplicate value arrays.
+    duplicate value arrays.  ``selection_key``, when given, must be the
+    selection's bytes: a caller that already holds them passes them on.
     """
 
     __slots__ = ("_name", "_attributes", "_attribute_set", "_storage", "_sel",
-                 "_schema")
+                 "_sel_key", "_schema")
 
     def __init__(self, name: str, attributes: KeyAttributes,
                  storage: _ColumnStorage,
-                 selection: Optional[array] = None) -> None:
+                 selection: Optional[array] = None,
+                 selection_key: Optional[bytes] = None) -> None:
         self._name = name
         self._attributes = attributes
         self._attribute_set: FrozenSet[Attribute] = frozenset(attributes)
         self._storage = storage
         self._sel = selection
+        self._sel_key = selection_key
         self._schema: Optional[RelationSchema] = None
 
     # ------------------------------------------------------------------ #
@@ -550,15 +571,18 @@ class ColumnBlock:
         for attribute in attributes:
             if attribute not in self._attribute_set:
                 raise UnknownAttributeError(attribute)
-        return self._storage.groups_for(attributes, self._sel)
+        return self._storage.groups_for(attributes, self._sel,
+                                        self.selection_bytes())
 
     def prepared_key_set(self, attributes: KeyAttributes, backend) -> Any:
         """The backend's membership structure over the selected key ids (cached)."""
-        return self._storage.prepared_set_for(attributes, self._sel, backend)
+        return self._storage.prepared_set_for(attributes, self._sel,
+                                              self.selection_bytes(), backend)
 
     def join_table(self, attributes: KeyAttributes, backend) -> Any:
         """The backend's join build table over the selected positions (cached)."""
-        return self._storage.table_for(attributes, self._sel, backend)
+        return self._storage.table_for(attributes, self._sel,
+                                       self.selection_bytes(), backend)
 
     @property
     def source_rows(self) -> Optional[Tuple[Row, ...]]:
@@ -569,14 +593,21 @@ class ColumnBlock:
     # Cross-block derived caching (the kernels' warm-run result cache)
     # ------------------------------------------------------------------ #
     def selection_bytes(self) -> Optional[bytes]:
-        """The selection vector's bytes (``None`` = all positions) — a value key.
+        """The selection's key: its bytes (``None`` = all positions) — a value key.
 
         Two blocks over one storage with equal selection bytes select the
         same rows in the same order, so kernel results computed from one are
         valid for the other — this is what lets a warm re-execution, which
         rebuilds fresh but identical selections, reuse every cached result.
+
+        Materialised on first use and kept, so every later call returns the
+        same object (whose hash CPython caches).  Two threads racing on the
+        first call both build equal bytes and the last write wins.
         """
-        return None if self._sel is None else self._sel.tobytes()
+        key = self._sel_key
+        if key is None and self._sel is not None:
+            key = self._sel_key = selection_key(self._sel)
+        return key
 
     def storage_token(self) -> int:
         """This block's storage's serial, for cross-block cache keys.
@@ -598,26 +629,32 @@ class ColumnBlock:
     # ------------------------------------------------------------------ #
     # Zero-copy derivations
     # ------------------------------------------------------------------ #
-    def select(self, positions: Iterable[int]) -> "ColumnBlock":
+    def select(self, positions: Iterable[int],
+               key: Optional[bytes] = None) -> "ColumnBlock":
         """The block restricted to the given storage positions (zero-copy).
 
         Passing this block's own selection vector (the kernels' fixpoint
         case) returns ``self`` — no new block, no re-materialised positions.
+        ``key`` is the positions' bytes when the caller already has them
+        (a memoised semijoin outcome); otherwise the new block computes its
+        key on first use.
         """
         if positions is self._sel:
             return self
         if type(positions) is not array:
             positions = array("q", positions)
-        return ColumnBlock(self._name, self._attributes, self._storage, positions)
+        return ColumnBlock(self._name, self._attributes, self._storage,
+                           positions, key)
 
     def empty(self) -> "ColumnBlock":
         """The empty block over the same scheme (zero-copy)."""
         return ColumnBlock(self._name, self._attributes, self._storage,
-                           array("q"))
+                           array("q"), b"")
 
     def rename(self, name: str) -> "ColumnBlock":
         """The same block under a different relation name (zero-copy)."""
-        return ColumnBlock(name, self._attributes, self._storage, self._sel)
+        return ColumnBlock(name, self._attributes, self._storage, self._sel,
+                           self.selection_bytes())
 
     def with_column_order(self, attributes: Iterable[Attribute]) -> "ColumnBlock":
         """The same rows with the visible columns permuted (zero-copy).
@@ -636,7 +673,8 @@ class ColumnBlock:
             raise SchemaError(
                 f"with_column_order expects a permutation of {self._attributes}, "
                 f"got {attributes}")
-        return ColumnBlock(self._name, attributes, self._storage, self._sel)
+        return ColumnBlock(self._name, attributes, self._storage, self._sel,
+                           self.selection_bytes())
 
     def project_onto(self, keep: Iterable[Attribute]) -> "ColumnBlock":
         """Keep only the listed attributes, in this block's column order (zero-copy).
@@ -650,7 +688,8 @@ class ColumnBlock:
         if missing:
             raise UnknownAttributeError(sorted_nodes(missing)[0])
         order = tuple(a for a in self._attributes if a in wanted)
-        return ColumnBlock(self._name, order, self._storage, self._sel)
+        return ColumnBlock(self._name, order, self._storage, self._sel,
+                           self.selection_bytes())
 
     def distinct(self) -> "ColumnBlock":
         """The block with duplicate (visible) rows removed, first occurrence kept.
@@ -876,11 +915,14 @@ def column_cache_info() -> Dict[str, int]:
     :meth:`ColumnBlock.to_relation` decoded, ``relation_hits`` those its
     storage memo served — a warm re-execution is a hit, a fresh database
     always misses (``payload_*`` likewise for :meth:`ColumnBlock.wire_rows`).
-    ``interned_values`` is the current interner's size
-    (it only grows within a generation); ``interner_locked_cells`` the
-    column cells its ``encode`` resolved under the lock — every cell of a
-    column that starts with a new value, otherwise only the new values' —
-    so re-encoding known values adds 0; ``key_overflow_rows`` counts the
+    ``selection_keys`` counts the selection keys materialised — at most one
+    per selection a kernel makes, and none on a warm re-execution, whose
+    keys come with its memoised outcomes.  ``interned_values`` is the
+    current interner's size (it only grows within a generation);
+    ``interner_locked_cells`` the column cells its ``encode`` resolved under
+    the lock — every cell of a column that starts with a new value, otherwise
+    only the new values' — so re-encoding known values adds 0;
+    ``key_overflow_rows`` counts the
     multi-attribute key rows that could not be packed and interned their id
     tuple instead — non-zero means some key width's radix has been outgrown
     and those rows pay the per-row loop.

@@ -11,7 +11,8 @@ instead of probing rows one at a time:
   key structure, which the backend builds from the right side's codes
   directly — and its whole outcome is memoised on the left storage:
   fixpoint (return ``left`` itself), dead end (no row kept) or the kept
-  position vector, so a warm step is one dictionary lookup;
+  position vector with its selection key, so a warm step is one dictionary
+  lookup over keys whose hashes are already cached;
 * a **natural join** probes the smaller side's cached join table with the
   other side's whole code array, then materialises the output by batched
   positional gathers — no intermediate ``Row`` objects and no per-match
@@ -36,7 +37,7 @@ from ...exceptions import SchemaError, UnknownAttributeError
 from ...relational.relation import Relation
 from ...relational.schema import Attribute
 from ...telemetry.tracing import current_tracer
-from .block import ColumnBlock, block_for, count_keyset
+from .block import ColumnBlock, block_for, count_keyset, selection_key
 from .buffers import active_column_backend
 
 __all__ = [
@@ -112,9 +113,9 @@ def _membership_filter(span_name: str, left: ColumnBlock, right: ColumnBlock,
             result = left if (len(right) > 0) != negate else left.empty()
         else:
             _same_generation(left, right)
-            keep, memo_hit = _filtered_selection(left, right, separator,
-                                                 backend, negate=negate)
-            result = left if keep is True else left.select(keep)
+            outcome, memo_hit = _filtered_selection(left, right, separator,
+                                                    backend, negate=negate)
+            result = left if outcome is True else left.select(*outcome)
         if span.is_recording:
             span.set("mode", "columnar")
             span.set("backend", backend.name)
@@ -131,28 +132,34 @@ def _membership_filter(span_name: str, left: ColumnBlock, right: ColumnBlock,
 
 def _filtered_selection(left: ColumnBlock, right: ColumnBlock,
                         separator: Tuple[Attribute, ...], backend, *,
-                        negate: bool) -> Tuple[Union[bool, "array"], bool]:
+                        negate: bool) -> Tuple[Union[bool, Tuple["array", bytes]], bool]:
     """The memoised outcome of one (anti)semijoin, and whether the memo held it.
 
     All three outcomes are recorded: ``True`` for a fixpoint (every row
-    kept — the caller hands ``left`` itself back), an empty vector for a
-    dead end, the kept-position vector otherwise.  Keyed by both sides'
-    storage identity and selection bytes, so the fresh but byte-identical
-    selections a warm re-execution produces are answered by one lookup; a
-    miss is one membership pass of ``left``'s codes over ``right``'s
-    (cached) membership structure.  Counted as ``keyset_hits`` here and,
-    on a miss, by the structure's own cache.
+    kept — the caller hands ``left`` itself back), otherwise the kept
+    positions (empty for a dead end) *together with their selection key*.
+    Keyed by both sides' storage identity and selection keys, so the fresh
+    but byte-identical selections a warm re-execution produces are answered
+    by one lookup; a miss is one membership pass of ``left``'s codes over
+    ``right``'s (cached) membership structure.  Counted as ``keyset_hits``
+    here and, on a miss, by the structure's own cache.
+
+    A key is hashed once per selection: the block built from a memoised
+    outcome carries the stored key, so the next step's lookup holds the very
+    bytes objects of the keys filed on the first run — their hashes are
+    cached and tuple equality short-circuits on identity.
     """
     key = ("semi", negate, backend.name, separator, left.selection_bytes(),
            right.storage_token(), right.selection_bytes())
-    keep = left.derived_get(key)
-    if keep is not None:
+    outcome = left.derived_get(key)
+    if outcome is not None:
         count_keyset(hit=True)
-        return keep, True
+        return outcome, True
     keep = backend.filter_membership(
         left.key_codes(separator), left.positions,
         right.prepared_key_set(separator, backend), negate=negate)
-    return left.derived_put(key, True if len(keep) == len(left) else keep), False
+    outcome = True if len(keep) == len(left) else (keep, selection_key(keep))
+    return left.derived_put(key, outcome), False
 
 
 def natural_join_blocks(left: ColumnBlock, right: ColumnBlock, *,

@@ -623,6 +623,10 @@ class SessionMonitor:
         gauge("engine_payload_memo_misses",
               "Sorted wire rows gathered and sorted from their column block.",
               column_info["payload_misses"])
+        gauge("engine_selection_keys_built",
+              "Selection keys (selection-vector bytes) materialised; a warm "
+              "re-execution reuses its memoised keys and adds none.",
+              column_info["selection_keys"])
         gauge("engine_interner_values",
               "Values held by the current interner generation (only grows).",
               column_info["interned_values"])

@@ -294,3 +294,46 @@ class TestDecodeAllocations:
         assert len(relation) == len(block)
         # One Row and one values tuple per row; a constant for the rest.
         assert kept <= 2 * len(block) + 32
+
+
+class TestPickledSelectionKeys:
+    """A rebuilt block's key is the bytes it was shipped with, never re-made."""
+
+    def test_a_pickled_block_carries_its_shipped_key_and_hits_the_same_memo(
+            self, r_ab, s_bc):
+        clear_column_caches()
+        try:
+            at = {row["A"]: position
+                  for position, row in enumerate(block_for(r_ab).source_rows)}
+            positions = [at[3], at[2]]          # "z" has a partner, "y" none
+            left = block_for(r_ab).select(positions)
+            key = left.selection_bytes()
+            # One payload, as the sharded process path ships a shard: the
+            # storage travels once and both blocks are rebuilt over it.
+            payload = pickle.dumps((left.rename("base").select(range(3)), left,
+                                    block_for(s_bc)))
+            built = column_cache_info()["selection_keys"]
+            base, clone, right = pickle.loads(payload)
+            assert clone.selection_bytes() == key
+            assert clone.selection_bytes() is clone.selection_bytes()
+            assert column_cache_info()["selection_keys"] == built
+
+            semijoined = semijoin_blocks(clone, right)
+            assert [row["A"] for row in semijoined.to_relation().rows] == [3]
+            decoded = clone.to_relation()
+            info = column_cache_info()
+            # A selection built over the rebuilt storage with the same
+            # positions computes its own (equal) key and hits every entry
+            # the shipped key filed: the semijoin outcome and the decode.
+            again = base.select(positions)
+            assert semijoin_blocks(again, right).selection_bytes() is \
+                semijoined.selection_bytes()
+            assert again.to_relation(clone.name) is decoded
+            now = column_cache_info()
+            assert now["keyset_hits"] == info["keyset_hits"] + 1
+            assert now["keyset_misses"] == info["keyset_misses"]
+            assert now["relation_hits"] == info["relation_hits"] + 1
+            assert now["relation_misses"] == info["relation_misses"]
+            assert now["selection_keys"] == info["selection_keys"] + 1
+        finally:
+            clear_column_caches()

@@ -5,7 +5,8 @@ percentiles, slow-query trace retention (arm on the offending run, capture
 on the next), error capture including bindings that fail before the engine
 runs, the cache collector's gauges (the interner's size, the cells it
 resolved under its lock, the key rows that overflowed the packing radix and
-the result and payload memos' hits among them), the live HTTP endpoint, and the whole
+the result and payload memos' hits among them, the selection keys a warm run
+reuses), the live HTTP endpoint, and the whole
 stack under concurrent ``execute_many`` traffic from multiple threads.
 """
 
@@ -27,8 +28,13 @@ from repro.engine.columnar import (
     natural_join_blocks,
 )
 from repro.exceptions import SchemaError
-from repro.generators import skewed_chain_database, skewed_chain_endpoints
-from repro.relational import Relation, RelationSchema
+from repro.generators import (
+    generate_database,
+    skewed_chain_database,
+    skewed_chain_endpoints,
+    triangle_core_chain,
+)
+from repro.relational import Database, DatabaseSchema, Relation, RelationSchema, Row
 from repro.telemetry import (
     MonitorConfig,
     MonitoringServer,
@@ -48,6 +54,30 @@ CHAIN = 4
 def chain_db(seed: int = 0):
     return skewed_chain_database(CHAIN, heads=4, fanout=3,
                                  junction_values=2, seed=seed)
+
+
+def benchmark_shapes():
+    """The repository benchmark's two large queries, one dangling row per relation.
+
+    Each dangling row's values occur nowhere else, so the reducer's steps
+    filter (and select) instead of all being fixpoints.
+    """
+    chain = skewed_chain_database(8, heads=200, fanout=50, junction_values=4,
+                                  seed=1)
+    triangles = generate_database(
+        DatabaseSchema.from_hypergraph(triangle_core_chain(4)),
+        universe_rows=2000, domain_size=40, dangling_fraction=0.5, seed=4)
+    shapes = []
+    for database, outputs in ((chain, skewed_chain_endpoints(8)),
+                              (triangles, ("C0", "C5"))):
+        relations = {}
+        for relation in database.relations():
+            dangling = Row({attribute: f"dangling-{relation.name}-{attribute}"
+                            for attribute in relation.schema.attributes})
+            relations[relation.name] = Relation.from_valid_rows(
+                relation.schema, relation.rows | {dangling})
+        shapes.append((Database(database.schema, relations), outputs))
+    return shapes
 
 
 def monitored_session(**config) -> EngineSession:
@@ -378,6 +408,36 @@ class TestCollector:
                 [first["row_count"]] * 2
         finally:
             service.pool.shutdown(wait=True)
+            clear_column_caches()
+
+    def test_collect_exports_the_selection_keys_a_warm_run_reuses(
+            self, monkeypatch):
+        # A sharded run rebuilds its merged answer block, and with it the
+        # answer's key, on every execute: the count is the unsharded engine's.
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        clear_column_caches()
+        try:
+            session = EngineSession(execution_mode="columnar",
+                                    monitor=MonitorConfig())
+            monitor = session.monitor
+            assert monitor.collect()["engine_selection_keys_built"] == 0
+            for database, outputs in benchmark_shapes():
+                prepared = session.prepare(database, outputs)
+                before = monitor.collect()["engine_selection_keys_built"]
+                tracer = Tracer()
+                with use_tracer(tracer):
+                    prepared.execute(database)
+                built = monitor.collect()["engine_selection_keys_built"] - before
+                steps = sum(record["name"].startswith("kernel:")
+                            for record in tracer.records)
+                assert 0 < built <= steps
+                for _ in range(3):
+                    prepared.execute(database)
+                    values = monitor.collect()
+                    assert values["engine_selection_keys_built"] == before + built
+            assert values["engine_selection_keys_built"] == \
+                column_cache_info()["selection_keys"]
+        finally:
             clear_column_caches()
 
     def test_collect_exports_interner_size_and_key_overflow_rows(self):
