@@ -16,8 +16,7 @@ a time.
 Acceptance: on a multi-core host (``os.cpu_count() >= 2``) the concurrent
 burst must reach ≥ 2× the serial single-client QPS.  On a single core the
 2× bar is physically unreachable (client and server threads time-share one
-CPU), so the numbers are recorded to ``BENCH_service.json`` without gating
-— the same policy bench_columnar applies to its numpy-dependent numbers.
+CPU), so the numbers are recorded to ``BENCH_service.json`` without gating.
 """
 
 from __future__ import annotations

@@ -61,8 +61,7 @@ def _stop_workers_afterwards():
 
 
 def _warm_prepared(database, **options):
-    prepared = EngineSession(execution_mode="columnar",
-                             **options).prepare(database, ENDPOINTS)
+    prepared = EngineSession(**options).prepare(database, ENDPOINTS)
     prepared.execute(database)
     prepared.execute(database)
     return prepared

@@ -25,6 +25,7 @@ Run with::
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.analysis import statistics_table
 from repro.engine import (
@@ -46,19 +47,20 @@ def main() -> None:
     # --- the same answer from every backend ------------------------------ #
     results = {}
     for backend in available_column_backends():
-        session = EngineSession(execution_mode="columnar",
-                                column_backend=backend)
+        session = EngineSession(column_backend=backend)
         results[backend] = session.prepare(database, endpoints).execute(database)
     rows = {frozenset(r.relation.rows) for r in results.values()}
     assert len(rows) == 1, "backends must agree bit for bit"
-    print(statistics_table([r.statistics for r in results.values()],
-                           title="one execution per backend (identical answers)"))
+    print(statistics_table(
+        [replace(r.statistics, plan_name=f"{r.statistics.plan_name} [{backend}]")
+         for backend, r in results.items()],
+        title="one execution per backend (identical answers)"))
     print()
 
     # --- decode-free execution ------------------------------------------- #
     # A serving tier that feeds the block straight into the next operator
     # (or only counts rows) never pays for Row materialisation.
-    session = EngineSession(execution_mode="columnar", decode="block")
+    session = EngineSession(decode="block")
     prepared = session.prepare(database, endpoints)
     deferred = prepared.execute(database)
     assert deferred.relation is None
@@ -71,8 +73,7 @@ def main() -> None:
 
     # --- warm executions ride the memoised semijoin outcomes --------------- #
     clear_column_caches()
-    prepared = EngineSession(execution_mode="columnar").prepare(database,
-                                                               endpoints)
+    prepared = EngineSession().prepare(database, endpoints)
     started = time.perf_counter()
     prepared.execute(database)
     cold_seconds = time.perf_counter() - started

@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.engine import EngineSession, index_cache_info
+from repro.engine import EngineSession
 from repro.generators import chain_hypergraph, generate_database
 from repro.queries import ConjunctiveQuery
 from repro.relational import DatabaseSchema, naive_join
@@ -59,7 +59,6 @@ def main() -> None:
     print(f"second run plan cache hit: {again.statistics.plan_cache_hit}")
     print(f"planner untouched by the warm run: {session.cache_info() == before}")
     print(f"planner cache: {session.cache_info()}")
-    print(f"index cache  : {index_cache_info()}")
     print()
 
     # The same machinery behind the query layer: acyclic conjunctive queries

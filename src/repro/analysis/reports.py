@@ -57,7 +57,7 @@ def format_mapping(mapping: Mapping[str, object], *, title: Optional[str] = None
 
 #: Column order of :func:`statistics_table`; engine-only columns render "-"
 #: for plans that do not carry the counter.
-_STATISTICS_COLUMNS = ("plan", "mode", "inputs", "max intermediate", "est max",
+_STATISTICS_COLUMNS = ("plan", "inputs", "max intermediate", "est max",
                        "total intermediate", "output", "est output",
                        "semijoins", "removed", "clusters", "plan cache",
                        "index cache", "wall ms", "planner hits", "shards")
@@ -72,11 +72,6 @@ def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, o
     adaptive = getattr(stats, "adaptive", False)
     estimated_max = getattr(stats, "estimated_max_intermediate", None)
     estimated_output = getattr(stats, "estimated_output_size", None)
-    mode = getattr(stats, "execution_mode", None)
-    backend = getattr(stats, "column_backend", None)
-    if mode is not None and backend is not None:
-        # Columnar runs name their compute backend inline: "columnar[array]".
-        mode = f"{mode}[{backend}]"
     index_hits = getattr(stats, "index_cache_hits", None)
     index_misses = getattr(stats, "index_cache_misses", None)
     elapsed = getattr(stats, "elapsed_seconds", None)
@@ -93,7 +88,6 @@ def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, o
                          f" skew={shard_skew:.2f}")
     return {
         "plan": plan if plan is not None else stats.plan_name,
-        "mode": "-" if mode is None else mode,
         "inputs": sum(stats.input_sizes),
         "max intermediate": stats.max_intermediate,
         "est max": estimated_max if adaptive and estimated_max is not None else "-",
@@ -105,8 +99,8 @@ def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, o
         "removed": "-" if removed is None else removed,
         "clusters": "-" if clusters is None else (list(clusters) or "-"),
         "plan cache": "-" if cache_hit is None else ("hit" if cache_hit else "miss"),
-        # Index/block reuse, e.g. "6h/0m": a warm run is all hits — the
-        # observable payoff of the per-relation index and block caches.
+        # Block reuse, e.g. "6h/0m": a warm run is all hits — the
+        # observable payoff of the per-relation block cache.
         "index cache": "-" if index_hits is None else f"{index_hits}h/{index_misses}m",
         "wall ms": "-" if elapsed is None else f"{elapsed * 1000:.2f}",
         "planner hits": "-" if hit_ratio is None else f"{hit_ratio:.0%}",
@@ -157,7 +151,7 @@ def banner(text: str) -> str:
 def _interesting_attributes(attributes: Mapping[str, object]) -> str:
     """The cardinality/context attributes of a span, compactly rendered."""
     parts = []
-    for key in ("mode", "kind", "left_rows", "right_rows", "output_rows",
+    for key in ("kind", "left_rows", "right_rows", "output_rows",
                 "rows_removed", "plan_cache_hit", "core_edges",
                 "partitions_examined", "candidates"):
         if key in attributes:
@@ -253,7 +247,6 @@ def query_log_table(entries: Sequence[object], *,
             "query": pick(entry, "query", "-"),
             "kind": pick(entry, "kind", "-"),
             "db": pick(entry, "database", "-"),
-            "mode": pick(entry, "mode", "-"),
             "shards": "-" if shards is None else shards,
             "ms": f"{float(elapsed) * 1000:.2f}",
             "rows": "-" if error else pick(entry, "output_rows", "-"),
@@ -262,7 +255,7 @@ def query_log_table(entries: Sequence[object], *,
             "slow": ("slow*" if traced else "slow") if slow else "-",
             "error": error or "-",
         })
-    return format_table(rows, columns=("seq", "query", "kind", "db", "mode",
+    return format_table(rows, columns=("seq", "query", "kind", "db",
                                        "shards", "ms", "rows", "plan cache",
                                        "slow", "error"), title=title)
 

@@ -9,16 +9,11 @@ algorithm, both of which exist *iff* the schema's hypergraph has a join tree.
 
 Layers (bottom-up):
 
-* :mod:`~repro.engine.indexes` — hash indexes over relation columns with a
-  weak per-relation cache (:func:`index_for`), shared by every operator;
-* :mod:`~repro.engine.columnar` — the columnar physical layer (the
-  default): :class:`ColumnBlock` value arrays with zero-copy selection
-  vectors, grouped key encoding, and whole-block semijoin/antijoin/join
-  kernels; relations are decoded only at the result boundary, and
-  ``execution_mode="row"`` keeps the row operators below as the reference
-  implementation;
-* :mod:`~repro.engine.semijoin` — indexed semijoin / anti-semijoin / natural
-  join with fused projection, the engine's row-at-a-time physical operators;
+* :mod:`~repro.engine.columnar` — the physical layer:
+  :class:`ColumnBlock` id arrays with zero-copy selection vectors, grouped
+  key encoding, whole-block semijoin/antijoin/join kernels with fused
+  projection, and the reduce → fold pipeline; relations are decoded only
+  at the result boundary;
 * :mod:`~repro.engine.reducer` — full-reducer semijoin programs compiled off
   a rooted join tree (leaf-to-root then root-to-leaf pass), with a
   proof-of-reduction check hook;
@@ -49,10 +44,11 @@ Entry point: :class:`EngineSession` (or the process-wide
 acyclic-vs-cyclic dispatch, structure planning and per-database cost
 annotation exactly once; ``prepared.execute(database)`` is the hot path.
 ``ConjunctiveQuery.evaluate(database)`` in the query layer routes through
-the default session.  The PR-1/PR-2 module-level functions
-:func:`evaluate`, :func:`evaluate_database`, :func:`evaluate_cyclic` and
-:func:`evaluate_cyclic_database` remain as deprecated shims that emit
-``DeprecationWarning`` and delegate to the default session's planner.
+the default session.
+
+:mod:`repro.relational` computes the same answers with its own plain hash
+operators and imports nothing from this package; it is the reference the
+engine's differential tests compare against.
 """
 
 from .catalog import (
@@ -70,15 +66,12 @@ from .columnar import (
     clear_column_caches,
     column_cache_info,
     default_column_backend,
-    default_execution_mode,
     intersect_blocks,
     natural_join_blocks,
     semijoin_blocks,
     set_default_column_backend,
-    set_default_execution_mode,
     use_column_backend,
 )
-from .indexes import HashIndex, clear_index_cache, index_cache_info, index_for
 from .planner import (
     DEFAULT_PLANNER,
     AnnotatedPlan,
@@ -96,13 +89,7 @@ from .reducer import (
     ReductionError,
     ReductionStep,
     ReductionTrace,
-    verify_full_reduction,
-)
-from .semijoin import (
-    antijoin_indexed,
-    natural_join_indexed,
-    semijoin_indexed,
-    shared_attributes,
+    verify_full_reduction_blocks,
 )
 from .yannakakis import EngineResult
 from .cyclic import (
@@ -122,26 +109,17 @@ from .session import (
     ExecutionOptions,
     PreparedQuery,
     default_session,
-    legacy_evaluate as evaluate,
-    legacy_evaluate_database as evaluate_database,
-    legacy_evaluate_cyclic as evaluate_cyclic,
-    legacy_evaluate_cyclic_database as evaluate_cyclic_database,
 )
 
 __all__ = [
-    # indexes
-    "HashIndex", "index_for", "index_cache_info", "clear_index_cache",
     # columnar physical layer
     "ColumnBlock", "block_for", "column_cache_info", "clear_column_caches",
     "semijoin_blocks", "antijoin_blocks", "natural_join_blocks", "intersect_blocks",
-    "default_execution_mode", "set_default_execution_mode",
     "available_column_backends", "default_column_backend",
     "set_default_column_backend", "use_column_backend",
-    # physical operators (row reference implementation)
-    "semijoin_indexed", "antijoin_indexed", "natural_join_indexed", "shared_attributes",
     # reducer
     "FullReducer", "ReductionStep", "ReductionTrace", "ReductionError",
-    "verify_full_reduction",
+    "verify_full_reduction_blocks",
     # statistics catalog / cost annotation
     "RelationStatistics", "StatisticsCatalog", "JoinEstimate", "CostAnnotation",
     "annotate_tree",
@@ -152,10 +130,10 @@ __all__ = [
     # sessions (the unified facade)
     "EngineSession", "PreparedQuery", "ExecutionOptions",
     "ExecutionBatch", "BatchStatistics", "default_session",
-    # evaluation (deprecated shims; prefer EngineSession)
-    "EngineResult", "evaluate", "evaluate_database",
+    # results
+    "EngineResult",
     # cyclic subsystem
     "EdgeCluster", "ClusterCover", "choose_cover", "enumerate_covers",
     "AcyclicQuotient", "CyclicExecutionPlan", "CyclicEngineStatistics",
-    "CyclicEngineResult", "evaluate_cyclic", "evaluate_cyclic_database",
+    "CyclicEngineResult",
 ]

@@ -166,7 +166,7 @@ class RelationStatistics:
         """Combine measurements of two same-scheme relations.
 
         Same-scheme relations are intersected by the engine (see
-        :func:`repro.engine.semijoin.merge_relations_by_scheme`), so the
+        :func:`repro.engine.columnar.kernels.merge_blocks_by_scheme`), so the
         combined estimate takes the minimum cardinality and distinct counts.
         """
         if other.edge != self.edge:

@@ -51,10 +51,11 @@ Encoding is one transposed walk over the rows
 never-seen relation — normally its statistics catalog, which is counted from
 the id columns — pays it, and everything after finds the block cached.
 
-The process-wide **execution mode** switch also lives here:
-``"columnar"`` (the default) runs the engine's physical layer on blocks,
-``"row"`` keeps the original row-at-a-time operators as the reference
-implementation for differential testing.
+Blocks are the engine's only physical representation: the reducer, the join
+fold and the cluster materialisation all run on them, and an answer becomes
+a :class:`~repro.relational.relation.Relation` only at the result boundary.
+:mod:`repro.relational` computes the same answers with no engine code at
+all, which is what the differential tests compare against.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ __all__ = [
     "column_cache_info",
     "clear_column_caches",
     "current_interner",
-    "EXECUTION_MODES",
-    "default_execution_mode",
-    "set_default_execution_mode",
-    "resolve_execution_mode",
 ]
 
 KeyAttributes = Tuple[Attribute, ...]
@@ -92,45 +89,6 @@ KeyAttributes = Tuple[Attribute, ...]
 #: keeps adversarial selection churn from accumulating unboundedly on
 #: long-lived base blocks.
 _DERIVED_CACHE_CAP = 512
-
-# --------------------------------------------------------------------------- #
-# Execution mode
-# --------------------------------------------------------------------------- #
-EXECUTION_MODES = ("columnar", "row")
-
-_DEFAULT_MODE = "columnar"
-
-
-def default_execution_mode() -> str:
-    """The process-wide physical execution mode (``"columnar"`` unless overridden)."""
-    return _DEFAULT_MODE
-
-
-def set_default_execution_mode(mode: str) -> str:
-    """Set the process-wide execution mode; return the previous one.
-
-    Used by differential tests and benchmarks to flip the whole engine
-    between the columnar and the row reference implementation without
-    threading an option through every call site.
-    """
-    global _DEFAULT_MODE
-    if mode not in EXECUTION_MODES:
-        raise ValueError(f"unknown execution mode {mode!r}; "
-                         f"expected one of {EXECUTION_MODES}")
-    previous = _DEFAULT_MODE
-    _DEFAULT_MODE = mode
-    return previous
-
-
-def resolve_execution_mode(mode: Optional[str]) -> str:
-    """``None`` → the process default; anything else is validated and returned."""
-    if mode is None:
-        return _DEFAULT_MODE
-    if mode not in EXECUTION_MODES:
-        raise ValueError(f"unknown execution mode {mode!r}; "
-                         f"expected one of {EXECUTION_MODES}")
-    return mode
-
 
 # --------------------------------------------------------------------------- #
 # The encoding generation
@@ -437,12 +395,9 @@ class ColumnBlock:
         pass, only the new ones under the interner lock
         (:meth:`ValueInterner.encode
         <repro.engine.columnar.buffers.ValueInterner.encode>`).  The source
-        rows are retained on the storage,
-        position-aligned with the id columns, so the row engine's
-        :meth:`HashIndex.build_columnar
-        <repro.engine.indexes.HashIndex.build_columnar>` path can bucket the
-        *original* ``Row`` objects by encoded key without re-materialising
-        them.
+        rows are retained on the storage, position-aligned with the id
+        columns, so the shard partitioner can route the *original* ``Row``
+        objects by encoded key without re-materialising them.
         """
         attributes = relation.schema.attributes
         rows, values = relation.to_columns()
@@ -681,7 +636,7 @@ class ColumnBlock:
 
         Projection alone can introduce duplicate rows; callers that need set
         semantics follow up with :meth:`distinct` — the two are split so the
-        reducer/join phases only pay deduplication where the row engine does.
+        reducer/join phases only pay deduplication where set semantics need it.
         """
         wanted = frozenset(keep)
         missing = wanted - self._attribute_set

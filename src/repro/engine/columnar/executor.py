@@ -1,13 +1,10 @@
 """The columnar execution pipeline: reduce and join whole blocks, decode last.
 
-This module is the block-level mirror of the physical half of
-:func:`repro.engine.yannakakis.evaluate`: the same compiled plan (structure
-or annotated), the same two reducer passes, the same bottom-up join fold with
-fused projection — but every operator runs on :class:`ColumnBlock` values and
-the result is decoded to a :class:`~repro.relational.relation.Relation` only
-at the boundary.  All *logical* accounting (intermediate sizes, reduction
-trace, reduced sizes) is byte-identical to the row engine's, so statistics
-and acceptance bounds compare one-to-one across execution modes.
+This module is the physical half of :func:`repro.engine.yannakakis.evaluate`:
+the compiled plan (structure or annotated) drives the two reducer passes and
+the bottom-up join fold with fused projection (:func:`fold_join_tree`); every
+operator runs on :class:`ColumnBlock` values, and the result is decoded to a
+:class:`~repro.relational.relation.Relation` only at the boundary.
 
 Both the acyclic evaluator and the cyclic executor drive this pipeline: the
 former encodes input relations into cached blocks, the latter feeds the
@@ -19,15 +16,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 from time import perf_counter
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ...core.hypergraph import Edge
+from ...core.join_tree import RootedJoinTree
 from ...exceptions import SchemaError
 from ...relational.relation import Relation
 from ...relational.schema import Attribute
 from ...telemetry.tracing import current_tracer
 from ..catalog import RelationStatistics, StatisticsCatalog
-from ..fold import fold_join_tree
 from ..reducer import ReductionTrace
 from .block import ColumnBlock
 from .buffers import active_column_backend
@@ -35,6 +32,7 @@ from .kernels import merge_blocks_by_scheme, natural_join_blocks
 
 __all__ = [
     "vertex_blocks",
+    "fold_join_tree",
     "run_columnar_plan",
     "catalog_from_blocks",
     "statistics_from_block",
@@ -68,10 +66,67 @@ def vertex_blocks(relations: Sequence[Relation],
                 raise SchemaError("join-tree vertex without a matching relation")
             result[vertex] = block
         if span.is_recording:
-            span.set("mode", "columnar")
             span.set("vertices", len(result))
             span.set("input_rows", sum(len(block) for block in result.values()))
         return result
+
+
+def fold_join_tree(rooted: RootedJoinTree, reduced: Dict[Edge, ColumnBlock],
+                   wanted: Optional[FrozenSet[Attribute]], *,
+                   order_children: Callable[[Edge, Sequence[Edge]], Sequence[Edge]]
+                   ) -> Tuple[ColumnBlock, List[int]]:
+    """Fold the reduced vertex blocks bottom-up; return (result, intermediate sizes).
+
+    Children are joined into their parent leaf-to-root, then the tree roots
+    into each other.  A vertex's partial join keeps only the requested
+    outputs visible in its subtree plus the separator to its parent; while
+    its children are being folded in, the separators to the *not yet
+    joined* children stay live too.  That keep-set is fused into every
+    :func:`natural_join_blocks`, so dead attributes are never materialised.
+    ``order_children`` injects the cost annotation's fold order (the
+    identity for static plans).
+    """
+    span = current_tracer().span("fold")
+    with span:
+        intermediates: List[int] = []
+        partial: Dict[Edge, ColumnBlock] = {}
+        for vertex, parent in rooted.leaf_to_root():
+            current = reduced[vertex]
+            children = order_children(vertex, rooted.children_of(vertex))
+            final_keep: Optional[FrozenSet[Attribute]] = None
+            if wanted is not None:
+                subtree_attributes = set(vertex)
+                for child in children:
+                    subtree_attributes.update(partial[child].attribute_set)
+                final_keep = frozenset(subtree_attributes) & wanted
+                if parent is not None:
+                    final_keep |= frozenset(vertex) & frozenset(parent)
+            child_separators = [frozenset(vertex) & frozenset(child) for child in children]
+            for index, child in enumerate(children):
+                keep: Optional[FrozenSet[Attribute]] = None
+                if final_keep is not None:
+                    keep = final_keep.union(*child_separators[index + 1:]) \
+                        if index + 1 < len(children) else final_keep
+                current = natural_join_blocks(current, partial[child], project_onto=keep)
+                intermediates.append(len(current))
+            if final_keep is not None and final_keep != current.attribute_set:
+                current = current.project_onto(final_keep).distinct()
+            partial[vertex] = current
+
+        roots = rooted.roots
+        result = partial[roots[0]]
+        for other_root in roots[1:]:
+            keep = None
+            if wanted is not None:
+                keep = (result.attribute_set | partial[other_root].attribute_set) & wanted
+            result = natural_join_blocks(result, partial[other_root], project_onto=keep)
+            intermediates.append(len(result))
+        if wanted is not None and wanted & result.attribute_set != result.attribute_set:
+            result = result.project_onto(wanted).distinct()
+        if span.is_recording:
+            span.set("intermediates", list(intermediates))
+            span.set("output_rows", len(result))
+        return result, intermediates
 
 
 def run_columnar_plan(plan, annotated, blocks: Dict[Edge, ColumnBlock],
@@ -88,10 +143,7 @@ def run_columnar_plan(plan, annotated, blocks: Dict[Edge, ColumnBlock],
 
     ``plan`` is the structure :class:`~repro.engine.planner.ExecutionPlan`;
     ``annotated`` (optional) supplies the cost-ordered reducer and the child
-    fold order, exactly as in the row evaluator.  The join fold *is* the row
-    evaluator's — :func:`~repro.engine.fold.fold_join_tree` with the block
-    kernels plugged in — so the keep-set computation and the recorded
-    intermediate sizes agree with the row engine by construction.
+    fold order.
     """
     reducer = annotated.reducer if annotated is not None else plan.reducer
     reduce_started = perf_counter()
@@ -102,11 +154,7 @@ def run_columnar_plan(plan, annotated, blocks: Dict[Edge, ColumnBlock],
     result, intermediates = fold_join_tree(
         plan.rooted, reduced, wanted,
         order_children=(annotated.order_children if annotated is not None
-                        else lambda vertex, children: children),
-        join=lambda left, right, keep: natural_join_blocks(left, right,
-                                                           project_onto=keep),
-        project=lambda block, keep: block.project_onto(keep).distinct(),
-        attributes_of=lambda block: block.attribute_set)
+                        else lambda vertex, children: children))
     fold_seconds = perf_counter() - fold_started
     return result, tuple(intermediates), {"reduce": reduce_seconds,
                                           "fold": fold_seconds}

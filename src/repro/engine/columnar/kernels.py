@@ -1,10 +1,10 @@
 """Batched semijoin / antijoin / natural-join kernels over typed column blocks.
 
-These are the columnar physical operators — the whole-block counterparts of
-:mod:`repro.engine.semijoin`.  They compute exactly the same relations (same
-rows, same attribute order rules) but move whole typed position vectors per
-call through the active :mod:`column-buffer backend <repro.engine.columnar.buffers>`
-instead of probing rows one at a time:
+These are the engine's physical operators.  They compute the same relations
+as :func:`repro.relational.algebra.semijoin` / ``antijoin`` /
+``natural_join`` but move whole typed position vectors per call through the
+active :mod:`column-buffer backend <repro.engine.columnar.buffers>` instead
+of probing rows one at a time:
 
 * a **semijoin** is one batched membership pass — the left position
   vector filtered by its id codes' membership in the right side's cached
@@ -18,11 +18,11 @@ instead of probing rows one at a time:
   positional gathers — no intermediate ``Row`` objects and no per-match
   Python tuples exist at any point;
 * **fused projection** drops dead columns before the gather and
-  deduplicates positionally, mirroring the row operators' set semantics.
+  deduplicates positionally, keeping set semantics.
 
-Identity contracts match the row operators: a semijoin/antijoin that filters
-nothing returns the *left block itself*, so reducer fixpoints allocate
-nothing and ``is``-based stability checks work unchanged.  Every kernel span
+A semijoin/antijoin that filters nothing returns the *left block itself*,
+so reducer fixpoints allocate nothing and the proof-of-reduction check can
+test stability with ``is``.  Every kernel span
 records the active backend and its batch size.
 """
 
@@ -59,9 +59,8 @@ def _separator(left: ColumnBlock, right: ColumnBlock,
                on: Optional[Iterable[Attribute]]) -> Tuple[Attribute, ...]:
     """The effective separator, canonicalised so key dictionaries are shared.
 
-    An ``on`` override must be a subset of both blocks' schemes.  Unlike the
-    row operators the attribute order is canonical here — the grouped key
-    encoding is cached per attribute *tuple*, and key-set membership is
+    An ``on`` override must be a subset of both blocks' schemes.  The
+    attribute order is canonical — the grouped key encoding is cached per attribute *tuple*, and key-set membership is
     order-invariant anyway.  A ``tuple`` is taken as already canonical (the
     compiled reducer hands over each step's, sorted once at compile time);
     any other iterable is sorted.
@@ -87,8 +86,7 @@ def semijoin_blocks(left: ColumnBlock, right: ColumnBlock,
                     on: Optional[Iterable[Attribute]] = None) -> ColumnBlock:
     """``left ⋉ right`` by one batched key-id membership pass, memoised whole.
 
-    Returns ``left`` itself when nothing is filtered out, exactly like
-    :func:`~repro.engine.semijoin.semijoin_indexed`.
+    Returns ``left`` itself when nothing is filtered out.
     """
     return _membership_filter("kernel:semijoin", left, right, on, negate=False)
 
@@ -117,7 +115,6 @@ def _membership_filter(span_name: str, left: ColumnBlock, right: ColumnBlock,
                                                     backend, negate=negate)
             result = left if outcome is True else left.select(*outcome)
         if span.is_recording:
-            span.set("mode", "columnar")
             span.set("backend", backend.name)
             span.set("batch", len(left))
             span.set("left_rows", len(left))
@@ -167,9 +164,9 @@ def natural_join_blocks(left: ColumnBlock, right: ColumnBlock, *,
                         name: Optional[str] = None) -> ColumnBlock:
     """``left ⋈ right`` with fused projection, by batched probe and gather.
 
-    The output attribute order follows the row operator's rule — ``left``'s
-    columns then ``right``'s right-only columns, filtered by ``project_onto``
-    — so decoding at the result boundary yields byte-identical schemas.
+    The output attribute order is :func:`repro.relational.algebra.natural_join`'s
+    rule — ``left``'s columns then ``right``'s right-only columns, filtered
+    by ``project_onto``.
     """
     span = current_tracer().span("kernel:join")
     with span:
@@ -204,7 +201,6 @@ def natural_join_blocks(left: ColumnBlock, right: ColumnBlock, *,
                 cache_key, _joined_block(left, right, separator, kept,
                                          joined_attributes, out_name, backend))
         if span.is_recording:
-            span.set("mode", "columnar")
             span.set("backend", backend.name)
             span.set("batch", batch)
             span.set("left_rows", len(left))
@@ -266,9 +262,10 @@ def merge_blocks_by_scheme(relations: Iterable[Relation],
                            ) -> Dict[Edge, ColumnBlock]:
     """One (cached) block per distinct scheme, same-scheme relations intersected.
 
-    The columnar counterpart of
-    :func:`~repro.engine.semijoin.merge_relations_by_scheme`, feeding the
-    evaluator's vertex mapping and the cluster materialisation.  A scheme
+    Relations over an identical scheme map to the same hypergraph edge, so
+    tree walks and cluster materialisation see exactly one block per edge.
+    This feeds the evaluator's vertex mapping and the cluster
+    materialisation.  A scheme
     with a single relation — the overwhelmingly common case — passes its
     cached block through untouched, and the intersect path's fixpoint
     contract returns the existing block itself when the second relation

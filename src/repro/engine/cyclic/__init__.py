@@ -38,14 +38,18 @@ from .covers import (
 )
 from .executor import CyclicEngineResult, evaluate_cyclic, evaluate_cyclic_database
 from .plans import CyclicEngineStatistics, CyclicExecutionPlan
-from .quotient import AcyclicQuotient, ClusterMaterialisation, materialise_clusters
+from .quotient import (
+    AcyclicQuotient,
+    ClusterBlockMaterialisation,
+    materialise_cluster_blocks,
+)
 
 __all__ = [
     # cover search
     "EdgeCluster", "ClusterCover", "core_periphery_cover", "enumerate_covers",
     "cover_score", "choose_cover",
     # quotient construction
-    "AcyclicQuotient", "ClusterMaterialisation", "materialise_clusters",
+    "AcyclicQuotient", "ClusterBlockMaterialisation", "materialise_cluster_blocks",
     # compilation
     "CyclicExecutionPlan", "CyclicEngineStatistics",
     # execution

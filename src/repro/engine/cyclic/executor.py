@@ -6,11 +6,12 @@ The cyclic analogue of :mod:`repro.engine.yannakakis`.  The phases are
    schema's hypergraph from the planner's LRU cache (cover search runs once
    per schema fingerprint);
 2. **materialise** — evaluate every non-trivial cluster with a bounded,
-   greedily ordered nested-loop join, projected (columnar) onto what the
-   cluster exports: the requested outputs and the attributes it shares with
+   greedily ordered nested-loop join, projected onto what the cluster
+   exports: the requested outputs and the attributes it shares with
    another cluster (:func:`~repro.engine.cyclic.quotient.materialise_cluster_blocks`);
-3. **reduce + join** — hand the cluster relations to the acyclic evaluator:
-   the quotient is acyclic by construction, so the PR-1 full reducer removes
+3. **reduce + join** — feed the cluster blocks to the acyclic pipeline
+   (:func:`~repro.engine.columnar.executor.run_columnar_plan`): the
+   quotient is acyclic by construction, so the full reducer removes
    every dangling cluster tuple and the bottom-up join with fused projection
    keeps the quotient-level intermediates inside the output + reduced-input
    bound.
@@ -40,29 +41,22 @@ from ..columnar import (
     column_cache_info,
     current_interner,
     resolve_column_backend,
-    resolve_execution_mode,
     use_column_backend,
 )
 from ..columnar.executor import catalog_from_blocks, run_columnar_plan, vertex_blocks
 from ..deadline import check_deadline
-from ..indexes import index_cache_info
 from ..planner import DEFAULT_PLANNER, QueryPlanner, annotate_plan, schema_fingerprint
 from ..reducer import ReductionTrace
-from ..yannakakis import (
-    DecodedResult,
-    decode_result_block,
-    evaluate as evaluate_acyclic,
-    resolve_decode_mode,
-)
-from ...telemetry.tracing import current_tracer, merge_phase_times
+from ..yannakakis import DecodedResult, decode_result_block, resolve_decode_mode
+from ...telemetry.tracing import current_tracer
 from .plans import CyclicEngineStatistics, CyclicExecutionPlan
-from .quotient import materialise_cluster_blocks, materialise_clusters
+from .quotient import materialise_cluster_blocks
 
 __all__ = ["CyclicEngineResult", "evaluate_cyclic", "evaluate_cyclic_database"]
 
 
 # --------------------------------------------------------------------------- #
-# Warm-prepare memoisation (columnar path)
+# Warm-prepare memoisation
 # --------------------------------------------------------------------------- #
 class _WarmPrepare:
     """Memoised cover/catalog bookkeeping for one (plan, relations, catalog, outputs).
@@ -153,7 +147,6 @@ def evaluate_cyclic(relations: Sequence[Relation],
                     cluster_row_bound: Optional[int] = None,
                     catalog: Optional[StatisticsCatalog] = None,
                     plan: Optional[CyclicExecutionPlan] = None,
-                    execution_mode: Optional[str] = None,
                     column_backend: Optional[str] = None,
                     decode: str = "rows") -> CyclicEngineResult:
     """Evaluate the natural join of ``relations`` (optionally projected), cyclic schemas included.
@@ -176,22 +169,15 @@ def evaluate_cyclic(relations: Sequence[Relation],
     bypassing the planner lookup — and, adaptively, the per-database cover
     re-scoring — entirely; its fingerprint must match the relations' schema.
 
-    ``execution_mode`` selects the physical layer (``"columnar"`` — the
-    process default — or ``"row"``): columnar runs materialise the clusters
-    as blocks and feed them straight into the columnar quotient pipeline,
-    decoding only the final result.  Answers are identical across modes; the
-    logical accounting is byte-identical across modes for unprojected
-    queries (``output_attributes=None``) — with outputs the columnar run
-    projects every multi-member cluster onto what it exports while joining
-    it, so its ``cluster_sizes`` / ``intermediate_sizes`` are smaller than
-    the row reference's, which materialises whole cluster schemes.
-    ``cluster_row_bound`` is checked against the rows each intra-cluster
-    join produced *before* that projection.
+    The clusters are materialised as blocks and fed straight into the
+    columnar quotient pipeline, decoding only the final result.  With
+    outputs every multi-member cluster is projected onto what it exports
+    while it is joined; ``cluster_row_bound`` is checked against the rows
+    each intra-cluster join produced *before* that projection.
     """
     if not relations:
         raise SchemaError("the cyclic engine needs at least one relation to evaluate")
-    mode = resolve_execution_mode(execution_mode)
-    decode = resolve_decode_mode(decode, mode)
+    decode = resolve_decode_mode(decode)
     active_planner = planner if planner is not None else DEFAULT_PLANNER
     hypergraph = Hypergraph([relation.schema.attribute_set for relation in relations])
     wanted: Optional[FrozenSet[Attribute]] = (
@@ -215,7 +201,6 @@ def evaluate_cyclic(relations: Sequence[Relation],
             plan_cache_hit = True
         if prepare_span.is_recording:
             prepare_span.set("kind", "cyclic")
-            prepare_span.set("mode", mode)
             prepare_span.set("plan_cache_hit", plan_cache_hit)
             prepare_span.set("adaptive", catalog is not None)
             prepare_span.set("clusters", len(plan.clusters))
@@ -235,162 +220,109 @@ def evaluate_cyclic(relations: Sequence[Relation],
     # an exact catalog of the materialised clusters: their sizes are known
     # the moment they exist, so the quotient-level annotation is free.
     inner_plan = plan.inner
-    result_block: Optional[ColumnBlock] = None
-    backend_name: Optional[str] = None
-    if mode == "columnar":
-        # Columnar end to end: the cluster blocks feed the quotient pipeline
-        # directly — no decode/re-encode round trip between the phases; only
-        # the final quotient result is decoded to a relation (and not even
-        # that under decode="block").
-        backend = resolve_column_backend(column_backend)
-        backend_name = backend.name
-        column_before = column_cache_info()
-        with use_column_backend(backend):
-            materialise_span = tracer.span("materialise")
-            materialise_started = perf_counter()
-            with materialise_span:
-                # Cluster blocks are immutable and fully determined by the
-                # cover, the relation tuple, the catalog's order keys and the
-                # outputs, so a warm run (same plan/relations/catalog
-                # identities and outputs, same row bound, same interner
-                # generation) reuses them outright — materialisation
-                # dominated warm cyclic prepare time.
-                interner = current_interner()
-                cached = warm.materialised_state
-                if cached is not None and cached[0] == cluster_row_bound \
-                        and cached[1] is interner:
-                    materialised = cached[2]
-                    materialise_cached = True
-                else:
-                    materialised = materialise_cluster_blocks(plan.cover, relations,
-                                                              row_bound=cluster_row_bound,
-                                                              catalog=catalog,
-                                                              wanted=wanted)
-                    warm.materialised_state = (cluster_row_bound, interner,
-                                               materialised)
-                    materialise_cached = False
-                if materialise_span.is_recording:
-                    materialise_span.set("mode", mode)
-                    materialise_span.set("backend", backend_name)
-                    materialise_span.set("cached", materialise_cached)
-                    materialise_span.set("cluster_sizes",
-                                         list(materialised.cluster_sizes))
-                    materialise_span.set("intermediates",
-                                         list(materialised.intermediate_sizes))
-                    materialise_span.set("probe_rows",
-                                         list(materialised.probe_rows))
-                    materialise_span.set("fan_out", [cluster.fan_out
-                                                     for cluster in plan.clusters])
-                    materialise_span.set("schemes", [list(sorted_nodes(scheme))
-                                                     for scheme in materialised.schemes])
-                    materialise_span.set("kept", [list(sorted_nodes(block.attribute_set))
-                                                  for block in materialised.blocks])
-            materialise_seconds = perf_counter() - materialise_started
-            check_deadline("encode")
-            annotate_started = perf_counter()
-            inner_annotated = None
-            if catalog is not None:
-                annotated_state = warm.annotated_state
-                if annotated_state is not None and annotated_state[0] is materialised:
-                    inner_annotated = annotated_state[1]
-                else:
-                    inner_annotated = annotate_plan(
-                        inner_plan,
-                        catalog_from_blocks(materialised.blocks, materialised.schemes),
-                        output_attributes=wanted)
-                    warm.annotated_state = (materialised, inner_annotated)
-            # The quotient-level annotation is planning work, so its time counts
-            # toward the prepare phase even though it runs post-materialisation.
-            prepare_seconds += perf_counter() - annotate_started
-            trace = ReductionTrace()
-            encode_started = perf_counter()
-            blocks = vertex_blocks(materialised.blocks, inner_plan.vertices,
-                                   materialised.schemes)
-            encode_seconds = perf_counter() - encode_started
-            check_deadline("reduce")
-            result_block, inner_intermediates, physical_seconds = run_columnar_plan(
-                inner_plan, inner_annotated, blocks, wanted,
-                trace=trace, check_reduction=check_reduction)
-            result_block = result_block.with_column_order(
-                sorted_nodes(result_block.attributes))
-            check_deadline("decode")
-            relation, decode_seconds = decode_result_block(
-                result_block, name, decode, backend_name)
-        phase_times = (("prepare", prepare_seconds),
-                       ("materialise", materialise_seconds),
-                       ("encode", encode_seconds),
-                       ("reduce", physical_seconds["reduce"]),
-                       ("fold", physical_seconds["fold"]),
-                       ("decode", decode_seconds))
-        column_after = column_cache_info()
-        cache_hits = column_after["hits"] - column_before["hits"]
-        cache_misses = column_after["misses"] - column_before["misses"]
-        semijoin_steps = trace.steps_run
-        rows_removed = trace.rows_removed
-        reduced_sizes = trace.sizes_after
-        inner_estimated = (inner_annotated.annotation.estimated_intermediate_sizes
-                           if inner_annotated is not None else ())
-        estimated_output = (inner_annotated.annotation.estimated_output_size
-                            if inner_annotated is not None else None)
-    else:
-        index_before = index_cache_info()
+    # The cluster blocks feed the quotient pipeline directly — no decode /
+    # re-encode round trip between the phases; only the final quotient
+    # result is decoded to a relation (and not even that under
+    # decode="block").
+    backend = resolve_column_backend(column_backend)
+    column_before = column_cache_info()
+    with use_column_backend(backend):
         materialise_span = tracer.span("materialise")
         materialise_started = perf_counter()
         with materialise_span:
-            materialised = materialise_clusters(plan.cover, relations,
-                                                row_bound=cluster_row_bound,
-                                                catalog=catalog)
+            # Cluster blocks are immutable and fully determined by the
+            # cover, the relation tuple, the catalog's order keys and the
+            # outputs, so a warm run (same plan/relations/catalog
+            # identities and outputs, same row bound, same interner
+            # generation) reuses them outright — materialisation
+            # dominated warm cyclic prepare time.
+            interner = current_interner()
+            cached = warm.materialised_state
+            if cached is not None and cached[0] == cluster_row_bound \
+                    and cached[1] is interner:
+                materialised = cached[2]
+                materialise_cached = True
+            else:
+                materialised = materialise_cluster_blocks(plan.cover, relations,
+                                                          row_bound=cluster_row_bound,
+                                                          catalog=catalog,
+                                                          wanted=wanted)
+                warm.materialised_state = (cluster_row_bound, interner,
+                                           materialised)
+                materialise_cached = False
             if materialise_span.is_recording:
-                materialise_span.set("mode", mode)
+                materialise_span.set("backend", backend.name)
+                materialise_span.set("cached", materialise_cached)
                 materialise_span.set("cluster_sizes",
                                      list(materialised.cluster_sizes))
                 materialise_span.set("intermediates",
                                      list(materialised.intermediate_sizes))
+                materialise_span.set("probe_rows",
+                                     list(materialised.probe_rows))
+                materialise_span.set("fan_out", [cluster.fan_out
+                                                 for cluster in plan.clusters])
+                materialise_span.set("schemes", [list(sorted_nodes(scheme))
+                                                 for scheme in materialised.schemes])
+                materialise_span.set("kept", [list(sorted_nodes(block.attribute_set))
+                                              for block in materialised.blocks])
         materialise_seconds = perf_counter() - materialise_started
-        # The inner acyclic evaluation re-checks the ambient deadline between
-        # each of its own phases; this covers the materialise boundary.
         check_deadline("encode")
-        inner_catalog = None
+        annotate_started = perf_counter()
+        inner_annotated = None
         if catalog is not None:
-            inner_catalog = StatisticsCatalog.from_relations(materialised.relations)
-        inner = evaluate_acyclic(materialised.relations, output_attributes,
-                                 planner=active_planner, name=name,
-                                 check_reduction=check_reduction, plan=inner_plan,
-                                 catalog=inner_catalog, execution_mode="row")
-        relation = inner.relation
-        inner_intermediates = inner.statistics.intermediate_sizes
-        semijoin_steps = inner.statistics.semijoin_steps
-        rows_removed = inner.statistics.rows_removed_by_reduction
-        reduced_sizes = inner.statistics.reduced_sizes
-        inner_estimated = inner.statistics.estimated_intermediate_sizes
-        estimated_output = inner.statistics.estimated_output_size
-        # The inner acyclic run times its own prepare/encode/reduce/fold/
-        # decode phases; the outer plan resolution and the cluster
-        # materialisation are merged in by name.
-        phase_times = merge_phase_times(
-            (("prepare", prepare_seconds), ("materialise", materialise_seconds)),
-            inner.statistics.phase_times)
-        index_after = index_cache_info()
-        cache_hits = index_after["hits"] - index_before["hits"]
-        cache_misses = index_after["misses"] - index_before["misses"]
+            annotated_state = warm.annotated_state
+            if annotated_state is not None and annotated_state[0] is materialised:
+                inner_annotated = annotated_state[1]
+            else:
+                inner_annotated = annotate_plan(
+                    inner_plan,
+                    catalog_from_blocks(materialised.blocks, materialised.schemes),
+                    output_attributes=wanted)
+                warm.annotated_state = (materialised, inner_annotated)
+        # The quotient-level annotation is planning work, so its time counts
+        # toward the prepare phase even though it runs post-materialisation.
+        prepare_seconds += perf_counter() - annotate_started
+        trace = ReductionTrace()
+        encode_started = perf_counter()
+        blocks = vertex_blocks(materialised.blocks, inner_plan.vertices,
+                               materialised.schemes)
+        encode_seconds = perf_counter() - encode_started
+        check_deadline("reduce")
+        result_block, inner_intermediates, physical_seconds = run_columnar_plan(
+            inner_plan, inner_annotated, blocks, wanted,
+            trace=trace, check_reduction=check_reduction)
+        result_block = result_block.with_column_order(
+            sorted_nodes(result_block.attributes))
+        check_deadline("decode")
+        relation, decode_seconds = decode_result_block(
+            result_block, name, decode, backend.name)
+    column_after = column_cache_info()
+    phase_times = (("prepare", prepare_seconds),
+                   ("materialise", materialise_seconds),
+                   ("encode", encode_seconds),
+                   ("reduce", physical_seconds["reduce"]),
+                   ("fold", physical_seconds["fold"]),
+                   ("decode", decode_seconds))
 
     statistics = CyclicEngineStatistics(
         plan_name="engine-cyclic-adaptive" if catalog is not None else "engine-cyclic",
         input_sizes=tuple(len(relation_) for relation_ in relations),
-        intermediate_sizes=materialised.intermediate_sizes + tuple(inner_intermediates),
+        intermediate_sizes=materialised.intermediate_sizes + inner_intermediates,
         output_size=len(relation) if relation is not None else len(result_block),
-        semijoin_steps=semijoin_steps,
-        rows_removed_by_reduction=rows_removed,
-        reduced_sizes=reduced_sizes,
+        semijoin_steps=trace.steps_run,
+        rows_removed_by_reduction=trace.rows_removed,
+        reduced_sizes=trace.sizes_after,
         plan_cache_hit=plan_cache_hit,
-        index_cache_hits=cache_hits,
-        index_cache_misses=cache_misses,
-        execution_mode=mode,
-        column_backend=backend_name,
+        index_cache_hits=column_after["hits"] - column_before["hits"],
+        index_cache_misses=column_after["misses"] - column_before["misses"],
+        column_backend=backend.name,
         adaptive=catalog is not None,
-        estimated_intermediate_sizes=(materialised.estimated_intermediate_sizes
-                                      + tuple(inner_estimated)),
-        estimated_output_size=estimated_output,
+        estimated_intermediate_sizes=(
+            materialised.estimated_intermediate_sizes
+            + (inner_annotated.annotation.estimated_intermediate_sizes
+               if inner_annotated is not None else ())),
+        estimated_output_size=(inner_annotated.annotation.estimated_output_size
+                               if inner_annotated is not None else None),
         cluster_sizes=materialised.cluster_sizes,
         cluster_widths=tuple(cluster.width for cluster in plan.clusters),
         estimated_cluster_sizes=estimated_cluster_sizes,
@@ -408,7 +340,6 @@ def evaluate_cyclic_database(database: Database,
                              cluster_row_bound: Optional[int] = None,
                              adaptive: bool = False,
                              catalog: Optional[StatisticsCatalog] = None,
-                             execution_mode: Optional[str] = None,
                              column_backend: Optional[str] = None,
                              decode: str = "rows") -> CyclicEngineResult:
     """Evaluate a database's universal join (optionally projected) via the cyclic engine.
@@ -423,5 +354,4 @@ def evaluate_cyclic_database(database: Database,
     return evaluate_cyclic(database.relations(), output_attributes, planner=planner,
                            name=name, check_reduction=check_reduction,
                            cluster_row_bound=cluster_row_bound, catalog=catalog,
-                           execution_mode=execution_mode,
                            column_backend=column_backend, decode=decode)

@@ -13,8 +13,8 @@ joined, so equality filters apply as early as possible).
 requested outputs and the attributes the cluster shares with another cluster
 — the paper's articulation sets — so when the outputs are known a
 multi-member cluster is joined with the projection onto exactly those
-attributes fused into every join (:func:`_materialise_physical`; the
-keep-set rule of :mod:`repro.engine.fold`, one level down).  An attribute
+attributes fused into every join (:func:`materialise_cluster_blocks`; the
+keep-set rule of the join fold, one level down).  An attribute
 private to a cyclic core is dropped the moment no pending member needs it.
 Projecting out attributes no other relation and no output mentions commutes
 with the join, so the quotient's answer is unchanged.
@@ -35,13 +35,10 @@ from ...exceptions import ClusterBoundExceededError, CyclicHypergraphError, Sche
 from ...relational.relation import Relation
 from ...relational.schema import Attribute
 from ..columnar import ColumnBlock, merge_blocks_by_scheme, natural_join_blocks
-from ..semijoin import merge_relations_by_scheme, natural_join_indexed
 from .covers import ClusterCover
 
 __all__ = [
     "AcyclicQuotient",
-    "materialise_clusters",
-    "ClusterMaterialisation",
     "materialise_cluster_blocks",
     "ClusterBlockMaterialisation",
 ]
@@ -94,28 +91,10 @@ class AcyclicQuotient:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ClusterMaterialisation:
-    """The materialised cluster relations plus per-step tuple accounting.
-
-    ``estimated_intermediate_sizes`` aligns with ``intermediate_sizes`` step
-    for step (empty without a catalog).
-    """
-
-    relations: Tuple[Relation, ...]
-    intermediate_sizes: Tuple[int, ...]
-    cluster_sizes: Tuple[int, ...]
-    estimated_intermediate_sizes: Tuple[int, ...] = ()
-
-
-def _greedy_member_order(members: Sequence[object],
+def _greedy_member_order(members: Sequence[ColumnBlock],
                          catalog: Optional["StatisticsCatalog"] = None
-                         ) -> Tuple[List[object], List["JoinEstimate"]]:
+                         ) -> Tuple[List[ColumnBlock], List["JoinEstimate"]]:
     """Join order inside a cluster: smallest first, then maximal attribute overlap.
-
-    ``members`` are :class:`Relation` or :class:`ColumnBlock` values — both
-    expose ``len`` and ``schema``, and the ordering keys depend on nothing
-    else, so the row and columnar paths pick identical orders.
 
     Starting from the smallest member and always joining the relation that
     shares the most attributes with the scheme accumulated so far applies
@@ -145,9 +124,9 @@ def _greedy_member_order(members: Sequence[object],
             ordered.append(chosen)
         return ordered, []
 
-    def estimate_of(relation: Relation):
-        return catalog.estimate_for(relation.schema.attribute_set,
-                                    fallback_cardinality=len(relation))
+    def estimate_of(block: ColumnBlock):
+        return catalog.estimate_for(block.schema.attribute_set,
+                                    fallback_cardinality=len(block))
 
     pending = sorted(members,
                      key=lambda r: (estimate_of(r).cardinality,
@@ -165,103 +144,6 @@ def _greedy_member_order(members: Sequence[object],
         steps.append(accumulated)
         ordered.append(chosen)
     return ordered, steps
-
-
-def _materialise_physical(cover: ClusterCover, per_edge, *,
-                          join, rename, probed, row_bound: Optional[int],
-                          catalog: Optional["StatisticsCatalog"],
-                          wanted: Optional[FrozenSet[Attribute]] = None):
-    """The physical-layer-agnostic cluster loop shared by both materialisers.
-
-    Parameterised on ``join(left, right, project_onto=keep)``,
-    ``rename(item, name)`` and ``probed(item)`` (the rows a join produced
-    before duplicate elimination) like the reducer's ``_run_physical`` and
-    the evaluators' ``fold_join_tree``, so the member lookup, greedy
-    ordering, keep-sets, ``row_bound`` discipline and tuple accounting cannot
-    drift between the row and the columnar representations.
-
-    With ``wanted`` (the requested outputs) a multi-member cluster exports
-    only ``needed = scheme ∩ (wanted ∪ every other cluster's scheme)``: each
-    join keeps ``needed`` plus the attributes of the members still pending.
-    Singleton clusters are renamed, never projected — no join happens there,
-    so a ``distinct`` would be new work; the fold projects them at their
-    vertex.  ``wanted=None`` is the full join and projects nothing.
-
-    ``row_bound`` guards the *work*: it is checked against ``probed``, not
-    against what survives the projection.  Returns (items, intermediate
-    sizes, cluster sizes, per-step estimates, per-step probed rows).
-    """
-    items: List[object] = []
-    intermediates: List[int] = []
-    cluster_sizes: List[int] = []
-    estimates: List[int] = []
-    probe_rows: List[int] = []
-    schemes = [cluster.attributes for cluster in cover.clusters]
-    for position, cluster in enumerate(cover.clusters):
-        members = []
-        for edge in cluster.sorted_edges():
-            if edge not in per_edge:
-                raise SchemaError(f"cluster edge {format_node_set(edge)} has no "
-                                  "matching relation")
-            members.append(per_edge[edge])
-        current = members[0]
-        if len(members) > 1:
-            needed: Optional[FrozenSet[Attribute]] = None
-            if wanted is not None:
-                needed = schemes[position] & wanted.union(
-                    *schemes[:position], *schemes[position + 1:])
-            ordered, step_estimates = _greedy_member_order(members, catalog)
-            current = ordered[0]
-            for step, member in enumerate(ordered[1:]):
-                keep = None
-                if needed is not None:
-                    keep = needed.union(*(pending.schema.attribute_set
-                                          for pending in ordered[step + 2:]))
-                current = join(current, member, project_onto=keep)
-                produced = probed(current)
-                intermediates.append(len(current))
-                probe_rows.append(produced)
-                if step_estimates:
-                    estimate = step_estimates[step]
-                    estimates.append((estimate if keep is None
-                                      else estimate.project(keep)).rows)
-                if row_bound is not None and produced > row_bound:
-                    raise ClusterBoundExceededError(
-                        f"cluster {cluster.describe()} produced an intermediate "
-                        f"of {produced} rows (bound {row_bound})")
-        renamed = rename(current, f"cluster{position}")
-        items.append(renamed)
-        cluster_sizes.append(len(renamed))
-    return (tuple(items), tuple(intermediates), tuple(cluster_sizes),
-            tuple(estimates), tuple(probe_rows))
-
-
-def materialise_clusters(cover: ClusterCover, relations: Sequence[Relation], *,
-                         row_bound: Optional[int] = None,
-                         catalog: Optional["StatisticsCatalog"] = None
-                         ) -> ClusterMaterialisation:
-    """One relation per cluster: the (bounded) join of the cluster's member relations.
-
-    Input relations are grouped by scheme (duplicates over the same scheme
-    are intersected, exactly as the acyclic engine does); every cluster edge
-    must have a matching relation.  ``row_bound`` caps the size of every
-    intra-cluster intermediate — exceeding it raises
-    :class:`~repro.exceptions.ClusterBoundExceededError` so callers can fall
-    back rather than materialise a runaway core.  ``catalog`` switches the
-    intra-cluster nested-loop order to estimated-cardinality-first (see
-    :func:`_greedy_member_order`).  The row reference takes no outputs: it
-    always materialises every cluster over its whole scheme.
-    """
-    items, intermediates, cluster_sizes, estimates, _ = _materialise_physical(
-        cover, merge_relations_by_scheme(relations),
-        join=natural_join_indexed,
-        rename=lambda relation, name: Relation.from_valid_rows(
-            relation.schema.rename(name), relation.rows),
-        probed=len, row_bound=row_bound, catalog=catalog)
-    return ClusterMaterialisation(relations=items,
-                                  intermediate_sizes=intermediates,
-                                  cluster_sizes=cluster_sizes,
-                                  estimated_intermediate_sizes=estimates)
 
 
 @dataclass(frozen=True)
@@ -288,28 +170,73 @@ def materialise_cluster_blocks(cover: ClusterCover, relations: Sequence[Relation
                                catalog: Optional["StatisticsCatalog"] = None,
                                wanted: Optional[FrozenSet[Attribute]] = None
                                ) -> ClusterBlockMaterialisation:
-    """One :class:`ColumnBlock` per cluster — the columnar twin of
-    :func:`materialise_clusters`.
+    """One :class:`ColumnBlock` per cluster: the (bounded) join of its member relations.
 
     Input relations are encoded through the per-relation block cache (so
-    repeated executions over one database encode nothing), singleton clusters
-    are zero-copy renames of their member's block, and multi-member clusters
-    are joined with the whole-block kernel in exactly the greedy order the
-    row path uses — member ordering keys (size, scheme, catalog estimates)
-    are identical across representations, so without ``wanted`` the recorded
-    intermediate and cluster sizes agree step for step.  With ``wanted`` (the
-    query's outputs) every multi-member cluster is projected onto what it
-    exports while it is joined (see :func:`_materialise_physical`);
-    ``row_bound`` is then checked against each join's pre-projection rows.
+    repeated executions over one database encode nothing) and grouped by
+    scheme (duplicates over the same scheme are intersected, exactly as the
+    acyclic engine does); every cluster edge must have a matching relation.
+    Singleton clusters are zero-copy renames of their member's block, never
+    projected — no join happens there, so a ``distinct`` would be new work;
+    the fold projects them at their vertex.  Multi-member clusters are
+    joined with the whole-block kernel in the greedy order of
+    :func:`_greedy_member_order` (``catalog`` switches it to
+    estimated-cardinality-first).
+
+    With ``wanted`` (the query's outputs) a multi-member cluster exports
+    only ``needed = scheme ∩ (wanted ∪ every other cluster's scheme)``: each
+    join keeps ``needed`` plus the attributes of the members still pending.
+    ``wanted=None`` is the full join and projects nothing.
+
+    ``row_bound`` guards the *work*: every intra-cluster join's rows before
+    projection (its storage length) are checked against it, and exceeding
+    it raises :class:`~repro.exceptions.ClusterBoundExceededError` so
+    callers can fall back rather than materialise a runaway core.
     """
-    items, intermediates, cluster_sizes, estimates, probe_rows = _materialise_physical(
-        cover, merge_blocks_by_scheme(relations),
-        join=natural_join_blocks,
-        rename=lambda block, name: block.rename(name),
-        probed=lambda block: block.storage_length,
-        row_bound=row_bound, catalog=catalog, wanted=wanted)
+    per_edge = merge_blocks_by_scheme(relations)
+    blocks: List[ColumnBlock] = []
+    intermediates: List[int] = []
+    cluster_sizes: List[int] = []
+    estimates: List[int] = []
+    probe_rows: List[int] = []
+    schemes = [cluster.attributes for cluster in cover.clusters]
+    for position, cluster in enumerate(cover.clusters):
+        members = []
+        for edge in cluster.sorted_edges():
+            if edge not in per_edge:
+                raise SchemaError(f"cluster edge {format_node_set(edge)} has no "
+                                  "matching relation")
+            members.append(per_edge[edge])
+        current = members[0]
+        if len(members) > 1:
+            needed: Optional[FrozenSet[Attribute]] = None
+            if wanted is not None:
+                needed = schemes[position] & wanted.union(
+                    *schemes[:position], *schemes[position + 1:])
+            ordered, step_estimates = _greedy_member_order(members, catalog)
+            current = ordered[0]
+            for step, member in enumerate(ordered[1:]):
+                keep = None
+                if needed is not None:
+                    keep = needed.union(*(pending.schema.attribute_set
+                                          for pending in ordered[step + 2:]))
+                current = natural_join_blocks(current, member, project_onto=keep)
+                produced = current.storage_length
+                intermediates.append(len(current))
+                probe_rows.append(produced)
+                if step_estimates:
+                    estimate = step_estimates[step]
+                    estimates.append((estimate if keep is None
+                                      else estimate.project(keep)).rows)
+                if row_bound is not None and produced > row_bound:
+                    raise ClusterBoundExceededError(
+                        f"cluster {cluster.describe()} produced an intermediate "
+                        f"of {produced} rows (bound {row_bound})")
+        renamed = current.rename(f"cluster{position}")
+        blocks.append(renamed)
+        cluster_sizes.append(len(renamed))
     return ClusterBlockMaterialisation(
-        blocks=items, intermediate_sizes=intermediates,
-        cluster_sizes=cluster_sizes, estimated_intermediate_sizes=estimates,
-        schemes=tuple(cluster.attributes for cluster in cover.clusters),
-        probe_rows=probe_rows)
+        blocks=tuple(blocks), intermediate_sizes=tuple(intermediates),
+        cluster_sizes=tuple(cluster_sizes),
+        estimated_intermediate_sizes=tuple(estimates),
+        schemes=tuple(schemes), probe_rows=tuple(probe_rows))

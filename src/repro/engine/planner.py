@@ -117,15 +117,13 @@ class EngineStatistics(JoinStatistics):
     rows_removed_by_reduction: int = 0
     reduced_sizes: Tuple[int, ...] = ()
     plan_cache_hit: bool = False
-    #: Physical-structure cache traffic during the run: the hash-index cache
-    #: (:func:`~repro.engine.indexes.index_cache_info`) in row mode, the
-    #: per-relation block cache in columnar mode — either way, "how much of
-    #: the build work was reused" is observable per run and in reports.
+    #: Physical-structure cache traffic during the run: hits and misses of
+    #: the per-relation block cache, so "how much of the encode work was
+    #: reused" is observable per run and in reports.
     index_cache_hits: int = 0
     index_cache_misses: int = 0
-    execution_mode: str = "row"
-    #: The column-buffer backend the columnar run computed on (``"array"`` or
-    #: ``"numpy"``); ``None`` for row-mode runs, which have no backend.
+    #: The column-buffer backend the run computed on (``"array"`` or
+    #: ``"numpy"``); ``None`` only for statistics built by hand.
     column_backend: Optional[str] = None
     adaptive: bool = False
     estimated_intermediate_sizes: Tuple[int, ...] = ()
@@ -179,10 +177,7 @@ class EngineStatistics(JoinStatistics):
     def describe(self) -> str:
         """A one-line summary aligned with ``JoinStatistics.describe``."""
         base = super().describe()
-        mode = self.execution_mode
-        if self.column_backend is not None:
-            mode += f"[{self.column_backend}]"
-        summary = (f"{base} mode={mode} "
+        summary = (f"{base} backend={self.column_backend} "
                    f"semijoins={self.semijoin_steps} "
                    f"removed={self.rows_removed_by_reduction} "
                    f"reduced={list(self.reduced_sizes)} "

@@ -11,40 +11,40 @@ two-pass semijoin program the paper's Section 7 machinery licenses:
 Afterwards no relation holds a dangling tuple: each equals the projection of
 the universal join onto its scheme.  The engine's reducer differs from the
 logical construction in :mod:`repro.relational.semijoin_reducer` in that it
-operates on one relation *per join-tree vertex* (edges, not relation names),
-probes cached hash indexes on the separators, and records per-step accounting.
+operates on one column block *per join-tree vertex* (edges, not relation
+names), runs the whole-block semijoin kernel, and records per-step accounting.
 
 ``check_hook`` is the proof-of-reduction hook: after the two passes the hook
 is called with the reduced vertex map and the rooted tree, and must return
-``True``; the default hook re-verifies semijoin-stability of every tree edge
-in both directions, which is exactly the fixpoint condition full reduction
-guarantees.
+``True``; the default hook (:func:`verify_full_reduction_blocks`)
+re-verifies semijoin-stability of every tree edge in both directions, which
+is exactly the fixpoint condition full reduction guarantees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..core.hypergraph import Edge
 from ..core.join_tree import JoinTree, RootedJoinTree
 from ..core.nodes import format_node_set, sorted_nodes
 from ..exceptions import ReproError
-from ..relational.relation import Relation
 from ..telemetry.tracing import current_tracer
-from .semijoin import semijoin_indexed, shared_attributes
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .columnar.block import ColumnBlock
 
 __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "ReductionError",
     "FullReducer",
-    "verify_full_reduction",
     "verify_full_reduction_blocks",
 ]
 
-VertexMap = Dict[Edge, Relation]
-CheckHook = Callable[[Mapping[Edge, Relation], RootedJoinTree], bool]
+VertexMap = Dict[Edge, "ColumnBlock"]
+CheckHook = Callable[[Mapping[Edge, "ColumnBlock"], RootedJoinTree], bool]
 
 
 class ReductionError(ReproError):
@@ -164,50 +164,25 @@ class FullReducer:
             component[vertex] = component[parent] if parent is not None else vertex
         return component
 
-    def run(self, relations: Mapping[Edge, Relation], *,
-            trace: Optional[ReductionTrace] = None,
-            check_hook: Optional[CheckHook] = None) -> VertexMap:
-        """Apply the program to a vertex → relation map and return the reduced map.
-
-        The input map must have one relation per join-tree vertex.  When any
-        vertex becomes empty, every vertex of its tree component is emptied
-        immediately (the join is empty; nothing downstream can survive) and
-        the remaining steps of that component are skipped.
-        """
-        hook = check_hook if check_hook is not None else verify_full_reduction
-        return self._run_physical(
-            relations,
-            semijoin=semijoin_indexed,
-            empty=lambda relation: Relation.from_valid_rows(relation.schema,
-                                                            frozenset()),
-            trace=trace, hook=hook)
-
-    def run_blocks(self, blocks: Mapping[Edge, object], *,
+    def run_blocks(self, blocks: Mapping[Edge, "ColumnBlock"], *,
                    trace: Optional[ReductionTrace] = None,
-                   check_hook: Optional[CheckHook] = None) -> Dict[Edge, object]:
-        """Both full-reducer passes over a vertex → :class:`ColumnBlock` map.
+                   check_hook: Optional[CheckHook] = None) -> VertexMap:
+        """Apply the program to a vertex → :class:`ColumnBlock` map; return the reduced map.
 
-        The columnar twin of :meth:`run`: the same compiled program, the same
-        dead-component short-circuit and the same trace accounting, with the
-        indexed semijoin swapped for the whole-block kernel
-        :func:`~repro.engine.columnar.kernels.semijoin_blocks` — filtering is
-        pure selection-vector work, so fixpoint steps allocate nothing.
+        The input map must have one block per join-tree vertex.  Every step
+        is the whole-block kernel
+        :func:`~repro.engine.columnar.kernels.semijoin_blocks`: filtering is
+        pure selection-vector work, so fixpoint steps allocate nothing.  When
+        any vertex becomes empty, every vertex of its tree component is
+        emptied immediately (the join is empty; nothing downstream can
+        survive) and the remaining steps of that component are skipped.
         """
         from .columnar.kernels import semijoin_blocks  # deferred: import cycle
 
         hook = check_hook if check_hook is not None else verify_full_reduction_blocks
-        return self._run_physical(blocks, semijoin=semijoin_blocks,
-                                  empty=lambda block: block.empty(),
-                                  trace=trace, hook=hook)
-
-    def _run_physical(self, relations: Mapping[Edge, object], *,
-                      semijoin: Callable, empty: Callable,
-                      trace: Optional[ReductionTrace], hook: Callable
-                      ) -> Dict[Edge, object]:
-        """The mode-agnostic reducer loop shared by :meth:`run` and :meth:`run_blocks`."""
         span = current_tracer().span("reduce")
         with span:
-            current: Dict[Edge, object] = dict(relations)
+            current: VertexMap = dict(blocks)
             sizes_before = tuple(len(current[vertex]) for vertex, _ in self.rooted.order)
             component_of = self._component_map()
             dead_components: set = set()
@@ -218,7 +193,7 @@ class FullReducer:
                 for vertex, owner in component_of.items():
                     if owner is component and len(current[vertex]):
                         emptied += len(current[vertex])
-                        current[vertex] = empty(current[vertex])
+                        current[vertex] = current[vertex].empty()
                 return emptied
 
             removed = 0
@@ -230,7 +205,7 @@ class FullReducer:
                 if component_of[step.target] in dead_components:
                     continue
                 target = current[step.target]
-                reduced = semijoin(target, current[step.source], on=step.on)
+                reduced = semijoin_blocks(target, current[step.source], on=step.on)
                 steps_run += 1
                 if reduced is not target:
                     removed += len(target) - len(reduced)
@@ -256,33 +231,15 @@ class FullReducer:
             return current
 
 
-def verify_full_reduction(relations: Mapping[Edge, Relation],
-                          rooted: RootedJoinTree) -> bool:
+def verify_full_reduction_blocks(blocks: Mapping[Edge, "ColumnBlock"],
+                                 rooted: RootedJoinTree) -> bool:
     """The default proof-of-reduction check: semijoin-stability on every tree edge.
 
     For every tree edge (child, parent), both ``parent ⋉ child`` and
-    ``child ⋉ parent`` must be fixpoints.  On a join tree this local condition
-    implies global consistency (no dangling tuples), which is the paper-level
-    guarantee the engine's join phase relies on.
-    """
-    for vertex, parent in rooted.order:
-        if parent is None:
-            continue
-        child_relation = relations[vertex]
-        parent_relation = relations[parent]
-        if semijoin_indexed(parent_relation, child_relation) is not parent_relation:
-            return False
-        if semijoin_indexed(child_relation, parent_relation) is not child_relation:
-            return False
-    return True
-
-
-def verify_full_reduction_blocks(blocks: Mapping[Edge, object],
-                                 rooted: RootedJoinTree) -> bool:
-    """The columnar proof-of-reduction check: block semijoin-stability per tree edge.
-
-    Relies on the same identity contract as the row check — a whole-block
-    semijoin that filters nothing returns its left block unchanged.
+    ``child ⋉ parent`` must be fixpoints — a whole-block semijoin that
+    filters nothing returns its left block unchanged.  On a join tree this
+    local condition implies global consistency (no dangling tuples), which
+    is the paper-level guarantee the engine's join phase relies on.
     """
     from .columnar.kernels import semijoin_blocks  # deferred: import cycle
 

@@ -22,18 +22,13 @@ point concrete:
   zero cover search, zero structure planning and zero re-annotation for an
   unchanged database;
 * :meth:`PreparedQuery.execute_many` — batched execution over many
-  databases (shared hash indexes, one catalog refresh per database) with the
-  per-run accounting aggregated into a :class:`BatchStatistics`.
-
-The legacy module-level entry points live on as deprecated shims (see
-:func:`legacy_evaluate` and friends) that route through the default session,
-so existing callers keep working while new code migrates.
+  databases (shared column blocks, one catalog refresh per database) with
+  the per-run accounting aggregated into a :class:`BatchStatistics`.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
@@ -89,10 +84,6 @@ __all__ = [
     "ExecutionBatch",
     "EngineSession",
     "default_session",
-    "legacy_evaluate",
-    "legacy_evaluate_database",
-    "legacy_evaluate_cyclic",
-    "legacy_evaluate_cyclic_database",
 ]
 
 #: What ``prepare`` accepts: a conjunctive query, a database (its schema), a
@@ -131,12 +122,6 @@ class ExecutionOptions:
       statistics catalogs (the cheap sampling refresh);
     * ``force_cyclic`` — dispatch through the cyclic subsystem even for
       acyclic schemas (its cover degenerates to singletons);
-    * ``execution_mode`` — the physical layer: ``"columnar"`` runs the
-      vectorized block kernels and decodes to relations only at the result
-      boundary, ``"row"`` is the row-at-a-time reference implementation,
-      ``None`` (the default) inherits the process-wide default — columnar,
-      unless :func:`~repro.engine.columnar.set_default_execution_mode`
-      flipped it.  Answers are byte-identical across modes.
     * ``column_backend`` — the columnar compute backend: ``"array"`` (pure
       Python, always available) or ``"numpy"`` (when installed); ``None``
       inherits the process default (numpy when importable, else array; the
@@ -144,7 +129,7 @@ class ExecutionOptions:
       change compute, never results.
     * ``decode`` — how results cross the engine boundary: ``"rows"``
       (default) decodes eagerly into a :class:`Relation`; ``"block"``
-      (columnar only) builds no rows and defers that to
+      builds no rows and defers that to
       ``result.decoded()`` — the win for callers that only need counts,
       emptiness, re-feed blocks into further columnar work, or read the
       answer as plain tuples (``result.block.iter_rows()``, which is how the
@@ -178,7 +163,6 @@ class ExecutionOptions:
     cluster_row_bound: Optional[int] = None
     sample_limit: Optional[int] = None
     force_cyclic: bool = False
-    execution_mode: Optional[str] = None
     column_backend: Optional[str] = None
     decode: str = "rows"
     trace: bool = False
@@ -187,14 +171,10 @@ class ExecutionOptions:
     shard_executor: Optional[str] = None
 
     def __post_init__(self) -> None:
-        from .columnar import COLUMN_BACKENDS, EXECUTION_MODES
+        from .columnar import COLUMN_BACKENDS
         from .sharded.executor import SHARD_EXECUTORS
         from .yannakakis import DECODE_MODES
 
-        if self.execution_mode is not None \
-                and self.execution_mode not in EXECUTION_MODES:
-            raise ValueError(f"unknown execution mode {self.execution_mode!r}; "
-                             f"expected one of {EXECUTION_MODES} or None")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive (or None "
                              "for no deadline)")
@@ -205,9 +185,6 @@ class ExecutionOptions:
         if self.decode not in DECODE_MODES:
             raise ValueError(f"unknown decode mode {self.decode!r}; "
                              f"expected one of {DECODE_MODES}")
-        if self.decode == "block" and self.execution_mode == "row":
-            raise ValueError('decode="block" requires the columnar '
-                             'execution mode')
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be at least 1 (or None for "
                              "unsharded execution)")
@@ -325,20 +302,6 @@ class BatchStatistics:
         counted = [run.index_cache_misses for run in self.runs
                    if hasattr(run, "index_cache_misses")]
         return sum(counted) if counted else None
-
-    @property
-    def execution_mode(self) -> str:
-        """The runs' physical execution mode.
-
-        ``"mixed"`` when engine runs disagree; ``"-"`` when no run carries a
-        mode at all (e.g. a batch of naive :class:`JoinStatistics`), so the
-        table never fabricates a physical mode for plans that have none.
-        """
-        modes = {mode for mode in (getattr(run, "execution_mode", None)
-                                   for run in self.runs) if mode is not None}
-        if not modes:
-            return "-"
-        return modes.pop() if len(modes) == 1 else "mixed"
 
     @property
     def adaptive(self) -> bool:
@@ -561,7 +524,7 @@ class PreparedQuery:
                      pool: Optional[object] = None) -> ExecutionBatch:
         """Evaluate against many databases; aggregate the accounting.
 
-        Hash indexes are shared across the batch (they are cached per
+        Column blocks are shared across the batch (they are cached per
         relation instance), the statistics catalog is refreshed exactly once
         per distinct database, and the per-run statistics are folded into a
         :class:`BatchStatistics` that
@@ -720,7 +683,6 @@ class PreparedQuery:
                         span.set(key, value)
                     span.set("query", self._name)
                     span.set("kind", self._kind)
-                    span.set("mode", result.statistics.execution_mode)
                     span.set("output_rows", result.statistics.output_size)
         except Exception as error:
             session._record_error(self._kind)
@@ -854,7 +816,6 @@ class PreparedQuery:
             return _yannakakis.evaluate(
                 binding.relations, self._output, name=self._name,
                 check_reduction=options.check_reduction, plan=binding.plan,
-                execution_mode=options.execution_mode,
                 column_backend=options.column_backend,
                 decode=options.decode)
         # Resolved through the package attribute at call time so test doubles
@@ -866,7 +827,6 @@ class PreparedQuery:
             cluster_row_bound=options.cluster_row_bound,
             plan=binding.plan, catalog=binding.catalog,
             planner=self._session.planner,
-            execution_mode=options.execution_mode,
             column_backend=options.column_backend,
             decode=options.decode)
 
@@ -889,8 +849,8 @@ class EngineSession:
 
     ``EngineSession()`` builds a private planner; pass ``planner=`` to share
     one (the process-wide :func:`default_session` wraps
-    :data:`~repro.engine.planner.DEFAULT_PLANNER`, so legacy entry points
-    and session users share a single plan cache).
+    :data:`~repro.engine.planner.DEFAULT_PLANNER`, so the query layer and
+    session users share a single plan cache).
     """
 
     def __init__(self, planner: Optional[QueryPlanner] = None, *,
@@ -915,9 +875,9 @@ class EngineSession:
         # MonitorConfig, or a ready SessionMonitor.  Bound after the planner
         # and registry exist — bind() captures both.
         self._monitor: Optional[SessionMonitor] = self._resolve_monitor(monitor)
-        # Resolved metric series handles, keyed by (kind, mode) / phase name:
-        # the per-execution path must not pay the name+label family lookup.
-        self._execution_series_cache: Dict[Tuple[str, str], Dict[str, object]] = {}
+        # Resolved metric series handles, keyed by kind / phase name: the
+        # per-execution path must not pay the name+label family lookup.
+        self._execution_series_cache: Dict[str, Dict[str, object]] = {}
         self._phase_series_cache: Dict[str, object] = {}
         self._lock = threading.RLock()
         # Schema-keyed prepared queries: (fingerprint, outputs, options, name).
@@ -1230,8 +1190,7 @@ class EngineSession:
         ratio = (info.hits / lookups) if lookups else None
         if ratio is not None and hasattr(statistics, "planner_hit_ratio"):
             statistics.planner_hit_ratio = ratio
-        mode = str(getattr(statistics, "execution_mode", "-"))
-        series = self._execution_series(kind, mode)
+        series = self._execution_series(kind)
         series["queries"].inc()
         series["semijoins"].inc(getattr(statistics, "semijoin_steps", 0) or 0)
         series["removed"].inc(
@@ -1253,22 +1212,21 @@ class EngineSession:
         series["cache_size"].set(info.size)
         series["blocks"].set(column_cache_info()["relations"])
 
-    def _execution_series(self, kind: str, mode: str) -> Dict[str, object]:
+    def _execution_series(self, kind: str) -> Dict[str, object]:
         """The resolved metric series the per-execution path records into.
 
         Resolving a series walks the family registry (name lookup, label-key
         canonicalisation, parent chaining) under a lock — fine once, too slow
         per query.  The handles are stable once created, so cache them.
         """
-        key = (kind, mode)
-        series = self._execution_series_cache.get(key)
+        series = self._execution_series_cache.get(kind)
         if series is None:
             metrics = self._metrics
-            series = self._execution_series_cache[key] = {
+            series = self._execution_series_cache[kind] = {
                 "queries": metrics.counter(
                     "engine_queries_total",
                     "Queries executed through the session.",
-                    labels={"kind": kind, "mode": mode}),
+                    labels={"kind": kind}),
                 "semijoins": metrics.counter(
                     "engine_semijoin_steps_total",
                     "Semijoin steps run by the full reducer."),
@@ -1347,10 +1305,10 @@ _DEFAULT_SESSION_LOCK = threading.Lock()
 
 
 def default_session() -> EngineSession:
-    """The process-wide session used by the legacy shims and the query layer.
+    """The process-wide session used by the query layer.
 
-    Wraps :data:`~repro.engine.planner.DEFAULT_PLANNER`, so legacy entry
-    points and session users share one structure-plan cache.  This is the
+    Wraps :data:`~repro.engine.planner.DEFAULT_PLANNER`, so the module-level
+    evaluators and session users share one structure-plan cache.  This is the
     only module that manages the default planner's lifecycle.
     """
     global _DEFAULT_SESSION
@@ -1358,74 +1316,3 @@ def default_session() -> EngineSession:
         if _DEFAULT_SESSION is None:
             _DEFAULT_SESSION = EngineSession(planner=DEFAULT_PLANNER)
         return _DEFAULT_SESSION
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated legacy entry points
-# --------------------------------------------------------------------------- #
-def _warn_legacy(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.engine.{name} is deprecated; use {replacement} "
-        "(see the 'Sessions & prepared queries' section of the README)",
-        DeprecationWarning, stacklevel=3)
-
-
-def _session_planner(planner: Optional[QueryPlanner]) -> QueryPlanner:
-    """The planner a legacy call should run against (default session's when unset)."""
-    return planner if planner is not None else default_session().planner
-
-
-def legacy_evaluate(relations, output_attributes=None, *,
-                    planner=None, root=None, name="yannakakis",
-                    check_reduction=False, plan=None, catalog=None):
-    """Deprecated: ``EngineSession.prepare(relations).execute_relations(...)``."""
-    _warn_legacy("evaluate", "EngineSession.execute_join(...) or "
-                 "EngineSession.prepare(...).execute(...)")
-    return _yannakakis.evaluate(relations, output_attributes,
-                                planner=_session_planner(planner), root=root,
-                                name=name, check_reduction=check_reduction,
-                                plan=plan, catalog=catalog)
-
-
-def legacy_evaluate_database(database, output_attributes=None, *,
-                             planner=None, root=None, name="U",
-                             check_reduction=False, adaptive=False,
-                             catalog=None):
-    """Deprecated: ``EngineSession.prepare(database).execute(database)``."""
-    _warn_legacy("evaluate_database",
-                 "EngineSession.prepare(database, ...).execute(database)")
-    return _yannakakis.evaluate_database(database, output_attributes,
-                                         planner=_session_planner(planner),
-                                         root=root, name=name,
-                                         check_reduction=check_reduction,
-                                         adaptive=adaptive, catalog=catalog)
-
-
-def legacy_evaluate_cyclic(relations, output_attributes=None, *,
-                           planner=None, name="cyclic", check_reduction=False,
-                           cluster_row_bound=None, catalog=None, plan=None):
-    """Deprecated: the session resolves cyclic dispatch itself."""
-    _warn_legacy("evaluate_cyclic", "EngineSession.execute_join(...) or "
-                 "EngineSession.prepare(...).execute(...)")
-    from .cyclic import executor
-    return executor.evaluate_cyclic(relations, output_attributes,
-                                    planner=_session_planner(planner),
-                                    name=name, check_reduction=check_reduction,
-                                    cluster_row_bound=cluster_row_bound,
-                                    catalog=catalog, plan=plan)
-
-
-def legacy_evaluate_cyclic_database(database, output_attributes=None, *,
-                                    planner=None, name="U",
-                                    check_reduction=False,
-                                    cluster_row_bound=None, adaptive=False,
-                                    catalog=None):
-    """Deprecated: ``EngineSession.prepare(database).execute(database)``."""
-    _warn_legacy("evaluate_cyclic_database",
-                 "EngineSession.prepare(database, ...).execute(database)")
-    from .cyclic import executor
-    return executor.evaluate_cyclic_database(
-        database, output_attributes, planner=_session_planner(planner),
-        name=name, check_reduction=check_reduction,
-        cluster_row_bound=cluster_row_bound, adaptive=adaptive,
-        catalog=catalog)

@@ -1,6 +1,6 @@
 """``repro.engine.sharded`` — shard-parallel execution past one Python core.
 
-The engine's mode-agnostic drivers evaluate any relation set; this package
+The engine's drivers evaluate any relation set; this package
 makes "distribute the driver" one seam:
 
 * :mod:`~repro.engine.sharded.partitioner` — hash-co-partition a relation

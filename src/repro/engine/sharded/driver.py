@@ -3,15 +3,15 @@
 One entry point, :func:`run_sharded`, called by
 :class:`~repro.engine.session.PreparedQuery` when its binding carries a
 shard partition.  Each shard runs the *full* reducer + join fold through the
-existing mode-agnostic drivers (acyclic or cyclic engine, columnar or row),
-so sharding adds exactly one seam: partition before, merge after.
+existing drivers (acyclic or cyclic engine), so sharding adds exactly one
+seam: partition before, merge after.
 
 Merging always deduplicates.  When the shard key is projected out of the
 output, the same output tuple can be witnessed by several shards (distinct
 key values proving the same projected row) — a plain concatenation would
-over-count.  In-process columnar merges concatenate the shard blocks' id
-columns (they share one interner) and run the columnar ``distinct`` kernel;
-cross-process and row-mode merges union the decoded row sets.
+over-count.  In-process merges concatenate the shard blocks' id columns
+(they share one interner) and run the columnar ``distinct`` kernel;
+cross-process and 0-ary merges union the decoded row sets.
 
 The final result is byte-identical to the unsharded engine on every leg:
 both sides canonicalise result column order to the sorted attribute order
@@ -29,7 +29,6 @@ from ...relational.schema import RelationSchema
 from ..columnar.block import ColumnBlock, block_for
 from ..deadline import check_deadline, remaining_seconds
 from ..planner import AnnotatedPlan, EngineStatistics
-from ..columnar import resolve_execution_mode
 from ...telemetry.tracing import current_tracer
 from .. import yannakakis as _yannakakis
 from ..cyclic import executor as _cyclic
@@ -46,25 +45,24 @@ def run_sharded(prepared, binding):
     partition = binding.partition
     shard_count = partition.shard_count
     executor_name = binding.executor_name
-    mode = resolve_execution_mode(options.execution_mode)
-    decode_mode = _yannakakis.resolve_decode_mode(options.decode, mode)
+    decode_mode = _yannakakis.resolve_decode_mode(options.decode)
     kind = prepared._kind
     name = prepared._name
     tracer = current_tracer()
 
-    # In-process columnar shards hand back blocks (they share one interner,
-    # so the merge is an id concatenation); everything that crosses a
-    # process boundary — and every row-mode run — merges decoded rows.
-    # Zero-ary (boolean) results always merge as rows: a block with no key
-    # columns has nothing for the distinct kernel to group on.
-    blocks_merge = (executor_name == "thread" and mode == "columnar"
+    # In-process shards hand back blocks (they share one interner, so the
+    # merge is an id concatenation); everything that crosses a process
+    # boundary merges decoded rows.  Zero-ary (boolean) results always
+    # merge as rows: a block with no key columns has nothing for the
+    # distinct kernel to group on.
+    blocks_merge = (executor_name == "thread"
                     and (prepared._output is None or len(prepared._output) > 0))
     shard_decode = "block" if blocks_merge else "rows"
 
     prepare_started = perf_counter()
     tasks = []
     for piece in partition.slices:
-        tasks.append(_shard_task(prepared, binding, piece, mode=mode,
+        tasks.append(_shard_task(prepared, binding, piece,
                                  shard_decode=shard_decode, tracer=tracer))
     executor = shard_executor_for(executor_name, shard_count)
     prepare_seconds = perf_counter() - prepare_started
@@ -105,7 +103,7 @@ def run_sharded(prepared, binding):
 
     output_size = len(relation) if relation is not None else len(merged_block)
     statistics = _sharded_statistics(
-        prepared, binding, shard_statistics, kind=kind, mode=mode,
+        prepared, binding, shard_statistics, kind=kind,
         output_size=output_size,
         phase_times=(("prepare", prepare_seconds),
                      ("execute", execute_seconds),
@@ -125,7 +123,7 @@ def run_sharded(prepared, binding):
 # --------------------------------------------------------------------------- #
 # Per-shard tasks
 # --------------------------------------------------------------------------- #
-def _shard_task(prepared, binding, piece, *, mode: str, shard_decode: str,
+def _shard_task(prepared, binding, piece, *, shard_decode: str,
                 tracer) -> ShardTask:
     options = prepared._options
     index = piece.index
@@ -141,7 +139,7 @@ def _shard_task(prepared, binding, piece, *, mode: str, shard_decode: str,
                 result = _yannakakis.evaluate(
                     shard_relations, prepared._output, name=prepared._name,
                     check_reduction=options.check_reduction, plan=shard_plan,
-                    execution_mode=mode, column_backend=options.column_backend,
+                    column_backend=options.column_backend,
                     decode=shard_decode)
             else:
                 result = _cyclic.evaluate_cyclic(
@@ -150,7 +148,6 @@ def _shard_task(prepared, binding, piece, *, mode: str, shard_decode: str,
                     cluster_row_bound=options.cluster_row_bound,
                     plan=shard_plan, catalog=shard_catalog,
                     planner=prepared._session.planner,
-                    execution_mode=mode,
                     column_backend=options.column_backend,
                     decode=shard_decode)
             if span.is_recording:
@@ -173,7 +170,6 @@ def _shard_task(prepared, binding, piece, *, mode: str, shard_decode: str,
             "cluster_row_bound": options.cluster_row_bound,
             "sample_limit": options.sample_limit,
             "force_cyclic": prepared._kind == "cyclic",
-            "execution_mode": mode,
             "column_backend": options.column_backend,
             "deadline_remaining": remaining_seconds()}
     return ShardTask(index, run_local, token=token,
@@ -234,7 +230,7 @@ def _merge_relations(relations: Sequence[Relation], name: str) -> Relation:
 # Accounting
 # --------------------------------------------------------------------------- #
 def _sharded_statistics(prepared, binding, shard_statistics, *, kind: str,
-                        mode: str, output_size: int,
+                        output_size: int,
                         phase_times) -> EngineStatistics:
     options = prepared._options
     partition = binding.partition
@@ -267,7 +263,6 @@ def _sharded_statistics(prepared, binding, shard_statistics, *, kind: str,
                              for statistics in shard_statistics),
         index_cache_misses=sum(statistics.index_cache_misses
                                for statistics in shard_statistics),
-        execution_mode=mode,
         column_backend=backend,
         adaptive=adaptive,
         estimated_intermediate_sizes=tuple(

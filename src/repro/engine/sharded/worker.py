@@ -59,7 +59,6 @@ def _spec_options(spec: Dict[str, Any]) -> Dict[str, Any]:
                 cluster_row_bound=spec["cluster_row_bound"],
                 sample_limit=spec["sample_limit"],
                 force_cyclic=spec["force_cyclic"],
-                execution_mode=spec["execution_mode"],
                 column_backend=spec["column_backend"],
                 decode="rows", trace=False, deadline_seconds=None)
 
@@ -68,8 +67,7 @@ def _spec_key(spec: Dict[str, Any]) -> Tuple[Any, ...]:
     """The binding-cache key: everything that changes the resolved binding."""
     return (spec["name"], spec["output_attributes"], spec["adaptive"],
             spec["root"], spec["check_reduction"], spec["cluster_row_bound"],
-            spec["sample_limit"], spec["force_cyclic"],
-            spec["execution_mode"], spec["column_backend"])
+            spec["sample_limit"], spec["force_cyclic"], spec["column_backend"])
 
 
 def _execute_spec(session, relations: Tuple[Relation, ...],

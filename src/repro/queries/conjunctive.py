@@ -150,8 +150,7 @@ class ConjunctiveQuery:
     # Evaluation
     # ------------------------------------------------------------------ #
     def evaluate(self, database: Database, *, engine: str = "auto",
-                 adaptive: bool = True,
-                 execution_mode: Optional[str] = None) -> Relation:
+                 adaptive: bool = True) -> Relation:
         """Evaluate the query and project onto the head.
 
         Each atom is turned into a relation over its variable names (constants
@@ -179,11 +178,6 @@ class ConjunctiveQuery:
         atoms' actual cardinalities.  Either way the answers are identical;
         the engine only changes how large the intermediates get.
 
-        ``execution_mode`` picks the engine's physical layer —
-        ``"columnar"`` (vectorized block kernels, the process default) or
-        ``"row"`` (the reference implementation); ``None`` inherits the
-        process-wide default.  It has no effect on ``engine="naive"``.
-
         Engine dispatch routes through the process-wide
         :func:`~repro.engine.session.default_session`: the query is
         prepared once (dispatch + structure plan, cached on the session) and
@@ -199,8 +193,7 @@ class ConjunctiveQuery:
         from ..engine.session import default_session
 
         prepared = default_session().prepare(self, adaptive=adaptive,
-                                             force_cyclic=(engine == "cyclic"),
-                                             execution_mode=execution_mode)
+                                             force_cyclic=(engine == "cyclic"))
         result = prepared.execute(database)
         # The engine already projected onto exactly the head attributes;
         # only the schema's declared order differs, and rows are

@@ -64,19 +64,37 @@ def rename_relation(relation: Relation, new_name: str,
     return Relation(schema, rows)
 
 
+def _separator(left: Relation, right: Relation) -> Tuple[Attribute, ...]:
+    """The attributes common to both schemas, in canonical order."""
+    return tuple(sorted_nodes(left.schema.attribute_set & right.schema.attribute_set))
+
+
+def _key(row: Row, separator: Tuple[Attribute, ...]) -> Tuple[Any, ...]:
+    """A row's values on the separator: what the hash operators match on."""
+    return tuple(row[attribute] for attribute in separator)
+
+
 def natural_join(left: Relation, right: Relation, *, name: Optional[str] = None) -> Relation:
     """``left ⋈ right`` — natural join on the shared attributes (hash join).
 
-    With no shared attributes this degenerates to the Cartesian product, as
+    The smaller side is bucketed by its separator values in one dict, built
+    for this call only; every row of the other side is merged with the
+    rows of its bucket.  With no shared attributes every row falls into
+    the one empty-key bucket, so the join is the Cartesian product, as
     usual for the natural join.
     """
-    # Delegate to the engine's indexed join: same semantics, but the build
-    # side's hash index is cached per relation, so repeated joins against the
-    # same (immutable) relation skip the build phase.  The import is deferred
-    # because repro.engine depends on this package.
-    from ..engine.semijoin import natural_join_indexed
-
-    return natural_join_indexed(left, right, name=name)
+    separator = _separator(left, right)
+    attributes = list(left.attributes) + [
+        attribute for attribute in right.attributes
+        if attribute not in left.schema.attribute_set]
+    schema = RelationSchema.of(name or f"({left.name} ⋈ {right.name})", attributes)
+    build, probe = (left, right) if len(left) <= len(right) else (right, left)
+    buckets: Dict[Tuple[Any, ...], List[Row]] = {}
+    for row in build.rows:
+        buckets.setdefault(_key(row, separator), []).append(row)
+    rows = [row.merge(partner) for row in probe.rows
+            for partner in buckets.get(_key(row, separator), ())]
+    return Relation.from_valid_rows(schema, rows)
 
 
 def join_all(relations: Sequence[Relation], *, name: Optional[str] = None) -> Relation:
@@ -96,24 +114,29 @@ def join_all(relations: Sequence[Relation], *, name: Optional[str] = None) -> Re
     return result
 
 
-def semijoin(left: Relation, right: Relation, *, name: Optional[str] = None) -> Relation:
-    """``left ⋉ right`` — the rows of ``left`` that join with at least one row of ``right``."""
-    from ..engine.semijoin import semijoin_indexed
+def _filter_by_partners(left: Relation, right: Relation, keep_matched: bool,
+                        name: Optional[str]) -> Relation:
+    """The rows of ``left`` whose separator values do (or do not) occur in ``right``."""
+    separator = _separator(left, right)
+    keys = {_key(row, separator) for row in right.rows}
+    schema = left.schema if name is None else left.schema.rename(name)
+    return Relation.from_valid_rows(
+        schema, [row for row in left.rows
+                 if (_key(row, separator) in keys) == keep_matched])
 
-    result = semijoin_indexed(left, right)
-    if name is not None:
-        result = Relation.from_valid_rows(left.schema.rename(name), result.rows)
-    return result
+
+def semijoin(left: Relation, right: Relation, *, name: Optional[str] = None) -> Relation:
+    """``left ⋉ right`` — the rows of ``left`` that join with at least one row of ``right``.
+
+    With no shared attributes every row has the empty key, so ``left`` is
+    kept whole iff ``right`` is non-empty.
+    """
+    return _filter_by_partners(left, right, True, name)
 
 
 def antijoin(left: Relation, right: Relation, *, name: Optional[str] = None) -> Relation:
     """``left ▷ right`` — the rows of ``left`` that join with *no* row of ``right``."""
-    from ..engine.semijoin import antijoin_indexed
-
-    result = antijoin_indexed(left, right)
-    if name is not None:
-        result = Relation.from_valid_rows(left.schema.rename(name), result.rows)
-    return result
+    return _filter_by_partners(left, right, False, name)
 
 
 def _require_same_scheme(left: Relation, right: Relation, operation: str) -> None:

@@ -214,8 +214,9 @@ METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
             Param("outputs", (list,), "projection attribute names, in order"),
             Param("name", (str,), "the answer relation's name"),
             Param("options", (dict,), "ExecutionOptions field overrides "
-                  "(adaptive, execution_mode, column_backend, "
-                  "deadline_seconds, …)"),
+                  "(adaptive, column_backend, deadline_seconds, …); any "
+                  "other field is an invalid-param error that lists the "
+                  "allowed ones"),
         )),
     MethodSpec(
         name="execute",

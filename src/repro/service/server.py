@@ -26,7 +26,7 @@ threads its own request occupies.  Each request runs under
 execution produces carries the client and request id.
 
 Result boundary: the service, not the client, chooses how answers leave the
-engine.  Every columnar query is prepared with the decode deferred
+engine.  Every query is prepared with the decode deferred
 (``decode="block"``), and ``execute`` / ``execute_many`` build the
 ``relation`` documents straight from the result block's id columns
 (:func:`_relation_payload`) inside the request's deadline scope — no ``Row``
@@ -50,7 +50,6 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..engine.columnar import resolve_execution_mode
 from ..engine.deadline import check_deadline, deadline_scope
 from ..engine.planner import fingerprint_digest
 from ..engine.session import EngineSession, ExecutionOptions
@@ -81,11 +80,11 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 #: The ``ExecutionOptions`` fields a client may set over the wire.  ``root``
 #: needs an in-process Edge object, and ``decode`` is the service's own
 #: choice, not the client's: it owns the result boundary, defers the decode
-#: of every columnar query (``"block"``) and serialises the answer straight
-#: from the id block — so neither is reachable remotely.
+#: of every query (``"block"``) and serialises the answer straight from the
+#: id block — so neither is reachable remotely.
 WIRE_OPTION_FIELDS = frozenset({
     "adaptive", "check_reduction", "cluster_row_bound", "sample_limit",
-    "force_cyclic", "execution_mode", "column_backend", "trace",
+    "force_cyclic", "column_backend", "trace",
     "deadline_seconds", "shards", "shard_executor",
 })
 
@@ -101,7 +100,6 @@ def _statistics_payload(statistics: object) -> Dict[str, Any]:
         "rows_removed_by_reduction": getattr(
             statistics, "rows_removed_by_reduction", None),
         "plan_cache_hit": getattr(statistics, "plan_cache_hit", None),
-        "execution_mode": getattr(statistics, "execution_mode", None),
     }
     phases = getattr(statistics, "phase_times", ()) or ()
     if phases:
@@ -112,14 +110,12 @@ def _statistics_payload(statistics: object) -> Dict[str, Any]:
 def _relation_payload(result: Any) -> Dict[str, Any]:
     """One result's answer as JSON: ordered columns, deterministically sorted rows.
 
-    One serialiser, two row sources.  A deferred-decode result (every
-    columnar query — see ``_method_prepare``) is read straight off its id
-    block: :meth:`ColumnBlock.wire_rows
+    One serialiser, two row sources.  A deferred-decode result (every query
+    — see ``_method_prepare``) is read straight off its id block: :meth:`ColumnBlock.wire_rows
     <repro.engine.columnar.block.ColumnBlock.wire_rows>` gathers, zips and
     sorts the selected rows once — no ``Row``, no ``frozenset`` — and
-    memoises them on the result storage.  A result that holds a relation (row
-    execution mode; sharded runs that merge as rows) is transposed in one
-    walk (:meth:`Relation.to_columns
+    memoises them on the result storage.  A result that holds a relation (a
+    sharded run that merged as rows) is transposed in one walk (:meth:`Relation.to_columns
     <repro.relational.relation.Relation.to_columns>`) and zipped the same
     way.  Neither source has an order, so the sort (by each row's ``repr``)
     is what makes two equal answers serialise byte-identically — the
@@ -271,13 +267,9 @@ class QueryService:
                 f"a subset of {sorted(WIRE_OPTION_FIELDS)}",
                 code="invalid-param")
         try:
-            # The service owns the result boundary: a columnar answer is
-            # serialised straight from its id block, so its decode is
-            # deferred; row mode has no block and keeps producing a relation.
-            mode = resolve_execution_mode(overrides.get(
-                "execution_mode", self.session.options.execution_mode))
-            options = self.session.options.merged(
-                **overrides, decode="block" if mode == "columnar" else "rows")
+            # The service owns the result boundary: an answer is serialised
+            # straight from its id block, so its decode is deferred.
+            options = self.session.options.merged(**overrides, decode="block")
         except (TypeError, ValueError) as error:
             raise ProtocolError(f"invalid options: {error}",
                                 code="invalid-param")

@@ -86,7 +86,7 @@ def _cluster_notes(records: Sequence[Mapping[str, object]],
     join inside the cluster before duplicate elimination (the number
     ``cluster_row_bound`` guards).  Empty for a cluster materialised over its
     whole scheme, and for runs whose ``materialise`` span carries no
-    ``kept`` / ``probe_rows`` (row mode).
+    ``kept`` / ``probe_rows``.
     """
     schemes = _span_attr(records, "materialise", "schemes") or ()
     kept = _span_attr(records, "materialise", "kept") or ()
@@ -113,7 +113,6 @@ class ExplainAnalysis:
 
     name: str
     kind: str
-    mode: str
     adaptive: bool
     phase_seconds: Tuple[Tuple[str, float], ...]
     vertices: Tuple[ExplainEntry, ...]
@@ -143,7 +142,7 @@ class ExplainAnalysis:
         """The multi-line EXPLAIN ANALYZE report."""
         adaptive = "adaptive" if self.adaptive else "static"
         lines = [f"EXPLAIN ANALYZE {self.name!r} "
-                 f"({self.kind} dispatch, {self.mode} mode, {adaptive})"]
+                 f"({self.kind} dispatch, {adaptive})"]
         if self.phase_seconds:
             rendered = " | ".join(f"{phase} {seconds * 1000.0:.3f}ms"
                                   for phase, seconds in self.phase_seconds)
@@ -232,9 +231,7 @@ def build_explain_analysis(*, name: str, kind: str, statistics: object,
         actual=None if output_actual is None else int(output_actual))
 
     return ExplainAnalysis(
-        name=name, kind=kind,
-        mode=str(getattr(statistics, "execution_mode", "-")),
-        adaptive=adaptive,
+        name=name, kind=kind, adaptive=adaptive,
         phase_seconds=tuple(getattr(statistics, "phase_times", ()) or ()),
         vertices=vertices, steps=steps, clusters=clusters, output=output,
         statistics=statistics, records=records,

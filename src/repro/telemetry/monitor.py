@@ -6,7 +6,7 @@ an :class:`~repro.engine.session.EngineSession` (``EngineSession(monitor=True)``
 receives every prepared-query execution and error and maintains:
 
 * a :class:`QueryLog` — a bounded ring buffer of :class:`QueryLogEntry`
-  records (fingerprint, query name, database id, execution mode, elapsed,
+  records (fingerprint, query name, database id, elapsed,
   phase times, cardinalities, cache hits, error if any).  Runs slower than
   the configured :attr:`MonitorConfig.slow_query_seconds` are flagged, and
   the monitor *arms* slow-query tracing for that query: its next execution
@@ -20,8 +20,8 @@ receives every prepared-query execution and error and maintains:
   q-error accounting of the estimated-vs-actual cardinalities every adaptive
   run already carries (the data feed for estimate-drift re-optimisation);
 * **cache/resource gauges** — :meth:`SessionMonitor.collect` polls the
-  planner LRU (``cache_info``), the hash-index cache, the column-block cache
-  and the per-database catalog sizes into gauges on the session's
+  planner LRU (``cache_info``), the column-block cache and the per-database
+  catalog sizes into gauges on the session's
   :class:`~repro.telemetry.metrics.MetricsRegistry`, so one ``/metrics``
   scrape sees the full warm-path cache state.
 
@@ -140,11 +140,6 @@ class QueryLogEntry:
         return self._statistics
 
     @property
-    def mode(self) -> str:
-        mode = getattr(self._statistics, "execution_mode", None)
-        return str(mode) if mode is not None else "-"
-
-    @property
     def phase_times(self) -> Tuple[Tuple[str, float], ...]:
         return tuple(getattr(self._statistics, "phase_times", ()) or ())
 
@@ -207,7 +202,6 @@ class QueryLogEntry:
             "fingerprint": self.fingerprint,
             "kind": self.kind,
             "database": self.database,
-            "mode": self.mode,
             "elapsed_seconds": self.elapsed_seconds,
             "phase_times": [[phase, seconds]
                             for phase, seconds in self.phase_times],
@@ -561,8 +555,8 @@ class SessionMonitor:
     def collect(self) -> Dict[str, float]:
         """Poll every cache into gauges on the session registry; return the values.
 
-        Covers the planner LRU (hits/misses/size/capacity), the hash-index
-        cache, the column-block cache, the interner's size and the key rows
+        Covers the planner LRU (hits/misses/size/capacity), the column-block
+        cache, the interner's size and the key rows
         that overflowed the packing radix, the process' cyclic-collector
         runs per generation (``gc.get_stats()``, read here at scrape time —
         nothing is hooked into the execute path), the query-log occupancy
@@ -571,7 +565,6 @@ class SessionMonitor:
         their own).
         """
         from ..engine.columnar.block import column_cache_info
-        from ..engine.indexes import index_cache_info
 
         values: Dict[str, float] = {}
         registry = self._registry
@@ -594,17 +587,14 @@ class SessionMonitor:
                   "Compiled plans resident in the planner LRU.", info.size)
             gauge("engine_planner_cache_capacity",
                   "The planner LRU's capacity.", info.capacity)
-        for prefix, info in (("engine_index_cache", index_cache_info()),
-                             ("engine_column_cache", column_cache_info())):
-            help_what = "hash-index" if "index" in prefix else "column-block"
-            gauge(f"{prefix}_hits", f"Cumulative {help_what} cache hits.",
-                  info["hits"])
-            gauge(f"{prefix}_misses", f"Cumulative {help_what} cache misses.",
-                  info["misses"])
-            gauge(f"{prefix}_relations",
-                  f"Relations resident in the {help_what} cache.",
-                  info["relations"])
         column_info = column_cache_info()
+        gauge("engine_column_cache_hits", "Cumulative column-block cache hits.",
+              column_info["hits"])
+        gauge("engine_column_cache_misses",
+              "Cumulative column-block cache misses.", column_info["misses"])
+        gauge("engine_column_cache_relations",
+              "Relations resident in the column-block cache.",
+              column_info["relations"])
         gauge("engine_keyset_cache_hits",
               "Columnar semijoins answered without building a membership structure.",
               column_info["keyset_hits"])

@@ -2,7 +2,7 @@
 
 The engine's layers (planner → reducer/fold → kernels → session) are
 instrumented with *spans* — named, nested wall-time intervals carrying a few
-attributes (cardinalities, execution mode, cache hits).  Instrumentation
+attributes (cardinalities, column backend, cache hits).  Instrumentation
 sites read the ambient tracer from a :mod:`contextvars` variable
 (:func:`current_tracer`), so tracing composes with threads and needs no
 plumbing through a dozen call signatures:

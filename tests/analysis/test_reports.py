@@ -70,16 +70,14 @@ class TestStatisticsTable:
         _, engine, _ = self._three_plans()
         assert "hit" in statistics_table([engine])
 
-    def test_execution_mode_and_index_cache_columns(self):
+    def test_index_cache_column(self):
         naive, _, _ = self._three_plans()
-        columnar = EngineStatistics(plan_name="engine-yannakakis", input_sizes=(10,),
-                                    intermediate_sizes=(6,), output_size=4,
-                                    execution_mode="columnar",
-                                    index_cache_hits=6, index_cache_misses=1)
-        text = statistics_table([naive, columnar])
+        engine = EngineStatistics(plan_name="engine-yannakakis", input_sizes=(10,),
+                                  intermediate_sizes=(6,), output_size=4,
+                                  index_cache_hits=6, index_cache_misses=1)
+        text = statistics_table([naive, engine])
         header = text.splitlines()[0]
-        assert "mode" in header and "index cache" in header
-        assert "columnar" in text
+        assert "mode" not in header and "index cache" in header
         assert "6h/1m" in text
         naive_row = [line for line in text.splitlines() if "naive" in line][0]
         assert "h/" not in naive_row  # plain plans render dashes
@@ -156,26 +154,23 @@ class TestBatchStatisticsTable:
                   if "(total)" in line][0]
         assert " 11 " in f" {totals} "
 
-    def test_batch_aggregates_mode_and_index_cache(self):
+    def test_batch_aggregates_index_cache(self):
         batch = self._batch()
-        assert batch.execution_mode == "row"  # both runs use the field default
         assert batch.index_cache_hits == 0
         from repro.engine.session import BatchStatistics
 
         mixed = BatchStatistics.from_runs((
             EngineStatistics(plan_name="e", input_sizes=(1,), output_size=1,
-                             execution_mode="columnar", index_cache_hits=3),
+                             index_cache_hits=3),
             EngineStatistics(plan_name="e", input_sizes=(1,), output_size=1,
-                             execution_mode="row", index_cache_misses=2),
+                             index_cache_misses=2),
         ))
-        assert mixed.execution_mode == "mixed"
         assert mixed.index_cache_hits == 3
         assert mixed.index_cache_misses == 2
         naive_only = BatchStatistics.from_runs((
             JoinStatistics(plan_name="naive", input_sizes=(1,), output_size=1),
         ))
-        assert naive_only.execution_mode == "-"  # no fabricated physical mode
-        assert naive_only.index_cache_hits is None  # ... nor fabricated traffic
+        assert naive_only.index_cache_hits is None  # no fabricated traffic
         assert "0h/0m" not in statistics_table([naive_only])
 
     def test_batches_mix_with_plain_statistics(self):
@@ -190,7 +185,6 @@ class TestQueryLogTable:
         from repro.telemetry import QueryLogEntry
 
         class Stats:
-            execution_mode = "columnar"
             output_size = 42
             plan_cache_hit = True
 

@@ -1,41 +1,41 @@
-"""Engine-package fixtures: every test runs under both physical execution modes.
+"""Engine-package fixtures: every test runs under each column backend, and sharded.
 
-The columnar layer is a pure physical-representation change — results and
-logical accounting must be byte-identical to the row reference
-implementation.  Parametrising the process-wide default over both modes
-makes the whole engine test package (sessions, evaluators, reducer, cyclic
-subsystem, planner) a differential suite: anything the columnar kernels get
-wrong fails the same test that passes in row mode.
+Every engine test runs once per leg:
 
-When numpy is installed the columnar leg additionally splits by compute
-backend — ``columnar`` (the ambient default, numpy here) and
-``columnar-array`` (the always-available pure-Python backend) — so both
-backends face the full differential suite, not just the property tests.
+* ``columnar`` — the ambient default backend (numpy when it is installed);
+* ``columnar-array`` — the always-available pure-Python backend, added when
+  numpy is installed so both backends face the whole engine suite, not just
+  the property tests;
+* ``columnar-sharded`` — the default backend with ``REPRO_SHARDS=2`` set, so
+  every session, evaluator and service test also runs through the shard
+  driver: sharding must stay invisible to the engine suite.
+
+Answers are checked against :mod:`repro.relational`, which shares no code
+with the engine.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.columnar import (
-    available_column_backends,
-    set_default_column_backend,
-    set_default_execution_mode,
-)
+from repro.engine.columnar import available_column_backends, set_default_column_backend
 
-_MODES = ["columnar", "row"]
+_LEGS = ["columnar"]
 if "numpy" in available_column_backends():
-    # The default columnar leg computes on numpy; add the pure-python leg.
-    _MODES.insert(1, "columnar-array")
+    # The default leg computes on numpy; add the pure-python leg.
+    _LEGS.append("columnar-array")
+_LEGS.append("columnar-sharded")
 
 
-@pytest.fixture(params=_MODES, autouse=True)
-def engine_execution_mode(request):
-    """Flip the process-default execution mode (and backend) for every engine test."""
-    mode, _, backend = request.param.partition("-")
-    previous = set_default_execution_mode(mode)
-    previous_backend = set_default_column_backend(backend) if backend else None
-    yield mode
-    if previous_backend is not None:
-        set_default_column_backend(previous_backend)
-    set_default_execution_mode(previous)
+@pytest.fixture(params=_LEGS, autouse=True)
+def engine_column_backend(request, monkeypatch):
+    """Pin the process-default column backend, or the shard count, for every engine test."""
+    _, _, leg = request.param.partition("-")
+    if leg == "sharded":
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        yield None
+        return
+    previous = set_default_column_backend(leg) if leg else None
+    yield leg or None
+    if previous is not None:
+        set_default_column_backend(previous)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.hypergraph import Hypergraph
 from repro.core.join_tree import build_join_tree
-from repro.engine import QueryPlanner, evaluate_database
+from repro.engine import QueryPlanner
+from repro.engine.yannakakis import evaluate_database
 from repro.engine.catalog import (
     CostAnnotation,
     JoinEstimate,
@@ -15,7 +16,8 @@ from repro.engine.catalog import (
     annotate_tree,
 )
 from repro.engine.planner import AnnotatedPlan
-from repro.engine.reducer import ReductionTrace, verify_full_reduction
+from repro.engine.columnar import block_for
+from repro.engine.reducer import ReductionTrace, verify_full_reduction_blocks
 from repro.generators import (
     generate_database,
     skewed_chain_database,
@@ -258,11 +260,11 @@ class TestPlannerIntegration:
                                      database.statistics_catalog(),
                                      output_attributes=skewed_chain_endpoints(3))
         assert len(annotated.reducer) == len(annotated.structure.reducer)
-        vertex_map = {relation.schema.attribute_set: relation
+        vertex_map = {relation.schema.attribute_set: block_for(relation)
                       for relation in database.relations()}
         trace = ReductionTrace()
-        reduced = annotated.reducer.run(vertex_map, trace=trace)
-        assert verify_full_reduction(reduced, annotated.reducer.rooted)
+        reduced = annotated.reducer.run_blocks(vertex_map, trace=trace)
+        assert verify_full_reduction_blocks(reduced, annotated.reducer.rooted)
 
     def test_explicit_root_pins_the_annotation(self):
         planner = QueryPlanner()

@@ -1,4 +1,4 @@
-"""Unit tests for the columnar physical layer: blocks, kernels, mode switch."""
+"""Unit tests for the columnar physical layer: blocks, kernels, the pipeline."""
 
 from __future__ import annotations
 
@@ -9,13 +9,7 @@ import weakref
 
 import pytest
 
-from repro.engine import (
-    EngineSession,
-    ExecutionOptions,
-    HashIndex,
-    clear_index_cache,
-    index_for,
-)
+from repro.engine import EngineSession
 from repro.engine.columnar import (
     ColumnBlock,
     antijoin_blocks,
@@ -23,19 +17,16 @@ from repro.engine.columnar import (
     clear_column_caches,
     column_cache_info,
     current_interner,
-    default_execution_mode,
     intersect_blocks,
     merge_blocks_by_scheme,
     natural_join_blocks,
     peek_block,
-    resolve_execution_mode,
     semijoin_blocks,
-    set_default_execution_mode,
 )
 from repro.engine.columnar import block as block_module
 from repro.engine.reducer import FullReducer, verify_full_reduction_blocks
 from repro.exceptions import SchemaError, UnknownAttributeError
-from repro.relational import Relation, RelationSchema
+from repro.relational import Relation, RelationSchema, natural_join, project, semijoin
 
 
 @pytest.fixture
@@ -256,6 +247,16 @@ class TestKernels:
         assert semijoin_blocks(left, other) is left
         assert len(semijoin_blocks(left, other.empty())) == 0
 
+    def test_explicit_separator_override(self, r_ab, s_bc):
+        kept = semijoin_blocks(block_for(r_ab), block_for(s_bc), on=("B",))
+        assert {row["A"] for row in kept.to_relation().rows} == {1, 3}
+
+    def test_separator_override_must_be_in_both_schemes(self, r_ab, s_bc):
+        with pytest.raises(UnknownAttributeError):
+            semijoin_blocks(block_for(r_ab), block_for(s_bc), on=("C",))
+        with pytest.raises(UnknownAttributeError):
+            antijoin_blocks(block_for(r_ab), block_for(s_bc), on=("A",))
+
     def test_antijoin_is_the_complement(self, r_ab, s_bc):
         left, right = block_for(r_ab), block_for(s_bc)
         anti = antijoin_blocks(left, right)
@@ -263,23 +264,18 @@ class TestKernels:
         assert len(anti) + len(semi) == len(left)
         assert {row["A"] for row in anti.to_relation().rows} == {2}
 
-    def test_natural_join_matches_row_operator(self, r_ab, s_bc):
-        from repro.engine import natural_join_indexed
-
+    def test_natural_join_matches_the_relational_join(self, r_ab, s_bc):
         block = natural_join_blocks(block_for(r_ab), block_for(s_bc))
-        row_result = natural_join_indexed(r_ab, s_bc)
-        assert block.to_relation(row_result.name) == row_result
-        assert block.attributes == row_result.schema.attributes
+        expected = natural_join(r_ab, s_bc)
+        assert block.to_relation(expected.name) == expected
+        assert block.attributes == expected.schema.attributes
 
     def test_natural_join_fused_projection_deduplicates(self, r_ab, s_bc):
-        from repro.engine import natural_join_indexed
-
-        keep = frozenset({"A", "C"})
         block = natural_join_blocks(block_for(r_ab), block_for(s_bc),
-                                    project_onto=keep)
-        row_result = natural_join_indexed(r_ab, s_bc, project_onto=keep)
-        assert frozenset(block.to_relation().rows) == frozenset(row_result.rows)
-        assert block.attributes == row_result.schema.attributes
+                                    project_onto=frozenset({"A", "C"}))
+        expected = project(natural_join(r_ab, s_bc), ("A", "C"))
+        assert frozenset(block.to_relation().rows) == frozenset(expected.rows)
+        assert block.attributes == ("A", "C")
 
     def test_cartesian_product_without_separator(self, r_ab):
         other = block_for(Relation.from_tuples(RelationSchema.of("T", ("Z",)),
@@ -311,95 +307,37 @@ class TestKernels:
 
 
 class TestReducerOnBlocks:
-    def test_run_blocks_matches_run(self, r_ab, s_bc):
+    def test_run_blocks_matches_relational_semijoins(self, r_ab, s_bc):
         from repro.core.join_tree import build_join_tree
         from repro.core.hypergraph import Hypergraph
         from repro.engine.reducer import ReductionTrace
 
         hypergraph = Hypergraph([frozenset({"A", "B"}), frozenset({"B", "C"})])
         reducer = FullReducer.from_join_tree(build_join_tree(hypergraph))
-        relations = {frozenset({"A", "B"}): r_ab, frozenset({"B", "C"}): s_bc}
-        blocks = {edge: block_for(relation) for edge, relation in relations.items()}
-        row_trace, block_trace = ReductionTrace(), ReductionTrace()
-        reduced_rows = reducer.run(relations, trace=row_trace)
-        reduced_blocks = reducer.run_blocks(blocks, trace=block_trace)
-        for edge, relation in reduced_rows.items():
-            assert frozenset(reduced_blocks[edge].to_relation().rows) \
+        blocks = {frozenset({"A", "B"}): block_for(r_ab),
+                  frozenset({"B", "C"}): block_for(s_bc)}
+        trace = ReductionTrace()
+        reduced = reducer.run_blocks(blocks, trace=trace)
+        # On a two-vertex tree full reduction is one semijoin each way.
+        reduced_ab = semijoin(r_ab, s_bc)
+        expected = {frozenset({"A", "B"}): reduced_ab,
+                    frozenset({"B", "C"}): semijoin(s_bc, reduced_ab)}
+        for edge, relation in expected.items():
+            assert frozenset(reduced[edge].to_relation().rows) \
                 == frozenset(relation.rows)
-        assert row_trace.sizes_after == block_trace.sizes_after
-        assert row_trace.rows_removed == block_trace.rows_removed
-        assert verify_full_reduction_blocks(reduced_blocks, reducer.rooted)
+        assert trace.rows_removed == len(r_ab) + len(s_bc) \
+            - sum(len(relation) for relation in expected.values())
+        assert verify_full_reduction_blocks(reduced, reducer.rooted)
 
 
-class TestColumnarHashIndexBuild:
-    def test_build_columnar_equals_row_build(self, r_ab):
-        columnar = HashIndex.build_columnar(r_ab, ("B",))
-        classic = HashIndex.build(r_ab, ("B",))
-        assert columnar.keys() == classic.keys()
-        for key in classic.keys():
-            assert frozenset(columnar.lookup(key)) == frozenset(classic.lookup(key))
-        assert columnar.row_count == classic.row_count
-
-    def test_index_for_stays_independent_of_the_columnar_encoding(self, r_ab):
-        """The row reference engine must not probe structures derived from
-        the encoding it is differentially tested against — index_for always
-        row-builds, even when a columnar block is already cached."""
-        clear_index_cache()
-        clear_column_caches()
-        block_for(r_ab)  # pre-encoded, as after a columnar run
-        index = index_for(r_ab, ("B",))
-        assert isinstance(index, HashIndex)
-        assert frozenset(index.lookup(("x",))) == frozenset(
-            HashIndex.build(r_ab, ("B",)).lookup(("x",)))
-        # The buckets hold the relation's own Row objects via the row build
-        # path; the columnar build is opt-in only.
-        assert all(row in r_ab.rows for row in index.lookup(("x",)))
-
-
-class TestExecutionModeSwitch:
-    def test_default_mode_is_columnar(self):
-        # The engine conftest parametrises the default; resolve() must follow it.
-        assert default_execution_mode() in ("columnar", "row")
-        assert resolve_execution_mode(None) == default_execution_mode()
-
-    def test_set_and_restore(self):
-        previous = set_default_execution_mode("row")
-        try:
-            assert default_execution_mode() == "row"
-            assert resolve_execution_mode(None) == "row"
-            assert resolve_execution_mode("columnar") == "columnar"
-        finally:
-            set_default_execution_mode(previous)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_execution_mode("simd")
-        with pytest.raises(ValueError):
-            resolve_execution_mode("simd")
-        with pytest.raises(ValueError):
-            ExecutionOptions(execution_mode="simd")
-
-    def test_session_option_overrides_process_default(self, university_database):
-        row = EngineSession(execution_mode="row")
-        columnar = EngineSession(execution_mode="columnar")
-        row_result = row.prepare(university_database).execute(university_database)
-        col_result = columnar.prepare(university_database).execute(university_database)
-        assert row_result.statistics.execution_mode == "row"
-        assert col_result.statistics.execution_mode == "columnar"
-        assert frozenset(row_result.relation.rows) == frozenset(col_result.relation.rows)
-        assert row_result.relation.attributes == col_result.relation.attributes
-        assert row_result.statistics.intermediate_sizes \
-            == col_result.statistics.intermediate_sizes
-
-    def test_boolean_query_agrees_across_modes(self, university_database):
+class TestEvaluation:
+    def test_boolean_query_is_one_row_iff_the_join_is_non_empty(self, university_database):
         """An empty projection is a boolean query: 1 row iff the join is non-empty."""
-        row = EngineSession(execution_mode="row") \
-            .prepare(university_database, ()).execute(university_database)
-        columnar = EngineSession(execution_mode="columnar") \
-            .prepare(university_database, ()).execute(university_database)
-        assert len(row.relation) == len(columnar.relation) == 1
+        result = EngineSession().prepare(university_database, ()) \
+            .execute(university_database)
+        assert len(result.relation) == 1
 
-    def test_projection_excluding_a_component_agrees_across_modes(self):
+    def test_projection_excluding_a_component_still_gates_the_answer(self):
         """A disconnected component projected away still gates the answer."""
         relations = [
             Relation.from_tuples(RelationSchema.of("R", ("A", "B")), [(1, "x")]),
@@ -408,22 +346,18 @@ class TestExecutionModeSwitch:
         ]
         from repro.engine.yannakakis import evaluate
 
-        row = evaluate(relations, ("A",), execution_mode="row")
-        columnar = evaluate(relations, ("A",), execution_mode="columnar")
-        assert frozenset(columnar.relation.rows) == frozenset(row.relation.rows)
-        assert len(columnar.relation) == 1
-        # ... and an emptied component kills the answer in both modes.
+        assert len(evaluate(relations, ("A",)).relation) == 1
+        # ... and an emptied component kills the answer.
         emptied = relations[:2] + [relations[2].with_rows([])]
-        assert len(evaluate(emptied, ("A",), execution_mode="columnar").relation) \
-            == len(evaluate(emptied, ("A",), execution_mode="row").relation) == 0
+        assert len(evaluate(emptied, ("A",)).relation) == 0
 
-    def test_statistics_report_the_mode_and_cache_traffic(self, university_database):
-        session = EngineSession(execution_mode="columnar")
+    def test_statistics_report_the_backend_and_cache_traffic(self, university_database):
+        session = EngineSession()
         prepared = session.prepare(university_database)
         prepared.execute(university_database)
         warm = prepared.execute(university_database)
-        assert warm.statistics.execution_mode == "columnar"
         # Warm runs re-encode nothing: every block comes from the cache.
         assert warm.statistics.index_cache_misses == 0
         assert warm.statistics.index_cache_hits > 0
-        assert "mode=columnar" in warm.statistics.describe()
+        assert f"backend={warm.statistics.column_backend}" \
+            in warm.statistics.describe()

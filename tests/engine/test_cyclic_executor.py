@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import (
-    EngineSession,
-    QueryPlanner,
-    evaluate_cyclic,
-    evaluate_cyclic_database,
-)
+from repro.engine import EngineSession, QueryPlanner
+from repro.engine.cyclic import evaluate_cyclic, evaluate_cyclic_database
 from repro.engine.cyclic import executor as cyclic_executor
 from repro.exceptions import ClusterBoundExceededError, SchemaError
 from repro.generators import (
@@ -168,10 +164,7 @@ class TestClusterExports:
 
     TRIANGLE = ("C0", "T1", "T2")
 
-    def test_projected_cluster_keeps_its_articulation_set(self, benchmark_shaped_db,
-                                                          engine_execution_mode):
-        if engine_execution_mode != "columnar":
-            pytest.skip("the row reference materialises whole cluster schemes")
+    def test_projected_cluster_keeps_its_articulation_set(self, benchmark_shaped_db):
         # Asking for the triangle's own attributes keeps its whole scheme.
         whole = evaluate_cyclic_database(benchmark_shaped_db, self.TRIANGLE,
                                          adaptive=True)
@@ -204,10 +197,7 @@ class TestClusterExports:
 
 class TestWarmMemo:
     def test_alternating_output_sets_both_stay_warm(self, benchmark_shaped_db,
-                                                    engine_execution_mode,
                                                     monkeypatch):
-        if engine_execution_mode != "columnar":
-            pytest.skip("the warm-prepare memo serves the columnar path")
         annotations = []
         real_annotate = cyclic_executor.annotate_plan
 

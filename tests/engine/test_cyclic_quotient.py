@@ -7,7 +7,7 @@ import pytest
 from repro.core.acyclicity import is_acyclic
 from repro.core.hypergraph import Hypergraph
 from repro.engine.cyclic.covers import ClusterCover, choose_cover
-from repro.engine.cyclic.quotient import AcyclicQuotient, materialise_clusters
+from repro.engine.cyclic.quotient import AcyclicQuotient, materialise_cluster_blocks
 from repro.exceptions import ClusterBoundExceededError, CyclicHypergraphError, SchemaError
 from repro.generators import generate_database, k_cycle_hypergraph, triangle_core_chain
 from repro.relational import DatabaseSchema, Relation, RelationSchema, join_all
@@ -57,21 +57,22 @@ class TestAcyclicQuotient:
 class TestMaterialiseClusters:
     def test_cluster_relation_equals_member_join(self, triangle, triangle_db):
         cover = choose_cover(triangle)
-        materialised = materialise_clusters(cover, triangle_db.relations())
-        for cluster, relation in zip(cover.clusters, materialised.relations):
+        materialised = materialise_cluster_blocks(cover, triangle_db.relations())
+        for cluster, block in zip(cover.clusters, materialised.blocks):
             members = []
             for edge in cluster.sorted_edges():
                 members.extend(triangle_db.relations_for_edge(edge))
             expected = join_all(members)
+            relation = block.to_relation(block.name)
             assert relation.schema.attribute_set == cluster.attributes
             assert frozenset(relation.rows) == frozenset(expected.rows)
 
     def test_sizes_recorded(self, triangle, triangle_db):
         cover = choose_cover(triangle)
-        materialised = materialise_clusters(cover, triangle_db.relations())
+        materialised = materialise_cluster_blocks(cover, triangle_db.relations())
         assert len(materialised.cluster_sizes) == len(cover.clusters)
-        assert all(size == len(relation) for size, relation in
-                   zip(materialised.cluster_sizes, materialised.relations))
+        assert all(size == len(block) for size, block in
+                   zip(materialised.cluster_sizes, materialised.blocks))
         # Every non-singleton cluster contributes fan_out - 1 join steps.
         expected_steps = sum(cluster.fan_out - 1 for cluster in cover.clusters)
         assert len(materialised.intermediate_sizes) == expected_steps
@@ -81,21 +82,21 @@ class TestMaterialiseClusters:
         first = Relation.from_tuples(schema, [("a", "b"), ("c", "d")])
         second = Relation.from_tuples(schema.rename("S"), [("a", "b")])
         cover = ClusterCover.of([[frozenset({"R0", "R1"})]])
-        materialised = materialise_clusters(cover, [first, second])
+        materialised = materialise_cluster_blocks(cover, [first, second])
         assert materialised.cluster_sizes == (1,)
 
     def test_missing_relation_rejected(self, triangle, triangle_db):
         cover = choose_cover(triangle)
         with pytest.raises(SchemaError):
-            materialise_clusters(cover, triangle_db.relations()[:1])
+            materialise_cluster_blocks(cover, triangle_db.relations()[:1])
 
     def test_row_bound_enforced(self, triangle, triangle_db):
         cover = choose_cover(triangle)
         with pytest.raises(ClusterBoundExceededError):
-            materialise_clusters(cover, triangle_db.relations(), row_bound=1)
+            materialise_cluster_blocks(cover, triangle_db.relations(), row_bound=1)
 
     def test_generous_bound_passes(self, triangle, triangle_db):
         cover = choose_cover(triangle)
-        materialised = materialise_clusters(cover, triangle_db.relations(),
-                                            row_bound=10 ** 6)
-        assert materialised.relations
+        materialised = materialise_cluster_blocks(cover, triangle_db.relations(),
+                                                  row_bound=10 ** 6)
+        assert materialised.blocks

@@ -100,10 +100,8 @@ def test_generous_deadline_does_not_disturb_execution(chain_database):
     assert frozenset(timed.relation.rows) == frozenset(baseline.relation.rows)
 
 
-@pytest.mark.parametrize("execution_mode", ["row", "columnar"])
-def test_tiny_deadline_times_out_acyclic(chain_database, execution_mode):
-    session = EngineSession(deadline_seconds=1e-9,
-                            execution_mode=execution_mode)
+def test_tiny_deadline_times_out_acyclic(chain_database):
+    session = EngineSession(deadline_seconds=1e-9)
     with pytest.raises(ExecutionTimeoutError) as caught:
         session.execute(chain_database, chain_database)
     # The breach is observed at a phase boundary, so the phase is named
@@ -112,10 +110,8 @@ def test_tiny_deadline_times_out_acyclic(chain_database, execution_mode):
                                   "shard-dispatch", "merge")
 
 
-@pytest.mark.parametrize("execution_mode", ["row", "columnar"])
-def test_tiny_deadline_times_out_cyclic(cycle_database, execution_mode):
-    session = EngineSession(deadline_seconds=1e-9,
-                            execution_mode=execution_mode)
+def test_tiny_deadline_times_out_cyclic(cycle_database):
+    session = EngineSession(deadline_seconds=1e-9)
     with pytest.raises(ExecutionTimeoutError) as caught:
         session.execute(cycle_database, cycle_database)
     assert caught.value.phase in ("materialise", "encode", "reduce",

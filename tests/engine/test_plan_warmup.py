@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.core.hypergraph import Hypergraph
-from repro.engine import QueryPlanner, evaluate_cyclic_database, evaluate_database
+from repro.engine import QueryPlanner
+from repro.engine.cyclic import evaluate_cyclic_database
+from repro.engine.yannakakis import evaluate_database
 from repro.generators import (
     generate_database,
     k_cycle_hypergraph,

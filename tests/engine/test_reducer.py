@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.join_tree import build_join_tree
+from repro.engine.columnar import block_for
 from repro.engine.reducer import (
     FullReducer,
     ReductionError,
     ReductionTrace,
-    verify_full_reduction,
+    verify_full_reduction_blocks,
 )
 from repro.generators import generate_database, university_schema
 
@@ -28,7 +29,8 @@ def reducer(dirty_db):
 
 
 def vertex_map(database):
-    return {relation.schema.attribute_set: relation for relation in database.relations()}
+    return {relation.schema.attribute_set: block_for(relation)
+            for relation in database.relations()}
 
 
 class TestCompilation:
@@ -51,15 +53,16 @@ class TestCompilation:
 class TestRun:
     def test_removes_all_dangling_tuples(self, dirty_db, reducer):
         assert dirty_db.dangling_tuple_count() > 0
-        reduced = reducer.run(vertex_map(dirty_db))
+        reduced = reducer.run_blocks(vertex_map(dirty_db))
         rebuilt = dirty_db
         for relation in dirty_db.relations():
-            rebuilt = rebuilt.with_relation(reduced[relation.schema.attribute_set])
+            rebuilt = rebuilt.with_relation(
+                reduced[relation.schema.attribute_set].to_relation(relation.name))
         assert rebuilt.dangling_tuple_count() == 0
 
     def test_trace_accounts_for_removed_rows(self, dirty_db, reducer):
         trace = ReductionTrace()
-        reduced = reducer.run(vertex_map(dirty_db), trace=trace)
+        reduced = reducer.run_blocks(vertex_map(dirty_db), trace=trace)
         assert trace.steps_run == len(reducer)
         assert trace.rows_removed == sum(trace.sizes_before) - sum(trace.sizes_after)
         assert trace.rows_removed > 0
@@ -71,22 +74,22 @@ class TestRun:
         tree = build_join_tree(db.hypergraph)
         reducer = FullReducer.from_join_tree(tree)
         trace = ReductionTrace()
-        reduced = reducer.run(vertex_map(db), trace=trace)
+        reduced = reducer.run_blocks(vertex_map(db), trace=trace)
         assert trace.rows_removed == 0
         for relation in db.relations():
-            # The engine returns the input relation itself when nothing shrinks.
-            assert reduced[relation.schema.attribute_set] is relation
+            # The engine returns the input block itself when nothing shrinks.
+            assert reduced[relation.schema.attribute_set] is block_for(relation)
 
     def test_default_check_hook_passes_after_reduction(self, dirty_db, reducer):
-        reduced = reducer.run(vertex_map(dirty_db))
-        assert verify_full_reduction(reduced, reducer.rooted)
+        reduced = reducer.run_blocks(vertex_map(dirty_db))
+        assert verify_full_reduction_blocks(reduced, reducer.rooted)
 
     def test_unreduced_input_fails_the_check(self, dirty_db, reducer):
-        assert not verify_full_reduction(vertex_map(dirty_db), reducer.rooted)
+        assert not verify_full_reduction_blocks(vertex_map(dirty_db), reducer.rooted)
 
     def test_rejecting_hook_raises(self, dirty_db, reducer):
         with pytest.raises(ReductionError):
-            reducer.run(vertex_map(dirty_db), check_hook=lambda relations, rooted: False)
+            reducer.run_blocks(vertex_map(dirty_db), check_hook=lambda relations, rooted: False)
 
     def test_custom_hook_receives_reduced_map(self, dirty_db, reducer):
         seen = {}
@@ -95,7 +98,7 @@ class TestRun:
             seen["vertices"] = set(relations)
             return True
 
-        reducer.run(vertex_map(dirty_db), check_hook=hook)
+        reducer.run_blocks(vertex_map(dirty_db), check_hook=hook)
         assert seen["vertices"] == set(reducer.rooted.tree.vertices)
 
 
@@ -103,10 +106,10 @@ class TestShortCircuit:
     def test_empty_vertex_empties_its_component_and_skips_steps(self, dirty_db, reducer):
         emptied = dirty_db.with_relation(dirty_db["ENROL"].with_rows([]))
         trace = ReductionTrace()
-        reduced = reducer.run(vertex_map(emptied), trace=trace)
+        reduced = reducer.run_blocks(vertex_map(emptied), trace=trace)
         # The university schema is connected: emptiness wipes every vertex
         # without running a single semijoin step.
-        assert all(len(relation) == 0 for relation in reduced.values())
+        assert all(len(block) == 0 for block in reduced.values())
         assert trace.steps_run == 0
         assert trace.rows_removed == sum(trace.sizes_before)
 
@@ -140,8 +143,8 @@ class TestCostOrder:
         estimates = {vertex: -index  # adversarial: reverse the canonical order
                      for index, vertex in enumerate(reducer.rooted.tree.vertices)}
         reordered = reducer.with_cost_order(estimates)
-        reduced = reordered.run(vertex_map(dirty_db))
-        assert verify_full_reduction(reduced, reordered.rooted)
+        reduced = reordered.run_blocks(vertex_map(dirty_db))
+        assert verify_full_reduction_blocks(reduced, reordered.rooted)
 
     def test_missing_estimates_fall_back_to_canonical_order(self, reducer):
         reordered = reducer.with_cost_order({})

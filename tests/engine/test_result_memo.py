@@ -41,9 +41,6 @@ from repro.generators import (
 )
 from repro.relational import DatabaseSchema, naive_join, yannakakis_join
 
-PINNED = {"execution_mode": "columnar"}
-
-
 @pytest.fixture
 def unsharded(monkeypatch):
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
@@ -85,7 +82,7 @@ CASES = pytest.mark.parametrize("case", [acyclic_case, cyclic_case],
 @CASES
 def test_a_warm_execute_returns_the_same_relation(case, unsharded):
     database, outputs = case()
-    prepared = EngineSession(**PINNED).prepare(database, outputs)
+    prepared = EngineSession().prepare(database, outputs)
     first = prepared.execute(database)
     hits, misses = relation_counts()
     second = prepared.execute(database)
@@ -97,7 +94,7 @@ def test_a_warm_execute_returns_the_same_relation(case, unsharded):
 @CASES
 def test_a_deferred_answer_decodes_to_one_relation(case, unsharded):
     database, outputs = case()
-    result = EngineSession(decode="block", **PINNED).prepare(
+    result = EngineSession(decode="block").prepare(
         database, outputs).execute(database)
     assert result.relation is None
     assert result.decoded() is result.decoded()
@@ -107,7 +104,7 @@ def test_a_deferred_answer_decodes_to_one_relation(case, unsharded):
 @CASES
 def test_another_name_column_order_or_selection_is_its_own_relation(case, unsharded):
     database, outputs = case()
-    result = EngineSession(**PINNED).prepare(database, outputs).execute(database)
+    result = EngineSession().prepare(database, outputs).execute(database)
     block, answer = result.block, result.relation
     expected = oracle(database, outputs)
 
@@ -131,7 +128,7 @@ def test_another_name_column_order_or_selection_is_its_own_relation(case, unshar
 @CASES
 def test_a_fresh_database_misses(case, unsharded):
     database, outputs = case()
-    prepared = EngineSession(**PINNED).prepare(database, outputs)
+    prepared = EngineSession().prepare(database, outputs)
     answer = prepared.execute(database).relation
     fresh, _ = case()
     hits, misses = relation_counts()
@@ -143,7 +140,7 @@ def test_a_fresh_database_misses(case, unsharded):
 @CASES
 def test_the_answer_survives_clear_column_caches(case, unsharded):
     database, outputs = case()
-    prepared = EngineSession(**PINNED).prepare(database, outputs)
+    prepared = EngineSession().prepare(database, outputs)
     answer = prepared.execute(database).relation
     clear_column_caches()
     try:
@@ -158,7 +155,7 @@ def test_the_answer_survives_clear_column_caches(case, unsharded):
 @CASES
 def test_the_answer_survives_a_flooded_derived_cache(case, unsharded):
     database, outputs = case()
-    prepared = EngineSession(**PINNED).prepare(database, outputs)
+    prepared = EngineSession().prepare(database, outputs)
     result = prepared.execute(database)
     for index in range(_DERIVED_CACHE_CAP):
         result.block.derived_put(("flood", index), index)
@@ -174,7 +171,7 @@ def test_the_answer_survives_a_flooded_derived_cache(case, unsharded):
 @CASES
 def test_eight_threads_on_one_prepared_query_agree(case):
     database, outputs = case()
-    prepared = EngineSession(**PINNED).prepare(database, outputs)
+    prepared = EngineSession().prepare(database, outputs)
     expected = oracle(database, outputs)
     barrier = threading.Barrier(8)
     answers, errors = [None] * 8, []
@@ -205,7 +202,7 @@ def test_eight_threads_on_one_prepared_query_agree(case):
 @CASES
 def test_a_pickled_block_round_trips_and_decodes_equal(case):
     database, outputs = case()
-    result = EngineSession(**PINNED).prepare(database, outputs).execute(database)
+    result = EngineSession().prepare(database, outputs).execute(database)
     clone = pickle.loads(pickle.dumps(result.block))
     assert len(clone) == len(result.block)
     # The memo is a derived entry: it does not travel with the block.
@@ -237,7 +234,7 @@ def queries(draw, databases):
                                skewed_cyclic_databases())))
 def test_the_memoised_decode_equals_a_fresh_decode_and_the_oracle(query):
     database, outputs = query
-    prepared = EngineSession(**PINNED).prepare(database, outputs)
+    prepared = EngineSession().prepare(database, outputs)
     first = prepared.execute(database)
     memoised = prepared.execute(database).relation
     assert_answer(memoised, oracle(database, outputs), prepared.name)

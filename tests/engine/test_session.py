@@ -22,9 +22,7 @@ from repro.generators import (
     triangle_core_chain,
 )
 from repro.queries import ConjunctiveQuery
-from repro.relational import DatabaseSchema
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.relational import DatabaseSchema, naive_join, yannakakis_join
 
 
 @pytest.fixture()
@@ -55,33 +53,25 @@ class TestDispatchAndEquivalence:
         prepared = EngineSession().prepare(acyclic_db, force_cyclic=True)
         assert prepared.kind == "cyclic"
 
-    def test_prepared_matches_legacy_acyclic(self, acyclic_db):
-        from repro.engine import evaluate_database
-
+    def test_prepared_matches_the_reference_acyclic(self, acyclic_db):
         session = EngineSession()
         prepared = session.prepare(acyclic_db, ("C0", "C5"))
         result = prepared.execute(acyclic_db)
-        legacy = evaluate_database(acyclic_db, ("C0", "C5"), adaptive=True,
-                                   planner=QueryPlanner())
-        assert frozenset(result.relation.rows) == frozenset(legacy.relation.rows)
+        reference = yannakakis_join(acyclic_db, ("C0", "C5")).relation
+        assert frozenset(result.relation.rows) == frozenset(reference.rows)
 
-    def test_prepared_matches_legacy_cyclic(self, cyclic_db):
-        from repro.engine import evaluate_cyclic_database
-
+    def test_prepared_matches_the_reference_cyclic(self, cyclic_db):
         session = EngineSession()
         result = session.prepare(cyclic_db).execute(cyclic_db)
-        legacy = evaluate_cyclic_database(cyclic_db, adaptive=True,
-                                          planner=QueryPlanner())
-        assert frozenset(result.relation.rows) == frozenset(legacy.relation.rows)
+        reference, _ = naive_join(cyclic_db)
+        assert frozenset(result.relation.rows) == frozenset(reference.rows)
 
-    def test_static_options_match_static_legacy(self, acyclic_db):
-        from repro.engine import evaluate_database
-
+    def test_static_options_match_the_reference(self, acyclic_db):
         session = EngineSession(adaptive=False)
         result = session.prepare(acyclic_db).execute(acyclic_db)
         assert not result.statistics.adaptive
-        legacy = evaluate_database(acyclic_db, planner=QueryPlanner())
-        assert frozenset(result.relation.rows) == frozenset(legacy.relation.rows)
+        reference = yannakakis_join(acyclic_db).relation
+        assert frozenset(result.relation.rows) == frozenset(reference.rows)
 
     def test_conjunctive_query_source(self, acyclic_db):
         query = ConjunctiveQuery.from_strings(
@@ -275,7 +265,7 @@ class TestPersistence:
         assert info.size == 0 and info.hits == 0 and info.misses == 0
 
 
-class TestErrorsAndShims:
+class TestErrors:
     def test_execute_with_wrong_schema_raises(self, acyclic_db, cyclic_db):
         from repro.exceptions import SchemaError
 
@@ -297,24 +287,6 @@ class TestErrorsAndShims:
 
     def test_default_session_wraps_the_default_planner(self):
         assert default_session().planner is DEFAULT_PLANNER
-
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
-    def test_legacy_entry_points_warn(self, acyclic_db, cyclic_db):
-        from repro.engine import (
-            evaluate,
-            evaluate_cyclic,
-            evaluate_cyclic_database,
-            evaluate_database,
-        )
-
-        with pytest.warns(DeprecationWarning):
-            evaluate(acyclic_db.relations())
-        with pytest.warns(DeprecationWarning):
-            evaluate_database(acyclic_db)
-        with pytest.warns(DeprecationWarning):
-            evaluate_cyclic(cyclic_db.relations())
-        with pytest.warns(DeprecationWarning):
-            evaluate_cyclic_database(cyclic_db)
 
 
 class TestThreadSafety:

@@ -250,7 +250,7 @@ class TestExecution:
             self, chain_database, cycle_database, shards, executor, outputs):
         # The service defers decode; sharded results reach it as a merged
         # block (thread executor) or a merged relation (process executor,
-        # row mode, 0-ary output) and must serialise to the same text.
+        # 0-ary output) and must serialise to the same text.
         import json
 
         from repro.service import QueryService
@@ -290,7 +290,7 @@ class TestExecution:
         # decode="block" hands that back instead of encoding it again.
         from repro.engine.columnar import ColumnBlock
 
-        session = EngineSession(execution_mode="columnar", decode="block",
+        session = EngineSession(decode="block",
                                 shards=2, shard_executor="process")
         prepared = session.prepare(chain_database)
         prepared.execute(chain_database)      # warm: the inputs are encoded

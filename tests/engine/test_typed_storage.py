@@ -10,7 +10,6 @@ from array import array
 
 import pytest
 
-from repro.analysis import statistics_table
 from repro.engine import EngineSession, ExecutionOptions
 from repro.engine.columnar import (
     ColumnBlock,
@@ -123,7 +122,7 @@ class TestIdentityFastPaths:
 class TestKeysetCacheCounters:
     def test_warm_runs_hit_the_keyset_cache(self, acyclic_db):
         clear_column_caches()
-        session = EngineSession(execution_mode="columnar")
+        session = EngineSession()
         prepared = session.prepare(acyclic_db, ("C0", "C5"))
         prepared.execute(acyclic_db)
         cold = column_cache_info()
@@ -134,7 +133,7 @@ class TestKeysetCacheCounters:
         assert warm["keyset_misses"] == cold["keyset_misses"]
 
     def test_monitor_exports_keyset_gauges(self, acyclic_db):
-        session = EngineSession(execution_mode="columnar", monitor=True)
+        session = EngineSession(monitor=True)
         session.prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
         gauges = session.monitor.collect()
         info = column_cache_info()
@@ -144,21 +143,14 @@ class TestKeysetCacheCounters:
 
 class TestBackendReporting:
     def test_statistics_carry_the_active_backend(self, acyclic_db):
-        result = EngineSession(execution_mode="columnar", column_backend="array") \
+        result = EngineSession(column_backend="array") \
             .prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
         assert result.statistics.column_backend == "array"
-        assert "columnar[array]" in statistics_table([result.statistics])
-        assert "columnar[array]" in result.statistics.describe()
-
-    def test_row_mode_reports_no_backend(self, acyclic_db):
-        result = EngineSession(execution_mode="row") \
-            .prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
-        assert result.statistics.column_backend is None
-        assert "columnar[" not in statistics_table([result.statistics])
+        assert "backend=array" in result.statistics.describe()
 
     @pytest.mark.skipif(not NUMPY_INSTALLED, reason="numpy not installed")
     def test_numpy_backend_is_reported_when_forced(self, acyclic_db):
-        result = EngineSession(execution_mode="columnar", column_backend="numpy") \
+        result = EngineSession(column_backend="numpy") \
             .prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
         assert result.statistics.column_backend == "numpy"
 
@@ -172,23 +164,19 @@ class TestExecutionOptionsValidation:
         with pytest.raises(ValueError, match="decode"):
             ExecutionOptions(decode="bogus")
 
-    def test_block_decode_requires_columnar_mode(self):
-        with pytest.raises(ValueError, match="columnar"):
-            ExecutionOptions(execution_mode="row", decode="block")
-
 
 class TestDeferredDecoding:
     def test_block_decode_skips_the_relation(self, acyclic_db):
-        session = EngineSession(execution_mode="columnar", decode="block")
+        session = EngineSession(decode="block")
         result = session.prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
         assert result.relation is None
         assert result.block is not None
         assert result.statistics.output_size == len(result.block)
 
     def test_decoded_materialises_once_and_caches(self, acyclic_db):
-        session = EngineSession(execution_mode="columnar", decode="block")
+        session = EngineSession(decode="block")
         result = session.prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
-        eager = EngineSession(execution_mode="columnar") \
+        eager = EngineSession() \
             .prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
         first = result.decoded()
         assert first is result.decoded()
@@ -197,16 +185,16 @@ class TestDeferredDecoding:
         assert first.name == eager.relation.name
 
     def test_eager_results_decode_to_their_own_relation(self, acyclic_db):
-        result = EngineSession(execution_mode="columnar") \
+        result = EngineSession() \
             .prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
         assert result.decoded() is result.relation
 
     def test_batch_relations_decode_deferred_results(self, acyclic_db):
-        session = EngineSession(execution_mode="columnar", decode="block")
+        session = EngineSession(decode="block")
         prepared = session.prepare(acyclic_db, ("C0", "C5"))
         batch = prepared.execute_many([acyclic_db, acyclic_db])
         assert all(result.relation is None for result in batch.results)
-        eager = EngineSession(execution_mode="columnar") \
+        eager = EngineSession() \
             .prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
         for relation in batch.relations:
             assert frozenset(relation.rows) == frozenset(eager.relation.rows)
@@ -216,12 +204,12 @@ class TestDeferredDecoding:
         schema = DatabaseSchema.from_hypergraph(triangle_core_chain(3))
         database = generate_database(schema, universe_rows=40, domain_size=4,
                                      dangling_fraction=0.4, seed=7)
-        session = EngineSession(execution_mode="columnar", decode="block")
+        session = EngineSession(decode="block")
         prepared = session.prepare(database)
         assert prepared.kind == "cyclic"
         result = prepared.execute(database)
         assert result.relation is None
-        eager = EngineSession(execution_mode="columnar") \
+        eager = EngineSession() \
             .prepare(database).execute(database)
         assert frozenset(result.decoded().rows) == frozenset(eager.relation.rows)
 

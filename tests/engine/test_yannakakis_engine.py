@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import QueryPlanner, evaluate, evaluate_database
+from repro.engine import QueryPlanner
+from repro.engine.yannakakis import evaluate, evaluate_database
 from repro.exceptions import CyclicHypergraphError, SchemaError
 from repro.generators import (
     chain_hypergraph,

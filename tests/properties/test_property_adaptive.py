@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.nodes import sorted_nodes
-from repro.engine import QueryPlanner, evaluate_cyclic_database, evaluate_database
+from repro.engine import QueryPlanner
+from repro.engine.cyclic import evaluate_cyclic_database
+from repro.engine.yannakakis import evaluate_database
 from repro.generators import cyclic_workload_families, generate_database
 from repro.relational import DatabaseSchema, Relation
 

@@ -99,8 +99,8 @@ def databases_with_outputs(draw):
 def test_projected_clusters_answer_like_the_naive_join(case, backend, adaptive,
                                                        shards):
     database, outputs = case
-    session = EngineSession(execution_mode="columnar", column_backend=backend,
-                            adaptive=adaptive, shards=shards)
+    session = EngineSession(column_backend=backend, adaptive=adaptive,
+                            shards=shards)
     result = session.prepare(database, outputs).execute(database)
     expected, _ = naive_join(database, outputs)
     assert frozenset(result.relation.rows) == frozenset(expected.rows)
@@ -167,8 +167,7 @@ def test_the_full_join_projects_nothing(hypergraph, arguments, adaptive,
                                         clusters, intermediates):
     database = generate_database(DatabaseSchema.from_hypergraph(hypergraph),
                                  **arguments)
-    statistics = EngineSession(execution_mode="columnar", adaptive=adaptive,
-                               shards=1) \
+    statistics = EngineSession(adaptive=adaptive, shards=1) \
         .prepare(database).execute(database).statistics
     assert statistics.cluster_sizes == clusters
     assert statistics.intermediate_sizes == intermediates
@@ -186,8 +185,7 @@ def test_benchmark_instance_count_guard():
     database = generate_database(
         DatabaseSchema.from_hypergraph(triangle_core_chain(4)),
         universe_rows=2000, domain_size=40, dangling_fraction=0.5, seed=4)
-    session = EngineSession(execution_mode="columnar", adaptive=True, trace=True,
-                            shards=1)
+    session = EngineSession(adaptive=True, trace=True, shards=1)
     result = session.prepare(database, ("C0", "C5")).execute(database)
     statistics = result.statistics
     assert statistics.cluster_sizes == (2955, 40, 2949, 2970, 2958)

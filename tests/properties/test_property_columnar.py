@@ -1,12 +1,12 @@
-"""Property-based equivalence: columnar execution vs the row reference engine.
+"""Property-based equivalence: the engine vs the ``repro.relational`` reference.
 
-The columnar layer changes only the physical representation — blocks, grouped
-key encodings and positional kernels instead of ``Row`` objects and hash
-indexes — so on any workload, acyclic or cyclic, adaptive or static,
-projected or full, ``execution_mode="columnar"`` must produce relations
-byte-identical to ``execution_mode="row"``: same rows, same schema attribute
-*order*, and the same logical accounting (intermediate sizes, semijoin steps,
-reduced sizes), since the kernels mirror the row operators step for step.
+The engine's answers — acyclic or cyclic, adaptive or static, projected or
+full — must equal the relational reference's row for row:
+:func:`~repro.relational.yannakakis_join` for acyclic schemas and
+:func:`~repro.relational.naive_join` for cyclic ones.  The reference shares
+no code with the engine (``tests/relational/test_independence.py``), so an
+agreement here is evidence, not a tautology.  The engine's answer
+additionally has its attributes in canonical order under the requested name.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.nodes import sorted_nodes
 from repro.engine import EngineSession
-from repro.relational import Relation
+from repro.relational import Relation, naive_join, yannakakis_join
 
 from .strategies import skewed_acyclic_databases, skewed_cyclic_databases
 
@@ -25,93 +25,69 @@ COMMON_SETTINGS = settings(max_examples=20, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 
 
-def _modes(**options):
-    """A (row, columnar) session pair sharing nothing but the workload."""
-    return (EngineSession(execution_mode="row", **options),
-            EngineSession(execution_mode="columnar", **options))
+def _assert_matches_reference(result, reference: Relation):
+    relation = result.relation
+    assert frozenset(relation.rows) == frozenset(reference.rows)
+    assert relation.schema.attribute_set == reference.schema.attribute_set
+    assert relation.schema.attributes == tuple(sorted_nodes(relation.schema.attribute_set))
+    assert relation.name == "U"
+    assert result.statistics.output_size == len(relation)
 
 
-def _assert_byte_identical(columnar: Relation, row: Relation):
-    assert frozenset(columnar.rows) == frozenset(row.rows)
-    assert columnar.schema.attributes == row.schema.attributes
-    assert columnar.name == row.name
-
-
-def _assert_accounting_matches(columnar, row):
-    assert columnar.intermediate_sizes == row.intermediate_sizes
-    assert columnar.semijoin_steps == row.semijoin_steps
-    assert columnar.reduced_sizes == row.reduced_sizes
-    assert columnar.rows_removed_by_reduction == row.rows_removed_by_reduction
-    assert columnar.output_size == row.output_size
+def _wanted(database, selector: int):
+    attributes = sorted_nodes(database.schema.attributes)
+    return attributes[:selector % (len(attributes) + 1)]  # 0 = the boolean query
 
 
 @pytest.mark.slow
 @COMMON_SETTINGS
 @given(database=skewed_acyclic_databases(), adaptive=st.booleans())
-def test_columnar_acyclic_is_byte_identical_to_row(database, adaptive):
-    row_session, columnar_session = _modes(adaptive=adaptive)
-    row = row_session.prepare(database).execute(database)
-    columnar = columnar_session.prepare(database).execute(database)
-    assert row.statistics.execution_mode == "row"
-    assert columnar.statistics.execution_mode == "columnar"
-    _assert_byte_identical(columnar.relation, row.relation)
-    _assert_accounting_matches(columnar.statistics, row.statistics)
+def test_acyclic_answers_match_the_reference(database, adaptive):
+    result = EngineSession(adaptive=adaptive).prepare(database).execute(database)
+    _assert_matches_reference(result, yannakakis_join(database).relation)
 
 
 @pytest.mark.slow
 @COMMON_SETTINGS
 @given(database=skewed_acyclic_databases(),
        selector=st.integers(min_value=0, max_value=10 ** 6))
-def test_columnar_acyclic_projection_is_byte_identical(database, selector):
-    attributes = sorted_nodes(database.schema.attributes)
-    size = selector % (len(attributes) + 1)  # 0 = the boolean query
-    wanted = attributes[:size]
-    row_session, columnar_session = _modes()
-    row = row_session.prepare(database, wanted).execute(database)
-    columnar = columnar_session.prepare(database, wanted).execute(database)
-    _assert_byte_identical(columnar.relation, row.relation)
-    _assert_accounting_matches(columnar.statistics, row.statistics)
+def test_acyclic_projections_match_the_reference(database, selector):
+    wanted = _wanted(database, selector)
+    result = EngineSession().prepare(database, wanted).execute(database)
+    _assert_matches_reference(result, yannakakis_join(database, wanted).relation)
 
 
 @pytest.mark.slow
 @COMMON_SETTINGS
 @given(database=skewed_cyclic_databases(), adaptive=st.booleans())
-def test_columnar_cyclic_is_byte_identical_to_row(database, adaptive):
-    row_session, columnar_session = _modes(adaptive=adaptive)
-    row_prepared = row_session.prepare(database)
-    columnar_prepared = columnar_session.prepare(database)
-    assert row_prepared.kind == columnar_prepared.kind == "cyclic"
-    row = row_prepared.execute(database)
-    columnar = columnar_prepared.execute(database)
-    _assert_byte_identical(columnar.relation, row.relation)
-    _assert_accounting_matches(columnar.statistics, row.statistics)
-    assert columnar.statistics.cluster_sizes == row.statistics.cluster_sizes
+def test_cyclic_answers_match_the_reference(database, adaptive):
+    prepared = EngineSession(adaptive=adaptive).prepare(database)
+    assert prepared.kind == "cyclic"
+    result = prepared.execute(database)
+    _assert_matches_reference(result, naive_join(database)[0])
+    assert len(result.statistics.cluster_sizes) == len(result.plan.clusters)
 
 
 @pytest.mark.slow
 @COMMON_SETTINGS
 @given(database=skewed_cyclic_databases(),
        selector=st.integers(min_value=0, max_value=10 ** 6))
-def test_columnar_cyclic_projection_is_byte_identical(database, selector):
-    attributes = sorted_nodes(database.schema.attributes)
-    size = selector % (len(attributes) + 1)  # 0 = the boolean query
-    wanted = attributes[:size]
-    row_session, columnar_session = _modes()
-    row = row_session.prepare(database, wanted).execute(database)
-    columnar = columnar_session.prepare(database, wanted).execute(database)
-    _assert_byte_identical(columnar.relation, row.relation)
+def test_cyclic_projections_match_the_reference(database, selector):
+    wanted = _wanted(database, selector)
+    result = EngineSession().prepare(database, wanted).execute(database)
+    _assert_matches_reference(result, naive_join(database, wanted)[0])
 
 
 @pytest.mark.slow
 @COMMON_SETTINGS
 @given(database=skewed_acyclic_databases())
-def test_columnar_warm_executions_stay_identical(database):
+def test_warm_executions_stay_identical(database):
     """Cached blocks and key encodings must not drift across repeated runs."""
-    _, columnar_session = _modes()
-    prepared = columnar_session.prepare(database)
+    prepared = EngineSession().prepare(database)
     first = prepared.execute(database)
     second = prepared.execute(database)
-    _assert_byte_identical(second.relation, first.relation)
+    assert frozenset(second.relation.rows) == frozenset(first.relation.rows)
+    assert second.relation.schema.attributes == first.relation.schema.attributes
     assert second.statistics.intermediate_sizes == first.statistics.intermediate_sizes
     # Warm runs serve every block from the per-relation cache.
     assert second.statistics.index_cache_misses == 0

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.core.acyclicity import is_acyclic
 from repro.core.nodes import sorted_nodes
-from repro.engine import choose_cover, evaluate_cyclic_database
+from repro.engine import choose_cover
+from repro.engine.cyclic import evaluate_cyclic_database
 from repro.generators import generate_database, random_cyclic_hypergraph
 from repro.relational import DatabaseSchema, execute_plan, naive_join_plan, project
 

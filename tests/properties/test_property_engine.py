@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.nodes import sorted_nodes
-from repro.engine import evaluate_database
+from repro.engine.yannakakis import evaluate_database
 from repro.generators import generate_database, random_acyclic_hypergraph
 from repro.relational import DatabaseSchema, execute_plan, naive_join_plan, project
 

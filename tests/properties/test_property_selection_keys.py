@@ -94,7 +94,7 @@ def keys_recomputed():
 def _session(backend: str) -> EngineSession:
     # Counts are compared run against run, so a sharded leg runs the
     # single-shard path: its thread pool cannot race two shards on one build.
-    return EngineSession(execution_mode="columnar", column_backend=backend,
+    return EngineSession(column_backend=backend,
                          shards=1 if effective_shards(None) else None)
 
 
@@ -281,8 +281,7 @@ def unsharded(monkeypatch):
 def test_no_key_is_built_warm_even_after_a_cache_clear(backend, unsharded):
     for database, outputs in _benchmark_shapes():
         expected = oracle(database, outputs)
-        prepared = EngineSession(execution_mode="columnar",
-                                 column_backend=backend).prepare(database, outputs)
+        prepared = EngineSession(column_backend=backend).prepare(database, outputs)
         fresh = []
         for _ in range(2):
             clear_column_caches()
@@ -299,7 +298,7 @@ def test_no_key_is_built_warm_even_after_a_cache_clear(backend, unsharded):
 @pytest.mark.parametrize("shape", [0, 1], ids=["acyclic", "cyclic"])
 def test_two_threads_warm_execute_to_the_identical_relation(shape, unsharded):
     database, outputs = _benchmark_shapes()[shape]
-    prepared = EngineSession(execution_mode="columnar").prepare(database, outputs)
+    prepared = EngineSession().prepare(database, outputs)
     answer = prepared.execute(database).relation
     built = _built()
     barrier = threading.Barrier(2)

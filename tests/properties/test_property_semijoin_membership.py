@@ -414,7 +414,7 @@ def test_one_structure_per_reducer_step_and_none_warm(kind, steps, backend):
     database, outputs = _benchmark_instance(kind)
     # Execution mode and shard count pinned: the counts are the unsharded
     # columnar engine's, whatever REPRO_SHARDS says.
-    session = EngineSession(execution_mode="columnar", column_backend=backend,
+    session = EngineSession(column_backend=backend,
                             shards=1)
     prepared = session.prepare(database, outputs)
     started = _storage_serial()
@@ -455,7 +455,7 @@ def test_no_key_set_is_left_on_any_storage_after_a_numpy_execute(kind):
             DatabaseSchema.from_hypergraph(triangle_core_chain(3)),
             universe_rows=40, domain_size=6, dangling_fraction=0.4, seed=5)
         outputs = ("C0", "C4")
-    session = EngineSession(execution_mode="columnar", column_backend="numpy")
+    session = EngineSession(column_backend="numpy")
     started = _storage_serial()
     prepared = session.prepare(database, outputs)
     for _ in range(2):

@@ -1,8 +1,8 @@
 """Property-based concurrency equivalence: parallel execute_many vs serial.
 
 The execution pool only changes *where* runs happen, never what they
-compute: on any random skewed database — acyclic or cyclic, row or columnar
-physical mode — a concurrent ``execute_many`` over the same databases must
+compute: on any random skewed database — acyclic or cyclic — a concurrent
+``execute_many`` over the same databases must
 be byte-identical to the serial loop, run for run: same rows, same
 attributes, same per-run output sizes.  The batches deliberately repeat one
 database so concurrent runs race on the same cached blocks, derived key
@@ -37,11 +37,9 @@ def _assert_batches_identical(serial, parallel):
 
 @pytest.mark.slow
 @COMMON_SETTINGS
-@given(database=skewed_acyclic_databases(),
-       execution_mode=st.sampled_from(["row", "columnar"]))
-def test_concurrent_acyclic_batches_are_byte_identical(database,
-                                                       execution_mode):
-    session = EngineSession(execution_mode=execution_mode)
+@given(database=skewed_acyclic_databases())
+def test_concurrent_acyclic_batches_are_byte_identical(database):
+    session = EngineSession()
     prepared = session.prepare(database)
     databases = [database] * REPEATS
     serial = prepared.execute_many(databases)
@@ -51,11 +49,9 @@ def test_concurrent_acyclic_batches_are_byte_identical(database,
 
 @pytest.mark.slow
 @COMMON_SETTINGS
-@given(database=skewed_cyclic_databases(),
-       execution_mode=st.sampled_from(["row", "columnar"]))
-def test_concurrent_cyclic_batches_are_byte_identical(database,
-                                                      execution_mode):
-    session = EngineSession(execution_mode=execution_mode)
+@given(database=skewed_cyclic_databases())
+def test_concurrent_cyclic_batches_are_byte_identical(database):
+    session = EngineSession()
     prepared = session.prepare(database)
     databases = [database] * REPEATS
     serial = prepared.execute_many(databases)

@@ -1,10 +1,12 @@
-"""Property-based equivalence: prepared session execution vs the legacy paths.
+"""Property-based equivalence: prepared session execution vs the module evaluators.
 
 The session facade only *re-packages* planning and execution — dispatch is
 resolved at prepare time, annotations are memoized per database — so on any
 workload, acyclic or cyclic, adaptive or static, ``PreparedQuery.execute``
-must be byte-identical to the legacy ``evaluate`` / ``evaluate_cyclic``
-entry points: same rows, same schema attributes.
+must be byte-identical to calling the evaluators
+(:func:`repro.engine.yannakakis.evaluate_database`,
+:func:`repro.engine.cyclic.evaluate_cyclic_database`) directly: same rows,
+same schema attributes.
 """
 
 from __future__ import annotations

@@ -61,13 +61,10 @@ def _run_pair(database, *, shards, shard_executor, **options):
 
 @pytest.mark.slow
 @COMMON_SETTINGS
-@given(database=skewed_acyclic_databases(), shards=SHARD_COUNTS,
-       execution_mode=st.sampled_from(("row", "columnar")))
-def test_sharded_acyclic_matches_unsharded_thread(database, shards,
-                                                  execution_mode):
+@given(database=skewed_acyclic_databases(), shards=SHARD_COUNTS)
+def test_sharded_acyclic_matches_unsharded_thread(database, shards):
     sharded, baseline = _run_pair(database, shards=shards,
-                                  shard_executor="thread",
-                                  execution_mode=execution_mode)
+                                  shard_executor="thread")
     _assert_identical(sharded, baseline)
     # No attribute shared by two relations → the partition degenerates to a
     # single slice and the statistics honestly record one shard.

@@ -4,7 +4,7 @@
 span attributes (the reduce span's per-vertex sizes, the materialise/fold
 spans' intermediates, the decode span's output count) rather than copying
 ``EngineStatistics``.  On any random skewed database — acyclic or cyclic,
-row or columnar — the two accountings must agree byte for byte; the traces
+adaptive or static — the two accountings must agree byte for byte; the traces
 themselves must validate against the checked-in schema.
 """
 
@@ -22,8 +22,6 @@ from .strategies import skewed_acyclic_databases, skewed_cyclic_databases
 COMMON_SETTINGS = settings(max_examples=20, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 
-MODES = st.sampled_from(["row", "columnar"])
-
 
 def _assert_actuals_match(analysis):
     statistics = analysis.statistics
@@ -34,23 +32,21 @@ def _assert_actuals_match(analysis):
 
 @pytest.mark.slow
 @COMMON_SETTINGS
-@given(database=skewed_acyclic_databases(), mode=MODES,
-       adaptive=st.booleans())
-def test_acyclic_explain_actuals_equal_statistics(database, mode, adaptive):
-    session = EngineSession(execution_mode=mode, adaptive=adaptive)
+@given(database=skewed_acyclic_databases(), adaptive=st.booleans())
+def test_acyclic_explain_actuals_equal_statistics(database, adaptive):
+    session = EngineSession(adaptive=adaptive)
     prepared = session.prepare(database)
     analysis = prepared.explain_analyze(database)
     assert analysis.kind == "acyclic"
-    assert analysis.mode == mode
     assert analysis.clusters == ()
     _assert_actuals_match(analysis)
 
 
 @pytest.mark.slow
 @COMMON_SETTINGS
-@given(database=skewed_cyclic_databases(), mode=MODES)
-def test_cyclic_explain_actuals_equal_statistics(database, mode):
-    session = EngineSession(execution_mode=mode)
+@given(database=skewed_cyclic_databases())
+def test_cyclic_explain_actuals_equal_statistics(database):
+    session = EngineSession()
     prepared = session.prepare(database)
     analysis = prepared.explain_analyze(database)
     assert analysis.kind == "cyclic"
@@ -61,10 +57,10 @@ def test_cyclic_explain_actuals_equal_statistics(database, mode):
 
 @pytest.mark.slow
 @COMMON_SETTINGS
-@given(database=skewed_cyclic_databases(), mode=MODES, projected=st.booleans())
-def test_cyclic_adaptive_runs_estimate_every_join_step(database, mode, projected):
+@given(database=skewed_cyclic_databases(), projected=st.booleans())
+def test_cyclic_adaptive_runs_estimate_every_join_step(database, projected):
     """One estimate per intra-cluster and per fold step, projected or not."""
-    session = EngineSession(execution_mode=mode, adaptive=True)
+    session = EngineSession(adaptive=True)
     outputs = sorted(database.schema.attributes)[:2] if projected else None
     analysis = session.prepare(database, outputs).explain_analyze(database)
     statistics = analysis.statistics
@@ -76,13 +72,13 @@ def test_cyclic_adaptive_runs_estimate_every_join_step(database, mode, projected
 
 @pytest.mark.slow
 @COMMON_SETTINGS
-@given(database=skewed_acyclic_databases(), mode=MODES)
-def test_traced_runs_emit_schema_valid_records(database, mode):
+@given(database=skewed_acyclic_databases())
+def test_traced_runs_emit_schema_valid_records(database):
     # Not the cyclic flag: a random acyclic instance may reduce with zero
     # semijoin steps only when it has a single vertex, in which case the
     # schema's required kernel names would be vacuously absent — so assert
     # the structural invariants on the records directly instead.
-    session = EngineSession(execution_mode=mode)
+    session = EngineSession()
     prepared = session.prepare(database)
     tracer = Tracer()
     with use_tracer(tracer):

@@ -67,10 +67,8 @@ def _hammer(fn, threads=THREADS):
         raise errors[0]
 
 
-@pytest.mark.parametrize("execution_mode", ["columnar", "row"])
-def test_eight_thread_hammer_on_one_prepared_query(chain_database,
-                                                   execution_mode):
-    session = EngineSession(execution_mode=execution_mode)
+def test_eight_thread_hammer_on_one_prepared_query(chain_database):
+    session = EngineSession()
     prepared = session.prepare(chain_database)
     expected = frozenset(prepared.execute(chain_database).relation.rows)
 
@@ -82,10 +80,8 @@ def test_eight_thread_hammer_on_one_prepared_query(chain_database,
     _hammer(worker)
 
 
-@pytest.mark.parametrize("execution_mode", ["columnar", "row"])
-def test_eight_thread_hammer_on_the_cyclic_path(cycle_database,
-                                                execution_mode):
-    session = EngineSession(execution_mode=execution_mode)
+def test_eight_thread_hammer_on_the_cyclic_path(cycle_database):
+    session = EngineSession()
     prepared = session.prepare(cycle_database)
     expected = frozenset(prepared.execute(cycle_database).relation.rows)
 
@@ -136,7 +132,7 @@ def test_eight_thread_hammer_on_handle_returns_one_document(request, fixture):
 def test_keyset_counters_stay_exact_under_concurrency(chain_database):
     # The global hit/miss counters are guarded by a lock, so a concurrent
     # hammer must account for every lookup — no lost read-add-store updates.
-    session = EngineSession(execution_mode="columnar")
+    session = EngineSession()
     prepared = session.prepare(chain_database)
     prepared.execute(chain_database)  # warm: caches built, binding resolved
 
@@ -274,7 +270,7 @@ def test_key_codes_agree_and_count_every_overflow_row_across_threads():
 
 
 def test_parallel_execute_many_matches_serial(chain_database, cycle_database):
-    session = EngineSession(execution_mode="columnar")
+    session = EngineSession()
     prepared = session.prepare(chain_database)
     databases = [chain_database] * 6
     serial = prepared.execute_many(databases)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.service import (
     ServiceServer,
 )
 from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.server import WIRE_OPTION_FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -195,16 +197,31 @@ def test_a_columnar_query_builds_no_rows_for_the_wire(service, database,
 
 
 @pytest.mark.parametrize("database", ["chain", "cycle"])
-def test_a_row_mode_query_returns_the_literally_same_document(service,
-                                                              database):
-    documents = []
-    for options in ({}, {"execution_mode": "row"}):
-        handle = _prepare(service, database, options=options)
-        status, envelope = _rpc(service, "execute",
-                                {"query": handle, "database": database})
-        assert status == 200
-        documents.append(json.dumps(envelope["result"]["relation"]))
-    assert documents[0] == documents[1]
+def test_a_merged_relation_serialises_like_its_block(service, database):
+    """A sharded run that merges as rows hands the serialiser a relation, not
+    a block; both row sources must give the literally same document."""
+    from repro.service.server import _relation_payload
+
+    handle = _prepare(service, database)
+    status, envelope = _rpc(service, "execute",
+                            {"query": handle, "database": database})
+    assert status == 200
+    instance = service.database(database)
+    result = service.session.prepare(instance, decode="block").execute(instance)
+    merged = SimpleNamespace(relation=result.decoded())
+    assert json.dumps(_relation_payload(merged)) \
+        == json.dumps(_relation_payload(result)) \
+        == json.dumps(envelope["result"]["relation"])
+
+
+def test_execution_mode_is_not_a_wire_option(service):
+    status, envelope = _rpc(service, "prepare", {
+        "database": "chain", "options": {"execution_mode": "row"}})
+    assert status == 400
+    assert envelope["error"]["code"] == "invalid-param"
+    message = envelope["error"]["message"]
+    assert "execution_mode" in message
+    assert all(field in message for field in WIRE_OPTION_FIELDS)
 
 
 def test_the_payload_phase_is_reported_when_rows_are_included(service):
@@ -316,7 +333,7 @@ def test_non_wire_options_are_rejected(service):
 
 def test_invalid_option_values_are_rejected(service):
     status, envelope = _rpc(service, "prepare", {
-        "database": "chain", "options": {"execution_mode": "quantum"}})
+        "database": "chain", "options": {"column_backend": "quantum"}})
     assert status == 400
     assert envelope["error"]["code"] == "invalid-param"
 

@@ -66,13 +66,12 @@ class TestExplainAnalyze:
         assert any(entry.estimated is not None for entry in analysis.vertices)
         assert analysis.output.estimated is not None
 
-    def test_render_carries_the_headline_sections(self, acyclic_database,
-                                                  engine_execution_mode):
+    def test_render_carries_the_headline_sections(self, acyclic_database):
         session = EngineSession()
         prepared = session.prepare(acyclic_database)
         text = prepared.explain(acyclic_database, analyze=True)
         assert text.startswith("EXPLAIN ANALYZE")
-        assert f"{engine_execution_mode} mode" in text
+        assert "(acyclic dispatch, adaptive)" in text
         assert "phases:" in text
         assert "vertices (reduced rows):" in text
         assert "output:" in text
@@ -87,8 +86,7 @@ class TestExplainAnalyze:
         database = request.getfixturevalue(fixture)
         lines = []
         for decode in ("rows", "block"):
-            prepared = EngineSession(execution_mode="columnar",
-                                     decode=decode).prepare(database)
+            prepared = EngineSession(decode=decode).prepare(database)
             text = prepared.explain(database, analyze=True)
             lines.append(next(line for line in text.splitlines()
                               if line.lstrip().startswith("output:")))
@@ -98,8 +96,7 @@ class TestExplainAnalyze:
     def test_a_deferred_decode_span_says_so(self, acyclic_database):
         from repro.telemetry.tracing import Tracer, use_tracer
 
-        prepared = EngineSession(execution_mode="columnar",
-                                 decode="block").prepare(acyclic_database)
+        prepared = EngineSession(decode="block").prepare(acyclic_database)
         tracer = Tracer()
         with use_tracer(tracer):
             result = prepared.execute(acyclic_database)
@@ -107,7 +104,6 @@ class TestExplainAnalyze:
                      if record["name"] == "decode"]
         assert decode["attributes"]["deferred"] is True
         assert decode["attributes"]["output_rows"] == len(result.block)
-        assert decode["attributes"]["mode"] == "columnar"
         assert decode["attributes"]["backend"] \
             == result.statistics.column_backend
 
@@ -131,15 +127,11 @@ class TestProjectedClusters:
                                  dangling_fraction=0.5, seed=4)
 
     def test_a_projected_cluster_says_what_it_kept_and_probed(
-            self, triangle_chain_database, engine_execution_mode):
+            self, triangle_chain_database):
         prepared = EngineSession(adaptive=True).prepare(triangle_chain_database,
                                                        ("C0", "C5"))
         analysis = prepared.explain_analyze(triangle_chain_database)
         notes = [entry.note for entry in analysis.clusters if entry.note]
-        if engine_execution_mode == "row":
-            # The row reference materialises whole cluster schemes.
-            assert notes == []
-            return
         span = next(record for record in analysis.records
                     if record["name"] == "materialise")["attributes"]
         core = next(index for index, members in enumerate(span["fan_out"])
@@ -186,7 +178,6 @@ class TestBuildExplainAnalysis:
     def test_missing_spans_render_as_unknown_actuals(self):
         class Stats:
             adaptive = False
-            execution_mode = "columnar"
             phase_times = ()
 
         analysis = build_explain_analysis(
@@ -199,7 +190,6 @@ class TestBuildExplainAnalysis:
     def test_shorter_columns_pad_defensively(self):
         class Stats:
             adaptive = False
-            execution_mode = "row"
             phase_times = ()
 
         records = ({"name": "reduce", "attributes":

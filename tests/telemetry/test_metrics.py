@@ -116,8 +116,7 @@ class TestRegistry:
 
 
 class TestSessionMetrics:
-    def test_executions_record_into_the_session_registry(
-            self, engine_execution_mode):
+    def test_executions_record_into_the_session_registry(self):
         database = skewed_chain_database(3, heads=6, fanout=3,
                                          junction_values=2, seed=1)
         session = EngineSession(metrics=MetricsRegistry())
@@ -125,18 +124,15 @@ class TestSessionMetrics:
         prepared.execute(database)
         prepared.execute(database)
         snapshot = session.metrics.snapshot()
-        key = ("engine_queries_total"
-               f"{{kind=acyclic,mode={engine_execution_mode}}}")
-        assert snapshot[key] == 2
+        assert snapshot["engine_queries_total{kind=acyclic}"] == 2
         assert snapshot["engine_query_seconds"]["count"] == 2
         assert snapshot["engine_rows_output_total"] > 0
         assert "engine_plan_cache_requests_total{outcome=hit}" in snapshot
 
-    def test_session_registries_roll_up_to_the_process_registry(
-            self, engine_execution_mode):
+    def test_session_registries_roll_up_to_the_process_registry(self):
         database = skewed_chain_database(3, heads=6, fanout=3,
                                          junction_values=2, seed=1)
-        labels = {"kind": "acyclic", "mode": engine_execution_mode}
+        labels = {"kind": "acyclic"}
         before = global_registry().counter("engine_queries_total",
                                            labels=labels).value
         session = EngineSession()

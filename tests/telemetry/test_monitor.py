@@ -134,7 +134,6 @@ class TestQueryLog:
 
     def test_entry_derives_fields_from_statistics_lazily(self):
         class Stats:
-            execution_mode = "columnar"
             phase_times = (("reduce", 0.001),)
             input_sizes = (3, 4)
             output_size = 7
@@ -144,7 +143,6 @@ class TestQueryLog:
 
         entry = QueryLogEntry("q", "f", "acyclic", "db0",
                               elapsed_seconds=0.5, statistics=Stats())
-        assert entry.mode == "columnar"
         assert entry.input_rows == 7
         assert entry.output_rows == 7
         assert entry.plan_cache_hit
@@ -153,7 +151,6 @@ class TestQueryLog:
 
     def test_errored_entries_report_empty_defaults(self):
         entry = QueryLogEntry("q", "f", "acyclic", "db0", error="boom")
-        assert entry.mode == "-"
         assert entry.output_rows == 0
         assert not entry.plan_cache_hit
         assert entry.to_dict()["error"] == "boom"
@@ -215,7 +212,7 @@ class TestRollingHistory:
 # Session integration
 # --------------------------------------------------------------------------- #
 class TestSessionIntegration:
-    def test_every_execution_lands_in_the_log(self, engine_execution_mode):
+    def test_every_execution_lands_in_the_log(self):
         databases = [chain_db(seed) for seed in range(2)]
         session = monitored_session()
         prepared = session.prepare(databases[0],
@@ -227,7 +224,6 @@ class TestSessionIntegration:
         assert len(entries) == 4
         assert {entry.query for entry in entries} == {"endpoints"}
         assert {entry.database for entry in entries} == {"db0", "db1"}
-        assert all(entry.mode == engine_execution_mode for entry in entries)
         assert all(entry.kind == "acyclic" for entry in entries)
         assert all(entry.fingerprint for entry in entries)
         # The second batch serves from the prepared plan.
@@ -267,7 +263,7 @@ class TestSessionIntegration:
         assert session.monitor is monitor
         assert monitor.log.total_recorded == 2
 
-    def test_errors_are_recorded_and_reraised(self, engine_execution_mode):
+    def test_errors_are_recorded_and_reraised(self):
         database = chain_db()
         session = monitored_session()
         prepared = session.prepare(database, skewed_chain_endpoints(CHAIN),
@@ -284,8 +280,7 @@ class TestSessionIntegration:
         counter = session.metrics.counter("engine_monitored_errors_total")
         assert counter.value == 1
 
-    def test_slow_runs_arm_tracing_and_the_next_run_retains_a_trace(
-            self, engine_execution_mode):
+    def test_slow_runs_arm_tracing_and_the_next_run_retains_a_trace(self):
         database = chain_db()
         session = monitored_session(slow_query_seconds=0.0)
         prepared = session.prepare(database, skewed_chain_endpoints(CHAIN),
@@ -348,8 +343,7 @@ class TestCollector:
         database = chain_db()
         clear_column_caches()
         try:
-            session = EngineSession(execution_mode="columnar",
-                                    monitor=MonitorConfig())
+            session = EngineSession(monitor=MonitorConfig())
             prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
             assert session.monitor.collect()["engine_result_memo_misses"] == 0
             tracer = Tracer()
@@ -387,8 +381,7 @@ class TestCollector:
 
             outputs = [str(attribute)
                        for attribute in skewed_chain_endpoints(CHAIN)]
-            handle = call("prepare", database="db", outputs=outputs,
-                          options={"execution_mode": "columnar"})["query"]
+            handle = call("prepare", database="db", outputs=outputs)["query"]
             monitor = service.session.monitor
             assert monitor.collect()["engine_payload_memo_misses"] == 0
             tracer = Tracer()
@@ -417,8 +410,7 @@ class TestCollector:
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
         clear_column_caches()
         try:
-            session = EngineSession(execution_mode="columnar",
-                                    monitor=MonitorConfig())
+            session = EngineSession(monitor=MonitorConfig())
             monitor = session.monitor
             assert monitor.collect()["engine_selection_keys_built"] == 0
             for database, outputs in benchmark_shapes():
@@ -441,8 +433,7 @@ class TestCollector:
             clear_column_caches()
 
     def test_collect_exports_interner_size_and_key_overflow_rows(self):
-        # Kernels on hand-built blocks: the counters sit below the session,
-        # so this reads the same under either execution mode.
+        # Kernels on hand-built blocks: the counters sit below the session.
         def block(name, payload, values, width):
             attributes = tuple(f"K{index}" for index in range(width)) + (payload,)
             return ColumnBlock.from_columns(
@@ -585,7 +576,7 @@ def fetch(url: str):
 
 
 class TestExpositionEndpoint:
-    def test_all_routes_serve_live_state(self, engine_execution_mode):
+    def test_all_routes_serve_live_state(self):
         databases = [chain_db(seed) for seed in range(2)]
         session = monitored_session()
         prepared = session.prepare(databases[0],
@@ -652,8 +643,7 @@ class TestExpositionEndpoint:
 # Concurrency
 # --------------------------------------------------------------------------- #
 class TestConcurrency:
-    def test_concurrent_execute_many_loses_no_entries_or_counts(
-            self, engine_execution_mode):
+    def test_concurrent_execute_many_loses_no_entries_or_counts(self):
         databases = [chain_db(seed) for seed in range(3)]
         session = monitored_session(log_capacity=32)
         prepared = session.prepare(databases[0],
@@ -687,7 +677,7 @@ class TestConcurrency:
         assert [entry.seq for entry in entries] == \
             list(range(total - 31, total + 1))
         # The metrics registry agrees with the log: no increment was lost.
-        labels = {"kind": "acyclic", "mode": engine_execution_mode}
+        labels = {"kind": "acyclic"}
         counted = session.metrics.counter("engine_queries_total",
                                           labels=labels).value
         assert counted == total

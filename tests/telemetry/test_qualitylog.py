@@ -186,7 +186,7 @@ class TestDrift:
 
 
 class TestAgainstTheLiveEngine:
-    def test_adaptive_runs_feed_the_tracker(self, engine_execution_mode):
+    def test_adaptive_runs_feed_the_tracker(self):
         database = skewed_chain_database(4, heads=6, fanout=3,
                                          junction_values=2, seed=3)
         session = EngineSession(monitor=True)
