@@ -14,9 +14,10 @@ back to relations only at the result boundary:
 * :mod:`~repro.engine.columnar.kernels` — whole-block semijoin / antijoin /
   natural join with fused projection, plus scheme merging;
 * :mod:`~repro.engine.columnar.executor` — the end-to-end pipeline (reduce
-  the vertex blocks, fold the join tree bottom-up, decode last) shared by
-  the acyclic evaluator and the cyclic executor, plus exact statistics
-  counted from id columns — every exact catalog, the quotient's included.
+  the vertex blocks, replay the plan's compiled fold program bottom-up,
+  decode last) shared by the acyclic evaluator and the cyclic executor,
+  plus exact statistics counted from id columns — every exact catalog, the
+  quotient's included.
 """
 
 from .buffers import (
@@ -48,8 +49,10 @@ from .kernels import (
     shared_block_attributes,
 )
 from .executor import (
+    FoldProgram,
     catalog_from_blocks,
     fold_join_tree,
+    fold_program,
     run_columnar_plan,
     statistics_from_block,
     vertex_blocks,
@@ -68,6 +71,7 @@ __all__ = [
     "semijoin_blocks", "antijoin_blocks", "natural_join_blocks",
     "intersect_blocks", "merge_blocks_by_scheme", "shared_block_attributes",
     # pipeline
-    "vertex_blocks", "fold_join_tree", "run_columnar_plan",
+    "vertex_blocks", "FoldProgram", "fold_program", "fold_join_tree",
+    "run_columnar_plan",
     "catalog_from_blocks", "statistics_from_block",
 ]

@@ -78,6 +78,7 @@ __all__ = [
     "block_for",
     "peek_block",
     "column_cache_info",
+    "block_cache_size",
     "clear_column_caches",
     "current_interner",
 ]
@@ -100,14 +101,15 @@ _INTERNER = ValueInterner()
 # against semijoins answered without building one (``keyset_hits``), result
 # relations decoded against ones served from their storage's memo
 # (``relation_*``; ``payload_*`` for sorted wire rows), selection keys
-# materialised (``selection_keys``), and key rows that took the interner
-# fallback instead of the arithmetic pack (``key_overflow_rows``).
+# materialised (``selection_keys``), key rows that took the interner
+# fallback instead of the arithmetic pack (``key_overflow_rows``), and fold
+# programs compiled (``fold_programs``).
 # Guarded by ``_COUNTER_LOCK``: a bare ``+= 1`` compiles to a read-add-store
 # sequence that loses updates when concurrent executes interleave, and these
 # counters feed bench/test assertions that expect exact totals.
 _COUNTER_NAMES = ("keyset_hits", "keyset_misses", "relation_hits",
                   "relation_misses", "payload_hits", "payload_misses",
-                  "selection_keys", "key_overflow_rows")
+                  "selection_keys", "key_overflow_rows", "fold_programs")
 _COUNTERS: Dict[str, int] = dict.fromkeys(_COUNTER_NAMES, 0)
 _COUNTER_LOCK = threading.Lock()
 
@@ -120,6 +122,11 @@ def _count(counter: str, amount: int = 1) -> None:
 def count_keyset(hit: bool) -> None:
     """Count one semijoin: ``hit`` unless it built a membership structure."""
     _count("keyset_hits" if hit else "keyset_misses")
+
+
+def count_fold_program() -> None:
+    """Count one fold program compiled (``fold_programs``)."""
+    _count("fold_programs")
 
 
 def selection_key(selection: array) -> bytes:
@@ -880,13 +887,20 @@ def column_cache_info() -> Dict[str, int]:
     ``key_overflow_rows`` counts the
     multi-attribute key rows that could not be packed and interned their id
     tuple instead — non-zero means some key width's radix has been outgrown
-    and those rows pay the per-row loop.
+    and those rows pay the per-row loop.  ``fold_programs`` counts the fold
+    programs compiled — one per plan and output set, so a warm re-execution
+    adds 0.
     """
     with _BLOCK_CACHE_LOCK, _COUNTER_LOCK:
         return {"hits": _BLOCK_HITS, "misses": _BLOCK_MISSES,
                 "relations": len(_BLOCK_CACHE), **_COUNTERS,
                 "interned_values": len(_INTERNER),
                 "interner_locked_cells": _INTERNER.locked_cells}
+
+
+def block_cache_size() -> int:
+    """Relations holding a cached column block (``relations``), read without a lock."""
+    return len(_BLOCK_CACHE)
 
 
 def clear_column_caches() -> None:

@@ -47,7 +47,12 @@ from ..columnar.executor import catalog_from_blocks, run_columnar_plan, vertex_b
 from ..deadline import check_deadline
 from ..planner import DEFAULT_PLANNER, QueryPlanner, annotate_plan, schema_fingerprint
 from ..reducer import ReductionTrace
-from ..yannakakis import DecodedResult, decode_result_block, resolve_decode_mode
+from ..yannakakis import (
+    DecodedResult,
+    decode_result_block,
+    resolve_decode_mode,
+    validated_outputs,
+)
 from ...telemetry.tracing import current_tracer
 from .plans import CyclicEngineStatistics, CyclicExecutionPlan
 from .quotient import materialise_cluster_blocks
@@ -168,6 +173,9 @@ def evaluate_cyclic(relations: Sequence[Relation],
     the one a :class:`~repro.engine.session.PreparedQuery` memoized),
     bypassing the planner lookup — and, adaptively, the per-database cover
     re-scoring — entirely; its fingerprint must match the relations' schema.
+    Every call builds the relations' hypergraph and checks the outputs and
+    the plan's fingerprint against it; a prepared query checks once per
+    database binding and runs the same body without them.
 
     The clusters are materialised as blocks and fed straight into the
     columnar quotient pipeline, decoding only the final result.  With
@@ -178,26 +186,45 @@ def evaluate_cyclic(relations: Sequence[Relation],
     if not relations:
         raise SchemaError("the cyclic engine needs at least one relation to evaluate")
     decode = resolve_decode_mode(decode)
-    active_planner = planner if planner is not None else DEFAULT_PLANNER
     hypergraph = Hypergraph([relation.schema.attribute_set for relation in relations])
-    wanted: Optional[FrozenSet[Attribute]] = (
-        frozenset(output_attributes) if output_attributes is not None else None)
-    if wanted is not None and not wanted <= hypergraph.nodes:
-        missing = wanted - hypergraph.nodes
-        raise SchemaError(f"output attributes {sorted_nodes(missing)} are not in the schema")
+    wanted = validated_outputs(output_attributes, hypergraph.nodes)
+    if plan is not None and plan.fingerprint != schema_fingerprint(hypergraph):
+        raise SchemaError("the supplied cyclic execution plan was "
+                          "compiled for a different schema fingerprint")
+    return _evaluate_cyclic_bound(
+        relations, wanted, plan, hypergraph=hypergraph, planner=planner,
+        catalog=catalog, name=name, check_reduction=check_reduction,
+        cluster_row_bound=cluster_row_bound, column_backend=column_backend,
+        decode=decode)
 
+
+def _evaluate_cyclic_bound(relations: Sequence[Relation],
+                           wanted: Optional[FrozenSet[Attribute]],
+                           plan: Optional[CyclicExecutionPlan], *,
+                           hypergraph: Optional[Hypergraph] = None,
+                           planner: Optional[QueryPlanner] = None,
+                           catalog: Optional[StatisticsCatalog],
+                           name: str, check_reduction: bool,
+                           cluster_row_bound: Optional[int],
+                           column_backend: Optional[str],
+                           decode: str) -> CyclicEngineResult:
+    """:func:`evaluate_cyclic`'s body over inputs already checked against the plan.
+
+    Builds no hypergraph and computes no fingerprint: the caller vouches
+    that ``plan`` (when given) was compiled for the relations' schema and
+    that ``wanted`` lies within it.  ``plan=None`` plans ``hypergraph``
+    through ``planner`` (the public path only).
+    """
     tracer = current_tracer()
     prepare_span = tracer.span("prepare")
     prepare_started = perf_counter()
     with prepare_span:
         if plan is None:
+            active_planner = planner if planner is not None else DEFAULT_PLANNER
             misses_before = active_planner.cache_info().misses
             plan = active_planner.cyclic_plan_for(hypergraph, catalog=catalog)
             plan_cache_hit = active_planner.cache_info().misses == misses_before
         else:
-            if plan.fingerprint != schema_fingerprint(hypergraph):
-                raise SchemaError("the supplied cyclic execution plan was "
-                                  "compiled for a different schema fingerprint")
             plan_cache_hit = True
         if prepare_span.is_recording:
             prepare_span.set("kind", "cyclic")
@@ -291,8 +318,6 @@ def evaluate_cyclic(relations: Sequence[Relation],
         result_block, inner_intermediates, physical_seconds = run_columnar_plan(
             inner_plan, inner_annotated, blocks, wanted,
             trace=trace, check_reduction=check_reduction)
-        result_block = result_block.with_column_order(
-            sorted_nodes(result_block.attributes))
         check_deadline("decode")
         relation, decode_seconds = decode_result_block(
             result_block, name, decode, backend.name)

@@ -157,12 +157,17 @@ class FullReducer:
         return "\n".join(f"{index + 1:3d}. [{step.direction:4s}] {step.describe()}"
                          for index, step in enumerate(self.steps))
 
+    # Memoised on the instance like RootedJoinTree's maps: the dataclass is
+    # frozen, so object.__setattr__ is the sanctioned escape hatch.
     def _component_map(self) -> Dict[Edge, Edge]:
         """Each vertex mapped to its tree component's root."""
-        component: Dict[Edge, Edge] = {}
-        for vertex, parent in self.rooted.order:
-            component[vertex] = component[parent] if parent is not None else vertex
-        return component
+        cached = getattr(self, "_component_of", None)
+        if cached is None:
+            cached = {}
+            for vertex, parent in self.rooted.order:
+                cached[vertex] = cached[parent] if parent is not None else vertex
+            object.__setattr__(self, "_component_of", cached)
+        return cached
 
     def run_blocks(self, blocks: Mapping[Edge, "ColumnBlock"], *,
                    trace: Optional[ReductionTrace] = None,

@@ -36,6 +36,7 @@ from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Dict,
+    FrozenSet,
     Iterable,
     Optional,
     Sequence,
@@ -61,7 +62,7 @@ from ..telemetry.tracing import (
 )
 from .catalog import StatisticsCatalog
 from .deadline import deadline_scope
-from .columnar.block import column_cache_info
+from .columnar.block import block_cache_size
 from .planner import (
     DEFAULT_PLANNER,
     AnnotatedPlan,
@@ -395,6 +396,11 @@ class ExecutionBatch:
 # --------------------------------------------------------------------------- #
 # Prepared queries
 # --------------------------------------------------------------------------- #
+def _relations_hypergraph(relations: Sequence[Relation]) -> Hypergraph:
+    """The hypergraph of a relation sequence's schemes."""
+    return Hypergraph([relation.schema.attribute_set for relation in relations])
+
+
 @dataclass(frozen=True)
 class _DatabaseBinding:
     """Everything one database needs at execution time, resolved once."""
@@ -444,6 +450,8 @@ class PreparedQuery:
         self._structure = structure
         self._hypergraph = hypergraph
         self._output = output_attributes
+        self._wanted: Optional[FrozenSet[Attribute]] = (
+            frozenset(output_attributes) if output_attributes is not None else None)
         self._options = options
         self._name = name
         self._query = query
@@ -494,10 +502,15 @@ class PreparedQuery:
 
         Returns an :class:`~repro.engine.yannakakis.EngineResult` (acyclic
         dispatch) or :class:`~repro.engine.cyclic.executor.CyclicEngineResult`
-        (cyclic dispatch).  The first execution against a database resolves
-        its statistics catalog and cost annotation; subsequent executions
-        against the *same* database reuse them outright — no cover search,
-        no structure planning, no re-annotation.
+        (cyclic dispatch).  The first execution against a database binds it:
+        checks its schema fingerprint and the outputs against it (raising
+        :class:`~repro.exceptions.SchemaError` on a mismatch, every time —
+        a failed binding is not memoised) and resolves its statistics
+        catalog and cost annotation.  Subsequent executions against the
+        *same* database reuse the binding outright — no cover search, no
+        structure planning, no re-annotation, and no structural
+        re-derivation either: no hypergraph, no fingerprint, and the fold
+        replays the plan's compiled program.  Only the data kernels run.
         """
         try:
             binding = self._binding_for(database)
@@ -727,16 +740,15 @@ class PreparedQuery:
     def _resolve_binding(self, database: Database) -> _DatabaseBinding:
         if self._query is not None:
             relations = tuple(self._query.atom_relations(database))
+            self._check_schema(_relations_hypergraph(relations),
+                               "these atom relations'")
             catalog = None
             if self._options.adaptive:
                 catalog = StatisticsCatalog.from_relations(
                     relations, sample_limit=self._options.sample_limit)
         else:
-            expected = schema_fingerprint(database.schema.to_hypergraph())
-            if expected != self.fingerprint:
-                raise SchemaError(
-                    "the prepared query was compiled for a different schema "
-                    "fingerprint than this database's")
+            self._check_schema(database.schema.to_hypergraph(),
+                               "this database's")
             relations = database.relations()
             catalog = None
             if self._options.adaptive:
@@ -745,17 +757,24 @@ class PreparedQuery:
         return self._build_binding(relations, catalog)
 
     def _bind_relations(self, relations: Tuple[Relation, ...]) -> _DatabaseBinding:
-        expected = schema_fingerprint(
-            Hypergraph([relation.schema.attribute_set for relation in relations]))
-        if expected != self.fingerprint:
-            raise SchemaError(
-                "the prepared query was compiled for a different schema "
-                "fingerprint than these relations'")
+        self._check_schema(_relations_hypergraph(relations), "these relations'")
         catalog = None
         if self._options.adaptive:
             catalog = StatisticsCatalog.from_relations(
                 relations, sample_limit=self._options.sample_limit)
         return self._build_binding(relations, catalog)
+
+    def _check_schema(self, hypergraph: Hypergraph, whose: str) -> None:
+        """The structural checks a binding is trusted on for its whole life.
+
+        The schema fingerprint must be the prepared one and the outputs must
+        lie within the schema; the engine's bound evaluators repeat neither.
+        """
+        if schema_fingerprint(hypergraph) != self.fingerprint:
+            raise SchemaError(
+                "the prepared query was compiled for a different schema "
+                f"fingerprint than {whose}")
+        _yannakakis.validated_outputs(self._wanted, hypergraph.nodes)
 
     def _build_binding(self, relations: Tuple[Relation, ...],
                        catalog: Optional[StatisticsCatalog]) -> _DatabaseBinding:
@@ -812,22 +831,22 @@ class PreparedQuery:
         if isinstance(binding, _ShardedBinding):
             from .sharded.driver import run_sharded
             return run_sharded(self, binding)
+        # The binding was checked when it was built, so both engines run
+        # their bound bodies: no hypergraph, no fingerprint, no output check.
         if self._kind == "acyclic":
-            return _yannakakis.evaluate(
-                binding.relations, self._output, name=self._name,
-                check_reduction=options.check_reduction, plan=binding.plan,
+            return _yannakakis._evaluate_bound(
+                binding.relations, self._wanted, binding.plan, name=self._name,
+                check_reduction=options.check_reduction,
                 column_backend=options.column_backend,
                 decode=options.decode)
-        # Resolved through the package attribute at call time so test doubles
-        # patched onto ``repro.engine.cyclic`` intercept the dispatch.
-        from . import cyclic
-        return cyclic.evaluate_cyclic(
-            binding.relations, self._output, name=self._name,
+        # Resolved through the module attribute at call time so test doubles
+        # patched onto ``repro.engine.cyclic.executor`` intercept the dispatch.
+        from .cyclic import executor as cyclic_executor
+        return cyclic_executor._evaluate_cyclic_bound(
+            binding.relations, self._wanted, binding.plan, name=self._name,
             check_reduction=options.check_reduction,
             cluster_row_bound=options.cluster_row_bound,
-            plan=binding.plan, catalog=binding.catalog,
-            planner=self._session.planner,
-            column_backend=options.column_backend,
+            catalog=binding.catalog, column_backend=options.column_backend,
             decode=options.decode)
 
 
@@ -1074,9 +1093,7 @@ class EngineSession:
             raise SchemaError(
                 "prepare expects a ConjunctiveQuery, Database, DatabaseSchema, "
                 "Hypergraph or a non-empty sequence of Relations")
-        hypergraph = Hypergraph([relation.schema.attribute_set
-                                 for relation in relations])
-        return None, hypergraph, "yannakakis"
+        return None, _relations_hypergraph(relations), "yannakakis"
 
     @staticmethod
     def _normalise_outputs(output_attributes, query, hypergraph
@@ -1210,7 +1227,7 @@ class EngineSession:
         if ratio is not None:
             series["hit_ratio"].set(ratio)
         series["cache_size"].set(info.size)
-        series["blocks"].set(column_cache_info()["relations"])
+        series["blocks"].set(block_cache_size())
 
     def _execution_series(self, kind: str) -> Dict[str, object]:
         """The resolved metric series the per-execution path records into.

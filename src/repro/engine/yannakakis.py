@@ -133,6 +133,19 @@ class EngineResult(DecodedResult):
     result_name: str = "yannakakis"
 
 
+def validated_outputs(output_attributes: Optional[Iterable[Attribute]],
+                      universe: FrozenSet[Attribute]
+                      ) -> Optional[FrozenSet[Attribute]]:
+    """The requested outputs as a frozenset; :class:`SchemaError` outside ``universe``."""
+    if output_attributes is None:
+        return None
+    wanted = frozenset(output_attributes)
+    if not wanted <= universe:
+        raise SchemaError(f"output attributes {sorted_nodes(wanted - universe)} "
+                          "are not in the schema")
+    return wanted
+
+
 def evaluate(relations: Sequence[Relation],
              output_attributes: Optional[Iterable[Attribute]] = None, *,
              planner: Optional[QueryPlanner] = None,
@@ -167,25 +180,49 @@ def evaluate(relations: Sequence[Relation],
     ``decode="block"`` builds no rows — the ``decode`` span still opens,
     ``deferred``, with the output count — and returns a result whose
     ``relation`` is materialised lazily via :meth:`EngineResult.decoded`.
+
+    Every call builds the relations' hypergraph and checks the outputs and
+    the plan's fingerprint against it.  A
+    :class:`~repro.engine.session.PreparedQuery` makes those checks once per
+    database binding and runs the same body without them.
     """
     if not relations:
         raise SchemaError("the engine needs at least one relation to evaluate")
     decode = resolve_decode_mode(decode)
-    active_planner = planner if planner is not None else DEFAULT_PLANNER
     hypergraph = Hypergraph([relation.schema.attribute_set for relation in relations])
-    universe = hypergraph.nodes
-    wanted: Optional[FrozenSet[Attribute]] = (
-        frozenset(output_attributes) if output_attributes is not None else None)
-    if wanted is not None and not wanted <= universe:
-        missing = wanted - universe
-        raise SchemaError(f"output attributes {sorted_nodes(missing)} are not in the schema")
+    wanted = validated_outputs(output_attributes, hypergraph.nodes)
+    if plan is not None and plan.fingerprint != schema_fingerprint(hypergraph):
+        raise SchemaError("the supplied execution plan was compiled for "
+                          "a different schema fingerprint")
+    return _evaluate_bound(relations, wanted, plan, hypergraph=hypergraph,
+                           planner=planner, root=root, catalog=catalog,
+                           name=name, check_reduction=check_reduction,
+                           column_backend=column_backend, decode=decode)
 
+
+def _evaluate_bound(relations: Sequence[Relation],
+                    wanted: Optional[FrozenSet[Attribute]],
+                    plan: Optional[Union[ExecutionPlan, AnnotatedPlan]], *,
+                    hypergraph: Optional[Hypergraph] = None,
+                    planner: Optional[QueryPlanner] = None,
+                    root: Optional[Edge] = None,
+                    catalog: Optional[StatisticsCatalog] = None,
+                    name: str, check_reduction: bool,
+                    column_backend: Optional[str], decode: str) -> EngineResult:
+    """:func:`evaluate`'s body over inputs already checked against the plan.
+
+    Builds no hypergraph and computes no fingerprint: the caller vouches
+    that ``plan`` (when given) was compiled for the relations' schema and
+    that ``wanted`` lies within it.  ``plan=None`` plans ``hypergraph``
+    through ``planner`` (the public path only).
+    """
     tracer = current_tracer()
     annotated: Optional[AnnotatedPlan] = None
     prepare_span = tracer.span("prepare")
     prepare_started = perf_counter()
     with prepare_span:
         if plan is None:
+            active_planner = planner if planner is not None else DEFAULT_PLANNER
             # Misses, not hits: the adaptive path may serve the default-root
             # plan from cache (a hit) and still compile its re-rooted
             # structure (a miss) in the same call — only "no compilation
@@ -205,9 +242,6 @@ def evaluate(relations: Sequence[Relation],
                 plan = annotated.structure
             elif catalog is not None:
                 annotated = annotate_plan(plan, catalog, output_attributes=wanted)
-            if plan.fingerprint != schema_fingerprint(hypergraph):
-                raise SchemaError("the supplied execution plan was compiled for "
-                                  "a different schema fingerprint")
             plan_cache_hit = True
         if prepare_span.is_recording:
             prepare_span.set("kind", "acyclic")
@@ -226,14 +260,11 @@ def evaluate(relations: Sequence[Relation],
         blocks = vertex_blocks(relations, plan.vertices)
         encode_seconds = perf_counter() - encode_started
         check_deadline("reduce")
+        # The fold returns the canonical result column order, so the answer
+        # is deterministic across plans and shards.
         result_block, intermediates, physical_seconds = run_columnar_plan(
             plan, annotated, blocks, wanted,
             trace=trace, check_reduction=check_reduction)
-        # Canonical result column order: the fold's output order is
-        # annotation-dependent, so the boundary sorts it — making the
-        # order deterministic across plans and shards.
-        result_block = result_block.with_column_order(
-            sorted_nodes(result_block.attributes))
         check_deadline("decode")
         result, decode_seconds = decode_result_block(
             result_block, name, decode, backend.name)

@@ -617,6 +617,10 @@ class SessionMonitor:
               "Selection keys (selection-vector bytes) materialised; a warm "
               "re-execution reuses its memoised keys and adds none.",
               column_info["selection_keys"])
+        gauge("engine_fold_programs_compiled",
+              "Fold programs compiled (one per plan and output set); a warm "
+              "re-execution replays its plan's program and adds none.",
+              column_info["fold_programs"])
         gauge("engine_interner_values",
               "Values held by the current interner generation (only grows).",
               column_info["interned_values"])

@@ -145,6 +145,20 @@ class TestValidation:
         with pytest.raises(SchemaError):
             evaluate_cyclic_database(triangle_db, ("NOPE",))
 
+    def test_unknown_output_attribute_rejected_over_relations(self, triangle_db):
+        with pytest.raises(SchemaError, match="not in the schema"):
+            evaluate_cyclic(triangle_db.relations(), ("R0", "NOPE"))
+
+    def test_plan_for_another_schema_rejected(self, triangle_db, triangle_chain_db):
+        planner = QueryPlanner()
+        other = planner.cyclic_plan_for(triangle_chain_db.schema.to_hypergraph())
+        with pytest.raises(SchemaError, match="different schema fingerprint"):
+            evaluate_cyclic(triangle_db.relations(), plan=other)
+        own = planner.cyclic_plan_for(triangle_db.schema.to_hypergraph())
+        supplied = evaluate_cyclic(triangle_db.relations(), plan=own)
+        assert supplied.plan is own
+        assert supplied.relation == evaluate_cyclic(triangle_db.relations()).relation
+
     def test_cluster_row_bound_propagates(self, triangle_db):
         with pytest.raises(ClusterBoundExceededError):
             evaluate_cyclic_database(triangle_db, cluster_row_bound=1)

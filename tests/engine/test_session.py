@@ -14,6 +14,11 @@ from repro.engine import (
     QueryPlanner,
     default_session,
 )
+from repro.engine import session as session_module
+from repro.engine import yannakakis as yannakakis_module
+from repro.engine.catalog import CostAnnotation
+from repro.engine.columnar import executor as columnar_executor
+from repro.engine.cyclic import executor as cyclic_executor
 from repro.engine.session import BatchStatistics
 from repro.generators import (
     chain_hypergraph,
@@ -113,6 +118,37 @@ class TestWarmPath:
             assert session.cache_info() == frozen
             assert again.statistics.plan_cache_hit
             assert frozenset(again.relation.rows) == frozenset(first.relation.rows)
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("shape", ["acyclic", "cyclic"])
+    def test_warm_execute_rederives_no_structure(self, shape, adaptive,
+                                                 acyclic_db, cyclic_db,
+                                                 monkeypatch):
+        # Sharded bindings keep the public per-shard evaluators.
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        database = acyclic_db if shape == "acyclic" else cyclic_db
+        prepared = EngineSession(adaptive=adaptive).prepare(database,
+                                                           ("C0", "C4"))
+        assert prepared.kind == shape
+        first = prepared.execute(database)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm execute re-derived plan structure")
+
+        for module in (yannakakis_module, cyclic_executor, session_module):
+            monkeypatch.setattr(module, "schema_fingerprint", forbidden,
+                                raising=False)
+            monkeypatch.setattr(module, "Hypergraph", forbidden, raising=False)
+        monkeypatch.setattr(columnar_executor, "compile_fold_program", forbidden)
+        monkeypatch.setattr(CostAnnotation, "order_children", forbidden)
+        for _ in range(2):
+            again = prepared.execute(database)
+            assert again.relation == first.relation
+            assert again.relation.schema.attributes == ("C0", "C4")
+            assert again.statistics.intermediate_sizes == \
+                first.statistics.intermediate_sizes
+            assert again.statistics.semijoin_steps == \
+                first.statistics.semijoin_steps
 
     def test_static_prepared_execute_never_touches_the_planner(self, acyclic_db):
         session = EngineSession(adaptive=False)
@@ -278,6 +314,85 @@ class TestErrors:
 
         with pytest.raises(SchemaError):
             EngineSession().prepare(acyclic_db, ("NOPE",))
+
+    def test_mismatched_database_raises_on_every_execute(self, acyclic_db,
+                                                         cyclic_db):
+        from repro.exceptions import SchemaError
+
+        session = EngineSession()
+        for source, wrong in ((acyclic_db, cyclic_db), (cyclic_db, acyclic_db)):
+            prepared = session.prepare(source)
+            # A failed binding is not memoised, so the check runs every time.
+            for _ in range(2):
+                with pytest.raises(SchemaError,
+                                   match="different schema fingerprint"):
+                    prepared.execute(wrong)
+            assert wrong not in prepared._bindings
+            assert prepared.execute(source).relation == \
+                session.prepare(source).execute(source).relation
+
+    def test_execute_relations_rejects_mismatched_relations(self, acyclic_db,
+                                                            cyclic_db):
+        from repro.exceptions import SchemaError
+
+        prepared = EngineSession().prepare(acyclic_db.relations(), ("C0",))
+        for wrong in (cyclic_db.relations(), acyclic_db.relations()[:-1]):
+            for _ in range(2):
+                with pytest.raises(SchemaError, match="these relations'"):
+                    prepared.execute_relations(wrong)
+        assert prepared.execute_relations(acyclic_db.relations()).relation == \
+            yannakakis_join(acyclic_db, ("C0",)).relation
+
+    def test_unknown_output_attribute_raises_on_every_entry_point(
+            self, acyclic_db, cyclic_db):
+        from repro.engine.cyclic import evaluate_cyclic
+        from repro.engine.yannakakis import evaluate
+        from repro.exceptions import SchemaError
+
+        session = EngineSession()
+        for database in (acyclic_db, cyclic_db):
+            relations = database.relations()
+            calls = [
+                lambda: session.prepare(database, ("C0", "NOPE")),
+                lambda: session.prepare(database.schema, ("NOPE",)),
+                lambda: session.prepare(relations, ("NOPE",)),
+                lambda: session.execute(database, database, ("NOPE",)),
+                lambda: session.execute_join(relations, ("NOPE",)),
+                lambda: evaluate_cyclic(relations, ("NOPE",)),
+            ]
+            if database is acyclic_db:
+                calls.append(lambda: evaluate(relations, ("NOPE",)))
+            for call in calls:
+                with pytest.raises(SchemaError, match="not in the schema"):
+                    call()
+        query = ConjunctiveQuery.from_strings(
+            ["x", "y"],
+            body=[("R1", ["x", "b", "c"]), ("R2", ["b", "c", "d"]),
+                  ("R3", ["c", "d", "y"])])
+        with pytest.raises(SchemaError, match="not in the schema"):
+            session.prepare(query, ("x", "nope"))
+
+    def test_query_binding_checks_outputs_against_its_atom_relations(
+            self, acyclic_db):
+        from repro.exceptions import SchemaError
+
+        query = ConjunctiveQuery.from_strings(
+            ["x", "y"],
+            body=[("R1", ["x", "b", "c"]), ("R2", ["b", "c", "d"]),
+                  ("R3", ["c", "d", "y"])])
+        session = EngineSession()
+        good = session.prepare(query)
+        # Outputs outside the atoms' variables cannot pass ``prepare``; a
+        # hand-built prepared query shows the binding checks them anyway.
+        bad = PreparedQuery(session, kind=good.kind, structure=good.structure,
+                            hypergraph=query.hypergraph(),
+                            output_attributes=("x", "nope"),
+                            options=good.options, name="bad", query=query)
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="not in the schema"):
+                bad.execute(acyclic_db)
+        assert frozenset(good.execute(acyclic_db).relation.rows) == \
+            frozenset(query.evaluate(acyclic_db, engine="naive").rows)
 
     def test_prepare_rejects_garbage_source(self):
         from repro.exceptions import SchemaError

@@ -59,6 +59,40 @@ class TestCorrectness:
         with pytest.raises(SchemaError):
             evaluate([])
 
+    def test_unknown_output_attribute_rejected_over_relations(self, dirty_db):
+        with pytest.raises(SchemaError, match="not in the schema"):
+            evaluate(dirty_db.relations(), ("Student", "Nope"))
+
+
+class TestSuppliedPlanFingerprint:
+    """A supplied plan is checked against the relations on every public call."""
+
+    @pytest.fixture
+    def other_plan(self):
+        return QueryPlanner().plan_for(chain_hypergraph(3, arity=2, overlap=1))
+
+    def test_plan_for_another_schema_rejected(self, dirty_db, other_plan):
+        with pytest.raises(SchemaError, match="different schema fingerprint"):
+            evaluate(dirty_db.relations(), plan=other_plan)
+
+    def test_annotated_plan_for_another_schema_rejected(self, dirty_db, other_plan):
+        chain = generate_database(DatabaseSchema.from_hypergraph(
+            chain_hypergraph(3, arity=2, overlap=1)), universe_rows=10, seed=2)
+        annotated = QueryPlanner().annotate(chain.schema.to_hypergraph(),
+                                            chain.statistics_catalog())
+        with pytest.raises(SchemaError, match="different schema fingerprint"):
+            evaluate(dirty_db.relations(), plan=annotated)
+        with pytest.raises(SchemaError, match="different schema fingerprint"):
+            evaluate(dirty_db.relations(), plan=other_plan,
+                     catalog=dirty_db.statistics_catalog())
+
+    def test_matching_plan_accepted(self, dirty_db):
+        plan = QueryPlanner().plan_for(dirty_db.schema.to_hypergraph())
+        supplied = evaluate(dirty_db.relations(), ("Student",), plan=plan)
+        planned = evaluate(dirty_db.relations(), ("Student",))
+        assert supplied.plan is plan
+        assert supplied.relation == planned.relation
+
     def test_duplicate_schemes_are_intersected(self):
         schema = RelationSchema.of("R", ("A", "B"))
         left = Relation.from_tuples(schema, [(1, 1), (2, 2)])

@@ -140,7 +140,7 @@ class TestEngineDispatch:
         assert fast.schema.attribute_set == naive.schema.attribute_set
 
     def test_cyclic_query_dispatches_to_cyclic_engine(self, monkeypatch):
-        from repro.engine import cyclic as cyclic_engine
+        from repro.engine.cyclic import executor as cyclic_executor
         from repro.generators import cyclic_supplier_schema
 
         db = generate_database(cyclic_supplier_schema(), universe_rows=15,
@@ -151,15 +151,16 @@ class TestEngineDispatch:
                   ("SERVES", ["p", "s"])])
         assert not query.is_acyclic()
         calls = []
-        original = cyclic_engine.evaluate_cyclic
+        original = cyclic_executor._evaluate_cyclic_bound
 
         def spy(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        # ConjunctiveQuery.evaluate imports the name from the package at call
-        # time, so patching the package attribute intercepts the dispatch.
-        monkeypatch.setattr(cyclic_engine, "evaluate_cyclic", spy)
+        # A prepared query runs the cyclic engine's bound body, resolved
+        # through its module at call time, so patching it intercepts the
+        # dispatch.
+        monkeypatch.setattr(cyclic_executor, "_evaluate_cyclic_bound", spy)
         naive = query.evaluate(db, engine="naive")
         fast = query.evaluate(db, engine="yannakakis")
         assert frozenset(naive.rows) == frozenset(fast.rows)

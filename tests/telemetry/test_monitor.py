@@ -432,6 +432,57 @@ class TestCollector:
         finally:
             clear_column_caches()
 
+    def test_collect_exports_the_fold_programs_a_binding_compiles(
+            self, monkeypatch):
+        # Sharded bindings run the public evaluators once per shard.
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        clear_column_caches()
+        try:
+            session = EngineSession(monitor=MonitorConfig())
+            monitor = session.monitor
+
+            def compiled() -> float:
+                return monitor.collect()["engine_fold_programs_compiled"]
+
+            assert compiled() == 0
+            for database, outputs in benchmark_shapes():
+                prepared = session.prepare(database, outputs)
+                # One plan (the binding's annotation) and one output set.
+                before = compiled()
+                prepared.execute(database)
+                assert compiled() == before + 1
+                for _ in range(3):
+                    prepared.execute(database)
+                    assert compiled() == before + 1
+                # A never-seen copy is a new binding with its own annotated
+                # plan: at most one more program, then warm again.
+                copy = Database(database.schema, {
+                    relation.name: Relation.from_valid_rows(relation.schema,
+                                                            relation.rows)
+                    for relation in database.relations()})
+                prepared.execute(copy)
+                after = compiled()
+                assert before + 1 <= after <= before + 2
+                prepared.execute(copy)
+                prepared.execute(database)
+                assert compiled() == after
+            assert compiled() == column_cache_info()["fold_programs"]
+        finally:
+            clear_column_caches()
+
+    def test_blocks_gauge_reads_the_block_cache_size(self):
+        clear_column_caches()
+        try:
+            database = chain_db()
+            session = monitored_session()
+            session.prepare(database, skewed_chain_endpoints(CHAIN)).execute(
+                database)
+            snapshot = session.metrics.snapshot()
+            assert snapshot["engine_blocks_cached"] == \
+                column_cache_info()["relations"] == CHAIN
+        finally:
+            clear_column_caches()
+
     def test_collect_exports_interner_size_and_key_overflow_rows(self):
         # Kernels on hand-built blocks: the counters sit below the session.
         def block(name, payload, values, width):
