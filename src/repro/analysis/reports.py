@@ -60,7 +60,7 @@ def format_mapping(mapping: Mapping[str, object], *, title: Optional[str] = None
 _STATISTICS_COLUMNS = ("plan", "inputs", "max intermediate", "est max",
                        "total intermediate", "output", "est output",
                        "semijoins", "removed", "clusters", "plan cache",
-                       "index cache", "wall ms", "planner hits", "shards")
+                       "index cache", "wall ms", "planner hits")
 
 
 def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, object]:
@@ -76,16 +76,6 @@ def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, o
     index_misses = getattr(stats, "index_cache_misses", None)
     elapsed = getattr(stats, "elapsed_seconds", None)
     hit_ratio = getattr(stats, "planner_hit_ratio", None)
-    shards = getattr(stats, "shards", None)
-    shard_skew = getattr(stats, "shard_skew", None)
-    if shards is None:
-        shard_summary: object = "-"
-    elif shard_skew is None:
-        # Sharded run but no partitioned rows (broadcast-only), so no skew.
-        shard_summary = f"{shards}[{getattr(stats, 'shard_executor', '-')}]"
-    else:
-        shard_summary = (f"{shards}[{getattr(stats, 'shard_executor', '-')}]"
-                         f" skew={shard_skew:.2f}")
     return {
         "plan": plan if plan is not None else stats.plan_name,
         "inputs": sum(stats.input_sizes),
@@ -104,7 +94,6 @@ def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, o
         "index cache": "-" if index_hits is None else f"{index_hits}h/{index_misses}m",
         "wall ms": "-" if elapsed is None else f"{elapsed * 1000:.2f}",
         "planner hits": "-" if hit_ratio is None else f"{hit_ratio:.0%}",
-        "shards": shard_summary,
     }
 
 
@@ -241,13 +230,11 @@ def query_log_table(entries: Sequence[object], *,
         traced = pick(entry, "trace") is not None or bool(pick(entry, "traced"))
         slow = bool(pick(entry, "slow"))
         elapsed = pick(entry, "elapsed_seconds", 0.0) or 0.0
-        shards = pick(entry, "shards")
         rows.append({
             "seq": pick(entry, "seq", "-"),
             "query": pick(entry, "query", "-"),
             "kind": pick(entry, "kind", "-"),
             "db": pick(entry, "database", "-"),
-            "shards": "-" if shards is None else shards,
             "ms": f"{float(elapsed) * 1000:.2f}",
             "rows": "-" if error else pick(entry, "output_rows", "-"),
             "plan cache": "-" if error else
@@ -255,9 +242,9 @@ def query_log_table(entries: Sequence[object], *,
             "slow": ("slow*" if traced else "slow") if slow else "-",
             "error": error or "-",
         })
-    return format_table(rows, columns=("seq", "query", "kind", "db",
-                                       "shards", "ms", "rows", "plan cache",
-                                       "slow", "error"), title=title)
+    return format_table(rows, columns=("seq", "query", "kind", "db", "ms",
+                                       "rows", "plan cache", "slow", "error"),
+                        title=title)
 
 
 def plan_quality_table(quality: object, *, title: Optional[str] = None) -> str:

@@ -184,16 +184,14 @@ class _ColumnStorage:
     never reissued (a stale key can never match a later storage).
     """
 
-    __slots__ = ("columns", "length", "source_rows", "interner", "token",
+    __slots__ = ("columns", "length", "interner", "token",
                  "_code_cache", "_derived", "_decoded", "_lock")
 
     def __init__(self, columns: Dict[Attribute, array], length: int,
-                 interner: ValueInterner,
-                 source_rows: Optional[Tuple[Row, ...]] = None) -> None:
+                 interner: ValueInterner) -> None:
         self.columns = columns
         self.length = length
         self.interner = interner
-        self.source_rows = source_rows
         self.token = next(_STORAGE_TOKENS)
         self._code_cache: Dict[KeyAttributes, array] = {}
         self._derived: Dict[Tuple, Any] = {}
@@ -312,8 +310,8 @@ class _ColumnStorage:
         values (only those — not the whole interner) alongside.  Unpickling
         re-encodes the vocabulary through the *receiving* process'
         generation, so rebuilt blocks combine freely with blocks encoded
-        there.  Derived caches, the lock and ``source_rows`` are dropped —
-        all are rebuildable (or decodable) on the other side.
+        there.  Derived caches and the lock are dropped — both are
+        rebuildable on the other side.
         """
         values = self.interner.values
         local_ids: Dict[int, int] = {}
@@ -401,10 +399,7 @@ class ColumnBlock:
         interned whole — its already-known values in one lock-free C-level
         pass, only the new ones under the interner lock
         (:meth:`ValueInterner.encode
-        <repro.engine.columnar.buffers.ValueInterner.encode>`).  The source
-        rows are retained on the storage, position-aligned with the id
-        columns, so the shard partitioner can route the *original* ``Row``
-        objects by encoded key without re-materialising them.
+        <repro.engine.columnar.buffers.ValueInterner.encode>`).
         """
         attributes = relation.schema.attributes
         rows, values = relation.to_columns()
@@ -412,7 +407,7 @@ class ColumnBlock:
         columns: Dict[Attribute, array] = {
             attribute: interner.encode(values[attribute])
             for attribute in attributes}
-        storage = _ColumnStorage(columns, len(rows), interner, source_rows=rows)
+        storage = _ColumnStorage(columns, len(rows), interner)
         return cls(relation.name, attributes, storage)
 
     @classmethod
@@ -546,11 +541,6 @@ class ColumnBlock:
         return self._storage.table_for(attributes, self._sel,
                                        self.selection_bytes(), backend)
 
-    @property
-    def source_rows(self) -> Optional[Tuple[Row, ...]]:
-        """The original ``Row`` objects (only on blocks built from a relation)."""
-        return self._storage.source_rows
-
     # ------------------------------------------------------------------ #
     # Cross-block derived caching (the kernels' warm-run result cache)
     # ------------------------------------------------------------------ #
@@ -623,9 +613,8 @@ class ColumnBlock:
 
         The attribute *set* must be unchanged — this only picks a different
         display/decode order over the shared storage.  Used at the result
-        boundary to canonicalise output column order, which is what makes
-        per-shard results (whose fold orders are annotation-dependent)
-        merge into a byte-identical whole.
+        boundary to canonicalise output column order, so the answer's
+        columns do not depend on the annotation-chosen fold order.
         """
         attributes = tuple(attributes)
         if attributes == self._attributes:

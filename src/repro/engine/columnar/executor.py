@@ -179,7 +179,7 @@ def fold_join_tree(program: FoldProgram, reduced: Dict[Edge, ColumnBlock]
     into each other, each join with the program's keep-set fused in
     (:func:`natural_join_blocks`), so dead attributes are never
     materialised.  The result comes back in the program's canonical column
-    order — deterministic across plans and shards.
+    order — deterministic across plans.
     """
     span = current_tracer().span("fold")
     with span:

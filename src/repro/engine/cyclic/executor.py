@@ -133,14 +133,13 @@ class CyclicEngineResult(DecodedResult):
 
     Mirrors :class:`~repro.engine.yannakakis.EngineResult`'s decode contract:
     under ``decode="block"`` ``relation`` is ``None`` and :meth:`decoded`
-    materialises it lazily from ``block`` (a sharded run that merged as rows
-    carries that relation and no block instead).
+    materialises it lazily from ``block``.
     """
 
     relation: Optional[Relation]
     plan: CyclicExecutionPlan
     statistics: CyclicEngineStatistics
-    block: Optional[ColumnBlock] = None
+    block: ColumnBlock
     result_name: str = "cyclic"
 
 

@@ -136,18 +136,6 @@ class EngineStatistics(JoinStatistics):
     #: The serving planner's LRU hit ratio at the time of the run (stamped by
     #: :class:`~repro.engine.session.EngineSession`; ``None`` outside one).
     planner_hit_ratio: Optional[float] = None
-    #: Shard-parallel accounting (``None``/empty for unsharded runs).
-    #: ``shard_row_counts`` are the partitioned input rows routed to each
-    #: shard — the distribution behind ``shard_skew`` (max/mean of those
-    #: counts; 1.0 is perfectly balanced).  ``shard_statistics`` carries the
-    #: per-shard engine statistics objects so per-shard phase timings stay
-    #: inspectable without re-running.
-    shards: Optional[int] = None
-    shard_executor: Optional[str] = None
-    shard_key: Optional[str] = None
-    shard_row_counts: Tuple[int, ...] = ()
-    shard_skew: Optional[float] = None
-    shard_statistics: Tuple[object, ...] = ()
 
     @property
     def elapsed_seconds(self) -> Optional[float]:
@@ -192,11 +180,6 @@ class EngineStatistics(JoinStatistics):
             summary += f" wall={self.elapsed_seconds * 1000:.2f}ms ({phases})"
         if self.planner_hit_ratio is not None:
             summary += f" planner_hits={self.planner_hit_ratio:.0%}"
-        if self.shards is not None:
-            summary += (f" shards={self.shards}[{self.shard_executor}]"
-                        f" key={self.shard_key}")
-            if self.shard_skew is not None:
-                summary += f" skew={self.shard_skew:.2f}"
         return summary
 
 

@@ -134,7 +134,7 @@ class ExecutionOptions:
       ``result.decoded()`` — the win for callers that only need counts,
       emptiness, re-feed blocks into further columnar work, or read the
       answer as plain tuples (``result.block.iter_rows()``, which is how the
-      query service serialises every columnar answer).
+      query service serialises every answer).
     * ``trace`` — record spans of every prepare/execute into the owning
       session's :class:`~repro.telemetry.tracing.Tracer` when no ambient
       tracer is already active.  Off by default: the untraced hot path pays
@@ -147,15 +147,6 @@ class ExecutionOptions:
       a breach raises :class:`~repro.exceptions.ExecutionTimeoutError`, and a
       phase already running is never interrupted mid-flight, so the overshoot
       is bounded by the longest single phase.  ``None`` (default) = no limit.
-    * ``shards`` — hash-partition each database on a join key into this many
-      slices and run the full reducer + fold per shard in parallel, merging
-      with dedup (see :mod:`repro.engine.sharded`).  Results are always
-      identical to the unsharded run.  ``None`` (default) executes unsharded
-      unless the ``REPRO_SHARDS`` environment variable sets a count.
-    * ``shard_executor`` — how shards fan out: ``"thread"`` (in-process pool;
-      the default) or ``"process"`` (long-lived worker processes fed pickled
-      column-block payloads — the executor that escapes the GIL for
-      pure-Python kernels).  ``None`` inherits ``REPRO_SHARD_EXECUTOR``.
     """
 
     adaptive: bool = True
@@ -168,12 +159,9 @@ class ExecutionOptions:
     decode: str = "rows"
     trace: bool = False
     deadline_seconds: Optional[float] = None
-    shards: Optional[int] = None
-    shard_executor: Optional[str] = None
 
     def __post_init__(self) -> None:
         from .columnar import COLUMN_BACKENDS
-        from .sharded.executor import SHARD_EXECUTORS
         from .yannakakis import DECODE_MODES
 
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
@@ -186,13 +174,6 @@ class ExecutionOptions:
         if self.decode not in DECODE_MODES:
             raise ValueError(f"unknown decode mode {self.decode!r}; "
                              f"expected one of {DECODE_MODES}")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be at least 1 (or None for "
-                             "unsharded execution)")
-        if self.shard_executor is not None \
-                and self.shard_executor not in SHARD_EXECUTORS:
-            raise ValueError(f"unknown shard executor {self.shard_executor!r}; "
-                             f"expected one of {SHARD_EXECUTORS} or None")
 
     def merged(self, **overrides: object) -> "ExecutionOptions":
         """A copy with the given fields replaced; unknown names raise ``TypeError``."""
@@ -408,25 +389,6 @@ class _DatabaseBinding:
     relations: Tuple[Relation, ...]
     catalog: Optional[StatisticsCatalog]
     plan: object  # ExecutionPlan | AnnotatedPlan | CyclicExecutionPlan
-
-
-@dataclass(frozen=True)
-class _ShardedBinding(_DatabaseBinding):
-    """A database binding plus its resolved shard partition and plans.
-
-    ``plan`` stays the full-database plan (so ``explain`` keeps working);
-    ``shard_plans``/``shard_catalogs`` hold the per-slice annotations the
-    shard driver actually executes.  The partition — including the
-    generation ``token`` that keys the process workers' caches — is resolved
-    once per database at binding time, so warm sharded executions do no
-    partitioning work.
-    """
-
-    partition: object  # sharded.ShardPartition
-    shard_plans: Tuple[object, ...]
-    shard_catalogs: Tuple[Optional[StatisticsCatalog], ...]
-    executor_name: str
-    token: str
 
 
 class PreparedQuery:
@@ -754,7 +716,8 @@ class PreparedQuery:
             if self._options.adaptive:
                 catalog = self._session.catalog_for(
                     database, sample_limit=self._options.sample_limit)
-        return self._build_binding(relations, catalog)
+        return _DatabaseBinding(relations=relations, catalog=catalog,
+                                plan=self._plan_with(catalog))
 
     def _bind_relations(self, relations: Tuple[Relation, ...]) -> _DatabaseBinding:
         self._check_schema(_relations_hypergraph(relations), "these relations'")
@@ -762,7 +725,8 @@ class PreparedQuery:
         if self._options.adaptive:
             catalog = StatisticsCatalog.from_relations(
                 relations, sample_limit=self._options.sample_limit)
-        return self._build_binding(relations, catalog)
+        return _DatabaseBinding(relations=relations, catalog=catalog,
+                                plan=self._plan_with(catalog))
 
     def _check_schema(self, hypergraph: Hypergraph, whose: str) -> None:
         """The structural checks a binding is trusted on for its whole life.
@@ -775,38 +739,6 @@ class PreparedQuery:
                 "the prepared query was compiled for a different schema "
                 f"fingerprint than {whose}")
         _yannakakis.validated_outputs(self._wanted, hypergraph.nodes)
-
-    def _build_binding(self, relations: Tuple[Relation, ...],
-                       catalog: Optional[StatisticsCatalog]) -> _DatabaseBinding:
-        """Compose the binding, resolving the shard partition when enabled."""
-        from . import sharded
-
-        plan = self._plan_with(catalog)
-        shards = sharded.effective_shards(self._options.shards)
-        if shards is None:
-            return _DatabaseBinding(relations=relations, catalog=catalog,
-                                    plan=plan)
-        partition = sharded.partition_relations(relations, shards)
-        shard_plans = []
-        shard_catalogs = []
-        for piece in partition.slices:
-            if catalog is None:
-                shard_plans.append(plan)
-                shard_catalogs.append(None)
-            else:
-                # Per-shard catalogs keep per-shard plans cardinality-aware:
-                # a skewed slice may prefer a different root or fold order.
-                shard_catalog = StatisticsCatalog.from_relations(
-                    piece.relations, sample_limit=self._options.sample_limit)
-                shard_plans.append(self._plan_with(shard_catalog))
-                shard_catalogs.append(shard_catalog)
-        return _ShardedBinding(
-            relations=relations, catalog=catalog, plan=plan,
-            partition=partition, shard_plans=tuple(shard_plans),
-            shard_catalogs=tuple(shard_catalogs),
-            executor_name=sharded.effective_shard_executor(
-                self._options.shard_executor),
-            token=sharded.next_generation_token())
 
     def _plan_with(self, catalog: Optional[StatisticsCatalog]) -> object:
         """Compose the structure plan with a catalog (static plans pass through)."""
@@ -828,9 +760,6 @@ class PreparedQuery:
 
     def _run_engine(self, binding: _DatabaseBinding):
         options = self._options
-        if isinstance(binding, _ShardedBinding):
-            from .sharded.driver import run_sharded
-            return run_sharded(self, binding)
         # The binding was checked when it was built, so both engines run
         # their bound bodies: no hypergraph, no fingerprint, no output check.
         if self._kind == "acyclic":

@@ -103,9 +103,6 @@ class DecodedResult:
         """The answer as a :class:`Relation`; a deferred block decodes (memoised)."""
         if self.relation is not None:
             return self.relation
-        if self.block is None:
-            raise SchemaError("this result holds neither a decoded relation "
-                              "nor a column block")
         return self.block.to_relation(self.result_name)
 
 
@@ -119,17 +116,14 @@ class EngineResult(DecodedResult):
     ``relation`` is ``None``, ``block`` is the answer
     (:meth:`ColumnBlock.iter_rows` walks it without building a relation —
     the query service's wire path) and :meth:`decoded` materialises the
-    relation on first request (memoised on the block).  The one exception
-    is a sharded run whose shards merge as rows (process executor, 0-ary
-    output): it already holds the merged relation, so it carries that and
-    no block under either decode mode.
+    relation on first request (memoised on the block).
     """
 
     relation: Optional[Relation]
     plan: ExecutionPlan
     statistics: EngineStatistics
+    block: ColumnBlock
     annotated: Optional[AnnotatedPlan] = None
-    block: Optional[ColumnBlock] = None
     result_name: str = "yannakakis"
 
 
@@ -261,7 +255,7 @@ def _evaluate_bound(relations: Sequence[Relation],
         encode_seconds = perf_counter() - encode_started
         check_deadline("reduce")
         # The fold returns the canonical result column order, so the answer
-        # is deterministic across plans and shards.
+        # is deterministic across plans.
         result_block, intermediates, physical_seconds = run_columnar_plan(
             plan, annotated, blocks, wanted,
             trace=trace, check_reduction=check_reduction)

@@ -97,24 +97,6 @@ class ExecutionTimeoutError(ReproError):
         self.elapsed_seconds = elapsed_seconds
 
 
-class ShardExecutionError(ReproError):
-    """A shard-parallel run failed inside a shard executor.
-
-    Wraps worker-side failures (a crashed process, a payload the worker
-    rejected, an unpicklable result) with the shard index and executor name
-    so the caller can tell a data error from an infrastructure one.
-    """
-
-
-class ShardPayloadError(ReproError):
-    """A serialized shard payload was malformed or from a mismatched version.
-
-    Workers reject payloads whose magic bytes or format version do not match
-    their own :data:`repro.engine.sharded.serial.FORMAT_VERSION` — a stale
-    worker from a previous generation must fail loudly, not decode garbage.
-    """
-
-
 class RelationalError(ReproError):
     """Base class for errors raised by the relational substrate."""
 

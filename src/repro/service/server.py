@@ -45,7 +45,6 @@ import asyncio
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from itertools import repeat
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -84,8 +83,7 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 #: id block — so neither is reachable remotely.
 WIRE_OPTION_FIELDS = frozenset({
     "adaptive", "check_reduction", "cluster_row_bound", "sample_limit",
-    "force_cyclic", "column_backend", "trace",
-    "deadline_seconds", "shards", "shard_executor",
+    "force_cyclic", "column_backend", "trace", "deadline_seconds",
 })
 
 
@@ -110,29 +108,18 @@ def _statistics_payload(statistics: object) -> Dict[str, Any]:
 def _relation_payload(result: Any) -> Dict[str, Any]:
     """One result's answer as JSON: ordered columns, deterministically sorted rows.
 
-    One serialiser, two row sources.  A deferred-decode result (every query
-    — see ``_method_prepare``) is read straight off its id block: :meth:`ColumnBlock.wire_rows
+    Read straight off the result's id block: :meth:`ColumnBlock.wire_rows
     <repro.engine.columnar.block.ColumnBlock.wire_rows>` gathers, zips and
     sorts the selected rows once — no ``Row``, no ``frozenset`` — and
-    memoises them on the result storage.  A result that holds a relation (a
-    sharded run that merged as rows) is transposed in one walk (:meth:`Relation.to_columns
-    <repro.relational.relation.Relation.to_columns>`) and zipped the same
-    way.  Neither source has an order, so the sort (by each row's ``repr``)
-    is what makes two equal answers serialise byte-identically — the
-    property suite compares concurrent and serial responses literally.
+    memoises them on the result storage.  A block has no row order, so the
+    sort (by each row's ``repr``) is what makes two equal answers serialise
+    byte-identically — the property suite compares concurrent and serial
+    responses literally.
     """
-    relation = result.relation
-    if relation is None:
-        name, attributes = result.result_name, result.block.attributes
-        rows = result.block.wire_rows(name)
-    else:
-        name, attributes = relation.name, relation.attributes
-        columns = relation.to_columns()[1]
-        tuples = zip(*map(columns.__getitem__, attributes)) if attributes \
-            else repeat((), len(relation))
-        rows = sorted(map(list, tuples), key=repr)
-    return {"name": name,
-            "columns": [str(attribute) for attribute in attributes],
+    block = result.block
+    rows = block.wire_rows(result.result_name)
+    return {"name": result.result_name,
+            "columns": [str(attribute) for attribute in block.attributes],
             "rows": rows,
             "row_count": len(rows)}
 
@@ -153,8 +140,7 @@ def _relation_payloads(results: Sequence[Any],
     started = perf_counter()
     with span:
         memo_hit = span.is_recording and all(
-            result.relation is None
-            and result.block.peek_wire_rows(result.result_name) is not None
+            result.block.peek_wire_rows(result.result_name) is not None
             for result in results)
         documents = [_relation_payload(result) for result in results]
         if span.is_recording:

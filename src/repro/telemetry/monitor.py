@@ -183,16 +183,6 @@ class QueryLogEntry:
     def estimated_output_rows(self) -> Optional[int]:
         return getattr(self._statistics, "estimated_output_size", None)
 
-    @property
-    def shards(self) -> Optional[int]:
-        """Shard fan-out of the run (``None`` for unsharded executions)."""
-        return getattr(self._statistics, "shards", None)
-
-    @property
-    def shard_skew(self) -> Optional[float]:
-        """Max/mean partitioned-row skew of a sharded run (``None`` unsharded)."""
-        return getattr(self._statistics, "shard_skew", None)
-
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready dict (the ``/querylog`` payload's entry shape)."""
         return {
@@ -215,7 +205,6 @@ class QueryLogEntry:
             "index_cache_misses": self.index_cache_misses,
             "adaptive": self.adaptive,
             "estimated_output_rows": self.estimated_output_rows,
-            "shards": self.shards,
             "error": self.error,
             "slow": self.slow,
             "traced": self.trace is not None,
@@ -417,14 +406,6 @@ class SessionMonitor:
         self._database_counter = 0
         self._slow_counter = None
         self._error_counter = None
-        # Shard-parallel accounting, folded in observe(): how many sharded
-        # runs, total fan-out, merge wall-time, and the skew distribution.
-        self._shard_runs = 0
-        self._shard_fanout_total = 0
-        self._shard_merge_seconds = 0.0
-        self._shard_skew_max = 0.0
-        self._shard_skew_sum = 0.0
-        self._shard_skew_count = 0
 
     # ------------------------------------------------------------------ #
     # Session binding
@@ -509,19 +490,6 @@ class SessionMonitor:
             elapsed_seconds, statistics, None, slow, trace))
         self.quality.fold_run(fingerprint=fingerprint, query=query,
                               statistics=statistics)
-        shards = getattr(statistics, "shards", None)
-        if shards is not None:
-            skew = getattr(statistics, "shard_skew", None)
-            merge_seconds = dict(
-                getattr(statistics, "phase_times", ()) or ()).get("merge", 0.0)
-            with self._lock:
-                self._shard_runs += 1
-                self._shard_fanout_total += shards
-                self._shard_merge_seconds += merge_seconds
-                if skew is not None:
-                    self._shard_skew_max = max(self._shard_skew_max, skew)
-                    self._shard_skew_sum += skew
-                    self._shard_skew_count += 1
         if slow and self._slow_counter is not None:
             self._slow_counter.inc()
         return entry
@@ -645,27 +613,6 @@ class SessionMonitor:
         gauge("engine_querylog_dropped",
               "Entries the query log ring buffer has evicted.",
               self.log.dropped)
-        with self._lock:
-            shard_runs = self._shard_runs
-            shard_fanout = self._shard_fanout_total
-            shard_merge = self._shard_merge_seconds
-            shard_skew_max = self._shard_skew_max
-            shard_skew_mean = (self._shard_skew_sum / self._shard_skew_count
-                               if self._shard_skew_count else 0.0)
-        gauge("engine_shard_runs_total",
-              "Sharded executions observed by the monitor.", shard_runs)
-        gauge("engine_shard_fanout_total",
-              "Total shards fanned out across sharded executions.",
-              shard_fanout)
-        gauge("engine_shard_merge_seconds_total",
-              "Cumulative wall-time spent merging shard results.",
-              shard_merge)
-        gauge("engine_shard_skew_max",
-              "The worst max/mean shard-skew observed (1.0 = balanced).",
-              shard_skew_max)
-        gauge("engine_shard_skew_mean",
-              "Mean max/mean shard-skew across sharded executions.",
-              shard_skew_mean)
         with self._lock:
             databases = list(self._database_labels.items())
         for database, label in databases:

@@ -224,7 +224,7 @@ class TestWarmMemo:
         queries = [session.prepare(benchmark_shaped_db, outputs)
                    for outputs in (("C0", "C5"), ("C1", "C5"))]
         answers = [query.execute(benchmark_shaped_db).relation for query in queries]
-        first_round = len(annotations)  # one per query (and per ambient shard)
+        first_round = len(annotations)  # one per query
         assert first_round >= 2
         for _ in range(3):
             for query, answer in zip(queries, answers):

@@ -8,12 +8,7 @@ anything that changes the key — another name, column order or selection, a
 fresh database, a new interner generation, an evicted cache — decodes again
 and must still equal the ``repro.relational`` answer.
 
-The memo lives on column blocks, so every session here pins the columnar
-mode.  A sharded answer is decoded from a merged block the driver rebuilds on
-every run, so identity is an unsharded property: the identity and counting
-cases drop any ambient ``REPRO_SHARDS``, while the thread, pickle and
-Hypothesis cases run under it and check equality (and identity when the
-ambient run is unsharded).
+The memo lives on column blocks, and every engine answer ends on one.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from repro.core.nodes import sorted_nodes
 from repro.engine import EngineSession
 from repro.engine.columnar import clear_column_caches, column_cache_info
 from repro.engine.columnar.block import _DERIVED_CACHE_CAP
-from repro.engine.sharded import effective_shards
 from repro.generators import (
     generate_database,
     skewed_chain_database,
@@ -40,11 +34,6 @@ from repro.generators import (
     triangle_core_chain,
 )
 from repro.relational import DatabaseSchema, naive_join, yannakakis_join
-
-@pytest.fixture
-def unsharded(monkeypatch):
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-
 
 def acyclic_case(seed: int = 0):
     return skewed_chain_database(4, heads=4, fanout=3, junction_values=2,
@@ -80,7 +69,7 @@ CASES = pytest.mark.parametrize("case", [acyclic_case, cyclic_case],
 
 
 @CASES
-def test_a_warm_execute_returns_the_same_relation(case, unsharded):
+def test_a_warm_execute_returns_the_same_relation(case):
     database, outputs = case()
     prepared = EngineSession().prepare(database, outputs)
     first = prepared.execute(database)
@@ -92,7 +81,7 @@ def test_a_warm_execute_returns_the_same_relation(case, unsharded):
 
 
 @CASES
-def test_a_deferred_answer_decodes_to_one_relation(case, unsharded):
+def test_a_deferred_answer_decodes_to_one_relation(case):
     database, outputs = case()
     result = EngineSession(decode="block").prepare(
         database, outputs).execute(database)
@@ -102,7 +91,7 @@ def test_a_deferred_answer_decodes_to_one_relation(case, unsharded):
 
 
 @CASES
-def test_another_name_column_order_or_selection_is_its_own_relation(case, unsharded):
+def test_another_name_column_order_or_selection_is_its_own_relation(case):
     database, outputs = case()
     result = EngineSession().prepare(database, outputs).execute(database)
     block, answer = result.block, result.relation
@@ -126,7 +115,7 @@ def test_another_name_column_order_or_selection_is_its_own_relation(case, unshar
 
 
 @CASES
-def test_a_fresh_database_misses(case, unsharded):
+def test_a_fresh_database_misses(case):
     database, outputs = case()
     prepared = EngineSession().prepare(database, outputs)
     answer = prepared.execute(database).relation
@@ -138,7 +127,7 @@ def test_a_fresh_database_misses(case, unsharded):
 
 
 @CASES
-def test_the_answer_survives_clear_column_caches(case, unsharded):
+def test_the_answer_survives_clear_column_caches(case):
     database, outputs = case()
     prepared = EngineSession().prepare(database, outputs)
     answer = prepared.execute(database).relation
@@ -153,7 +142,7 @@ def test_the_answer_survives_clear_column_caches(case, unsharded):
 
 
 @CASES
-def test_the_answer_survives_a_flooded_derived_cache(case, unsharded):
+def test_the_answer_survives_a_flooded_derived_cache(case):
     database, outputs = case()
     prepared = EngineSession().prepare(database, outputs)
     result = prepared.execute(database)
@@ -193,10 +182,9 @@ def test_eight_threads_on_one_prepared_query_agree(case):
     assert not errors
     for answer in answers:
         assert_answer(answer, expected, prepared.name)
-    if effective_shards(None) is None:
-        now_hits, now_misses = relation_counts()
-        assert (now_hits - hits) + (now_misses - misses) == 40
-        assert prepared.execute(database).relation in answers
+    now_hits, now_misses = relation_counts()
+    assert (now_hits - hits) + (now_misses - misses) == 40
+    assert prepared.execute(database).relation in answers
 
 
 @CASES
@@ -239,8 +227,6 @@ def test_the_memoised_decode_equals_a_fresh_decode_and_the_oracle(query):
     memoised = prepared.execute(database).relation
     assert_answer(memoised, oracle(database, outputs), prepared.name)
     assert memoised == first.relation
-    if effective_shards(None) is not None:
-        return          # a rebuilt merged block (or a rows merge): no memo
     assert memoised is first.relation
     fresh = pickle.loads(pickle.dumps(first.block)).to_relation(prepared.name)
     assert memoised == fresh

@@ -124,8 +124,6 @@ class TestWarmPath:
     def test_warm_execute_rederives_no_structure(self, shape, adaptive,
                                                  acyclic_db, cyclic_db,
                                                  monkeypatch):
-        # Sharded bindings keep the public per-shard evaluators.
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
         database = acyclic_db if shape == "acyclic" else cyclic_db
         prepared = EngineSession(adaptive=adaptive).prepare(database,
                                                            ("C0", "C4"))

@@ -291,13 +291,14 @@ class TestPickledSelectionKeys:
             self, r_ab, s_bc):
         clear_column_caches()
         try:
-            at = {row["A"]: position
-                  for position, row in enumerate(block_for(r_ab).source_rows)}
+            block = block_for(r_ab)
+            at = {block.value_at("A", position): position
+                  for position in range(len(block))}
             positions = [at[3], at[2]]          # "z" has a partner, "y" none
             left = block_for(r_ab).select(positions)
             key = left.selection_bytes()
-            # One payload, as the sharded process path ships a shard: the
-            # storage travels once and both blocks are rebuilt over it.
+            # One payload: the storage travels once and both blocks are
+            # rebuilt over it.
             payload = pickle.dumps((left.rename("base").select(range(3)), left,
                                     block_for(s_bc)))
             built = column_cache_info()["selection_keys"]

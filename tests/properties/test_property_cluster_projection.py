@@ -5,7 +5,7 @@ Three claims, each held against something that shares no code with it:
 * **answers** — with any output subset (0-ary and full included) the
   projected cluster materialisation returns exactly what
   :func:`repro.relational.naive_join` returns, on both column backends,
-  static and adaptive, unsharded and 2-way sharded;
+  static and adaptive;
 * **what a cluster exports** — a multi-member cluster's block holds exactly
   ``scheme ∩ (outputs ∪ every other cluster's scheme)``, a singleton its
   whole scheme, and without outputs nothing is projected: the recorded
@@ -94,13 +94,10 @@ def databases_with_outputs(draw):
 # --------------------------------------------------------------------------- #
 @pytest.mark.slow
 @COMMON_SETTINGS
-@given(case=databases_with_outputs(), backend=BACKENDS, adaptive=st.booleans(),
-       shards=st.sampled_from([1, 2]))
-def test_projected_clusters_answer_like_the_naive_join(case, backend, adaptive,
-                                                       shards):
+@given(case=databases_with_outputs(), backend=BACKENDS, adaptive=st.booleans())
+def test_projected_clusters_answer_like_the_naive_join(case, backend, adaptive):
     database, outputs = case
-    session = EngineSession(column_backend=backend, adaptive=adaptive,
-                            shards=shards)
+    session = EngineSession(column_backend=backend, adaptive=adaptive)
     result = session.prepare(database, outputs).execute(database)
     expected, _ = naive_join(database, outputs)
     assert frozenset(result.relation.rows) == frozenset(expected.rows)
@@ -167,7 +164,7 @@ def test_the_full_join_projects_nothing(hypergraph, arguments, adaptive,
                                         clusters, intermediates):
     database = generate_database(DatabaseSchema.from_hypergraph(hypergraph),
                                  **arguments)
-    statistics = EngineSession(adaptive=adaptive, shards=1) \
+    statistics = EngineSession(adaptive=adaptive) \
         .prepare(database).execute(database).statistics
     assert statistics.cluster_sizes == clusters
     assert statistics.intermediate_sizes == intermediates
@@ -185,7 +182,7 @@ def test_benchmark_instance_count_guard():
     database = generate_database(
         DatabaseSchema.from_hypergraph(triangle_core_chain(4)),
         universe_rows=2000, domain_size=40, dangling_fraction=0.5, seed=4)
-    session = EngineSession(adaptive=True, trace=True, shards=1)
+    session = EngineSession(adaptive=True, trace=True)
     result = session.prepare(database, ("C0", "C5")).execute(database)
     statistics = result.statistics
     assert statistics.cluster_sizes == (2955, 40, 2949, 2970, 2958)

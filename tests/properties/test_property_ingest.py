@@ -95,7 +95,7 @@ def _measure_by_row_walk(relation, sample_limit=None):
 @given(relation=relations())
 def test_transposed_encode_equals_the_per_row_encode(relation):
     block = ColumnBlock.from_relation(relation)
-    rows = block.source_rows
+    rows = relation.to_columns()[0]
     assert frozenset(rows) == relation.rows and len(rows) == len(block)
     assert block.attributes == relation.schema.attributes
     interner = current_interner()
@@ -108,7 +108,7 @@ def test_transposed_encode_equals_the_per_row_encode(relation):
 @given(relation=relations())
 def test_source_rows_stay_aligned_with_the_id_columns(relation):
     block = ColumnBlock.from_relation(relation)
-    for position, row in enumerate(block.source_rows):
+    for position, row in enumerate(relation.to_columns()[0]):
         for attribute in relation.schema.attributes:
             assert row[attribute] == block.value_at(attribute, position)
     assert block.to_relation() == relation

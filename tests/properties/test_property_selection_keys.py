@@ -44,7 +44,6 @@ from repro.engine.columnar import (
     column_cache_info,
     semijoin_blocks,
 )
-from repro.engine.sharded import effective_shards
 from repro.generators import (
     generate_database,
     skewed_chain_database,
@@ -91,13 +90,6 @@ def keys_recomputed():
         ColumnBlock.selection_bytes = carried
 
 
-def _session(backend: str) -> EngineSession:
-    # Counts are compared run against run, so a sharded leg runs the
-    # single-shard path: its thread pool cannot race two shards on one build.
-    return EngineSession(column_backend=backend,
-                         shards=1 if effective_shards(None) else None)
-
-
 def _runs(database, outputs, backend: str):
     """Per execute: the answer and every counter but ``selection_keys``.
 
@@ -107,7 +99,7 @@ def _runs(database, outputs, backend: str):
     seen = []
     for _ in range(2):
         clear_column_caches()
-        prepared = _session(backend).prepare(database, outputs)
+        prepared = EngineSession(column_backend=backend).prepare(database, outputs)
         for _ in range(3):
             result = prepared.execute(database)
             if result.block is not None:
@@ -142,7 +134,7 @@ def test_carried_keys_answer_and_count_like_recomputed_ones(query, backend):
     # The first execute ever on a database fills state the column caches do
     # not own (its block-cache traffic differs from every later first run):
     # take it before either side counts.
-    _session(backend).prepare(database, outputs).execute(database)
+    EngineSession(column_backend=backend).prepare(database, outputs).execute(database)
     carried = _runs(database, outputs, backend)
     with keys_recomputed():
         recomputed = _runs(database, outputs, backend)
@@ -272,13 +264,8 @@ def _benchmark_shapes():
     return [(chain, skewed_chain_endpoints(6)), (triangles, ("C0", "C4"))]
 
 
-@pytest.fixture
-def unsharded(monkeypatch):
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_no_key_is_built_warm_even_after_a_cache_clear(backend, unsharded):
+def test_no_key_is_built_warm_even_after_a_cache_clear(backend):
     for database, outputs in _benchmark_shapes():
         expected = oracle(database, outputs)
         prepared = EngineSession(column_backend=backend).prepare(database, outputs)
@@ -296,7 +283,7 @@ def test_no_key_is_built_warm_even_after_a_cache_clear(backend, unsharded):
 
 
 @pytest.mark.parametrize("shape", [0, 1], ids=["acyclic", "cyclic"])
-def test_two_threads_warm_execute_to_the_identical_relation(shape, unsharded):
+def test_two_threads_warm_execute_to_the_identical_relation(shape):
     database, outputs = _benchmark_shapes()[shape]
     prepared = EngineSession().prepare(database, outputs)
     answer = prepared.execute(database).relation

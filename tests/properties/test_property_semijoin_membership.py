@@ -116,11 +116,17 @@ def separated_relations(draw):
     return relations
 
 
+def _row_at(block, position):
+    """The row a block's storage holds at ``position``, read value by value."""
+    return Row({attribute: block.value_at(attribute, position)
+                for attribute in block.attributes})
+
+
 def _drawn_view(draw, base, relation):
     """A drawn selection of ``base`` and the relation of exactly those rows."""
     positions = draw(st.lists(st.sampled_from(range(len(base))), unique=True)) \
         if len(base) else []
-    rows = frozenset(base.source_rows[position] for position in positions)
+    rows = frozenset(_row_at(base, position) for position in positions)
     return base.select(positions), Relation.from_valid_rows(relation.schema, rows)
 
 
@@ -151,7 +157,7 @@ def test_kernels_match_the_relational_operators(relations, backend, data):
             assert _rows(kept) == expected
             # Selection order survives the filter, and the memo answers alike.
             assert list(kept.positions) == \
-                [p for p in left.positions if left.source_rows[p] in expected]
+                [p for p in left.positions if _row_at(left, p) in expected]
             again = kernel(left, right)
             assert again is left if kept is left else _rows(again) == expected
 
@@ -412,10 +418,7 @@ def _membership_counts(run):
 @pytest.mark.parametrize("kind, steps", [("acyclic", 14), ("cyclic", 8)])
 def test_one_structure_per_reducer_step_and_none_warm(kind, steps, backend):
     database, outputs = _benchmark_instance(kind)
-    # Execution mode and shard count pinned: the counts are the unsharded
-    # columnar engine's, whatever REPRO_SHARDS says.
-    session = EngineSession(column_backend=backend,
-                            shards=1)
+    session = EngineSession(column_backend=backend)
     prepared = session.prepare(database, outputs)
     started = _storage_serial()
     assert _membership_counts(lambda: prepared.execute(database)) == (steps, 0)

@@ -10,10 +10,6 @@ column order or selection, a fresh database, a new interner generation, an
 evicted cache — sorts again.  Whichever way, ``json.dumps`` of the document
 must equal today's inline serialiser and the ``repro.relational`` answer byte
 for byte.
-
-A sharded run answers with a merged relation, not a block, so identity and
-counting cases drop any ambient ``REPRO_SHARDS``; the byte-equality and
-thread cases run under it.
 """
 
 from __future__ import annotations
@@ -43,11 +39,6 @@ from repro.relational import (
 from repro.service import QueryService
 
 NAME = "answer"
-
-
-@pytest.fixture
-def unsharded(monkeypatch):
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
 
 
 def acyclic_case(seed: int = 0):
@@ -149,7 +140,7 @@ def result_block(database, outputs):
 
 
 @CASES
-def test_a_warm_execute_returns_the_same_rows(case, serve, unsharded):
+def test_a_warm_execute_returns_the_same_rows(case, serve):
     database, outputs = case()
     service = serve(outputs, db=database)
     first = service.execute()
@@ -178,7 +169,7 @@ def test_single_column_rows_sort_in_list_repr_order(serve):
 
 
 @CASES
-def test_another_name_column_order_or_selection_misses(case, serve, unsharded):
+def test_another_name_column_order_or_selection_misses(case, serve):
     database, outputs = case()
     served = serve(outputs, db=database).execute()["rows"]
     block = result_block(database, outputs)
@@ -207,7 +198,7 @@ def test_another_name_column_order_or_selection_misses(case, serve, unsharded):
 
 
 @CASES
-def test_a_fresh_database_misses(case, serve, unsharded):
+def test_a_fresh_database_misses(case, serve):
     database, outputs = case()
     fresh, _ = case()
     service = serve(outputs, db=database, fresh=fresh)
@@ -219,7 +210,7 @@ def test_a_fresh_database_misses(case, serve, unsharded):
 
 
 @CASES
-def test_the_rows_survive_clear_column_caches(case, serve, unsharded):
+def test_the_rows_survive_clear_column_caches(case, serve):
     database, outputs = case()
     service = serve(outputs, db=database)
     rows = service.execute()["rows"]
@@ -234,7 +225,7 @@ def test_the_rows_survive_clear_column_caches(case, serve, unsharded):
 
 
 @CASES
-def test_the_rows_survive_a_flooded_derived_cache(case, serve, unsharded):
+def test_the_rows_survive_a_flooded_derived_cache(case, serve):
     database, outputs = case()
     service = serve(outputs, db=database)
     rows = service.execute()["rows"]
@@ -276,7 +267,7 @@ def test_eight_threads_on_one_handle_get_equal_bytes(case, serve):
 
 
 @CASES
-def test_a_batch_over_one_database_shares_one_memo(case, serve, unsharded):
+def test_a_batch_over_one_database_shares_one_memo(case, serve):
     database, outputs = case()
     service = serve(outputs, db=database)
     # Warm the engine without a payload: concurrent cold executes may each

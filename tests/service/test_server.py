@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -196,31 +195,17 @@ def test_a_columnar_query_builds_no_rows_for_the_wire(service, database,
     assert row_constructions == []
 
 
-@pytest.mark.parametrize("database", ["chain", "cycle"])
-def test_a_merged_relation_serialises_like_its_block(service, database):
-    """A sharded run that merges as rows hands the serialiser a relation, not
-    a block; both row sources must give the literally same document."""
-    from repro.service.server import _relation_payload
-
-    handle = _prepare(service, database)
-    status, envelope = _rpc(service, "execute",
-                            {"query": handle, "database": database})
-    assert status == 200
-    instance = service.database(database)
-    result = service.session.prepare(instance, decode="block").execute(instance)
-    merged = SimpleNamespace(relation=result.decoded())
-    assert json.dumps(_relation_payload(merged)) \
-        == json.dumps(_relation_payload(result)) \
-        == json.dumps(envelope["result"]["relation"])
-
-
-def test_execution_mode_is_not_a_wire_option(service):
+@pytest.mark.parametrize("option, value", [
+    ("execution_mode", "row"), ("shards", 2), ("shard_executor", "process"),
+], ids=["execution_mode", "shards", "shard_executor"])
+def test_execution_mode_is_not_a_wire_option(service, option, value):
+    """Options the engine no longer has are a typed 400 for an old client."""
     status, envelope = _rpc(service, "prepare", {
-        "database": "chain", "options": {"execution_mode": "row"}})
+        "database": "chain", "options": {option: value}})
     assert status == 400
     assert envelope["error"]["code"] == "invalid-param"
     message = envelope["error"]["message"]
-    assert "execution_mode" in message
+    assert option in message
     assert all(field in message for field in WIRE_OPTION_FIELDS)
 
 

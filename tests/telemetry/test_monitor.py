@@ -364,10 +364,9 @@ class TestCollector:
             clear_column_caches()
 
     def test_collect_exports_the_payload_memo_and_the_payload_span_reports_it(
-            self, monkeypatch):
+            self):
         from repro.service import QueryService
 
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)  # sharded: no block
         clear_column_caches()
         service = QueryService(EngineSession(monitor=MonitorConfig()),
                                databases={"db": chain_db()})
@@ -403,11 +402,7 @@ class TestCollector:
             service.pool.shutdown(wait=True)
             clear_column_caches()
 
-    def test_collect_exports_the_selection_keys_a_warm_run_reuses(
-            self, monkeypatch):
-        # A sharded run rebuilds its merged answer block, and with it the
-        # answer's key, on every execute: the count is the unsharded engine's.
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    def test_collect_exports_the_selection_keys_a_warm_run_reuses(self):
         clear_column_caches()
         try:
             session = EngineSession(monitor=MonitorConfig())
@@ -432,10 +427,7 @@ class TestCollector:
         finally:
             clear_column_caches()
 
-    def test_collect_exports_the_fold_programs_a_binding_compiles(
-            self, monkeypatch):
-        # Sharded bindings run the public evaluators once per shard.
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    def test_collect_exports_the_fold_programs_a_binding_compiles(self):
         clear_column_caches()
         try:
             session = EngineSession(monitor=MonitorConfig())
