@@ -4,8 +4,9 @@
 every prepared-query execution into a bounded **query log**, folds each
 adaptive run's estimated-vs-actual cardinalities into per-fingerprint
 **q-error** records, and polls the planner/index/block caches into gauges.
-``MonitoringServer`` then serves all of it over live HTTP — the engine's
-first network surface:
+The query service's HTTP listener, ``ServiceServer(QueryService(session))``,
+then serves all of it over live HTTP — no database needs registering, and
+executes made on ``session`` directly land in the monitor it serves:
 
 * ``GET /metrics``  — Prometheus text exposition (counters, histograms,
   freshly-polled cache gauges);
@@ -21,13 +22,13 @@ Run with::
 from __future__ import annotations
 
 import json
-import urllib.request
 
 from repro.analysis import plan_quality_table, query_log_table
 from repro.engine import EngineSession
 from repro.exceptions import SchemaError
 from repro.generators import skewed_chain_database, skewed_chain_endpoints
-from repro.telemetry import MonitorConfig, MonitoringServer, validate_query_log
+from repro.service import QueryService, ServiceClient, ServiceServer
+from repro.telemetry import MonitorConfig, validate_query_log
 
 
 def main() -> None:
@@ -45,7 +46,8 @@ def main() -> None:
     prepared = session.prepare(databases[0], skewed_chain_endpoints(chain),
                                name="chain-endpoints")
 
-    with MonitoringServer(monitor) as server:
+    with ServiceServer(QueryService(session)) as server, \
+            ServiceClient(server.url) as client:
         print(f"monitoring endpoint live at {server.url}")
 
         # A small serving burst — every execution lands in the query log.
@@ -60,8 +62,7 @@ def main() -> None:
             print(f"induced error (also in the log): {error}")
 
         # --- scrape the live endpoint, exactly as Prometheus would ------- #
-        with urllib.request.urlopen(server.url + "/metrics") as reply:
-            metrics_text = reply.read().decode("utf-8")
+        metrics_text = client.metrics_text()
         interesting = [line for line in metrics_text.splitlines()
                        if line.startswith(("engine_queries_total",
                                            "engine_planner_cache_size",
@@ -71,13 +72,13 @@ def main() -> None:
         for line in interesting:
             print(f"  {line}")
 
-        with urllib.request.urlopen(server.url + "/health") as reply:
-            print("\n/health:", json.dumps(json.loads(reply.read()), indent=2))
+        print("\n/health:", json.dumps(client.health(), indent=2))
 
-        with urllib.request.urlopen(server.url + "/querylog?limit=8") as reply:
-            payload = json.loads(reply.read())
-        summary = validate_query_log(payload)
+        summary = validate_query_log(client.querylog(limit=8))
         print(f"\n/querylog validates against querylog_schema.json: {summary}")
+
+        quality = client.get_json("/quality")
+        print(f"/quality tracks {len(quality['fingerprints'])} fingerprint(s)")
 
     # --- the same state, rendered locally -------------------------------- #
     print()

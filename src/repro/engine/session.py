@@ -876,17 +876,13 @@ class EngineSession:
 
     def _resolve_monitor(self, monitor: "Union[None, bool, MonitorConfig, SessionMonitor]"
                          ) -> Optional[SessionMonitor]:
-        # Duck-typed on purpose: ``python -m repro.telemetry.monitor``
-        # re-executes that module under a second name, so its MonitorConfig
-        # is a *different class object* than the one imported here and an
-        # isinstance() gate would spuriously reject it.
         if monitor is None or monitor is False:
             return None
         if monitor is True:
             return SessionMonitor().bind(self)
-        if hasattr(monitor, "bind"):            # a ready SessionMonitor
+        if isinstance(monitor, SessionMonitor):
             return monitor.bind(self)
-        if hasattr(monitor, "log_capacity"):    # a MonitorConfig
+        if isinstance(monitor, MonitorConfig):
             return SessionMonitor(monitor).bind(self)
         raise TypeError("monitor= expects True, a MonitorConfig or a "
                         f"SessionMonitor, not {type(monitor).__name__}")

@@ -16,9 +16,12 @@ caller; this package makes it a long-lived multi-tenant service:
   drain on shutdown;
 * :mod:`~repro.service.server` — :class:`QueryService` (the transport-free
   protocol engine: one session + monitor + pool + admission) and
-  :class:`ServiceServer`, the asyncio HTTP front-end that mounts the
-  monitor's ``/metrics`` / ``/health`` / ``/querylog`` / ``/quality``
-  exposition routes next to the ``POST /v1`` RPC endpoint;
+  :class:`ServiceServer`, the asyncio HTTP front-end and the repo's only
+  listener: next to the ``POST /v1`` RPC endpoint it serves one table of
+  GET routes — the monitor's ``/metrics`` / ``/health`` / ``/querylog`` /
+  ``/quality`` (when the session has a monitor), ``/stats`` and the ``/``
+  index.  ``ServiceServer(QueryService(session))`` is how an in-process
+  session's monitor is scraped;
 * :mod:`~repro.service.client` — the small blocking :class:`ServiceClient`
   used by the tests, the benchmark and the ``python -m repro.service`` demo.
 

@@ -8,10 +8,15 @@ Two modes:
   and run until interrupted.
 * default (smoke) — boot the same server in-process, fire a concurrent
   client burst at it (``--clients`` threads × ``--requests`` calls each,
-  mixing execute / execute_many / explain / stats), scrape ``/metrics``,
-  ``/health`` and ``/querylog``, assert that every execution landed in the
-  query log with **zero dropped entries**, print a JSON summary and exit
-  non-zero on any failure.  This is the CI ``service-smoke`` job.
+  mixing execute / execute_many / explain / stats), then induce one error
+  (the chain query against the ``cycle`` database) and, with the slow-query
+  threshold dropped to zero, two slow runs.  It scrapes ``/metrics``,
+  ``/health``, ``/querylog`` and ``/quality`` and asserts that every
+  execution landed in the query log with **zero dropped entries**, that the
+  ``/querylog`` document validates against ``querylog_schema.json``, that
+  the induced error is logged and that a slow entry kept its span trace;
+  it prints a JSON summary and exits non-zero on any failure.  This is the
+  CI ``service-smoke`` job.
 
 The demo data is two named tenants' worth of databases: the skewed
 3-relation chain (acyclic dispatch) and a consistent 4-cycle (cyclic
@@ -25,6 +30,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Dict, List
 
 from ..engine.session import EngineSession
@@ -36,6 +42,7 @@ from ..generators import (
 )
 from ..relational.schema import DatabaseSchema
 from ..telemetry.monitor import MonitorConfig
+from ..telemetry.schema import QueryLogValidationError, validate_query_log
 from .client import ServiceCallError, ServiceClient
 from .server import QueryService, ServiceServer
 
@@ -108,6 +115,29 @@ def _client_worker(url: str, worker: int, requests: int,
         failures.append(f"worker {worker}: {type(error).__name__}: {error}")
 
 
+def _induce_error_and_slow_runs(service: QueryService, client: ServiceClient,
+                                failures: List[str]) -> None:
+    """One failing execute and two slow ones, for the query log to record.
+
+    The chain query against the ``cycle`` database fails its schema binding.
+    With the slow-query threshold at zero every run is slow: the first arms
+    slow-query tracing, the second runs traced and keeps its span trace.
+    """
+    query = client.prepare(
+        "chain", outputs=[str(a) for a in skewed_chain_endpoints(3)],
+        name="chain-endpoints-traced")
+    try:
+        client.execute(query, "cycle", include_rows=False)
+        failures.append("the chain query ran against the cycle database")
+    except ServiceCallError as error:
+        if error.code != "engine-error":
+            failures.append(f"induced error came back as {error.code}")
+    monitor = service.monitor
+    monitor.config = replace(monitor.config, slow_query_seconds=0.0)
+    for _ in range(2):
+        client.execute(query, "chain", include_rows=False)
+
+
 def _smoke(host: str, port: int, clients: int, requests: int) -> int:
     service = demo_service(log_capacity=max(4096, clients * requests * 4))
     failures: List[str] = []
@@ -125,17 +155,33 @@ def _smoke(host: str, port: int, clients: int, requests: int) -> int:
         elapsed = time.perf_counter() - started
 
         scraper = ServiceClient(server.url, client_id="smoke-scraper")
+        _induce_error_and_slow_runs(service, scraper, failures)
         metrics = scraper.metrics_text()
         health = scraper.health()
         querylog = scraper.querylog()
+        quality_status, _, _ = scraper.get("/quality")
         stats = scraper.stats()
         scraper.close()
 
     # -------------------------------------------------------------- #
     # Assertions
     # -------------------------------------------------------------- #
-    if "engine_queries_total" not in metrics:
-        failures.append("/metrics is missing engine_queries_total")
+    for required in ("engine_queries_total", "engine_planner_cache_size",
+                     "engine_querylog_entries"):
+        if required not in metrics:
+            failures.append(f"/metrics is missing {required}")
+    if quality_status != 200:
+        failures.append(f"/quality answered HTTP {quality_status}")
+    try:
+        validate_query_log(querylog)
+    except QueryLogValidationError as error:
+        failures.append(f"/querylog does not validate: {error}")
+    entries = querylog.get("entries", [])
+    if not any(entry.get("error") for entry in entries):
+        failures.append("the induced error never reached the query log")
+    if not any(entry.get("slow") and entry.get("traced")
+               for entry in entries):
+        failures.append("no slow query log entry retained its trace")
     if health.get("status") != "ok":
         failures.append(f"/health status is {health.get('status')!r}")
     dropped = querylog.get("dropped", -1)

@@ -9,13 +9,18 @@ Two layers, deliberately separable:
   the batch execution pool.  ``handle(document)`` takes one decoded JSON
   request and returns ``(http_status, response_document)`` — tests drive it
   directly, no sockets involved.
-* :class:`ServiceServer` — the stdlib-asyncio HTTP front-end.  One
-  ``asyncio.start_server`` loop on a background thread parses requests,
-  serves the monitor's exposition routes (``/metrics`` / ``/health`` /
-  ``/querylog`` / ``/quality`` — the same payloads as
-  :mod:`repro.telemetry.exposition`) plus ``/stats`` inline, and offloads
-  every ``POST /v1`` RPC to a request pool so slow executions never stall
-  the accept loop.
+* :class:`ServiceServer` — the stdlib-asyncio HTTP front-end and the
+  package's only listener.  One ``asyncio.start_server`` loop on a
+  background thread parses requests, offloads every ``POST /v1`` RPC to a
+  request pool so slow executions never stall the accept loop, and serves
+  the GET routes of one table (:data:`_GET_ROUTES`) inline: the session
+  monitor's ``/metrics`` / ``/health`` / ``/querylog`` / ``/quality`` —
+  mounted only when the session has a monitor — plus ``/stats`` and the
+  ``/`` index, which lists exactly the routes this service mounts.  To
+  scrape an in-process session's monitor, serve
+  ``ServiceServer(QueryService(session))``: no database need be
+  registered, and executes made on ``session`` directly land in the same
+  monitor.
 
 Concurrency shape: the *request pool* is sized to the whole admission
 window (``max_in_flight + max_queued`` plus slack) because admitted-but-
@@ -46,7 +51,8 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 from urllib.parse import parse_qs, urlparse
 
 from ..engine.deadline import check_deadline, deadline_scope
@@ -71,6 +77,8 @@ __all__ = ["QueryService", "ServiceServer", "WIRE_OPTION_FIELDS"]
 
 #: The content type Prometheus scrapers expect for the text format.
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+_JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 #: Request bodies past this are rejected outright (64 MiB — generous for
 #: JSON RPC, small enough that a misbehaving client cannot balloon memory).
@@ -593,20 +601,15 @@ class ServiceServer:
                 "Server: repro-service/1.0\r\n\r\n")
         return head.encode("latin-1") + payload
 
-    @staticmethod
-    def _json_bytes(document: Any) -> bytes:
-        return json.dumps(document, default=str).encode("utf-8")
-
     async def _dispatch(self, method: str, target: str,
                         body: bytes) -> Tuple[int, str, bytes]:
-        """Route one request; JSON everywhere except the Prometheus text."""
+        """Route one request: the ``POST /v1`` RPC first, then the GET table."""
         parsed = urlparse(target)
         route = parsed.path.rstrip("/") or "/"
-        json_type = "application/json; charset=utf-8"
         try:
             if route == "/v1":
                 if method != "POST":
-                    return (405, json_type, self._json_bytes(
+                    return (405, _JSON_CONTENT_TYPE, _json_bytes(
                         {"error": "POST JSON requests to /v1"}))
                 try:
                     document = json.loads(body.decode("utf-8"))
@@ -614,54 +617,98 @@ class ServiceServer:
                     status, envelope = error_response(None, ProtocolError(
                         f"request body is not valid JSON: {error}",
                         code="malformed-request"))
-                    return status, json_type, self._json_bytes(envelope)
+                    return status, _JSON_CONTENT_TYPE, _json_bytes(envelope)
                 loop = asyncio.get_running_loop()
                 status, envelope = await loop.run_in_executor(
                     self._request_pool, self._service.handle, document)
-                return status, json_type, self._json_bytes(envelope)
+                return status, _JSON_CONTENT_TYPE, _json_bytes(envelope)
             if method != "GET":
-                return (405, json_type,
-                        self._json_bytes({"error": f"{route} is GET-only"}))
-            monitor = self._service.monitor
-            if route == "/metrics" and monitor is not None:
-                monitor.collect()
-                registry = monitor.registry
-                text = registry.render_prometheus() if registry is not None \
-                    else ""
-                return 200, _METRICS_CONTENT_TYPE, text.encode("utf-8")
-            if route == "/health" and monitor is not None:
-                return 200, json_type, self._json_bytes(
-                    monitor.health_payload())
-            if route == "/querylog" and monitor is not None:
-                limit = self._limit_of(parsed.query)
-                return 200, json_type, self._json_bytes(
-                    monitor.querylog_payload(limit=limit))
-            if route == "/quality" and monitor is not None:
-                return 200, json_type, self._json_bytes(
-                    monitor.quality_payload())
-            if route == "/stats":
-                return 200, json_type, self._json_bytes(
-                    self._service.stats_payload())
-            if route == "/":
-                return 200, json_type, self._json_bytes(
-                    {"service": "repro-query-service",
-                     "protocol_version": PROTOCOL_VERSION,
-                     "rpc": {"route": "/v1", "methods": list(allowed_methods())},
-                     "routes": ["/metrics", "/health", "/querylog",
-                                "/quality", "/stats"]})
-            return (404, json_type,
-                    self._json_bytes({"error": f"unknown route {route!r}"}))
+                return (405, _JSON_CONTENT_TYPE,
+                        _json_bytes({"error": f"{route} is GET-only"}))
+            entry = _GET_ROUTES.get(route)
+            if entry is None or not _mounts(self._service, entry):
+                return (404, _JSON_CONTENT_TYPE,
+                        _json_bytes({"error": f"unknown route {route!r}"}))
+            try:
+                payload = entry.payload(self._service, parsed.query)
+            except _BadQueryError as error:
+                return (400, _JSON_CONTENT_TYPE,
+                        _json_bytes({"error": str(error)}))
+            if entry.content_type == _JSON_CONTENT_TYPE:
+                return 200, _JSON_CONTENT_TYPE, _json_bytes(payload)
+            return 200, entry.content_type, payload.encode("utf-8")
         except Exception as error:  # noqa: BLE001 - a request must not kill the loop
-            return (500, json_type, self._json_bytes(
+            return (500, _JSON_CONTENT_TYPE, _json_bytes(
                 {"error": f"{type(error).__name__}: {error}"}))
 
-    @staticmethod
-    def _limit_of(query_string: str) -> Optional[int]:
-        values = parse_qs(query_string).get("limit")
-        if not values:
-            return None
-        try:
-            limit = int(values[-1])
-        except ValueError:
-            return None
-        return limit if limit > 0 else None
+
+# --------------------------------------------------------------------------- #
+# The GET routes, declared once
+# --------------------------------------------------------------------------- #
+def _json_bytes(document: Any) -> bytes:
+    return json.dumps(document, default=str).encode("utf-8")
+
+
+class _BadQueryError(ValueError):
+    """A GET route's query string is malformed (answered with a 400)."""
+
+
+def _limit_of(query_string: str) -> Optional[int]:
+    """``?limit=N``: ``None`` when absent, else a positive integer or a 400."""
+    values = parse_qs(query_string, keep_blank_values=True).get("limit")
+    if not values:
+        return None
+    try:
+        limit = int(values[-1])
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise _BadQueryError(
+            f"limit must be a positive integer, got {values[-1]!r}")
+    return limit
+
+
+class _Route(NamedTuple):
+    """One GET route: its payload and whether it needs the session's monitor."""
+
+    payload: Callable[[QueryService, str], Any]
+    monitored: bool = False
+    content_type: str = _JSON_CONTENT_TYPE
+
+
+def _mounts(service: QueryService, entry: _Route) -> bool:
+    return not entry.monitored or service.monitor is not None
+
+
+def _metrics_text(service: QueryService, query_string: str) -> str:
+    """The Prometheus text, with the monitor's gauges polled at scrape time."""
+    monitor = service.monitor
+    monitor.collect()
+    registry = monitor.registry
+    return registry.render_prometheus() if registry is not None else ""
+
+
+def _index(service: QueryService, query_string: str) -> Dict[str, Any]:
+    """The ``/`` discovery document: the RPC endpoint and the mounted routes."""
+    return {"service": "repro-query-service",
+            "protocol_version": PROTOCOL_VERSION,
+            "rpc": {"route": "/v1", "methods": list(allowed_methods())},
+            "routes": [route for route, entry in _GET_ROUTES.items()
+                       if _mounts(service, entry)]}
+
+
+#: Every GET route, in ``/`` listing order.  A monitored route is mounted
+#: only while the service's session has a monitor; everything else is a 404.
+_GET_ROUTES: Dict[str, _Route] = {
+    "/metrics": _Route(_metrics_text, monitored=True,
+                       content_type=_METRICS_CONTENT_TYPE),
+    "/health": _Route(lambda service, query: service.monitor.health_payload(),
+                      monitored=True),
+    "/querylog": _Route(lambda service, query: service.monitor.querylog_payload(
+                            limit=_limit_of(query)),
+                        monitored=True),
+    "/quality": _Route(lambda service, query: service.monitor.quality_payload(),
+                       monitored=True),
+    "/stats": _Route(lambda service, query: service.stats_payload()),
+    "/": _Route(_index),
+}

@@ -21,21 +21,21 @@ imports the engine; the engine's layers import *it*):
   against the checked-in ``trace_schema.json`` (required span names,
   monotonic timestamps, parent/child closure) and of ``/querylog`` payloads
   against ``querylog_schema.json`` — what the CI trace-smoke job runs;
-* :mod:`~repro.telemetry.monitor` / :mod:`~repro.telemetry.qualitylog` /
-  :mod:`~repro.telemetry.exposition` — the **operational monitoring**
-  subsystem: a per-session query-log ring buffer with slow-query trace
-  retention, rolling p50/p95/p99 latency and QPS history, per-fingerprint
-  q-error tracking with drift flags, cache/resource gauges, and a stdlib
-  HTTP endpoint serving ``/metrics`` / ``/health`` / ``/querylog`` /
-  ``/quality`` (opt in with ``EngineSession(monitor=True)``).
+* :mod:`~repro.telemetry.monitor` / :mod:`~repro.telemetry.qualitylog` —
+  the **operational monitoring** subsystem: a per-session query-log ring
+  buffer with slow-query trace retention, rolling p50/p95/p99 latency and
+  QPS history, per-fingerprint q-error tracking with drift flags and
+  cache/resource gauges (opt in with ``EngineSession(monitor=True)``).  The
+  monitor's payloads go over HTTP through the query service's one listener,
+  ``repro.service.ServiceServer`` (``/metrics`` / ``/health`` /
+  ``/querylog`` / ``/quality``); this package never imports the service.
 
 Module-level imports here never touch the engine (the engine's layers
-import *this* package); the monitor's cache collector and demo entry point
-import engine internals lazily, inside the functions that need them.
+import *this* package); the monitor's cache collector imports engine
+internals lazily, inside the function that needs them.
 """
 
 from .explain import ExplainAnalysis, ExplainEntry, build_explain_analysis
-from .exposition import MonitoringServer, start_monitoring_server
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -96,7 +96,6 @@ __all__ = [
     "MonitorConfig", "SessionMonitor", "QueryLog", "QueryLogEntry",
     "QueryHistory", "rolling_history",
     "PlanQualityTracker", "QualityObservation", "q_error",
-    "MonitoringServer", "start_monitoring_server",
     "QUERYLOG_SCHEMA_PATH", "QueryLogValidationError",
     "load_querylog_schema", "validate_query_log",
 ]

@@ -25,26 +25,25 @@ receives every prepared-query execution and error and maintains:
   :class:`~repro.telemetry.metrics.MetricsRegistry`, so one ``/metrics``
   scrape sees the full warm-path cache state.
 
-``python -m repro.telemetry.monitor`` is the demo/smoke entry point: it
-starts the :mod:`~repro.telemetry.exposition` endpoint, traces a mixed
-acyclic + cyclic workload (including one induced error and one slow query),
-scrapes ``/metrics`` / ``/health`` over live HTTP and validates the
-``/querylog`` payload against the checked-in ``querylog_schema.json``.
+The monitor serves nothing itself: its :meth:`~SessionMonitor.querylog_payload`,
+:meth:`~SessionMonitor.health_payload` and :meth:`~SessionMonitor.quality_payload`
+documents, and the registry it polls, are what the query service's HTTP
+listener (:class:`repro.service.ServiceServer`) answers ``/querylog``,
+``/health``, ``/quality`` and ``/metrics`` with.  This package never
+imports the service.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import threading
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .qualitylog import PlanQualityTracker
-from .schema import QUERYLOG_SCHEMA_PATH, validate_query_log
 
 __all__ = [
     "MonitorConfig",
@@ -53,9 +52,6 @@ __all__ = [
     "QueryHistory",
     "SessionMonitor",
     "rolling_history",
-    "QUERYLOG_SCHEMA_PATH",
-    "validate_query_log",
-    "main",
 ]
 
 
@@ -630,7 +626,7 @@ class SessionMonitor:
         return values
 
     # ------------------------------------------------------------------ #
-    # JSON payloads (served by the exposition endpoint)
+    # JSON payloads (served by the query service's GET routes)
     # ------------------------------------------------------------------ #
     def querylog_payload(self, *, limit: Optional[int] = None
                          ) -> Dict[str, object]:
@@ -669,121 +665,3 @@ class SessionMonitor:
                 f"slow={len(self.log.slow_entries())} "
                 f"errors={len(self.log.errors())} "
                 f"drifted={len(self.quality.drifted_fingerprints())})")
-
-
-# --------------------------------------------------------------------------- #
-# Demo / smoke entry point
-# --------------------------------------------------------------------------- #
-def _run_demo_workload(session) -> Dict[str, object]:
-    """A mixed acyclic + cyclic workload with one induced error and one slow query."""
-    from ..exceptions import SchemaError
-    from ..generators import (
-        generate_database,
-        skewed_chain_database,
-        skewed_chain_endpoints,
-        triangle_core_chain,
-    )
-    from ..relational.schema import DatabaseSchema, RelationSchema
-
-    chain_length = 4
-    acyclic_dbs = [skewed_chain_database(chain_length, heads=4, fanout=3,
-                                         junction_values=2, seed=seed)
-                   for seed in range(3)]
-    prepared_acyclic = session.prepare(acyclic_dbs[0],
-                                       skewed_chain_endpoints(chain_length),
-                                       name="chain-endpoints")
-    for _ in range(4):
-        prepared_acyclic.execute_many(acyclic_dbs)
-
-    hypergraph = triangle_core_chain(3)
-    schema = DatabaseSchema(
-        RelationSchema.of(f"R{index}", sorted(edge, key=str))
-        for index, edge in enumerate(hypergraph.edges))
-    cyclic_db = generate_database(schema, universe_rows=30, seed=11)
-    prepared_cyclic = session.prepare(cyclic_db, name="triangle-core")
-    for _ in range(3):
-        prepared_cyclic.execute(cyclic_db)
-
-    # One induced error: execute against a database of the wrong schema.
-    induced_errors = 0
-    try:
-        prepared_cyclic.execute(acyclic_dbs[0])
-    except SchemaError:
-        induced_errors += 1
-
-    # One slow query: drop the threshold to zero so the next runs are
-    # "slow" by definition, which arms (then captures) the span trace.
-    session.monitor.config = replace(session.monitor.config,
-                                     slow_query_seconds=0.0)
-    prepared_acyclic.execute(acyclic_dbs[0])   # slow, arms tracing
-    prepared_acyclic.execute(acyclic_dbs[0])   # slow again, trace retained
-    return {
-        "acyclic_kind": prepared_acyclic.kind,
-        "cyclic_kind": prepared_cyclic.kind,
-        "induced_errors": induced_errors,
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the monitored demo workload against a live ``/metrics`` endpoint."""
-    import sys
-    import urllib.request
-
-    from ..engine.session import EngineSession
-    from .exposition import MonitoringServer
-
-    del argv  # no flags yet; the entry point is deliberately zero-config
-    session = EngineSession(monitor=MonitorConfig(log_capacity=128))
-    monitor = session.monitor
-    server = MonitoringServer(monitor)
-    server.start()
-    try:
-        workload = _run_demo_workload(session)
-        responses: Dict[str, object] = {}
-        for route in ("/health", "/metrics", "/querylog", "/quality"):
-            with urllib.request.urlopen(server.url + route, timeout=10) as reply:
-                body = reply.read().decode("utf-8")
-                responses[route] = body
-                if reply.status != 200:
-                    print(f"monitor smoke FAILED: {route} -> {reply.status}",
-                          file=sys.stderr)
-                    return 1
-        querylog = json.loads(responses["/querylog"])
-        validate_query_log(querylog)
-        health = json.loads(responses["/health"])
-        metrics_text = responses["/metrics"]
-        for required in ("engine_queries_total", "engine_planner_cache_size",
-                         "engine_querylog_entries"):
-            if required not in metrics_text:
-                print(f"monitor smoke FAILED: /metrics lacks {required}",
-                      file=sys.stderr)
-                return 1
-        if not any(entry["error"] for entry in querylog["entries"]):
-            print("monitor smoke FAILED: the induced error never reached "
-                  "the query log", file=sys.stderr)
-            return 1
-        if not any(entry["slow"] and entry["traced"]
-                   for entry in querylog["entries"]):
-            print("monitor smoke FAILED: no slow entry retained its trace",
-                  file=sys.stderr)
-            return 1
-        summary = {
-            "workload": workload,
-            "endpoint": server.url,
-            "health": health,
-            "querylog_entries": len(querylog["entries"]),
-            "history": querylog["history"],
-            "quality": json.loads(responses["/quality"]),
-            "monitor": monitor.describe(),
-        }
-        print(json.dumps(summary, indent=2, default=str))
-        print("monitor smoke OK", file=sys.stderr)
-        return 0
-    finally:
-        server.close()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by the CI smoke job
-    import sys
-
-    sys.exit(main())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -25,6 +26,7 @@ from repro.service import (
 )
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import WIRE_OPTION_FIELDS
+from repro.telemetry import validate_query_log
 
 
 @pytest.fixture(scope="module")
@@ -422,25 +424,148 @@ def test_http_rejects_non_json_bodies(server):
     client.close()
 
 
-def test_exposition_routes_are_mounted(server):
-    client = ServiceClient(server.url, client_id="scraper")
-    handle = client.prepare("chain")
-    client.execute(handle, "chain", include_rows=False)
+# --------------------------------------------------------------------------- #
+# The GET routes
+# --------------------------------------------------------------------------- #
+_JSON_TYPE = "application/json; charset=utf-8"
+_METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+_MONITOR_ROUTES = ("/metrics", "/health", "/querylog", "/quality")
+#: Every path a client might try: the GET routes, the RPC route and a typo.
+_CANDIDATE_ROUTES = ("/", *_MONITOR_ROUTES, "/stats", "/v1", "/nope")
 
-    metrics = client.metrics_text()
+
+def _chain_databases(count):
+    return [skewed_chain_database(3, heads=4, fanout=3, junction_values=2,
+                                  seed=seed)
+            for seed in range(count)]
+
+
+@pytest.mark.parametrize("limit, status, entries", [
+    (None, 200, 2), ("1", 200, 1), ("5", 200, 2),
+    ("abc", 400, None), ("0", 400, None), ("-3", 400, None), ("", 400, None),
+])
+def test_exposition_routes_are_mounted(server, limit, status, entries):
+    client = ServiceClient(server.url, client_id="scraper")
+    handle = client.prepare(
+        "chain", outputs=[str(a) for a in skewed_chain_endpoints(3)])
+    client.execute_many(handle, ["chain", "chain"])
+
+    got, content_type, body = client.get("/metrics")
+    assert (got, content_type) == (200, _METRICS_TYPE)
+    metrics = body.decode("utf-8")
     assert "engine_queries_total" in metrics
-    health = client.health()
+    assert "engine_planner_cache_size" in metrics
+    assert "engine_querylog_entries 2" in metrics
+
+    got, content_type, body = client.get("/health")
+    assert (got, content_type) == (200, _JSON_TYPE)
+    health = json.loads(body)
     assert health["status"] == "ok"
-    querylog = client.querylog(limit=5)
-    assert querylog["dropped"] == 0
-    assert querylog["recorded"] >= 1
+    assert health["queries_recorded"] == 2
+
+    path = "/querylog" if limit is None else f"/querylog?limit={limit}"
+    got, content_type, body = client.get(path)
+    assert (got, content_type) == (status, _JSON_TYPE)
+    querylog = json.loads(body)
+    if status == 200:
+        assert len(querylog["entries"]) == entries
+        assert querylog["recorded"] == 2
+        assert querylog["dropped"] == 0
+        validate_query_log(querylog)
+    else:
+        assert "limit" in querylog["error"]
+
+    assert len(client.get_json("/quality")["fingerprints"]) == 1
     index = client.get_json("/")
     assert index["rpc"]["route"] == "/v1"
     stats = client.get_json("/stats")
     assert stats["protocol_version"] == PROTOCOL_VERSION
-    status, _, _ = client.get("/nope")
-    assert status == 404
     client.close()
+
+
+@pytest.mark.parametrize("route", ["/nope", "/querylog/extra", "/v2"])
+def test_unknown_routes_get_a_json_404(server, route):
+    with ServiceClient(server.url) as client:
+        status, content_type, body = client.get(route)
+    assert (status, content_type) == (404, _JSON_TYPE)
+    assert route in json.loads(body)["error"]
+
+
+@pytest.mark.parametrize("monitor", ["monitored", "unmonitored", "detached"])
+def test_index_lists_exactly_the_routes_that_answer(monitor):
+    session = EngineSession(monitor=monitor != "unmonitored")
+    if monitor == "detached":
+        session.monitor = None
+    with ServiceServer(QueryService(session)) as server, \
+            ServiceClient(server.url) as client:
+        listed = client.get_json("/")["routes"]
+        answering = [route for route in _CANDIDATE_ROUTES
+                     if client.get(route)[0] == 200]
+    assert sorted(listed) == sorted(answering)
+    assert "/stats" in listed
+    if monitor == "monitored":
+        assert set(_MONITOR_ROUTES) <= set(listed)
+    else:
+        assert set(_MONITOR_ROUTES).isdisjoint(listed)
+
+
+def test_scrapes_observe_traffic_that_happens_between_them():
+    # An in-process session with no database registered: its own executes
+    # land in the monitor the service's routes serve.
+    database, = _chain_databases(1)
+    session = EngineSession(monitor=True)
+    prepared = session.prepare(database, skewed_chain_endpoints(3))
+    with ServiceServer(QueryService(session)) as server, \
+            ServiceClient(server.url) as client:
+        assert client.health()["queries_recorded"] == 0
+        prepared.execute(database)
+        assert client.health()["queries_recorded"] == 1
+        assert client.querylog()["recorded"] == 1
+
+
+def test_scrapes_run_against_concurrent_execute_many():
+    databases = _chain_databases(2)
+    session = EngineSession(monitor=True)
+    prepared = session.prepare(databases[0], skewed_chain_endpoints(3))
+    prepared.execute_many(databases)
+    stop = threading.Event()
+    failures = []
+
+    def serve():
+        try:
+            while not stop.is_set():
+                prepared.execute_many(databases)
+        except Exception as error:  # pragma: no cover - failure path
+            failures.append(error)
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    try:
+        with ServiceServer(QueryService(session)) as server, \
+                ServiceClient(server.url) as client:
+            for _ in range(5):
+                validate_query_log(client.querylog())
+                status, _, _ = client.get("/metrics")
+                assert status == 200
+    finally:
+        stop.set()
+        worker.join()
+    assert failures == []
+    assert session.monitor.log.total_recorded >= 2
+
+
+def test_close_is_idempotent_and_frees_the_port():
+    server = ServiceServer(QueryService(EngineSession(monitor=True))).start()
+    port = server.port
+    with ServiceClient(server.url) as client:
+        assert client.get("/health")[0] == 200
+    server.close()
+    server.close()
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+    # The port is free again: a new listener binds it.
+    with ServiceServer(QueryService(), port=port) as again:
+        assert again.port == port
 
 
 def test_request_ids_land_in_trace_spans(service):

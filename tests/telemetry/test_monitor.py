@@ -1,4 +1,4 @@
-"""The operational monitoring subsystem: query log, history, endpoint.
+"""The operational monitoring subsystem: query log, history, gauges.
 
 Covers the ring buffer's bounds and bookkeeping, the rolling-history
 percentiles, slow-query trace retention (arm on the offending run, capture
@@ -6,16 +6,15 @@ on the next), error capture including bindings that fail before the engine
 runs, the cache collector's gauges (the interner's size, the cells it
 resolved under its lock, the key rows that overflowed the packing radix and
 the result and payload memos' hits among them, the selection keys a warm run
-reuses), the live HTTP endpoint, and the whole
-stack under concurrent ``execute_many`` traffic from multiple threads.
+reuses), and the whole stack under concurrent ``execute_many`` traffic
+from multiple threads.  The HTTP routes that serve the monitor are the query
+service's, tested in ``tests/service/test_server.py``.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -37,7 +36,6 @@ from repro.generators import (
 from repro.relational import Database, DatabaseSchema, Relation, RelationSchema, Row
 from repro.telemetry import (
     MonitorConfig,
-    MonitoringServer,
     QueryLog,
     QueryLogEntry,
     QueryLogValidationError,
@@ -611,78 +609,6 @@ class TestPayloads:
 
 
 # --------------------------------------------------------------------------- #
-# The live HTTP endpoint
-# --------------------------------------------------------------------------- #
-def fetch(url: str):
-    with urllib.request.urlopen(url, timeout=10) as reply:
-        return reply.status, reply.headers.get("Content-Type"), reply.read()
-
-
-class TestExpositionEndpoint:
-    def test_all_routes_serve_live_state(self):
-        databases = [chain_db(seed) for seed in range(2)]
-        session = monitored_session()
-        prepared = session.prepare(databases[0],
-                                   skewed_chain_endpoints(CHAIN),
-                                   name="endpoints")
-        with MonitoringServer(session.monitor) as server:
-            prepared.execute_many(databases)
-
-            status, content_type, body = fetch(server.url + "/metrics")
-            assert status == 200
-            assert content_type == "text/plain; version=0.0.4; charset=utf-8"
-            text = body.decode("utf-8")
-            assert "engine_queries_total" in text
-            assert "engine_planner_cache_size" in text
-            assert "engine_querylog_entries 2" in text
-
-            status, content_type, body = fetch(server.url + "/health")
-            assert status == 200
-            assert content_type == "application/json; charset=utf-8"
-            assert json.loads(body)["queries_recorded"] == 2
-
-            _, _, body = fetch(server.url + "/querylog?limit=1")
-            payload = json.loads(body)
-            assert len(payload["entries"]) == 1
-            assert payload["recorded"] == 2
-            validate_query_log(payload)
-
-            _, _, body = fetch(server.url + "/quality")
-            assert len(json.loads(body)["fingerprints"]) == 1
-
-            _, _, body = fetch(server.url + "/")
-            assert "/metrics" in json.loads(body)["routes"]
-
-    def test_scrapes_observe_traffic_that_happens_between_them(self):
-        database = chain_db()
-        session = monitored_session()
-        prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
-        with MonitoringServer(session.monitor) as server:
-            _, _, body = fetch(server.url + "/health")
-            assert json.loads(body)["queries_recorded"] == 0
-            prepared.execute(database)
-            _, _, body = fetch(server.url + "/health")
-            assert json.loads(body)["queries_recorded"] == 1
-
-    def test_unknown_routes_get_a_json_404(self):
-        session = monitored_session()
-        with MonitoringServer(session.monitor) as server:
-            with pytest.raises(urllib.error.HTTPError) as failure:
-                fetch(server.url + "/nope")
-            assert failure.value.code == 404
-            assert json.loads(failure.value.read())["error"]
-
-    def test_close_is_idempotent_and_frees_the_port(self):
-        session = monitored_session()
-        server = MonitoringServer(session.monitor)
-        url = server.url
-        server.close()
-        server.close()
-        with pytest.raises(urllib.error.URLError):
-            fetch(url + "/health")
-
-
-# --------------------------------------------------------------------------- #
 # Concurrency
 # --------------------------------------------------------------------------- #
 class TestConcurrency:
@@ -724,35 +650,3 @@ class TestConcurrency:
         counted = session.metrics.counter("engine_queries_total",
                                           labels=labels).value
         assert counted == total
-
-    def test_concurrent_traffic_against_a_live_endpoint(self):
-        databases = [chain_db(seed) for seed in range(2)]
-        session = monitored_session()
-        prepared = session.prepare(databases[0],
-                                   skewed_chain_endpoints(CHAIN))
-        prepared.execute_many(databases)
-        stop = threading.Event()
-        failures = []
-
-        def serve():
-            try:
-                while not stop.is_set():
-                    prepared.execute_many(databases)
-            except Exception as error:  # pragma: no cover - failure path
-                failures.append(error)
-
-        worker = threading.Thread(target=serve)
-        worker.start()
-        try:
-            with MonitoringServer(session.monitor) as server:
-                for _ in range(5):
-                    status, _, body = fetch(server.url + "/querylog")
-                    assert status == 200
-                    validate_query_log(json.loads(body))
-                    status, _, _ = fetch(server.url + "/metrics")
-                    assert status == 200
-        finally:
-            stop.set()
-            worker.join()
-        assert failures == []
-        assert session.monitor.log.total_recorded >= 2
