@@ -27,8 +27,8 @@ Layers (bottom-up):
   annotations into :class:`AnnotatedPlan` by ``plan_for(db)``, plus
   :class:`EngineStatistics` (a :class:`~repro.relational.join_plans.JoinStatistics`
   extension) for cost accounting with estimated-vs-actual columns;
-* :mod:`~repro.engine.yannakakis` — the end-to-end evaluator: plan → reduce →
-  bottom-up join with early projection;
+* :mod:`~repro.engine.yannakakis` — the acyclic evaluator a prepared query
+  runs: reduce → bottom-up join with early projection;
 * :mod:`~repro.engine.cyclic` — the cyclic-query subsystem: cover the cyclic
   core with clusters (maximal-object-style grouping), reduce the acyclic
   quotient with the same machinery, nested-loop only inside the clusters.

@@ -1,7 +1,7 @@
 """The columnar execution pipeline: reduce and join whole blocks, decode last.
 
-This module is the physical half of :func:`repro.engine.yannakakis.evaluate`:
-the compiled plan (structure or annotated) drives the two reducer passes and
+This module is the physical half of a prepared query's execution
+(:mod:`repro.engine.yannakakis`): the compiled plan (structure or annotated) drives the two reducer passes and
 the bottom-up join fold with fused projection, replayed from the plan's
 compiled :class:`FoldProgram` (:func:`fold_join_tree`); every
 operator runs on :class:`ColumnBlock` values, and the result is decoded to a

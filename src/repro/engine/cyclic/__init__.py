@@ -22,10 +22,11 @@ falling back to a naive cross-product plan, cyclic query hypergraphs are
    materialised with bounded nested-loop joins, the PR-1 full reducer runs on
    the quotient, and the bottom-up join projects early onto the output.
 
-Entry points: :func:`evaluate_cyclic`, :func:`evaluate_cyclic_database`, and
-``ConjunctiveQuery.evaluate(database)`` in the query layer, which now
-dispatches cyclic queries here (the naive plan remains as an explicit
-opt-in only).
+Entry point: :class:`~repro.engine.session.EngineSession` —
+``session.prepare(source)`` resolves ``kind == "cyclic"`` for a cyclic
+schema and its executes run here, as does
+``ConjunctiveQuery.evaluate(database)`` in the query layer (the naive plan
+remains as an explicit opt-in only).
 """
 
 from .covers import (
@@ -36,7 +37,7 @@ from .covers import (
     cover_score,
     enumerate_covers,
 )
-from .executor import CyclicEngineResult, evaluate_cyclic, evaluate_cyclic_database
+from .executor import CyclicEngineResult
 from .plans import CyclicEngineStatistics, CyclicExecutionPlan
 from .quotient import (
     AcyclicQuotient,
@@ -53,5 +54,5 @@ __all__ = [
     # compilation
     "CyclicExecutionPlan", "CyclicEngineStatistics",
     # execution
-    "CyclicEngineResult", "evaluate_cyclic", "evaluate_cyclic_database",
+    "CyclicEngineResult",
 ]

@@ -1,15 +1,15 @@
 """End-to-end cyclic join evaluation: materialise clusters, reduce the quotient, join.
 
-The cyclic analogue of :mod:`repro.engine.yannakakis`.  The phases are
+The cyclic analogue of :mod:`repro.engine.yannakakis`.  Given the
+:class:`CyclicExecutionPlan` a :class:`~repro.engine.session.PreparedQuery`
+resolved (its only caller; cover search ran once per schema fingerprint),
+the phases are
 
-1. **plan** — fetch (or compile) the :class:`CyclicExecutionPlan` for the
-   schema's hypergraph from the planner's LRU cache (cover search runs once
-   per schema fingerprint);
-2. **materialise** — evaluate every non-trivial cluster with a bounded,
+1. **materialise** — evaluate every non-trivial cluster with a bounded,
    greedily ordered nested-loop join, projected onto what the cluster
    exports: the requested outputs and the attributes it shares with
    another cluster (:func:`~repro.engine.cyclic.quotient.materialise_cluster_blocks`);
-3. **reduce + join** — feed the cluster blocks to the acyclic pipeline
+2. **reduce + join** — feed the cluster blocks to the acyclic pipeline
    (:func:`~repro.engine.columnar.executor.run_columnar_plan`): the
    quotient is acyclic by construction, so the full reducer removes
    every dangling cluster tuple and the bottom-up join with fused projection
@@ -27,12 +27,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Any, FrozenSet, Optional, Sequence, Tuple
 
-from ...core.hypergraph import Hypergraph
 from ...core.nodes import sorted_nodes
-from ...exceptions import SchemaError
-from ...relational.database import Database
 from ...relational.relation import Relation
 from ...relational.schema import Attribute
 from ..catalog import StatisticsCatalog
@@ -45,19 +42,14 @@ from ..columnar import (
 )
 from ..columnar.executor import catalog_from_blocks, run_columnar_plan, vertex_blocks
 from ..deadline import check_deadline
-from ..planner import DEFAULT_PLANNER, QueryPlanner, annotate_plan, schema_fingerprint
+from ..planner import annotate_plan
 from ..reducer import ReductionTrace
-from ..yannakakis import (
-    DecodedResult,
-    decode_result_block,
-    resolve_decode_mode,
-    validated_outputs,
-)
+from ..yannakakis import DecodedResult, decode_result_block
 from ...telemetry.tracing import current_tracer
 from .plans import CyclicEngineStatistics, CyclicExecutionPlan
 from .quotient import materialise_cluster_blocks
 
-__all__ = ["CyclicEngineResult", "evaluate_cyclic", "evaluate_cyclic_database"]
+__all__ = ["CyclicEngineResult"]
 
 
 # --------------------------------------------------------------------------- #
@@ -143,91 +135,37 @@ class CyclicEngineResult(DecodedResult):
     result_name: str = "cyclic"
 
 
-def evaluate_cyclic(relations: Sequence[Relation],
-                    output_attributes: Optional[Iterable[Attribute]] = None, *,
-                    planner: Optional[QueryPlanner] = None,
-                    name: str = "cyclic",
-                    check_reduction: bool = False,
-                    cluster_row_bound: Optional[int] = None,
-                    catalog: Optional[StatisticsCatalog] = None,
-                    plan: Optional[CyclicExecutionPlan] = None,
-                    column_backend: Optional[str] = None,
-                    decode: str = "rows") -> CyclicEngineResult:
-    """Evaluate the natural join of ``relations`` (optionally projected), cyclic schemas included.
-
-    Acyclic schemas work too (the cover is trivially all singletons and the
-    evaluation degenerates to the acyclic engine), so callers need not test
-    acyclicity first.  ``cluster_row_bound`` caps intra-cluster intermediates
-    (:class:`~repro.exceptions.ClusterBoundExceededError` beyond it);
-    ``check_reduction`` is forwarded to the quotient's reducer.
-
-    ``catalog`` switches on adaptive execution end to end: the cached plan's
-    candidate covers are re-scored by estimated cluster cardinality, the
-    intra-cluster nested-loop order follows the estimates, and the quotient
-    evaluation runs with a fresh *exact* catalog of the just-materialised
-    cluster relations (cost-ordered reduction and join).  Answers are always
-    identical to the static run.
-
-    ``plan`` supplies an already-resolved :class:`CyclicExecutionPlan` (e.g.
-    the one a :class:`~repro.engine.session.PreparedQuery` memoized),
-    bypassing the planner lookup — and, adaptively, the per-database cover
-    re-scoring — entirely; its fingerprint must match the relations' schema.
-    Every call builds the relations' hypergraph and checks the outputs and
-    the plan's fingerprint against it; a prepared query checks once per
-    database binding and runs the same body without them.
-
-    The clusters are materialised as blocks and fed straight into the
-    columnar quotient pipeline, decoding only the final result.  With
-    outputs every multi-member cluster is projected onto what it exports
-    while it is joined; ``cluster_row_bound`` is checked against the rows
-    each intra-cluster join produced *before* that projection.
-    """
-    if not relations:
-        raise SchemaError("the cyclic engine needs at least one relation to evaluate")
-    decode = resolve_decode_mode(decode)
-    hypergraph = Hypergraph([relation.schema.attribute_set for relation in relations])
-    wanted = validated_outputs(output_attributes, hypergraph.nodes)
-    if plan is not None and plan.fingerprint != schema_fingerprint(hypergraph):
-        raise SchemaError("the supplied cyclic execution plan was "
-                          "compiled for a different schema fingerprint")
-    return _evaluate_cyclic_bound(
-        relations, wanted, plan, hypergraph=hypergraph, planner=planner,
-        catalog=catalog, name=name, check_reduction=check_reduction,
-        cluster_row_bound=cluster_row_bound, column_backend=column_backend,
-        decode=decode)
-
-
 def _evaluate_cyclic_bound(relations: Sequence[Relation],
                            wanted: Optional[FrozenSet[Attribute]],
-                           plan: Optional[CyclicExecutionPlan], *,
-                           hypergraph: Optional[Hypergraph] = None,
-                           planner: Optional[QueryPlanner] = None,
+                           plan: CyclicExecutionPlan, *,
                            catalog: Optional[StatisticsCatalog],
                            name: str, check_reduction: bool,
                            cluster_row_bound: Optional[int],
                            column_backend: Optional[str],
                            decode: str) -> CyclicEngineResult:
-    """:func:`evaluate_cyclic`'s body over inputs already checked against the plan.
+    """Run ``plan`` over ``relations``: materialise clusters, reduce, fold, decode.
 
-    Builds no hypergraph and computes no fingerprint: the caller vouches
-    that ``plan`` (when given) was compiled for the relations' schema and
-    that ``wanted`` lies within it.  ``plan=None`` plans ``hypergraph``
-    through ``planner`` (the public path only).
+    Builds no hypergraph and computes no fingerprint: the caller
+    (:class:`~repro.engine.session.PreparedQuery`, which checks both once
+    per binding) vouches that ``plan`` was compiled for the relations'
+    schema and that ``wanted`` lies within it.
+
+    ``catalog`` switches on adaptive execution: the intra-cluster
+    nested-loop order follows its estimates, and the quotient runs with a
+    fresh *exact* catalog of the just-materialised cluster relations
+    (cost-ordered reduction and join).  Answers are always identical to the
+    static run.  ``cluster_row_bound`` caps intra-cluster intermediates
+    (:class:`~repro.exceptions.ClusterBoundExceededError` beyond it),
+    checked against the rows each intra-cluster join produced *before* the
+    projection onto what its cluster exports.
     """
     tracer = current_tracer()
     prepare_span = tracer.span("prepare")
     prepare_started = perf_counter()
     with prepare_span:
-        if plan is None:
-            active_planner = planner if planner is not None else DEFAULT_PLANNER
-            misses_before = active_planner.cache_info().misses
-            plan = active_planner.cyclic_plan_for(hypergraph, catalog=catalog)
-            plan_cache_hit = active_planner.cache_info().misses == misses_before
-        else:
-            plan_cache_hit = True
         if prepare_span.is_recording:
             prepare_span.set("kind", "cyclic")
-            prepare_span.set("plan_cache_hit", plan_cache_hit)
+            prepare_span.set("plan_cache_hit", True)
             prepare_span.set("adaptive", catalog is not None)
             prepare_span.set("clusters", len(plan.clusters))
     prepare_seconds = perf_counter() - prepare_started
@@ -336,7 +274,7 @@ def _evaluate_cyclic_bound(relations: Sequence[Relation],
         semijoin_steps=trace.steps_run,
         rows_removed_by_reduction=trace.rows_removed,
         reduced_sizes=trace.sizes_after,
-        plan_cache_hit=plan_cache_hit,
+        plan_cache_hit=True,
         index_cache_hits=column_after["hits"] - column_before["hits"],
         index_cache_misses=column_after["misses"] - column_before["misses"],
         column_backend=backend.name,
@@ -354,28 +292,3 @@ def _evaluate_cyclic_bound(relations: Sequence[Relation],
     )
     return CyclicEngineResult(relation=relation, plan=plan, statistics=statistics,
                               block=result_block, result_name=name)
-
-
-def evaluate_cyclic_database(database: Database,
-                             output_attributes: Optional[Iterable[Attribute]] = None, *,
-                             planner: Optional[QueryPlanner] = None,
-                             name: str = "U",
-                             check_reduction: bool = False,
-                             cluster_row_bound: Optional[int] = None,
-                             adaptive: bool = False,
-                             catalog: Optional[StatisticsCatalog] = None,
-                             column_backend: Optional[str] = None,
-                             decode: str = "rows") -> CyclicEngineResult:
-    """Evaluate a database's universal join (optionally projected) via the cyclic engine.
-
-    The cyclic counterpart of :func:`repro.engine.yannakakis.evaluate_database`,
-    for schemas whose hypergraph the acyclic engine rejects.  ``adaptive=True``
-    (or an explicit ``catalog``) runs the cardinality-aware plan from the
-    database's statistics catalog.
-    """
-    if adaptive and catalog is None:
-        catalog = database.statistics_catalog()
-    return evaluate_cyclic(database.relations(), output_attributes, planner=planner,
-                           name=name, check_reduction=check_reduction,
-                           cluster_row_bound=cluster_row_bound, catalog=catalog,
-                           column_backend=column_backend, decode=decode)

@@ -21,6 +21,7 @@ into worker threads by running jobs under ``contextvars.copy_context()``.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from time import perf_counter
@@ -29,11 +30,21 @@ from typing import Iterator, Optional, Tuple
 from ..exceptions import ExecutionTimeoutError
 
 __all__ = ["deadline_scope", "active_deadline", "remaining_seconds",
-           "check_deadline"]
+           "check_deadline", "valid_budget"]
 
 #: The ambient deadline: ``(expires_at_perf_counter, budget_seconds)`` or None.
 _DEADLINE: "ContextVar[Optional[Tuple[float, float]]]" = ContextVar(
     "repro_active_deadline", default=None)
+
+
+def valid_budget(seconds: object) -> bool:
+    """Whether ``seconds`` is a usable deadline budget: a finite number above 0.
+
+    NaN and infinity are not: a NaN expiry compares false against every
+    clock reading, so such a deadline would never fire.
+    """
+    return isinstance(seconds, (int, float)) and not isinstance(seconds, bool) \
+        and math.isfinite(seconds) and seconds > 0
 
 
 @contextmanager
@@ -47,8 +58,9 @@ def deadline_scope(seconds: Optional[float]) -> Iterator[None]:
     if seconds is None:
         yield
         return
-    if seconds <= 0:
-        raise ValueError("a deadline budget must be positive")
+    if not valid_budget(seconds):
+        raise ValueError("a deadline budget must be a finite positive "
+                         f"number, not {seconds!r}")
     token = _DEADLINE.set((perf_counter() + seconds, seconds))
     try:
         yield

@@ -610,4 +610,4 @@ class QueryPlanner:
 
 
 DEFAULT_PLANNER = QueryPlanner()
-"""The shared planner used by :func:`repro.engine.yannakakis.evaluate` by default."""
+"""The shared planner :func:`repro.engine.session.default_session` wraps."""

@@ -1,15 +1,12 @@
 """The unified engine facade: sessions, prepared queries and batched execution.
 
-Three PRs grew a real query processor whose public surface was an accretion
-of entry points — ``evaluate`` / ``evaluate_database`` / ``evaluate_cyclic``
-/ ``evaluate_cyclic_database``, ``ConjunctiveQuery.evaluate(engine=…,
-adaptive=…)``, ``plan_for`` / ``cyclic_plan_for`` / ``annotate`` — each
-re-threading ``catalog=``/``adaptive=`` plumbing on every call.  Maier &
-Ullman's framing is that the *system*, not the user, picks the relevant
-objects and the join strategy; this module makes that one intelligent entry
-point concrete:
+Maier & Ullman's framing is that the *system*, not the user, picks the
+relevant objects and the join strategy; this module is that one entry point
+into the engine.  The acyclic and cyclic evaluators
+(:mod:`repro.engine.yannakakis`, :mod:`repro.engine.cyclic.executor`) have
+no public entry of their own: a :class:`PreparedQuery` is their only caller.
 
-* :class:`ExecutionOptions` — one immutable config object replacing the
+* :class:`ExecutionOptions` — one immutable config object replacing
   scattered keyword arguments, merged along a clear precedence chain
   (session defaults < an explicit ``options=`` object < keyword overrides);
 * :class:`EngineSession` — owns a (thread-safe) :class:`QueryPlanner`, the
@@ -61,7 +58,7 @@ from ..telemetry.tracing import (
     use_tracer,
 )
 from .catalog import StatisticsCatalog
-from .deadline import deadline_scope
+from .deadline import deadline_scope, valid_budget
 from .columnar.block import block_cache_size
 from .planner import (
     DEFAULT_PLANNER,
@@ -133,8 +130,9 @@ class ExecutionOptions:
       builds no rows and defers that to
       ``result.decoded()`` — the win for callers that only need counts,
       emptiness, re-feed blocks into further columnar work, or read the
-      answer as plain tuples (``result.block.iter_rows()``, which is how the
-      query service serialises every answer).
+      answer as plain tuples (``result.block.iter_rows()``; the query
+      service serialises every answer from the block through
+      :meth:`~repro.engine.columnar.ColumnBlock.wire_rows`).
     * ``trace`` — record spans of every prepare/execute into the owning
       session's :class:`~repro.telemetry.tracing.Tracer` when no ambient
       tracer is already active.  Off by default: the untraced hot path pays
@@ -164,9 +162,23 @@ class ExecutionOptions:
         from .columnar import COLUMN_BACKENDS
         from .yannakakis import DECODE_MODES
 
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive (or None "
-                             "for no deadline)")
+        for name in ("adaptive", "check_reduction", "force_cyclic", "trace"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, not "
+                                f"{type(value).__name__}")
+        for name, least in (("sample_limit", 1), ("cluster_row_bound", 0)):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)
+                                      or value < least):
+                raise ValueError(f"{name} must be None or an integer "
+                                 f">= {least}, not {value!r}")
+        if self.deadline_seconds is not None \
+                and not valid_budget(self.deadline_seconds):
+            raise ValueError("deadline_seconds must be a finite positive "
+                             f"number (or None for no deadline), not "
+                             f"{self.deadline_seconds!r}")
         if self.column_backend is not None \
                 and self.column_backend not in COLUMN_BACKENDS:
             raise ValueError(f"unknown column backend {self.column_backend!r}; "
@@ -380,6 +392,14 @@ class ExecutionBatch:
 def _relations_hypergraph(relations: Sequence[Relation]) -> Hypergraph:
     """The hypergraph of a relation sequence's schemes."""
     return Hypergraph([relation.schema.attribute_set for relation in relations])
+
+
+def _check_outputs(wanted: Iterable[Attribute], hypergraph: Hypergraph) -> None:
+    """:class:`SchemaError` unless every output attribute is in the schema."""
+    missing = frozenset(wanted) - hypergraph.nodes
+    if missing:
+        raise SchemaError(
+            f"output attributes {sorted(missing, key=str)} are not in the schema")
 
 
 @dataclass(frozen=True)
@@ -738,7 +758,8 @@ class PreparedQuery:
             raise SchemaError(
                 "the prepared query was compiled for a different schema "
                 f"fingerprint than {whose}")
-        _yannakakis.validated_outputs(self._wanted, hypergraph.nodes)
+        if self._wanted is not None:
+            _check_outputs(self._wanted, hypergraph)
 
     def _plan_with(self, catalog: Optional[StatisticsCatalog]) -> object:
         """Compose the structure plan with a catalog (static plans pass through)."""
@@ -1028,10 +1049,7 @@ class EngineSession:
                 return tuple(variable.name for variable in query.head)
             return None
         wanted = tuple(dict.fromkeys(output_attributes))
-        missing = frozenset(wanted) - hypergraph.nodes
-        if missing:
-            raise SchemaError(
-                f"output attributes {sorted(missing, key=str)} are not in the schema")
+        _check_outputs(wanted, hypergraph)
         return wanted
 
     def _dispatch_traced(self, hypergraph: Hypergraph,
@@ -1249,9 +1267,9 @@ _DEFAULT_SESSION_LOCK = threading.Lock()
 def default_session() -> EngineSession:
     """The process-wide session used by the query layer.
 
-    Wraps :data:`~repro.engine.planner.DEFAULT_PLANNER`, so the module-level
-    evaluators and session users share one structure-plan cache.  This is the
-    only module that manages the default planner's lifecycle.
+    Wraps :data:`~repro.engine.planner.DEFAULT_PLANNER`, so the query layer
+    and session users share one structure-plan cache.  This is the only
+    module that manages the default planner's lifecycle.
     """
     global _DEFAULT_SESSION
     with _DEFAULT_SESSION_LOCK:

@@ -3,36 +3,28 @@
 The evaluator realises the paper's Section 7 payoff: for an acyclic schema,
 "join the objects" can be processed with intermediates bounded by input +
 output rather than by the worst intermediate a naive left-deep plan builds.
-The phases are
+Given the :class:`~repro.engine.planner.ExecutionPlan` a
+:class:`~repro.engine.session.PreparedQuery` resolved (its only caller),
+the phases are
 
-1. **plan** — fetch (or compile) the :class:`~repro.engine.planner.ExecutionPlan`
-   for the schema's hypergraph from the planner's LRU cache;
-2. **reduce** — run the plan's full reducer (whole-block semijoins,
+1. **reduce** — run the plan's full reducer (whole-block semijoins,
    leaf-to-root then root-to-leaf), leaving no dangling tuples;
-3. **join** — fold children into parents bottom-up along the join tree with
+2. **join** — fold children into parents bottom-up along the join tree with
    the projection onto (output attributes ∪ live separators) *fused into*
    every join, so dead attributes are never materialised.
 
 Relations are encoded into cached column blocks once, every phase runs on
 blocks, and the answer is decoded to a relation only at the boundary.
-
-Both a sequence of relations (e.g. a conjunctive query's atom relations) and
-a whole :class:`~repro.relational.database.Database` can be evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Optional, Sequence, Tuple, Union
 
-from ..core.hypergraph import Edge, Hypergraph
-from ..core.nodes import sorted_nodes
-from ..exceptions import SchemaError
-from ..relational.database import Database
 from ..relational.relation import Relation
 from ..relational.schema import Attribute
-from .catalog import StatisticsCatalog
 from .columnar import (
     ColumnBlock,
     column_cache_info,
@@ -41,32 +33,16 @@ from .columnar import (
 )
 from .columnar.executor import run_columnar_plan, vertex_blocks
 from .deadline import check_deadline
-from .planner import (
-    DEFAULT_PLANNER,
-    AnnotatedPlan,
-    EngineStatistics,
-    ExecutionPlan,
-    QueryPlanner,
-    annotate_plan,
-    schema_fingerprint,
-)
+from .planner import AnnotatedPlan, EngineStatistics, ExecutionPlan
 from .reducer import ReductionTrace
 from ..telemetry.tracing import current_tracer
 
-__all__ = ["DECODE_MODES", "EngineResult", "evaluate", "evaluate_database"]
+__all__ = ["DECODE_MODES", "EngineResult"]
 
 #: How results cross the engine boundary: ``"rows"`` decodes to a
 #: :class:`Relation` eagerly (the default); ``"block"`` hands back the
 #: columnar result block and defers decoding until someone asks.
 DECODE_MODES = ("rows", "block")
-
-
-def resolve_decode_mode(decode: str) -> str:
-    """Validate a decode mode."""
-    if decode not in DECODE_MODES:
-        raise ValueError(f"unknown decode mode {decode!r}; "
-                         f"expected one of {DECODE_MODES}")
-    return decode
 
 
 def decode_result_block(block: ColumnBlock, name: str, decode: str,
@@ -114,8 +90,8 @@ class EngineResult(DecodedResult):
     built eagerly inside the call, and ``block`` additionally exposes the
     typed result block.  Under ``decode="block"`` the engine builds no rows:
     ``relation`` is ``None``, ``block`` is the answer
-    (:meth:`ColumnBlock.iter_rows` walks it without building a relation —
-    the query service's wire path) and :meth:`decoded` materialises the
+    (:meth:`ColumnBlock.wire_rows` serialises it without building a
+    relation — the query service's wire path) and :meth:`decoded` materialises the
     relation on first request (memoised on the block).
     """
 
@@ -127,119 +103,31 @@ class EngineResult(DecodedResult):
     result_name: str = "yannakakis"
 
 
-def validated_outputs(output_attributes: Optional[Iterable[Attribute]],
-                      universe: FrozenSet[Attribute]
-                      ) -> Optional[FrozenSet[Attribute]]:
-    """The requested outputs as a frozenset; :class:`SchemaError` outside ``universe``."""
-    if output_attributes is None:
-        return None
-    wanted = frozenset(output_attributes)
-    if not wanted <= universe:
-        raise SchemaError(f"output attributes {sorted_nodes(wanted - universe)} "
-                          "are not in the schema")
-    return wanted
-
-
-def evaluate(relations: Sequence[Relation],
-             output_attributes: Optional[Iterable[Attribute]] = None, *,
-             planner: Optional[QueryPlanner] = None,
-             root: Optional[Edge] = None,
-             name: str = "yannakakis",
-             check_reduction: bool = False,
-             plan: Optional[Union[ExecutionPlan, AnnotatedPlan]] = None,
-             catalog: Optional[StatisticsCatalog] = None,
-             column_backend: Optional[str] = None,
-             decode: str = "rows") -> EngineResult:
-    """Evaluate the natural join of ``relations`` (optionally projected) via the engine.
-
-    Raises :class:`~repro.exceptions.CyclicHypergraphError` when the schemas'
-    hypergraph is cyclic, and :class:`~repro.exceptions.SchemaError` when an
-    output attribute is not in scope.  ``check_reduction=True`` runs the
-    reducer's proof-of-reduction hook after the semijoin passes (two extra
-    semijoin scans per tree edge) — a debug/audit aid, off by default so the
-    production path pays only the reducer itself.  ``plan`` supplies an
-    already-compiled plan (e.g. the one a :class:`CyclicExecutionPlan`
-    embeds) — plain or annotated — bypassing the planner lookup entirely;
-    its fingerprint must match the relations' schema.
-
-    ``catalog`` switches on adaptive execution: the structure plan is
-    composed with a :class:`~repro.engine.catalog.CostAnnotation` and the
-    run uses the cost-ordered reducer, the cardinality-chosen root and the
-    estimated-smallest-first child fold order.  The answer is always
-    identical to the static run — only the intermediate sizes (and the
-    estimated-vs-actual statistics columns) change.
-
-    ``column_backend`` pins the columnar compute backend (``"array"`` or
-    ``"numpy"``) for this evaluation; ``None`` keeps the ambient default.
-    ``decode="block"`` builds no rows — the ``decode`` span still opens,
-    ``deferred``, with the output count — and returns a result whose
-    ``relation`` is materialised lazily via :meth:`EngineResult.decoded`.
-
-    Every call builds the relations' hypergraph and checks the outputs and
-    the plan's fingerprint against it.  A
-    :class:`~repro.engine.session.PreparedQuery` makes those checks once per
-    database binding and runs the same body without them.
-    """
-    if not relations:
-        raise SchemaError("the engine needs at least one relation to evaluate")
-    decode = resolve_decode_mode(decode)
-    hypergraph = Hypergraph([relation.schema.attribute_set for relation in relations])
-    wanted = validated_outputs(output_attributes, hypergraph.nodes)
-    if plan is not None and plan.fingerprint != schema_fingerprint(hypergraph):
-        raise SchemaError("the supplied execution plan was compiled for "
-                          "a different schema fingerprint")
-    return _evaluate_bound(relations, wanted, plan, hypergraph=hypergraph,
-                           planner=planner, root=root, catalog=catalog,
-                           name=name, check_reduction=check_reduction,
-                           column_backend=column_backend, decode=decode)
-
-
 def _evaluate_bound(relations: Sequence[Relation],
                     wanted: Optional[FrozenSet[Attribute]],
-                    plan: Optional[Union[ExecutionPlan, AnnotatedPlan]], *,
-                    hypergraph: Optional[Hypergraph] = None,
-                    planner: Optional[QueryPlanner] = None,
-                    root: Optional[Edge] = None,
-                    catalog: Optional[StatisticsCatalog] = None,
+                    plan: Union[ExecutionPlan, AnnotatedPlan], *,
                     name: str, check_reduction: bool,
                     column_backend: Optional[str], decode: str) -> EngineResult:
-    """:func:`evaluate`'s body over inputs already checked against the plan.
+    """Run ``plan`` over ``relations``: encode, reduce, fold and decode.
 
-    Builds no hypergraph and computes no fingerprint: the caller vouches
-    that ``plan`` (when given) was compiled for the relations' schema and
-    that ``wanted`` lies within it.  ``plan=None`` plans ``hypergraph``
-    through ``planner`` (the public path only).
+    Builds no hypergraph and computes no fingerprint: the caller
+    (:class:`~repro.engine.session.PreparedQuery`, which checks both once
+    per binding) vouches that ``plan`` was compiled for the relations'
+    schema and that ``wanted`` lies within it.  An :class:`AnnotatedPlan`
+    runs adaptively: cost-ordered reducer, cardinality-chosen root and
+    estimated-smallest-first fold order; the answer is the static run's.
     """
     tracer = current_tracer()
     annotated: Optional[AnnotatedPlan] = None
     prepare_span = tracer.span("prepare")
     prepare_started = perf_counter()
     with prepare_span:
-        if plan is None:
-            active_planner = planner if planner is not None else DEFAULT_PLANNER
-            # Misses, not hits: the adaptive path may serve the default-root
-            # plan from cache (a hit) and still compile its re-rooted
-            # structure (a miss) in the same call — only "no compilation
-            # happened" counts.
-            plan_misses_before = active_planner.cache_info().misses
-            if catalog is not None:
-                annotated = active_planner.annotate(hypergraph, catalog,
-                                                    output_attributes=wanted,
-                                                    root=root)
-                plan = annotated.structure
-            else:
-                plan = active_planner.plan_for(hypergraph, root=root)
-            plan_cache_hit = active_planner.cache_info().misses == plan_misses_before
-        else:
-            if isinstance(plan, AnnotatedPlan):
-                annotated = plan
-                plan = annotated.structure
-            elif catalog is not None:
-                annotated = annotate_plan(plan, catalog, output_attributes=wanted)
-            plan_cache_hit = True
+        if isinstance(plan, AnnotatedPlan):
+            annotated = plan
+            plan = annotated.structure
         if prepare_span.is_recording:
             prepare_span.set("kind", "acyclic")
-            prepare_span.set("plan_cache_hit", plan_cache_hit)
+            prepare_span.set("plan_cache_hit", True)
             prepare_span.set("adaptive", annotated is not None)
     prepare_seconds = perf_counter() - prepare_started
     check_deadline("encode")
@@ -278,7 +166,7 @@ def _evaluate_bound(relations: Sequence[Relation],
         semijoin_steps=trace.steps_run,
         rows_removed_by_reduction=trace.rows_removed,
         reduced_sizes=trace.sizes_after,
-        plan_cache_hit=plan_cache_hit,
+        plan_cache_hit=True,
         index_cache_hits=column_after["hits"] - column_before["hits"],
         index_cache_misses=column_after["misses"] - column_before["misses"],
         column_backend=backend.name,
@@ -293,29 +181,3 @@ def _evaluate_bound(relations: Sequence[Relation],
     return EngineResult(relation=result, plan=plan, statistics=statistics,
                         annotated=annotated, block=result_block,
                         result_name=name)
-
-
-def evaluate_database(database: Database,
-                      output_attributes: Optional[Iterable[Attribute]] = None, *,
-                      planner: Optional[QueryPlanner] = None,
-                      root: Optional[Edge] = None,
-                      name: str = "U",
-                      check_reduction: bool = False,
-                      adaptive: bool = False,
-                      catalog: Optional[StatisticsCatalog] = None,
-                      column_backend: Optional[str] = None,
-                      decode: str = "rows") -> EngineResult:
-    """Evaluate a database's universal join (optionally projected) via the engine.
-
-    The engine counterpart of :func:`repro.relational.yannakakis.yannakakis_join`;
-    results agree, but this path reuses cached plans and column blocks.
-    ``adaptive=True`` (or an explicit ``catalog``) runs the cardinality-aware
-    plan: the database's statistics catalog annotates the cached structure
-    plan with a data-dependent root and fold order.
-    """
-    if adaptive and catalog is None:
-        catalog = database.statistics_catalog()
-    return evaluate(database.relations(), output_attributes, planner=planner,
-                    root=root, name=name, check_reduction=check_reduction,
-                    catalog=catalog, column_backend=column_backend,
-                    decode=decode)

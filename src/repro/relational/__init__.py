@@ -30,7 +30,6 @@ from .dependencies import (
 )
 from .join_plans import (
     JoinStatistics,
-    engine_join_plan,
     execute_plan,
     join_tree_plan,
     naive_join_plan,
@@ -64,7 +63,6 @@ __all__ = [
     "fully_reduce", "is_fully_reduced",
     "YannakakisResult", "yannakakis_join", "naive_join",
     "JoinStatistics", "execute_plan", "join_tree_plan", "naive_join_plan",
-    "engine_join_plan",
     # universal relation
     "UniversalRelationInterface", "WindowResult",
     # maximal objects (the paper's pointer for cyclic schemas)

@@ -21,8 +21,7 @@ from .algebra import natural_join
 from .database import Database
 from .relation import Relation
 
-__all__ = ["JoinStatistics", "naive_join_plan", "join_tree_plan", "execute_plan",
-           "engine_join_plan"]
+__all__ = ["JoinStatistics", "naive_join_plan", "join_tree_plan", "execute_plan"]
 
 
 @dataclass
@@ -101,19 +100,3 @@ def execute_plan(relations: Sequence[Relation], *, plan_name: str = "plan") -> T
     stats.intermediate_sizes = tuple(intermediates)
     stats.output_size = len(result)
     return result, stats
-
-
-def engine_join_plan(database: Database, output_attributes=None, *,
-                     root: Optional[Edge] = None) -> Tuple[Relation, "JoinStatistics"]:
-    """Delegate the join to the semijoin execution engine (:mod:`repro.engine`).
-
-    Returns the joined (optionally projected) relation together with the
-    engine's :class:`~repro.engine.planner.EngineStatistics`, which subclasses
-    :class:`JoinStatistics` so benchmark tables can compare the three plans
-    (naive order, join-tree order, reduced engine) uniformly.  Requires an
-    acyclic schema, like :func:`join_tree_plan`.
-    """
-    from ..engine.yannakakis import evaluate_database
-
-    result = evaluate_database(database, output_attributes, root=root)
-    return result.relation, result.statistics

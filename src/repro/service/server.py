@@ -55,7 +55,7 @@ from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 from urllib.parse import parse_qs, urlparse
 
-from ..engine.deadline import check_deadline, deadline_scope
+from ..engine.deadline import check_deadline, deadline_scope, valid_budget
 from ..engine.planner import fingerprint_digest
 from ..engine.session import EngineSession, ExecutionOptions
 from ..relational.database import Database
@@ -282,9 +282,9 @@ class QueryService:
         prepared = self.clients.session(request.client).prepared(params["query"])
         database = self.database(params["database"])
         deadline = params.get("deadline_seconds")
-        if deadline is not None and deadline <= 0:
-            raise ProtocolError("deadline_seconds must be positive",
-                                code="invalid-param")
+        if deadline is not None and not valid_budget(deadline):
+            raise ProtocolError("deadline_seconds must be a finite positive "
+                                "number", code="invalid-param")
         with deadline_scope(deadline):
             result = prepared.execute(database)
             payload: Dict[str, Any] = {
@@ -307,9 +307,9 @@ class QueryService:
                                 code="invalid-param")
         databases = [self.database(name) for name in names]
         deadline = params.get("deadline_seconds")
-        if deadline is not None and deadline <= 0:
-            raise ProtocolError("deadline_seconds must be positive",
-                                code="invalid-param")
+        if deadline is not None and not valid_budget(deadline):
+            raise ProtocolError("deadline_seconds must be a finite positive "
+                                "number", code="invalid-param")
         max_workers = params.get("max_workers")
         if max_workers is not None and max_workers < 1:
             raise ProtocolError("max_workers must be at least 1",

@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.hypergraph import Hypergraph
 from repro.core.join_tree import build_join_tree
-from repro.engine import QueryPlanner
-from repro.engine.yannakakis import evaluate_database
+from repro.engine import EngineSession, QueryPlanner
 from repro.engine.catalog import (
     CostAnnotation,
     JoinEstimate,
@@ -201,8 +200,8 @@ class TestAnnotateTree:
 
     def test_estimates_are_exact_on_the_constructed_chain(self):
         database, tree = self._skewed_setup()
-        result = evaluate_database(database, skewed_chain_endpoints(3),
-                                   adaptive=True, planner=QueryPlanner())
+        result = EngineSession(QueryPlanner(), adaptive=True).execute(
+            database, database, skewed_chain_endpoints(3))
         stats = result.statistics
         assert stats.adaptive
         assert stats.estimated_max_intermediate is not None
@@ -275,6 +274,21 @@ class TestPlannerIntegration:
                                      output_attributes=skewed_chain_endpoints(3),
                                      root=pinned_root)
         assert annotated.structure.root == pinned_root
+
+    def test_adaptive_order_halves_the_largest_intermediate(self):
+        """Every tuple of the skewed chain joins, so only the fold order can
+        help: the adaptive plan's largest intermediate is at least 2x smaller
+        than the static plan's, with the same answer."""
+        database = skewed_chain_database(3, heads=40, fanout=25,
+                                         junction_values=4, seed=42)
+        endpoints = skewed_chain_endpoints(3)
+        static = EngineSession(adaptive=False).execute(database, database,
+                                                       endpoints)
+        adaptive = EngineSession(adaptive=True).execute(database, database,
+                                                        endpoints)
+        assert frozenset(adaptive.relation.rows) == frozenset(static.relation.rows)
+        assert 2 * adaptive.statistics.max_intermediate \
+            <= static.statistics.max_intermediate
 
     def test_annotated_plan_describe_mentions_annotation(self):
         planner = QueryPlanner()

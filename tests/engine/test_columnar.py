@@ -344,12 +344,11 @@ class TestEvaluation:
             Relation.from_tuples(RelationSchema.of("S", ("B", "C")), [("x", 5)]),
             Relation.from_tuples(RelationSchema.of("T", ("D", "E")), [(7, 8), (9, 10)]),
         ]
-        from repro.engine.yannakakis import evaluate
-
-        assert len(evaluate(relations, ("A",)).relation) == 1
+        session = EngineSession()
+        assert len(session.execute_join(relations, ("A",)).relation) == 1
         # ... and an emptied component kills the answer.
         emptied = relations[:2] + [relations[2].with_rows([])]
-        assert len(evaluate(emptied, ("A",)).relation) == 0
+        assert len(session.execute_join(emptied, ("A",)).relation) == 0
 
     def test_statistics_report_the_backend_and_cache_traffic(self, university_database):
         session = EngineSession()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import EngineSession, QueryPlanner
-from repro.engine.cyclic import evaluate_cyclic, evaluate_cyclic_database
 from repro.engine.cyclic import executor as cyclic_executor
 from repro.exceptions import ClusterBoundExceededError, SchemaError
 from repro.generators import (
@@ -22,6 +21,13 @@ from repro.relational import (
     project,
 )
 from repro.telemetry import Tracer, use_tracer
+
+
+def cyclic_join(database, outputs=None, *, planner=None, name=None, **options):
+    """A cyclic-subsystem run over ``database`` (static unless ``adaptive=True``)."""
+    options.setdefault("adaptive", False)
+    session = EngineSession(planner, force_cyclic=True, **options)
+    return session.execute(database, database, outputs, name=name)
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +57,13 @@ def benchmark_shaped_db():
 
 class TestEquivalence:
     def test_full_join_matches_naive(self, triangle_db):
-        result = evaluate_cyclic_database(triangle_db)
+        result = cyclic_join(triangle_db)
         naive, _ = execute_plan(naive_join_plan(triangle_db), plan_name="naive")
         assert frozenset(result.relation.rows) == frozenset(naive.rows)
 
     def test_projection_matches_naive(self, triangle_chain_db):
         endpoints = ("C0", "C5")
-        result = evaluate_cyclic_database(triangle_chain_db, endpoints)
+        result = cyclic_join(triangle_chain_db, endpoints)
         naive, _ = execute_plan(naive_join_plan(triangle_chain_db), plan_name="naive")
         expected = project(naive, endpoints)
         assert frozenset(result.relation.rows) == frozenset(expected.rows)
@@ -66,7 +72,7 @@ class TestEquivalence:
     def test_acyclic_schema_degenerates_gracefully(self):
         db = generate_database(university_schema(), universe_rows=20,
                                domain_size=5, dangling_fraction=0.5, seed=4)
-        result = evaluate_cyclic_database(db)
+        result = cyclic_join(db)
         naive, _ = execute_plan(naive_join_plan(db), plan_name="naive")
         assert result.plan.is_trivial
         assert frozenset(result.relation.rows) == frozenset(naive.rows)
@@ -75,14 +81,14 @@ class TestEquivalence:
 class TestAcceptanceShape:
     def test_largest_intermediate_at_least_5x_smaller_than_naive(self, triangle_chain_db):
         endpoints = ("C0", "C5")
-        result = evaluate_cyclic_database(triangle_chain_db, endpoints)
+        result = cyclic_join(triangle_chain_db, endpoints)
         _, naive_stats = execute_plan(naive_join_plan(triangle_chain_db),
                                       plan_name="naive")
         assert result.statistics.max_intermediate * 5 <= naive_stats.max_intermediate
         assert result.statistics.savings_versus(naive_stats) >= 5.0
 
     def test_statistics_report_clusters(self, triangle_chain_db):
-        result = evaluate_cyclic_database(triangle_chain_db)
+        result = cyclic_join(triangle_chain_db)
         stats = result.statistics
         assert stats.plan_name == "engine-cyclic"
         assert len(stats.cluster_sizes) == len(result.plan.clusters)
@@ -91,7 +97,7 @@ class TestAcceptanceShape:
         assert "clusters=" in stats.describe()
 
     def test_reduction_removes_dangling_cluster_tuples(self, triangle_chain_db):
-        result = evaluate_cyclic_database(triangle_chain_db)
+        result = cyclic_join(triangle_chain_db)
         assert result.statistics.rows_removed_by_reduction > 0
         assert result.statistics.semijoin_steps > 0
 
@@ -99,7 +105,7 @@ class TestAcceptanceShape:
         # The reducer runs on the materialised clusters, so the ratio must be
         # removed / cluster tuples — and in particular never exceed 1, which
         # the inherited input-sizes denominator would allow.
-        stats = evaluate_cyclic_database(triangle_chain_db).statistics
+        stats = cyclic_join(triangle_chain_db).statistics
         assert 0.0 < stats.reduction_ratio <= 1.0
         expected = stats.rows_removed_by_reduction / sum(stats.cluster_sizes)
         assert stats.reduction_ratio == pytest.approx(expected)
@@ -108,18 +114,19 @@ class TestAcceptanceShape:
 class TestPlanCache:
     def test_plan_reused_across_equivalent_cyclic_schemas(self, triangle_db):
         planner = QueryPlanner()
-        first = evaluate_cyclic_database(triangle_db, planner=planner)
-        assert not first.statistics.plan_cache_hit
+        first = cyclic_join(triangle_db, planner=planner)
+        misses = planner.cache_info().misses
+        assert misses >= 1
         # A structurally identical database (different instance, same schema).
         other = generate_database(DatabaseSchema.from_hypergraph(k_cycle_hypergraph(3)),
                                   universe_rows=9, domain_size=3, seed=99)
-        second = evaluate_cyclic_database(other, planner=planner)
-        assert second.statistics.plan_cache_hit
+        second = cyclic_join(other, planner=planner)
+        assert planner.cache_info().misses == misses
         assert second.plan is first.plan
 
     def test_cyclic_and_quotient_plans_share_the_lru(self, triangle_db):
         planner = QueryPlanner()
-        evaluate_cyclic_database(triangle_db, planner=planner)
+        cyclic_join(triangle_db, planner=planner)
         info = planner.cache_info()
         # One cyclic plan plus the embedded quotient's acyclic plan.
         assert info.size == 2
@@ -129,46 +136,47 @@ class TestPlanCache:
         # second planner lookup), so even a capacity-1 LRU keeps serving
         # cache hits for a single cyclic workload.
         planner = QueryPlanner(capacity=1)
-        evaluate_cyclic_database(triangle_db, planner=planner)
+        cyclic_join(triangle_db, planner=planner)
         misses_after_first = planner.cache_info().misses
-        second = evaluate_cyclic_database(triangle_db, planner=planner)
-        assert second.statistics.plan_cache_hit
+        cyclic_join(triangle_db, planner=planner)
         assert planner.cache_info().misses == misses_after_first
 
 
 class TestValidation:
     def test_no_relations_rejected(self):
         with pytest.raises(SchemaError):
-            evaluate_cyclic([])
+            EngineSession(force_cyclic=True).prepare([])
 
     def test_unknown_output_attribute_rejected(self, triangle_db):
         with pytest.raises(SchemaError):
-            evaluate_cyclic_database(triangle_db, ("NOPE",))
+            cyclic_join(triangle_db, ("NOPE",))
 
     def test_unknown_output_attribute_rejected_over_relations(self, triangle_db):
         with pytest.raises(SchemaError, match="not in the schema"):
-            evaluate_cyclic(triangle_db.relations(), ("R0", "NOPE"))
+            EngineSession(force_cyclic=True).execute_join(triangle_db.relations(),
+                                                          ("R0", "NOPE"))
 
     def test_plan_for_another_schema_rejected(self, triangle_db, triangle_chain_db):
-        planner = QueryPlanner()
-        other = planner.cyclic_plan_for(triangle_chain_db.schema.to_hypergraph())
+        session = EngineSession(adaptive=False, force_cyclic=True)
+        other = session.prepare(triangle_chain_db)
         with pytest.raises(SchemaError, match="different schema fingerprint"):
-            evaluate_cyclic(triangle_db.relations(), plan=other)
-        own = planner.cyclic_plan_for(triangle_db.schema.to_hypergraph())
-        supplied = evaluate_cyclic(triangle_db.relations(), plan=own)
-        assert supplied.plan is own
-        assert supplied.relation == evaluate_cyclic(triangle_db.relations()).relation
+            other.execute_relations(triangle_db.relations())
+        own = session.prepare(triangle_db.relations())
+        supplied = own.execute_relations(triangle_db.relations())
+        assert supplied.plan is own.structure
+        assert supplied.relation == EngineSession(force_cyclic=True).execute_join(
+            triangle_db.relations()).relation
 
     def test_cluster_row_bound_propagates(self, triangle_db):
         with pytest.raises(ClusterBoundExceededError):
-            evaluate_cyclic_database(triangle_db, cluster_row_bound=1)
+            cyclic_join(triangle_db, cluster_row_bound=1)
 
     def test_result_relation_is_named(self, triangle_db):
-        result = evaluate_cyclic_database(triangle_db, name="windows")
+        result = cyclic_join(triangle_db, name="windows")
         assert result.relation.name == "windows"
 
     def test_plan_describe_mentions_clusters(self, triangle_db):
-        result = evaluate_cyclic_database(triangle_db)
+        result = cyclic_join(triangle_db)
         text = result.plan.describe()
         assert "CyclicExecutionPlan" in text and "clusters" in text
 
@@ -180,9 +188,9 @@ class TestClusterExports:
 
     def test_projected_cluster_keeps_its_articulation_set(self, benchmark_shaped_db):
         # Asking for the triangle's own attributes keeps its whole scheme.
-        whole = evaluate_cyclic_database(benchmark_shaped_db, self.TRIANGLE,
+        whole = cyclic_join(benchmark_shaped_db, self.TRIANGLE,
                                          adaptive=True)
-        projected = evaluate_cyclic_database(benchmark_shaped_db, ("C0", "C5"),
+        projected = cyclic_join(benchmark_shaped_db, ("C0", "C5"),
                                              adaptive=True)
         core = next(index for index, cluster in enumerate(projected.plan.clusters)
                     if not cluster.is_singleton)
@@ -198,13 +206,13 @@ class TestClusterExports:
     @pytest.mark.parametrize("outputs", [None, ("C0", "C5")])
     def test_row_bound_guards_the_probe_not_the_leftovers(self, benchmark_shaped_db,
                                                           outputs):
-        unprojected = evaluate_cyclic_database(benchmark_shaped_db, self.TRIANGLE,
+        unprojected = cyclic_join(benchmark_shaped_db, self.TRIANGLE,
                                                adaptive=True)
         probe = max(unprojected.statistics.intermediate_sizes[:2])
         with pytest.raises(ClusterBoundExceededError, match="C0, T1"):
-            evaluate_cyclic_database(benchmark_shaped_db, outputs, adaptive=True,
+            cyclic_join(benchmark_shaped_db, outputs, adaptive=True,
                                      cluster_row_bound=probe - 1)
-        bounded = evaluate_cyclic_database(benchmark_shaped_db, ("C0", "C5"),
+        bounded = cyclic_join(benchmark_shaped_db, ("C0", "C5"),
                                            adaptive=True, cluster_row_bound=probe)
         assert 0 < bounded.statistics.intermediate_sizes[0] <= probe
 

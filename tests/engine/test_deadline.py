@@ -80,6 +80,15 @@ def test_scope_rejects_nonpositive_budgets():
             pass
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), True],
+                         ids=["nan", "inf", "bool"])
+def test_scope_rejects_budgets_that_could_never_fire(budget):
+    with pytest.raises(ValueError, match="finite positive"):
+        with deadline_scope(budget):
+            pass
+    assert active_deadline() is None
+
+
 # --------------------------------------------------------------------------- #
 # The ExecutionOptions field
 # --------------------------------------------------------------------------- #

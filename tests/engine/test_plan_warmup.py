@@ -7,9 +7,7 @@ import json
 import pytest
 
 from repro.core.hypergraph import Hypergraph
-from repro.engine import QueryPlanner
-from repro.engine.cyclic import evaluate_cyclic_database
-from repro.engine.yannakakis import evaluate_database
+from repro.engine import EngineSession, QueryPlanner
 from repro.generators import (
     generate_database,
     k_cycle_hypergraph,
@@ -55,14 +53,16 @@ class TestWarmUp:
     def test_warmed_planner_serves_hits_only(self, worked_planner):
         fresh = QueryPlanner()
         fresh.warm_up(worked_planner.dump_fingerprints())
+        misses_before = fresh.cache_info().misses
 
         acyclic_db = generate_database(university_schema(), universe_rows=10, seed=1)
         cyclic_db = generate_database(
             DatabaseSchema.from_hypergraph(triangle_core_chain(3)),
             universe_rows=10, seed=1)
-        assert evaluate_database(acyclic_db, planner=fresh).statistics.plan_cache_hit
-        assert evaluate_cyclic_database(cyclic_db,
-                                        planner=fresh).statistics.plan_cache_hit
+        for database, cyclic in ((acyclic_db, False), (cyclic_db, True)):
+            EngineSession(fresh, adaptive=False, force_cyclic=cyclic).execute(
+                database, database)
+        assert fresh.cache_info().misses == misses_before
 
     def test_warm_up_is_idempotent(self, worked_planner):
         dump = worked_planner.dump_fingerprints()
@@ -108,9 +108,9 @@ class TestWarmUp:
         cyclic_db = generate_database(
             DatabaseSchema.from_hypergraph(triangle_core_chain(3)),
             universe_rows=10, seed=1)
-        assert evaluate_database(acyclic_db, planner=fresh).statistics.plan_cache_hit
-        assert evaluate_cyclic_database(cyclic_db,
-                                        planner=fresh).statistics.plan_cache_hit
+        for database, cyclic in ((acyclic_db, False), (cyclic_db, True)):
+            EngineSession(fresh, adaptive=False, force_cyclic=cyclic).execute(
+                database, database)
         assert fresh.cache_info().misses == misses_before
 
     def test_save_cache_replaces_atomically(self, worked_planner, tmp_path):

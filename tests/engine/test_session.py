@@ -343,8 +343,6 @@ class TestErrors:
 
     def test_unknown_output_attribute_raises_on_every_entry_point(
             self, acyclic_db, cyclic_db):
-        from repro.engine.cyclic import evaluate_cyclic
-        from repro.engine.yannakakis import evaluate
         from repro.exceptions import SchemaError
 
         session = EngineSession()
@@ -356,10 +354,9 @@ class TestErrors:
                 lambda: session.prepare(relations, ("NOPE",)),
                 lambda: session.execute(database, database, ("NOPE",)),
                 lambda: session.execute_join(relations, ("NOPE",)),
-                lambda: evaluate_cyclic(relations, ("NOPE",)),
+                lambda: session.execute_join(relations, ("NOPE",),
+                                             force_cyclic=True),
             ]
-            if database is acyclic_db:
-                calls.append(lambda: evaluate(relations, ("NOPE",)))
             for call in calls:
                 with pytest.raises(SchemaError, match="not in the schema"):
                     call()

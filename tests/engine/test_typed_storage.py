@@ -164,6 +164,85 @@ class TestExecutionOptionsValidation:
         with pytest.raises(ValueError, match="decode"):
             ExecutionOptions(decode="bogus")
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("adaptive", "yes", TypeError),
+        ("check_reduction", 1, TypeError),
+        ("force_cyclic", None, TypeError),
+        ("trace", 3, TypeError),
+        ("sample_limit", 0, ValueError),
+        ("sample_limit", 2.5, ValueError),
+        ("sample_limit", True, ValueError),
+        ("cluster_row_bound", -1, ValueError),
+        ("cluster_row_bound", "10", ValueError),
+        ("deadline_seconds", float("nan"), ValueError),
+        ("deadline_seconds", float("inf"), ValueError),
+        ("deadline_seconds", True, ValueError),
+    ])
+    def test_a_bad_value_is_rejected_when_the_options_are_built(
+            self, field, value, error):
+        with pytest.raises(error, match=field):
+            ExecutionOptions(**{field: value})
+        with pytest.raises(error, match=field):
+            EngineSession().options.merged(**{field: value})
+
+
+class TestBatchedKernels:
+    """Every backend's whole-vector primitive against the per-row loop it replaced.
+
+    Same positions in the same order, on skewed id columns (quadratic skew,
+    like the engine's fan-out / junction chains).
+    """
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        import random
+
+        rng = random.Random(8)
+        skewed = lambda: int(512 * rng.random() ** 2)  # noqa: E731
+        keys = frozenset(rng.sample(range(512), 64))
+        return {"build": array("q", (skewed() for _ in range(400))),
+                "probe": array("q", (skewed() for _ in range(2000))),
+                "second": array("q", (skewed() for _ in range(2000))),
+                "keys": keys, "key_codes": array("q", keys)}
+
+    @pytest.fixture(params=sorted(available_column_backends()))
+    def backend(self, request):
+        return resolve_column_backend(request.param)
+
+    def test_membership_filter(self, backend, columns):
+        probe = columns["probe"]
+        expected = array("q", (p for p in range(len(probe))
+                               if probe[p] in columns["keys"]))
+        key_set = backend.key_set(columns["key_codes"],
+                                  range(len(columns["key_codes"])))
+        kept = backend.filter_membership(probe, range(len(probe)), key_set)
+        assert array("q", kept) == expected
+        assert array("q", backend.take(probe, kept)) \
+            == array("q", (probe[p] for p in expected))
+
+    def test_join_probe(self, backend, columns):
+        build, probe = columns["build"], columns["probe"]
+        table = {}
+        for p in range(len(build)):
+            table.setdefault(build[p], []).append(p)
+        pairs = [(match, p) for p in range(len(probe))
+                 for match in table.get(probe[p], ())]
+        left, right = backend.probe_table(
+            backend.build_table(build, range(len(build))),
+            probe, range(len(probe)))
+        assert (array("q", left), array("q", right)) == (
+            array("q", (match for match, _ in pairs)),
+            array("q", (p for _, p in pairs)))
+
+    def test_distinct_first_occurrence(self, backend, columns):
+        pairs = list(zip(columns["probe"], columns["second"]))
+        first = {}
+        for p, pair in enumerate(pairs):
+            first.setdefault(pair, p)
+        kept = backend.first_occurrence([columns["probe"], columns["second"]],
+                                        range(len(pairs)))
+        assert array("q", kept) == array("q", first.values())
+
 
 class TestDeferredDecoding:
     def test_block_decode_skips_the_relation(self, acyclic_db):

@@ -15,9 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.nodes import sorted_nodes
-from repro.engine import QueryPlanner
-from repro.engine.cyclic import evaluate_cyclic_database
-from repro.engine.yannakakis import evaluate_database
+from repro.engine import EngineSession, QueryPlanner
 from repro.generators import cyclic_workload_families, generate_database
 from repro.relational import DatabaseSchema, Relation
 
@@ -25,6 +23,13 @@ from .strategies import skew_database as _skewed, skewed_acyclic_databases
 
 COMMON_SETTINGS = settings(max_examples=20, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
+
+
+def _run(database, outputs=None, *, adaptive=False, force_cyclic=False):
+    """One engine run on a fresh planner, static unless ``adaptive``."""
+    session = EngineSession(QueryPlanner(), adaptive=adaptive,
+                            force_cyclic=force_cyclic)
+    return session.execute(database, database, outputs)
 
 
 def _assert_identical(left: Relation, right: Relation):
@@ -36,8 +41,8 @@ def _assert_identical(left: Relation, right: Relation):
 @COMMON_SETTINGS
 @given(database=skewed_acyclic_databases())
 def test_adaptive_full_join_is_byte_identical(database):
-    static = evaluate_database(database, planner=QueryPlanner())
-    adaptive = evaluate_database(database, adaptive=True, planner=QueryPlanner())
+    static = _run(database)
+    adaptive = _run(database, adaptive=True)
     assert adaptive.statistics.adaptive and not static.statistics.adaptive
     _assert_identical(adaptive.relation, static.relation)
 
@@ -50,9 +55,8 @@ def test_adaptive_projection_is_byte_identical(database, selector):
     attributes = sorted_nodes(database.schema.attributes)
     size = 1 + selector % len(attributes)
     wanted = attributes[:size]
-    static = evaluate_database(database, wanted, planner=QueryPlanner())
-    adaptive = evaluate_database(database, wanted, adaptive=True,
-                                 planner=QueryPlanner())
+    static = _run(database, wanted)
+    adaptive = _run(database, wanted, adaptive=True)
     _assert_identical(adaptive.relation, static.relation)
 
 
@@ -60,8 +64,7 @@ def test_adaptive_projection_is_byte_identical(database, selector):
 @COMMON_SETTINGS
 @given(database=skewed_acyclic_databases())
 def test_adaptive_intermediates_respect_the_bound(database):
-    stats = evaluate_database(database, adaptive=True,
-                              planner=QueryPlanner()).statistics
+    stats = _run(database, adaptive=True).statistics
     assert stats.max_intermediate <= stats.output_size + stats.max_reduced_input
 
 
@@ -76,8 +79,7 @@ def test_adaptive_cyclic_is_byte_identical(family, data_seed, skew_seed):
     database = _skewed(generate_database(schema, universe_rows=12, domain_size=3,
                                          dangling_fraction=0.3, seed=data_seed),
                        skew_seed)
-    static = evaluate_cyclic_database(database, planner=QueryPlanner())
-    adaptive = evaluate_cyclic_database(database, adaptive=True,
-                                        planner=QueryPlanner())
+    static = _run(database, force_cyclic=True)
+    adaptive = _run(database, adaptive=True, force_cyclic=True)
     assert adaptive.statistics.adaptive
     _assert_identical(adaptive.relation, static.relation)

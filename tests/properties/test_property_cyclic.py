@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.acyclicity import is_acyclic
 from repro.core.nodes import sorted_nodes
-from repro.engine import choose_cover
-from repro.engine.cyclic import evaluate_cyclic_database
+from repro.engine import EngineSession, choose_cover
 from repro.generators import generate_database, random_cyclic_hypergraph
 from repro.relational import DatabaseSchema, execute_plan, naive_join_plan, project
 
@@ -40,7 +39,8 @@ def cyclic_databases(draw):
 @COMMON_SETTINGS
 @given(database=cyclic_databases())
 def test_cyclic_engine_matches_naive_full_join(database):
-    engine_result = evaluate_cyclic_database(database)
+    engine_result = EngineSession(adaptive=False, force_cyclic=True).execute(
+        database, database)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     assert frozenset(engine_result.relation.rows) == frozenset(naive_result.rows)
 
@@ -52,7 +52,8 @@ def test_cyclic_engine_matches_naive_projection(database, selector):
     attributes = sorted_nodes(database.schema.attributes)
     size = 1 + selector % len(attributes)
     wanted = attributes[:size]
-    engine_result = evaluate_cyclic_database(database, wanted)
+    engine_result = EngineSession(adaptive=False, force_cyclic=True).execute(
+        database, database, wanted)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     expected = project(naive_result, wanted)
     assert frozenset(engine_result.relation.rows) == frozenset(expected.rows)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.nodes import sorted_nodes
-from repro.engine.yannakakis import evaluate_database
+from repro.engine import EngineSession
 from repro.generators import generate_database, random_acyclic_hypergraph
 from repro.relational import DatabaseSchema, execute_plan, naive_join_plan, project
 
@@ -38,7 +38,7 @@ def acyclic_databases(draw):
 @COMMON_SETTINGS
 @given(database=acyclic_databases())
 def test_engine_matches_naive_full_join(database):
-    engine_result = evaluate_database(database)
+    engine_result = EngineSession(adaptive=False).execute(database, database)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     assert frozenset(engine_result.relation.rows) == frozenset(naive_result.rows)
 
@@ -50,7 +50,8 @@ def test_engine_matches_naive_projection(database, selector):
     attributes = sorted_nodes(database.schema.attributes)
     size = 1 + selector % len(attributes)
     wanted = attributes[:size]
-    engine_result = evaluate_database(database, wanted)
+    engine_result = EngineSession(adaptive=False).execute(database, database,
+                                                          wanted)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     expected = project(naive_result, wanted)
     assert frozenset(engine_result.relation.rows) == frozenset(expected.rows)
@@ -60,5 +61,5 @@ def test_engine_matches_naive_projection(database, selector):
 @COMMON_SETTINGS
 @given(database=acyclic_databases())
 def test_engine_intermediates_respect_the_bound(database):
-    stats = evaluate_database(database).statistics
+    stats = EngineSession(adaptive=False).execute(database, database).statistics
     assert stats.max_intermediate <= stats.output_size + stats.max_reduced_input

@@ -1,12 +1,11 @@
-"""Property-based equivalence: prepared session execution vs the module evaluators.
+"""Property-based equivalence: prepared session execution vs the reference joins.
 
-The session facade only *re-packages* planning and execution — dispatch is
-resolved at prepare time, annotations are memoized per database — so on any
-workload, acyclic or cyclic, adaptive or static, ``PreparedQuery.execute``
-must be byte-identical to calling the evaluators
-(:func:`repro.engine.yannakakis.evaluate_database`,
-:func:`repro.engine.cyclic.evaluate_cyclic_database`) directly: same rows,
-same schema attributes.
+The session resolves dispatch at prepare time and memoizes annotations per
+database, so on any workload, acyclic or cyclic, adaptive or static, cold or
+warm, ``PreparedQuery.execute`` must be byte-identical to the independent
+:mod:`repro.relational` implementations — :func:`~repro.relational.yannakakis_join`
+for acyclic schemas, :func:`~repro.relational.naive_join` for cyclic ones:
+same rows, same schema attributes.
 """
 
 from __future__ import annotations
@@ -16,12 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.nodes import sorted_nodes
-from repro.engine import EngineSession, QueryPlanner
-from repro.engine.yannakakis import evaluate_database as legacy_evaluate_database
-from repro.engine.cyclic.executor import (
-    evaluate_cyclic_database as legacy_evaluate_cyclic_database,
-)
-from repro.relational import Relation
+from repro.engine import EngineSession
+from repro.relational import Relation, naive_join, yannakakis_join
 
 from .strategies import (
     skew_database as _skewed,
@@ -47,8 +42,7 @@ def test_prepared_acyclic_is_byte_identical_to_legacy(database, adaptive):
     prepared = session.prepare(database)
     result = prepared.execute(database)
     again = prepared.execute(database)
-    legacy = legacy_evaluate_database(database, adaptive=adaptive,
-                                      planner=QueryPlanner())
+    legacy = yannakakis_join(database)
     assert result.statistics.adaptive is adaptive
     _assert_identical(result.relation, legacy.relation)
     _assert_identical(again.relation, legacy.relation)
@@ -63,8 +57,7 @@ def test_prepared_acyclic_projection_is_byte_identical(database, selector):
     size = 1 + selector % len(attributes)
     wanted = attributes[:size]
     result = EngineSession().prepare(database, wanted).execute(database)
-    legacy = legacy_evaluate_database(database, wanted, adaptive=True,
-                                      planner=QueryPlanner())
+    legacy = yannakakis_join(database, wanted)
     _assert_identical(result.relation, legacy.relation)
 
 
@@ -78,10 +71,9 @@ def test_prepared_cyclic_is_byte_identical_to_legacy(database, adaptive):
     assert prepared.kind == "cyclic"
     result = prepared.execute(database)
     again = prepared.execute(database)
-    legacy = legacy_evaluate_cyclic_database(database, adaptive=adaptive,
-                                             planner=QueryPlanner())
-    _assert_identical(result.relation, legacy.relation)
-    _assert_identical(again.relation, legacy.relation)
+    legacy, _ = naive_join(database)
+    _assert_identical(result.relation, legacy)
+    _assert_identical(again.relation, legacy)
 
 
 @pytest.mark.slow

@@ -325,6 +325,34 @@ def test_invalid_option_values_are_rejected(service):
     assert envelope["error"]["code"] == "invalid-param"
 
 
+@pytest.mark.parametrize("method, params", [
+    ("prepare", {"options": {"deadline_seconds": float("nan")}}),
+    ("prepare", {"options": {"deadline_seconds": float("inf")}}),
+    ("prepare", {"options": {"sample_limit": 0}}),
+    ("prepare", {"options": {"cluster_row_bound": -1}}),
+    ("prepare", {"options": {"adaptive": "yes"}}),
+    ("prepare", {"options": {"trace": 3}}),
+    ("execute", {"deadline_seconds": float("nan")}),
+    ("execute", {"deadline_seconds": float("inf")}),
+    ("execute_many", {"deadline_seconds": float("nan")}),
+    ("execute_many", {"deadline_seconds": float("inf")}),
+], ids=["prepare-deadline-nan", "prepare-deadline-inf", "prepare-sample-limit-0",
+        "prepare-row-bound-negative", "prepare-adaptive-str", "prepare-trace-int",
+        "execute-deadline-nan", "execute-deadline-inf",
+        "execute-many-deadline-nan", "execute-many-deadline-inf"])
+def test_a_bad_option_is_a_400_before_anything_runs(service, method, params):
+    """``json.loads`` accepts NaN and Infinity; neither is a usable budget."""
+    if method == "prepare":
+        params = {"database": "chain", **params}
+    elif method == "execute":
+        params = {"query": _prepare(service), "database": "chain", **params}
+    else:
+        params = {"query": _prepare(service), "databases": ["chain"], **params}
+    status, envelope = _rpc(service, method, params)
+    assert status == 400, envelope
+    assert envelope["error"]["code"] == "invalid-param"
+
+
 def test_malformed_document_is_a_400(service):
     status, envelope = _rpc(service, "execute", {"query": "q-1"})
     assert status == 400
