@@ -21,6 +21,9 @@ Layers (bottom-up):
   objects (cardinalities, distinct counts, System-R estimators) and the
   :class:`CostAnnotation` compiler that simulates plans on estimates — the
   data-dependent half of two-phase planning;
+* :mod:`~repro.engine.cache` — the one bounded, thread-safe
+  :class:`~repro.engine.cache.LRUCache` that holds plans and prepared
+  queries;
 * :mod:`~repro.engine.planner` — data-independent :class:`ExecutionPlan`
   objects in an LRU cache keyed by a canonical schema fingerprint (with
   disk persistence via ``save_cache``/``load_cache``), composed with
@@ -72,12 +75,12 @@ from .columnar import (
     set_default_column_backend,
     use_column_backend,
 )
+from .cache import PlanCacheInfo
 from .planner import (
     DEFAULT_PLANNER,
     AnnotatedPlan,
     EngineStatistics,
     ExecutionPlan,
-    PlanCacheInfo,
     QueryPlanner,
     SchemaFingerprint,
     annotate_plan,

@@ -778,9 +778,9 @@ class ColumnBlock:
 # Per-relation block cache
 # --------------------------------------------------------------------------- #
 # Relations are immutable, so a block encoding never goes stale.  The cache
-# is keyed by relation *identity* — ``id(relation) -> (weakref, block)``, the
-# idiom ``EngineSession._prepared_queries`` uses — and an entry is a hit only
-# when its weakref still resolves to the very object asked about:
+# is keyed by relation *identity* — ``id(relation) -> (weakref, block)`` —
+# and an entry is a hit only when its weakref still resolves to the very
+# object asked about:
 #
 # * a hot lookup is O(1) (``Relation.__eq__`` compares whole row sets, so a
 #   value-keyed cache paid O(rows) on every hit);
@@ -900,6 +900,12 @@ def clear_column_caches() -> None:
     reference to their own interner and still decode; they simply cannot be
     combined with blocks encoded after the clear (the kernels reject mixed
     generations).
+
+    What survives a clear: the planners' and sessions' LRUs (compiled plans
+    and prepared queries hold no column data) and every prepared query's
+    per-database bindings.  A cyclic binding's memoised cluster blocks
+    belong to the old generation; its next execute sees the new interner and
+    materialises them again.
     """
     global _BLOCK_HITS, _BLOCK_MISSES, _INTERNER
     with _BLOCK_CACHE_LOCK, _COUNTER_LOCK:

@@ -23,8 +23,6 @@ applied" boundary made operational.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, FrozenSet, Optional, Sequence, Tuple
@@ -56,67 +54,28 @@ __all__ = ["CyclicEngineResult"]
 # Warm-prepare memoisation
 # --------------------------------------------------------------------------- #
 class _WarmPrepare:
-    """Memoised cover/catalog bookkeeping for one (plan, relations, catalog, outputs).
+    """The prepare-phase artefacts of one database binding, memoised.
 
-    A warm cyclic run re-executes over the *same* plan object (memoised by
-    :class:`~repro.engine.session.PreparedQuery`), the same relation tuple
-    and the same catalog, yet previously re-derived three prepare-phase
-    artefacts every time: the per-cluster cardinality estimates, the
-    materialised cluster blocks (immutable, fully determined by cover +
-    relations + catalog order keys + outputs) and the quotient-level cost
-    annotation.  This entry caches all three; identity validation (``is`` on
-    every input, plus the interner generation) makes a hit exact, and the
-    bounded FIFO below keeps eviction trivial.  The outputs are part of the
-    entry's *key*, so prepared queries that differ only in their outputs
-    each stay warm instead of evicting each other; their cluster joins over
-    the same members still share storage through the kernels' whole-result
-    cache.  Fields hold ``(key…, value)`` tuples so a racing rebuild swaps
-    atomically — equivalent values, last write wins, matching the
-    storage-cache contract in :mod:`repro.engine.columnar.block`.
+    A warm cyclic run re-executes the same plan over the same relations,
+    catalog and outputs — a :class:`~repro.engine.session.PreparedQuery`'s
+    binding fixes all four — yet would re-derive three artefacts every time:
+    the per-cluster cardinality estimates, the materialised cluster blocks
+    and the quotient-level cost annotation.  The binding owns one of these
+    memos, so it lives and dies with its database.  Only the row bound and
+    the interner generation are checked on a hit.  Fields hold tuples so a
+    racing rebuild swaps atomically — equivalent values, last write wins,
+    matching the storage-cache contract in :mod:`repro.engine.columnar.block`.
     """
 
-    __slots__ = ("plan", "relations", "catalog", "estimated_cluster_sizes",
-                 "materialised_state", "annotated_state")
+    __slots__ = ("estimated_cluster_sizes", "materialised_state",
+                 "annotated_state")
 
-    def __init__(self, plan: CyclicExecutionPlan,
-                 relations: Tuple[Relation, ...],
-                 catalog: Optional[StatisticsCatalog]) -> None:
-        self.plan = plan
-        self.relations = relations
-        self.catalog = catalog
+    def __init__(self) -> None:
         self.estimated_cluster_sizes: Optional[tuple] = None
         #: (row_bound, interner, materialisation) or None.
         self.materialised_state: Optional[Tuple[Any, Any, Any]] = None
         #: (materialisation identity, annotated plan) or None.
         self.annotated_state: Optional[Tuple[Any, Any]] = None
-
-
-_WARM_PREPARE_CAP = 32
-_WARM_PREPARE_LOCK = threading.Lock()
-_WARM_PREPARE_CACHE: "OrderedDict[tuple, _WarmPrepare]" = OrderedDict()
-
-
-def _warm_prepare_entry(plan: CyclicExecutionPlan,
-                        relations: Sequence[Relation],
-                        catalog: Optional[StatisticsCatalog],
-                        wanted: Optional[FrozenSet[Attribute]]) -> _WarmPrepare:
-    """The (validated) memo entry for this exact plan/relations/catalog/outputs."""
-    relations = tuple(relations)
-    key = (id(plan), tuple(map(id, relations)),
-           None if catalog is None else id(catalog), wanted)
-    with _WARM_PREPARE_LOCK:
-        entry = _WARM_PREPARE_CACHE.get(key)
-        if entry is not None and entry.plan is plan \
-                and entry.catalog is catalog \
-                and len(entry.relations) == len(relations) \
-                and all(a is b for a, b in zip(entry.relations, relations)):
-            _WARM_PREPARE_CACHE.move_to_end(key)
-            return entry
-        entry = _WARM_PREPARE_CACHE[key] = _WarmPrepare(plan, relations,
-                                                        catalog)
-        while len(_WARM_PREPARE_CACHE) > _WARM_PREPARE_CAP:
-            _WARM_PREPARE_CACHE.popitem(last=False)
-        return entry
 
 
 @dataclass(frozen=True)
@@ -142,7 +101,7 @@ def _evaluate_cyclic_bound(relations: Sequence[Relation],
                            name: str, check_reduction: bool,
                            cluster_row_bound: Optional[int],
                            column_backend: Optional[str],
-                           decode: str) -> CyclicEngineResult:
+                           decode: str, warm: _WarmPrepare) -> CyclicEngineResult:
     """Run ``plan`` over ``relations``: materialise clusters, reduce, fold, decode.
 
     Builds no hypergraph and computes no fingerprint: the caller
@@ -157,7 +116,8 @@ def _evaluate_cyclic_bound(relations: Sequence[Relation],
     static run.  ``cluster_row_bound`` caps intra-cluster intermediates
     (:class:`~repro.exceptions.ClusterBoundExceededError` beyond it),
     checked against the rows each intra-cluster join produced *before* the
-    projection onto what its cluster exports.
+    projection onto what its cluster exports.  ``warm`` is the binding's
+    memo of the prepare-phase artefacts.
     """
     tracer = current_tracer()
     prepare_span = tracer.span("prepare")
@@ -171,7 +131,6 @@ def _evaluate_cyclic_bound(relations: Sequence[Relation],
     prepare_seconds = perf_counter() - prepare_started
     check_deadline("materialise")
 
-    warm = _warm_prepare_entry(plan, relations, catalog, wanted)
     estimated_cluster_sizes: tuple = ()
     if catalog is not None:
         estimated_cluster_sizes = warm.estimated_cluster_sizes
@@ -196,10 +155,9 @@ def _evaluate_cyclic_bound(relations: Sequence[Relation],
         with materialise_span:
             # Cluster blocks are immutable and fully determined by the
             # cover, the relation tuple, the catalog's order keys and the
-            # outputs, so a warm run (same plan/relations/catalog
-            # identities and outputs, same row bound, same interner
-            # generation) reuses them outright — materialisation
-            # dominated warm cyclic prepare time.
+            # outputs — all fixed by the binding — so a warm run with the
+            # same row bound and interner generation reuses them outright:
+            # materialisation dominated warm cyclic prepare time.
             interner = current_interner()
             cached = warm.materialised_state
             if cached is not None and cached[0] == cluster_row_bound \

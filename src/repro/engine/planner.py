@@ -30,8 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -46,6 +44,7 @@ from ..relational.database import Database
 from ..relational.join_plans import JoinStatistics
 from ..relational.schema import DatabaseSchema
 from ..telemetry.tracing import current_tracer
+from .cache import LRUCache, PlanCacheInfo
 from .catalog import CostAnnotation, StatisticsCatalog, annotate_tree
 from .reducer import FullReducer
 
@@ -56,7 +55,6 @@ __all__ = [
     "ExecutionPlan",
     "AnnotatedPlan",
     "annotate_plan",
-    "PlanCacheInfo",
     "QueryPlanner",
     "DEFAULT_PLANNER",
 ]
@@ -298,16 +296,6 @@ def annotate_plan(structure: ExecutionPlan, catalog: StatisticsCatalog, *,
                              annotation=annotation, reducer=reducer)
 
 
-@dataclass(frozen=True)
-class PlanCacheInfo:
-    """Hit/miss/size counters of a planner's LRU cache."""
-
-    hits: int
-    misses: int
-    size: int
-    capacity: int
-
-
 class QueryPlanner:
     """Compiles and caches execution plans, LRU-evicted by schema fingerprint.
 
@@ -316,48 +304,22 @@ class QueryPlanner:
     workload that poses repeated queries over one schema performs the GYO /
     join-tree analysis exactly once.
 
-    The LRU itself is guarded by a lock, so concurrent ``plan_for`` /
-    ``cyclic_plan_for`` calls from many serving threads never corrupt the
-    underlying ``OrderedDict``.  Compilation happens *outside* the lock —
-    two threads racing on the same cold schema may both compile the plan
-    (plans are immutable and interchangeable; the last insert wins), which
-    trades a little duplicate work for never blocking the cache on a slow
-    join-tree construction.
+    Plans live in one :class:`~repro.engine.cache.LRUCache`, safe under
+    concurrent ``plan_for`` / ``cyclic_plan_for`` calls and compiling
+    outside its lock.  A compilation that raises (a cyclic schema asked for
+    a join tree) stores and counts nothing.
     """
 
     def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError("planner cache capacity must be at least 1")
-        self._capacity = capacity
         # Keys are (fingerprint, root) for acyclic plans and
-        # (_CYCLIC_KIND, fingerprint) for cyclic ones — one LRU serves both.
-        self._cache: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._lock = threading.RLock()
+        # (_CYCLIC_KIND, fingerprint[, cover]) for cyclic ones — one LRU
+        # serves both.
+        self._cache: LRUCache[object] = LRUCache(capacity)
 
     @property
     def capacity(self) -> int:
         """The maximum number of cached plans."""
-        return self._capacity
-
-    def _cache_get(self, key: Tuple[object, ...]) -> Optional[object]:
-        """LRU lookup with hit/miss accounting (``None`` counts as a miss)."""
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits += 1
-                return cached
-            self._misses += 1
-            return None
-
-    def _cache_put(self, key: Tuple[object, ...], plan: object) -> None:
-        """Insert a freshly compiled plan, evicting the least recently used."""
-        with self._lock:
-            self._cache[key] = plan
-            if len(self._cache) > self._capacity:
-                self._cache.popitem(last=False)
+        return self._cache.capacity
 
     def plan_for(self, hypergraph: Union[Hypergraph, Database], *,
                  root: Optional[Edge] = None,
@@ -385,20 +347,19 @@ class QueryPlanner:
         if catalog is not None:
             return self.annotate(hypergraph, catalog, root=root,
                                  output_attributes=output_attributes)
-        key = (schema_fingerprint(hypergraph), root)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        tree = build_join_tree(hypergraph)
-        if tree is None:
-            raise CyclicHypergraphError(
-                "the schema's hypergraph is cyclic: no join tree, hence no "
-                "full reducer — use the cyclic subsystem (or the naive plan)")
-        reducer = FullReducer.from_join_tree(tree, root)
-        plan = ExecutionPlan(fingerprint=key[0], join_tree=tree,
-                             rooted=reducer.rooted, reducer=reducer, root=root)
-        self._cache_put(key, plan)
-        return plan
+        fingerprint = schema_fingerprint(hypergraph)
+
+        def compile_plan() -> ExecutionPlan:
+            tree = build_join_tree(hypergraph)
+            if tree is None:
+                raise CyclicHypergraphError(
+                    "the schema's hypergraph is cyclic: no join tree, hence no "
+                    "full reducer — use the cyclic subsystem (or the naive plan)")
+            reducer = FullReducer.from_join_tree(tree, root)
+            return ExecutionPlan(fingerprint=fingerprint, join_tree=tree,
+                                 rooted=reducer.rooted, reducer=reducer, root=root)
+
+        return self._cache.get_or_build((fingerprint, root), compile_plan)
 
     def plan_for_schema(self, schema: DatabaseSchema, *, root: Optional[Edge] = None
                         ) -> ExecutionPlan:
@@ -456,37 +417,31 @@ class QueryPlanner:
         from .cyclic.quotient import AcyclicQuotient
 
         fingerprint = schema_fingerprint(hypergraph)
-        key = (_CYCLIC_KIND, fingerprint)
-        plan = self._cache_get(key)
-        if plan is None:
-            candidates = enumerate_covers(hypergraph)
-            cover = select_cover(candidates)
+
+        def compile_plan(cover, candidates) -> CyclicExecutionPlan:
+            # The quotient's inner plan is a nested lookup in the same LRU.
             quotient = AcyclicQuotient.build(hypergraph, cover)
-            inner = self.plan_for(quotient.hypergraph)
-            plan = CyclicExecutionPlan(fingerprint=fingerprint, cover=cover,
-                                       quotient=quotient, inner=inner,
-                                       candidates=tuple(candidates))
-            self._cache_put(key, plan)
+            return CyclicExecutionPlan(fingerprint=fingerprint, cover=cover,
+                                       quotient=quotient,
+                                       inner=self.plan_for(quotient.hypergraph),
+                                       candidates=candidates)
+
+        def compile_static() -> CyclicExecutionPlan:
+            candidates = enumerate_covers(hypergraph)
+            return compile_plan(select_cover(candidates), tuple(candidates))
+
+        plan = self._cache.get_or_build((_CYCLIC_KIND, fingerprint), compile_static)
         if catalog is None:
             return plan
-        candidates = plan.candidates or (plan.cover,)
-        best = select_cover(candidates, catalog)
+        best = select_cover(plan.candidates or (plan.cover,), catalog)
         if best == plan.cover:
             return plan
         # The adaptive variant is keyed by the *chosen cover*, not by the
         # catalog: any catalog picking the same cover gets the same plan, so
         # repeated adaptive queries over one schema build the quotient once.
-        variant_key = (_CYCLIC_KIND, fingerprint, best)
-        variant = self._cache_get(variant_key)
-        if variant is not None:
-            return variant
-        quotient = AcyclicQuotient.build(hypergraph, best)
-        inner = self.plan_for(quotient.hypergraph)
-        variant = CyclicExecutionPlan(fingerprint=fingerprint, cover=best,
-                                      quotient=quotient, inner=inner,
-                                      candidates=plan.candidates)
-        self._cache_put(variant_key, variant)
-        return variant
+        return self._cache.get_or_build(
+            (_CYCLIC_KIND, fingerprint, best),
+            lambda: compile_plan(best, plan.candidates))
 
     def dump_fingerprints(self) -> str:
         """The cached plans' fingerprints as a JSON document (LRU → MRU order).
@@ -502,9 +457,7 @@ class QueryPlanner:
         producing a dump that cannot round-trip.
         """
         entries: List[Dict[str, object]] = []
-        with self._lock:
-            keys = list(self._cache)
-        for key in keys:
+        for key in self._cache.keys():
             if key[0] == _CYCLIC_KIND:
                 if len(key) == 3:
                     # Catalog-chosen cover variants are derived per database;
@@ -539,7 +492,7 @@ class QueryPlanner:
             entries: Iterable[object] = json.loads(source)
         else:
             entries = source
-        misses_before = self._misses
+        misses_before = self._cache.info().misses
         for entry in entries:
             if isinstance(entry, DatabaseSchema):
                 entry = entry.to_hypergraph()
@@ -563,7 +516,7 @@ class QueryPlanner:
                     hypergraph,
                     root=frozenset(_node_from_json(node) for node in root)
                     if root is not None else None)
-        return self._misses - misses_before
+        return self._cache.info().misses - misses_before
 
     def save_cache(self, path: Union[str, "os.PathLike[str]"]) -> int:
         """Persist :meth:`dump_fingerprints` to a JSON file; return the entry count.
@@ -597,16 +550,11 @@ class QueryPlanner:
 
     def cache_info(self) -> PlanCacheInfo:
         """Current hit/miss/size counters."""
-        with self._lock:
-            return PlanCacheInfo(hits=self._hits, misses=self._misses,
-                                 size=len(self._cache), capacity=self._capacity)
+        return self._cache.info()
 
     def clear(self) -> None:
         """Drop every cached plan and reset the counters."""
-        with self._lock:
-            self._cache.clear()
-            self._hits = 0
-            self._misses = 0
+        self._cache.clear()
 
 
 DEFAULT_PLANNER = QueryPlanner()

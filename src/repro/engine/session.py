@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -57,14 +56,15 @@ from ..telemetry.tracing import (
     merge_phase_times,
     use_tracer,
 )
+from .cache import LRUCache, PlanCacheInfo
 from .catalog import StatisticsCatalog
+from .cyclic.executor import _WarmPrepare
 from .deadline import deadline_scope, valid_budget
 from .columnar.block import block_cache_size
 from .planner import (
     DEFAULT_PLANNER,
     AnnotatedPlan,
     ExecutionPlan,
-    PlanCacheInfo,
     QueryPlanner,
     fingerprint_digest,
     schema_fingerprint,
@@ -89,7 +89,7 @@ __all__ = [
 PreparedSource = Union["ConjunctiveQuery", Database, DatabaseSchema,
                        Hypergraph, Sequence[Relation]]
 
-#: How many schema-keyed prepared queries one session retains.
+#: How many prepared queries one session retains.
 _PREPARED_CACHE_CAPACITY = 128
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` sample limit.
@@ -404,11 +404,17 @@ def _check_outputs(wanted: Iterable[Attribute], hypergraph: Hypergraph) -> None:
 
 @dataclass(frozen=True)
 class _DatabaseBinding:
-    """Everything one database needs at execution time, resolved once."""
+    """Everything one database needs at execution time, resolved once.
+
+    ``warm`` is the cyclic executor's memo of this binding's prepare-phase
+    artefacts (``None`` on the acyclic path), so it is freed with the
+    binding.
+    """
 
     relations: Tuple[Relation, ...]
     catalog: Optional[StatisticsCatalog]
     plan: object  # ExecutionPlan | AnnotatedPlan | CyclicExecutionPlan
+    warm: Optional[_WarmPrepare] = field(default=None, compare=False)
 
 
 class PreparedQuery:
@@ -736,8 +742,7 @@ class PreparedQuery:
             if self._options.adaptive:
                 catalog = self._session.catalog_for(
                     database, sample_limit=self._options.sample_limit)
-        return _DatabaseBinding(relations=relations, catalog=catalog,
-                                plan=self._plan_with(catalog))
+        return self._binding(relations, catalog)
 
     def _bind_relations(self, relations: Tuple[Relation, ...]) -> _DatabaseBinding:
         self._check_schema(_relations_hypergraph(relations), "these relations'")
@@ -745,8 +750,13 @@ class PreparedQuery:
         if self._options.adaptive:
             catalog = StatisticsCatalog.from_relations(
                 relations, sample_limit=self._options.sample_limit)
-        return _DatabaseBinding(relations=relations, catalog=catalog,
-                                plan=self._plan_with(catalog))
+        return self._binding(relations, catalog)
+
+    def _binding(self, relations: Tuple[Relation, ...],
+                 catalog: Optional[StatisticsCatalog]) -> _DatabaseBinding:
+        return _DatabaseBinding(
+            relations=relations, catalog=catalog, plan=self._plan_with(catalog),
+            warm=_WarmPrepare() if self._kind == "cyclic" else None)
 
     def _check_schema(self, hypergraph: Hypergraph, whose: str) -> None:
         """The structural checks a binding is trusted on for its whole life.
@@ -797,7 +807,7 @@ class PreparedQuery:
             check_reduction=options.check_reduction,
             cluster_row_bound=options.cluster_row_bound,
             catalog=binding.catalog, column_backend=options.column_backend,
-            decode=options.decode)
+            decode=options.decode, warm=binding.warm)
 
 
 # --------------------------------------------------------------------------- #
@@ -849,15 +859,11 @@ class EngineSession:
         self._execution_series_cache: Dict[str, Dict[str, object]] = {}
         self._phase_series_cache: Dict[str, object] = {}
         self._lock = threading.RLock()
-        # Schema-keyed prepared queries: (fingerprint, outputs, options, name).
-        self._prepared: "OrderedDict[Tuple[object, ...], PreparedQuery]" = OrderedDict()
-        # Query-object-keyed prepared queries.  A WeakKeyDictionary would
-        # never collect here — each PreparedQuery strongly references its
-        # query, which would pin its own weak key — so this is a plain LRU
-        # keyed by id(query), with the stored weakref validating that the id
-        # was not recycled by a different object.
-        self._prepared_queries: "OrderedDict[int, Tuple[weakref.ref, Dict[Tuple[object, ...], PreparedQuery]]]" = \
-            OrderedDict()
+        # Prepared queries, keyed ("query", id(query), outputs, options, name)
+        # or ("schema", fingerprint, outputs, options, name).  An id key
+        # cannot be recycled while its entry lives: the PreparedQuery holds
+        # its query strongly.
+        self._prepared: LRUCache[PreparedQuery] = LRUCache(_PREPARED_CACHE_CAPACITY)
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -957,67 +963,34 @@ class EngineSession:
         from ..queries.conjunctive import ConjunctiveQuery
 
         if isinstance(source, ConjunctiveQuery) and output_attributes is None:
-            # Warm fast path: a repeated prepare of the same query object
-            # needs no hypergraph construction at all — the cache key is
-            # derivable from the query's head alone.
-            head = tuple(variable.name for variable in source.head)
-            cache_key = (head, resolved, name if name is not None else source.name)
-            with self._lock:
-                entry = self._prepared_queries.get(id(source))
-                if entry is not None and entry[0]() is source \
-                        and cache_key in entry[1]:
-                    self._prepared_queries.move_to_end(id(source))
-                    return entry[1][cache_key]
-        query, hypergraph, default_name = self._normalise_source(source)
-        wanted = self._normalise_outputs(output_attributes, query, hypergraph)
-        final_name = name if name is not None else default_name
-
-        cache_key = (wanted, resolved, final_name)
-        with self._lock:
-            if query is not None:
-                entry = self._prepared_queries.get(id(query))
-                if entry is not None and entry[0]() is query \
-                        and cache_key in entry[1]:
-                    self._prepared_queries.move_to_end(id(query))
-                    return entry[1][cache_key]
-            else:
-                schema_key = (schema_fingerprint(hypergraph),) + cache_key
-                cached = self._prepared.get(schema_key)
-                if cached is not None:
-                    self._prepared.move_to_end(schema_key)
-                    return cached
-
-        if resolved.trace and current_tracer() is NULL_TRACER:
-            with use_tracer(self._tracer):
-                kind, structure = self._dispatch_traced(hypergraph, query,
-                                                        resolved)
+            # Warm fast path: the key of a query prepared on its own head is
+            # derivable from the head alone — no hypergraph construction.
+            query, hypergraph = source, None
+            wanted = tuple(variable.name for variable in source.head)
+            final_name = name if name is not None else source.name
         else:
-            kind, structure = self._dispatch_traced(hypergraph, query, resolved)
-        prepared = PreparedQuery(self, kind=kind, structure=structure,
-                                 hypergraph=hypergraph,
+            query, hypergraph, default_name = self._normalise_source(source)
+            wanted = self._normalise_outputs(output_attributes, query, hypergraph)
+            final_name = name if name is not None else default_name
+        if query is not None:
+            key = ("query", id(query), wanted, resolved, final_name)
+        else:
+            key = ("schema", schema_fingerprint(hypergraph), wanted, resolved,
+                   final_name)
+
+        def build() -> PreparedQuery:
+            graph = hypergraph if hypergraph is not None else query.hypergraph()
+            if resolved.trace and current_tracer() is NULL_TRACER:
+                with use_tracer(self._tracer):
+                    kind, structure = self._dispatch_traced(graph, query, resolved)
+            else:
+                kind, structure = self._dispatch_traced(graph, query, resolved)
+            return PreparedQuery(self, kind=kind, structure=structure,
+                                 hypergraph=graph,
                                  output_attributes=wanted, options=resolved,
                                  name=final_name, query=query)
-        with self._lock:
-            if query is not None:
-                entry = self._prepared_queries.get(id(query))
-                if entry is None or entry[0]() is not query:
-                    entry = (weakref.ref(query), {})
-                    self._prepared_queries[id(query)] = entry
-                entry[1][cache_key] = prepared
-                self._prepared_queries.move_to_end(id(query))
-                # Purge entries whose query died (their ids may be recycled),
-                # then cap what is left.
-                dead = [key for key, (ref, _) in self._prepared_queries.items()
-                        if ref() is None]
-                for key in dead:
-                    del self._prepared_queries[key]
-                while len(self._prepared_queries) > _PREPARED_CACHE_CAPACITY:
-                    self._prepared_queries.popitem(last=False)
-            else:
-                self._prepared[schema_key] = prepared
-                if len(self._prepared) > _PREPARED_CACHE_CAPACITY:
-                    self._prepared.popitem(last=False)
-        return prepared
+
+        return self._prepared.get_or_build(key, build)
 
     def _normalise_source(self, source: PreparedSource):
         """Split a prepare source into (query?, hypergraph, default name)."""
@@ -1241,20 +1214,15 @@ class EngineSession:
 
     def clear(self) -> None:
         """Drop cached plans and prepared queries."""
-        with self._lock:
-            self._planner.clear()
-            self._prepared.clear()
-            self._prepared_queries.clear()
+        self._planner.clear()
+        self._prepared.clear()
 
     def describe(self) -> str:
         """A one-line session summary (plan cache, prepared queries)."""
         info = self.cache_info()
-        with self._lock:
-            prepared = len(self._prepared) + sum(
-                len(entry[1]) for entry in self._prepared_queries.values())
         return (f"EngineSession(plans={info.size}/{info.capacity} "
                 f"hits={info.hits} misses={info.misses} "
-                f"prepared={prepared})")
+                f"prepared={self._prepared.info().size})")
 
 
 # --------------------------------------------------------------------------- #

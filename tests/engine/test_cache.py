@@ -1,0 +1,121 @@
+"""Unit tests for the engine's one bounded cache, :class:`LRUCache`."""
+
+from __future__ import annotations
+
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.engine import PlanCacheInfo
+from repro.engine.cache import LRUCache
+
+
+class TestLRUOrder:
+    def test_evicts_the_least_recently_used_at_capacity(self):
+        cache = LRUCache(2)
+        built = []
+
+        def lookup(key):
+            return cache.get_or_build(key, lambda: built.append(key) or key)
+
+        lookup("a")
+        lookup("b")
+        lookup("a")  # "a" is now the most recent
+        lookup("c")  # evicts "b"
+        assert cache.keys() == ["a", "c"]
+        lookup("b")
+        assert built == ["a", "b", "c", "b"]
+        assert cache.keys() == ["c", "b"]
+
+    def test_size_never_exceeds_capacity(self):
+        cache = LRUCache(3)
+        for key in range(10):
+            cache.get_or_build(key, lambda key=key: key)
+        assert cache.info().size == 3
+        assert cache.keys() == [7, 8, 9]
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_below_one_raises(self, capacity):
+        with pytest.raises(ValueError):
+            LRUCache(capacity)
+
+
+class TestCounters:
+    def test_hits_and_misses(self):
+        cache = LRUCache(4)
+        first = cache.get_or_build("k", lambda: object())
+        assert cache.get_or_build("k", lambda: object()) is first
+        assert cache.get_or_build("k", lambda: object()) is first
+        cache.get_or_build("other", lambda: object())
+        assert cache.info() == PlanCacheInfo(hits=2, misses=2, size=2, capacity=4)
+
+    def test_clear_drops_entries_and_resets_counters(self):
+        cache = LRUCache(4)
+        cache.get_or_build("k", lambda: 1)
+        cache.get_or_build("k", lambda: 2)
+        cache.clear()
+        assert cache.info() == PlanCacheInfo(hits=0, misses=0, size=0, capacity=4)
+        assert cache.get_or_build("k", lambda: 3) == 3
+
+    def test_failed_build_inserts_and_counts_nothing(self):
+        cache = LRUCache(4)
+
+        def failing():
+            raise RuntimeError("no plan")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_build("k", failing)
+        assert cache.info() == PlanCacheInfo(hits=0, misses=0, size=0, capacity=4)
+        assert cache.keys() == []
+        assert cache.get_or_build("k", lambda: "built") == "built"
+        assert cache.info().misses == 1
+
+
+class TestBuilds:
+    def test_nested_build_returns(self):
+        # A build may look up other keys of the same cache, as the cyclic
+        # planner does when it compiles its quotient's plan.
+        cache = LRUCache(4)
+        outer = cache.get_or_build(
+            "outer", lambda: ("outer", cache.get_or_build("inner", lambda: "inner")))
+        assert outer == ("outer", "inner")
+        assert set(cache.keys()) == {"outer", "inner"}
+        assert cache.info().misses == 2
+
+    def test_racing_threads_get_one_object(self):
+        cache = LRUCache(2)
+        threads = 8
+        barrier = threading.Barrier(threads)
+        results = [None] * threads
+        errors = []
+
+        def build():
+            time.sleep(0.01)  # keep the builders overlapping
+            return object()
+
+        def worker(index):
+            try:
+                barrier.wait()
+                results[index] = cache.get_or_build("cold", build)
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        workers = [threading.Thread(target=worker, args=(index,))
+                   for index in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert not errors
+        assert all(result is results[0] for result in results)
+        info = cache.info()
+        assert info.size <= info.capacity
+        assert info.hits + info.misses == threads

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.engine import EngineSession, QueryPlanner
+from repro.engine import EngineSession, QueryPlanner, clear_column_caches
 from repro.engine.cyclic import executor as cyclic_executor
 from repro.exceptions import ClusterBoundExceededError, SchemaError
 from repro.generators import (
@@ -245,3 +248,17 @@ class TestWarmMemo:
                                      for span in spans)
                 assert result.relation == answer
         assert len(annotations) == first_round
+
+    def test_dropped_database_is_freed(self):
+        # The warm memo lives on the prepared query's per-database binding,
+        # so nothing process-wide keeps a dropped database's relations.
+        schema = DatabaseSchema.from_hypergraph(triangle_core_chain(3))
+        database = generate_database(schema, universe_rows=30, domain_size=4,
+                                     seed=5)
+        session = EngineSession(adaptive=True)
+        session.prepare(database, ("C0", "C4")).execute(database)
+        relation = weakref.ref(database.relations()[0])
+        del session, database
+        clear_column_caches()
+        gc.collect()
+        assert relation() is None

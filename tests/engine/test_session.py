@@ -175,6 +175,56 @@ class TestWarmPath:
         assert not binding.catalog.is_exact  # sampled, not a full scan
 
 
+class TestPreparedCache:
+    """One LRU holds every prepared query, query- and schema-sourced alike."""
+
+    @staticmethod
+    def chain_query():
+        return ConjunctiveQuery.from_strings(
+            ["x", "y"],
+            body=[("R1", ["x", "b", "c"]), ("R2", ["b", "c", "d"]),
+                  ("R3", ["c", "d", "y"])])
+
+    def test_query_with_and_without_its_head_as_outputs_is_one_entry(self):
+        session = EngineSession()
+        query = self.chain_query()
+        implicit = session.prepare(query)
+        assert session.prepare(query, ("x", "y")) is implicit
+        assert session.prepare(query) is implicit
+        assert session.prepare(query, ("y", "x")) is not implicit
+
+    def test_least_recently_used_source_is_evicted(self, acyclic_db):
+        capacity = session_module._PREPARED_CACHE_CAPACITY
+        session = EngineSession()
+        queries = [self.chain_query() for _ in range(capacity // 2)]
+        sources = [(query, {}) for query in queries] + [
+            (acyclic_db, {"name": f"schema-{index}"})
+            for index in range(capacity + 1 - len(queries))]
+        prepared = [session.prepare(source, **kwargs)
+                    for source, kwargs in sources[:capacity]]
+        # Touch the oldest entry, so the second oldest is the LRU one.
+        first_source, first_kwargs = sources[0]
+        assert session.prepare(first_source, **first_kwargs) is prepared[0]
+        last_source, last_kwargs = sources[capacity]
+        session.prepare(last_source, **last_kwargs)
+        assert f"prepared={capacity}" in session.describe()
+        assert session.prepare(first_source, **first_kwargs) is prepared[0]
+        assert session.prepare(sources[-2][0], **sources[-2][1]) is prepared[-1]
+        second_source, second_kwargs = sources[1]
+        assert session.prepare(second_source, **second_kwargs) is not prepared[1]
+
+    def test_describe_and_clear_cover_the_one_cache(self, acyclic_db):
+        session = EngineSession()
+        query = self.chain_query()
+        by_query = session.prepare(query)
+        by_schema = session.prepare(acyclic_db, ("C0", "C5"))
+        assert "prepared=2)" in session.describe()
+        session.clear()
+        assert "prepared=0)" in session.describe()
+        assert session.prepare(query) is not by_query
+        assert session.prepare(acyclic_db, ("C0", "C5")) is not by_schema
+
+
 class TestExecuteMany:
     def test_batch_aggregates_per_database_runs(self, acyclic_db):
         other = acyclic_db.with_relation(
