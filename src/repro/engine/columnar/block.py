@@ -25,7 +25,7 @@ file whole semijoin outcomes and join results there under both sides'
 selection keys.  A warm re-execution reproduces the same selection vectors
 over the same cached base-block storages, so every reducer step is answered
 from its memoised outcome and builds nothing, and the answer's decode and
-wire rows are served from the result storage's memo — ``keyset_*``,
+wire document are served from the result storage's memo — ``keyset_*``,
 ``relation_*`` and ``payload_*`` hits / misses in :func:`column_cache_info`
 make that observable.  No Python set of key ids exists anywhere: a membership
 structure is built from the id codes by the backend (``key_set``).
@@ -60,12 +60,14 @@ all, which is what the differential tests compare against.
 
 from __future__ import annotations
 
+import json
 import threading
 import weakref
 from array import array
 from functools import partial
 from itertools import count, repeat
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ...core.nodes import sorted_nodes
 from ...exceptions import SchemaError, UnknownAttributeError
@@ -75,6 +77,7 @@ from .buffers import ValueInterner, active_column_backend
 
 __all__ = [
     "ColumnBlock",
+    "WirePayload",
     "block_for",
     "peek_block",
     "column_cache_info",
@@ -91,6 +94,22 @@ KeyAttributes = Tuple[Attribute, ...]
 #: long-lived base blocks.
 _DERIVED_CACHE_CAP = 512
 
+
+class WirePayload(NamedTuple):
+    """One answer's memoised wire document (:meth:`ColumnBlock.wire_payload`).
+
+    ``text`` is the JSON of ``{"name": name, "columns": list(columns),
+    "rows": rows, "row_count": len(rows)}``, so a caller that hands out
+    that document can write ``text`` in its place instead of encoding the
+    rows again.
+    """
+
+    name: str
+    columns: Tuple[str, ...]
+    rows: Tuple[Tuple[Any, ...], ...]
+    text: str
+
+
 # --------------------------------------------------------------------------- #
 # The encoding generation
 # --------------------------------------------------------------------------- #
@@ -100,7 +119,7 @@ _INTERNER = ValueInterner()
 # across warm runs: semijoin membership structures built (``keyset_misses``)
 # against semijoins answered without building one (``keyset_hits``), result
 # relations decoded against ones served from their storage's memo
-# (``relation_*``; ``payload_*`` for sorted wire rows), selection keys
+# (``relation_*``; ``payload_*`` for encoded wire documents), selection keys
 # materialised (``selection_keys``), key rows that took the interner
 # fallback instead of the arithmetic pack (``key_overflow_rows``), and fold
 # programs compiled (``fold_programs``).
@@ -735,29 +754,48 @@ class ColumnBlock:
         """The relation :meth:`to_relation` memoised, or ``None`` (no build, no count)."""
         return self._storage._derived_get(self._memo_key("relation", name))
 
-    def wire_rows(self, name: Optional[str] = None) -> Tuple[Tuple[Any, ...], ...]:
-        """The query service's rows: :meth:`iter_rows` sorted by *list* ``repr``.
+    def wire_payload(self, name: Optional[str] = None) -> WirePayload:
+        """The query service's answer document: sorted rows plus their JSON text.
 
-        Frozen as a tuple of tuples (``json.dumps`` writes them as lists) and
-        memoised like :meth:`to_relation` under ``("payload", name,
-        attributes, selection bytes)``, counted as ``payload_hits`` /
-        ``payload_misses``: a warm re-execution neither gathers nor sorts.
+        The rows are :meth:`iter_rows` sorted by *list* ``repr`` and frozen
+        as a tuple of tuples (``json.dumps`` writes them as lists); the text
+        is ``json.dumps(..., default=str)`` of ``{"name", "columns", "rows",
+        "row_count"}``, exactly the ``relation`` document the service sends.
+        Both are memoised as one entry like :meth:`to_relation`, under
+        ``("payload", name, attributes, selection bytes)``, counted once per
+        lookup as ``payload_hits`` / ``payload_misses``: a warm re-execution
+        neither gathers, sorts nor encodes.
         """
-        key = self._memo_key("payload", name)
-        rows = self._storage._derived_get(key)
-        _count("payload_misses" if rows is None else "payload_hits")
-        if rows is not None:
-            return rows
+        key = self._payload_key(name)
+        payload = self._storage._derived_get(key)
+        _count("payload_misses" if payload is None else "payload_hits")
+        if payload is not None:
+            return payload
         rows = tuple(map(tuple, sorted(map(list, self.iter_rows()), key=repr)))
-        return self._storage._derived_put(key, rows)
+        columns = tuple(str(attribute) for attribute in self._attributes)
+        text = json.dumps({"name": key[1], "columns": list(columns),
+                           "rows": rows, "row_count": len(rows)}, default=str)
+        return self._storage._derived_put(
+            key, WirePayload(key[1], columns, rows, text))
+
+    def wire_rows(self, name: Optional[str] = None) -> Tuple[Tuple[Any, ...], ...]:
+        """The rows of :meth:`wire_payload` (one lookup, counted the same)."""
+        return self.wire_payload(name).rows
 
     def peek_wire_rows(self, name: Optional[str] = None) -> Optional[Tuple]:
-        """The rows :meth:`wire_rows` memoised, or ``None`` (no build, no count)."""
-        return self._storage._derived_get(self._memo_key("payload", name))
+        """The rows :meth:`wire_payload` memoised, or ``None`` (no build, no count)."""
+        payload = self._storage._derived_get(self._payload_key(name))
+        return None if payload is None else payload.rows
 
     def _memo_key(self, kind: str, name: Optional[str]) -> Tuple:
         return (kind, name or self._name, self._attributes,
                 self.selection_bytes())
+
+    def _payload_key(self, name: Optional[str]) -> Tuple:
+        # The document carries its name, so only ``None`` means the block's
+        # own: an empty name is written as given.
+        return ("payload", self._name if name is None else name,
+                self._attributes, self.selection_bytes())
 
     def __reduce__(self):
         """Pickle as (name, attributes, storage, selection bytes).
@@ -865,7 +903,7 @@ def column_cache_info() -> Dict[str, int]:
     step.  ``relation_misses`` counts the answers
     :meth:`ColumnBlock.to_relation` decoded, ``relation_hits`` those its
     storage memo served — a warm re-execution is a hit, a fresh database
-    always misses (``payload_*`` likewise for :meth:`ColumnBlock.wire_rows`).
+    always misses (``payload_*`` likewise for :meth:`ColumnBlock.wire_payload`).
     ``selection_keys`` counts the selection keys materialised — at most one
     per selection a kernel makes, and none on a warm re-execution, whose
     keys come with its memoised outcomes.  ``interned_values`` is the

@@ -132,7 +132,7 @@ class ExecutionOptions:
       emptiness, re-feed blocks into further columnar work, or read the
       answer as plain tuples (``result.block.iter_rows()``; the query
       service serialises every answer from the block through
-      :meth:`~repro.engine.columnar.ColumnBlock.wire_rows`).
+      :meth:`~repro.engine.columnar.ColumnBlock.wire_payload`).
     * ``trace`` — record spans of every prepare/execute into the owning
       session's :class:`~repro.telemetry.tracing.Tracer` when no ambient
       tracer is already active.  Off by default: the untraced hot path pays

@@ -90,7 +90,7 @@ class EngineResult(DecodedResult):
     built eagerly inside the call, and ``block`` additionally exposes the
     typed result block.  Under ``decode="block"`` the engine builds no rows:
     ``relation`` is ``None``, ``block`` is the answer
-    (:meth:`ColumnBlock.wire_rows` serialises it without building a
+    (:meth:`ColumnBlock.wire_payload` serialises it without building a
     relation — the query service's wire path) and :meth:`decoded` materialises the
     relation on first request (memoised on the block).
     """

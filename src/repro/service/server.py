@@ -36,7 +36,14 @@ engine.  Every query is prepared with the decode deferred
 ``relation`` documents straight from the result block's id columns
 (:func:`_relation_payload`) inside the request's deadline scope — no ``Row``
 is built for the wire, and ``include_rows=false`` never decodes.  A memo
-miss gathers and sorts the rows once; a warm repeat reuses them.
+miss gathers, sorts and JSON-encodes the document once; a warm repeat
+reuses both the rows and the text, and :func:`_json_bytes` writes the
+response by encoding the small envelope around the answer and splicing the
+memoised text in — byte-identical to ``json.dumps`` of the envelope.
+
+Broken HTTP framing — a malformed request line, too many headers, a bad or
+oversized ``Content-Length`` — is answered with a ``malformed-request``
+envelope (400, or 413 for an oversized body) and the connection is closed.
 
 Graceful drain (:meth:`ServiceServer.close`): stop accepting connections →
 flip the admission gate (new work gets 503 ``shutting-down``) → wait for
@@ -55,6 +62,7 @@ from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 from urllib.parse import parse_qs, urlparse
 
+from ..engine.columnar.block import WirePayload
 from ..engine.deadline import check_deadline, deadline_scope, valid_budget
 from ..engine.planner import fingerprint_digest
 from ..engine.session import EngineSession, ExecutionOptions
@@ -84,6 +92,12 @@ _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 #: JSON RPC, small enough that a misbehaving client cannot balloon memory).
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: The reason phrase of every status the service answers with.
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 413: "Content Too Large",
+            429: "Too Many Requests", 500: "Internal Server Error",
+            503: "Service Unavailable", 504: "Gateway Timeout"}
+
 #: The ``ExecutionOptions`` fields a client may set over the wire.  ``root``
 #: needs an in-process Edge object, and ``decode`` is the service's own
 #: choice, not the client's: it owns the result boundary, defers the decode
@@ -93,6 +107,20 @@ WIRE_OPTION_FIELDS = frozenset({
     "adaptive", "check_reduction", "cluster_row_bound", "sample_limit",
     "force_cyclic", "column_backend", "trace", "deadline_seconds",
 })
+
+
+class _FramingError(ProtocolError):
+    """The HTTP framing is broken: answered with an envelope, then closed.
+
+    400 for a malformed request line, too many headers or a bad
+    ``Content-Length``; 413 for a body past :data:`_MAX_BODY_BYTES`.
+    """
+
+    code = "malformed-request"
+
+    def __init__(self, message: str, *, http_status: int = 400) -> None:
+        super().__init__(message)
+        self.http_status = http_status
 
 
 def _statistics_payload(statistics: object) -> Dict[str, Any]:
@@ -113,23 +141,52 @@ def _statistics_payload(statistics: object) -> Dict[str, Any]:
     return payload
 
 
-def _relation_payload(result: Any) -> Dict[str, Any]:
+#: The keys of a ``relation`` document, in wire order.
+_DOCUMENT_KEYS = ("name", "columns", "rows", "row_count")
+
+
+class _RelationDocument(dict):
+    """A ``relation`` document that carries its memoised JSON text.
+
+    A plain dict to every reader — ``json.dumps`` of it, or of an envelope
+    holding it, writes exactly what it always did.  :func:`_json_bytes`
+    writes :meth:`encoded` in its place instead of encoding the rows again,
+    so a warm answer's rows are encoded once, on the memo miss.
+    """
+
+    __slots__ = ("_payload",)
+
+    def __init__(self, payload: WirePayload) -> None:
+        super().__init__(name=payload.name, columns=list(payload.columns),
+                         rows=payload.rows, row_count=len(payload.rows))
+        self._payload = payload
+
+    def encoded(self) -> Optional[str]:
+        """The memoised text, or ``None`` once an edit made it stale."""
+        payload = self._payload
+        row_count = self.get("row_count")
+        if (tuple(self) == _DOCUMENT_KEYS and self["name"] is payload.name
+                and self["rows"] is payload.rows
+                and type(row_count) is int and row_count == len(payload.rows)
+                and type(self["columns"]) is list
+                and tuple(self["columns"]) == payload.columns):
+            return payload.text
+        return None
+
+
+def _relation_payload(result: Any) -> _RelationDocument:
     """One result's answer as JSON: ordered columns, deterministically sorted rows.
 
-    Read straight off the result's id block: :meth:`ColumnBlock.wire_rows
-    <repro.engine.columnar.block.ColumnBlock.wire_rows>` gathers, zips and
-    sorts the selected rows once — no ``Row``, no ``frozenset`` — and
-    memoises them on the result storage.  A block has no row order, so the
-    sort (by each row's ``repr``) is what makes two equal answers serialise
-    byte-identically — the property suite compares concurrent and serial
-    responses literally.
+    Read straight off the result's id block: :meth:`ColumnBlock.wire_payload
+    <repro.engine.columnar.block.ColumnBlock.wire_payload>` gathers, zips
+    and sorts the selected rows and encodes the document once — no ``Row``,
+    no ``frozenset`` — and memoises both on the result storage.  A block has
+    no row order, so the sort (by each row's ``repr``) is what makes two
+    equal answers serialise byte-identically — the property suite compares
+    concurrent and serial responses literally.  Each call returns a fresh
+    dict over the shared rows, so a caller's edits never reach the memo.
     """
-    block = result.block
-    rows = block.wire_rows(result.result_name)
-    return {"name": result.result_name,
-            "columns": [str(attribute) for attribute in block.attributes],
-            "rows": rows,
-            "row_count": len(rows)}
+    return _RelationDocument(result.block.wire_payload(result.result_name))
 
 
 def _relation_payloads(results: Sequence[Any],
@@ -531,7 +588,14 @@ class ServiceServer:
             self._connections.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _FramingError as error:
+                    status, envelope = error_response(None, error)
+                    writer.write(self._render(status, _JSON_CONTENT_TYPE,
+                                              _json_bytes(envelope), False))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -558,13 +622,17 @@ class ServiceServer:
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection."""
+        """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection.
+
+        Broken framing raises :class:`_FramingError`: the stream position is
+        unknown after it, so the caller answers and closes.
+        """
         request_line = await reader.readline()
         if not request_line or not request_line.strip():
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            raise ConnectionError("malformed request line")
+            raise _FramingError("malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         for _ in range(100):
@@ -574,27 +642,28 @@ class ServiceServer:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         else:
-            raise ConnectionError("too many headers")
+            raise _FramingError("too many headers")
         body = b""
         length = headers.get("content-length")
         if length is not None:
             try:
                 size = int(length)
             except ValueError:
-                raise ConnectionError("bad Content-Length")
-            if not 0 <= size <= _MAX_BODY_BYTES:
-                raise ConnectionError("unreasonable Content-Length")
+                raise _FramingError(f"Content-Length {length!r} is not an "
+                                    "integer") from None
+            if size < 0:
+                raise _FramingError(f"negative Content-Length {size}")
+            if size > _MAX_BODY_BYTES:
+                raise _FramingError(
+                    f"Content-Length {size} exceeds the {_MAX_BODY_BYTES}-byte "
+                    "limit", http_status=413)
             body = await reader.readexactly(size)
         return method, target, headers, body
 
     @staticmethod
     def _render(status: int, content_type: str, payload: bytes,
                 keep_alive: bool) -> bytes:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed", 429: "Too Many Requests",
-                   500: "Internal Server Error", 503: "Service Unavailable",
-                   504: "Gateway Timeout"}
-        head = (f"HTTP/1.1 {status} {reasons.get(status, 'Status')}\r\n"
+        head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(payload)}\r\n"
                 f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
@@ -646,7 +715,48 @@ class ServiceServer:
 # The GET routes, declared once
 # --------------------------------------------------------------------------- #
 def _json_bytes(document: Any) -> bytes:
-    return json.dumps(document, default=str).encode("utf-8")
+    """``json.dumps(document, default=str)`` as UTF-8, warm answers spliced in.
+
+    When the envelope's last key is ``result`` and the result's last key is
+    ``relation`` (or ``relations``) holding documents that still carry their
+    memoised text, everything but that value is encoded and the text is
+    appended — the same bytes as the plain encode, without touching a row.
+    Any other shape takes the plain encode.
+    """
+    tail = _memoised_tail(document)
+    if tail is None:
+        return json.dumps(document, default=str).encode("utf-8")
+    key, text = tail
+    result = document["result"]
+    head = json.dumps({**document, "result": {
+        name: value for name, value in result.items() if name != key}},
+        default=str)
+    separator = ", " if len(result) > 1 else ""
+    # ``head`` ends in the result's and the envelope's closing braces.
+    return f"{head[:-2]}{separator}{json.dumps(key)}: {text}}}}}".encode("utf-8")
+
+
+def _memoised_tail(document: Any) -> Optional[Tuple[str, str]]:
+    """``(key, JSON text)`` of an envelope's spliceable last value, else ``None``."""
+    if (type(document) is not dict or not document
+            or next(reversed(document)) != "result"):
+        return None
+    result = document["result"]
+    if type(result) is not dict or not result:
+        return None
+    key = next(reversed(result))
+    value = result[key]
+    if key == "relation":
+        documents = [value]
+    elif key == "relations" and type(value) is list:
+        documents = value
+    else:
+        return None
+    texts = [item.encoded() if isinstance(item, _RelationDocument) else None
+             for item in documents]
+    if None in texts:
+        return None
+    return key, texts[0] if key == "relation" else f"[{', '.join(texts)}]"
 
 
 class _BadQueryError(ValueError):

@@ -1,15 +1,16 @@
-"""The payload memo: a warm answer's wire rows are sorted once, on its result storage.
+"""The payload memo: a warm answer's wire rows are sorted and encoded once, on its result storage.
 
 The service serialises a deferred-decode answer through
-:meth:`ColumnBlock.wire_rows`, which files the rows — sorted by their list
+:meth:`ColumnBlock.wire_payload`, which files the rows — sorted by their list
 ``repr`` and frozen as a tuple of tuples — in the block storage's derived
 cache under ``("payload", name, attributes, selection bytes)``.  A warm
 re-execution ends on the same result storage and selection, so it is handed
 the very rows sorted before; anything that changes the key — another name,
 column order or selection, a fresh database, a new interner generation, an
-evicted cache — sorts again.  Whichever way, ``json.dumps`` of the document
-must equal today's inline serialiser and the ``repro.relational`` answer byte
-for byte.
+evicted cache — sorts again.  The same entry holds the document's JSON text,
+so a warm answer served over HTTP encodes no row.  Whichever way,
+``json.dumps`` of the document must equal today's inline serialiser and the
+``repro.relational`` answer byte for byte.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from repro.relational import (
     naive_join,
     yannakakis_join,
 )
-from repro.service import QueryService
+from repro.service import QueryService, ServiceClient, ServiceServer
+from repro.service.server import _json_bytes
 
 NAME = "answer"
 
@@ -281,6 +283,72 @@ def test_a_batch_over_one_database_shares_one_memo(case, serve):
     assert first["rows"] is second["rows"]
     assert payload_counts() == (hits + 1, misses + 1)
     assert service.execute()["rows"] is first["rows"]
+
+
+@CASES
+def test_a_callers_edits_never_reach_the_memo(case, serve):
+    database, outputs = case()
+    service = serve(outputs, db=database)
+    request = {"version": 1, "method": "execute", "client": "memo", "id": "r",
+               "params": {"query": service.handle, "database": "db"}}
+    _, envelope = service.service.handle(request)
+    edited = envelope["result"]["relation"]
+    served = json.dumps(edited)
+    rows = edited["rows"]
+    edited["rows"] = list(reversed(rows))
+    edited.pop("columns")
+    # An edited document is encoded as edited, never as its stale memo.
+    assert _json_bytes(envelope) == json.dumps(envelope).encode("utf-8")
+
+    hits, misses = payload_counts()
+    _, envelope = service.service.handle(request)
+    document = envelope["result"]["relation"]
+    assert document["rows"] is rows
+    assert payload_counts() == (hits + 1, misses)
+    assert _json_bytes(envelope) == json.dumps(envelope).encode("utf-8")
+    assert json.dumps(document) == served == oracle_document(database, outputs)
+
+    document["columns"].append("extra")
+    assert _json_bytes(envelope) == json.dumps(envelope).encode("utf-8")
+    assert json.dumps(service.execute()) == served
+
+
+def _holds(document, target) -> bool:
+    """Whether ``target`` is (by identity) inside the JSON-shaped ``document``."""
+    if document is target:
+        return True
+    if isinstance(document, dict):
+        return any(_holds(value, target) for value in document.values())
+    if isinstance(document, list):
+        return any(_holds(value, target) for value in document)
+    return False
+
+
+@CASES
+def test_a_warm_http_execute_encodes_no_row_list(case, serve, monkeypatch):
+    database, outputs = case()
+    service = serve(outputs, db=database)
+    with ServiceServer(service.service) as server:
+        client = ServiceClient(server.url, client_id="memo")
+        client.execute(service.handle, "db")            # the miss encodes
+        rows = result_block(database, outputs).peek_wire_rows(NAME)
+        assert rows is not None
+        encoded = []
+        dumps = json.dumps
+
+        def spy(document, *args, **kwargs):
+            assert not _holds(document, rows), "a warm execute re-encoded rows"
+            encoded.append(document)
+            return dumps(document, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        hits, misses = payload_counts()
+        answer = client.execute(service.handle, "db")
+        monkeypatch.undo()
+        client.close()
+    assert encoded, "the spy saw no encode at all"
+    assert payload_counts() == (hits + 1, misses)
+    assert json.dumps(answer["relation"]) == oracle_document(database, outputs)
 
 
 def test_a_spent_budget_stops_a_miss_before_any_row_is_built(serve, monkeypatch):

@@ -452,6 +452,64 @@ def test_http_rejects_non_json_bodies(server):
     client.close()
 
 
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes, read until the server closes the connection."""
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+def _assert_framing_error(response: bytes, status_line: bytes) -> None:
+    head, _, body = response.partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    assert lines[0] == status_line
+    assert b"Connection: close" in lines
+    envelope = json.loads(body)
+    assert envelope["ok"] is False
+    assert envelope["error"]["code"] == "malformed-request"
+
+
+def test_a_non_integer_content_length_is_a_400(server):
+    _assert_framing_error(
+        _raw_exchange(server, b"POST /v1 HTTP/1.1\r\nHost: x\r\n"
+                              b"Content-Length: twelve\r\n\r\n"),
+        b"HTTP/1.1 400 Bad Request")
+
+
+def test_an_oversized_content_length_is_a_413(server):
+    from repro.service.server import _MAX_BODY_BYTES
+
+    _assert_framing_error(
+        _raw_exchange(server, b"POST /v1 HTTP/1.1\r\nHost: x\r\n"
+                              b"Content-Length: %d\r\n\r\n"
+                              % (_MAX_BODY_BYTES + 1)),
+        b"HTTP/1.1 413 Content Too Large")
+
+
+def test_a_malformed_request_line_is_a_400(server):
+    _assert_framing_error(_raw_exchange(server, b"GARBAGE\r\n\r\n"),
+                          b"HTTP/1.1 400 Bad Request")
+
+
+def test_more_than_a_hundred_headers_is_a_400(server):
+    headers = b"".join(b"X-Filler-%d: y\r\n" % index for index in range(101))
+    _assert_framing_error(
+        _raw_exchange(server, b"GET /stats HTTP/1.1\r\n" + headers + b"\r\n"),
+        b"HTTP/1.1 400 Bad Request")
+
+
+def test_the_server_keeps_serving_after_a_framing_error(server):
+    _raw_exchange(server, b"GARBAGE\r\n\r\n")
+    client = ServiceClient(server.url)
+    assert client.stats()["protocol_version"] == PROTOCOL_VERSION
+    client.close()
+
+
 # --------------------------------------------------------------------------- #
 # The GET routes
 # --------------------------------------------------------------------------- #
