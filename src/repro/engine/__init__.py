@@ -30,8 +30,9 @@ Layers (bottom-up):
   annotations into :class:`AnnotatedPlan` by ``plan_for(db)``, plus
   :class:`EngineStatistics` (a :class:`~repro.relational.join_plans.JoinStatistics`
   extension) for cost accounting with estimated-vs-actual columns;
-* :mod:`~repro.engine.yannakakis` — the acyclic evaluator a prepared query
-  runs: reduce → bottom-up join with early projection;
+* :mod:`~repro.engine.yannakakis` — the one evaluator a prepared query
+  runs, acyclic or cyclic plan: encode → reduce → bottom-up join with early
+  projection → decode, returning one :class:`EngineResult`;
 * :mod:`~repro.engine.cyclic` — the cyclic-query subsystem: cover the cyclic
   core with clusters (maximal-object-style grouping), reduce the acyclic
   quotient with the same machinery, nested-loop only inside the clusters.
@@ -98,7 +99,6 @@ from .yannakakis import EngineResult
 from .cyclic import (
     AcyclicQuotient,
     ClusterCover,
-    CyclicEngineResult,
     CyclicEngineStatistics,
     CyclicExecutionPlan,
     EdgeCluster,
@@ -138,5 +138,4 @@ __all__ = [
     # cyclic subsystem
     "EdgeCluster", "ClusterCover", "choose_cover", "enumerate_covers",
     "AcyclicQuotient", "CyclicExecutionPlan", "CyclicEngineStatistics",
-    "CyclicEngineResult",
 ]

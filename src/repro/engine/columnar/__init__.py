@@ -15,7 +15,7 @@ back to relations only at the result boundary:
   natural join with fused projection, plus scheme merging;
 * :mod:`~repro.engine.columnar.executor` — the end-to-end pipeline (reduce
   the vertex blocks, replay the plan's compiled fold program bottom-up,
-  decode last) shared by the acyclic evaluator and the cyclic executor,
+  decode last) the engine's one evaluator runs for both dispatches,
   plus exact statistics counted from id columns — every exact catalog, the
   quotient's included.
 """

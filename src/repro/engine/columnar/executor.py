@@ -7,10 +7,11 @@ compiled :class:`FoldProgram` (:func:`fold_join_tree`); every
 operator runs on :class:`ColumnBlock` values, and the result is decoded to a
 :class:`~repro.relational.relation.Relation` only at the boundary.
 
-Both the acyclic evaluator and the cyclic executor drive this pipeline: the
-former encodes input relations into cached blocks, the latter feeds the
-cluster blocks :func:`~repro.engine.cyclic.quotient.materialise_cluster_blocks`
-produced — no decode/re-encode round trip between the phases.
+The engine's one evaluator drives this pipeline for both dispatches: an
+acyclic plan's input relations are encoded into cached blocks, and a cyclic
+plan's quotient takes the cluster blocks
+:func:`~repro.engine.cyclic.quotient.materialise_cluster_blocks` produced —
+no decode/re-encode round trip between the phases.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def vertex_blocks(relations: Sequence[Relation],
 
     ``relations`` may mix :class:`Relation` objects (encoded through the
     per-relation block cache) and pre-built :class:`ColumnBlock` values (the
-    cyclic executor's materialised clusters).  ``schemes``, position-aligned
+    cyclic plan's materialised clusters).  ``schemes``, position-aligned
     with ``relations``, names the vertex each input stands for when that is
     not its own attribute set — a cluster block projected onto what the
     cluster exports.

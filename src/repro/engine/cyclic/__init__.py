@@ -18,9 +18,11 @@ falling back to a naive cross-product plan, cyclic query hypergraphs are
    :class:`~repro.engine.planner.ExecutionPlan` and lives in the same LRU
    cache, keyed by an extended schema fingerprint, so cover search runs once
    per schema;
-4. **executed** (:mod:`~repro.engine.cyclic.executor`) — clusters are
-   materialised with bounded nested-loop joins, the PR-1 full reducer runs on
-   the quotient, and the bottom-up join projects early onto the output.
+4. **executed** by the engine's one evaluator
+   (:mod:`repro.engine.yannakakis`) — the step a cyclic plan adds
+   (:mod:`~repro.engine.cyclic.executor`) materialises the clusters with
+   bounded nested-loop joins, then the same full reducer runs on the
+   quotient and the bottom-up join projects early onto the output.
 
 Entry point: :class:`~repro.engine.session.EngineSession` —
 ``session.prepare(source)`` resolves ``kind == "cyclic"`` for a cyclic
@@ -37,7 +39,6 @@ from .covers import (
     cover_score,
     enumerate_covers,
 )
-from .executor import CyclicEngineResult
 from .plans import CyclicEngineStatistics, CyclicExecutionPlan
 from .quotient import (
     AcyclicQuotient,
@@ -53,6 +54,4 @@ __all__ = [
     "AcyclicQuotient", "ClusterBlockMaterialisation", "materialise_cluster_blocks",
     # compilation
     "CyclicExecutionPlan", "CyclicEngineStatistics",
-    # execution
-    "CyclicEngineResult",
 ]

@@ -70,7 +70,7 @@ class CyclicExecutionPlan:
 
 @dataclass
 class CyclicEngineStatistics(EngineStatistics):
-    """Engine accounting extended with the cyclic executor's cluster counters.
+    """Engine accounting extended with a cyclic run's cluster counters.
 
     ``intermediate_sizes`` (inherited) includes the intra-cluster join steps
     *and* the quotient's bottom-up join steps — both as rows *kept* after the

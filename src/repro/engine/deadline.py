@@ -13,8 +13,8 @@ overshoot is bounded by the longest single phase, which keeps the check
 free of signals, threads or any per-row cost.
 
 Like the tracer (:mod:`repro.telemetry.tracing`), the active deadline is a
-:mod:`contextvars` variable rather than a parameter: the acyclic evaluator,
-the cyclic executor and the inner quotient run all see the same deadline
+:mod:`contextvars` variable rather than a parameter: the evaluator, a
+cyclic plan's materialise step and the kernels all see the same deadline
 without any signature plumbing, and the service's thread pool propagates it
 into worker threads by running jobs under ``contextvars.copy_context()``.
 """

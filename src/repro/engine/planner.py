@@ -128,7 +128,8 @@ class EngineStatistics(JoinStatistics):
     estimated_output_size: Optional[int] = None
     #: Measured per-phase wall-times of the run, as ``(phase name, seconds)``
     #: pairs in execution order — e.g. ``prepare``/``encode``/``reduce``/
-    #: ``fold``/``decode`` for the acyclic evaluator.  Empty for results
+    #: ``fold``/``decode`` for an acyclic plan, with ``materialise`` after
+    #: ``prepare`` for a cyclic one.  Empty for results
     #: produced before timing existed, so reports must treat it as optional.
     phase_times: Tuple[Tuple[str, float], ...] = ()
     #: The serving planner's LRU hit ratio at the time of the run (stamped by

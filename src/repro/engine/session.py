@@ -2,9 +2,9 @@
 
 Maier & Ullman's framing is that the *system*, not the user, picks the
 relevant objects and the join strategy; this module is that one entry point
-into the engine.  The acyclic and cyclic evaluators
-(:mod:`repro.engine.yannakakis`, :mod:`repro.engine.cyclic.executor`) have
-no public entry of their own: a :class:`PreparedQuery` is their only caller.
+into the engine.  The one evaluator (:mod:`repro.engine.yannakakis`), which
+runs acyclic and cyclic plans alike, has no public entry of its own: a
+:class:`PreparedQuery` is its only caller.
 
 * :class:`ExecutionOptions` — one immutable config object replacing
   scattered keyword arguments, merged along a clear precedence chain
@@ -69,7 +69,7 @@ from .planner import (
     fingerprint_digest,
     schema_fingerprint,
 )
-from . import yannakakis as _yannakakis
+from .yannakakis import EngineResult, _evaluate_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from ..queries.conjunctive import ConjunctiveQuery
@@ -364,7 +364,7 @@ class BatchStatistics:
 class ExecutionBatch:
     """The results of one ``execute_many``: per-database results plus aggregates."""
 
-    results: Tuple[object, ...]
+    results: Tuple[EngineResult, ...]
     statistics: BatchStatistics
 
     def __len__(self) -> int:
@@ -406,9 +406,9 @@ def _check_outputs(wanted: Iterable[Attribute], hypergraph: Hypergraph) -> None:
 class _DatabaseBinding:
     """Everything one database needs at execution time, resolved once.
 
-    ``warm`` is the cyclic executor's memo of this binding's prepare-phase
-    artefacts (``None`` on the acyclic path), so it is freed with the
-    binding.
+    ``warm`` is the cyclic materialise step's memo of this binding's
+    prepare-phase artefacts (``None`` on the acyclic path), so it is freed
+    with the binding.
     """
 
     relations: Tuple[Relation, ...]
@@ -485,12 +485,12 @@ class PreparedQuery:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def execute(self, database: Database):
+    def execute(self, database: Database) -> EngineResult:
         """Evaluate against one database; warm calls do zero planning work.
 
-        Returns an :class:`~repro.engine.yannakakis.EngineResult` (acyclic
-        dispatch) or :class:`~repro.engine.cyclic.executor.CyclicEngineResult`
-        (cyclic dispatch).  The first execution against a database binds it:
+        Returns an :class:`~repro.engine.yannakakis.EngineResult` for either
+        dispatch: one evaluator runs both, a cyclic plan adding only its
+        materialise step.  The first execution against a database binds it:
         checks its schema fingerprint and the outputs against it (raising
         :class:`~repro.exceptions.SchemaError` on a mismatch, every time —
         a failed binding is not memoised) and resolves its statistics
@@ -564,7 +564,7 @@ class PreparedQuery:
             plan_name=f"session-batch:{self._name}")
         return ExecutionBatch(results=results, statistics=statistics)
 
-    def execute_relations(self, relations: Sequence[Relation]):
+    def execute_relations(self, relations: Sequence[Relation]) -> EngineResult:
         """Evaluate against an explicit relation sequence (no memoization).
 
         The relations' schemas must match the prepared fingerprint.  Used by
@@ -789,24 +789,16 @@ class PreparedQuery:
                 return self._run_engine(binding)
         return self._run_engine(binding)
 
-    def _run_engine(self, binding: _DatabaseBinding):
+    def _run_engine(self, binding: _DatabaseBinding) -> EngineResult:
         options = self._options
-        # The binding was checked when it was built, so both engines run
-        # their bound bodies: no hypergraph, no fingerprint, no output check.
-        if self._kind == "acyclic":
-            return _yannakakis._evaluate_bound(
-                binding.relations, self._wanted, binding.plan, name=self._name,
-                check_reduction=options.check_reduction,
-                column_backend=options.column_backend,
-                decode=options.decode)
-        # Resolved through the module attribute at call time so test doubles
-        # patched onto ``repro.engine.cyclic.executor`` intercept the dispatch.
-        from .cyclic import executor as cyclic_executor
-        return cyclic_executor._evaluate_cyclic_bound(
-            binding.relations, self._wanted, binding.plan, name=self._name,
+        # The binding was checked when it was built, so the engine runs its
+        # bound body: no hypergraph, no fingerprint, no output check.
+        return _evaluate_bound(
+            binding.relations, self._wanted, binding.plan,
+            catalog=binding.catalog, name=self._name,
             check_reduction=options.check_reduction,
             cluster_row_bound=options.cluster_row_bound,
-            catalog=binding.catalog, column_backend=options.column_backend,
+            column_backend=options.column_backend,
             decode=options.decode, warm=binding.warm)
 
 

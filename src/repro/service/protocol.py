@@ -243,8 +243,9 @@ METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
         optional=(
             Param("include_rows", (bool,), "return per-database rows "
                   "(default false — batches are usually accounting traffic)"),
-            Param("max_workers", (int,), "cap the batch's concurrency "
-                  "(defaults to the service pool size)"),
+            Param("max_workers", (int,), "1 runs the batch serially in "
+                  "the request thread; any other value runs it on the "
+                  "service's batch pool, whose size bounds concurrency"),
             Param("deadline_seconds", _NUMBER, "per-run wall-clock budget"),
         )),
     MethodSpec(

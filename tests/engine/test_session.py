@@ -12,22 +12,27 @@ from repro.engine import (
     ExecutionOptions,
     PreparedQuery,
     QueryPlanner,
+    clear_column_caches,
     default_session,
 )
 from repro.engine import session as session_module
 from repro.engine import yannakakis as yannakakis_module
 from repro.engine.catalog import CostAnnotation
+from repro.engine.columnar import block as columnar_block
 from repro.engine.columnar import executor as columnar_executor
+from repro.engine.columnar import kernels as columnar_kernels
 from repro.engine.cyclic import executor as cyclic_executor
 from repro.engine.session import BatchStatistics
 from repro.generators import (
     chain_hypergraph,
     generate_database,
+    k_cycle_hypergraph,
     random_acyclic_hypergraph,
     triangle_core_chain,
 )
 from repro.queries import ConjunctiveQuery
 from repro.relational import DatabaseSchema, naive_join, yannakakis_join
+from repro.telemetry import Tracer, use_tracer
 
 
 @pytest.fixture()
@@ -173,6 +178,92 @@ class TestWarmPath:
         assert prepared.options.sample_limit == 5
         binding = prepared._binding_for(acyclic_db)
         assert not binding.catalog.is_exact  # sampled, not a full scan
+
+
+_ACYCLIC_PHASES = ("prepare", "encode", "reduce", "fold", "decode")
+_CYCLIC_PHASES = ("prepare", "materialise", "encode", "reduce", "fold", "decode")
+
+
+class TestOneRun:
+    """What one shared encode → reduce → fold → decode run must keep per dispatch."""
+
+    @pytest.fixture()
+    def four_cycle_db(self):
+        schema = DatabaseSchema.from_hypergraph(k_cycle_hypergraph(4))
+        return generate_database(schema, universe_rows=30, domain_size=5,
+                                 dangling_fraction=0.3, seed=1)
+
+    def test_cyclic_cache_window_counts_materialise(self, four_cycle_db):
+        clear_column_caches()
+        prepared = EngineSession(adaptive=False).prepare(four_cycle_db)
+        assert prepared.kind == "cyclic"
+        cold = prepared.execute(four_cycle_db).statistics
+        warm = prepared.execute(four_cycle_db).statistics
+        # The cold run encodes the four relations inside the window
+        # (materialise included); the warm run reuses the memoised clusters.
+        assert (cold.index_cache_hits, cold.index_cache_misses) == (0, 4)
+        assert (warm.index_cache_hits, warm.index_cache_misses) == (0, 0)
+
+    def test_prepared_backend_covers_the_whole_cyclic_run(self, four_cycle_db,
+                                                          monkeypatch):
+        pytest.importorskip("numpy")
+        seen = []
+
+        def spying(module):
+            real = module.active_column_backend
+
+            def spy():
+                backend = real()
+                seen.append((module.__name__, backend.name))
+                return backend
+            return spy
+
+        for module in (columnar_kernels, columnar_block, columnar_executor):
+            monkeypatch.setattr(module, "active_column_backend", spying(module))
+        clear_column_caches()
+        prepared = EngineSession(adaptive=False).prepare(
+            four_cycle_db, column_backend="array")
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = prepared.execute(four_cycle_db)
+        assert result.statistics.column_backend == "array"
+        materialise = [record for record in tracer.records
+                       if record["name"] == "materialise"]
+        assert materialise[0]["attributes"]["cached"] is False
+        assert any(name == columnar_kernels.__name__ for name, _ in seen)
+        assert {backend for _, backend in seen} == {"array"}
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("shape", ["acyclic", "cyclic"])
+    def test_phases_and_spans(self, shape, adaptive, acyclic_db, cyclic_db):
+        database = acyclic_db if shape == "acyclic" else cyclic_db
+        phases = _ACYCLIC_PHASES if shape == "acyclic" else _CYCLIC_PHASES
+        prepared = EngineSession(adaptive=adaptive).prepare(database,
+                                                           ("C0", "C4"))
+        assert prepared.kind == shape
+        for _ in range(2):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                result = prepared.execute(database)
+            assert tuple(name for name, _ in result.statistics.phase_times) \
+                == phases
+            (root,) = [record for record in tracer.records
+                       if record["name"] == "execute"]
+            children = [record["name"] for record in tracer.records
+                        if record["parent_id"] == root["span_id"]]
+            # An adaptive cyclic run's first execute annotates its quotient
+            # between materialise and encode; nothing else joins the phases.
+            assert tuple(name for name in children if name != "annotate") \
+                == phases
+            (prepare,) = [record for record in tracer.records
+                          if record["name"] == "prepare"]
+            attributes = prepare["attributes"]
+            assert attributes["kind"] == shape
+            assert attributes["adaptive"] is adaptive
+            if shape == "cyclic":
+                assert attributes["clusters"] == len(result.plan.clusters)
+            else:
+                assert "clusters" not in attributes
 
 
 class TestPreparedCache:

@@ -139,9 +139,9 @@ class TestEngineDispatch:
         assert frozenset(naive.rows) == frozenset(fast.rows) == frozenset(auto.rows)
         assert fast.schema.attribute_set == naive.schema.attribute_set
 
-    def test_cyclic_query_dispatches_to_cyclic_engine(self, monkeypatch):
-        from repro.engine.cyclic import executor as cyclic_executor
+    def test_cyclic_query_dispatches_to_cyclic_engine(self):
         from repro.generators import cyclic_supplier_schema
+        from repro.telemetry import Tracer, use_tracer
 
         db = generate_database(cyclic_supplier_schema(), universe_rows=15,
                                domain_size=4, seed=3)
@@ -150,21 +150,18 @@ class TestEngineDispatch:
             body=[("SUPPLIES", ["s", "part"]), ("USED_IN", ["part", "p"]),
                   ("SERVES", ["p", "s"])])
         assert not query.is_acyclic()
-        calls = []
-        original = cyclic_executor._evaluate_cyclic_bound
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        # A prepared query runs the cyclic engine's bound body, resolved
-        # through its module at call time, so patching it intercepts the
-        # dispatch.
-        monkeypatch.setattr(cyclic_executor, "_evaluate_cyclic_bound", spy)
         naive = query.evaluate(db, engine="naive")
-        fast = query.evaluate(db, engine="yannakakis")
+        # A cyclic run opens its prepare span as kind "cyclic" and
+        # materialises the clusters; the naive plan records neither.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            fast = query.evaluate(db, engine="yannakakis")
         assert frozenset(naive.rows) == frozenset(fast.rows)
-        assert calls, "cyclic queries must dispatch to the cyclic subsystem, not naive"
+        names = [record["name"] for record in tracer.records]
+        kinds = [record["attributes"].get("kind") for record in tracer.records
+                 if record["name"] == "prepare"]
+        assert "materialise" in names and "cyclic" in kinds, \
+            "cyclic queries must dispatch to the cyclic subsystem, not naive"
 
     def test_cyclic_engine_can_be_forced_on_acyclic_query(self, db, student_teacher_query):
         naive = student_teacher_query.evaluate(db, engine="naive")

@@ -120,6 +120,21 @@ def test_execute_many_round_trip(service):
     assert len(result["relations"]) == 2
 
 
+def test_execute_many_max_workers_picks_serial_or_the_batch_pool(service):
+    handle = _prepare(service)
+    batch = {"query": handle, "databases": ["chain"] * 4}
+    before = service.pool.snapshot()["submitted"]
+    status, _ = _rpc(service, "execute_many", {**batch, "max_workers": 1})
+    assert status == 200
+    # 1 runs serially in the request thread: the batch pool sees no job.
+    assert service.pool.snapshot()["submitted"] == before
+    status, _ = _rpc(service, "execute_many", {**batch, "max_workers": 2})
+    assert status == 200
+    # Any other value hands every run to the shared batch pool, whose own
+    # size (not max_workers) bounds the concurrency.
+    assert service.pool.snapshot()["submitted"] == before + 4
+
+
 def test_explain_renders_the_plan(service):
     handle = _prepare(service)
     status, envelope = _rpc(service, "explain",
