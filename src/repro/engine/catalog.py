@@ -20,8 +20,8 @@ by fingerprint.  Everything *data-dependent* about planning lives here:
   predicted intermediate sizes.
 
 :func:`annotate_tree` is the annotation compiler.  It mirrors the fused
-projection of :func:`repro.engine.columnar.executor.fold_join_tree` step
-for step, so the order it recommends is evaluated against exactly the
+projection of :func:`repro.engine.columnar.executor.compile_fold_program`
+step for step, so the order it recommends is evaluated against exactly the
 intermediates it predicted; the estimated-vs-actual columns of
 :func:`repro.analysis.reports.statistics_table` make the comparison visible.
 
@@ -502,7 +502,7 @@ def _simulate_rooting(rooted: RootedJoinTree,
     """Simulate the bottom-up join for one rooting with greedy child ordering.
 
     Mirrors the fused-projection keeps of
-    :func:`repro.engine.columnar.executor.fold_join_tree`: while a vertex
+    :func:`repro.engine.columnar.executor.compile_fold_program`: while a vertex
     still has unfolded children, their separators stay live; afterwards the
     partial is projected onto (wanted ∩ subtree) ∪ parent separator.  At
     every vertex the next child folded is the one whose fold is predicted

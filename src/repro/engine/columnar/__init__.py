@@ -13,9 +13,10 @@ back to relations only at the result boundary:
   the weak block cache keyed by relation identity (:func:`block_for`);
 * :mod:`~repro.engine.columnar.kernels` — whole-block semijoin / antijoin /
   natural join with fused projection, plus scheme merging;
-* :mod:`~repro.engine.columnar.executor` — the end-to-end pipeline (reduce
-  the vertex blocks, replay the plan's compiled fold program bottom-up,
-  decode last) the engine's one evaluator runs for both dispatches,
+* :mod:`~repro.engine.columnar.executor` — the end-to-end pipeline (replay
+  the plan's bound program: the full reducer, then the bottom-up fold, over
+  vertex slots; decode last) the engine's one evaluator runs for both
+  dispatches,
   plus exact statistics counted from id columns — every exact catalog, the
   quotient's included.
 """
@@ -49,10 +50,11 @@ from .kernels import (
     shared_block_attributes,
 )
 from .executor import (
+    BoundProgram,
     FoldProgram,
+    ReductionProgram,
+    bound_program,
     catalog_from_blocks,
-    fold_join_tree,
-    fold_program,
     run_columnar_plan,
     statistics_from_block,
     vertex_blocks,
@@ -71,7 +73,7 @@ __all__ = [
     "semijoin_blocks", "antijoin_blocks", "natural_join_blocks",
     "intersect_blocks", "merge_blocks_by_scheme", "shared_block_attributes",
     # pipeline
-    "vertex_blocks", "FoldProgram", "fold_program", "fold_join_tree",
-    "run_columnar_plan",
+    "vertex_blocks", "ReductionProgram", "FoldProgram", "BoundProgram",
+    "bound_program", "run_columnar_plan",
     "catalog_from_blocks", "statistics_from_block",
 ]

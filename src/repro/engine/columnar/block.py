@@ -121,8 +121,8 @@ _INTERNER = ValueInterner()
 # relations decoded against ones served from their storage's memo
 # (``relation_*``; ``payload_*`` for encoded wire documents), selection keys
 # materialised (``selection_keys``), key rows that took the interner
-# fallback instead of the arithmetic pack (``key_overflow_rows``), and fold
-# programs compiled (``fold_programs``).
+# fallback instead of the arithmetic pack (``key_overflow_rows``), and bound
+# reduce-and-fold programs compiled (``fold_programs``).
 # Guarded by ``_COUNTER_LOCK``: a bare ``+= 1`` compiles to a read-add-store
 # sequence that loses updates when concurrent executes interleave, and these
 # counters feed bench/test assertions that expect exact totals.
@@ -138,13 +138,14 @@ def _count(counter: str, amount: int = 1) -> None:
         _COUNTERS[counter] += amount
 
 
-def count_keyset(hit: bool) -> None:
-    """Count one semijoin: ``hit`` unless it built a membership structure."""
-    _count("keyset_hits" if hit else "keyset_misses")
+def count_keyset(hit: bool, amount: int = 1) -> None:
+    """Count ``amount`` semijoins: ``hit`` unless they built a membership structure."""
+    if amount:
+        _count("keyset_hits" if hit else "keyset_misses", amount)
 
 
 def count_fold_program() -> None:
-    """Count one fold program compiled (``fold_programs``)."""
+    """Count one bound reduce-and-fold program compiled (``fold_programs``)."""
     _count("fold_programs")
 
 
@@ -387,7 +388,9 @@ class ColumnBlock:
     ``rename`` and ``select`` are zero-copy (they share the storage), so the
     reducer's semijoin fixpoints and the join phase's fused projections never
     duplicate value arrays.  ``selection_key``, when given, must be the
-    selection's bytes: a caller that already holds them passes them on.
+    selection's bytes: a caller that already holds them passes them on, and
+    ``attribute_set``, when given, must be ``frozenset(attributes)`` — the
+    zero-copy derivations hand over their parent's.
     """
 
     __slots__ = ("_name", "_attributes", "_attribute_set", "_storage", "_sel",
@@ -396,10 +399,12 @@ class ColumnBlock:
     def __init__(self, name: str, attributes: KeyAttributes,
                  storage: _ColumnStorage,
                  selection: Optional[array] = None,
-                 selection_key: Optional[bytes] = None) -> None:
+                 selection_key: Optional[bytes] = None,
+                 attribute_set: Optional[FrozenSet[Attribute]] = None) -> None:
         self._name = name
         self._attributes = attributes
-        self._attribute_set: FrozenSet[Attribute] = frozenset(attributes)
+        self._attribute_set: FrozenSet[Attribute] = (
+            frozenset(attributes) if attribute_set is None else attribute_set)
         self._storage = storage
         self._sel = selection
         self._sel_key = selection_key
@@ -591,7 +596,7 @@ class ColumnBlock:
 
     def derived_get(self, key: Tuple) -> Any:
         """Look up a kernel-level derived result cached on this block's storage."""
-        return self._storage._derived_get(key)
+        return self._storage._derived.get(key)
 
     def derived_put(self, key: Tuple, value: Any) -> Any:
         """Cache a kernel-level derived result on this block's storage."""
@@ -615,17 +620,17 @@ class ColumnBlock:
         if type(positions) is not array:
             positions = array("q", positions)
         return ColumnBlock(self._name, self._attributes, self._storage,
-                           positions, key)
+                           positions, key, self._attribute_set)
 
     def empty(self) -> "ColumnBlock":
         """The empty block over the same scheme (zero-copy)."""
         return ColumnBlock(self._name, self._attributes, self._storage,
-                           array("q"), b"")
+                           array("q"), b"", self._attribute_set)
 
     def rename(self, name: str) -> "ColumnBlock":
         """The same block under a different relation name (zero-copy)."""
         return ColumnBlock(name, self._attributes, self._storage, self._sel,
-                           self.selection_bytes())
+                           self.selection_bytes(), self._attribute_set)
 
     def with_column_order(self, attributes: Iterable[Attribute]) -> "ColumnBlock":
         """The same rows with the visible columns permuted (zero-copy).
@@ -644,7 +649,7 @@ class ColumnBlock:
                 f"with_column_order expects a permutation of {self._attributes}, "
                 f"got {attributes}")
         return ColumnBlock(self._name, attributes, self._storage, self._sel,
-                           self.selection_bytes())
+                           self.selection_bytes(), self._attribute_set)
 
     def project_onto(self, keep: Iterable[Attribute]) -> "ColumnBlock":
         """Keep only the listed attributes, in this block's column order (zero-copy).
@@ -865,15 +870,25 @@ def _forget_block(key: int, reference: "weakref.ref[Relation]") -> None:
         _BLOCK_CACHE.pop(key, None)
 
 
-def block_for(relation: Relation) -> ColumnBlock:
-    """The (cached) columnar encoding of ``relation``, one block per relation object."""
+def block_for(relation: Relation,
+              lookups: Optional[List[int]] = None) -> ColumnBlock:
+    """The (cached) columnar encoding of ``relation``, one block per relation object.
+
+    ``lookups``, when given, is the caller's own ``[hits, misses]`` tally,
+    bumped alongside the process-wide counters: how one engine run counts
+    its lookups while other runs look blocks up concurrently.
+    """
     global _BLOCK_HITS, _BLOCK_MISSES
     with _BLOCK_CACHE_LOCK:
         cached = _cached_block(relation)
         if cached is not None:
             _BLOCK_HITS += 1
+            if lookups is not None:
+                lookups[0] += 1
             return cached
         _BLOCK_MISSES += 1
+    if lookups is not None:
+        lookups[1] += 1
     block = ColumnBlock.from_relation(relation)
     key = id(relation)
     reference = weakref.ref(relation, partial(_forget_block, key))
@@ -914,9 +929,9 @@ def column_cache_info() -> Dict[str, int]:
     ``key_overflow_rows`` counts the
     multi-attribute key rows that could not be packed and interned their id
     tuple instead — non-zero means some key width's radix has been outgrown
-    and those rows pay the per-row loop.  ``fold_programs`` counts the fold
-    programs compiled — one per plan and output set, so a warm re-execution
-    adds 0.
+    and those rows pay the per-row loop.  ``fold_programs`` counts the bound
+    reduce-and-fold programs compiled — one per plan and output set, so a
+    warm re-execution adds 0.
     """
     with _BLOCK_CACHE_LOCK, _COUNTER_LOCK:
         return {"hits": _BLOCK_HITS, "misses": _BLOCK_MISSES,

@@ -24,12 +24,26 @@ A semijoin/antijoin that filters nothing returns the *left block itself*,
 so reducer fixpoints allocate nothing and the proof-of-reduction check can
 test stability with ``is``.  Every kernel span
 records the active backend and its batch size.
+
+**One memo, two callers.**  Each kernel is split into what it derives from
+its operands' layouts — the canonical separator, and for a join
+(:func:`join_layout`) the output name, kept and joined columns — and a step
+(:func:`membership_step`, :func:`join_step`) that builds the memo key from
+those plus ``(left selection key, right storage token, right selection
+key)``, answers a hit straight from the stored outcome and runs the kernel
+body (:func:`_filtered_selection`, :func:`_joined_block`) on a miss; its
+``traced_*`` form does the same inside the kernel's span.  The public
+kernels derive per call; a bound program
+(:mod:`repro.engine.columnar.executor`) derives its separators at compile
+time and its join layouts once per database binding, and calls the same
+steps, so both file and read the very same entries on each storage's
+``_derived`` memo.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ...core.hypergraph import Edge
 from ...core.nodes import sorted_nodes
@@ -60,10 +74,9 @@ def _separator(left: ColumnBlock, right: ColumnBlock,
     """The effective separator, canonicalised so key dictionaries are shared.
 
     An ``on`` override must be a subset of both blocks' schemes.  The
-    attribute order is canonical — the grouped key encoding is cached per attribute *tuple*, and key-set membership is
-    order-invariant anyway.  A ``tuple`` is taken as already canonical (the
-    compiled reducer hands over each step's, sorted once at compile time);
-    any other iterable is sorted.
+    attribute order is canonical — the grouped key encoding is cached per
+    attribute *tuple*, and key-set membership is order-invariant anyway.  A
+    ``tuple`` is taken as already canonical; any other iterable is sorted.
     """
     if on is None:
         return shared_block_attributes(left, right)
@@ -74,46 +87,104 @@ def _separator(left: ColumnBlock, right: ColumnBlock,
     return separator
 
 
-def _same_generation(left: ColumnBlock, right: ColumnBlock) -> None:
+def check_one_generation(blocks: Sequence[ColumnBlock]) -> None:
     """Reject id comparisons across interner generations (after a cache clear)."""
-    if left.interner is not right.interner:
+    if any(block.interner is not blocks[0].interner for block in blocks):
         raise SchemaError(
             "cannot combine column blocks encoded under different "
             "column-cache generations; re-encode after clear_column_caches()")
 
 
+#: ``(output name, left columns, right columns, kept, joined, separator)``.
+JoinLayout = Tuple[str, Tuple[Attribute, ...], Tuple[Attribute, ...],
+                   Tuple[Attribute, ...], Tuple[Attribute, ...], Tuple[Attribute, ...]]
+
+
+def join_layout(left_name: str, left_attributes: Tuple[Attribute, ...],
+                right_name: str, right_attributes: Tuple[Attribute, ...],
+                project_onto: Optional[FrozenSet[Attribute]],
+                name: Optional[str] = None) -> JoinLayout:
+    """Everything a join derives from its sides' names and column orders.
+
+    The output columns follow :func:`repro.relational.algebra.natural_join`'s
+    rule — ``left``'s columns then ``right``'s right-only columns — filtered
+    by ``project_onto``; the separator is the shared attributes in canonical
+    order.  A bound query derives it once per binding, the kernel once per
+    call.
+    """
+    left_set = frozenset(left_attributes)
+    joined = left_attributes + tuple(attribute for attribute in right_attributes
+                                     if attribute not in left_set)
+    kept = joined if project_onto is None else tuple(
+        attribute for attribute in joined if attribute in project_onto)
+    separator = tuple(sorted_nodes(left_set.intersection(right_attributes)))
+    return (name or f"({left_name} ⋈ {right_name})", left_attributes,
+            right_attributes, kept, joined, separator)
+
+
+# --------------------------------------------------------------------------- #
+# Semijoin / antijoin
+# --------------------------------------------------------------------------- #
 def semijoin_blocks(left: ColumnBlock, right: ColumnBlock,
                     on: Optional[Iterable[Attribute]] = None) -> ColumnBlock:
     """``left ⋉ right`` by one batched key-id membership pass, memoised whole.
 
     Returns ``left`` itself when nothing is filtered out.
     """
-    return _membership_filter("kernel:semijoin", left, right, on, negate=False)
+    return _membership_filter(left, right, on, negate=False)
 
 
 def antijoin_blocks(left: ColumnBlock, right: ColumnBlock,
                     on: Optional[Iterable[Attribute]] = None) -> ColumnBlock:
     """``left ▷ right`` — the selected rows of ``left`` with no partner in ``right``."""
-    return _membership_filter("kernel:antijoin", left, right, on, negate=True)
+    return _membership_filter(left, right, on, negate=True)
 
 
-def _membership_filter(span_name: str, left: ColumnBlock, right: ColumnBlock,
+def _membership_filter(left: ColumnBlock, right: ColumnBlock,
                        on: Optional[Iterable[Attribute]], *,
                        negate: bool) -> ColumnBlock:
     """The (anti)semijoin kernel: ``left``'s rows with (``negate``: without) a partner."""
-    span = current_tracer().span(span_name)
+    separator = _separator(left, right, on)
+    if separator:
+        check_one_generation((left, right))
+    result, memo_hit = traced_membership_step(left, right, separator,
+                                              active_column_backend(), negate)
+    if memo_hit:
+        count_keyset(hit=True)
+    return result
+
+
+def membership_step(left: ColumnBlock, right: ColumnBlock,
+                    separator: Tuple[Attribute, ...], backend,
+                    negate: bool = False) -> Tuple[ColumnBlock, Optional[bool]]:
+    """One (anti)semijoin on a canonical separator: ``(result, memo hit)``.
+
+    With no separator every row has a partner iff ``right`` has a row (no
+    memo: ``None``).  Otherwise the outcome is looked up on ``left``'s
+    storage under the backend, the separator and both sides' selection keys
+    — the one key layout the kernels and the compiled programs share; a hit
+    builds the result straight from it (a fixpoint hands back ``left``
+    itself), a miss runs :func:`_filtered_selection`.  A hit is *not*
+    counted here: the kernel counts its one, a program adds up its run's.
+    """
+    if not separator:
+        return (left if (len(right) > 0) != negate else left.empty()), None
+    key = ("semi", negate, backend.name, separator, left.selection_bytes(),
+           right.storage_token(), right.selection_bytes())
+    outcome = left.derived_get(key)
+    memo_hit = outcome is not None
+    if not memo_hit:
+        outcome = _filtered_selection(left, right, separator, backend, key, negate)
+    return (left if outcome is True else left.select(*outcome)), memo_hit
+
+
+def traced_membership_step(left: ColumnBlock, right: ColumnBlock,
+                           separator: Tuple[Attribute, ...], backend,
+                           negate: bool = False) -> Tuple[ColumnBlock, Optional[bool]]:
+    """:func:`membership_step` inside a ``kernel:semijoin`` / ``kernel:antijoin`` span."""
+    span = current_tracer().span("kernel:antijoin" if negate else "kernel:semijoin")
     with span:
-        backend = active_column_backend()
-        separator = _separator(left, right, on)
-        memo_hit = None
-        if not separator:
-            # No shared attribute: every row has a partner iff ``right`` has a row.
-            result = left if (len(right) > 0) != negate else left.empty()
-        else:
-            _same_generation(left, right)
-            outcome, memo_hit = _filtered_selection(left, right, separator,
-                                                    backend, negate=negate)
-            result = left if outcome is True else left.select(*outcome)
+        result, memo_hit = membership_step(left, right, separator, backend, negate)
         if span.is_recording:
             span.set("backend", backend.name)
             span.set("batch", len(left))
@@ -124,41 +195,37 @@ def _membership_filter(span_name: str, left: ColumnBlock, right: ColumnBlock,
                      else "partial" if len(result) else "empty")
             if memo_hit is not None:
                 span.set("memo", "hit" if memo_hit else "miss")
-        return result
+    return result, memo_hit
 
 
 def _filtered_selection(left: ColumnBlock, right: ColumnBlock,
-                        separator: Tuple[Attribute, ...], backend, *,
-                        negate: bool) -> Tuple[Union[bool, Tuple["array", bytes]], bool]:
-    """The memoised outcome of one (anti)semijoin, and whether the memo held it.
+                        separator: Tuple[Attribute, ...], backend, key: Tuple,
+                        negate: bool) -> Union[bool, Tuple["array", bytes]]:
+    """Compute and memoise one (anti)semijoin's outcome (the memo-miss path).
 
-    All three outcomes are recorded: ``True`` for a fixpoint (every row
-    kept — the caller hands ``left`` itself back), otherwise the kept
-    positions (empty for a dead end) *together with their selection key*.
-    Keyed by both sides' storage identity and selection keys, so the fresh
-    but byte-identical selections a warm re-execution produces are answered
-    by one lookup; a miss is one membership pass of ``left``'s codes over
-    ``right``'s (cached) membership structure.  Counted as ``keyset_hits``
-    here and, on a miss, by the structure's own cache.
+    All three outcomes are recorded under ``key``: ``True`` for a fixpoint
+    (every row kept — the caller hands ``left`` itself back), otherwise the
+    kept positions (empty for a dead end) *together with their selection
+    key*, so the fresh but byte-identical selections a warm re-execution
+    produces are answered by one lookup.  A miss is one membership pass of
+    ``left``'s codes over ``right``'s (cached) membership structure, counted
+    by that structure's cache.
 
     A key is hashed once per selection: the block built from a memoised
     outcome carries the stored key, so the next step's lookup holds the very
     bytes objects of the keys filed on the first run — their hashes are
     cached and tuple equality short-circuits on identity.
     """
-    key = ("semi", negate, backend.name, separator, left.selection_bytes(),
-           right.storage_token(), right.selection_bytes())
-    outcome = left.derived_get(key)
-    if outcome is not None:
-        count_keyset(hit=True)
-        return outcome, True
     keep = backend.filter_membership(
         left.key_codes(separator), left.positions,
         right.prepared_key_set(separator, backend), negate=negate)
     outcome = True if len(keep) == len(left) else (keep, selection_key(keep))
-    return left.derived_put(key, outcome), False
+    return left.derived_put(key, outcome)
 
 
+# --------------------------------------------------------------------------- #
+# Natural join
+# --------------------------------------------------------------------------- #
 def natural_join_blocks(left: ColumnBlock, right: ColumnBlock, *,
                         project_onto: Optional[FrozenSet[Attribute]] = None,
                         name: Optional[str] = None) -> ColumnBlock:
@@ -166,54 +233,55 @@ def natural_join_blocks(left: ColumnBlock, right: ColumnBlock, *,
 
     The output attribute order is :func:`repro.relational.algebra.natural_join`'s
     rule — ``left``'s columns then ``right``'s right-only columns, filtered
-    by ``project_onto``.
+    by ``project_onto`` (:func:`join_layout`).
     """
+    check_one_generation((left, right))
+    layout = join_layout(left.name, left.attributes, right.name,
+                         right.attributes, project_onto, name)
+    return traced_join_step(left, right, layout, active_column_backend())
+
+
+def join_step(left: ColumnBlock, right: ColumnBlock, layout: JoinLayout,
+              backend) -> ColumnBlock:
+    """One natural join, answered from the whole-result memo when it can be.
+
+    A warm re-execution joins fresh but byte-identical selections of the
+    same cached storages, and because hits return the *same* output block
+    (same storage identity), every downstream join over that output hits
+    too — the warm fold becomes cache lookups all the way up the join tree.
+    """
+    out_name, left_attributes, right_attributes, kept, joined, separator = layout
+    key = ("join", backend.name, out_name, left_attributes, right_attributes,
+           kept, left.selection_bytes(), right.storage_token(),
+           right.selection_bytes())
+    block = left.derived_get(key)
+    if block is None:
+        block = left.derived_put(key, _joined_block(left, right, separator, kept,
+                                                    joined, out_name, backend))
+    return block
+
+
+def traced_join_step(left: ColumnBlock, right: ColumnBlock,
+                     layout: JoinLayout, backend) -> ColumnBlock:
+    """:func:`join_step` inside a ``kernel:join`` span."""
     span = current_tracer().span("kernel:join")
     with span:
-        backend = active_column_backend()
-        joined_attributes = list(left.attributes)
-        left_set = left.attribute_set
-        for attribute in right.attributes:
-            if attribute not in left_set:
-                joined_attributes.append(attribute)
-        if project_onto is not None:
-            kept = [a for a in joined_attributes if a in project_onto]
-        else:
-            kept = joined_attributes
-        out_name = name or f"({left.name} ⋈ {right.name})"
-
-        _same_generation(left, right)
-        separator = shared_block_attributes(left, right)
-        batch = len(left) if (not separator or len(left) > len(right)) \
-            else len(right)
-        # The whole-result cache: a warm re-execution joins fresh but
-        # byte-identical selections of the same cached storages, and because
-        # hits return the *same* output block (same storage identity), every
-        # downstream join over that output hits too — the warm fold becomes
-        # cache lookups all the way up the join tree.
-        cache_key = ("join", backend.name, out_name,
-                     left.attributes, right.attributes, tuple(kept),
-                     left.selection_bytes(),
-                     right.storage_token(), right.selection_bytes())
-        block = left.derived_get(cache_key)
-        if block is None:
-            block = left.derived_put(
-                cache_key, _joined_block(left, right, separator, kept,
-                                         joined_attributes, out_name, backend))
+        block = join_step(left, right, layout, backend)
         if span.is_recording:
             span.set("backend", backend.name)
-            span.set("batch", batch)
+            span.set("batch", len(left) if (not layout[5] or len(left) > len(right))
+                     else len(right))
             span.set("left_rows", len(left))
             span.set("right_rows", len(right))
             span.set("output_rows", len(block))
-        return block
+    return block
 
 
 def _joined_block(left: ColumnBlock, right: ColumnBlock,
                   separator: Tuple[Attribute, ...],
-                  kept: Iterable[Attribute], joined_attributes: list,
+                  kept: Tuple[Attribute, ...], joined: Tuple[Attribute, ...],
                   out_name: str, backend) -> ColumnBlock:
-    """Compute one natural-join output block (the cache-miss path)."""
+    """Compute one natural-join output block (the memo-miss path)."""
     left_set = left.attribute_set
     if not separator:
         left_positions = array("q")
@@ -245,9 +313,9 @@ def _joined_block(left: ColumnBlock, right: ColumnBlock,
                                               right_positions)
     # The explicit length carries the row count through 0-ary projections
     # (boolean sub-results), where there is no column left to measure.
-    block = ColumnBlock._from_ids(out_name, tuple(kept), columns,
+    block = ColumnBlock._from_ids(out_name, kept, columns,
                                   len(left_positions), left.interner)
-    if len(kept) != len(joined_attributes):
+    if len(kept) != len(joined):
         block = block.distinct()
     return block
 
@@ -258,7 +326,8 @@ def intersect_blocks(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
 
 
 def merge_blocks_by_scheme(relations: Iterable[Relation],
-                           schemes: Optional[Sequence[Edge]] = None
+                           schemes: Optional[Sequence[Edge]] = None,
+                           lookups: Optional[List[int]] = None
                            ) -> Dict[Edge, ColumnBlock]:
     """One (cached) block per distinct scheme, same-scheme relations intersected.
 
@@ -278,7 +347,8 @@ def merge_blocks_by_scheme(relations: Iterable[Relation],
     """
     grouped: Dict[Edge, ColumnBlock] = {}
     for index, relation in enumerate(relations):
-        block = block_for(relation) if isinstance(relation, Relation) else relation
+        block = block_for(relation, lookups) if isinstance(relation, Relation) \
+            else relation
         edge = block.attribute_set if schemes is None else schemes[index]
         existing = grouped.get(edge)
         if existing is None:

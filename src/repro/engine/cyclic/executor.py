@@ -74,14 +74,15 @@ def _materialise_clusters(plan: CyclicExecutionPlan, relations: Sequence[Relatio
                           catalog: Optional[StatisticsCatalog],
                           cluster_row_bound: Optional[int],
                           warm: _WarmPrepare, backend_name: str,
+                          lookups: List[int],
                           ) -> Tuple[ClusterBlockMaterialisation,
                                      Optional[AnnotatedPlan], tuple, float, float]:
     """Materialise ``plan``'s clusters and annotate its quotient.
 
     Returns ``(materialised, quotient annotation, estimated cluster sizes,
     materialise seconds, annotate seconds)``.  The evaluator calls this
-    inside its backend scope and column-cache window, so materialisation
-    runs on the prepared backend and its cache traffic is counted.
+    inside its backend scope, so materialisation runs on the prepared
+    backend, and hands it the run's block-lookup tally.
 
     ``catalog`` switches on adaptive execution: the intra-cluster
     nested-loop order follows its estimates, and the quotient is annotated
@@ -91,7 +92,8 @@ def _materialise_clusters(plan: CyclicExecutionPlan, relations: Sequence[Relatio
     (:class:`~repro.exceptions.ClusterBoundExceededError` beyond it),
     checked against the rows each intra-cluster join produced *before* the
     projection onto what its cluster exports.  ``warm`` is the binding's
-    memo of all three artefacts.
+    memo of all three artefacts; ``lookups`` the run's ``[hits, misses]``
+    tally of block-cache lookups.
     """
     estimated_cluster_sizes: tuple = ()
     if catalog is not None:
@@ -117,7 +119,8 @@ def _materialise_clusters(plan: CyclicExecutionPlan, relations: Sequence[Relatio
             materialised = materialise_cluster_blocks(plan.cover, relations,
                                                       row_bound=cluster_row_bound,
                                                       catalog=catalog,
-                                                      wanted=wanted)
+                                                      wanted=wanted,
+                                                      lookups=lookups)
             warm.materialised_state = (cluster_row_bound, interner,
                                        materialised)
             materialise_cached = False

@@ -16,7 +16,7 @@ the largest-intermediate gap against another plan's statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from ...relational.join_plans import JoinStatistics
@@ -43,6 +43,13 @@ class CyclicExecutionPlan:
     quotient: AcyclicQuotient
     inner: ExecutionPlan
     candidates: Tuple[ClusterCover, ...] = ()
+    #: Each cluster's width, computed once with the plan (every run's
+    #: :class:`CyclicEngineStatistics` reports them).
+    cluster_widths: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cluster_widths",
+                           tuple(cluster.width for cluster in self.cover.clusters))
 
     @property
     def clusters(self) -> Tuple[EdgeCluster, ...]:

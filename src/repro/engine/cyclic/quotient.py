@@ -168,7 +168,8 @@ class ClusterBlockMaterialisation:
 def materialise_cluster_blocks(cover: ClusterCover, relations: Sequence[Relation], *,
                                row_bound: Optional[int] = None,
                                catalog: Optional["StatisticsCatalog"] = None,
-                               wanted: Optional[FrozenSet[Attribute]] = None
+                               wanted: Optional[FrozenSet[Attribute]] = None,
+                               lookups: Optional[List[int]] = None
                                ) -> ClusterBlockMaterialisation:
     """One :class:`ColumnBlock` per cluster: the (bounded) join of its member relations.
 
@@ -192,8 +193,10 @@ def materialise_cluster_blocks(cover: ClusterCover, relations: Sequence[Relation
     projection (its storage length) are checked against it, and exceeding
     it raises :class:`~repro.exceptions.ClusterBoundExceededError` so
     callers can fall back rather than materialise a runaway core.
+    ``lookups`` is the caller's ``[hits, misses]`` tally of block-cache
+    lookups.
     """
-    per_edge = merge_blocks_by_scheme(relations)
+    per_edge = merge_blocks_by_scheme(relations, lookups=lookups)
     blocks: List[ColumnBlock] = []
     intermediates: List[int] = []
     cluster_sizes: List[int] = []

@@ -14,11 +14,20 @@ logical construction in :mod:`repro.relational.semijoin_reducer` in that it
 operates on one column block *per join-tree vertex* (edges, not relation
 names), runs the whole-block semijoin kernel, and records per-step accounting.
 
+A :class:`FullReducer` is the logical program; it runs compiled.  Its steps
+are compiled once to integer vertex slots with canonical separators, tree
+components and the proof-of-reduction pairs
+(:class:`~repro.engine.columnar.executor.ReductionProgram`), and a bound
+prepared query replays that program ahead of its fold, whose semijoins
+share the kernels' memo keys.  :meth:`FullReducer.run_blocks` replays the
+reducer part alone.
+
 ``check_hook`` is the proof-of-reduction hook: after the two passes the hook
 is called with the reduced vertex map and the rooted tree, and must return
-``True``; the default hook (:func:`verify_full_reduction_blocks`)
-re-verifies semijoin-stability of every tree edge in both directions, which
-is exactly the fixpoint condition full reduction guarantees.
+``True``; without one, the program's own pairs
+(:func:`verify_full_reduction_blocks`) re-verify semijoin-stability of every
+tree edge in both directions, which is exactly the fixpoint condition full
+reduction guarantees.
 """
 
 from __future__ import annotations
@@ -157,83 +166,34 @@ class FullReducer:
         return "\n".join(f"{index + 1:3d}. [{step.direction:4s}] {step.describe()}"
                          for index, step in enumerate(self.steps))
 
-    # Memoised on the instance like RootedJoinTree's maps: the dataclass is
-    # frozen, so object.__setattr__ is the sanctioned escape hatch.
-    def _component_map(self) -> Dict[Edge, Edge]:
-        """Each vertex mapped to its tree component's root."""
-        cached = getattr(self, "_component_of", None)
-        if cached is None:
-            cached = {}
-            for vertex, parent in self.rooted.order:
-                cached[vertex] = cached[parent] if parent is not None else vertex
-            object.__setattr__(self, "_component_of", cached)
-        return cached
-
     def run_blocks(self, blocks: Mapping[Edge, "ColumnBlock"], *,
                    trace: Optional[ReductionTrace] = None,
                    check_hook: Optional[CheckHook] = None) -> VertexMap:
         """Apply the program to a vertex → :class:`ColumnBlock` map; return the reduced map.
 
-        The input map must have one block per join-tree vertex.  Every step
-        is the whole-block kernel
-        :func:`~repro.engine.columnar.kernels.semijoin_blocks`: filtering is
-        pure selection-vector work, so fixpoint steps allocate nothing.  When
-        any vertex becomes empty, every vertex of its tree component is
+        The input map must have one block per join-tree vertex.  The steps
+        replay the reducer compiled to slots
+        (:class:`~repro.engine.columnar.executor.ReductionProgram`, per
+        call): every step is the whole-block semijoin, filtering
+        is pure selection-vector work, so fixpoint steps allocate nothing.
+        When any vertex becomes empty, every vertex of its tree component is
         emptied immediately (the join is empty; nothing downstream can
         survive) and the remaining steps of that component are skipped.
+        Without a ``check_hook`` the program's proof-of-reduction pairs run.
         """
-        from .columnar.kernels import semijoin_blocks  # deferred: import cycle
+        # Deferred: the columnar layer imports this module.
+        from .columnar.buffers import active_column_backend
+        from .columnar.executor import ReductionProgram, reduce_slots
+        from .columnar.kernels import check_one_generation
 
-        hook = check_hook if check_hook is not None else verify_full_reduction_blocks
-        span = current_tracer().span("reduce")
-        with span:
-            current: VertexMap = dict(blocks)
-            sizes_before = tuple(len(current[vertex]) for vertex, _ in self.rooted.order)
-            component_of = self._component_map()
-            dead_components: set = set()
-
-            def kill_component(component: Edge) -> int:
-                dead_components.add(component)
-                emptied = 0
-                for vertex, owner in component_of.items():
-                    if owner is component and len(current[vertex]):
-                        emptied += len(current[vertex])
-                        current[vertex] = current[vertex].empty()
-                return emptied
-
-            removed = 0
-            steps_run = 0
-            for vertex, _parent in self.rooted.order:
-                if len(current[vertex]) == 0:
-                    removed += kill_component(component_of[vertex])
-            for step in self.steps:
-                if component_of[step.target] in dead_components:
-                    continue
-                target = current[step.target]
-                reduced = semijoin_blocks(target, current[step.source], on=step.on)
-                steps_run += 1
-                if reduced is not target:
-                    removed += len(target) - len(reduced)
-                    current[step.target] = reduced
-                    if len(reduced) == 0:
-                        removed += kill_component(component_of[step.target])
-            sizes_after = tuple(len(current[vertex]) for vertex, _ in self.rooted.order)
-            if trace is not None:
-                trace.steps_run += steps_run
-                trace.rows_removed += removed
-                trace.sizes_before = sizes_before
-                trace.sizes_after = sizes_after
-            if span.is_recording:
-                span.set("vertices", [format_node_set(vertex)
-                                      for vertex, _ in self.rooted.order])
-                span.set("sizes_before", list(sizes_before))
-                span.set("sizes_after", list(sizes_after))
-                span.set("rows_removed", removed)
-                span.set("steps", steps_run)
-            if not hook(current, self.rooted):
-                raise ReductionError("proof-of-reduction check failed: a relation is "
-                                     "not semijoin-stable against a tree neighbour")
-            return current
+        program = ReductionProgram(self.rooted, self.steps)
+        current = [blocks[vertex] for vertex in program.vertices]
+        check_one_generation(current)
+        reduce_slots(program, current, active_column_backend(), current_tracer(),
+                     trace=trace, verify=check_hook is None, check_hook=check_hook)
+        reduced = dict(blocks)
+        reduced.update(zip(program.vertices, current))
+        return reduced
 
 
 def verify_full_reduction_blocks(blocks: Mapping[Edge, "ColumnBlock"],
@@ -244,17 +204,19 @@ def verify_full_reduction_blocks(blocks: Mapping[Edge, "ColumnBlock"],
     ``child ⋉ parent`` must be fixpoints — a whole-block semijoin that
     filters nothing returns its left block unchanged.  On a join tree this
     local condition implies global consistency (no dangling tuples), which
-    is the paper-level guarantee the engine's join phase relies on.
+    is the paper-level guarantee the engine's join phase relies on.  These
+    are the pairs a bound program runs under ``check_reduction``.
     """
-    from .columnar.kernels import semijoin_blocks  # deferred: import cycle
+    # Deferred: the columnar layer imports this module.
+    from .columnar.block import count_keyset
+    from .columnar.buffers import active_column_backend
+    from .columnar.executor import ReductionProgram, _stable
+    from .columnar.kernels import check_one_generation, traced_membership_step
 
-    for vertex, parent in rooted.order:
-        if parent is None:
-            continue
-        child_block = blocks[vertex]
-        parent_block = blocks[parent]
-        if semijoin_blocks(parent_block, child_block) is not parent_block:
-            return False
-        if semijoin_blocks(child_block, parent_block) is not child_block:
-            return False
-    return True
+    program = ReductionProgram(rooted, ())
+    current = [blocks[vertex] for vertex in program.vertices]
+    check_one_generation(current)
+    stable, hits = _stable(program.checks, current, active_column_backend(),
+                           traced_membership_step)
+    count_keyset(True, hits)
+    return stable

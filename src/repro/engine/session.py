@@ -61,6 +61,7 @@ from .catalog import StatisticsCatalog
 from .cyclic.executor import _WarmPrepare
 from .deadline import deadline_scope, valid_budget
 from .columnar.block import block_cache_size
+from .columnar.executor import FoldLink
 from .planner import (
     DEFAULT_PLANNER,
     AnnotatedPlan,
@@ -407,14 +408,16 @@ class _DatabaseBinding:
     """Everything one database needs at execution time, resolved once.
 
     ``warm`` is the cyclic materialise step's memo of this binding's
-    prepare-phase artefacts (``None`` on the acyclic path), so it is freed
-    with the binding.
+    prepare-phase artefacts (``None`` on the acyclic path) and
+    ``fold_link`` its fold linked to the fixed input blocks, so both are
+    freed with the binding.
     """
 
     relations: Tuple[Relation, ...]
     catalog: Optional[StatisticsCatalog]
     plan: object  # ExecutionPlan | AnnotatedPlan | CyclicExecutionPlan
     warm: Optional[_WarmPrepare] = field(default=None, compare=False)
+    fold_link: FoldLink = field(default_factory=FoldLink, compare=False)
 
 
 class PreparedQuery:
@@ -799,7 +802,8 @@ class PreparedQuery:
             check_reduction=options.check_reduction,
             cluster_row_bound=options.cluster_row_bound,
             column_backend=options.column_backend,
-            decode=options.decode, warm=binding.warm)
+            decode=options.decode, warm=binding.warm,
+            fold_link=binding.fold_link)
 
 
 # --------------------------------------------------------------------------- #

@@ -30,13 +30,8 @@ from typing import FrozenSet, Optional, Sequence, Tuple, Union
 from ..relational.relation import Relation
 from ..relational.schema import Attribute
 from .catalog import StatisticsCatalog
-from .columnar import (
-    ColumnBlock,
-    column_cache_info,
-    resolve_column_backend,
-    use_column_backend,
-)
-from .columnar.executor import run_columnar_plan, vertex_blocks
+from .columnar import ColumnBlock, resolve_column_backend, use_column_backend
+from .columnar.executor import FoldLink, run_columnar_plan, vertex_blocks
 from .cyclic.executor import _WarmPrepare, _materialise_clusters
 from .cyclic.plans import CyclicEngineStatistics, CyclicExecutionPlan
 from .deadline import check_deadline
@@ -118,7 +113,8 @@ def _evaluate_bound(relations: Sequence[Relation],
                     *, catalog: Optional[StatisticsCatalog], name: str,
                     check_reduction: bool, cluster_row_bound: Optional[int],
                     column_backend: Optional[str], decode: str,
-                    warm: Optional[_WarmPrepare]) -> EngineResult:
+                    warm: Optional[_WarmPrepare],
+                    fold_link: Optional[FoldLink]) -> EngineResult:
     """Run ``plan`` over ``relations``: (materialise,) encode, reduce, fold, decode.
 
     Builds no hypergraph and computes no fingerprint: the caller
@@ -130,13 +126,14 @@ def _evaluate_bound(relations: Sequence[Relation],
     cardinality-chosen root and estimated-smallest-first fold order; a
     cyclic plan orders its intra-cluster joins by the catalog and annotates
     its quotient with an exact catalog of the materialised clusters.  The
-    answer is always the static run's.
+    answer is always the static run's.  ``fold_link`` is the binding's fold,
+    linked once to its input blocks (:class:`FoldLink`).
 
     A :class:`CyclicExecutionPlan` branches only where it adds something:
     the ``prepare`` span's ``clusters``, the materialise step (capped by
     ``cluster_row_bound``, memoised on the binding's ``warm``) and the
     cluster statistics.  Everything else — the backend scope, the
-    column-cache window, encode, reduce, fold and decode — is one run.
+    block-lookup tally, encode, reduce, fold and decode — is one run.
     """
     tracer = current_tracer()
     cyclic = plan if isinstance(plan, CyclicExecutionPlan) else None
@@ -166,31 +163,32 @@ def _evaluate_bound(relations: Sequence[Relation],
     schemes = materialised = None
     trace = ReductionTrace()
     backend = resolve_column_backend(column_backend)
-    column_before = column_cache_info()
+    # The run's own block-cache lookups, [hits, misses]: concurrent runs
+    # look blocks up too, so process-wide counters cannot tell them apart.
+    lookups = [0, 0]
     with use_column_backend(backend):
         if cyclic is not None:
             (materialised, annotated, estimated_cluster_sizes,
              materialise_seconds, annotate_seconds) = _materialise_clusters(
                 cyclic, relations, wanted, catalog=catalog,
                 cluster_row_bound=cluster_row_bound, warm=warm,
-                backend_name=backend.name)
+                backend_name=backend.name, lookups=lookups)
             # The quotient-level annotation is planning work, so its time
             # counts toward the prepare phase.
             prepare_seconds += annotate_seconds
             inputs, schemes = materialised.blocks, materialised.schemes
         encode_started = perf_counter()
-        blocks = vertex_blocks(inputs, tree_plan.vertices, schemes)
+        blocks = vertex_blocks(inputs, tree_plan.vertices, schemes, lookups)
         encode_seconds = perf_counter() - encode_started
         check_deadline("reduce")
         # The fold returns the canonical result column order, so the answer
         # is deterministic across plans.
         result_block, intermediates, physical_seconds = run_columnar_plan(
             tree_plan, annotated, blocks, wanted,
-            trace=trace, check_reduction=check_reduction)
+            trace=trace, check_reduction=check_reduction, linked=fold_link)
         check_deadline("decode")
         relation, decode_seconds = decode_result_block(
             result_block, name, decode, backend.name)
-    column_after = column_cache_info()
 
     phase_times = [("prepare", prepare_seconds)]
     estimated = (annotated.annotation.estimated_intermediate_sizes
@@ -206,7 +204,7 @@ def _evaluate_bound(relations: Sequence[Relation],
         statistics_type, plan_name = CyclicEngineStatistics, "engine-cyclic"
         cluster_fields = dict(
             cluster_sizes=materialised.cluster_sizes,
-            cluster_widths=tuple(cluster.width for cluster in cyclic.clusters),
+            cluster_widths=cyclic.cluster_widths,
             estimated_cluster_sizes=estimated_cluster_sizes)
     phase_times += [("encode", encode_seconds),
                     ("reduce", physical_seconds["reduce"]),
@@ -221,8 +219,8 @@ def _evaluate_bound(relations: Sequence[Relation],
         rows_removed_by_reduction=trace.rows_removed,
         reduced_sizes=trace.sizes_after,
         plan_cache_hit=True,
-        index_cache_hits=column_after["hits"] - column_before["hits"],
-        index_cache_misses=column_after["misses"] - column_before["misses"],
+        index_cache_hits=lookups[0],
+        index_cache_misses=lookups[1],
         column_backend=backend.name,
         adaptive=adaptive,
         estimated_intermediate_sizes=estimated,

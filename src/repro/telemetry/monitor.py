@@ -582,8 +582,9 @@ class SessionMonitor:
               "re-execution reuses its memoised keys and adds none.",
               column_info["selection_keys"])
         gauge("engine_fold_programs_compiled",
-              "Fold programs compiled (one per plan and output set); a warm "
-              "re-execution replays its plan's program and adds none.",
+              "Bound reduce-and-fold programs compiled (one per plan and "
+              "output set); a warm re-execution replays its plan's program "
+              "and adds none.",
               column_info["fold_programs"])
         gauge("engine_interner_values",
               "Values held by the current interner generation (only grows).",

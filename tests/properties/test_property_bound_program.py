@@ -1,49 +1,93 @@
-"""Property-based: a bound prepared query replays a compiled fold, answers unchanged.
+"""Property-based: a bound prepared query replays one compiled program, answers unchanged.
 
 A prepared query checks a database's schema once, when it binds it, and the
-fold runs from a program compiled once per plan and output set
-(:func:`~repro.engine.columnar.executor.fold_program`).  Four claims, on
-:mod:`strategies`' random skewed acyclic and cyclic databases, under both
-column backends, adaptive and static, with random output subsets:
+physical run — the full reducer's two passes, the optional
+proof-of-reduction pairs, then the bottom-up fold — replays a
+:class:`~repro.engine.columnar.executor.BoundProgram` compiled once per plan
+and output set (:func:`~repro.engine.columnar.executor.bound_program`).  The
+claims, on :mod:`strategies`' random skewed acyclic and cyclic databases,
+and on databases over disjoint chains (whose fold merges tree roots), under
+both column backends, adaptive and static, with random output subsets:
 
 * **answers** — every execute answers exactly what :mod:`repro.relational`
   answers, byte for byte;
 * **replay** — a warm execute's intermediate sizes, semijoin steps, removed
   rows, reduced sizes and result column order equal those of the first
   (compiling) execute and of a fresh session's;
-* **the program is the loop** — replaying the compiled program runs the very
-  join kernels, on the very inputs, that the per-run fold loop it replaced
-  ran (kept below as an oracle), including over projected cluster blocks;
+* **the program is the loop** — the reducer program leaves the very
+  selections, accounting and emptied components the per-run reducer loop it
+  replaced left (kept below as an oracle, with the per-run proof-of-reduction
+  check), and files and reads the very memo entries that loop's kernels do;
+  the fold program runs the very join kernels, on the very inputs, that the
+  per-run fold loop ran — including over projected cluster blocks;
+* **nothing is re-derived** — warm executes run with the kernels'
+  separator, shared-attribute and generation helpers, the process-wide
+  cache snapshot and the cluster-width property all raising;
+* **same observable run** — a warm execute moves every
+  :func:`column_cache_info` counter and records the same ``reduce`` /
+  ``fold`` / ``kernel:*`` spans (names, order, parents, attributes) as the
+  oracle loops over the same blocks; after :func:`clear_column_caches` a
+  warm binding runs like a fresh session's first execute;
+* **one link per binding** — databases whose relations differ only in name
+  and column order share one plan, and each binding's fold is linked to its
+  own inputs;
 * **threads** — two threads warm-executing one prepared query get equal
-  answers.
+  answers, and concurrent executes count only their own block lookups;
+* **the benchmark's replay** — ``FullReducer.run_blocks(blocks, trace=,
+  check_hook=)`` and ``run_columnar_plan(...) -> (block, intermediates,
+  {"reduce", "fold"})``, which the traced benchmark pass calls directly,
+  keep answering.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
+import sys
 import threading
 from typing import Dict, FrozenSet, List, Optional
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from properties.strategies import skewed_acyclic_databases, skewed_cyclic_databases
 
-from repro.core.nodes import sorted_nodes
-from repro.engine import EngineSession, QueryPlanner, annotate_plan
+from repro import Hypergraph
+from repro.core.nodes import format_node_set, sorted_nodes
+from repro.engine import (
+    EdgeCluster,
+    EngineSession,
+    QueryPlanner,
+    ReductionError,
+    ReductionTrace,
+    annotate_plan,
+    clear_column_caches,
+    column_cache_info,
+    verify_full_reduction_blocks,
+)
+from repro.engine import yannakakis as yannakakis_module
 from repro.engine.columnar import (
     available_column_backends,
+    bound_program,
     catalog_from_blocks,
-    fold_join_tree,
-    fold_program,
     natural_join_blocks,
     resolve_column_backend,
+    run_columnar_plan,
+    semijoin_blocks,
     use_column_backend,
     vertex_blocks,
 )
+from repro.engine import columnar as columnar_package
+from repro.engine.columnar import block as block_module
+from repro.engine.columnar import executor as executor_module
+from repro.engine.columnar import kernels as kernels_module
 from repro.engine.cyclic.quotient import materialise_cluster_blocks
-from repro.relational import naive_join, yannakakis_join
+from repro.generators import generate_database
+from repro.relational import (Database, DatabaseSchema, Relation, RelationSchema,
+                              naive_join, yannakakis_join)
 from repro.telemetry import Tracer, use_tracer
+from repro.telemetry.tracing import current_tracer
 
 BACKENDS = available_column_backends()
 
@@ -66,9 +110,25 @@ def assert_byte_identical(relation, expected, name: str) -> None:
 
 
 @st.composite
+def disconnected_databases(draw):
+    """A database over two or three disjoint chains: the fold merges tree roots."""
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=3),
+                            min_size=2, max_size=3))
+    edges = []
+    for component, length in enumerate(lengths):
+        names = [f"D{component}_{index}" for index in range(length + 1)]
+        edges += [{names[index], names[index + 1]} for index in range(length)]
+    schema = DatabaseSchema.from_hypergraph(Hypergraph(edges))
+    return generate_database(schema, universe_rows=5, domain_size=3,
+                             dangling_fraction=draw(st.sampled_from([0.0, 0.4])),
+                             seed=draw(st.integers(min_value=0, max_value=100)))
+
+
+@st.composite
 def queries(draw):
     """A database plus outputs (``None`` = all, ``()`` = 0-ary)."""
-    database = draw(st.one_of(skewed_acyclic_databases(), skewed_cyclic_databases()))
+    database = draw(st.one_of(skewed_acyclic_databases(), skewed_cyclic_databases(),
+                              disconnected_databases()))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
     attributes = sorted_nodes(database.schema.attributes)
     width = rng.choice((None, 0, 1, 2, 3))
@@ -83,6 +143,35 @@ def accounting(result):
     return (statistics.intermediate_sizes, statistics.semijoin_steps,
             statistics.rows_removed_by_reduction, statistics.reduced_sizes,
             result.decoded().attributes)
+
+
+def copy_of(database: Database) -> Database:
+    """A value-equal database the engine has never seen (new relation objects)."""
+    return Database(database.schema, {
+        relation.name: Relation.from_valid_rows(relation.schema, relation.rows)
+        for relation in database.relations()})
+
+
+def renamed_copy(database: Database) -> Database:
+    """The same data under other relation names, each with its columns reversed."""
+    relations = {}
+    for relation in database.relations():
+        schema = RelationSchema(f"X{relation.name}", relation.attributes[::-1])
+        relations[schema.name] = Relation(schema, [
+            {attribute: row[attribute] for attribute in schema.attributes}
+            for row in relation.rows])
+    return Database(DatabaseSchema([relation.schema for relation in relations.values()]),
+                    relations)
+
+
+def fresh_storages(blocks):
+    """The same vertex blocks over storages no kernel has touched yet."""
+    return {vertex: pickle.loads(pickle.dumps(block))
+            for vertex, block in blocks.items()}
+
+
+def counter_delta(before, after):
+    return {name: after[name] - before[name] for name in after}
 
 
 @SETTINGS
@@ -105,44 +194,128 @@ def test_warm_executes_replay_the_first_and_a_fresh_sessions(query, backend,
 
 
 # --------------------------------------------------------------------------- #
-# The program is the loop
+# The oracles: the per-run loops the compiled program replaced
 # --------------------------------------------------------------------------- #
+def reference_verify(blocks, rooted) -> bool:
+    """The per-run proof-of-reduction check, kept as an oracle."""
+    for vertex, parent in rooted.order:
+        if parent is None:
+            continue
+        child_block = blocks[vertex]
+        parent_block = blocks[parent]
+        if semijoin_blocks(parent_block, child_block) is not parent_block:
+            return False
+        if semijoin_blocks(child_block, parent_block) is not child_block:
+            return False
+    return True
+
+
+def reference_reduce(reducer, blocks, *, trace=None, check_hook=None):
+    """The per-run reducer loop the compiled program replaced, kept as an oracle."""
+    hook = check_hook if check_hook is not None else reference_verify
+    span = current_tracer().span("reduce")
+    with span:
+        current = dict(blocks)
+        sizes_before = tuple(len(current[vertex]) for vertex, _ in reducer.rooted.order)
+        component_of: Dict = {}
+        for vertex, parent in reducer.rooted.order:
+            component_of[vertex] = component_of[parent] if parent is not None else vertex
+        dead_components: set = set()
+
+        def kill_component(component) -> int:
+            dead_components.add(component)
+            emptied = 0
+            for vertex, owner in component_of.items():
+                if owner is component and len(current[vertex]):
+                    emptied += len(current[vertex])
+                    current[vertex] = current[vertex].empty()
+            return emptied
+
+        removed = 0
+        steps_run = 0
+        for vertex, _parent in reducer.rooted.order:
+            if len(current[vertex]) == 0:
+                removed += kill_component(component_of[vertex])
+        for step in reducer.steps:
+            if component_of[step.target] in dead_components:
+                continue
+            target = current[step.target]
+            reduced = semijoin_blocks(target, current[step.source], on=step.on)
+            steps_run += 1
+            if reduced is not target:
+                removed += len(target) - len(reduced)
+                current[step.target] = reduced
+                if len(reduced) == 0:
+                    removed += kill_component(component_of[step.target])
+        sizes_after = tuple(len(current[vertex]) for vertex, _ in reducer.rooted.order)
+        if trace is not None:
+            trace.steps_run += steps_run
+            trace.rows_removed += removed
+            trace.sizes_before = sizes_before
+            trace.sizes_after = sizes_after
+        if span.is_recording:
+            span.set("vertices", [format_node_set(vertex)
+                                  for vertex, _ in reducer.rooted.order])
+            span.set("sizes_before", list(sizes_before))
+            span.set("sizes_after", list(sizes_after))
+            span.set("rows_removed", removed)
+            span.set("steps", steps_run)
+        if not hook(current, reducer.rooted):
+            raise ReductionError("proof-of-reduction check failed")
+        return current
+
+
 def reference_fold(rooted, reduced, wanted: Optional[FrozenSet], order_children):
     """The per-run fold loop the compiled program replaced, kept as an oracle."""
-    intermediates: List[int] = []
-    partial: Dict = {}
-    for vertex, parent in rooted.leaf_to_root():
-        current = reduced[vertex]
-        children = order_children(vertex, rooted.children_of(vertex))
-        final_keep = None
-        if wanted is not None:
-            subtree_attributes = set(vertex)
-            for child in children:
-                subtree_attributes.update(partial[child].attribute_set)
-            final_keep = frozenset(subtree_attributes) & wanted
-            if parent is not None:
-                final_keep |= frozenset(vertex) & frozenset(parent)
-        child_separators = [frozenset(vertex) & frozenset(child) for child in children]
-        for index, child in enumerate(children):
+    span = current_tracer().span("fold")
+    with span:
+        intermediates: List[int] = []
+        partial: Dict = {}
+        for vertex, parent in rooted.leaf_to_root():
+            current = reduced[vertex]
+            children = order_children(vertex, rooted.children_of(vertex))
+            final_keep = None
+            if wanted is not None:
+                subtree_attributes = set(vertex)
+                for child in children:
+                    subtree_attributes.update(partial[child].attribute_set)
+                final_keep = frozenset(subtree_attributes) & wanted
+                if parent is not None:
+                    final_keep |= frozenset(vertex) & frozenset(parent)
+            child_separators = [frozenset(vertex) & frozenset(child)
+                                for child in children]
+            for index, child in enumerate(children):
+                keep = None
+                if final_keep is not None:
+                    keep = final_keep.union(*child_separators[index + 1:])
+                current = natural_join_blocks(current, partial[child], project_onto=keep)
+                intermediates.append(len(current))
+            if final_keep is not None and final_keep != current.attribute_set:
+                current = current.project_onto(final_keep).distinct()
+            partial[vertex] = current
+        roots = rooted.roots
+        result = partial[roots[0]]
+        for other_root in roots[1:]:
             keep = None
-            if final_keep is not None:
-                keep = final_keep.union(*child_separators[index + 1:])
-            current = natural_join_blocks(current, partial[child], project_onto=keep)
-            intermediates.append(len(current))
-        if final_keep is not None and final_keep != current.attribute_set:
-            current = current.project_onto(final_keep).distinct()
-        partial[vertex] = current
-    roots = rooted.roots
-    result = partial[roots[0]]
-    for other_root in roots[1:]:
-        keep = None
-        if wanted is not None:
-            keep = (result.attribute_set | partial[other_root].attribute_set) & wanted
-        result = natural_join_blocks(result, partial[other_root], project_onto=keep)
-        intermediates.append(len(result))
-    if wanted is not None and wanted & result.attribute_set != result.attribute_set:
-        result = result.project_onto(wanted).distinct()
-    return result.with_column_order(sorted_nodes(result.attributes)), intermediates
+            if wanted is not None:
+                keep = (result.attribute_set | partial[other_root].attribute_set) & wanted
+            result = natural_join_blocks(result, partial[other_root], project_onto=keep)
+            intermediates.append(len(result))
+        if wanted is not None and wanted & result.attribute_set != result.attribute_set:
+            result = result.project_onto(wanted).distinct()
+        result = result.with_column_order(sorted_nodes(result.attributes))
+        if span.is_recording:
+            span.set("intermediates", list(intermediates))
+            span.set("output_rows", len(result))
+        return result, intermediates
+
+
+def _order(plan):
+    return getattr(plan, "order_children", lambda vertex, children: children)
+
+
+def _skip_check(blocks, rooted) -> bool:
+    return True
 
 
 def _plans(database, wanted):
@@ -176,6 +349,55 @@ def _joins(tracer: Tracer):
             for record in tracer.records if record["name"] == "kernel:join"]
 
 
+def _trace_figures(trace: ReductionTrace):
+    return (trace.steps_run, trace.rows_removed, trace.sizes_before, trace.sizes_after)
+
+
+def _selections(reduced, vertices):
+    return [(reduced[vertex].storage_token(), reduced[vertex].selection_bytes(),
+             reduced[vertex].attributes, reduced[vertex].name) for vertex in vertices]
+
+
+# --------------------------------------------------------------------------- #
+# The program is the loop
+# --------------------------------------------------------------------------- #
+@SETTINGS
+@given(query=queries(), backend=st.sampled_from(BACKENDS), check=st.booleans())
+def test_the_reducer_program_is_the_reducer_loop(query, backend, check):
+    database, outputs = query
+    wanted = frozenset(outputs) if outputs is not None else None
+    hook = None if check else _skip_check
+    with use_column_backend(resolve_column_backend(backend)):
+        for plan, blocks in _plans(database, wanted):
+            reducer, vertices = plan.reducer, list(blocks)
+            for loop_first in (True, False):
+                # Whichever runs first fills the memo on fresh storages; the
+                # second must be answered from it entirely — same keys.
+                inputs = fresh_storages(blocks)
+                runs = [("loop", lambda trace: reference_reduce(
+                            reducer, inputs, trace=trace, check_hook=hook)),
+                        ("program", lambda trace: reducer.run_blocks(
+                            inputs, trace=trace, check_hook=hook))]
+                if not loop_first:
+                    runs.reverse()
+                outcome = {}
+                for label, run in runs:
+                    trace = ReductionTrace()
+                    before = column_cache_info()
+                    reduced = run(trace)
+                    outcome[label] = (reduced, trace,
+                                      counter_delta(before, column_cache_info()))
+                loop, loop_trace, _ = outcome["loop"]
+                program, program_trace, _ = outcome["program"]
+                assert _selections(program, vertices) == _selections(loop, vertices)
+                assert _trace_figures(program_trace) == _trace_figures(loop_trace)
+                first, second = (outcome[label][2] for label, _ in runs)
+                assert second["keyset_misses"] == 0
+                assert second["selection_keys"] == 0
+                assert second["keyset_hits"] == \
+                    first["keyset_hits"] + first["keyset_misses"]
+
+
 @SETTINGS
 @given(query=queries(), backend=st.sampled_from(BACKENDS))
 def test_the_compiled_program_runs_the_loops_kernels(query, backend):
@@ -183,21 +405,192 @@ def test_the_compiled_program_runs_the_loops_kernels(query, backend):
     wanted = frozenset(outputs) if outputs is not None else None
     with use_column_backend(resolve_column_backend(backend)):
         for plan, blocks in _plans(database, wanted):
-            reduced = plan.reducer.run_blocks(blocks)
-            order = getattr(plan, "order_children",
-                            lambda vertex, children: children)
+            reduced = reference_reduce(plan.reducer, blocks)
             replayed, looped = Tracer(), Tracer()
             with use_tracer(looped):
                 expected, expected_sizes = reference_fold(plan.rooted, reduced,
-                                                          wanted, order)
-            program = fold_program(plan, wanted)
-            assert fold_program(plan, wanted) is program
+                                                          wanted, _order(plan))
+            program = bound_program(plan, wanted)
+            assert bound_program(plan, wanted) is program
+            # Over reduced blocks the program's reducer steps are fixpoints,
+            # so its fold starts from exactly the loop's inputs.
             with use_tracer(replayed):
-                result, sizes = fold_join_tree(program, reduced)
-            assert sizes == expected_sizes
+                result, sizes, phases = run_columnar_plan(plan, None, reduced, wanted)
+            assert set(phases) == {"reduce", "fold"}
+            assert list(sizes) == expected_sizes
             assert _joins(replayed) == _joins(looped)
-            assert result.attributes == expected.attributes == program.columns
+            assert result.attributes == expected.attributes == program.fold.columns
             assert result.to_relation() == expected.to_relation()
+
+
+@SETTINGS
+@given(query=queries(), backend=st.sampled_from(BACKENDS))
+def test_the_programs_proof_pairs_are_the_loops_check(query, backend):
+    database, outputs = query
+    wanted = frozenset(outputs) if outputs is not None else None
+    with use_column_backend(resolve_column_backend(backend)):
+        for plan, blocks in _plans(database, wanted):
+            reduced = reference_reduce(plan.reducer, blocks, check_hook=_skip_check)
+            for candidate in (blocks, reduced):
+                inputs = fresh_storages(candidate)
+                expected = reference_verify(inputs, plan.rooted)
+                assert verify_full_reduction_blocks(inputs, plan.rooted) is expected
+                if expected:
+                    assert plan.reducer.run_blocks(inputs).keys() == inputs.keys()
+            assert verify_full_reduction_blocks(reduced, plan.rooted)
+            with pytest.raises(ReductionError):
+                plan.reducer.run_blocks(blocks, check_hook=lambda blocks, rooted: False)
+
+
+# --------------------------------------------------------------------------- #
+# A warm execute re-derives nothing and is the oracle's run
+# --------------------------------------------------------------------------- #
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a warm execute re-derived per-step structure")
+
+
+def _forbid_per_step_derivation(patch: pytest.MonkeyPatch) -> None:
+    for name in ("_separator", "shared_block_attributes", "check_one_generation"):
+        patch.setattr(kernels_module, name, _forbidden)
+    for module in (block_module, columnar_package):
+        patch.setattr(module, "column_cache_info", _forbidden)
+    patch.setattr(yannakakis_module, "column_cache_info", _forbidden, raising=False)
+    patch.setattr(EdgeCluster, "width", property(_forbidden))
+    patch.setattr(executor_module, "compile_fold_program", _forbidden)
+    patch.setattr(executor_module, "_link_fold", _forbidden)
+    patch.setattr(executor_module.ReductionProgram, "__init__", _forbidden)
+
+
+@SETTINGS
+@given(query=queries(), backend=st.sampled_from(BACKENDS), adaptive=st.booleans(),
+       check=st.booleans())
+def test_warm_executes_derive_nothing_per_step(query, backend, adaptive, check):
+    database, outputs = query
+    prepared = EngineSession(column_backend=backend, adaptive=adaptive,
+                             check_reduction=check).prepare(database, outputs)
+    first = prepared.execute(database)
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_per_step_derivation(patch)
+        for tracer in (None, Tracer()):
+            with use_tracer(tracer):
+                warm = prepared.execute(database)
+            assert warm.decoded() == first.decoded()
+            assert accounting(warm) == accounting(first)
+            assert warm.statistics.index_cache_misses == 0
+
+
+def _oracle_run(prepared, database, result, *, check: bool):
+    """Encode, the oracle loops' reduce and fold, and decode over the binding's inputs."""
+    binding = prepared._binding_for(database)
+    plan = result.plan
+    tree_plan = plan if prepared.kind == "acyclic" else plan.inner
+    inputs, schemes = database.relations(), None
+    if prepared.kind == "cyclic":
+        materialised = binding.warm.materialised_state[2]
+        inputs, schemes = materialised.blocks, materialised.schemes
+    active = result.annotated if result.annotated is not None else tree_plan
+    blocks = vertex_blocks(inputs, tree_plan.vertices, schemes)
+    reduced = reference_reduce(active.reducer, blocks,
+                               check_hook=None if check else _skip_check)
+    block, _ = reference_fold(active.rooted, reduced, prepared._wanted, _order(active))
+    return block.to_relation(prepared.name)
+
+
+def _span_forest(tracer: Tracer):
+    records = [record for record in tracer.records
+               if record["name"] in ("reduce", "fold")
+               or record["name"].startswith("kernel:")]
+    names = {record["span_id"]: record["name"] for record in tracer.records}
+    return sorted((record["start"], record["name"],
+                   names.get(record["parent_id"]), record["attributes"])
+                  for record in records)
+
+
+@SETTINGS
+@given(query=queries(), backend=st.sampled_from(BACKENDS), adaptive=st.booleans(),
+       check=st.booleans())
+def test_a_warm_execute_is_the_oracle_loops_run(query, backend, adaptive, check):
+    database, outputs = query
+    prepared = EngineSession(column_backend=backend, adaptive=adaptive,
+                             check_reduction=check).prepare(database, outputs)
+    first = prepared.execute(database)
+    observed = {}
+    with use_column_backend(resolve_column_backend(backend)):
+        for label in ("program", "loop"):
+            tracer = Tracer()
+            before = column_cache_info()
+            with use_tracer(tracer):
+                if label == "program":
+                    answer = prepared.execute(database).decoded()
+                else:
+                    answer = _oracle_run(prepared, database, first, check=check)
+            delta = counter_delta(before, column_cache_info())
+            forest = [(name, parent, attributes)
+                      for _, name, parent, attributes in _span_forest(tracer)]
+            observed[label] = (answer, delta, forest)
+    program, loop = observed["program"], observed["loop"]
+    assert program[0] == loop[0]
+    assert program[1] == loop[1]
+    # The oracle opens reduce / fold without the execute root around them.
+    strip = [(name, None if parent == "execute" else parent, attributes)
+             for name, parent, attributes in program[2]]
+    assert strip == loop[2]
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(query=queries(), adaptive=st.booleans())
+def test_a_warm_binding_after_a_cache_clear_runs_like_a_fresh_one(query, adaptive):
+    database, outputs = query
+    prepared = EngineSession(adaptive=adaptive).prepare(database, outputs)
+    first = prepared.execute(database)
+    prepared.execute(database)
+    try:
+        runs = []
+        for make in (lambda: prepared,
+                     lambda: EngineSession(adaptive=adaptive).prepare(database, outputs)):
+            clear_column_caches()
+            query_ = make()
+            before = column_cache_info()
+            result = query_.execute(database)
+            runs.append((result, counter_delta(before, column_cache_info())))
+        (warm, warm_delta), (fresh, fresh_delta) = runs
+        assert warm.decoded() == fresh.decoded() == first.decoded()
+        assert accounting(warm) == accounting(fresh) == accounting(first)
+        for counter in ("keyset_hits", "keyset_misses", "selection_keys",
+                        "relation_misses", "relation_hits"):
+            assert warm_delta[counter] == fresh_delta[counter]
+        # The program lives on the binding's plan; only a cyclic adaptive
+        # binding annotates its re-materialised quotient anew.
+        assert warm_delta["fold_programs"] == \
+            (prepared.kind == "cyclic" and adaptive)
+        # The binding's relations are encoded again, by the run itself.
+        assert warm.statistics.index_cache_hits == 0
+        assert warm.statistics.index_cache_misses == len(database.relations())
+    finally:
+        clear_column_caches()
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(query=queries(), adaptive=st.booleans())
+def test_bindings_sharing_a_plan_each_link_the_fold_to_their_own_inputs(query,
+                                                                       adaptive):
+    """One plan serves every database of its schema fingerprint, whatever the
+    relations' names and column orders; each binding links the fold to its own."""
+    database, outputs = query
+    databases = (database, renamed_copy(database))
+    prepared = EngineSession(adaptive=adaptive).prepare(database, outputs)
+    expected = {}
+    for each in databases:
+        fresh = EngineSession(adaptive=adaptive).prepare(each, outputs).execute(each)
+        expected[id(each)] = (fresh.block.name, fresh.block.attributes, fresh.decoded())
+    for _ in range(2):
+        for each in databases:
+            result = prepared.execute(each)
+            assert (result.block.name, result.block.attributes,
+                    result.decoded()) == expected[id(each)]
+            assert_byte_identical(result.decoded(), oracle(each, outputs), prepared.name)
 
 
 # --------------------------------------------------------------------------- #
@@ -227,10 +620,68 @@ def test_two_threads_warm_execute_to_equal_answers(query, adaptive):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
     assert not errors
     for relation, figures in answers[0] + answers[1]:
         assert relation == expected
         assert relation.attributes == expected.attributes
         assert figures == accounting(first)
     assert_byte_identical(expected, oracle(database, outputs), prepared.name)
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(query=queries(), adaptive=st.booleans())
+def test_concurrent_executes_count_only_their_own_block_lookups(query, adaptive):
+    database, outputs = query
+    prepared = EngineSession(adaptive=adaptive).prepare(database, outputs)
+    counts = []
+    # More workers than cores, switching threads often: a count that leaked
+    # between concurrent runs would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (None, 3):
+            batch = prepared.execute_many([copy_of(database) for _ in range(3)],
+                                          max_workers=workers)
+            counts.append([(result.statistics.index_cache_hits,
+                            result.statistics.index_cache_misses)
+                           for result in batch.results])
+    finally:
+        sys.setswitchinterval(interval)
+    serial, threaded = counts
+    assert threaded == serial
+    for hits, misses in serial:
+        assert hits + misses == len(database.relations())
+
+
+# --------------------------------------------------------------------------- #
+# The benchmark's traced replay drives both entry points directly
+# --------------------------------------------------------------------------- #
+@SETTINGS
+@given(query=queries())
+def test_the_traced_bench_replay_entry_points_still_answer(query):
+    """``run_blocks(blocks, trace=, check_hook=)`` then ``run_columnar_plan``.
+
+    The repository benchmark's traced pass reduces with the first and times
+    the fold as the second's reduce (then a memo hit) subtracted from its
+    wall time; both must keep these signatures and this result shape.
+    """
+    database, outputs = query
+    wanted = frozenset(outputs) if outputs is not None else None
+    for plan, blocks in _plans(database, wanted):
+        annotated = plan if hasattr(plan, "annotation") else None
+        structure = annotated.structure if annotated is not None else plan
+        trace = ReductionTrace()
+        plan.reducer.run_blocks(blocks, trace=trace,
+                                check_hook=lambda blocks, rooted: True)
+        assert trace.steps_run <= len(plan.reducer)
+        block, intermediates, phases = run_columnar_plan(structure, annotated,
+                                                         blocks, wanted)
+        assert isinstance(intermediates, tuple)
+        assert set(phases) == {"reduce", "fold"}
+        answer = block.to_relation("replay")
+        expected = oracle(database, outputs)
+        assert answer.rows == expected.rows
+        assert answer.attributes == tuple(sorted_nodes(expected.schema.attribute_set))
