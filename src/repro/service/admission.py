@@ -41,9 +41,9 @@ __all__ = ["AdmissionConfig", "AdmissionController", "ClientSession",
 class AdmissionConfig:
     """The admission knobs (see the README's deployment notes).
 
-    * ``max_in_flight`` — global concurrent-execution cap; size it with the
-      execution pool (the service keeps ``pool ≥ max_in_flight + max_queued``
-      so queued waiters can never starve running work of threads);
+    * ``max_in_flight`` — global concurrent-execution cap; the server
+      serves ``max_in_flight + max_queued + 4`` connections, one thread
+      each, so queued waiters can never starve running work of threads;
     * ``max_in_flight_per_client`` — one tenant's share of the window;
     * ``max_queued`` — how many admitted-but-waiting requests may park;
     * ``queue_timeout_seconds`` — how long a parked request may wait before

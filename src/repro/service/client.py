@@ -1,26 +1,34 @@
 """A small blocking HTTP client for the query service.
 
-Thin by design — ``http.client`` plus JSON, no dependencies — because its
-job is to be the *other end* the tests, the benchmark and the
-``python -m repro.service`` demo drive.  One :class:`ServiceClient` wraps
+Thin by design — one socket plus JSON, no dependencies — because its job is
+to be the *other end* the tests, the benchmark and the
+``python -m repro.service`` demo drive.  One :class:`ServiceClient` holds
 one keep-alive connection guarded by a lock, so a client instance may be
 shared across threads (calls serialise on the connection); for genuinely
 concurrent traffic give each thread its own client, which is what the
-benchmark does.
+benchmark does.  A request — headers and body — leaves in one ``sendall``,
+and its response is read with :func:`~repro.service.protocol.read_message`,
+the framing code the server reads requests with.
 
 Service-level failures surface as :class:`ServiceCallError` carrying the
 protocol error code (``overloaded``, ``timeout``, ``unknown-method``, …)
 and the HTTP status, so callers branch on ``error.code`` rather than
-string-matching messages.
+string-matching messages.  A response the framing rejects — a status line
+that is not ``HTTP/1.x``, no ``Content-Length``, a ``Transfer-Encoding`` —
+is a ``transport-error``.  The request body limit guards the server's memory
+only: a response is read whatever its ``Content-Length``.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (Any, BinaryIO, Dict, Iterable, Mapping, Optional, Sequence,
+                    Tuple)
 from urllib.parse import urlparse
+
+from .protocol import _FramingError, read_message
 
 __all__ = ["ServiceCallError", "ServiceClient"]
 
@@ -58,44 +66,65 @@ class ServiceClient:
         self.client_id = client_id
         self._timeout = timeout_seconds
         self._lock = threading.Lock()
-        self._connection: Optional[http.client.HTTPConnection] = None
+        self._socket: Optional[socket.socket] = None
+        self._stream: Optional[BinaryIO] = None
         self._request_ids = iter(range(1, 1 << 62))
 
     # ------------------------------------------------------------------ #
     # Transport
     # ------------------------------------------------------------------ #
     def _request(self, method: str, path: str,
-                 body: Optional[bytes] = None) -> Tuple[int, str, bytes]:
-        """One HTTP exchange, with a single reconnect on a dead keep-alive."""
-        headers = {"Content-Type": "application/json",
-                   "Connection": "keep-alive"}
+                 body: bytes = b"") -> Tuple[int, str, bytes]:
+        """One HTTP exchange; a keep-alive the server dropped is retried once.
+
+        Only a reused connection is retried, and not after a timeout: a
+        fresh connection that fails raises, as does the retry.
+        """
+        message = (f"{method} {path} HTTP/1.1\r\n"
+                   f"Host: {self._host}:{self._port}\r\n"
+                   "Content-Type: application/json\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n"
+                   ).encode("latin-1") + body
         with self._lock:
-            for attempt in (0, 1):
-                if self._connection is None:
-                    self._connection = http.client.HTTPConnection(
-                        self._host, self._port, timeout=self._timeout)
+            while True:
+                reused = self._socket is not None
                 try:
-                    self._connection.request(method, path, body=body,
-                                             headers=headers)
-                    response = self._connection.getresponse()
-                    payload = response.read()
-                    content_type = response.getheader("Content-Type", "")
-                    return response.status, content_type, payload
-                except (http.client.HTTPException, ConnectionError, OSError):
-                    # The server may have dropped an idle keep-alive
-                    # connection; retry once on a fresh one.
+                    return self._exchange(message)
+                except _FramingError as error:
                     self._teardown()
-                    if attempt:
+                    raise ServiceCallError(
+                        f"malformed response from the service: {error}",
+                        code="transport-error") from None
+                except OSError as error:
+                    self._teardown()
+                    if not reused or isinstance(error, TimeoutError):
                         raise
-        raise AssertionError("unreachable")
+
+    def _exchange(self, message: bytes) -> Tuple[int, str, bytes]:
+        if self._socket is None:
+            self._socket = socket.create_connection(
+                (self._host, self._port), timeout=self._timeout)
+            self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._stream = self._socket.makefile("rb")
+        self._socket.sendall(message)
+        response = read_message(self._stream)
+        if response is None:
+            raise ConnectionResetError("the service closed the connection")
+        (version, status, *_), headers, payload = response
+        if not version.startswith("HTTP/1.") or not status.isdigit():
+            raise _FramingError(f"status line {version} {status} is not "
+                                "HTTP/1.x")
+        if "content-length" not in headers:
+            raise _FramingError("the response has no Content-Length")
+        if headers.get("connection", "").lower() == "close":
+            self._teardown()
+        return int(status), headers.get("content-type", ""), payload
 
     def _teardown(self) -> None:
-        if self._connection is not None:
-            try:
-                self._connection.close()
-            except Exception:  # noqa: BLE001 - already broken
-                pass
-            self._connection = None
+        if self._socket is not None:
+            self._stream.close()
+            self._socket.close()
+            self._socket = self._stream = None
 
     def close(self) -> None:
         with self._lock:

@@ -15,10 +15,10 @@ with the two properties the engine needs and the stdlib does not give:
   ``PreparedQuery.execute_many`` promises.
 
 Throughput note: prepared-query execution is pure Python, so the GIL
-serialises CPU-bound runs — an in-process pool overlaps *waiting* (network
-I/O in the service, native code that releases the GIL) rather than
-multiplying compute.  The query service is exactly that case: worker threads
-spend much of each request parked on socket writes and admission waits.
+serialises CPU-bound runs — an in-process pool overlaps *waiting* (native
+code that releases the GIL) rather than multiplying compute.  The query
+service runs requests on their connections' threads, never here: its pool
+only fans ``execute_many`` batches out.
 """
 
 from __future__ import annotations

@@ -26,12 +26,18 @@ admission rejections 429 (:class:`OverloadedError`) or 503
 (:class:`ShuttingDownError` during drain), and an execution that breaches
 its deadline maps :class:`~repro.exceptions.ExecutionTimeoutError` to a 504
 ``timeout`` response with the phase and budget attached.
+
+Both ends read HTTP/1.1 messages with :func:`read_message`, so they share
+one set of limits: a start line, at most 100 headers, lines of at most
+64 KiB, a ``Content-Length`` body, no ``Transfer-Encoding`` — and, for the
+server's requests only, a body of at most 64 MiB.  Anything else raises
+:class:`_FramingError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import ExecutionTimeoutError, ReproError
 
@@ -53,6 +59,7 @@ __all__ = [
     "parse_request",
     "ok_response",
     "error_response",
+    "read_message",
 ]
 
 PROTOCOL_VERSION = 1
@@ -370,3 +377,87 @@ def error_response(request_id: Optional[str],
     payload = {"version": PROTOCOL_VERSION, "id": request_id, "ok": False,
                "error": {"code": code, "message": str(error), **detail}}
     return status, payload
+
+
+# --------------------------------------------------------------------------- #
+# HTTP framing
+# --------------------------------------------------------------------------- #
+#: A line (start line or header, CRLF included) past this is refused.
+_MAX_LINE_BYTES = 64 * 1024
+
+#: More header lines than this are refused.
+_MAX_HEADERS = 100
+
+#: Request bodies past this are refused outright (64 MiB — generous for JSON
+#: RPC, small enough that a misbehaving peer cannot balloon the server's
+#: memory).  A response the client asked for is read whatever its length.
+_MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+class _FramingError(ProtocolError):
+    """The HTTP framing is broken: answered with an envelope, then closed.
+
+    400 for a malformed or over-long line, too many headers, a
+    ``Transfer-Encoding`` or a bad ``Content-Length``; 413 for a body past
+    :data:`_MAX_BODY_BYTES`.
+    """
+
+    code = "malformed-request"
+
+    def __init__(self, message: str, *, http_status: int = 400) -> None:
+        super().__init__(message)
+        self.http_status = http_status
+
+
+def _read_line(stream: BinaryIO) -> str:
+    line = stream.readline(_MAX_LINE_BYTES + 1)
+    if len(line) > _MAX_LINE_BYTES:
+        raise _FramingError(f"a line is longer than {_MAX_LINE_BYTES} bytes")
+    return line.decode("latin-1")
+
+
+def read_message(stream: BinaryIO, *, limit_body: bool = False
+                 ) -> Optional[Tuple[List[str], Dict[str, str], bytes]]:
+    """One message off ``stream``: its start line's words, headers, body.
+
+    Header names are lower-cased; ``limit_body`` (the server's requests)
+    refuses a body past :data:`_MAX_BODY_BYTES`.  ``None`` when the peer
+    closed (or sent a blank line) where a start line was due;
+    :class:`ConnectionError` when it closed mid-message.
+    """
+    words = _read_line(stream).split()
+    if not words:
+        return None
+    if len(words) < 2:
+        raise _FramingError("malformed start line")
+    headers: Dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(stream)
+        if not line:
+            raise ConnectionError("the peer closed the connection mid-headers")
+        if line in ("\r\n", "\n"):
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise _FramingError(f"more than {_MAX_HEADERS} headers")
+    if "transfer-encoding" in headers:
+        raise _FramingError("Transfer-Encoding is not supported; frame the "
+                            "body with Content-Length")
+    length = headers.get("content-length")
+    if length is None:
+        return words, headers, b""
+    try:
+        size = int(length)
+    except ValueError:
+        raise _FramingError(f"Content-Length {length!r} is not an "
+                            "integer") from None
+    if size < 0:
+        raise _FramingError(f"negative Content-Length {size}")
+    if limit_body and size > _MAX_BODY_BYTES:
+        raise _FramingError(f"Content-Length {size} exceeds the "
+                            f"{_MAX_BODY_BYTES}-byte limit", http_status=413)
+    body = stream.read(size)
+    if len(body) < size:
+        raise ConnectionError("the peer closed the connection mid-body")
+    return words, headers, body

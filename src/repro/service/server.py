@@ -1,4 +1,4 @@
-"""The query service: the protocol engine plus its asyncio HTTP front-end.
+"""The query service: the protocol engine plus its HTTP front-end.
 
 Two layers, deliberately separable:
 
@@ -9,22 +9,27 @@ Two layers, deliberately separable:
   the batch execution pool.  ``handle(document)`` takes one decoded JSON
   request and returns ``(http_status, response_document)`` — tests drive it
   directly, no sockets involved.
-* :class:`ServiceServer` — the stdlib-asyncio HTTP front-end and the
-  package's only listener.  One ``asyncio.start_server`` loop on a
-  background thread parses requests, offloads every ``POST /v1`` RPC to a
-  request pool so slow executions never stall the accept loop, and serves
-  the GET routes of one table (:data:`_GET_ROUTES`) inline: the session
-  monitor's ``/metrics`` / ``/health`` / ``/querylog`` / ``/quality`` —
-  mounted only when the session has a monitor — plus ``/stats`` and the
-  ``/`` index, which lists exactly the routes this service mounts.  To
-  scrape an in-process session's monitor, serve
-  ``ServiceServer(QueryService(session))``: no database need be
-  registered, and executes made on ``session`` directly land in the same
-  monitor.
+* :class:`ServiceServer` — the blocking HTTP/1.1 front-end and the
+  package's only listener.  Next to the ``POST /v1`` RPC endpoint it serves
+  the GET routes of one table (:data:`_GET_ROUTES`): the session monitor's
+  ``/metrics`` / ``/health`` / ``/querylog`` / ``/quality`` — mounted only
+  when the session has a monitor — plus ``/stats`` and the ``/`` index,
+  which lists exactly the routes this service mounts.  To scrape an
+  in-process session's monitor, serve ``ServiceServer(QueryService(session))``:
+  no database need be registered, and executes made on ``session`` directly
+  land in the same monitor.
 
-Concurrency shape: the *request pool* is sized to the whole admission
-window (``max_in_flight + max_queued`` plus slack) because admitted-but-
-queued requests park inside their worker thread; the separate *batch pool*
+Concurrency shape: a connection is a thread.  One accept thread hands each
+connection a thread that reads a request
+(:func:`~repro.service.protocol.read_message`), calls
+:meth:`QueryService.handle` and writes the response in one ``sendall`` — no
+hop between threads.  Admission waits park in that thread, so at most
+``max_in_flight + max_queued + 4`` connections are served at once.  At the
+cap a new connection evicts the longest-idle one (shuts its reads down; the
+client retries a dropped keep-alive), and only when every slot is handling a
+request does it get the gate's ``overloaded`` envelope (429).  An idle
+keep-alive waits untimed; a started request must arrive within
+:data:`_READ_TIMEOUT_SECONDS`.  The *batch pool*
 runs ``execute_many`` fan-out, so a batch can never deadlock waiting for
 threads its own request occupies.  Each request runs under
 :func:`~repro.telemetry.tracing.use_span_tags`, so every trace span an
@@ -41,25 +46,24 @@ reuses both the rows and the text, and :func:`_json_bytes` writes the
 response by encoding the small envelope around the answer and splicing the
 memoised text in — byte-identical to ``json.dumps`` of the envelope.
 
-Broken HTTP framing — a malformed request line, too many headers, a bad or
-oversized ``Content-Length`` — is answered with a ``malformed-request``
+Broken HTTP framing — a malformed or over-long line, too many headers, a
+bad or oversized ``Content-Length`` — is answered with a ``malformed-request``
 envelope (400, or 413 for an oversized body) and the connection is closed.
 
 Graceful drain (:meth:`ServiceServer.close`): stop accepting connections →
 flip the admission gate (new work gets 503 ``shutting-down``) → wait for
-in-flight requests to retire → cancel idle keep-alive connections → stop
-the loop and shut the pools down.
+in-flight requests to retire → shut the connections' reads down (an idle
+keep-alive closes, a busy one answers first) → join their threads.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
-from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from time import monotonic, perf_counter
+from typing import (Any, BinaryIO, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 from urllib.parse import parse_qs, urlparse
 
 from ..engine.columnar.block import WirePayload
@@ -72,13 +76,16 @@ from .admission import AdmissionConfig, AdmissionController, ClientRegistry
 from .pool import ExecutionPool
 from .protocol import (
     PROTOCOL_VERSION,
+    OverloadedError,
     ProtocolError,
     ServiceRequest,
     UnknownDatabaseError,
+    _FramingError,
     allowed_methods,
     error_response,
     ok_response,
     parse_request,
+    read_message,
 )
 
 __all__ = ["QueryService", "ServiceServer", "WIRE_OPTION_FIELDS"]
@@ -88,9 +95,11 @@ _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
-#: Request bodies past this are rejected outright (64 MiB — generous for
-#: JSON RPC, small enough that a misbehaving client cannot balloon memory).
-_MAX_BODY_BYTES = 64 * 1024 * 1024
+#: How long a started request's head and body may take to arrive.
+_READ_TIMEOUT_SECONDS = 10.0
+
+#: How long a connection closed on an error envelope discards the peer's bytes.
+_LINGER_SECONDS = 1.0
 
 #: The reason phrase of every status the service answers with.
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -107,20 +116,6 @@ WIRE_OPTION_FIELDS = frozenset({
     "adaptive", "check_reduction", "cluster_row_bound", "sample_limit",
     "force_cyclic", "column_backend", "trace", "deadline_seconds",
 })
-
-
-class _FramingError(ProtocolError):
-    """The HTTP framing is broken: answered with an envelope, then closed.
-
-    400 for a malformed request line, too many headers or a bad
-    ``Content-Length``; 413 for a body past :data:`_MAX_BODY_BYTES`.
-    """
-
-    code = "malformed-request"
-
-    def __init__(self, message: str, *, http_status: int = 400) -> None:
-        super().__init__(message)
-        self.http_status = http_status
 
 
 def _statistics_payload(statistics: object) -> Dict[str, Any]:
@@ -233,9 +228,9 @@ class QueryService:
         self.session = session if session is not None \
             else EngineSession(monitor=True)
         self.admission = AdmissionController(admission)
-        # The batch pool fans execute_many out; never share it with the
-        # server's request pool (a request waiting on its own batch would
-        # deadlock a saturated shared pool).
+        # The batch pool fans execute_many out and never runs a request
+        # itself (a request waiting on its own batch would deadlock a
+        # saturated shared pool).
         self.pool = pool if pool is not None else ExecutionPool(
             max_workers=self.admission.config.max_in_flight)
         self.clients = ClientRegistry()
@@ -272,8 +267,8 @@ class QueryService:
         """One request in, ``(http_status, response_document)`` out.
 
         Never raises: every failure becomes the matching protocol error
-        envelope.  Runs synchronously in the calling thread — the HTTP
-        layer offloads calls to its request pool.
+        envelope.  Runs synchronously in the calling thread — over HTTP,
+        the connection's own thread.
         """
         request_id = document.get("id") if isinstance(document, dict) else None
         if request_id is not None and not isinstance(request_id, str):
@@ -445,10 +440,10 @@ class QueryService:
 
 
 # --------------------------------------------------------------------------- #
-# The asyncio HTTP front-end
+# The HTTP front-end
 # --------------------------------------------------------------------------- #
 class ServiceServer:
-    """A background-threaded asyncio HTTP server over one :class:`QueryService`.
+    """A blocking, thread-per-connection HTTP server over one :class:`QueryService`.
 
     ``port=0`` binds a free port; read :attr:`url` back after :meth:`start`.
     Use as a context manager, or pair :meth:`start` with :meth:`close`.
@@ -457,98 +452,61 @@ class ServiceServer:
     def __init__(self, service: QueryService, *, host: str = "127.0.0.1",
                  port: int = 0, drain_timeout_seconds: float = 10.0) -> None:
         self._service = service
-        self._requested = (host, port)
-        self._drain_timeout = drain_timeout_seconds
-        config = service.admission.config
-        # Every admitted-or-queued request parks inside one request-pool
-        # thread (admission waits happen there), so the pool must cover the
-        # whole window or queued requests would starve running ones.
-        self._request_pool = ThreadPoolExecutor(
-            max_workers=config.max_in_flight + config.max_queued + 4,
-            thread_name_prefix="repro-service-rpc")
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._connections: set = set()
         self._bound: Tuple[str, int] = (host, port)
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        self._drain_timeout = drain_timeout_seconds
+        # Admitted-or-queued requests park in their connections' threads, so
+        # the cap covers the whole admission window plus the GET routes.
+        config = service.admission.config
+        self._capacity = config.max_in_flight + config.max_queued + 4
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        self._lock = threading.Lock()  # guards _connections and _idle
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        # The connections not handling a request, longest-idle first.
+        self._idle: Dict[socket.socket, bool] = {}
+        self._closing = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "ServiceServer":
-        """Bind and serve on a background event-loop thread; idempotent."""
-        if self._thread is not None:
+        """Bind and start the accept thread; idempotent."""
+        if self._listener is not None:
             return self
-        self._thread = threading.Thread(target=self._run_loop,
-                                        name="repro-service-loop", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=10.0)
-        if self._startup_error is not None:
-            error, self._startup_error = self._startup_error, None
-            self._thread.join(timeout=5.0)
-            self._thread = None
-            raise error
+        self._listener = socket.create_server(self._bound)
+        host, port = self._listener.getsockname()[:2]
+        self._bound = (str(host), int(port))
+        self._acceptor = threading.Thread(
+            target=self._accept, args=(self._listener,),
+            name="repro-service-accept", daemon=True)
+        self._acceptor.start()
         return self
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            try:
-                server = loop.run_until_complete(asyncio.start_server(
-                    self._serve_connection, *self._requested))
-            except BaseException as error:  # noqa: BLE001 - surfaced to start()
-                self._startup_error = error
-                return
-            self._server = server
-            sockname = server.sockets[0].getsockname()
-            self._bound = (str(sockname[0]), int(sockname[1]))
-            self._started.set()
-            loop.run_forever()
-            # Drain-time cleanup, scheduled by close() before stopping us.
-            loop.run_until_complete(loop.shutdown_asyncgens())
-        finally:
-            self._started.set()
-            loop.close()
 
     def close(self) -> None:
         """Graceful drain and shutdown; idempotent.
 
         Stops accepting, flips the admission gate (new work → 503), waits
-        up to the drain timeout for in-flight requests, then tears the
-        loop, connections and pools down.
+        up to the drain timeout for in-flight requests, then shuts every
+        connection's reads down — an idle keep-alive wakes and closes, a
+        busy connection answers first — and joins the connection threads.
         """
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
+        listener, self._listener = self._listener, None
+        if listener is None:
             return
-        self._loop = self._thread = None
-
-        def _stop_accepting() -> None:
-            if self._server is not None:
-                self._server.close()
-
-        loop.call_soon_threadsafe(_stop_accepting)
+        self._closing = True
+        _shutdown(listener, socket.SHUT_RDWR)  # wakes the blocked accept()
+        listener.close()
+        self._acceptor.join()
         # Reject new executions, let admitted ones retire.
         self._service.begin_drain()
         self._service.drain(self._drain_timeout)
-
-        async def _teardown() -> None:
-            tasks = tuple(self._connections)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            loop.stop()
-
-        def _schedule_teardown() -> None:
-            loop.create_task(_teardown())
-
-        loop.call_soon_threadsafe(_schedule_teardown)
-        thread.join(timeout=self._drain_timeout + 5.0)
-        self._request_pool.shutdown(wait=True)
+        with self._lock:
+            connections = dict(self._connections)
+        for sock in connections:
+            _shutdown(sock, socket.SHUT_RD)
+        deadline = monotonic() + self._drain_timeout
+        for worker in connections.values():
+            worker.join(max(deadline - monotonic(), 0.0))
         self._service.pool.shutdown(wait=True)
 
     def __enter__(self) -> "ServiceServer":
@@ -581,84 +539,109 @@ class ServiceServer:
     # ------------------------------------------------------------------ #
     # HTTP plumbing
     # ------------------------------------------------------------------ #
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
+    def _accept(self, listener: socket.socket) -> None:
+        """The accept thread: a thread per connection, up to the cap."""
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                if self._closing:
+                    return
+                continue  # a connection reset before it was accepted
+            if not self._admit(sock):
+                retry = self._service.admission.config.queue_timeout_seconds
+                self._send_last(sock, OverloadedError(
+                    f"the server is handling {self._capacity} requests, its "
+                    "cap", retry_after_seconds=retry))
+                sock.close()
+
+    def _admit(self, sock: socket.socket) -> bool:
+        """Start ``sock``'s thread; at the cap, evict idle connections first.
+
+        The longest-idle connection — waiting for, or still reading, a
+        request — has its reads shut down and its thread joined (a client
+        retries a dropped keep-alive).  ``False`` only when every slot is
+        handling a request.
+        """
+        while True:
+            with self._lock:
+                if len(self._connections) < self._capacity:
+                    worker = self._connections[sock] = threading.Thread(
+                        target=self._serve, args=(sock,),
+                        name="repro-service-connection", daemon=True)
+                    self._idle[sock] = True
+                    break
+                if not self._idle:
+                    return False
+                idle = next(iter(self._idle))
+                del self._idle[idle]
+                evicted = self._connections[idle]
+            _shutdown(idle, socket.SHUT_RD)
+            evicted.join()
+        worker.start()
+        return True
+
+    def _serve(self, sock: socket.socket) -> None:
+        """One connection's thread: read, handle, answer, until it closes."""
+        stream = sock.makefile("rb")
         try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _FramingError as error:
-                    status, envelope = error_response(None, error)
-                    writer.write(self._render(status, _JSON_CONTENT_TYPE,
-                                              _json_bytes(envelope), False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                status, content_type, payload = await self._dispatch(
-                    method, path, body)
-                writer.write(self._render(status, content_type, payload,
-                                          keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                ConnectionError, asyncio.CancelledError):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._converse(sock, stream)
+        except _FramingError as error:
+            self._send_last(sock, error)
+        except OSError:  # the peer went away, a read timed out, or shut down
             pass
         finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - socket already gone
-                pass
+            stream.close()
+            sock.close()
+            with self._lock:
+                del self._connections[sock]
+                self._idle.pop(sock, None)
 
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader
-                            ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection.
+    def _converse(self, sock: socket.socket, stream: BinaryIO) -> None:
+        while True:
+            if not stream.peek(1):  # an idle keep-alive waits here, untimed
+                return
+            sock.settimeout(_READ_TIMEOUT_SECONDS)
+            message = read_message(stream, limit_body=True)
+            sock.settimeout(None)
+            with self._lock:
+                if not self._idle.pop(sock, False):
+                    return  # evicted for a new connection while reading
+            if message is None:
+                return
+            (method, target, *_), headers, body = message
+            status, content_type, payload = self._dispatch(
+                method.upper(), target, body)
+            keep_alive = (headers.get("connection", "").lower() != "close"
+                          and not self._closing)
+            sock.sendall(self._render(status, content_type, payload,
+                                      keep_alive))
+            if not keep_alive:
+                return
+            with self._lock:
+                self._idle[sock] = True
 
-        Broken framing raises :class:`_FramingError`: the stream position is
-        unknown after it, so the caller answers and closes.
+    def _send_last(self, sock: socket.socket, error: Exception) -> None:
+        """Answer ``error``'s envelope with ``Connection: close``, then linger.
+
+        After the response the socket is half-closed and whatever the peer
+        still sends is discarded for up to :data:`_LINGER_SECONDS`: closing
+        with unread bytes would reset the connection and could lose the
+        response.
         """
-        request_line = await reader.readline()
-        if not request_line or not request_line.strip():
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise _FramingError("malformed request line")
-        method, target = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        for _ in range(100):
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _FramingError("too many headers")
-        body = b""
-        length = headers.get("content-length")
-        if length is not None:
-            try:
-                size = int(length)
-            except ValueError:
-                raise _FramingError(f"Content-Length {length!r} is not an "
-                                    "integer") from None
-            if size < 0:
-                raise _FramingError(f"negative Content-Length {size}")
-            if size > _MAX_BODY_BYTES:
-                raise _FramingError(
-                    f"Content-Length {size} exceeds the {_MAX_BODY_BYTES}-byte "
-                    "limit", http_status=413)
-            body = await reader.readexactly(size)
-        return method, target, headers, body
+        status, envelope = error_response(None, error)
+        try:
+            sock.sendall(self._render(status, _JSON_CONTENT_TYPE,
+                                      _json_bytes(envelope), False))
+            sock.shutdown(socket.SHUT_WR)
+            deadline = monotonic() + _LINGER_SECONDS
+            while True:
+                sock.settimeout(max(deadline - monotonic(), 0.0))
+                if not sock.recv(65536):
+                    return
+        except OSError:  # timed out, nothing left to read, or the peer left
+            pass
 
     @staticmethod
     def _render(status: int, content_type: str, payload: bytes,
@@ -670,8 +653,8 @@ class ServiceServer:
                 "Server: repro-service/1.0\r\n\r\n")
         return head.encode("latin-1") + payload
 
-    async def _dispatch(self, method: str, target: str,
-                        body: bytes) -> Tuple[int, str, bytes]:
+    def _dispatch(self, method: str, target: str,
+                  body: bytes) -> Tuple[int, str, bytes]:
         """Route one request: the ``POST /v1`` RPC first, then the GET table."""
         parsed = urlparse(target)
         route = parsed.path.rstrip("/") or "/"
@@ -687,9 +670,7 @@ class ServiceServer:
                         f"request body is not valid JSON: {error}",
                         code="malformed-request"))
                     return status, _JSON_CONTENT_TYPE, _json_bytes(envelope)
-                loop = asyncio.get_running_loop()
-                status, envelope = await loop.run_in_executor(
-                    self._request_pool, self._service.handle, document)
+                status, envelope = self._service.handle(document)
                 return status, _JSON_CONTENT_TYPE, _json_bytes(envelope)
             if method != "GET":
                 return (405, _JSON_CONTENT_TYPE,
@@ -706,9 +687,17 @@ class ServiceServer:
             if entry.content_type == _JSON_CONTENT_TYPE:
                 return 200, _JSON_CONTENT_TYPE, _json_bytes(payload)
             return 200, entry.content_type, payload.encode("utf-8")
-        except Exception as error:  # noqa: BLE001 - a request must not kill the loop
+        except Exception as error:  # noqa: BLE001 - a request must not kill the connection
             return (500, _JSON_CONTENT_TYPE, _json_bytes(
                 {"error": f"{type(error).__name__}: {error}"}))
+
+
+def _shutdown(sock: socket.socket, how: int) -> None:
+    """``sock.shutdown(how)``, ignoring a socket that is already gone."""
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass
 
 
 # --------------------------------------------------------------------------- #

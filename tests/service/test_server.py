@@ -497,7 +497,7 @@ def test_a_non_integer_content_length_is_a_400(server):
 
 
 def test_an_oversized_content_length_is_a_413(server):
-    from repro.service.server import _MAX_BODY_BYTES
+    from repro.service.protocol import _MAX_BODY_BYTES
 
     _assert_framing_error(
         _raw_exchange(server, b"POST /v1 HTTP/1.1\r\nHost: x\r\n"
@@ -515,6 +515,34 @@ def test_more_than_a_hundred_headers_is_a_400(server):
     headers = b"".join(b"X-Filler-%d: y\r\n" % index for index in range(101))
     _assert_framing_error(
         _raw_exchange(server, b"GET /stats HTTP/1.1\r\n" + headers + b"\r\n"),
+        b"HTTP/1.1 400 Bad Request")
+
+
+def test_an_over_long_request_line_is_a_400(server):
+    _assert_framing_error(
+        _raw_exchange(server, b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n"),
+        b"HTTP/1.1 400 Bad Request")
+
+
+def test_an_over_long_header_line_is_a_400(server):
+    _assert_framing_error(
+        _raw_exchange(server, b"GET /stats HTTP/1.1\r\nX-Filler: "
+                              + b"y" * 70_000 + b"\r\n\r\n"),
+        b"HTTP/1.1 400 Bad Request")
+
+
+def test_a_hundred_headers_are_served(server):
+    headers = b"".join(b"X-Filler-%d: y\r\n" % index for index in range(99))
+    response = _raw_exchange(server, b"GET /stats HTTP/1.1\r\n" + headers
+                             + b"Connection: close\r\n\r\n")
+    assert response.startswith(b"HTTP/1.1 200 OK\r\n")
+
+
+def test_a_chunked_request_is_a_400(server):
+    _assert_framing_error(
+        _raw_exchange(server, b"POST /v1 HTTP/1.1\r\nHost: x\r\n"
+                              b"Transfer-Encoding: chunked\r\n\r\n"
+                              b"2\r\n{}\r\n0\r\n\r\n"),
         b"HTTP/1.1 400 Bad Request")
 
 
