@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import HypergraphError
 from .hypergraph import Edge, Hypergraph
-from .nodes import Node, NodeSet, format_node_set, sorted_nodes
+from .nodes import Node, NodeSet, edge_sort_key, format_node_set, sorted_nodes
 
 __all__ = [
     "NodeRemoval",
@@ -202,7 +202,7 @@ def applicable_edge_removals(hypergraph: Hypergraph) -> Tuple[EdgeRemoval, ...]:
     for edge in edges:
         witnesses = [other for other in edges if other != edge and edge <= other]
         if witnesses:
-            witness = min(witnesses, key=lambda e: (sorted_nodes(e), len(e)))
+            witness = min(witnesses, key=edge_sort_key)
             removals.append(EdgeRemoval(edge=edge, witness=witness))
     return tuple(removals)
 

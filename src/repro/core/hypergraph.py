@@ -21,6 +21,7 @@ from ..exceptions import HypergraphError, UnknownEdgeError, UnknownNodeError
 from .nodes import (
     Node,
     NodeSet,
+    edge_sort_key,
     format_node_set,
     maximal_sets,
     node_sort_key,
@@ -81,7 +82,7 @@ class Hypergraph:
         unique: Dict[Edge, None] = {}
         for edge in normalised:
             unique.setdefault(edge, None)
-        ordered = sorted(unique, key=lambda e: (sorted_nodes(e), len(e)))
+        ordered = sorted(unique, key=edge_sort_key)
         self._edges: Tuple[Edge, ...] = tuple(ordered)
         node_universe = set()
         for edge in self._edges:

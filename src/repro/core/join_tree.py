@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from ..exceptions import CyclicHypergraphError, HypergraphError
 from .components import UnionFind
 from .hypergraph import Edge, Hypergraph
-from .nodes import Node, NodeSet, format_node_set, sorted_nodes
+from .nodes import Node, NodeSet, edge_sort_key, format_node_set
 
 __all__ = [
     "JoinTree",
@@ -151,13 +151,40 @@ class JoinTree:
         return len(structure.groups())
 
     def neighbours(self, vertex: Edge) -> Tuple[Edge, ...]:
-        """The neighbouring vertices of ``vertex`` in the tree."""
-        result = []
-        for pair in self.tree_edges:
-            if vertex in pair:
-                (other,) = tuple(pair - {vertex})
-                result.append(other)
-        return tuple(sorted(result, key=lambda e: sorted_nodes(e)))
+        """The neighbouring vertices of ``vertex`` in the tree, in canonical order."""
+        return self._adjacency().get(vertex, ())
+
+    # The canonical order and the adjacency are derived lazily and memoised
+    # on the instance, as RootedJoinTree's maps are.
+    def canonical_vertices(self) -> Tuple[Edge, ...]:
+        """The vertices in canonical (:func:`~repro.core.nodes.edge_sort_key`) order."""
+        return self._ranked()[0]
+
+    def vertex_rank(self) -> Dict[Edge, int]:
+        """Each vertex's position in :meth:`canonical_vertices`."""
+        return self._ranked()[1]
+
+    def _ranked(self) -> Tuple[Tuple[Edge, ...], Dict[Edge, int]]:
+        cached = getattr(self, "_rank_cache", None)
+        if cached is None:
+            ordered = tuple(sorted(self.vertices, key=edge_sort_key))
+            cached = (ordered, {vertex: position for position, vertex in enumerate(ordered)})
+            object.__setattr__(self, "_rank_cache", cached)
+        return cached
+
+    def _adjacency(self) -> Dict[Edge, Tuple[Edge, ...]]:
+        cached = getattr(self, "_adjacency_cache", None)
+        if cached is None:
+            grouped: Dict[Edge, List[Edge]] = {vertex: [] for vertex in self.vertices}
+            for pair in self.tree_edges:
+                left, right = tuple(pair)
+                grouped[left].append(right)
+                grouped[right].append(left)
+            rank = self.vertex_rank()
+            cached = {vertex: tuple(sorted(neighbours, key=rank.__getitem__))
+                      for vertex, neighbours in grouped.items()}
+            object.__setattr__(self, "_adjacency_cache", cached)
+        return cached
 
     def satisfies_running_intersection(self) -> bool:
         """Check the connectedness (running-intersection) property.
@@ -205,22 +232,15 @@ class JoinTree:
         """
         if not self.vertices:
             return ()
-        adjacency: Dict[Edge, List[Edge]] = {vertex: [] for vertex in self.vertices}
-        for pair in self.tree_edges:
-            left, right = tuple(pair)
-            adjacency[left].append(right)
-            adjacency[right].append(left)
+        adjacency = self._adjacency()
         order: List[Tuple[Edge, Optional[Edge]]] = []
         visited: set = set()
-        roots: List[Edge] = []
+        starts = self.canonical_vertices()
         if root is not None:
             if root not in adjacency:
                 raise HypergraphError("requested root is not a vertex of the join tree")
-            roots.append(root)
-        for vertex in sorted(self.vertices, key=lambda e: sorted_nodes(e)):
-            if vertex not in roots:
-                roots.append(vertex)
-        for start in roots:
+            starts = (root,) + starts
+        for start in starts:
             if start in visited:
                 continue
             stack: List[Tuple[Edge, Optional[Edge]]] = [(start, None)]
@@ -230,7 +250,7 @@ class JoinTree:
                     continue
                 visited.add(vertex)
                 order.append((vertex, parent))
-                for neighbour in sorted(adjacency[vertex], key=lambda e: sorted_nodes(e)):
+                for neighbour in adjacency[vertex]:
                     if neighbour not in visited:
                         stack.append((neighbour, vertex))
         return tuple(order)
@@ -247,9 +267,9 @@ class JoinTree:
     def describe(self) -> str:
         """A multi-line rendering listing the tree edges and their separators."""
         lines = [f"Join tree over {len(self.vertices)} edges"]
-        for pair in sorted(self.tree_edges,
-                           key=lambda p: tuple(sorted(sorted_nodes(e) for e in p))):
-            left, right = sorted(pair, key=lambda e: sorted_nodes(e))
+        rank = self.vertex_rank()
+        for pair in sorted(self.tree_edges, key=lambda p: sorted(map(rank.__getitem__, p))):
+            left, right = sorted(pair, key=rank.__getitem__)
             separator = left & right
             lines.append(f"  {format_node_set(left)} -- {format_node_set(right)} "
                          f"(separator {format_node_set(separator)})")
@@ -275,14 +295,13 @@ def maximum_weight_join_tree(hypergraph: Hypergraph) -> JoinTree:
     structure still spans hypergraphs whose edges do not all overlap.
     """
     edges = list(hypergraph.edges)
+    keys = {edge: edge_sort_key(edge) for edge in edges}
     pairs: List[Tuple[int, Edge, Edge]] = []
     for i, left in enumerate(edges):
         for right in edges[i + 1:]:
             pairs.append((len(left & right), left, right))
     # Kruskal on descending weight; ties broken deterministically by node names.
-    pairs.sort(key=lambda item: (-item[0],
-                                 sorted_nodes(item[1]),
-                                 sorted_nodes(item[2])))
+    pairs.sort(key=lambda item: (-item[0], keys[item[1]], keys[item[2]]))
     structure = UnionFind(edges)
     chosen: List[FrozenSet[Edge]] = []
     for weight, left, right in pairs:

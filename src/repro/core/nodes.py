@@ -21,6 +21,7 @@ __all__ = [
     "as_node_set",
     "node_sort_key",
     "sorted_nodes",
+    "edge_sort_key",
     "format_node_set",
     "format_edge_set",
     "node_sets_equal",
@@ -77,6 +78,18 @@ def sorted_nodes(nodes: Iterable[Node]) -> Tuple[Node, ...]:
     return tuple(sorted(nodes, key=node_sort_key))
 
 
+def edge_sort_key(nodes: Iterable[Node]) -> Tuple[Tuple[str, str], ...]:
+    """Return a total-order key for node *sets* (edges) of any node types.
+
+    The key is the ascending tuple of the members' :func:`node_sort_key` keys.
+    On edges of strings it orders exactly as the tuple of
+    :func:`sorted_nodes` does; unlike that tuple it never compares an
+    ``int`` with a ``str``, so every edge ordering in the library is defined
+    for mixed node types too.
+    """
+    return tuple(sorted(map(node_sort_key, nodes)))
+
+
 def format_node_set(nodes: Iterable[Node]) -> str:
     """Render a node set in the compact ``{A, B, C}`` style used by the paper."""
     ordered = sorted_nodes(nodes)
@@ -122,7 +135,7 @@ def maximal_sets(family: Iterable[Iterable[Node]]) -> Tuple[NodeSet, ...]:
     for member in unique:
         if not any(member < other for other in unique):
             result.append(member)
-    return tuple(sorted(result, key=lambda edge: sorted_nodes(edge)))
+    return tuple(sorted(result, key=edge_sort_key))
 
 
 def minimal_sets(family: Iterable[Iterable[Node]]) -> Tuple[NodeSet, ...]:
@@ -132,7 +145,7 @@ def minimal_sets(family: Iterable[Iterable[Node]]) -> Tuple[NodeSet, ...]:
     for member in unique:
         if not any(other < member for other in unique):
             result.append(member)
-    return tuple(sorted(result, key=lambda edge: sorted_nodes(edge)))
+    return tuple(sorted(result, key=edge_sort_key))
 
 
 def powerset(nodes: Iterable[Node], *, include_empty: bool = True,

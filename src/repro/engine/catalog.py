@@ -49,8 +49,9 @@ from typing import (
 )
 
 from ..core.hypergraph import Edge
-from ..core.join_tree import JoinTree, RootedJoinTree
-from ..core.nodes import format_node_set, node_sort_key, sorted_nodes
+from ..core.join_tree import JoinTree
+from ..core.nodes import edge_sort_key, format_node_set, sorted_nodes
+from ..exceptions import HypergraphError
 from ..relational.relation import Relation, Row
 from ..relational.schema import Attribute
 from .deadline import check_deadline
@@ -63,14 +64,12 @@ __all__ = [
     "annotate_tree",
 ]
 
-#: Root-candidate enumeration is O(vertices²); beyond this many join-tree
-#: vertices the annotation keeps the structure plan's default root and only
-#: adapts the child fold order.
+#: Pricing every rooting folds each vertex once per neighbour, and one fold
+#: orders its children greedily in O(deg²) estimated joins, so a hub of
+#: degree d costs O(d³) whichever way the rootings are shared.  Beyond this
+#: many join-tree vertices the annotation keeps the structure plan's default
+#: root and only adapts the child fold order.
 _MAX_ROOT_CANDIDATES = 16
-
-
-def _edge_key(edge: Edge) -> Tuple:
-    return tuple(node_sort_key(node) for node in sorted_nodes(edge))
 
 
 def _rows(estimate: float) -> int:
@@ -270,7 +269,7 @@ class StatisticsCatalog:
     @property
     def edges(self) -> Tuple[Edge, ...]:
         """The measured schemes, in canonical order."""
-        return tuple(sorted(self._by_edge, key=_edge_key))
+        return tuple(sorted(self._by_edge, key=edge_sort_key))
 
     @property
     def is_exact(self) -> bool:
@@ -485,7 +484,7 @@ class CostAnnotation:
         rank = {child: position for position, child in enumerate(preferred)}
         fallback = len(rank)
         return tuple(sorted(children, key=lambda child: (rank.get(child, fallback),
-                                                         _edge_key(child))))
+                                                         edge_sort_key(child))))
 
     def describe(self) -> str:
         """A one-line summary of the annotation's headline predictions."""
@@ -495,85 +494,162 @@ class CostAnnotation:
                 f"est_output={self.estimated_output_size}")
 
 
-def _simulate_rooting(rooted: RootedJoinTree,
-                      reduced: Mapping[Edge, JoinEstimate],
-                      wanted: Optional[FrozenSet[Attribute]]
-                      ) -> Tuple[Dict[Edge, Tuple[Edge, ...]], Tuple[int, ...], int]:
-    """Simulate the bottom-up join for one rooting with greedy child ordering.
+#: One rooting state of :func:`annotate_tree`'s memo, for the directed tree
+#: edge ``(vertex, parent)`` (``parent`` is ``None`` at a component's root):
+#: the vertex's folded partial estimate, its greedy child order, the sizes of
+#: its own fold steps, and the (max, sum) of every step size in its subtree.
+_RootingState = Tuple[JoinEstimate, Tuple[Edge, ...], Tuple[int, ...], int, int]
+
+
+def _fold_vertex(vertex: Edge, parent: Optional[Edge], children: Sequence[Edge],
+                 partials: Sequence[JoinEstimate], reduced: JoinEstimate,
+                 wanted: Optional[FrozenSet[Attribute]],
+                 rank: Mapping[Edge, int]
+                 ) -> Tuple[JoinEstimate, Tuple[Edge, ...], Tuple[int, ...]]:
+    """Simulate one vertex's step of the bottom-up join, children greedily ordered.
 
     Mirrors the fused-projection keeps of
     :func:`repro.engine.columnar.executor.compile_fold_program`: while a vertex
     still has unfolded children, their separators stay live; afterwards the
-    partial is projected onto (wanted ∩ subtree) ∪ parent separator.  At
-    every vertex the next child folded is the one whose fold is predicted
-    smallest.
+    partial is projected onto (wanted ∩ subtree) ∪ parent separator.  The next
+    child folded is the one whose fold is predicted smallest.  ``children``
+    come in the rooted traversal's order and ``partials`` are their folded
+    subtrees, so the estimate is the one a simulation of the whole rooting
+    computes, bit for bit.
     """
-    partial: Dict[Edge, JoinEstimate] = {}
-    order_map: Dict[Edge, Tuple[Edge, ...]] = {}
-    sizes: List[int] = []
-    for vertex, parent in rooted.leaf_to_root():
-        current = reduced[vertex]
-        children = list(rooted.children_of(vertex))
-        final_keep: Optional[FrozenSet[Attribute]] = None
-        if wanted is not None:
-            subtree_attributes = set(vertex)
-            for child in children:
-                subtree_attributes.update(partial[child].attributes)
-            final_keep = frozenset(subtree_attributes) & wanted
-            if parent is not None:
-                final_keep |= frozenset(vertex) & frozenset(parent)
-        chosen: List[Edge] = []
-        remaining = list(children)
-        while remaining:
-            best: Optional[Tuple[Tuple, Edge, JoinEstimate]] = None
-            for child in remaining:
-                joined = current.join(partial[child])
-                if final_keep is not None:
-                    keep = set(final_keep)
-                    for other in remaining:
-                        if other is not child:
-                            keep |= frozenset(vertex) & frozenset(other)
-                    joined = joined.project(keep)
-                key = (joined.cardinality, _edge_key(child))
-                if best is None or key < best[0]:
-                    best = (key, child, joined)
-            assert best is not None
-            _, child, current = best
-            remaining.remove(child)
-            chosen.append(child)
-            sizes.append(current.rows)
-        if final_keep is not None and final_keep != current.attributes:
-            current = current.project(final_keep)
-        partial[vertex] = current
-        if chosen:
-            order_map[vertex] = tuple(chosen)
-    roots = rooted.roots
-    if not roots:
-        return order_map, tuple(sizes), 0
-    result = partial[roots[0]]
-    for other_root in roots[1:]:
-        result = result.join(partial[other_root])
-        if wanted is not None:
-            result = result.project((result.attributes
-                                     | partial[other_root].attributes) & wanted)
-        sizes.append(result.rows)
-    return order_map, tuple(sizes), result.rows
+    partial_of = dict(zip(children, partials))
+    current = reduced
+    final_keep: Optional[FrozenSet[Attribute]] = None
+    if wanted is not None:
+        subtree_attributes = set(vertex)
+        for partial in partials:
+            subtree_attributes.update(partial.attributes)
+        final_keep = frozenset(subtree_attributes) & wanted
+        if parent is not None:
+            final_keep |= vertex & parent
+    chosen: List[Edge] = []
+    steps: List[int] = []
+    remaining = list(children)
+    while remaining:
+        best: Optional[Tuple[Tuple[float, int], Edge, JoinEstimate]] = None
+        for child in remaining:
+            joined = current.join(partial_of[child])
+            if final_keep is not None:
+                keep = set(final_keep)
+                for other in remaining:
+                    if other is not child:
+                        keep |= vertex & other
+                joined = joined.project(keep)
+            key = (joined.cardinality, rank[child])
+            if best is None or key < best[0]:
+                best = (key, child, joined)
+        assert best is not None
+        _, child, current = best
+        remaining.remove(child)
+        chosen.append(child)
+        steps.append(current.rows)
+    if final_keep is not None and final_keep != current.attributes:
+        current = current.project(final_keep)
+    return current, tuple(chosen), tuple(steps)
 
 
-def annotate_tree(tree: JoinTree, catalog: StatisticsCatalog, *,
-                  output_attributes: Optional[Iterable[Attribute]] = None,
-                  candidate_roots: Optional[Sequence[Optional[Edge]]] = None,
-                  max_root_candidates: int = _MAX_ROOT_CANDIDATES) -> CostAnnotation:
-    """Compile the cost annotation for a join tree against a catalog.
+class _RootingMemo:
+    """Every rooting of a join forest, priced from one memo of rooting states.
 
-    Every candidate rooting (all vertices by default, capped at
-    ``max_root_candidates``, plus the default rooting) is simulated with
-    :func:`_simulate_rooting`; the rooting with the smallest predicted
-    largest intermediate wins, ties broken towards the default rooting so an
-    annotation never forces a new plan compilation without a predicted
-    payoff.  ``candidate_roots`` pins the simulation to explicit rootings
-    (used when the caller has already fixed a root).
+    A vertex's folded partial depends only on the vertex and the neighbour it
+    hangs from (its children are the other neighbours, in the descending
+    canonical order the rooted traversal lists them in), so one state per
+    directed tree edge — plus one per chosen root — prices every rooting:
+    Σ(deg + 1) states, 3n − 2 on a tree of n vertices, where pricing each
+    rooting afresh folds n vertices per candidate.
     """
+
+    def __init__(self, tree: JoinTree, reduced: Mapping[Edge, JoinEstimate],
+                 wanted: Optional[FrozenSet[Attribute]]) -> None:
+        self.rank = tree.vertex_rank()
+        self.adjacency = {vertex: tree.neighbours(vertex) for vertex in tree.vertices}
+        self.reduced = reduced
+        self.wanted = wanted
+        self.states: Dict[Tuple[Edge, Optional[Edge]], _RootingState] = {}
+        # Each component's default root is its first vertex in canonical order.
+        self.component_of: Dict[Edge, int] = {}
+        self.default_roots: List[Edge] = []
+        for start in tree.canonical_vertices():
+            if start in self.component_of:
+                continue
+            label = len(self.default_roots)
+            self.default_roots.append(start)
+            self.component_of[start] = label
+            stack = [start]
+            while stack:
+                for neighbour in self.adjacency[stack.pop()]:
+                    if neighbour not in self.component_of:
+                        self.component_of[neighbour] = label
+                        stack.append(neighbour)
+
+    def _children(self, vertex: Edge, parent: Optional[Edge]) -> List[Edge]:
+        return [neighbour for neighbour in reversed(self.adjacency[vertex])
+                if neighbour != parent]
+
+    def state(self, vertex: Edge, parent: Optional[Edge]) -> _RootingState:
+        """The memoised state of ``vertex`` hanging from ``parent``."""
+        states = self.states
+        found = states.get((vertex, parent))
+        if found is not None:
+            return found
+        pending: List[Tuple[Edge, Optional[Edge], bool]] = [(vertex, parent, False)]
+        while pending:
+            current, above, ready = pending.pop()
+            if (current, above) in states:
+                continue
+            children = self._children(current, above)
+            if not ready:
+                pending.append((current, above, True))
+                pending.extend((child, current, False) for child in children
+                               if (child, current) not in states)
+                continue
+            below = [states[(child, current)] for child in children]
+            partial, chosen, steps = _fold_vertex(
+                current, above, children, [entry[0] for entry in below],
+                self.reduced[current], self.wanted, self.rank)
+            states[(current, above)] = (
+                partial, chosen, steps,
+                max([*steps, *(entry[3] for entry in below)], default=0),
+                sum(steps) + sum(entry[4] for entry in below))
+        return states[(vertex, parent)]
+
+    def roots_for(self, root: Optional[Edge]) -> List[Edge]:
+        """The component roots of the rooting at ``root``, in traversal order."""
+        if root is None or not self.default_roots:
+            return list(self.default_roots)
+        if root not in self.component_of:
+            raise HypergraphError("requested root is not a vertex of the join tree")
+        home = self.component_of[root]
+        return [root] + [default for label, default in enumerate(self.default_roots)
+                         if label != home]
+
+    def combine(self, roots: Sequence[Edge]) -> Tuple[Tuple[int, ...], int]:
+        """The cross-component joins of one rooting: their sizes and the output size."""
+        if not roots:
+            return (), 0
+        result = self.state(roots[0], None)[0]
+        sizes: List[int] = []
+        for other_root in roots[1:]:
+            other = self.state(other_root, None)[0]
+            result = result.join(other)
+            if self.wanted is not None:
+                result = result.project((result.attributes | other.attributes)
+                                        & self.wanted)
+            sizes.append(result.rows)
+        return tuple(sizes), result.rows
+
+
+def _annotate_tree(tree: JoinTree, catalog: StatisticsCatalog, *,
+                   output_attributes: Optional[Iterable[Attribute]] = None,
+                   candidate_roots: Optional[Sequence[Optional[Edge]]] = None,
+                   max_root_candidates: int = _MAX_ROOT_CANDIDATES
+                   ) -> Tuple[CostAnnotation, int, int]:
+    """:func:`annotate_tree` plus its work: (annotation, candidates, rooting states)."""
     wanted: Optional[FrozenSet[Attribute]] = (
         frozenset(output_attributes) if output_attributes is not None else None)
     base: Dict[Edge, JoinEstimate] = {
@@ -589,27 +665,63 @@ def annotate_tree(tree: JoinTree, catalog: StatisticsCatalog, *,
     if candidate_roots is not None:
         candidates: List[Optional[Edge]] = list(candidate_roots)
     elif len(tree.vertices) <= max_root_candidates:
-        candidates = [None] + sorted(tree.vertices, key=_edge_key)
+        candidates = [None, *tree.canonical_vertices()]
     else:
         candidates = [None]
 
-    best: Optional[Tuple[Tuple, Optional[Edge],
-                         Dict[Edge, Tuple[Edge, ...]], Tuple[int, ...], int]] = None
+    memo = _RootingMemo(tree, reduced, wanted)
+    best: Optional[Tuple[Tuple, Optional[Edge], Tuple[int, ...], int]] = None
     for root in candidates:
-        rooted = tree.rooted(root)
-        order_map, sizes, output_estimate = _simulate_rooting(rooted, reduced, wanted)
-        key = (max(sizes, default=0), sum(sizes),
-               0 if root is None else 1,
-               _edge_key(root) if root is not None else ())
+        roots = memo.roots_for(root)
+        combined, output_estimate = memo.combine(roots)
+        largest, total = max(combined, default=0), sum(combined)
+        for component_root in roots:
+            state = memo.state(component_root, None)
+            largest, total = max(largest, state[3]), total + state[4]
+        key = (largest, total, 0 if root is None else 1,
+               memo.rank.get(root, -1))
         if best is None or key < best[0]:
-            best = (key, root, order_map, sizes, output_estimate)
+            best = (key, root, combined, output_estimate)
     assert best is not None
-    _, root, order_map, sizes, output_estimate = best
-    return CostAnnotation(
+    _, root, combined, output_estimate = best
+    order_map: Dict[Edge, Tuple[Edge, ...]] = {}
+    sizes: List[int] = []
+    for vertex, parent in tree.rooted(root).leaf_to_root():
+        _, chosen, steps, _, _ = memo.state(vertex, parent)
+        sizes.extend(steps)
+        if chosen:
+            order_map[vertex] = chosen
+    annotation = CostAnnotation(
         root=root,
         child_order=order_map,
         vertex_estimates={vertex: base[vertex].rows for vertex in tree.vertices},
         reduced_estimates={vertex: reduced[vertex].rows for vertex in tree.vertices},
-        estimated_intermediate_sizes=sizes,
+        estimated_intermediate_sizes=tuple(sizes) + combined,
         estimated_output_size=output_estimate,
     )
+    return annotation, len(candidates), len(memo.states)
+
+
+def annotate_tree(tree: JoinTree, catalog: StatisticsCatalog, *,
+                  output_attributes: Optional[Iterable[Attribute]] = None,
+                  candidate_roots: Optional[Sequence[Optional[Edge]]] = None,
+                  max_root_candidates: int = _MAX_ROOT_CANDIDATES) -> CostAnnotation:
+    """Compile the cost annotation for a join tree against a catalog.
+
+    Every candidate rooting (all vertices by default, capped at
+    ``max_root_candidates``, plus the default rooting) is priced by the
+    bottom-up join it predicts, each vertex folding its children greedily
+    (see :func:`_fold_vertex`); the rooting with the smallest predicted
+    largest intermediate wins, ties broken towards the default rooting so an
+    annotation never forces a new plan compilation without a predicted
+    payoff.  ``candidate_roots`` pins the simulation to explicit rootings
+    (used when the caller has already fixed a root).
+
+    The rootings share one memo of rooting states (:class:`_RootingMemo`):
+    every vertex is folded once per neighbour it can hang from and once as a
+    root, and only the winning rooting is traversed, to list its sizes in
+    leaf-to-root order.
+    """
+    return _annotate_tree(tree, catalog, output_attributes=output_attributes,
+                          candidate_roots=candidate_roots,
+                          max_root_candidates=max_root_candidates)[0]

@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ...core.components import edge_components
 from ...core.graham_kernel import graham_survivors
 from ...core.hypergraph import Edge, Hypergraph
-from ...core.nodes import format_node_set, sorted_nodes
+from ...core.nodes import edge_sort_key, format_node_set
 from ...exceptions import CoverSearchBudgetExceededError
 from ...telemetry.tracing import current_tracer
 
@@ -70,25 +70,29 @@ _CANDIDATE_LIMIT = 256
 _BUDGET_POLICIES = ("degrade", "raise")
 
 
-def _edge_sort_key(edge: Edge) -> Tuple:
-    return tuple(sorted_nodes(edge))
-
-
 @dataclass(frozen=True)
 class EdgeCluster:
-    """One cluster: a set of hypergraph edges materialised as a single virtual relation."""
+    """One cluster: a set of hypergraph edges materialised as a single virtual relation.
+
+    The scheme is the union of the members, taken once when the cluster is
+    built: a search scores each cluster in many candidate covers.
+    """
 
     edges: FrozenSet[Edge]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_attributes",
+                           frozenset().union(*self.edges) if self.edges else frozenset())
 
     @property
     def attributes(self) -> FrozenSet:
         """The cluster's scheme — the union of its member edges (the quotient edge)."""
-        return frozenset().union(*self.edges) if self.edges else frozenset()
+        return self._attributes
 
     @property
     def width(self) -> int:
         """How many attributes the cluster materialises (the quotient edge's arity)."""
-        return len(self.attributes)
+        return len(self._attributes)
 
     @property
     def fan_out(self) -> int:
@@ -102,7 +106,7 @@ class EdgeCluster:
 
     def sorted_edges(self) -> Tuple[Edge, ...]:
         """The member edges in canonical order (used by deterministic execution)."""
-        return tuple(sorted(self.edges, key=_edge_sort_key))
+        return tuple(sorted(self.edges, key=edge_sort_key))
 
     def estimated_rows(self, catalog: "StatisticsCatalog") -> int:
         """The estimated cardinality of the cluster's intra-cluster join.
@@ -133,11 +137,7 @@ class ClusterCover:
     @classmethod
     def of(cls, groups: Iterable[Iterable[Edge]]) -> "ClusterCover":
         """Build a cover from edge groups, normalising cluster order."""
-        built = [EdgeCluster(edges=frozenset(group)) for group in groups]
-        built = [cluster for cluster in built if cluster.edges]
-        built.sort(key=lambda cluster: (_edge_sort_key(cluster.attributes),
-                                        tuple(sorted(map(_edge_sort_key, cluster.edges)))))
-        return cls(clusters=tuple(built))
+        return _ClusterShapes().cover(groups)
 
     @property
     def width(self) -> int:
@@ -159,7 +159,7 @@ class ClusterCover:
     def quotient_edges(self) -> Tuple[Edge, ...]:
         """The distinct cluster schemes — the edge set of the quotient hypergraph."""
         distinct = {cluster.attributes for cluster in self.clusters}
-        return tuple(sorted(distinct, key=_edge_sort_key))
+        return tuple(sorted(distinct, key=edge_sort_key))
 
     @property
     def is_trivial(self) -> bool:
@@ -181,6 +181,44 @@ class ClusterCover:
         for cluster in self.clusters:
             lines.append(f"  {cluster.describe()}")
         return "\n".join(lines)
+
+
+class _ClusterShapes:
+    """The clusters of one search, each built and keyed once.
+
+    A cover lists its clusters by their scheme's canonical key, then by
+    their members' keys.  The candidates of one search share most of their
+    clusters, so each edge's key is computed once and each distinct group
+    becomes one :class:`EdgeCluster` with its sort key, whichever covers it
+    appears in.
+    """
+
+    def __init__(self) -> None:
+        self._edge_keys: Dict[Edge, Tuple] = {}
+        self._clusters: Dict[FrozenSet[Edge], Tuple[Tuple, EdgeCluster]] = {}
+
+    def edge_key(self, edge: Edge) -> Tuple:
+        """The canonical key of ``edge``, computed once per search."""
+        key = self._edge_keys.get(edge)
+        if key is None:
+            key = self._edge_keys[edge] = edge_sort_key(edge)
+        return key
+
+    def _keyed(self, members: FrozenSet[Edge]) -> Tuple[Tuple, EdgeCluster]:
+        keyed = self._clusters.get(members)
+        if keyed is None:
+            cluster = EdgeCluster(edges=members)
+            key = (edge_sort_key(cluster.attributes),
+                   tuple(sorted(map(self.edge_key, members))))
+            keyed = self._clusters[members] = (key, cluster)
+        return keyed
+
+    def cover(self, groups: Iterable[Iterable[Edge]]) -> ClusterCover:
+        """The cover of ``groups`` (empty groups dropped), clusters in canonical order."""
+        keyed = [self._keyed(frozenset(group)) for group in groups]
+        keyed.sort(key=lambda entry: entry[0])
+        return ClusterCover(clusters=tuple(cluster for _, cluster in keyed
+                                           if cluster.edges))
 
 
 def _attach_empty_edges(groups: List[List[Edge]], empty_edges: List[Edge]) -> List[List[Edge]]:
@@ -290,14 +328,15 @@ def enumerate_covers(hypergraph: Hypergraph, *,
                 f"cap of {max_component_edges}; exhaustive partition search would "
                 "blow up — raise max_component_edges, or use on_budget='degrade' "
                 "to accept the greedy collapsed-component cover")
-        covers = [ClusterCover.of(
+        shapes = _ClusterShapes()
+        covers = [shapes.cover(
             _attach_empty_edges(_baseline_groups(proper, ears, components), empty))]
         partitions_examined = 0
         per_component: List[List[List[List[Edge]]]] = []
         for component in components:
             options: List[List[List[Edge]]] = [[list(component)]]
             if len(component) <= max_component_edges:
-                for partition in _set_partitions(sorted(component, key=_edge_sort_key)):
+                for partition in _set_partitions(sorted(component, key=shapes.edge_key)):
                     if len(partition) == 1:
                         continue  # already present as the collapsed baseline option
                     partitions_examined += 1
@@ -310,7 +349,7 @@ def enumerate_covers(hypergraph: Hypergraph, *,
             groups: List[List[Edge]] = [[edge] for edge in ears]
             for partition in combination:
                 groups.extend(partition)
-            covers.append(ClusterCover.of(_attach_empty_edges(groups, empty)))
+            covers.append(shapes.cover(_attach_empty_edges(groups, empty)))
         if span.is_recording:
             span.set("edges", len(hypergraph.edges))
             span.set("core_edges", sum(len(component) for component in components))

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ...core.acyclicity import is_acyclic
 from ...core.hypergraph import Edge, Hypergraph
-from ...core.nodes import format_node_set, sorted_nodes
+from ...core.nodes import edge_sort_key, format_node_set
 from ...exceptions import ClusterBoundExceededError, CyclicHypergraphError, SchemaError
 from ...relational.relation import Relation
 from ...relational.schema import Attribute
@@ -69,11 +69,11 @@ class AcyclicQuotient:
             if missing:
                 detail.append("uncovered edges "
                               + ", ".join(format_node_set(e) for e in
-                                          sorted(missing, key=lambda e: sorted_nodes(e))))
+                                          sorted(missing, key=edge_sort_key)))
             if foreign:
                 detail.append("foreign edges "
                               + ", ".join(format_node_set(e) for e in
-                                          sorted(foreign, key=lambda e: sorted_nodes(e))))
+                                          sorted(foreign, key=edge_sort_key)))
             raise SchemaError("cluster cover does not match the hypergraph: "
                               + "; ".join(detail))
         quotient = cover.quotient_hypergraph(
@@ -110,7 +110,7 @@ def _greedy_member_order(members: Sequence[ColumnBlock],
     catalog), one per intra-cluster join.
     """
     if catalog is None:
-        pending = sorted(members, key=lambda r: (len(r), sorted_nodes(r.schema.attribute_set)))
+        pending = sorted(members, key=lambda r: (len(r), edge_sort_key(r.schema.attribute_set)))
         ordered = [pending.pop(0)]
         scheme = set(ordered[0].schema.attribute_set)
         while pending:
@@ -118,7 +118,7 @@ def _greedy_member_order(members: Sequence[ColumnBlock],
                 range(len(pending)),
                 key=lambda i: (-len(scheme & pending[i].schema.attribute_set),
                                len(pending[i]),
-                               sorted_nodes(pending[i].schema.attribute_set)))
+                               edge_sort_key(pending[i].schema.attribute_set)))
             chosen = pending.pop(best_index)
             scheme |= chosen.schema.attribute_set
             ordered.append(chosen)
@@ -130,7 +130,7 @@ def _greedy_member_order(members: Sequence[ColumnBlock],
 
     pending = sorted(members,
                      key=lambda r: (estimate_of(r).cardinality,
-                                    sorted_nodes(r.schema.attribute_set)))
+                                    edge_sort_key(r.schema.attribute_set)))
     ordered = [pending.pop(0)]
     accumulated = estimate_of(ordered[0])
     steps: List["JoinEstimate"] = []
@@ -138,7 +138,7 @@ def _greedy_member_order(members: Sequence[ColumnBlock],
         best_index = min(
             range(len(pending)),
             key=lambda i: (accumulated.join(estimate_of(pending[i])).cardinality,
-                           sorted_nodes(pending[i].schema.attribute_set)))
+                           edge_sort_key(pending[i].schema.attribute_set)))
         chosen = pending.pop(best_index)
         accumulated = accumulated.join(estimate_of(chosen))
         steps.append(accumulated)

@@ -38,14 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cyclic imports plann
 
 from ..core.hypergraph import Edge, Hypergraph
 from ..core.join_tree import JoinTree, RootedJoinTree, build_join_tree
-from ..core.nodes import node_sort_key, sorted_nodes
+from ..core.nodes import edge_sort_key, sorted_nodes
 from ..exceptions import CyclicHypergraphError
 from ..relational.database import Database
 from ..relational.join_plans import JoinStatistics
 from ..relational.schema import DatabaseSchema
 from ..telemetry.tracing import current_tracer
 from .cache import LRUCache, PlanCacheInfo
-from .catalog import CostAnnotation, StatisticsCatalog, annotate_tree
+from .catalog import CostAnnotation, StatisticsCatalog, _annotate_tree
 from .reducer import FullReducer
 
 __all__ = [
@@ -79,8 +79,7 @@ def schema_fingerprint(source: Union[Hypergraph, DatabaseSchema, Iterable[Iterab
         edges = source.edges
     else:
         edges = source
-    canonical = sorted({tuple(sorted_nodes(edge)) for edge in edges},
-                       key=lambda edge: tuple(node_sort_key(node) for node in edge))
+    canonical = sorted({tuple(sorted_nodes(edge)) for edge in edges}, key=edge_sort_key)
     return tuple(canonical)
 
 
@@ -271,6 +270,14 @@ class AnnotatedPlan:
         return "\n".join([self.structure.describe(), self.annotation.describe()])
 
 
+def _compile(fingerprint: SchemaFingerprint, tree: JoinTree,
+             root: Optional[Edge]) -> ExecutionPlan:
+    """The structure plan rooting a validated join tree at ``root``."""
+    reducer = FullReducer.from_join_tree(tree, root)
+    return ExecutionPlan(fingerprint=fingerprint, join_tree=tree,
+                         rooted=reducer.rooted, reducer=reducer, root=root)
+
+
 def annotate_plan(structure: ExecutionPlan, catalog: StatisticsCatalog, *,
                   output_attributes: Optional[Iterable[object]] = None
                   ) -> AnnotatedPlan:
@@ -286,13 +293,15 @@ def annotate_plan(structure: ExecutionPlan, catalog: StatisticsCatalog, *,
     span = current_tracer().span("annotate")
     with span:
         roots = structure.rooted.roots
-        annotation = annotate_tree(structure.join_tree, catalog,
-                                   output_attributes=output_attributes,
-                                   candidate_roots=[roots[0] if roots else None])
+        annotation, candidates, states = _annotate_tree(
+            structure.join_tree, catalog, output_attributes=output_attributes,
+            candidate_roots=[roots[0] if roots else None])
         reducer = structure.reducer.with_cost_order(annotation.reduced_estimates)
         if span.is_recording:
             span.set("vertices", len(structure.vertices))
             span.set("pinned_root", True)
+            span.set("root_candidates", candidates)
+            span.set("rooting_states", states)
         return AnnotatedPlan(structure=structure, catalog=catalog,
                              annotation=annotation, reducer=reducer)
 
@@ -356,9 +365,7 @@ class QueryPlanner:
                 raise CyclicHypergraphError(
                     "the schema's hypergraph is cyclic: no join tree, hence no "
                     "full reducer — use the cyclic subsystem (or the naive plan)")
-            reducer = FullReducer.from_join_tree(tree, root)
-            return ExecutionPlan(fingerprint=fingerprint, join_tree=tree,
-                                 rooted=reducer.rooted, reducer=reducer, root=root)
+            return _compile(fingerprint, tree, root)
 
         return self._cache.get_or_build((fingerprint, root), compile_plan)
 
@@ -373,7 +380,7 @@ class QueryPlanner:
         """Compose the cached structure plan with a fresh cost annotation.
 
         The annotation may pick a different root than the default structure
-        plan (it simulates every candidate rooting against the catalog);
+        plan (it prices every candidate rooting against the catalog);
         re-rooted structures are ordinary ``(fingerprint, root)`` cache
         entries, so adapting never invalidates or bypasses the LRU.  An
         explicit ``root`` pins the rooting and only adapts the orders.
@@ -383,15 +390,21 @@ class QueryPlanner:
             return annotate_plan(base, catalog, output_attributes=output_attributes)
         span = current_tracer().span("annotate")
         with span:
-            annotation = annotate_tree(base.join_tree, catalog,
-                                       output_attributes=output_attributes)
-            structure = base if annotation.root is None \
-                else self.plan_for(hypergraph, root=annotation.root)
+            annotation, candidates, states = _annotate_tree(
+                base.join_tree, catalog, output_attributes=output_attributes)
+            rooted_at = annotation.root
+            # A re-rooted structure shares the base plan's validated join
+            # tree: the schema is not analysed a second time.
+            structure = base if rooted_at is None else self._cache.get_or_build(
+                (base.fingerprint, rooted_at),
+                lambda: _compile(base.fingerprint, base.join_tree, rooted_at))
             reducer = structure.reducer.with_cost_order(annotation.reduced_estimates)
             if span.is_recording:
                 span.set("vertices", len(structure.vertices))
                 span.set("pinned_root", False)
-                span.set("rerooted", annotation.root is not None)
+                span.set("rerooted", rooted_at is not None)
+                span.set("root_candidates", candidates)
+                span.set("rooting_states", states)
             return AnnotatedPlan(structure=structure, catalog=catalog,
                                  annotation=annotation, reducer=reducer)
 

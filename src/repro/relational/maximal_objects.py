@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from ..core.acyclicity import is_acyclic
 from ..core.canonical import canonical_connection_result
 from ..core.hypergraph import Edge, Hypergraph
-from ..core.nodes import format_node_set, sorted_nodes
+from ..core.nodes import edge_sort_key, format_node_set, sorted_nodes
 from ..exceptions import QueryError
 from .algebra import union
 from .database import Database
@@ -61,7 +61,7 @@ class MaximalObject:
     def describe(self) -> str:
         """A one-line rendering listing the object's edges."""
         rendered = ", ".join(format_node_set(edge) for edge in
-                             sorted(self.edges, key=lambda e: sorted_nodes(e)))
+                             sorted(self.edges, key=edge_sort_key))
         return f"maximal object {{{rendered}}}"
 
 
@@ -106,7 +106,7 @@ def enumerate_maximal_objects(hypergraph: Hypergraph,
         if not any(candidate < other for other in acceptable):
             result.append(MaximalObject(edges=candidate))
     result.sort(key=lambda obj: (-len(obj.edges),
-                                 sorted(sorted_nodes(e) for e in obj.edges)))
+                                 sorted(map(edge_sort_key, obj.edges))))
     return tuple(result)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.nodes import (
     as_node_set,
+    edge_sort_key,
     format_edge_set,
     format_node_set,
     is_subset_of_any,
@@ -58,6 +59,20 @@ class TestSorting:
 
     def test_node_sort_key_orders_by_type_then_value(self):
         assert node_sort_key("A") < node_sort_key("B")
+
+    def test_edge_sort_key_orders_string_edges_as_sorted_node_tuples(self):
+        edges = [frozenset(edge) for edge in ("AB", "A", "BC", "ABD", "C", "AC", "")]
+        assert sorted(edges, key=edge_sort_key) \
+            == sorted(edges, key=lambda edge: sorted_nodes(edge))
+
+    def test_edge_sort_key_orders_mixed_node_types(self):
+        edges = [frozenset({1, "b"}), frozenset({"b", "c"}), frozenset({2, 10}),
+                 frozenset({"a"}), frozenset({True, "x"})]
+        ordered = sorted(edges, key=edge_sort_key)
+        assert ordered == sorted(reversed(edges), key=edge_sort_key)
+        # Type name first, then the repr: bool < int < str, and 10 before 2.
+        assert ordered[0] == frozenset({True, "x"})
+        assert ordered.index(frozenset({2, 10})) < ordered.index(frozenset({"a"}))
 
 
 class TestFormatting:
