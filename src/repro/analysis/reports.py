@@ -60,7 +60,7 @@ def format_mapping(mapping: Mapping[str, object], *, title: Optional[str] = None
 _STATISTICS_COLUMNS = ("plan", "inputs", "max intermediate", "est max",
                        "total intermediate", "output", "est output",
                        "semijoins", "removed", "clusters", "plan cache",
-                       "index cache", "wall ms", "planner hits")
+                       "index cache", "wall ms")
 
 
 def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, object]:
@@ -75,7 +75,6 @@ def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, o
     index_hits = getattr(stats, "index_cache_hits", None)
     index_misses = getattr(stats, "index_cache_misses", None)
     elapsed = getattr(stats, "elapsed_seconds", None)
-    hit_ratio = getattr(stats, "planner_hit_ratio", None)
     return {
         "plan": plan if plan is not None else stats.plan_name,
         "inputs": sum(stats.input_sizes),
@@ -93,7 +92,6 @@ def _statistics_row(stats: object, *, plan: Optional[str] = None) -> Dict[str, o
         # observable payoff of the per-relation block cache.
         "index cache": "-" if index_hits is None else f"{index_hits}h/{index_misses}m",
         "wall ms": "-" if elapsed is None else f"{elapsed * 1000:.2f}",
-        "planner hits": "-" if hit_ratio is None else f"{hit_ratio:.0%}",
     }
 
 

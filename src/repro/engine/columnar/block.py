@@ -81,7 +81,6 @@ __all__ = [
     "block_for",
     "peek_block",
     "column_cache_info",
-    "block_cache_size",
     "clear_column_caches",
     "current_interner",
 ]
@@ -938,11 +937,6 @@ def column_cache_info() -> Dict[str, int]:
                 "relations": len(_BLOCK_CACHE), **_COUNTERS,
                 "interned_values": len(_INTERNER),
                 "interner_locked_cells": _INTERNER.locked_cells}
-
-
-def block_cache_size() -> int:
-    """Relations holding a cached column block (``relations``), read without a lock."""
-    return len(_BLOCK_CACHE)
 
 
 def clear_column_caches() -> None:

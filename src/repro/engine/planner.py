@@ -131,9 +131,6 @@ class EngineStatistics(JoinStatistics):
     #: ``prepare`` for a cyclic one.  Empty for results
     #: produced before timing existed, so reports must treat it as optional.
     phase_times: Tuple[Tuple[str, float], ...] = ()
-    #: The serving planner's LRU hit ratio at the time of the run (stamped by
-    #: :class:`~repro.engine.session.EngineSession`; ``None`` outside one).
-    planner_hit_ratio: Optional[float] = None
 
     @property
     def elapsed_seconds(self) -> Optional[float]:
@@ -176,8 +173,6 @@ class EngineStatistics(JoinStatistics):
             phases = " ".join(f"{phase}={seconds * 1000:.2f}ms"
                               for phase, seconds in self.phase_times)
             summary += f" wall={self.elapsed_seconds * 1000:.2f}ms ({phases})"
-        if self.planner_hit_ratio is not None:
-            summary += f" planner_hits={self.planner_hit_ratio:.0%}"
         return summary
 
 

@@ -46,7 +46,7 @@ from ..relational.database import Database
 from ..relational.relation import Relation
 from ..relational.schema import Attribute, DatabaseSchema
 from ..telemetry.explain import ExplainAnalysis, build_explain_analysis
-from ..telemetry.metrics import MetricsRegistry, global_registry
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.monitor import MonitorConfig, SessionMonitor
 from ..telemetry.tracing import (
     NULL_TRACER,
@@ -60,7 +60,6 @@ from .cache import LRUCache, PlanCacheInfo
 from .catalog import StatisticsCatalog
 from .cyclic.executor import _WarmPrepare
 from .deadline import deadline_scope, valid_budget
-from .columnar.block import block_cache_size
 from .columnar.executor import FoldLink
 from .planner import (
     DEFAULT_PLANNER,
@@ -337,15 +336,6 @@ class BatchStatistics:
             return None
         return sum(seconds for _, seconds in phases)
 
-    @property
-    def planner_hit_ratio(self) -> Optional[float]:
-        """The last run's planner hit ratio (the batch-end state of the LRU)."""
-        for run in reversed(self.runs):
-            ratio = getattr(run, "planner_hit_ratio", None)
-            if ratio is not None:
-                return ratio
-        return None
-
     def describe(self) -> str:
         """A one-line batch summary aligned with ``JoinStatistics.describe``."""
         summary = (f"{self.plan_name}: {len(self.runs)} databases "
@@ -509,13 +499,7 @@ class PreparedQuery:
             # Binding resolution (schema check, catalog measurement) fails
             # before any span opens, but the monitor's log must still see it:
             # a misrouted query is exactly what an operator greps the log for.
-            self._session._record_error(self._kind)
-            monitor = self._session._monitor
-            if monitor is not None:
-                monitor.observe_error(query=self._name,
-                                      fingerprint=self._digest,
-                                      kind=self._kind, elapsed_seconds=0.0,
-                                      error=error, database=database)
+            self._record_failure(error, database, 0.0)
             raise
         if self._options.trace and current_tracer() is NULL_TRACER:
             with use_tracer(self._session.tracer):
@@ -689,13 +673,7 @@ class PreparedQuery:
                     span.set("kind", self._kind)
                     span.set("output_rows", result.statistics.output_size)
         except Exception as error:
-            session._record_error(self._kind)
-            if monitor is not None:
-                monitor.observe_error(
-                    query=self._name, fingerprint=self._digest,
-                    kind=self._kind,
-                    elapsed_seconds=perf_counter() - started,
-                    error=error, database=database)
+            self._record_failure(error, database, perf_counter() - started)
             raise
         elapsed = perf_counter() - started
         session._record_execution(self._kind, result.statistics, elapsed)
@@ -707,6 +685,19 @@ class PreparedQuery:
                 trace_records=tuple(capture.records)
                 if capture is not None else None)
         return result
+
+    def _record_failure(self, error: Exception, database: Optional[Database],
+                        elapsed_seconds: float) -> None:
+        """Count one failed execution and, under a monitor, log it."""
+        session = self._session
+        session._metrics.counter("engine_query_errors_total",
+                                 "Queries that raised during execution.",
+                                 labels={"kind": self._kind}).inc()
+        if session._monitor is not None:
+            session._monitor.observe_error(
+                query=self._name, fingerprint=self._digest, kind=self._kind,
+                elapsed_seconds=elapsed_seconds, error=error,
+                database=database)
 
     def _binding_for(self, database: Database) -> _DatabaseBinding:
         """The memoized per-database execution state (resolved on first use).
@@ -841,11 +832,10 @@ class EngineSession:
         self._options = ExecutionOptions.resolve(
             ExecutionOptions(), options, dict(overrides))
         # Every session owns a tracer (used when ``options.trace`` is on and
-        # no ambient tracer is installed) and a metrics registry parented to
-        # the process-wide one, so per-session counters roll up automatically.
+        # no ambient tracer is installed) and a metrics registry, the one
+        # place its executions are counted.
         self._tracer = tracer if tracer is not None else Tracer()
-        self._metrics = metrics if metrics is not None \
-            else MetricsRegistry(parent=global_registry())
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         # Opt-in operational monitoring: ``True`` (defaults), a
         # MonitorConfig, or a ready SessionMonitor.  Bound after the planner
         # and registry exist — bind() captures both.
@@ -1108,17 +1098,12 @@ class EngineSession:
     # ------------------------------------------------------------------ #
     def _record_execution(self, kind: str, statistics: object,
                           elapsed_seconds: float) -> None:
-        """Fold one execution's accounting into the session's metrics.
+        """Fold one execution's accounting into the session's counters and histograms.
 
-        Also stamps ``statistics.planner_hit_ratio`` — the serving planner is
-        session state, so the per-run statistics object cannot compute the
-        ratio itself.
+        Nothing here reads a cache or sets a gauge: point-in-time state (the
+        planner LRU, the block cache) is polled at scrape time by
+        :meth:`~repro.telemetry.monitor.SessionMonitor.collect`.
         """
-        info = self._planner.cache_info()
-        lookups = info.hits + info.misses
-        ratio = (info.hits / lookups) if lookups else None
-        if ratio is not None and hasattr(statistics, "planner_hit_ratio"):
-            statistics.planner_hit_ratio = ratio
         series = self._execution_series(kind)
         series["queries"].inc()
         series["semijoins"].inc(getattr(statistics, "semijoin_steps", 0) or 0)
@@ -1136,17 +1121,13 @@ class EngineSession:
                                             "Per-phase latency.",
                                             labels={"phase": phase})
             histogram.observe(seconds)
-        if ratio is not None:
-            series["hit_ratio"].set(ratio)
-        series["cache_size"].set(info.size)
-        series["blocks"].set(block_cache_size())
 
     def _execution_series(self, kind: str) -> Dict[str, object]:
         """The resolved metric series the per-execution path records into.
 
         Resolving a series walks the family registry (name lookup, label-key
-        canonicalisation, parent chaining) under a lock — fine once, too slow
-        per query.  The handles are stable once created, so cache them.
+        canonicalisation) under a lock — fine once, too slow per query.
+        The handles are stable once created, so cache them.
         """
         series = self._execution_series_cache.get(kind)
         if series is None:
@@ -1175,23 +1156,8 @@ class EngineSession:
                     labels={"outcome": "miss"}),
                 "latency": metrics.histogram(
                     "engine_query_seconds", "End-to-end query latency."),
-                "hit_ratio": metrics.gauge(
-                    "engine_planner_cache_hit_ratio",
-                    "The session planner's LRU hit ratio."),
-                "cache_size": metrics.gauge(
-                    "engine_planner_cache_size",
-                    "Compiled plans resident in the planner LRU."),
-                "blocks": metrics.gauge(
-                    "engine_blocks_cached",
-                    "Relations holding a cached column block."),
             }
         return series
-
-    def _record_error(self, kind: str) -> None:
-        """Count one failed execution."""
-        self._metrics.counter("engine_query_errors_total",
-                              "Queries that raised during execution.",
-                              labels={"kind": kind}).inc()
 
     # ------------------------------------------------------------------ #
     # Cache lifecycle

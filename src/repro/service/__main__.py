@@ -166,10 +166,15 @@ def _smoke(host: str, port: int, clients: int, requests: int) -> int:
     # -------------------------------------------------------------- #
     # Assertions
     # -------------------------------------------------------------- #
-    for required in ("engine_queries_total", "engine_planner_cache_size",
+    for required in ("engine_queries_total", "engine_query_errors_total",
+                     "engine_planner_cache_size", "engine_column_cache_relations",
                      "engine_querylog_entries"):
         if required not in metrics:
             failures.append(f"/metrics is missing {required}")
+    typed = [line.split()[2] for line in metrics.splitlines()
+             if line.startswith("# TYPE ")]
+    for repeated in sorted({name for name in typed if typed.count(name) > 1}):
+        failures.append(f"/metrics repeats the # TYPE line of {repeated}")
     if quality_status != 200:
         failures.append(f"/quality answered HTTP {quality_status}")
     try:

@@ -11,9 +11,10 @@ imports the engine; the engine's layers import *it*):
   no-allocation null tracer for the disabled hot path, and pluggable sinks
   (:class:`JsonlTraceSink` streams JSONL);
 * :mod:`~repro.telemetry.metrics` — counter/gauge/histogram families with
-  labels, per-:class:`~repro.engine.session.EngineSession` registries that
-  roll up into the process-wide :func:`global_registry`, a ``snapshot()``
-  dict and a Prometheus text exposition;
+  labels in one registry per :class:`~repro.engine.session.EngineSession`
+  (counters and histograms written once per execution, gauges polled at
+  scrape time by the monitor's ``collect()``), a ``snapshot()`` dict and a
+  Prometheus text exposition;
 * :mod:`~repro.telemetry.explain` — ``EXPLAIN ANALYZE``: estimated-vs-actual
   rows per vertex / join step / cluster, with the actuals sourced from the
   span attributes of a recorded run;
@@ -42,7 +43,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
 )
 from .monitor import (
     MonitorConfig,
@@ -86,7 +86,7 @@ __all__ = [
     "span_totals", "merge_phase_times",
     # metrics
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
-    "DEFAULT_LATENCY_BUCKETS", "global_registry",
+    "DEFAULT_LATENCY_BUCKETS",
     # explain analyze
     "ExplainAnalysis", "ExplainEntry", "build_explain_analysis",
     # trace schema

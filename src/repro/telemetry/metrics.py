@@ -1,10 +1,9 @@
 """Counters, gauges and histograms with a Prometheus text exposition.
 
-The registry is the future service front-end's metrics surface: each
-:class:`~repro.engine.session.EngineSession` owns one, parented to the
-process-wide :func:`global_registry`, so per-session counters and histogram
-observations roll up into process totals automatically (gauges stay local —
-a point-in-time value has no meaningful sum across sessions).
+Each :class:`~repro.engine.session.EngineSession` owns one registry, and it
+is the only place an execution is counted: the session writes its counters
+and histograms once per execution, and every gauge is polled into it at
+scrape time by :meth:`~repro.telemetry.monitor.SessionMonitor.collect`.
 
 Everything is plain stdlib: families are created on first use
 (``registry.counter("engine_queries_total", labels={"kind": "acyclic"})``),
@@ -16,10 +15,11 @@ payloads) and :meth:`MetricsRegistry.render_prometheus` (the ``# HELP`` /
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -27,8 +27,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "global_registry",
-    "GLOBAL_REGISTRY",
 ]
 
 #: Fixed latency buckets (seconds) for the per-phase/per-query histograms:
@@ -38,6 +36,10 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 
 LabelValues = Tuple[Tuple[str, str], ...]
+
+#: Integral floats below this magnitude print exactly as integers; larger
+#: ones keep ``repr``'s exponent form (``1e+300``, not 301 digits).
+_EXACT_INTEGERS = 2.0 ** 53
 
 
 def _label_key(labels: Optional[Mapping[str, object]]) -> LabelValues:
@@ -70,29 +72,38 @@ def _format_labels(labels: LabelValues) -> str:
     return "{" + ",".join(escaped) + "}"
 
 
-def _format_bound(bound: float) -> str:
-    """A bucket bound rendered without trailing float noise (``0.001``, not ``0.0010``)."""
-    return f"{bound:g}"
+def _format_value(value: float) -> str:
+    """A sample value, sum or bucket bound in the text format, losslessly.
+
+    Integral values print as integers (``1234567``, not ``1.23457e+06``),
+    others as the shortest string that round-trips through ``float()``
+    (``0.001``, ``1234.5678``); infinities and NaN as the format spells them.
+    """
+    value = float(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value.is_integer() and abs(value) < _EXACT_INTEGERS:
+        return str(int(value))
+    return repr(value)
 
 
 class Counter:
-    """A monotonically increasing count; increments chain to the parent series."""
+    """A monotonically increasing count."""
 
-    __slots__ = ("_lock", "_value", "_parent")
+    __slots__ = ("_lock", "_value")
 
-    def __init__(self, parent: Optional["Counter"] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0.0
-        self._parent = parent
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative) to this series and its parent."""
+        """Add ``amount`` (must be non-negative)."""
         if amount < 0:
             raise ValueError("counters only go up; use a gauge for decrements")
         with self._lock:
             self._value += amount
-        if self._parent is not None:
-            self._parent.inc(amount)
 
     @property
     def value(self) -> float:
@@ -101,7 +112,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (cache sizes, hit ratios); not parent-chained."""
+    """A point-in-time value (cache sizes, hit counts polled at scrape time)."""
 
     __slots__ = ("_lock", "_value")
 
@@ -155,32 +166,28 @@ class _HistogramTimer:
 
 
 class Histogram:
-    """Fixed-bucket distribution; observations chain to the parent series."""
+    """Fixed-bucket distribution."""
 
-    __slots__ = ("_lock", "_buckets", "_counts", "_sum", "_count", "_parent")
+    __slots__ = ("_lock", "_buckets", "_counts", "_sum", "_count")
 
-    def __init__(self, buckets: Sequence[float],
-                 parent: Optional["Histogram"] = None) -> None:
+    def __init__(self, buckets: Sequence[float]) -> None:
         self._lock = threading.Lock()
         self._buckets = tuple(sorted(buckets))
         self._counts = [0] * (len(self._buckets) + 1)  # last slot is +Inf
         self._sum = 0.0
         self._count = 0
-        self._parent = parent
 
     def time(self) -> _HistogramTimer:
         """A context manager observing the ``with`` block's wall-time."""
         return _HistogramTimer(self)
 
     def observe(self, value: float) -> None:
-        """Record one observation in this series and its parent."""
+        """Record one observation."""
         index = bisect_left(self._buckets, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
-        if self._parent is not None:
-            self._parent.observe(value)
 
     @property
     def buckets(self) -> Tuple[float, ...]:
@@ -204,7 +211,7 @@ class Histogram:
         running = 0
         for bound, count in zip(self._buckets, counts):
             running += count
-            out.append((_format_bound(bound), running))
+            out.append((_format_value(bound), running))
         out.append(("+Inf", running + counts[-1]))
         return tuple(out)
 
@@ -223,17 +230,13 @@ class _Family:
 
 
 class MetricsRegistry:
-    """Get-or-create metric families keyed by name, with parent roll-up.
+    """Get-or-create metric families keyed by name.
 
-    ``parent`` chains counters and histograms: any increment/observation on
-    a child series is replayed on the same-named series of the parent
-    registry — a per-session registry parented to :func:`global_registry`
-    yields process totals for free.  A name keeps the kind it was first
-    created with; re-requesting it as a different kind raises ``ValueError``.
+    A name keeps the kind it was first created with; re-requesting it as a
+    different kind raises ``ValueError``.
     """
 
-    def __init__(self, parent: Optional["MetricsRegistry"] = None) -> None:
-        self._parent = parent
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: "Dict[str, _Family]" = {}
 
@@ -257,9 +260,7 @@ class MetricsRegistry:
         with self._lock:
             series = family.series.get(key)
             if series is None:
-                parent = None if self._parent is None \
-                    else self._parent.counter(name, help, labels)
-                series = family.series[key] = Counter(parent)
+                series = family.series[key] = Counter()
         return series  # type: ignore[return-value]
 
     def gauge(self, name: str, help: str = "",
@@ -283,11 +284,26 @@ class MetricsRegistry:
         with self._lock:
             series = family.series.get(key)
             if series is None:
-                parent = None if self._parent is None \
-                    else self._parent.histogram(name, help, labels,
-                                                family.buckets)
-                series = family.series[key] = Histogram(family.buckets, parent)
+                series = family.series[key] = Histogram(family.buckets)
         return series  # type: ignore[return-value]
+
+    def replace_gauges(self, name: str, help: str,
+                       series: Iterable[Tuple[Mapping[str, object], float]]
+                       ) -> None:
+        """Make the gauge family ``name`` hold exactly ``series`` (labels, value).
+
+        For a family rebuilt from live state at every scrape: a label set
+        missing from ``series`` drops out of the family.  The swap is one
+        assignment under the registry lock, so a concurrent read-out sees the
+        old series or the new ones, never a half-built family.
+        """
+        family = self._family(name, "gauge", help)
+        replacement: "Dict[LabelValues, object]" = {}
+        for labels, value in series:
+            gauge = replacement[_label_key(labels)] = Gauge()
+            gauge.set(value)
+        with self._lock:
+            family.series = replacement
 
     def snapshot(self) -> Dict[str, object]:
         """A flat dict of every series: scalars for counters/gauges, dicts for histograms.
@@ -330,22 +346,15 @@ class MetricsRegistry:
                         bucket_labels = key + (("le", le),)
                         lines.append(f"{name}_bucket"
                                      f"{_format_labels(bucket_labels)} {count}")
-                    lines.append(f"{name}_sum{suffix} {series.sum:g}")
+                    lines.append(f"{name}_sum{suffix} "
+                                 f"{_format_value(series.sum)}")
                     lines.append(f"{name}_count{suffix} {series.count}")
                 else:
-                    lines.append(f"{name}{suffix} {series.value:g}")
+                    lines.append(f"{name}{suffix} "
+                                 f"{_format_value(series.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def clear(self) -> None:
-        """Drop every family and series (tests; the parent is untouched)."""
+        """Drop every family and series (tests)."""
         with self._lock:
             self._families.clear()
-
-
-GLOBAL_REGISTRY = MetricsRegistry()
-"""The process-wide registry; session registries are parented to it."""
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide metrics registry."""
-    return GLOBAL_REGISTRY

@@ -401,7 +401,6 @@ class SessionMonitor:
             weakref.WeakKeyDictionary()
         self._database_counter = 0
         self._slow_counter = None
-        self._error_counter = None
 
     # ------------------------------------------------------------------ #
     # Session binding
@@ -424,9 +423,6 @@ class SessionMonitor:
             self._slow_counter = self._registry.counter(
                 "engine_slow_queries_total",
                 "Runs at or above the slow-query threshold.")
-            self._error_counter = self._registry.counter(
-                "engine_monitored_errors_total",
-                "Errored runs recorded in the query log.")
         return self
 
     @property
@@ -493,15 +489,16 @@ class SessionMonitor:
     def observe_error(self, *, query: str, fingerprint: str, kind: str,
                       elapsed_seconds: float, error: BaseException,
                       database: Optional[object] = None) -> QueryLogEntry:
-        """Record one failed run (kept in the same ring, flagged by ``error``)."""
-        entry = self.log.append(
+        """Record one failed run (kept in the same ring, flagged by ``error``).
+
+        The session counts it (``engine_query_errors_total{kind}``); the
+        monitor only logs it.
+        """
+        return self.log.append(
             query=query, fingerprint=fingerprint, kind=kind,
             database=self.database_label(database),
             elapsed_seconds=elapsed_seconds,
             error=f"{type(error).__name__}: {error}")
-        if self._error_counter is not None:
-            self._error_counter.inc()
-        return entry
 
     # ------------------------------------------------------------------ #
     # Rolling history
@@ -524,9 +521,10 @@ class SessionMonitor:
         that overflowed the packing radix, the process' cyclic-collector
         runs per generation (``gc.get_stats()``, read here at scrape time —
         nothing is hooked into the execute path), the query-log occupancy
-        and the per-database relation/row counts of every database the
-        monitor has seen (weakly tracked — collected databases drop out on
-        their own).
+        and the per-database relation/row counts of every live database the
+        monitor has seen.  Those two families are rebuilt from the weakly
+        tracked databases on every call, so a collected database's series
+        drop out with it.  This is the only code that writes a gauge.
         """
         from ..engine.columnar.block import column_cache_info
 
@@ -535,12 +533,15 @@ class SessionMonitor:
         if registry is None:
             return values
 
+        def key(name: str, labels: Optional[Mapping[str, object]]) -> str:
+            suffix = "" if not labels else \
+                "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
+            return f"{name}{suffix}"
+
         def gauge(name: str, help: str, value: float,
                   labels: Optional[Mapping[str, object]] = None) -> None:
             registry.gauge(name, help, labels=labels).set(value)
-            suffix = "" if not labels else \
-                "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-            values[f"{name}{suffix}"] = float(value)
+            values[key(name, labels)] = float(value)
 
         if self._planner is not None:
             info = self._planner.cache_info()
@@ -612,18 +613,23 @@ class SessionMonitor:
               self.log.dropped)
         with self._lock:
             databases = list(self._database_labels.items())
+        relation_counts, row_counts = [], []
         for database, label in databases:
             relations = getattr(database, "relations", None)
             if relations is None:
                 continue
             rels = relations()
-            gauge("engine_database_relations",
-                  "Relations in a monitored database.", len(rels),
-                  labels={"database": label})
-            gauge("engine_database_rows",
-                  "Stored rows in a monitored database.",
-                  sum(len(relation) for relation in rels),
-                  labels={"database": label})
+            labels = {"database": label}
+            relation_counts.append((labels, len(rels)))
+            row_counts.append((labels, sum(len(relation) for relation in rels)))
+        for name, help, series in (
+                ("engine_database_relations",
+                 "Relations in a monitored database.", relation_counts),
+                ("engine_database_rows",
+                 "Stored rows in a monitored database.", row_counts)):
+            registry.replace_gauges(name, help, series)
+            values.update((key(name, labels), float(value))
+                          for labels, value in series)
         return values
 
     # ------------------------------------------------------------------ #

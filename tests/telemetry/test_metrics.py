@@ -1,16 +1,18 @@
-"""The metrics registry: families, labels, parent roll-up, expositions."""
+"""The metrics registry: families, labels, expositions, per-execution writes."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.engine import EngineSession
-from repro.generators import skewed_chain_database
-from repro.telemetry import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    global_registry,
+from repro.engine.planner import QueryPlanner
+from repro.generators import (
+    generate_database,
+    skewed_chain_database,
+    triangle_core_chain,
 )
+from repro.relational import DatabaseSchema
+from repro.telemetry import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
 
 class TestCounter:
@@ -66,21 +68,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.gauge("queries")
 
-    def test_counters_and_histograms_chain_to_the_parent(self):
-        parent = MetricsRegistry()
-        child = MetricsRegistry(parent=parent)
-        child.counter("queries", labels={"kind": "acyclic"}).inc(3)
-        child.histogram("latency").observe(0.2)
-        assert parent.counter("queries",
-                              labels={"kind": "acyclic"}).value == 3
-        assert parent.histogram("latency").count == 1
-
-    def test_gauges_stay_local(self):
-        parent = MetricsRegistry()
-        child = MetricsRegistry(parent=parent)
-        child.gauge("cache_size").set(9)
-        assert parent.gauge("cache_size").value == 0
-
     def test_snapshot_flattens_every_series(self):
         registry = MetricsRegistry()
         registry.counter("queries", labels={"kind": "acyclic"}).inc(2)
@@ -106,13 +93,61 @@ class TestRegistry:
         assert "latency_sum 0.5" in text
         assert "latency_count 1" in text
 
-    def test_clear_drops_series_but_not_the_parent(self):
-        parent = MetricsRegistry()
-        child = MetricsRegistry(parent=parent)
-        child.counter("queries").inc()
-        child.clear()
-        assert child.snapshot() == {}
-        assert parent.counter("queries").value == 1
+    def test_clear_drops_every_series(self):
+        registry = MetricsRegistry()
+        registry.counter("queries").inc()
+        registry.gauge("cache_size").set(3)
+        registry.clear()
+        assert registry.snapshot() == {}
+        assert registry.render_prometheus() == ""
+        assert registry.counter("queries").value == 0
+
+    def test_replace_gauges_keeps_exactly_the_given_series(self):
+        registry = MetricsRegistry()
+        registry.replace_gauges("rows", "Rows.", [({"db": "a"}, 1),
+                                                  ({"db": "b"}, 2)])
+        registry.replace_gauges("rows", "Rows.", [({"db": "b"}, 5)])
+        assert registry.snapshot() == {"rows{db=b}": 5}
+        registry.replace_gauges("rows", "Rows.", [])
+        assert registry.snapshot() == {}
+        registry.counter("queries_total")
+        with pytest.raises(ValueError):
+            registry.replace_gauges("queries_total", "", [])
+
+
+class TestExportedValues:
+    """Values print losslessly: integers whole, other floats round-trip."""
+
+    def test_a_large_counter_prints_every_digit(self):
+        registry = MetricsRegistry()
+        registry.counter("engine_rows_output_total").inc(1_234_567)
+        assert "engine_rows_output_total 1234567" in \
+            registry.render_prometheus().splitlines()
+
+    def test_a_histogram_sum_round_trips_through_float(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency", buckets=(1.0,))
+        for value in (1234.5678, 0.1, 0.2):
+            histogram.observe(value)
+        (line,) = [line for line in registry.render_prometheus().splitlines()
+                   if line.startswith("latency_sum ")]
+        assert float(line.split()[1]) == histogram.sum
+
+    def test_special_values_use_the_text_format_spelling(self):
+        registry = MetricsRegistry()
+        for name, value in (("up", float("inf")), ("down", float("-inf")),
+                            ("unknown", float("nan")), ("ratio", 0.25)):
+            registry.gauge(name).set(value)
+        lines = registry.render_prometheus().splitlines()
+        for expected in ("up +Inf", "down -Inf", "unknown NaN", "ratio 0.25"):
+            assert expected in lines
+
+    def test_default_bucket_labels_are_unchanged(self):
+        histogram = MetricsRegistry().histogram("latency")
+        labels = [le for le, _ in histogram.cumulative_counts()]
+        assert labels == ["0.0001", "0.00025", "0.0005", "0.001", "0.0025",
+                          "0.005", "0.01", "0.025", "0.05", "0.1", "0.25",
+                          "0.5", "1", "2.5", "5", "+Inf"]
 
 
 class TestSessionMetrics:
@@ -129,17 +164,50 @@ class TestSessionMetrics:
         assert snapshot["engine_rows_output_total"] > 0
         assert "engine_plan_cache_requests_total{outcome=hit}" in snapshot
 
-    def test_session_registries_roll_up_to_the_process_registry(self):
-        database = skewed_chain_database(3, heads=6, fanout=3,
-                                         junction_values=2, seed=1)
-        labels = {"kind": "acyclic"}
-        before = global_registry().counter("engine_queries_total",
-                                           labels=labels).value
-        session = EngineSession()
-        session.prepare(database).execute(database)
-        after = global_registry().counter("engine_queries_total",
-                                          labels=labels).value
-        assert after == before + 1
+    @staticmethod
+    def _databases():
+        chain = skewed_chain_database(3, heads=6, fanout=3,
+                                      junction_values=2, seed=1)
+        triangles = generate_database(
+            DatabaseSchema.from_hypergraph(triangle_core_chain(2)),
+            universe_rows=60, domain_size=8, dangling_fraction=0.3, seed=2)
+        return {"acyclic": chain, "cyclic": triangles}
+
+    def test_one_execute_counts_once_and_sets_no_gauge(self):
+        for kind, database in self._databases().items():
+            session = EngineSession(metrics=MetricsRegistry())
+            prepared = session.prepare(database)
+            assert prepared.kind == kind
+            prepared.execute(database)
+            before = session.metrics.snapshot()
+            prepared.execute(database)
+            after = session.metrics.snapshot()
+            key = f"engine_queries_total{{kind={kind}}}"
+            assert after[key] == before[key] + 1
+            assert after["engine_query_seconds"]["count"] == \
+                before["engine_query_seconds"]["count"] + 1
+            families = session.metrics.render_prometheus()
+            assert "gauge" not in {line.split()[3] for line in
+                                   families.splitlines()
+                                   if line.startswith("# TYPE ")}
+
+    def test_warm_executes_never_read_the_planner_cache(self, monkeypatch):
+        databases = self._databases()
+        session = EngineSession(metrics=MetricsRegistry())
+        prepared = {kind: session.prepare(database)
+                    for kind, database in databases.items()}
+        for kind, database in databases.items():
+            prepared[kind].execute(database)
+
+        def refuse(self):
+            raise AssertionError("an execute read the planner cache")
+
+        monkeypatch.setattr(QueryPlanner, "cache_info", refuse)
+        for kind, database in databases.items():
+            expected = prepared[kind].execute(database).relation
+            assert prepared[kind].execute(database).relation == expected
+        assert session.metrics.counter(
+            "engine_queries_total", labels={"kind": "cyclic"}).value == 3
 
 
 class TestGaugeDec:
@@ -168,13 +236,6 @@ class TestHistogramTimer:
             with histogram.time():
                 raise RuntimeError("the failure path's latency still counts")
         assert histogram.count == 1
-
-    def test_timers_chain_to_the_parent_like_any_observation(self):
-        parent = MetricsRegistry()
-        child = MetricsRegistry(parent=parent)
-        with child.histogram("latency").time():
-            pass
-        assert parent.histogram("latency").count == 1
 
 
 class TestPrometheusEscaping:

@@ -13,6 +13,7 @@ service's, tested in ``tests/service/test_server.py``.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 
@@ -275,7 +276,8 @@ class TestSessionIntegration:
         assert entry.query == "endpoints"
         assert "SchemaError" in entry.error
         assert not entry.ok
-        counter = session.metrics.counter("engine_monitored_errors_total")
+        counter = session.metrics.counter("engine_query_errors_total",
+                                          labels={"kind": "acyclic"})
         assert counter.value == 1
 
     def test_slow_runs_arm_tracing_and_the_next_run_retains_a_trace(self):
@@ -467,11 +469,47 @@ class TestCollector:
             session = monitored_session()
             session.prepare(database, skewed_chain_endpoints(CHAIN)).execute(
                 database)
-            snapshot = session.metrics.snapshot()
-            assert snapshot["engine_blocks_cached"] == \
+            values = session.monitor.collect()
+            assert values["engine_column_cache_relations"] == \
                 column_cache_info()["relations"] == CHAIN
+            assert session.metrics.snapshot()[
+                "engine_column_cache_relations"] == CHAIN
         finally:
             clear_column_caches()
+
+    def test_per_database_series_leave_with_their_databases(self):
+        session = monitored_session()
+        original = chain_db()
+        prepared = session.prepare(original, skewed_chain_endpoints(CHAIN))
+
+        def database_series():
+            return [line for line in session.metrics.render_prometheus()
+                    .splitlines() if line.startswith(("engine_database_rows{",
+                                                      "engine_database_relations{"))]
+
+        copies = []
+        for _ in range(5):
+            copy = Database(original.schema, {
+                relation.name: Relation.from_valid_rows(relation.schema,
+                                                        relation.rows)
+                for relation in original.relations()})
+            prepared.execute(copy)
+            copies.append(copy)
+            session.monitor.collect()
+        assert len(database_series()) == 2 * 5
+        del copy
+        copies.clear()
+        gc.collect()
+        values = session.monitor.collect()
+        assert len(database_series()) == 0
+        assert not any(name.startswith("engine_database_") for name in values)
+        prepared.execute(original)
+        gc.collect()
+        session.monitor.collect()
+        assert database_series() == [
+            f"engine_database_relations{{database=\"db5\"}} {CHAIN}",
+            f"engine_database_rows{{database=\"db5\"}} "
+            f"{sum(len(relation) for relation in original.relations())}"]
 
     def test_collect_exports_interner_size_and_key_overflow_rows(self):
         # Kernels on hand-built blocks: the counters sit below the session.
