@@ -3,13 +3,14 @@
 ``EngineSession(monitor=...)`` attaches a ``SessionMonitor`` that records
 every prepared-query execution into a bounded **query log**, folds each
 adaptive run's estimated-vs-actual cardinalities into per-fingerprint
-**q-error** records, and polls the planner/index/block caches into gauges.
+**q-error** records, and publishes every cache's counts (counters) and
+sizes (gauges) at scrape time.
 The query service's HTTP listener, ``ServiceServer(QueryService(session))``,
 then serves all of it over live HTTP — no database needs registering, and
 executes made on ``session`` directly land in the monitor it serves:
 
 * ``GET /metrics``  — Prometheus text exposition (counters, histograms,
-  freshly-polled cache gauges);
+  the freshly-polled cache report);
 * ``GET /health``   — liveness JSON (uptime, queries, errors, drift);
 * ``GET /querylog`` — the ring buffer + rolling p50/p95/p99 history;
 * ``GET /quality``  — per-fingerprint q-error accounting.
@@ -65,7 +66,7 @@ def main() -> None:
         metrics_text = client.metrics_text()
         interesting = [line for line in metrics_text.splitlines()
                        if line.startswith(("engine_queries_total",
-                                           "engine_planner_cache_size",
+                                           'engine_cache_entries{cache="planner"}',
                                            "engine_querylog_entries",
                                            "engine_database_rows"))]
         print("\n/metrics (excerpt):")

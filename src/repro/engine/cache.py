@@ -30,12 +30,13 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class PlanCacheInfo:
-    """Hit/miss/size counters of an LRU cache."""
+    """An LRU cache's counts (cumulative) and its size and capacity."""
 
     hits: int
     misses: int
     size: int
     capacity: int
+    evictions: int = 0
 
 
 class LRUCache(Generic[V]):
@@ -43,8 +44,8 @@ class LRUCache(Generic[V]):
 
     A lookup counts one hit when the key is resident.  Otherwise it counts
     one miss once ``build`` returns; a ``build`` that raises stores and
-    counts nothing.  Inserting beyond ``capacity`` evicts the least recently
-    used entry.
+    counts nothing.  Inserting beyond ``capacity`` evicts (and counts) the
+    least recently used entry.  :meth:`clear` drops entries, never counts.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -54,6 +55,7 @@ class LRUCache(Generic[V]):
         self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
         self._hits = 0
         self._misses = 0
+        self._evictions = 0
         self._lock = threading.Lock()
 
     @property
@@ -76,6 +78,7 @@ class LRUCache(Generic[V]):
             self._entries.move_to_end(key)
             if len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
+                self._evictions += 1
             return stored
 
     def keys(self) -> List[Hashable]:
@@ -84,15 +87,14 @@ class LRUCache(Generic[V]):
             return list(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry and reset the counters."""
+        """Drop every entry; the hit, miss and eviction counts persist."""
         with self._lock:
             self._entries.clear()
-            self._hits = 0
-            self._misses = 0
 
     def info(self) -> PlanCacheInfo:
-        """The current hit/miss/size counters."""
+        """The current counts, size and capacity."""
         with self._lock:
             return PlanCacheInfo(hits=self._hits, misses=self._misses,
                                  size=len(self._entries),
-                                 capacity=self._capacity)
+                                 capacity=self._capacity,
+                                 evictions=self._evictions)

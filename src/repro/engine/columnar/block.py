@@ -81,6 +81,7 @@ __all__ = [
     "block_for",
     "peek_block",
     "column_cache_info",
+    "column_cache_reports",
     "clear_column_caches",
     "current_interner",
 ]
@@ -120,16 +121,19 @@ _INTERNER = ValueInterner()
 # relations decoded against ones served from their storage's memo
 # (``relation_*``; ``payload_*`` for encoded wire documents), selection keys
 # materialised (``selection_keys``), key rows that took the interner
-# fallback instead of the arithmetic pack (``key_overflow_rows``), and bound
-# reduce-and-fold programs compiled (``fold_programs``).
+# fallback instead of the arithmetic pack (``key_overflow_rows``), bound
+# reduce-and-fold programs compiled (``fold_programs``) and derived entries
+# dropped at a storage's cap (``derived_evictions``).  They only grow.
 # Guarded by ``_COUNTER_LOCK``: a bare ``+= 1`` compiles to a read-add-store
 # sequence that loses updates when concurrent executes interleave, and these
 # counters feed bench/test assertions that expect exact totals.
-_COUNTER_NAMES = ("keyset_hits", "keyset_misses", "relation_hits",
-                  "relation_misses", "payload_hits", "payload_misses",
-                  "selection_keys", "key_overflow_rows", "fold_programs")
-_COUNTERS: Dict[str, int] = dict.fromkeys(_COUNTER_NAMES, 0)
+_COUNTERS: Dict[str, int] = dict.fromkeys(
+    ("keyset_hits", "keyset_misses", "relation_hits", "relation_misses",
+     "payload_hits", "payload_misses", "selection_keys", "key_overflow_rows",
+     "fold_programs", "derived_evictions"), 0)
 _COUNTER_LOCK = threading.Lock()
+#: The ``locked_cells`` of every interner generation a clear has retired.
+_RETIRED_LOCKED_CELLS = 0
 
 
 def _count(counter: str, amount: int = 1) -> None:
@@ -258,6 +262,7 @@ class _ColumnStorage:
         # an eviction never invalidates a value already handed out).
         with self._lock:
             if len(self._derived) >= _DERIVED_CACHE_CAP:
+                _count("derived_evictions", len(self._derived))
                 self._derived.clear()
             self._derived[key] = value
         return value
@@ -906,8 +911,10 @@ def peek_block(relation: Relation) -> Optional[ColumnBlock]:
 
 
 def column_cache_info() -> Dict[str, int]:
-    """Cumulative counters of the block cache, semijoin membership and the interner.
+    """Counts of the block cache, semijoin membership, the memos and the interner.
 
+    Counts persist across :func:`clear_column_caches`; only the sizes
+    (``relations``, ``interned_values``) drop with a clear.
     ``hits``/``misses``/``relations`` describe the per-relation block cache.
     Every columnar (anti)semijoin over a non-empty separator counts once:
     ``keyset_misses`` is the membership structures built, ``keyset_hits``
@@ -922,25 +929,50 @@ def column_cache_info() -> Dict[str, int]:
     per selection a kernel makes, and none on a warm re-execution, whose
     keys come with its memoised outcomes.  ``interned_values`` is the
     current interner's size (it only grows within a generation);
-    ``interner_locked_cells`` the column cells its ``encode`` resolved under
-    the lock — every cell of a column that starts with a new value, otherwise
-    only the new values' — so re-encoding known values adds 0;
+    ``interner_locked_cells`` the column cells every generation's ``encode``
+    resolved under the lock — every cell of a column that starts with a new
+    value, otherwise only the new values' — so re-encoding known values adds 0;
     ``key_overflow_rows`` counts the
     multi-attribute key rows that could not be packed and interned their id
     tuple instead — non-zero means some key width's radix has been outgrown
     and those rows pay the per-row loop.  ``fold_programs`` counts the bound
     reduce-and-fold programs compiled — one per plan and output set, so a
-    warm re-execution adds 0.
+    warm re-execution adds 0.  ``derived_evictions`` counts the derived
+    entries storages dropped wholesale at ``_DERIVED_CACHE_CAP``.
     """
     with _BLOCK_CACHE_LOCK, _COUNTER_LOCK:
         return {"hits": _BLOCK_HITS, "misses": _BLOCK_MISSES,
                 "relations": len(_BLOCK_CACHE), **_COUNTERS,
                 "interned_values": len(_INTERNER),
-                "interner_locked_cells": _INTERNER.locked_cells}
+                "interner_locked_cells":
+                    _RETIRED_LOCKED_CELLS + _INTERNER.locked_cells}
+
+
+#: Each columnar cache's report: ``(report field, column_cache_info key)``.
+_CACHE_REPORTS = (
+    ("column_block", (("hits", "hits"), ("misses", "misses"), ("size", "relations"))),
+    ("keyset", (("hits", "keyset_hits"), ("misses", "keyset_misses"))),
+    ("result_memo", (("hits", "relation_hits"), ("misses", "relation_misses"))),
+    ("payload_memo", (("hits", "payload_hits"), ("misses", "payload_misses"))),
+    ("derived", (("evictions", "derived_evictions"),)),
+)
+
+
+def column_cache_reports() -> Tuple[Tuple[str, Dict[str, int]], ...]:
+    """The columnar caches' ``(cache, report)`` pairs for the monitor.
+
+    A report holds only the fields its cache has (see ``PlanCacheInfo``).
+    """
+    info = column_cache_info()
+    return tuple((cache, {field: info[key] for field, key in fields})
+                 for cache, fields in _CACHE_REPORTS)
 
 
 def clear_column_caches() -> None:
-    """Drop the block cache, reset counters, and start a fresh interner generation.
+    """Drop the block cache and start a fresh interner generation.
+
+    Every :func:`column_cache_info` count persists, the retired interner's
+    locked cells included, so no count ever goes down.
 
     Derived key structures live on the block storages themselves, so they
     are reclaimed with their blocks.  Blocks that outlive the clear keep a
@@ -954,10 +986,8 @@ def clear_column_caches() -> None:
     belong to the old generation; its next execute sees the new interner and
     materialises them again.
     """
-    global _BLOCK_HITS, _BLOCK_MISSES, _INTERNER
+    global _INTERNER, _RETIRED_LOCKED_CELLS
     with _BLOCK_CACHE_LOCK, _COUNTER_LOCK:
         _BLOCK_CACHE.clear()
-        _BLOCK_HITS = 0
-        _BLOCK_MISSES = 0
-        _COUNTERS.update(dict.fromkeys(_COUNTER_NAMES, 0))
+        _RETIRED_LOCKED_CELLS += _INTERNER.locked_cells
         _INTERNER = ValueInterner()

@@ -51,9 +51,10 @@ def valid_budget(seconds: object) -> bool:
 def deadline_scope(seconds: Optional[float]) -> Iterator[None]:
     """Install a wall-clock budget for the dynamic extent of the block.
 
-    ``None`` is a no-op scope (no deadline).  Scopes nest: an inner scope
-    sees only its own budget and the outer budget is restored on exit.  The
-    clock starts at entry — installing the scope *is* starting the timer.
+    ``None`` is a no-op scope (no deadline).  Scopes nest and only ever
+    tighten: the sooner of the scope's and the ambient expiry holds inside,
+    and the outer budget is restored on exit.  The clock starts at entry —
+    installing the scope *is* starting the timer.
     """
     if seconds is None:
         yield
@@ -61,7 +62,9 @@ def deadline_scope(seconds: Optional[float]) -> Iterator[None]:
     if not valid_budget(seconds):
         raise ValueError("a deadline budget must be a finite positive "
                          f"number, not {seconds!r}")
-    token = _DEADLINE.set((perf_counter() + seconds, seconds))
+    state = (perf_counter() + seconds, seconds)
+    ambient = _DEADLINE.get()
+    token = _DEADLINE.set(state if ambient is None else min(state, ambient))
     try:
         yield
     finally:

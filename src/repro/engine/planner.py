@@ -558,11 +558,11 @@ class QueryPlanner:
         return self.warm_up(document)
 
     def cache_info(self) -> PlanCacheInfo:
-        """Current hit/miss/size counters."""
+        """The plan cache's counts, size and capacity."""
         return self._cache.info()
 
     def clear(self) -> None:
-        """Drop every cached plan and reset the counters."""
+        """Drop every cached plan (the cache's counts persist)."""
         self._cache.clear()
 
 

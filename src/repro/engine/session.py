@@ -144,7 +144,8 @@ class ExecutionOptions:
       cooperatively between engine phases (see :mod:`repro.engine.deadline`):
       a breach raises :class:`~repro.exceptions.ExecutionTimeoutError`, and a
       phase already running is never interrupted mid-flight, so the overshoot
-      is bounded by the longest single phase.  ``None`` (default) = no limit.
+      is bounded by the longest single phase; it covers a never-seen
+      database's ingest.  ``None`` (default) = no limit.
     """
 
     adaptive: bool = True
@@ -492,7 +493,15 @@ class PreparedQuery:
         structure planning, no re-annotation, and no structural
         re-derivation either: no hypergraph, no fingerprint, and the fold
         replays the plan's compiled program.  Only the data kernels run.
+        A ``deadline_seconds`` budget covers the binding (ingest) too.
         """
+        seconds = self._options.deadline_seconds
+        if seconds is None:
+            return self._execute(database)
+        with deadline_scope(seconds):
+            return self._execute(database)
+
+    def _execute(self, database: Database) -> EngineResult:
         try:
             binding = self._binding_for(database)
         except Exception as error:
@@ -560,11 +569,12 @@ class PreparedQuery:
         options are adaptive, but nothing is memoized — prefer
         :meth:`execute` for repeated traffic.
         """
-        binding = self._bind_relations(tuple(relations))
-        if self._options.trace and current_tracer() is NULL_TRACER:
-            with use_tracer(self._session.tracer):
-                return self._traced_run(binding)
-        return self._traced_run(binding)
+        with deadline_scope(self._options.deadline_seconds):
+            binding = self._bind_relations(tuple(relations))
+            if self._options.trace and current_tracer() is NULL_TRACER:
+                with use_tracer(self._session.tracer):
+                    return self._traced_run(binding)
+            return self._traced_run(binding)
 
     def explain(self, database: Optional[Database] = None, *,
                 analyze: bool = False) -> str:
@@ -776,14 +786,7 @@ class PreparedQuery:
                                     root=self._options.root)
         return planner.cyclic_plan_for(self._hypergraph, catalog=catalog)
 
-    def _run(self, binding: _DatabaseBinding):
-        options = self._options
-        if options.deadline_seconds is not None:
-            with deadline_scope(options.deadline_seconds):
-                return self._run_engine(binding)
-        return self._run_engine(binding)
-
-    def _run_engine(self, binding: _DatabaseBinding) -> EngineResult:
+    def _run(self, binding: _DatabaseBinding) -> EngineResult:
         options = self._options
         # The binding was checked when it was built, so the engine runs its
         # bound body: no hypergraph, no fingerprint, no output check.
@@ -1100,8 +1103,8 @@ class EngineSession:
                           elapsed_seconds: float) -> None:
         """Fold one execution's accounting into the session's counters and histograms.
 
-        Nothing here reads a cache or sets a gauge: point-in-time state (the
-        planner LRU, the block cache) is polled at scrape time by
+        Nothing here reads a cache: cache counts and sizes (the planner
+        LRU, the block cache) are published at scrape time by
         :meth:`~repro.telemetry.monitor.SessionMonitor.collect`.
         """
         series = self._execution_series(kind)
@@ -1171,11 +1174,16 @@ class EngineSession:
         return self._planner.load_cache(path, missing_ok=missing_ok)
 
     def cache_info(self) -> PlanCacheInfo:
-        """The planner's hit/miss/size counters."""
+        """The planner's counts, size and capacity."""
         return self._planner.cache_info()
 
+    def cache_reports(self) -> Tuple[Tuple[str, Dict[str, int]], ...]:
+        """The session's ``(cache, report)`` pairs: the planner and prepared LRUs."""
+        return (("planner", vars(self._planner.cache_info())),
+                ("prepared", vars(self._prepared.info())))
+
     def clear(self) -> None:
-        """Drop cached plans and prepared queries."""
+        """Drop cached plans and prepared queries (their counts persist)."""
         self._planner.clear()
         self._prepared.clear()
 

@@ -167,14 +167,19 @@ def _smoke(host: str, port: int, clients: int, requests: int) -> int:
     # Assertions
     # -------------------------------------------------------------- #
     for required in ("engine_queries_total", "engine_query_errors_total",
-                     "engine_planner_cache_size", "engine_column_cache_relations",
-                     "engine_querylog_entries"):
+                     'engine_cache_entries{cache="planner"}',
+                     'engine_cache_entries{cache="column_block"}',
+                     "engine_cache_hits_total", "engine_querylog_entries"):
         if required not in metrics:
             failures.append(f"/metrics is missing {required}")
-    typed = [line.split()[2] for line in metrics.splitlines()
+    typed = [line.split()[2:4] for line in metrics.splitlines()
              if line.startswith("# TYPE ")]
-    for repeated in sorted({name for name in typed if typed.count(name) > 1}):
+    names = [name for name, _ in typed]
+    for repeated in sorted({name for name in names if names.count(name) > 1}):
         failures.append(f"/metrics repeats the # TYPE line of {repeated}")
+    for name, kind in typed:
+        if name.endswith("_total") and kind != "counter":
+            failures.append(f"/metrics types the count {name} as a {kind}")
     if quality_status != 200:
         failures.append(f"/quality answered HTTP {quality_status}")
     try:

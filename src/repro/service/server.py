@@ -780,7 +780,7 @@ def _mounts(service: QueryService, entry: _Route) -> bool:
 
 
 def _metrics_text(service: QueryService, query_string: str) -> str:
-    """The Prometheus text, with the monitor's gauges polled at scrape time."""
+    """The Prometheus text, with the monitor's polled values published first."""
     monitor = service.monitor
     monitor.collect()
     registry = monitor.registry

@@ -12,9 +12,9 @@ imports the engine; the engine's layers import *it*):
   (:class:`JsonlTraceSink` streams JSONL);
 * :mod:`~repro.telemetry.metrics` — counter/gauge/histogram families with
   labels in one registry per :class:`~repro.engine.session.EngineSession`
-  (counters and histograms written once per execution, gauges polled at
-  scrape time by the monitor's ``collect()``), a ``snapshot()`` dict and a
-  Prometheus text exposition;
+  (counters and histograms written once per execution; cache counts and
+  sizes published at scrape time by the monitor's ``collect()``), a
+  ``snapshot()`` dict and a Prometheus text exposition;
 * :mod:`~repro.telemetry.explain` — ``EXPLAIN ANALYZE``: estimated-vs-actual
   rows per vertex / join step / cluster, with the actuals sourced from the
   span attributes of a recorded run;
@@ -26,7 +26,7 @@ imports the engine; the engine's layers import *it*):
   the **operational monitoring** subsystem: a per-session query-log ring
   buffer with slow-query trace retention, rolling p50/p95/p99 latency and
   QPS history, per-fingerprint q-error tracking with drift flags and
-  cache/resource gauges (opt in with ``EngineSession(monitor=True)``).  The
+  cache/resource metrics (opt in with ``EngineSession(monitor=True)``).  The
   monitor's payloads go over HTTP through the query service's one listener,
   ``repro.service.ServiceServer`` (``/metrics`` / ``/health`` /
   ``/querylog`` / ``/quality``); this package never imports the service.
@@ -40,7 +40,6 @@ from .explain import ExplainAnalysis, ExplainEntry, build_explain_analysis
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "TraceSink", "ListTraceSink", "JsonlTraceSink",
     "span_totals", "merge_phase_times",
     # metrics
-    "MetricsRegistry", "Counter", "Gauge", "Histogram",
+    "MetricsRegistry", "Counter", "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
     # explain analyze
     "ExplainAnalysis", "ExplainEntry", "build_explain_analysis",

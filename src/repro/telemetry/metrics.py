@@ -2,8 +2,10 @@
 
 Each :class:`~repro.engine.session.EngineSession` owns one registry, and it
 is the only place an execution is counted: the session writes its counters
-and histograms once per execution, and every gauge is polled into it at
-scrape time by :meth:`~repro.telemetry.monitor.SessionMonitor.collect`.
+and histograms once per execution, and everything polled from live state
+(counts as counters, sizes as gauges) is published at scrape time by
+:meth:`~repro.telemetry.monitor.SessionMonitor.collect` through
+:meth:`MetricsRegistry.publish`.
 
 Everything is plain stdlib: families are created on first use
 (``registry.counter("engine_queries_total", labels={"kind": "acyclic"})``),
@@ -23,7 +25,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
@@ -90,48 +91,20 @@ def _format_value(value: float) -> str:
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count (also what a published series holds)."""
 
     __slots__ = ("_lock", "_value")
 
-    def __init__(self) -> None:
+    def __init__(self, value: float = 0.0) -> None:
         self._lock = threading.Lock()
-        self._value = 0.0
+        self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be non-negative)."""
         if amount < 0:
-            raise ValueError("counters only go up; use a gauge for decrements")
+            raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time value (cache sizes, hit counts polled at scrape time)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Decrease the gauge (in-flight counts, freed capacity)."""
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -263,17 +236,6 @@ class MetricsRegistry:
                 series = family.series[key] = Counter()
         return series  # type: ignore[return-value]
 
-    def gauge(self, name: str, help: str = "",
-              labels: Optional[Mapping[str, object]] = None) -> Gauge:
-        """The gauge series for ``(name, labels)``, created on first use."""
-        family = self._family(name, "gauge", help)
-        key = _label_key(labels)
-        with self._lock:
-            series = family.series.get(key)
-            if series is None:
-                series = family.series[key] = Gauge()
-        return series  # type: ignore[return-value]
-
     def histogram(self, name: str, help: str = "",
                   labels: Optional[Mapping[str, object]] = None,
                   buckets: Optional[Sequence[float]] = None) -> Histogram:
@@ -287,21 +249,21 @@ class MetricsRegistry:
                 series = family.series[key] = Histogram(family.buckets)
         return series  # type: ignore[return-value]
 
-    def replace_gauges(self, name: str, help: str,
-                       series: Iterable[Tuple[Mapping[str, object], float]]
-                       ) -> None:
-        """Make the gauge family ``name`` hold exactly ``series`` (labels, value).
+    def publish(self, name: str, kind: str, help: str,
+                series: Iterable[Tuple[Mapping[str, object], float]]) -> None:
+        """Make the family ``name`` hold exactly ``series`` (labels, value).
 
-        For a family rebuilt from live state at every scrape: a label set
-        missing from ``series`` drops out of the family.  The swap is one
-        assignment under the registry lock, so a concurrent read-out sees the
-        old series or the new ones, never a half-built family.
+        ``kind`` is ``"counter"`` for a count that never goes down or
+        ``"gauge"`` for a size.  A label set missing from ``series`` drops
+        out of the family.  The swap is one assignment under the registry
+        lock, so a concurrent read-out sees the old series or the new ones,
+        never a half-built family.
         """
-        family = self._family(name, "gauge", help)
-        replacement: "Dict[LabelValues, object]" = {}
-        for labels, value in series:
-            gauge = replacement[_label_key(labels)] = Gauge()
-            gauge.set(value)
+        if kind not in ("counter", "gauge"):
+            raise ValueError(f"a published family is a counter or a gauge, not {kind!r}")
+        family = self._family(name, kind, help)
+        replacement: "Dict[LabelValues, object]" = {
+            _label_key(labels): Counter(value) for labels, value in series}
         with self._lock:
             family.series = replacement
 

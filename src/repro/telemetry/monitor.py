@@ -19,10 +19,11 @@ receives every prepared-query execution and error and maintains:
 * a :class:`~repro.telemetry.qualitylog.PlanQualityTracker` — per-fingerprint
   q-error accounting of the estimated-vs-actual cardinalities every adaptive
   run already carries (the data feed for estimate-drift re-optimisation);
-* **cache/resource gauges** — :meth:`SessionMonitor.collect` polls the
-  planner LRU (``cache_info``), the column-block cache and the per-database
-  catalog sizes into gauges on the session's
-  :class:`~repro.telemetry.metrics.MetricsRegistry`, so one ``/metrics``
+* **cache/resource metrics** — :meth:`SessionMonitor.collect` publishes
+  counts (as ``*_total`` counters; no source resets one) and sizes (as
+  gauges) on the session's :class:`~repro.telemetry.metrics.MetricsRegistry`,
+  every engine cache through one labelled family set
+  (``engine_cache_hits_total{cache}`` …), so one ``/metrics``
   scrape sees the full warm-path cache state.
 
 The monitor serves nothing itself: its :meth:`~SessionMonitor.querylog_payload`,
@@ -369,6 +370,71 @@ def rolling_history(entries: Sequence[QueryLogEntry], *,
 
 
 # --------------------------------------------------------------------------- #
+# What collect() publishes
+# --------------------------------------------------------------------------- #
+def _info(key: str):
+    """A :data:`_POLLED` reader: the one series ``column_cache_info()[key]``."""
+    return lambda monitor, info: [({}, info[key])]
+
+
+def _gc(key: str):
+    """A :data:`_POLLED` reader: ``gc.get_stats()[generation][key]`` per generation."""
+    return lambda monitor, info: [({"generation": generation}, stats[key])
+                                  for generation, stats in enumerate(gc.get_stats())]
+
+
+def _per_database(measure):
+    """A :data:`_POLLED` reader: ``measure(relations)`` per live monitored database."""
+    return lambda monitor, info: [({"database": label}, measure(database.relations()))
+                                  for database, label in monitor._databases()]
+
+
+#: Every family :meth:`SessionMonitor.collect` polls outside the cache
+#: report, as ``(name, kind, reader, help)``: a reader maps the monitor and
+#: one ``column_cache_info()`` snapshot to ``(labels, value)`` series.
+#: Cumulative counts are counters named ``*_total``; sizes are gauges.
+_POLLED = (
+    ("engine_selection_keys_built_total", "counter", _info("selection_keys"),
+     "Selection keys materialised; a warm re-execution adds none."),
+    ("engine_fold_programs_compiled_total", "counter", _info("fold_programs"),
+     "Bound reduce-and-fold programs compiled, one per plan and output set."),
+    ("engine_interner_values", "gauge", _info("interned_values"),
+     "Values held by the current interner generation."),
+    ("engine_interner_locked_cells_total", "counter",
+     _info("interner_locked_cells"), "Column cells interned under the lock."),
+    ("engine_key_overflow_rows_total", "counter", _info("key_overflow_rows"),
+     "Multi-attribute key rows whose ids outgrew the packing radix."),
+    ("process_gc_collections_total", "counter", _gc("collections"),
+     "Runs of the cyclic garbage collector, per generation."),
+    ("process_gc_collected_total", "counter", _gc("collected"),
+     "Objects the cyclic garbage collector has freed, per generation."),
+    ("engine_querylog_entries", "gauge",
+     lambda monitor, info: [({}, len(monitor.log))], "Entries in the query log."),
+    ("engine_querylog_dropped_total", "counter",
+     lambda monitor, info: [({}, monitor.log.dropped)],
+     "Entries the query log ring buffer has evicted."),
+    ("engine_database_relations", "gauge", _per_database(len),
+     "Relations in a monitored database."),
+    ("engine_database_rows", "gauge",
+     _per_database(lambda relations: sum(map(len, relations))),
+     "Stored rows in a monitored database."),
+)
+
+#: The labelled cache report: ``(report field, name, kind, help)``.  Each
+#: cache publishes one ``{cache=…}`` series per field its report carries.
+_CACHE_FAMILIES = (
+    ("hits", "engine_cache_hits_total", "counter",
+     "Lookups a cache answered from a resident entry."),
+    ("misses", "engine_cache_misses_total", "counter",
+     "Lookups a cache answered by building the value."),
+    ("evictions", "engine_cache_evictions_total", "counter",
+     "Entries a cache dropped to stay within its bound."),
+    ("size", "engine_cache_entries", "gauge", "Entries resident in a cache."),
+    ("capacity", "engine_cache_capacity", "gauge", "A cache's entry bound."),
+)
+
+
+# --------------------------------------------------------------------------- #
 # The session monitor
 # --------------------------------------------------------------------------- #
 class SessionMonitor:
@@ -394,7 +460,6 @@ class SessionMonitor:
         self._lock = threading.Lock()
         self._armed: set = set()          # query names armed for slow tracing
         self._registry = None             # bound by the session
-        self._planner = None
         self._session_ref = None
         # Databases seen by observe(), weakly held, labelled db0, db1, …
         self._database_labels: "weakref.WeakKeyDictionary[object, str]" = \
@@ -406,7 +471,7 @@ class SessionMonitor:
     # Session binding
     # ------------------------------------------------------------------ #
     def bind(self, session: object) -> "SessionMonitor":
-        """Attach to a session (its registry and planner); idempotent.
+        """Attach to a session (its registry and caches); idempotent.
 
         A monitor belongs to exactly one session — binding a second raises,
         so two sessions can never interleave entries in one log.
@@ -419,7 +484,6 @@ class SessionMonitor:
                                      "a different EngineSession")
             self._session_ref = weakref.ref(session)
             self._registry = session.metrics
-            self._planner = session.planner
             self._slow_counter = self._registry.counter(
                 "engine_slow_queries_total",
                 "Runs at or above the slow-query threshold.")
@@ -514,123 +578,43 @@ class SessionMonitor:
     # Cache / resource collection
     # ------------------------------------------------------------------ #
     def collect(self) -> Dict[str, float]:
-        """Poll every cache into gauges on the session registry; return the values.
+        """Publish every polled value on the session registry; return them.
 
-        Covers the planner LRU (hits/misses/size/capacity), the column-block
-        cache, the interner's size and the key rows
-        that overflowed the packing radix, the process' cyclic-collector
-        runs per generation (``gc.get_stats()``, read here at scrape time —
-        nothing is hooked into the execute path), the query-log occupancy
-        and the per-database relation/row counts of every live database the
-        monitor has seen.  Those two families are rebuilt from the weakly
-        tracked databases on every call, so a collected database's series
-        drop out with it.  This is the only code that writes a gauge.
+        One loop over :data:`_POLLED`, then one over the caches' ``(cache,
+        report)`` pairs — the session's and the columnar layer's.  Values
+        are read at scrape time; nothing is hooked into the execute path.
+        Each family is rebuilt whole, so a collected database's series drop
+        out with it.  Returned values are keyed ``name{k=v,…}``.
         """
-        from ..engine.columnar.block import column_cache_info
+        from ..engine.columnar.block import column_cache_info, column_cache_reports
 
         values: Dict[str, float] = {}
         registry = self._registry
         if registry is None:
             return values
 
-        def key(name: str, labels: Optional[Mapping[str, object]]) -> str:
-            suffix = "" if not labels else \
-                "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-            return f"{name}{suffix}"
+        def publish(name, kind, help, series) -> None:
+            registry.publish(name, kind, help, series)
+            for labels, value in series:
+                suffix = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+                values[f"{name}{{{suffix}}}" if suffix else name] = float(value)
 
-        def gauge(name: str, help: str, value: float,
-                  labels: Optional[Mapping[str, object]] = None) -> None:
-            registry.gauge(name, help, labels=labels).set(value)
-            values[key(name, labels)] = float(value)
-
-        if self._planner is not None:
-            info = self._planner.cache_info()
-            gauge("engine_planner_cache_hits", "Planner LRU hits.", info.hits)
-            gauge("engine_planner_cache_misses", "Planner LRU misses.",
-                  info.misses)
-            gauge("engine_planner_cache_size",
-                  "Compiled plans resident in the planner LRU.", info.size)
-            gauge("engine_planner_cache_capacity",
-                  "The planner LRU's capacity.", info.capacity)
-        column_info = column_cache_info()
-        gauge("engine_column_cache_hits", "Cumulative column-block cache hits.",
-              column_info["hits"])
-        gauge("engine_column_cache_misses",
-              "Cumulative column-block cache misses.", column_info["misses"])
-        gauge("engine_column_cache_relations",
-              "Relations resident in the column-block cache.",
-              column_info["relations"])
-        gauge("engine_keyset_cache_hits",
-              "Columnar semijoins answered without building a membership structure.",
-              column_info["keyset_hits"])
-        gauge("engine_keyset_cache_misses",
-              "Semijoin membership structures built on block storages.",
-              column_info["keyset_misses"])
-        gauge("engine_result_memo_hits",
-              "Result relations served from their storage's decode memo.",
-              column_info["relation_hits"])
-        gauge("engine_result_memo_misses",
-              "Result relations decoded from their column block.",
-              column_info["relation_misses"])
-        gauge("engine_payload_memo_hits",
-              "Sorted wire rows served from their storage's payload memo.",
-              column_info["payload_hits"])
-        gauge("engine_payload_memo_misses",
-              "Sorted wire rows gathered and sorted from their column block.",
-              column_info["payload_misses"])
-        gauge("engine_selection_keys_built",
-              "Selection keys (selection-vector bytes) materialised; a warm "
-              "re-execution reuses its memoised keys and adds none.",
-              column_info["selection_keys"])
-        gauge("engine_fold_programs_compiled",
-              "Bound reduce-and-fold programs compiled (one per plan and "
-              "output set); a warm re-execution replays its plan's program "
-              "and adds none.",
-              column_info["fold_programs"])
-        gauge("engine_interner_values",
-              "Values held by the current interner generation (only grows).",
-              column_info["interned_values"])
-        gauge("engine_interner_locked_cells",
-              "Column cells the interner resolved under its lock (known "
-              "values resolve lock-free).",
-              column_info["interner_locked_cells"])
-        gauge("engine_key_overflow_rows",
-              "Multi-attribute key rows interned because their ids outgrew "
-              "the packing radix.",
-              column_info["key_overflow_rows"])
-        for generation, stats in enumerate(gc.get_stats()):
-            labels = {"generation": generation}
-            gauge("process_gc_collections",
-                  "Runs of the cyclic garbage collector, per generation.",
-                  stats["collections"], labels)
-            gauge("process_gc_collected",
-                  "Objects the cyclic garbage collector has freed, per "
-                  "generation.", stats["collected"], labels)
-        gauge("engine_querylog_entries",
-              "Entries retained in the query log ring buffer.", len(self.log))
-        gauge("engine_querylog_dropped",
-              "Entries the query log ring buffer has evicted.",
-              self.log.dropped)
-        with self._lock:
-            databases = list(self._database_labels.items())
-        relation_counts, row_counts = [], []
-        for database, label in databases:
-            relations = getattr(database, "relations", None)
-            if relations is None:
-                continue
-            rels = relations()
-            labels = {"database": label}
-            relation_counts.append((labels, len(rels)))
-            row_counts.append((labels, sum(len(relation) for relation in rels)))
-        for name, help, series in (
-                ("engine_database_relations",
-                 "Relations in a monitored database.", relation_counts),
-                ("engine_database_rows",
-                 "Stored rows in a monitored database.", row_counts)):
-            registry.replace_gauges(name, help, series)
-            values.update((key(name, labels), float(value))
-                          for labels, value in series)
+        info = column_cache_info()
+        for name, kind, read, help in _POLLED:
+            publish(name, kind, help, read(self, info))
+        session = self._session_ref()
+        reports = (session.cache_reports() if session is not None else ()) \
+            + column_cache_reports()
+        for field, name, kind, help in _CACHE_FAMILIES:
+            publish(name, kind, help, [({"cache": cache}, report[field])
+                                       for cache, report in reports
+                                       if field in report])
         return values
+
+    def _databases(self) -> List[Tuple[object, str]]:
+        """The live databases the monitor has seen, with their labels."""
+        with self._lock:
+            return list(self._database_labels.items())
 
     # ------------------------------------------------------------------ #
     # JSON payloads (served by the query service's GET routes)

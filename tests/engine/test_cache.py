@@ -51,13 +51,27 @@ class TestCounters:
         cache.get_or_build("other", lambda: object())
         assert cache.info() == PlanCacheInfo(hits=2, misses=2, size=2, capacity=4)
 
-    def test_clear_drops_entries_and_resets_counters(self):
+    def test_clear_drops_entries_and_keeps_counts(self):
         cache = LRUCache(4)
         cache.get_or_build("k", lambda: 1)
         cache.get_or_build("k", lambda: 2)
+        before = cache.info()
         cache.clear()
-        assert cache.info() == PlanCacheInfo(hits=0, misses=0, size=0, capacity=4)
+        assert cache.info() == PlanCacheInfo(hits=1, misses=1, size=0, capacity=4)
         assert cache.get_or_build("k", lambda: 3) == 3
+        after = cache.info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (0, 1)
+
+    def test_evictions_are_counted_and_survive_a_clear(self):
+        cache = LRUCache(2)
+        for key in range(5):
+            cache.get_or_build(key, lambda key=key: key)
+        assert cache.info() == PlanCacheInfo(hits=0, misses=5, size=2,
+                                             capacity=2, evictions=3)
+        cache.clear()
+        assert cache.info().evictions == 3
+        assert vars(cache.info()) == {"hits": 0, "misses": 5, "size": 0,
+                                      "capacity": 2, "evictions": 3}
 
     def test_failed_build_inserts_and_counts_nothing(self):
         cache = LRUCache(4)

@@ -116,6 +116,7 @@ class TestBlockCache:
         # Regression: the cache was keyed by relation *value*, so S(B, A) was
         # handed R(A, B)'s block — name and column order included.
         clear_column_caches()
+        before = column_cache_info()
         r = Relation.from_tuples(RelationSchema.of("R", ("A", "B")), [(1, 2)])
         s = Relation.from_tuples(RelationSchema.of("S", ("B", "A")), [(2, 1)])
         assert r == s
@@ -128,7 +129,8 @@ class TestBlockCache:
         assert decoded.schema.attributes == ("B", "A")
         assert decoded == s
         info = column_cache_info()
-        assert (info["misses"], info["hits"], info["relations"]) == (2, 1, 2)
+        assert (info["misses"] - before["misses"], info["hits"] - before["hits"],
+                info["relations"]) == (2, 1, 2)
 
     def test_entry_is_dropped_with_its_relation(self, r_ab):
         clear_column_caches()
@@ -161,14 +163,34 @@ class TestBlockCache:
     def test_clear_empties_the_cache_and_swaps_the_generation(self, r_ab):
         before = block_for(r_ab)
         interner = current_interner()
+        counts = column_cache_info()
         clear_column_caches()
         info = column_cache_info()
-        assert (info["relations"], info["hits"], info["misses"]) == (0, 0, 0)
+        # A clear drops the entries; the counts persist.
+        assert (info["relations"], info["hits"], info["misses"]) == \
+            (0, counts["hits"], counts["misses"])
         assert peek_block(r_ab) is None
         assert current_interner() is not interner
         after = block_for(r_ab)
         assert after is not before and after.interner is current_interner()
         assert before.to_relation() == r_ab  # a survivor still decodes
+
+    def test_a_full_derived_cache_counts_the_entries_it_drops(self, r_ab):
+        block = ColumnBlock.from_relation(r_ab)  # a storage of its own
+        derived = block._storage._derived
+        start = column_cache_info()["derived_evictions"]
+        index = 0
+        while len(derived) < block_module._DERIVED_CACHE_CAP:
+            block.derived_put(("fill", index), index)
+            index += 1
+        assert column_cache_info()["derived_evictions"] == start
+        assert block.derived_put(("overflow",), "kept") == "kept"
+        assert column_cache_info()["derived_evictions"] == \
+            start + block_module._DERIVED_CACHE_CAP
+        assert list(derived) == [("overflow",)]
+        clear_column_caches()
+        assert column_cache_info()["derived_evictions"] == \
+            start + block_module._DERIVED_CACHE_CAP
 
     def test_finalizer_under_the_held_cache_lock_does_not_deadlock(self):
         # The collector can run a dead relation's finalizer on an allocation
@@ -193,6 +215,7 @@ class TestBlockCache:
 
     def test_concurrent_block_for_loses_no_counter_increment(self, r_ab):
         clear_column_caches()
+        counts = column_cache_info()
         threads, rounds = 8, 150
         shared_blocks, failures = [], []
         start = threading.Barrier(threads)
@@ -226,8 +249,10 @@ class TestBlockCache:
         assert len(set(map(id, shared_blocks))) == 1
         gc.collect()
         info = column_cache_info()
-        assert info["hits"] + info["misses"] == threads * rounds * 3
-        assert info["misses"] >= threads * rounds + 1
+        hits = info["hits"] - counts["hits"]
+        misses = info["misses"] - counts["misses"]
+        assert hits + misses == threads * rounds * 3
+        assert misses >= threads * rounds + 1
         assert info["relations"] == 1
 
 

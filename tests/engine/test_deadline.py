@@ -18,7 +18,7 @@ from repro.generators import (
     k_cycle_hypergraph,
     skewed_chain_database,
 )
-from repro.relational import DatabaseSchema
+from repro.relational import Database, DatabaseSchema, Relation
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,16 @@ def test_scopes_nest_and_restore():
         with deadline_scope(1.0):
             assert active_deadline()[1] == 1.0
         assert active_deadline()[1] == 10.0
+
+
+def test_a_nested_scope_never_extends_the_ambient_expiry():
+    with deadline_scope(0.01):
+        ambient = active_deadline()
+        with deadline_scope(100.0):
+            assert active_deadline() == ambient
+            assert remaining_seconds() <= 0.01
+        assert active_deadline() == ambient
+    assert active_deadline() is None
 
 
 def test_an_expired_deadline_raises_with_the_phase():
@@ -114,15 +124,17 @@ def test_tiny_deadline_times_out_acyclic(chain_database):
     with pytest.raises(ExecutionTimeoutError) as caught:
         session.execute(chain_database, chain_database)
     # The breach is observed at a phase boundary, so the phase is named.
-    assert caught.value.phase in ("encode", "reduce", "fold", "decode")
+    # The option's budget also covers a never-seen database's ingest.
+    assert caught.value.phase in ("ingest", "encode", "reduce", "fold",
+                                  "decode")
 
 
 def test_tiny_deadline_times_out_cyclic(cycle_database):
     session = EngineSession(deadline_seconds=1e-9)
     with pytest.raises(ExecutionTimeoutError) as caught:
         session.execute(cycle_database, cycle_database)
-    assert caught.value.phase in ("materialise", "encode", "reduce",
-                                  "fold", "decode")
+    assert caught.value.phase in ("ingest", "materialise", "encode",
+                                  "reduce", "fold", "decode")
 
 
 def test_ambient_scope_times_out_an_unoptioned_execution(chain_database):
@@ -141,11 +153,12 @@ def test_spent_budget_stops_ingest_before_any_block_is_cached():
                                      seed=11)
     prepared = EngineSession().prepare(database)
     clear_column_caches()
+    misses = column_cache_info()["misses"]
     with deadline_scope(1e-9):
         with pytest.raises(ExecutionTimeoutError) as caught:
             prepared.execute(database)
     assert caught.value.phase == "ingest"
-    assert column_cache_info()["misses"] == 0
+    assert column_cache_info()["misses"] == misses
     assert all(peek_block(relation) is None for relation in database.relations())
     prepared.execute(database)  # nothing half-resolved was memoised
 
@@ -175,6 +188,31 @@ def test_spent_budget_stops_the_service_payload_before_any_row_is_built(
         server._relation_payloads((result,), statistics)
     assert built == [result]
     assert statistics["phase_seconds"]["payload"] > 0
+
+
+def test_an_option_budget_never_extends_a_smaller_ambient_one(chain_database):
+    prepared = EngineSession(deadline_seconds=100.0).prepare(chain_database)
+    prepared.execute(chain_database)  # warm: the binding is resolved
+    with deadline_scope(1e-9):
+        with pytest.raises(ExecutionTimeoutError) as caught:
+            prepared.execute(chain_database)
+    assert caught.value.deadline_seconds == 1e-9
+    assert len(prepared.execute(chain_database).relation) > 0
+
+
+def test_an_option_budget_covers_ingest_of_a_never_seen_database(
+        chain_database):
+    prepared = EngineSession(deadline_seconds=1e-9).prepare(chain_database)
+    unseen = Database(chain_database.schema, {
+        relation.name: Relation.from_valid_rows(relation.schema, relation.rows)
+        for relation in chain_database.relations()})
+    misses = column_cache_info()["misses"]
+    with pytest.raises(ExecutionTimeoutError) as caught:
+        prepared.execute(unseen)
+    assert caught.value.phase == "ingest"
+    assert caught.value.deadline_seconds == 1e-9
+    assert column_cache_info()["misses"] == misses
+    assert all(peek_block(relation) is None for relation in unseen.relations())
 
 
 def test_deadline_failures_reach_the_monitor(chain_database):

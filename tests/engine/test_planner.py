@@ -98,12 +98,16 @@ class TestPlanner:
         text = plan.describe()
         assert "ExecutionPlan" in text and "semijoin steps" in text
 
-    def test_clear_resets_counters(self):
+    def test_clear_drops_plans_and_keeps_counts(self):
         planner = QueryPlanner()
         planner.plan_for_schema(university_schema())
+        before = planner.cache_info()
         planner.clear()
         info = planner.cache_info()
-        assert info.hits == 0 and info.misses == 0 and info.size == 0
+        assert info.size == 0 and before.size > 0
+        assert (info.hits, info.misses) == (before.hits, before.misses)
+        planner.plan_for_schema(university_schema())
+        assert planner.cache_info().misses == before.misses + 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -299,6 +299,7 @@ class TestPreparedCache:
         last_source, last_kwargs = sources[capacity]
         session.prepare(last_source, **last_kwargs)
         assert f"prepared={capacity}" in session.describe()
+        assert dict(session.cache_reports())["prepared"]["evictions"] == 1
         assert session.prepare(first_source, **first_kwargs) is prepared[0]
         assert session.prepare(sources[-2][0], **sources[-2][1]) is prepared[-1]
         second_source, second_kwargs = sources[1]
@@ -432,12 +433,18 @@ class TestPersistence:
     def test_load_missing_ok(self, tmp_path):
         assert EngineSession().load(tmp_path / "absent.json", missing_ok=True) == 0
 
-    def test_clear_resets_everything(self, acyclic_db):
+    def test_clear_drops_plans_and_keeps_counts(self, acyclic_db):
         session = EngineSession()
         session.prepare(acyclic_db).execute(acyclic_db)
+        before = dict(session.cache_reports())
         session.clear()
         info = session.cache_info()
-        assert info.size == 0 and info.hits == 0 and info.misses == 0
+        assert info.size == 0 and session.describe().endswith("prepared=0)")
+        after = dict(session.cache_reports())
+        for cache in ("planner", "prepared"):
+            assert after[cache]["size"] == 0
+            for count in ("hits", "misses", "evictions"):
+                assert after[cache][count] == before[cache][count]
 
 
 class TestErrors:

@@ -132,13 +132,17 @@ class TestKeysetCacheCounters:
         assert warm["keyset_hits"] > cold["keyset_hits"]
         assert warm["keyset_misses"] == cold["keyset_misses"]
 
-    def test_monitor_exports_keyset_gauges(self, acyclic_db):
+    def test_monitor_exports_keyset_counters(self, acyclic_db):
         session = EngineSession(monitor=True)
         session.prepare(acyclic_db, ("C0", "C5")).execute(acyclic_db)
-        gauges = session.monitor.collect()
+        values = session.monitor.collect()
         info = column_cache_info()
-        assert gauges["engine_keyset_cache_hits"] == info["keyset_hits"]
-        assert gauges["engine_keyset_cache_misses"] == info["keyset_misses"]
+        assert values["engine_cache_hits_total{cache=keyset}"] == \
+            info["keyset_hits"]
+        assert values["engine_cache_misses_total{cache=keyset}"] == \
+            info["keyset_misses"]
+        assert "# TYPE engine_cache_hits_total counter" in \
+            session.metrics.render_prometheus()
 
 
 class TestBackendReporting:

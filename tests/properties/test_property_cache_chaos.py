@@ -14,6 +14,8 @@ from earlier steps keep executing after their cache entry is gone.
 Every answer must equal :mod:`repro.relational`'s — :func:`yannakakis_join`
 on acyclic schemas, :func:`naive_join` on cyclic ones — byte for byte, on
 both column backends, adaptive and static, and from four threads at once.
+The LRUs count what they evict: a full one-entry cache evicts on every
+miss but its first.
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ def test_evictions_and_clears_never_change_an_answer(databases, steps, seed,
     info = session.cache_info()
     assert info.size <= info.capacity == 1
     assert "prepared=1)" in session.describe()
+    for cache, report in session.cache_reports():
+        assert report["evictions"] == report["misses"] - 1, cache
 
 
 def test_threads_sharing_one_entry_caches_get_the_oracle_answers():
@@ -142,3 +146,6 @@ def test_threads_sharing_one_entry_caches_get_the_oracle_answers():
     finally:
         sys.setswitchinterval(interval)
     assert not errors
+    reports = dict(session.cache_reports())
+    assert reports["planner"]["evictions"] > 0
+    assert reports["prepared"]["evictions"] > 0

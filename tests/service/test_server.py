@@ -583,7 +583,8 @@ def test_exposition_routes_are_mounted(server, limit, status, entries):
     assert (got, content_type) == (200, _METRICS_TYPE)
     metrics = body.decode("utf-8")
     assert "engine_queries_total" in metrics
-    assert "engine_planner_cache_size" in metrics
+    assert 'engine_cache_entries{cache="planner"}' in metrics
+    assert "# TYPE engine_cache_hits_total counter" in metrics
     assert "engine_querylog_entries 2" in metrics
 
     got, content_type, body = client.get("/health")

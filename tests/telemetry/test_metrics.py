@@ -36,13 +36,26 @@ class TestCounter:
             MetricsRegistry().counter("queries").inc(-1)
 
 
-class TestGauge:
-    def test_set_and_inc(self):
+class TestPublish:
+    def test_a_republished_family_holds_the_latest_values(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("cache_size")
-        gauge.set(7)
-        gauge.inc(-2)
-        assert registry.gauge("cache_size").value == 5
+        registry.publish("cache_size", "gauge", "", [({}, 7)])
+        registry.publish("cache_size", "gauge", "", [({}, 5)])
+        assert registry.snapshot() == {"cache_size": 5}
+        assert "# TYPE cache_size gauge" in registry.render_prometheus()
+
+    def test_a_published_counter_renders_like_a_session_counter(self):
+        published, written = MetricsRegistry(), MetricsRegistry()
+        published.publish("hits_total", "counter", "Hits.",
+                          [({"cache": "planner"}, 1_234_567)])
+        written.counter("hits_total", "Hits.",
+                        labels={"cache": "planner"}).inc(1_234_567)
+        assert published.render_prometheus() == written.render_prometheus()
+        assert "# TYPE hits_total counter" in published.render_prometheus()
+
+    def test_only_counters_and_gauges_are_published(self):
+        with pytest.raises(ValueError):
+            MetricsRegistry().publish("latency", "histogram", "", [])
 
 
 class TestHistogram:
@@ -66,12 +79,12 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("queries")
         with pytest.raises(ValueError):
-            registry.gauge("queries")
+            registry.publish("queries", "gauge", "", [])
 
     def test_snapshot_flattens_every_series(self):
         registry = MetricsRegistry()
         registry.counter("queries", labels={"kind": "acyclic"}).inc(2)
-        registry.gauge("cache_size").set(4)
+        registry.publish("cache_size", "gauge", "", [({}, 4)])
         registry.histogram("latency", buckets=(1.0,)).observe(0.5)
         snapshot = registry.snapshot()
         assert snapshot["queries{kind=acyclic}"] == 2
@@ -96,23 +109,23 @@ class TestRegistry:
     def test_clear_drops_every_series(self):
         registry = MetricsRegistry()
         registry.counter("queries").inc()
-        registry.gauge("cache_size").set(3)
+        registry.publish("cache_size", "gauge", "", [({}, 3)])
         registry.clear()
         assert registry.snapshot() == {}
         assert registry.render_prometheus() == ""
         assert registry.counter("queries").value == 0
 
-    def test_replace_gauges_keeps_exactly_the_given_series(self):
+    def test_publish_keeps_exactly_the_given_series(self):
         registry = MetricsRegistry()
-        registry.replace_gauges("rows", "Rows.", [({"db": "a"}, 1),
-                                                  ({"db": "b"}, 2)])
-        registry.replace_gauges("rows", "Rows.", [({"db": "b"}, 5)])
+        registry.publish("rows", "gauge", "Rows.", [({"db": "a"}, 1),
+                                                    ({"db": "b"}, 2)])
+        registry.publish("rows", "gauge", "Rows.", [({"db": "b"}, 5)])
         assert registry.snapshot() == {"rows{db=b}": 5}
-        registry.replace_gauges("rows", "Rows.", [])
+        registry.publish("rows", "gauge", "Rows.", [])
         assert registry.snapshot() == {}
         registry.counter("queries_total")
         with pytest.raises(ValueError):
-            registry.replace_gauges("queries_total", "", [])
+            registry.publish("queries_total", "gauge", "", [])
 
 
 class TestExportedValues:
@@ -137,7 +150,7 @@ class TestExportedValues:
         registry = MetricsRegistry()
         for name, value in (("up", float("inf")), ("down", float("-inf")),
                             ("unknown", float("nan")), ("ratio", 0.25)):
-            registry.gauge(name).set(value)
+            registry.publish(name, "gauge", "", [({}, value)])
         lines = registry.render_prometheus().splitlines()
         for expected in ("up +Inf", "down -Inf", "unknown NaN", "ratio 0.25"):
             assert expected in lines
@@ -210,15 +223,6 @@ class TestSessionMetrics:
             "engine_queries_total", labels={"kind": "cyclic"}).value == 3
 
 
-class TestGaugeDec:
-    def test_dec_decreases_the_value(self):
-        gauge = MetricsRegistry().gauge("in_flight")
-        gauge.inc(3)
-        gauge.dec()
-        gauge.dec(1.5)
-        assert gauge.value == pytest.approx(0.5)
-
-
 class TestHistogramTimer:
     def test_time_observes_the_block_wall_time(self):
         registry = MetricsRegistry()
@@ -266,8 +270,8 @@ class TestPrometheusEscaping:
 
     def test_exposition_stays_one_line_per_series(self):
         registry = MetricsRegistry()
-        registry.gauge("cache", labels={"db": "a\nb"}).set(1)
-        registry.gauge("cache", labels={"db": "plain"}).set(2)
+        registry.publish("cache", "gauge", "", [({"db": "a\nb"}, 1),
+                                                ({"db": "plain"}, 2)])
         lines = [line for line in registry.render_prometheus().splitlines()
                  if line.startswith("cache{")]
         assert len(lines) == 2

@@ -1,12 +1,14 @@
-"""The operational monitoring subsystem: query log, history, gauges.
+"""The operational monitoring subsystem: query log, history, cache metrics.
 
 Covers the ring buffer's bounds and bookkeeping, the rolling-history
 percentiles, slow-query trace retention (arm on the offending run, capture
 on the next), error capture including bindings that fail before the engine
-runs, the cache collector's gauges (the interner's size, the cells it
-resolved under its lock, the key rows that overflowed the packing radix and
-the result and payload memos' hits among them, the selection keys a warm run
-reuses), and the whole stack under concurrent ``execute_many`` traffic
+runs, the cache collector's counters and gauges (the interner's size, the
+cells it resolved under its lock, the key rows that overflowed the packing
+radix, the labelled cache report with the result and payload memos' hits
+among them, the selection keys a warm run reuses; every count typed a
+counter that no clear decreases), and the whole stack under concurrent
+``execute_many`` traffic
 from multiple threads.  The HTTP routes that serve the monitor are the query
 service's, tested in ``tests/service/test_server.py``.
 """
@@ -46,6 +48,7 @@ from repro.telemetry import (
     use_tracer,
     validate_query_log,
 )
+from repro.telemetry import monitor as monitor_module
 
 CHAIN = 4
 
@@ -329,13 +332,14 @@ class TestCollector:
         prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
         prepared.execute(database)
         values = session.monitor.collect()
-        assert values["engine_planner_cache_size"] >= 1
+        assert values["engine_cache_entries{cache=planner}"] >= 1
+        assert values["engine_cache_entries{cache=prepared}"] == 1
         assert values["engine_querylog_entries"] == 1
         assert values["engine_database_relations{database=db0}"] == CHAIN
         assert values["engine_database_rows{database=db0}"] > 0
         snapshot = session.metrics.snapshot()
-        assert snapshot["engine_planner_cache_size"] == \
-            values["engine_planner_cache_size"]
+        assert snapshot["engine_cache_entries{cache=planner}"] == \
+            values["engine_cache_entries{cache=planner}"]
         assert snapshot["engine_database_rows{database=db0}"] == \
             values["engine_database_rows{database=db0}"]
 
@@ -345,17 +349,23 @@ class TestCollector:
         try:
             session = EngineSession(monitor=MonitorConfig())
             prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
-            assert session.monitor.collect()["engine_result_memo_misses"] == 0
+            hits, misses = ("engine_cache_hits_total{cache=result_memo}",
+                            "engine_cache_misses_total{cache=result_memo}")
+            before = session.monitor.collect()
+            start = column_cache_info()
+            assert (before[misses], before[hits]) == \
+                (start["relation_misses"], start["relation_hits"])
             tracer = Tracer()
             with use_tracer(tracer):
                 first = prepared.execute(database).relation
                 second = prepared.execute(database).relation
             assert first is second
             values = session.monitor.collect()
-            assert values["engine_result_memo_misses"] == 1
-            assert values["engine_result_memo_hits"] == 1
+            assert values[misses] == before[misses] + 1
+            assert values[hits] == before[hits] + 1
             info = column_cache_info()
-            assert (info["relation_misses"], info["relation_hits"]) == (1, 1)
+            assert (info["relation_misses"] - start["relation_misses"],
+                    info["relation_hits"] - start["relation_hits"]) == (1, 1)
             decodes = [record["attributes"] for record in tracer.records
                        if record["name"] == "decode"]
             assert [span["memo_hit"] for span in decodes] == [False, True]
@@ -382,17 +392,23 @@ class TestCollector:
                        for attribute in skewed_chain_endpoints(CHAIN)]
             handle = call("prepare", database="db", outputs=outputs)["query"]
             monitor = service.session.monitor
-            assert monitor.collect()["engine_payload_memo_misses"] == 0
+            hits, misses = ("engine_cache_hits_total{cache=payload_memo}",
+                            "engine_cache_misses_total{cache=payload_memo}")
+            before = monitor.collect()
+            start = column_cache_info()
+            assert (before[misses], before[hits]) == \
+                (start["payload_misses"], start["payload_hits"])
             tracer = Tracer()
             with use_tracer(tracer):
                 first = call("execute", query=handle, database="db")
                 second = call("execute", query=handle, database="db")
             assert first["relation"]["rows"] is second["relation"]["rows"]
             values = monitor.collect()
-            assert values["engine_payload_memo_misses"] == 1
-            assert values["engine_payload_memo_hits"] == 1
+            assert values[misses] == before[misses] + 1
+            assert values[hits] == before[hits] + 1
             info = column_cache_info()
-            assert (info["payload_misses"], info["payload_hits"]) == (1, 1)
+            assert (info["payload_misses"] - start["payload_misses"],
+                    info["payload_hits"] - start["payload_hits"]) == (1, 1)
             payloads = [record["attributes"] for record in tracer.records
                         if record["name"] == "payload"]
             assert [span["memo_hit"] for span in payloads] == [False, True]
@@ -407,23 +423,23 @@ class TestCollector:
         try:
             session = EngineSession(monitor=MonitorConfig())
             monitor = session.monitor
-            assert monitor.collect()["engine_selection_keys_built"] == 0
+            name = "engine_selection_keys_built_total"
+            assert monitor.collect()[name] == column_cache_info()["selection_keys"]
             for database, outputs in benchmark_shapes():
                 prepared = session.prepare(database, outputs)
-                before = monitor.collect()["engine_selection_keys_built"]
+                before = monitor.collect()[name]
                 tracer = Tracer()
                 with use_tracer(tracer):
                     prepared.execute(database)
-                built = monitor.collect()["engine_selection_keys_built"] - before
+                built = monitor.collect()[name] - before
                 steps = sum(record["name"].startswith("kernel:")
                             for record in tracer.records)
                 assert 0 < built <= steps
                 for _ in range(3):
                     prepared.execute(database)
                     values = monitor.collect()
-                    assert values["engine_selection_keys_built"] == before + built
-            assert values["engine_selection_keys_built"] == \
-                column_cache_info()["selection_keys"]
+                    assert values[name] == before + built
+            assert values[name] == column_cache_info()["selection_keys"]
         finally:
             clear_column_caches()
 
@@ -434,9 +450,9 @@ class TestCollector:
             monitor = session.monitor
 
             def compiled() -> float:
-                return monitor.collect()["engine_fold_programs_compiled"]
+                return monitor.collect()["engine_fold_programs_compiled_total"]
 
-            assert compiled() == 0
+            assert compiled() == column_cache_info()["fold_programs"]
             for database, outputs in benchmark_shapes():
                 prepared = session.prepare(database, outputs)
                 # One plan (the binding's annotation) and one output set.
@@ -470,10 +486,10 @@ class TestCollector:
             session.prepare(database, skewed_chain_endpoints(CHAIN)).execute(
                 database)
             values = session.monitor.collect()
-            assert values["engine_column_cache_relations"] == \
+            assert values["engine_cache_entries{cache=column_block}"] == \
                 column_cache_info()["relations"] == CHAIN
             assert session.metrics.snapshot()[
-                "engine_column_cache_relations"] == CHAIN
+                "engine_cache_entries{cache=column_block}"] == CHAIN
         finally:
             clear_column_caches()
 
@@ -521,11 +537,13 @@ class TestCollector:
         clear_column_caches()
         try:
             monitor = monitored_session().monitor
+            overflow = "engine_key_overflow_rows_total"
+            start = monitor.collect()[overflow]
             joined = natural_join_blocks(block("left", "L", ["a", "b", "c"], 2),
                                          block("right", "R", ["b", "c", "d"], 2))
             assert len(joined) == 2
             values = monitor.collect()
-            assert values["engine_key_overflow_rows"] == 0
+            assert values[overflow] == start
             assert values["engine_interner_values"] == len(current_interner()) == 4
             # Push the next ids past the width-4 radix (55 103): every key row
             # of the wide join below interns its id tuple instead of packing.
@@ -534,9 +552,8 @@ class TestCollector:
                                          block("right", "R", ["q", "r", "s"], 4))
             assert sorted(joined.iter_rows()) == [("q",) * 6, ("r",) * 6]
             values = monitor.collect()
-            assert values["engine_key_overflow_rows"] == 6
-            assert values["engine_key_overflow_rows"] == \
-                column_cache_info()["key_overflow_rows"]
+            assert values[overflow] == start + 6
+            assert values[overflow] == column_cache_info()["key_overflow_rows"]
             # Four values, the filler, four more values and four key tuples.
             assert values["engine_interner_values"] == 4 + 60_000 + 4 + 4
         finally:
@@ -549,24 +566,28 @@ class TestCollector:
         clear_column_caches()
         try:
             monitor = monitored_session().monitor
-            assert monitor.collect()["engine_interner_locked_cells"] == 0
+            locked = "engine_interner_locked_cells_total"
+            start = monitor.collect()[locked]
             # Cold: every cell of both columns goes under the lock.
             ColumnBlock.from_relation(relation)
             values = monitor.collect()
-            assert values["engine_interner_locked_cells"] == 100
-            assert values["engine_interner_locked_cells"] == \
+            assert values[locked] == start + 100
+            assert values[locked] == \
                 column_cache_info()["interner_locked_cells"]
             # A re-ingest of the same values resolves lock-free: adds 0.
             ColumnBlock.from_relation(relation)
             ColumnBlock.from_columns("S", ("B",), {"B": [2, 0, 1, 1]})
-            assert monitor.collect()["engine_interner_locked_cells"] == 100
+            assert monitor.collect()[locked] == start + 100
             # A known first value takes the lock-free pass: only the new
             # cells (two of them, one value) go under the lock.
             current_interner().encode(["a0", "new", "a1", "new"])
-            assert monitor.collect()["engine_interner_locked_cells"] == 102
+            assert monitor.collect()[locked] == start + 102
             # A new first value: the whole column, known cells included.
             current_interner().encode(["cold", "a0", "a1"])
-            assert monitor.collect()["engine_interner_locked_cells"] == 105
+            assert monitor.collect()[locked] == start + 105
+            # Retiring the generation carries its cells into the total.
+            clear_column_caches()
+            assert monitor.collect()[locked] == start + 105
         finally:
             clear_column_caches()
 
@@ -582,17 +603,72 @@ class TestCollector:
         prepared = session.prepare(databases[0], skewed_chain_endpoints(CHAIN))
         before = session.monitor.collect()
         for generation in range(3):
-            for gauge in ("process_gc_collections", "process_gc_collected"):
-                assert before[f"{gauge}{{generation={generation}}}"] >= 0
+            for family in ("process_gc_collections_total",
+                           "process_gc_collected_total"):
+                assert before[f"{family}{{generation={generation}}}"] >= 0
         results = [prepared.execute(database) for database in databases]
         assert sum(len(result.relation) for result in results) > 2_000
         after = session.monitor.collect()
-        assert after["process_gc_collections{generation=0}"] \
-            > before["process_gc_collections{generation=0}"]
+        assert after["process_gc_collections_total{generation=0}"] \
+            > before["process_gc_collections_total{generation=0}"]
         assert all(after[name] >= before[name] for name in before
                    if name.startswith("process_gc_"))
-        assert 'process_gc_collections{generation="0"}' \
+        assert 'process_gc_collections_total{generation="0"}' \
             in session.metrics.render_prometheus()
+
+    @staticmethod
+    def rendered_kinds(session) -> dict:
+        """``{family: kind}`` read off the ``# TYPE`` lines of a scrape."""
+        return {line.split()[2]: line.split()[3]
+                for line in session.metrics.render_prometheus().splitlines()
+                if line.startswith("# TYPE ")}
+
+    def test_every_count_renders_as_a_counter(self):
+        database = chain_db()
+        session = monitored_session()
+        session.prepare(database, skewed_chain_endpoints(CHAIN)).execute(database)
+        values = session.monitor.collect()
+        kinds = self.rendered_kinds(session)
+        counts = [name for name, kind, _, _ in monitor_module._POLLED
+                  if kind == "counter"]
+        counts += [name for _, name, _, _ in monitor_module._CACHE_FAMILIES
+                   if name.startswith("engine_cache_") and name.endswith("_total")]
+        assert len(counts) == 7 + 3
+        for name in counts:
+            assert name.endswith("_total") and kinds[name] == "counter", name
+        assert all(kind == "counter" for name, kind in kinds.items()
+                   if name.endswith("_total"))
+        # What is left typed a gauge is a size, never a count.
+        assert {name for name, kind in kinds.items() if kind == "gauge"} == {
+            "engine_interner_values", "engine_querylog_entries",
+            "engine_database_relations", "engine_database_rows",
+            "engine_cache_entries", "engine_cache_capacity"}
+        # A field a cache lacks gets no series: the block cache has no bound.
+        assert values["engine_cache_capacity{cache=planner}"] == \
+            session.cache_info().capacity
+        assert "engine_cache_capacity{cache=column_block}" not in values
+        assert "engine_cache_evictions_total{cache=column_block}" not in values
+
+    def test_no_clear_decreases_a_counter(self):
+        database = chain_db()
+        session = monitored_session()
+        prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
+        prepared.execute(database)
+        prepared.execute(database)
+        before = session.monitor.collect()
+        kinds = self.rendered_kinds(session)
+        counters = [key for key in before
+                    if kinds[key.split("{")[0]] == "counter"]
+        assert before["engine_cache_hits_total{cache=column_block}"] > 0
+        assert before["engine_cache_misses_total{cache=planner}"] > 0
+        clear_column_caches()
+        session.clear()  # the planner's and the prepared queries' LRUCache.clear()
+        after = session.monitor.collect()
+        for key in counters:
+            assert after[key] >= before[key], key
+        # The sizes are what a clear resets.
+        for cache in ("planner", "prepared", "column_block"):
+            assert after[f"engine_cache_entries{{cache={cache}}}"] == 0
 
     def test_unbound_monitor_collects_nothing(self):
         assert SessionMonitor().collect() == {}
