@@ -41,7 +41,7 @@ def main() -> None:
 
     # --- execute many ---------------------------------------------------- #
     # Fresh traffic: the same schema with different instances (think shards
-    # or daily snapshots).  One catalog refresh per database, shared hash
+    # or daily snapshots).  One catalog measurement per database, shared hash
     # indexes, plans resolved exactly once per database.
     shards = [skewed_chain_database(3, heads=30, fanout=20, junction_values=4,
                                     seed=seed) for seed in (7, 8, 9)]

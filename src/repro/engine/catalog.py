@@ -4,13 +4,12 @@ The planner's :class:`~repro.engine.planner.ExecutionPlan` is deliberately
 data-independent — it depends only on the schema's hypergraph and is cached
 by fingerprint.  Everything *data-dependent* about planning lives here:
 
-* :class:`RelationStatistics` — one relation's measured cardinality and
-  per-attribute distinct counts (exact — counted from the id columns of the
-  relation's columnar block, which measuring builds if nothing has yet — or
-  extrapolated from a row sample);
+* :class:`RelationStatistics` — one relation's exact cardinality and
+  per-attribute distinct counts, counted from the id columns of the
+  relation's columnar block (which measuring builds if nothing has yet, and
+  which execution needs anyway);
 * :class:`StatisticsCatalog` — the per-database collection of those
-  measurements plus the textbook estimators built on them (join selectivity,
-  join/semijoin output sizes);
+  measurements, keyed by scheme;
 * :class:`JoinEstimate` — a symbolic relation used while *simulating* plans:
   a scheme, an estimated cardinality and estimated per-attribute distinct
   counts, closed under join and projection;
@@ -36,7 +35,6 @@ the annotation only needs the *ordering* of candidate plans to be right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import nsmallest
 from typing import (
     Dict,
     FrozenSet,
@@ -52,7 +50,7 @@ from ..core.hypergraph import Edge
 from ..core.join_tree import JoinTree
 from ..core.nodes import edge_sort_key, format_node_set, sorted_nodes
 from ..exceptions import HypergraphError
-from ..relational.relation import Relation, Row
+from ..relational.relation import Relation
 from ..relational.schema import Attribute
 from .deadline import check_deadline
 
@@ -77,47 +75,22 @@ def _rows(estimate: float) -> int:
     return max(int(estimate + 0.5), 0)
 
 
-def _leading_rows(relation: Relation, limit: int) -> List[Row]:
-    """``list(islice(iter(relation), limit))`` without sorting every row.
-
-    ``Relation.__iter__`` sorts the whole row set by the tuple of each row's
-    value reprs in schema order, rows with equal keys left in row-set order
-    by the stable sort.  The same keys are built here column-wise from the
-    transpose (one C-level ``map(repr, …)`` per attribute, no per-row key
-    function), each followed by the row's row-set position, and
-    ``heapq.nsmallest`` selects the ``limit`` smallest — by definition
-    ``sorted(...)[:limit]``, and the position breaks ties exactly as the
-    stable sort does.
-    """
-    rows, columns = relation.to_columns()
-    tagged = zip(*[map(repr, columns[attribute]) for attribute in relation.attributes],
-                 range(len(rows)))
-    return [rows[entry[-1]] for entry in nsmallest(limit, tagged)]
-
-
 # --------------------------------------------------------------------------- #
 # Measurements
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class RelationStatistics:
-    """Measured statistics of one relation: cardinality and distinct counts.
-
-    ``exact`` is ``False`` when the distinct counts were extrapolated from a
-    row sample (see :meth:`measure`'s ``sample_limit``); the cardinality is
-    always exact (``len`` is free on a materialised relation).
-    """
+    """Measured statistics of one relation: cardinality and distinct counts."""
 
     edge: Edge
     cardinality: int
     distinct_counts: Mapping[Attribute, int]
-    exact: bool = True
 
     @classmethod
-    def measure(cls, relation: Relation, *,
-                sample_limit: Optional[int] = None) -> "RelationStatistics":
-        """Measure a relation, optionally from a bounded row sample.
+    def measure(cls, relation: Relation) -> "RelationStatistics":
+        """Measure a relation exactly.
 
-        The exact measurement is *encode, then count*: the relation's cached
+        The measurement is *encode, then count*: the relation's cached
         columnar block (:func:`~repro.engine.columnar.block.block_for`) is
         built if this is the first time the engine sees the relation, and
         the distinct counts are read off its id columns by the column
@@ -127,33 +100,12 @@ class RelationStatistics:
         evaluator that runs next finds every block cached instead of walking
         the rows again.
 
-        With ``sample_limit`` below the relation's size, distinct counts are
-        computed over the first ``sample_limit`` rows of the relation's
-        deterministic iteration order and scaled linearly — the cheap refresh
-        a serving system can afford on every write burst, and reproducible
-        across processes (a raw ``frozenset`` walk would vary with the hash
-        seed).  Scaled counts are clamped to the cardinality.  The sample is
-        selected, not sorted (:func:`_leading_rows`): a refresh no longer
-        orders every row of the relation to keep a few of them.
-
         Measuring is where a never-seen database is ingested, so each
         relation starts with a cooperative ``"ingest"`` deadline check: a
         request whose ambient budget is spent stops here instead of reading
         the rest of the database first.
         """
-        if sample_limit is not None and sample_limit < 1:
-            raise ValueError("sample_limit must be at least 1")
         check_deadline("ingest")
-        size = len(relation)
-        if sample_limit is not None and size > sample_limit:
-            sample = _leading_rows(relation, sample_limit)
-            scale = size / len(sample)
-            distinct = {
-                attribute: min(size, _rows(len({row[attribute] for row in sample}) * scale))
-                for attribute in relation.schema.attributes
-            }
-            return cls(edge=relation.schema.attribute_set, cardinality=size,
-                       distinct_counts=distinct, exact=False)
         # Imported here: ``columnar.executor`` imports this module for the
         # statistics classes, so a module-level import would be circular.
         from .columnar.block import block_for
@@ -175,8 +127,7 @@ class RelationStatistics:
                     for attribute in self.edge}
         return RelationStatistics(edge=self.edge,
                                   cardinality=min(self.cardinality, other.cardinality),
-                                  distinct_counts=distinct,
-                                  exact=self.exact and other.exact)
+                                  distinct_counts=distinct)
 
     def estimate(self) -> "JoinEstimate":
         """The measurement as a symbolic relation for plan simulation."""
@@ -187,13 +138,12 @@ class RelationStatistics:
         parts = " ".join(f"{attribute}="
                          f"{self.distinct_counts.get(attribute, self.cardinality)}"
                          for attribute in sorted_nodes(self.edge))
-        marker = "" if self.exact else " (sampled)"
-        return f"{format_node_set(self.edge)}: {self.cardinality} rows{marker}" \
+        return f"{format_node_set(self.edge)}: {self.cardinality} rows" \
                + (f", distinct {parts}" if parts else "")
 
 
 class StatisticsCatalog:
-    """A per-database collection of relation statistics plus estimators.
+    """A per-database collection of relation statistics.
 
     The catalog is keyed by *scheme* (the relation's attribute set — the
     hypergraph edge), matching how the engine maps relations onto join-tree
@@ -212,29 +162,12 @@ class StatisticsCatalog:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_relations(cls, relations: Sequence[Relation], *,
-                       sample_limit: Optional[int] = None) -> "StatisticsCatalog":
+    def from_relations(cls, relations: Sequence[Relation]) -> "StatisticsCatalog":
         """Measure every relation (same-scheme duplicates merged)."""
-        return cls(RelationStatistics.measure(relation, sample_limit=sample_limit)
-                   for relation in relations)
-
-    @classmethod
-    def from_database(cls, database, *,
-                      sample_limit: Optional[int] = None) -> "StatisticsCatalog":
-        """Measure every relation of a :class:`~repro.relational.database.Database`."""
-        return cls.from_relations(database.relations(), sample_limit=sample_limit)
-
-    def refreshed(self, source, *,
-                  sample_limit: Optional[int] = None) -> "StatisticsCatalog":
-        """A fresh catalog re-measured from a database or relation sequence."""
-        relations = source.relations() if hasattr(source, "relations") else source
-        return StatisticsCatalog.from_relations(tuple(relations),
-                                                sample_limit=sample_limit)
+        return cls(RelationStatistics.measure(relation) for relation in relations)
 
     def with_edge_remeasured(self, edge: Iterable[Attribute],
-                             relations: Sequence[Relation], *,
-                             sample_limit: Optional[int] = None
-                             ) -> "StatisticsCatalog":
+                             relations: Sequence[Relation]) -> "StatisticsCatalog":
         """A catalog with one scheme's statistics replaced, the rest reused.
 
         The incremental-maintenance primitive behind
@@ -253,8 +186,7 @@ class StatisticsCatalog:
                 raise ValueError("with_edge_remeasured got a relation over a "
                                  "different scheme than the edge being replaced")
         entries = [entry for entry in self._by_edge.values() if entry.edge != scheme]
-        entries.extend(RelationStatistics.measure(relation, sample_limit=sample_limit)
-                       for relation in relations)
+        entries.extend(RelationStatistics.measure(relation) for relation in relations)
         return StatisticsCatalog(entries)
 
     # ------------------------------------------------------------------ #
@@ -264,17 +196,15 @@ class StatisticsCatalog:
         return len(self._by_edge)
 
     def __contains__(self, edge: object) -> bool:
-        return frozenset(edge) in self._by_edge  # type: ignore[arg-type]
+        try:
+            return frozenset(edge) in self._by_edge  # type: ignore[arg-type]
+        except TypeError:  # not an iterable of hashable attributes
+            return False
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
         """The measured schemes, in canonical order."""
         return tuple(sorted(self._by_edge, key=edge_sort_key))
-
-    @property
-    def is_exact(self) -> bool:
-        """``True`` when no measurement was sampled."""
-        return all(entry.exact for entry in self._by_edge.values())
 
     def statistics_for(self, edge: Iterable[Attribute]) -> Optional[RelationStatistics]:
         """The measurement for a scheme, or ``None`` when it was never measured."""
@@ -293,17 +223,6 @@ class StatisticsCatalog:
         if entry is None:
             return default
         return entry.distinct_counts.get(attribute, entry.cardinality)
-
-    def attribute_distinct(self, attribute: Attribute,
-                           default: Optional[int] = None) -> Optional[int]:
-        """The estimated distinct values of ``attribute`` in the universal join.
-
-        Under the containment assumption this is the *minimum* over the
-        relations whose scheme mentions the attribute.
-        """
-        counts = [entry.distinct_counts.get(attribute, entry.cardinality)
-                  for entry in self._by_edge.values() if attribute in entry.edge]
-        return min(counts) if counts else default
 
     def _fallback_cardinality(self) -> int:
         """The stand-in cardinality for schemes the catalog never measured."""
@@ -330,38 +249,9 @@ class StatisticsCatalog:
         return JoinEstimate(scheme, cardinality,
                             {attribute: cardinality for attribute in scheme})
 
-    # ------------------------------------------------------------------ #
-    # Estimators
-    # ------------------------------------------------------------------ #
-    def join_selectivity(self, left: Iterable[Attribute],
-                         right: Iterable[Attribute]) -> float:
-        """``Π 1/max(d_L(a), d_R(a))`` over the shared attributes (1.0 if none)."""
-        left_edge, right_edge = frozenset(left), frozenset(right)
-        selectivity = 1.0
-        for attribute in left_edge & right_edge:
-            left_distinct = self.distinct_count(left_edge, attribute, default=1) or 1
-            right_distinct = self.distinct_count(right_edge, attribute, default=1) or 1
-            selectivity /= max(left_distinct, right_distinct, 1)
-        return selectivity
-
-    def estimate_join_size(self, left: Iterable[Attribute],
-                           right: Iterable[Attribute]) -> int:
-        """The System-R estimate of ``|L ⋈ R|`` for two measured schemes."""
-        joined = self.estimate_for(left).join(self.estimate_for(right))
-        return _rows(joined.cardinality)
-
-    def estimate_semijoin_size(self, target: Iterable[Attribute],
-                               source: Iterable[Attribute]) -> int:
-        """The estimated size of ``target ⋉ source``."""
-        target_est = self.estimate_for(target)
-        source_est = self.estimate_for(source)
-        return _rows(target_est.cardinality
-                     * target_est.semijoin_selectivity(source_est))
-
     def describe(self) -> str:
         """A multi-line rendering, one measured scheme per line."""
-        lines = [f"StatisticsCatalog ({len(self._by_edge)} schemes, "
-                 f"{'exact' if self.is_exact else 'sampled'})"]
+        lines = [f"StatisticsCatalog ({len(self._by_edge)} schemes)"]
         for edge in self.edges:
             lines.append(f"  {self._by_edge[edge].describe()}")
         return "\n".join(lines)

@@ -295,27 +295,6 @@ class _ColumnStorage:
             cached = self._derived_put(key, backend.build_table(codes, positions))
         return cached
 
-    def groups_for(self, attributes: KeyAttributes, sel: Optional[array],
-                   sel_key: Optional[bytes]) -> Dict[int, Tuple[int, ...]]:
-        """Selected positions grouped by key id, as a plain dict (cached)."""
-        key = ("groups", attributes, sel_key)
-        cached = self._derived_get(key)
-        if cached is None:
-            codes = self.key_codes(attributes)
-            positions = sel if sel is not None else range(self.length)
-            grouped: Dict[int, List[int]] = {}
-            get = grouped.get
-            for position in positions:
-                code = codes[position]
-                bucket = get(code)
-                if bucket is None:
-                    grouped[code] = [position]
-                else:
-                    bucket.append(position)
-            cached = self._derived_put(
-                key, {code: tuple(bucket) for code, bucket in grouped.items()})
-        return cached
-
     # -- decode ---------------------------------------------------------- #
     def decoded_column(self, attribute: Attribute) -> List[Any]:
         """The full-length original values of one column (cached per attribute)."""
@@ -550,14 +529,6 @@ class ColumnBlock:
             if attribute not in self._attribute_set:
                 raise UnknownAttributeError(attribute)
         return self._storage.key_codes(attributes)
-
-    def key_groups(self, attributes: KeyAttributes) -> Dict[int, Tuple[int, ...]]:
-        """Selected positions grouped by encoded key id (storage-cached)."""
-        for attribute in attributes:
-            if attribute not in self._attribute_set:
-                raise UnknownAttributeError(attribute)
-        return self._storage.groups_for(attributes, self._sel,
-                                        self.selection_bytes())
 
     def prepared_key_set(self, attributes: KeyAttributes, backend) -> Any:
         """The backend's membership structure over the selected key ids (cached)."""

@@ -495,7 +495,7 @@ def statistics_from_block(block: ColumnBlock) -> RelationStatistics:
     is the active backend's ``distinct_count`` over the selected ids — on
     numpy the occupied slots of the dense id table, no id boxed — and
     interning maps equal values to equal ids, so these are the numbers a
-    walk over the rows' values would count.  This is the exact branch of
+    walk over the rows' values would count.  This is what
     :meth:`RelationStatistics.measure
     <repro.engine.catalog.RelationStatistics.measure>` and the statistics of
     every materialised cluster block (the cyclic quotient's catalog).
@@ -505,7 +505,7 @@ def statistics_from_block(block: ColumnBlock) -> RelationStatistics:
     distinct = {attribute: backend.distinct_count(block.column(attribute), positions)
                 for attribute in block.attributes}
     return RelationStatistics(edge=block.attribute_set, cardinality=len(block),
-                              distinct_counts=distinct, exact=True)
+                              distinct_counts=distinct)
 
 
 def catalog_from_blocks(blocks: Iterable[ColumnBlock],

@@ -19,7 +19,7 @@ runs acyclic and cyclic plans alike, has no public entry of its own: a
   zero cover search, zero structure planning and zero re-annotation for an
   unchanged database;
 * :meth:`PreparedQuery.execute_many` — batched execution over many
-  databases (shared column blocks, one catalog refresh per database) with
+  databases (shared column blocks, one catalog measurement per database) with
   the per-run accounting aggregated into a :class:`BatchStatistics`.
 """
 
@@ -92,9 +92,6 @@ PreparedSource = Union["ConjunctiveQuery", Database, DatabaseSchema,
 #: How many prepared queries one session retains.
 _PREPARED_CACHE_CAPACITY = 128
 
-#: Sentinel distinguishing "not passed" from an explicit ``None`` sample limit.
-_UNSET_SAMPLE_LIMIT: Optional[int] = object()  # type: ignore[assignment]
-
 
 # --------------------------------------------------------------------------- #
 # Options
@@ -108,16 +105,15 @@ class ExecutionOptions:
     later wins, field by field for the keywords and wholesale for the
     ``options=`` object.
 
-    * ``adaptive`` — annotate plans with a per-database statistics catalog
-      (cardinality-chosen root, cost-ordered semijoins and fold order);
+    * ``adaptive`` — annotate plans with the database's exact statistics
+      catalog, measured once per database (cardinality-chosen root,
+      cost-ordered semijoins and fold order);
     * ``root`` — pin the acyclic rooting instead of letting the annotation
       (or the structure default) choose;
     * ``check_reduction`` — run the reducer's proof-of-reduction hook
       (debug/audit; two extra semijoin scans per tree edge);
     * ``cluster_row_bound`` — cap intra-cluster intermediates on the cyclic
       path (:class:`~repro.exceptions.ClusterBoundExceededError` beyond it);
-    * ``sample_limit`` — bound the rows scanned per relation when measuring
-      statistics catalogs (the cheap sampling refresh);
     * ``force_cyclic`` — dispatch through the cyclic subsystem even for
       acyclic schemas (its cover degenerates to singletons);
     * ``column_backend`` — the columnar compute backend: ``"array"`` (pure
@@ -152,7 +148,6 @@ class ExecutionOptions:
     root: Optional[Edge] = None
     check_reduction: bool = False
     cluster_row_bound: Optional[int] = None
-    sample_limit: Optional[int] = None
     force_cyclic: bool = False
     column_backend: Optional[str] = None
     decode: str = "rows"
@@ -168,13 +163,11 @@ class ExecutionOptions:
             if not isinstance(value, bool):
                 raise TypeError(f"{name} must be a bool, not "
                                 f"{type(value).__name__}")
-        for name, least in (("sample_limit", 1), ("cluster_row_bound", 0)):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, int)
-                                      or value < least):
-                raise ValueError(f"{name} must be None or an integer "
-                                 f">= {least}, not {value!r}")
+        bound = self.cluster_row_bound
+        if bound is not None and (isinstance(bound, bool)
+                                  or not isinstance(bound, int) or bound < 0):
+            raise ValueError("cluster_row_bound must be None or an integer "
+                             f">= 0, not {bound!r}")
         if self.deadline_seconds is not None \
                 and not valid_budget(self.deadline_seconds):
             raise ValueError("deadline_seconds must be a finite positive "
@@ -522,7 +515,7 @@ class PreparedQuery:
         """Evaluate against many databases; aggregate the accounting.
 
         Column blocks are shared across the batch (they are cached per
-        relation instance), the statistics catalog is refreshed exactly once
+        relation instance), the statistics catalog is measured exactly once
         per distinct database, and the per-run statistics are folded into a
         :class:`BatchStatistics` that
         :func:`repro.analysis.reports.statistics_table` renders as a
@@ -736,24 +729,21 @@ class PreparedQuery:
                                "these atom relations'")
             catalog = None
             if self._options.adaptive:
-                catalog = StatisticsCatalog.from_relations(
-                    relations, sample_limit=self._options.sample_limit)
+                catalog = StatisticsCatalog.from_relations(relations)
         else:
             self._check_schema(database.schema.to_hypergraph(),
                                "this database's")
             relations = database.relations()
             catalog = None
             if self._options.adaptive:
-                catalog = self._session.catalog_for(
-                    database, sample_limit=self._options.sample_limit)
+                catalog = self._session.catalog_for(database)
         return self._binding(relations, catalog)
 
     def _bind_relations(self, relations: Tuple[Relation, ...]) -> _DatabaseBinding:
         self._check_schema(_relations_hypergraph(relations), "these relations'")
         catalog = None
         if self._options.adaptive:
-            catalog = StatisticsCatalog.from_relations(
-                relations, sample_limit=self._options.sample_limit)
+            catalog = StatisticsCatalog.from_relations(relations)
         return self._binding(relations, catalog)
 
     def _binding(self, relations: Tuple[Relation, ...],
@@ -906,24 +896,17 @@ class EngineSession:
     # ------------------------------------------------------------------ #
     # Catalog lifecycle
     # ------------------------------------------------------------------ #
-    def catalog_for(self, database: Database, *,
-                    sample_limit: Optional[int] = _UNSET_SAMPLE_LIMIT,
-                    refresh: bool = False) -> StatisticsCatalog:
-        """The statistics catalog for one database, measured once per instance.
+    def catalog_for(self, database: Database) -> StatisticsCatalog:
+        """The exact statistics catalog of one database, measured once per instance.
 
         Databases are immutable, so a catalog never goes stale; the
         measurement is cached on the database instance itself (see
         :meth:`Database.statistics_catalog
-        <repro.relational.database.Database.statistics_catalog>`), keyed by
-        ``sample_limit`` — which defaults to the session's option.
-        ``refresh=True`` forces a re-measure.  Measurement reads data (the
-        first exact catalog of a database is what encodes it) and runs
-        entirely outside the session lock.
+        <repro.relational.database.Database.statistics_catalog>`).
+        Measurement reads data (the first catalog of a database is what
+        encodes it) and runs entirely outside the session lock.
         """
-        if sample_limit is _UNSET_SAMPLE_LIMIT:
-            sample_limit = self._options.sample_limit
-        return database.statistics_catalog(sample_limit=sample_limit,
-                                           refresh=refresh)
+        return database.statistics_catalog()
 
     # ------------------------------------------------------------------ #
     # Preparation

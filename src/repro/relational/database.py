@@ -10,7 +10,7 @@ the benchmarks build on.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from ..core.hypergraph import Hypergraph
 from ..core.nodes import sorted_nodes
@@ -132,27 +132,20 @@ class Database:
         cached = getattr(self, "_catalog_cache", None)
         pending = getattr(self, "_catalog_pending", None)
         if cached is not None:
-            sample_limit, catalog = cached
-            derived._catalog_pending = (sample_limit, catalog,
-                                        frozenset((edge,)))
+            derived._catalog_pending = (cached, frozenset((edge,)))
         elif pending is not None:
-            sample_limit, base, stale = pending
-            derived._catalog_pending = (sample_limit, base,
-                                        stale | frozenset((edge,)))
+            base, stale = pending
+            derived._catalog_pending = (base, stale | frozenset((edge,)))
         return derived
 
-    def statistics_catalog(self, *, sample_limit: Optional[int] = None,
-                           refresh: bool = False):
-        """The database's statistics catalog (cardinalities, distinct counts).
+    def statistics_catalog(self):
+        """The database's exact statistics catalog (cardinalities, distinct counts).
 
         Built lazily and cached on the instance — the database is immutable,
-        so exact measurements never go stale.  A database derived through
+        so the measurements never go stale.  A database derived through
         :meth:`with_relation` from one whose catalog was already measured
         completes *incrementally* here: only the stale (replaced) schemes are
-        re-measured, the rest reuse the parent's measurements.
-        ``sample_limit`` bounds the rows scanned per relation for distinct
-        counts (the cheap sampling refresh); ``refresh=True`` forces a full
-        re-measure, e.g. after changing ``sample_limit``.  This is the
+        re-measured, the rest reuse the parent's measurements.  This is the
         per-database half of adaptive planning: feed it to
         :meth:`QueryPlanner.plan_for
         <repro.engine.planner.QueryPlanner.plan_for>` or the engine
@@ -161,22 +154,18 @@ class Database:
         from ..engine.catalog import StatisticsCatalog
 
         cached = getattr(self, "_catalog_cache", None)
-        if not refresh and cached is not None and cached[0] == sample_limit:
-            return cached[1]
+        if cached is not None:
+            return cached
         pending = getattr(self, "_catalog_pending", None)
-        if not refresh and pending is not None and pending[0] == sample_limit:
-            _, catalog, stale = pending
+        if pending is not None:
+            catalog, stale = pending
             for edge in stale:
                 same_scheme = tuple(instance for instance in self
                                     if instance.schema.attribute_set == edge)
-                catalog = catalog.with_edge_remeasured(
-                    edge, same_scheme, sample_limit=sample_limit)
-            self._catalog_cache = (sample_limit, catalog)
-            self._catalog_pending = None
-            return catalog
-        catalog = StatisticsCatalog.from_relations(self.relations(),
-                                                   sample_limit=sample_limit)
-        self._catalog_cache = (sample_limit, catalog)
+                catalog = catalog.with_edge_remeasured(edge, same_scheme)
+        else:
+            catalog = StatisticsCatalog.from_relations(self.relations())
+        self._catalog_cache = catalog
         self._catalog_pending = None
         return catalog
 

@@ -220,10 +220,11 @@ METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
         optional=(
             Param("outputs", (list,), "projection attribute names, in order"),
             Param("name", (str,), "the answer relation's name"),
-            Param("options", (dict,), "ExecutionOptions field overrides "
-                  "(adaptive, column_backend, deadline_seconds, …); any "
-                  "other field is an invalid-param error that lists the "
-                  "allowed ones"),
+            Param("options", (dict,), "ExecutionOptions field overrides: "
+                  "adaptive, check_reduction, cluster_row_bound, "
+                  "force_cyclic, column_backend, trace, deadline_seconds; "
+                  "any other field is an invalid-param error that lists "
+                  "the allowed ones"),
         )),
     MethodSpec(
         name="execute",

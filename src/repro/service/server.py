@@ -113,8 +113,8 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: of every query (``"block"``) and serialises the answer straight from the
 #: id block — so neither is reachable remotely.
 WIRE_OPTION_FIELDS = frozenset({
-    "adaptive", "check_reduction", "cluster_row_bound", "sample_limit",
-    "force_cyclic", "column_backend", "trace", "deadline_seconds",
+    "adaptive", "check_reduction", "cluster_row_bound", "force_cyclic",
+    "column_backend", "trace", "deadline_seconds",
 })
 
 

@@ -173,9 +173,7 @@ class TestExecutionOptionsValidation:
         ("check_reduction", 1, TypeError),
         ("force_cyclic", None, TypeError),
         ("trace", 3, TypeError),
-        ("sample_limit", 0, ValueError),
-        ("sample_limit", 2.5, ValueError),
-        ("sample_limit", True, ValueError),
+        ("cluster_row_bound", True, ValueError),
         ("cluster_row_bound", -1, ValueError),
         ("cluster_row_bound", "10", ValueError),
         ("deadline_seconds", float("nan"), ValueError),

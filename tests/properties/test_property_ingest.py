@@ -19,22 +19,19 @@ shares no code with it:
   fix-up assigns exactly the ids a per-cell loop assigns, on interners
   pre-seeded to hit nothing, some or everything of the column, and counts
   the cells it resolved under the lock;
-* the sampled measurement's sample is the first rows of the relation's
-  iteration order, ties in ``repr`` included;
 * catalogs — base and cyclic-quotient — read identically on both backends.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import QueryPlanner
-from repro.engine.catalog import RelationStatistics, StatisticsCatalog, _leading_rows
+from repro.engine.catalog import RelationStatistics, StatisticsCatalog
 from repro.engine.columnar import (
     ColumnBlock,
     available_column_backends,
@@ -75,20 +72,12 @@ def relations(draw, values=VALUES):
     return Relation.from_tuples(RelationSchema.of("R", attributes), tuples)
 
 
-def _measure_by_row_walk(relation, sample_limit=None):
+def _measure_by_row_walk(relation):
     """The statistics a per-attribute walk over the rows' values counts."""
-    size = len(relation)
-    rows, scale, exact = relation.rows, 1.0, True
-    if sample_limit is not None and size > sample_limit:
-        rows = list(islice(iter(relation), sample_limit))
-        scale, exact = size / len(rows), False
-    distinct = {}
-    for attribute in relation.schema.attributes:
-        count = len({row[attribute] for row in rows})
-        distinct[attribute] = count if exact \
-            else min(size, max(int(count * scale + 0.5), 0))
-    return RelationStatistics(edge=relation.schema.attribute_set, cardinality=size,
-                              distinct_counts=distinct, exact=exact)
+    distinct = {attribute: len({row[attribute] for row in relation.rows})
+                for attribute in relation.schema.attributes}
+    return RelationStatistics(edge=relation.schema.attribute_set,
+                              cardinality=len(relation), distinct_counts=distinct)
 
 
 @COMMON_SETTINGS
@@ -115,53 +104,15 @@ def test_source_rows_stay_aligned_with_the_id_columns(relation):
 
 
 @COMMON_SETTINGS
-@given(relation=relations(),
-       sample_limit=st.none() | st.integers(min_value=1, max_value=14))
-def test_measure_equals_the_row_walk_oracle(relation, sample_limit):
-    measured = RelationStatistics.measure(relation, sample_limit=sample_limit)
-    expected = _measure_by_row_walk(relation, sample_limit)
+@given(relation=relations())
+def test_measure_equals_the_row_walk_oracle(relation):
+    measured = RelationStatistics.measure(relation)
+    expected = _measure_by_row_walk(relation)
     assert measured.edge == expected.edge
     assert measured.cardinality == expected.cardinality
     assert dict(measured.distinct_counts) == expected.distinct_counts
     assert list(measured.distinct_counts) == list(expected.distinct_counts)
-    assert measured.exact == expected.exact
     assert measured.describe() == expected.describe()
-
-
-# --------------------------------------------------------------------------- #
-# The sampled measurement's sample
-# --------------------------------------------------------------------------- #
-class _Tie:
-    """A value whose ``repr`` ties with every other one's (identity-equal)."""
-
-    __slots__ = ("tag",)
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def __repr__(self):
-        return "tie"
-
-
-@COMMON_SETTINGS
-@given(relation=relations(values=st.one_of(VALUES, st.builds(_Tie, st.integers()))),
-       limit=st.integers(min_value=1, max_value=14))
-def test_the_sample_is_the_first_rows_of_the_iteration_order(relation, limit):
-    sample = _leading_rows(relation, limit)
-    expected = list(islice(iter(relation), limit))
-    assert len(sample) == len(expected)
-    # The very rows, in the very order — equal-``repr`` rows included.
-    assert all(row is other for row, other in zip(sample, expected))
-
-
-def test_the_sample_keeps_rows_with_equal_keys_in_row_set_order():
-    relation = Relation.from_tuples(RelationSchema.of("R", ("A", "B")),
-                                    [(_Tie(index), index % 2) for index in range(40)])
-    for limit in (1, 5, 19, 20, 21, 39):
-        sample = _leading_rows(relation, limit)
-        expected = list(islice(iter(relation), limit))
-        assert all(row is other for row, other in zip(sample, expected))
-        assert len(sample) == limit
 
 
 # --------------------------------------------------------------------------- #
@@ -334,7 +285,7 @@ def _described_per_backend(build):
 def _assert_base_catalogs_agree(database):
     oracle = StatisticsCatalog(map(_measure_by_row_walk, database.relations()))
     described = _described_per_backend(
-        lambda: StatisticsCatalog.from_database(database))
+        lambda: StatisticsCatalog.from_relations(database.relations()))
     assert described == [oracle.describe()] * len(BACKENDS)
 
 

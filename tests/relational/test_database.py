@@ -122,15 +122,6 @@ class TestStatisticsCatalog:
         database = generate_database(university_schema(), universe_rows=12, seed=1)
         assert database.statistics_catalog() is database.statistics_catalog()
 
-    def test_refresh_and_sample_limit_rebuild(self):
-        database = generate_database(university_schema(), universe_rows=40, seed=1)
-        exact = database.statistics_catalog()
-        sampled = database.statistics_catalog(sample_limit=5)
-        assert sampled is not exact
-        assert not sampled.is_exact
-        assert database.statistics_catalog(sample_limit=5) is sampled
-        assert database.statistics_catalog(sample_limit=5, refresh=True) is not sampled
-
     def test_with_relation_updates_the_catalog_incrementally(self):
         database = generate_database(university_schema(), universe_rows=12, seed=1)
         parent_catalog = database.statistics_catalog()
@@ -160,20 +151,6 @@ class TestStatisticsCatalog:
         assert derived.statistics_catalog().cardinality(
             replaced.schema.attribute_set) == 3
 
-    def test_with_relation_preserves_the_sample_limit(self):
-        database = generate_database(university_schema(), universe_rows=40, seed=1)
-        parent_catalog = database.statistics_catalog(sample_limit=5)
-        replaced = next(iter(database))
-        derived = database.with_relation(replaced.with_rows(list(replaced.rows)))
-        catalog = derived.statistics_catalog(sample_limit=5)
-        for relation in derived:
-            if relation.schema.attribute_set == replaced.schema.attribute_set:
-                continue
-            assert catalog.statistics_for(relation.schema.attribute_set) \
-                is parent_catalog.statistics_for(relation.schema.attribute_set)
-        # Memoized after the incremental completion.
-        assert derived.statistics_catalog(sample_limit=5) is catalog
-
     def test_chained_updates_accumulate_and_measure_once_on_read(self):
         database = generate_database(university_schema(), universe_rows=12, seed=1)
         parent_catalog = database.statistics_catalog()
@@ -182,7 +159,7 @@ class TestStatisticsCatalog:
         chained = database \
             .with_relation(first.with_rows(list(first.rows)[:4])) \
             .with_relation(second.with_rows(list(second.rows)[:3]))
-        sample_limit, base, stale = chained._catalog_pending
+        base, stale = chained._catalog_pending
         assert stale == {first.schema.attribute_set, second.schema.attribute_set}
         catalog = chained.statistics_catalog()
         assert catalog.cardinality(first.schema.attribute_set) == 4

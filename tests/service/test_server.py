@@ -6,10 +6,11 @@ import json
 import socket
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
-from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession, ExecutionOptions
 from repro.generators import (
     generate_consistent_database,
     k_cycle_hypergraph,
@@ -224,6 +225,29 @@ def test_execution_mode_is_not_a_wire_option(service, option, value):
     message = envelope["error"]["message"]
     assert option in message
     assert all(field in message for field in WIRE_OPTION_FIELDS)
+
+
+def test_the_wire_whitelist_tracks_the_execution_options(service):
+    """Every option but the in-process ``root`` and the service's own ``decode``.
+
+    The prepare echo reads each whitelisted name off the resolved options,
+    so a name the options no longer have would crash every prepare.
+    """
+    assert WIRE_OPTION_FIELDS == \
+        {field.name for field in fields(ExecutionOptions)} - {"root", "decode"}
+    status, envelope = _rpc(service, "prepare", {"database": "chain"})
+    assert status == 200, envelope
+    assert set(envelope["result"]["options"]) == WIRE_OPTION_FIELDS
+
+
+def test_a_removed_option_is_a_type_error_naming_the_known_ones(chain_database):
+    known = sorted(field.name for field in fields(ExecutionOptions))
+    with pytest.raises(TypeError, match="sample_limit") as raised:
+        EngineSession(sample_limit=5)
+    assert all(name in str(raised.value) for name in known)
+    with pytest.raises(TypeError, match="sample_limit") as raised:
+        EngineSession().prepare(chain_database, sample_limit=5)
+    assert all(name in str(raised.value) for name in known)
 
 
 def test_the_payload_phase_is_reported_when_rows_are_included(service):
