@@ -2,14 +2,14 @@
 
 Three pillars, all zero-dependency:
 
-* **Span tracing** — install a ``Tracer`` with ``use_tracer`` (or flip
-  ``ExecutionOptions.trace``) and every engine layer emits nested spans:
+* **Span tracing** — install a ``Tracer`` with ``use_tracer`` and every
+  engine layer emits nested spans:
   ``prepare`` / ``annotate`` / ``cover_search`` / ``encode`` / ``reduce`` /
   ``fold`` / ``decode`` plus one ``kernel:*`` span per physical semijoin or
   join, each carrying wall-time and cardinalities.  Export to JSONL with
   ``JsonlTraceSink``.
-* **Metrics** — every ``EngineSession`` owns a registry (chained to the
-  process-wide one) of query/row/latency counters and histograms;
+* **Metrics** — every ``EngineSession`` owns a registry of
+  query/row/latency counters and histograms;
   ``render_prometheus()`` emits the standard text exposition format.
 * **EXPLAIN ANALYZE** — ``prepared.explain(db, analyze=True)`` executes the
   query under a recording tracer and renders the plan annotated with

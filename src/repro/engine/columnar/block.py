@@ -304,65 +304,6 @@ class _ColumnStorage:
                 self.columns[attribute])
         return cached
 
-    # -- pickling -------------------------------------------------------- #
-    def __reduce__(self):
-        """Ship the id vectors plus a storage-local vocabulary.
-
-        Interner ids are process-generation state, so a pickled storage
-        remaps every id to a dense local id and carries the referenced
-        values (only those — not the whole interner) alongside.  Unpickling
-        re-encodes the vocabulary through the *receiving* process'
-        generation, so rebuilt blocks combine freely with blocks encoded
-        there.  Derived caches and the lock are dropped — both are
-        rebuildable on the other side.
-        """
-        values = self.interner.values
-        local_ids: Dict[int, int] = {}
-        vocabulary: List[Any] = []
-        column_items: List[Tuple[Attribute, bytes]] = []
-        for attribute, column in self.columns.items():
-            local = array("q")
-            append = local.append
-            for encoded in column:
-                local_id = local_ids.get(encoded)
-                if local_id is None:
-                    local_id = local_ids[encoded] = len(vocabulary)
-                    vocabulary.append(values[encoded])
-                append(local_id)
-            column_items.append((attribute, local.tobytes()))
-        return (_rebuild_storage,
-                (tuple(column_items), self.length, tuple(vocabulary)))
-
-
-def _rebuild_storage(column_items: Tuple[Tuple[Attribute, bytes], ...],
-                     length: int, vocabulary: Tuple[Any, ...]) -> _ColumnStorage:
-    """Rebuild a pickled storage under *this* process' interner generation.
-
-    The shipped local ids index ``vocabulary``; encoding the vocabulary once
-    through the current interner yields the local→global id mapping, and the
-    columns are rewritten through it in one pass.
-    """
-    interner = _INTERNER
-    mapping = interner.encode(vocabulary)
-    columns: Dict[Attribute, array] = {}
-    for attribute, raw in column_items:
-        local = array("q")
-        local.frombytes(raw)
-        columns[attribute] = array("q", map(mapping.__getitem__, local))
-    return _ColumnStorage(columns, length, interner)
-
-
-def _rebuild_block(name: str, attributes: KeyAttributes,
-                   storage: _ColumnStorage,
-                   selection_bytes: Optional[bytes]) -> "ColumnBlock":
-    # The shipped bytes are the selection's key: the rebuilt block hits the
-    # same derived entries without materialising it again.
-    selection = None
-    if selection_bytes is not None:
-        selection = array("q")
-        selection.frombytes(selection_bytes)
-    return ColumnBlock(name, attributes, storage, selection, selection_bytes)
-
 
 class ColumnBlock:
     """A columnar view of a relation: shared id columns + a positional selection.
@@ -776,16 +717,6 @@ class ColumnBlock:
         # own: an empty name is written as given.
         return ("payload", self._name if name is None else name,
                 self._attributes, self.selection_bytes())
-
-    def __reduce__(self):
-        """Pickle as (name, attributes, storage, selection bytes).
-
-        The storage is pickled through its own ``__reduce__`` (dense local
-        ids + vocabulary); pickle memoisation keeps storages shared, so a
-        payload of many blocks over one storage ships the id arrays once.
-        """
-        return (_rebuild_block, (self._name, self._attributes, self._storage,
-                                 self.selection_bytes()))
 
     def __repr__(self) -> str:
         names = ", ".join(str(a) for a in self._attributes)

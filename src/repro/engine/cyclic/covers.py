@@ -45,7 +45,6 @@ from ...core.components import edge_components
 from ...core.graham_kernel import graham_survivors
 from ...core.hypergraph import Edge, Hypergraph
 from ...core.nodes import edge_sort_key, format_node_set
-from ...exceptions import CoverSearchBudgetExceededError
 from ...telemetry.tracing import current_tracer
 
 __all__ = [
@@ -65,9 +64,6 @@ _REFINEMENT_EDGE_LIMIT = 7
 #: Candidates are assembled from already-validated partitions, so every cover
 #: built is admitted and the search never walks combinations past the bound.
 _CANDIDATE_LIMIT = 256
-
-#: The budget policies of :func:`enumerate_covers` for over-cap core components.
-_BUDGET_POLICIES = ("degrade", "raise")
 
 
 @dataclass(frozen=True)
@@ -294,8 +290,7 @@ def _schemes_acyclic(partition: List[List[Edge]]) -> bool:
 
 def enumerate_covers(hypergraph: Hypergraph, *,
                      max_component_edges: int = _REFINEMENT_EDGE_LIMIT,
-                     max_candidates: int = _CANDIDATE_LIMIT,
-                     on_budget: str = "degrade") -> Tuple[ClusterCover, ...]:
+                     max_candidates: int = _CANDIDATE_LIMIT) -> Tuple[ClusterCover, ...]:
     """Enumerate valid candidate covers (acyclic quotient), baseline included.
 
     Stuck-core components with at most ``max_component_edges`` edges are
@@ -306,28 +301,13 @@ def enumerate_covers(hypergraph: Hypergraph, *,
     ``max_candidates`` of them.  The baseline :func:`core_periphery_cover` is
     always the first candidate, so the enumeration is never empty.
 
-    ``on_budget`` governs core components *beyond* the cap, where exhaustive
-    set partition would blow up (Bell numbers): ``"degrade"`` (the default)
-    keeps only the greedy collapsed-component candidate for them, while
-    ``"raise"`` raises
-    :class:`~repro.exceptions.CoverSearchBudgetExceededError` so callers that
-    would rather fail than accept an unrefined wide cluster can.
+    A core component *beyond* the cap, where exhaustive set partition would
+    blow up (Bell numbers), keeps only its greedy collapsed-component
+    candidate.
     """
-    if on_budget not in _BUDGET_POLICIES:
-        raise ValueError(f"unknown on_budget policy {on_budget!r}; "
-                         f"expected one of {_BUDGET_POLICIES}")
     span = current_tracer().span("cover_search")
     with span:
         proper, empty, ears, components = _core_decomposition(hypergraph)
-        over_budget = [component for component in components
-                       if len(component) > max_component_edges]
-        if over_budget and on_budget == "raise":
-            worst = max(len(component) for component in over_budget)
-            raise CoverSearchBudgetExceededError(
-                f"cyclic core component with {worst} edges exceeds the refinement "
-                f"cap of {max_component_edges}; exhaustive partition search would "
-                "blow up — raise max_component_edges, or use on_budget='degrade' "
-                "to accept the greedy collapsed-component cover")
         shapes = _ClusterShapes()
         covers = [shapes.cover(
             _attach_empty_edges(_baseline_groups(proper, ears, components), empty))]
@@ -420,14 +400,12 @@ def select_cover(candidates: Iterable[ClusterCover],
 def choose_cover(hypergraph: Hypergraph, *,
                  max_component_edges: int = _REFINEMENT_EDGE_LIMIT,
                  max_candidates: int = _CANDIDATE_LIMIT,
-                 on_budget: str = "degrade",
                  catalog: Optional["StatisticsCatalog"] = None) -> ClusterCover:
     """The minimal-score cover of ``hypergraph`` among the enumerated candidates.
 
     With a ``catalog`` the candidates are compared by the cardinality-aware
-    score (see :func:`cover_score`); ``on_budget`` is forwarded to
-    :func:`enumerate_covers`.
+    score (see :func:`cover_score`).
     """
     candidates = enumerate_covers(hypergraph, max_component_edges=max_component_edges,
-                                  max_candidates=max_candidates, on_budget=on_budget)
+                                  max_candidates=max_candidates)
     return select_cover(candidates, catalog)

@@ -129,13 +129,6 @@ class ExecutionOptions:
       answer as plain tuples (``result.block.iter_rows()``; the query
       service serialises every answer from the block through
       :meth:`~repro.engine.columnar.ColumnBlock.wire_payload`).
-    * ``trace`` — record spans of every prepare/execute into the owning
-      session's :class:`~repro.telemetry.tracing.Tracer` when no ambient
-      tracer is already active.  Off by default: the untraced hot path pays
-      only null-tracer pointer checks.  An explicitly installed tracer
-      (:func:`~repro.telemetry.tracing.use_tracer`) always wins, so
-      ``explain(analyze=True)`` and callers with their own sinks are never
-      clobbered by this flag.
     * ``deadline_seconds`` — a wall-clock budget per execution.  Enforced
       cooperatively between engine phases (see :mod:`repro.engine.deadline`):
       a breach raises :class:`~repro.exceptions.ExecutionTimeoutError`, and a
@@ -151,14 +144,13 @@ class ExecutionOptions:
     force_cyclic: bool = False
     column_backend: Optional[str] = None
     decode: str = "rows"
-    trace: bool = False
     deadline_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         from .columnar import COLUMN_BACKENDS
         from .yannakakis import DECODE_MODES
 
-        for name in ("adaptive", "check_reduction", "force_cyclic", "trace"):
+        for name in ("adaptive", "check_reduction", "force_cyclic"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise TypeError(f"{name} must be a bool, not "
@@ -503,9 +495,6 @@ class PreparedQuery:
             # a misrouted query is exactly what an operator greps the log for.
             self._record_failure(error, database, 0.0)
             raise
-        if self._options.trace and current_tracer() is NULL_TRACER:
-            with use_tracer(self._session.tracer):
-                return self._traced_run(binding, database=database)
         return self._traced_run(binding, database=database)
 
     def execute_many(self, databases: Iterable[Database], *,
@@ -564,9 +553,6 @@ class PreparedQuery:
         """
         with deadline_scope(self._options.deadline_seconds):
             binding = self._bind_relations(tuple(relations))
-            if self._options.trace and current_tracer() is NULL_TRACER:
-                with use_tracer(self._session.tracer):
-                    return self._traced_run(binding)
             return self._traced_run(binding)
 
     def explain(self, database: Optional[Database] = None, *,
@@ -815,7 +801,6 @@ class EngineSession:
     def __init__(self, planner: Optional[QueryPlanner] = None, *,
                  options: Optional[ExecutionOptions] = None,
                  planner_capacity: int = 128,
-                 tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  monitor: Union[None, bool, MonitorConfig,
                                 SessionMonitor] = None,
@@ -824,10 +809,8 @@ class EngineSession:
             else QueryPlanner(planner_capacity)
         self._options = ExecutionOptions.resolve(
             ExecutionOptions(), options, dict(overrides))
-        # Every session owns a tracer (used when ``options.trace`` is on and
-        # no ambient tracer is installed) and a metrics registry, the one
-        # place its executions are counted.
-        self._tracer = tracer if tracer is not None else Tracer()
+        # Every session owns a metrics registry, the one place its
+        # executions are counted.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         # Opt-in operational monitoring: ``True`` (defaults), a
         # MonitorConfig, or a ready SessionMonitor.  Bound after the planner
@@ -858,13 +841,8 @@ class EngineSession:
         return self._options
 
     @property
-    def tracer(self) -> Tracer:
-        """The session's tracer (records when ``options.trace`` routes through it)."""
-        return self._tracer
-
-    @property
     def metrics(self) -> MetricsRegistry:
-        """The session's metrics registry (parented to the process-wide one)."""
+        """The session's metrics registry, where its executions are counted."""
         return self._metrics
 
     @property
@@ -952,11 +930,7 @@ class EngineSession:
 
         def build() -> PreparedQuery:
             graph = hypergraph if hypergraph is not None else query.hypergraph()
-            if resolved.trace and current_tracer() is NULL_TRACER:
-                with use_tracer(self._tracer):
-                    kind, structure = self._dispatch_traced(graph, query, resolved)
-            else:
-                kind, structure = self._dispatch_traced(graph, query, resolved)
+            kind, structure = self._dispatch_traced(graph, query, resolved)
             return PreparedQuery(self, kind=kind, structure=structure,
                                  hypergraph=graph,
                                  output_attributes=wanted, options=resolved,
@@ -1096,8 +1070,6 @@ class EngineSession:
         series["removed"].inc(
             getattr(statistics, "rows_removed_by_reduction", 0) or 0)
         series["output"].inc(getattr(statistics, "output_size", 0) or 0)
-        hit = bool(getattr(statistics, "plan_cache_hit", False))
-        series["cache_hit" if hit else "cache_miss"].inc()
         series["latency"].observe(elapsed_seconds)
         for phase, seconds in getattr(statistics, "phase_times", ()) or ():
             histogram = self._phase_series_cache.get(phase)
@@ -1132,14 +1104,6 @@ class EngineSession:
                 "output": metrics.counter(
                     "engine_rows_output_total",
                     "Answer rows returned to callers."),
-                "cache_hit": metrics.counter(
-                    "engine_plan_cache_requests_total",
-                    "Plan-cache lookups by outcome.",
-                    labels={"outcome": "hit"}),
-                "cache_miss": metrics.counter(
-                    "engine_plan_cache_requests_total",
-                    "Plan-cache lookups by outcome.",
-                    labels={"outcome": "miss"}),
                 "latency": metrics.histogram(
                     "engine_query_seconds", "End-to-end query latency."),
             }

@@ -67,14 +67,6 @@ class ClusterBoundExceededError(ReproError):
     """A bounded nested-loop cluster join exceeded its intermediate row bound."""
 
 
-class CoverSearchBudgetExceededError(ReproError):
-    """Cyclic cover search hit its refinement budget (core too large to enumerate).
-
-    Raised only when the caller opted into ``on_budget="raise"``; the default
-    degrades to the greedy core-periphery candidate instead.
-    """
-
-
 class ExecutionTimeoutError(ReproError):
     """An execution exceeded its ``deadline_seconds`` budget.
 

@@ -10,7 +10,9 @@ Two modes:
   client burst at it (``--clients`` threads × ``--requests`` calls each,
   mixing execute / execute_many / explain / stats), then induce one error
   (the chain query against the ``cycle`` database) and, with the slow-query
-  threshold dropped to zero, two slow runs.  It scrapes ``/metrics``,
+  threshold dropped to zero, two slow runs, and checks that a prepare
+  naming an option outside the wire whitelist is an ``invalid-param`` 400
+  that lists the allowed ones.  It scrapes ``/metrics``,
   ``/health``, ``/querylog`` and ``/quality`` and asserts that every
   execution landed in the query log with **zero dropped entries**, that the
   ``/querylog`` document validates against ``querylog_schema.json``, that
@@ -44,6 +46,7 @@ from ..relational.schema import DatabaseSchema
 from ..telemetry.monitor import MonitorConfig
 from ..telemetry.schema import QueryLogValidationError, validate_query_log
 from .client import ServiceCallError, ServiceClient
+from .protocol import WIRE_OPTION_FIELDS
 from .server import QueryService, ServiceServer
 
 
@@ -138,6 +141,20 @@ def _induce_error_and_slow_runs(service: QueryService, client: ServiceClient,
         client.execute(query, "chain", include_rows=False)
 
 
+def _check_wire_options(client: ServiceClient, failures: List[str]) -> None:
+    """A prepare naming a non-wire option (``trace``) is a typed 400."""
+    try:
+        client.prepare("chain", options={"trace": True})
+        failures.append("a prepare with options.trace was accepted")
+    except ServiceCallError as error:
+        if (error.http_status, error.code) != (400, "invalid-param"):
+            failures.append(f"options.trace came back as {error.http_status} "
+                            f"{error.code}")
+        elif str(sorted(WIRE_OPTION_FIELDS)) not in str(error):
+            failures.append("the invalid-param message does not list the "
+                            "wire options")
+
+
 def _smoke(host: str, port: int, clients: int, requests: int) -> int:
     service = demo_service(log_capacity=max(4096, clients * requests * 4))
     failures: List[str] = []
@@ -156,6 +173,7 @@ def _smoke(host: str, port: int, clients: int, requests: int) -> int:
 
         scraper = ServiceClient(server.url, client_id="smoke-scraper")
         _induce_error_and_slow_runs(service, scraper, failures)
+        _check_wire_options(scraper, failures)
         metrics = scraper.metrics_text()
         health = scraper.health()
         querylog = scraper.querylog()

@@ -220,6 +220,10 @@ class ClientSession:
         self.created_at = time.time()
         self._lock = threading.Lock()
         self._handles: Dict[str, Any] = {}
+        # A prepared query's handle, by identity (the table holds the query,
+        # so its id is not recycled): the session's prepare cache hands a
+        # repeated prepare the same object, which keeps its handle.
+        self._handle_of: Dict[int, str] = {}
         self._handle_ids = itertools.count(1)
         self.requests = 0
         self.errors = 0
@@ -234,10 +238,17 @@ class ClientSession:
             self.last_seen = time.time()
 
     def register(self, prepared: Any) -> str:
-        """Store a prepared query; return its per-client handle."""
+        """Store a prepared query; return its per-client handle.
+
+        A query already stored keeps the handle it was given, so re-preparing
+        does not grow the client's table.
+        """
         with self._lock:
-            handle = f"q-{next(self._handle_ids)}"
-            self._handles[handle] = prepared
+            handle = self._handle_of.get(id(prepared))
+            if handle is None:
+                handle = f"q-{next(self._handle_ids)}"
+                self._handles[handle] = prepared
+                self._handle_of[id(prepared)] = handle
             return handle
 
     def prepared(self, handle: str) -> Any:

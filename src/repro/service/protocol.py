@@ -47,6 +47,7 @@ __all__ = [
     "Param",
     "MethodSpec",
     "METHOD_REGISTRY",
+    "WIRE_OPTION_FIELDS",
     "allowed_methods",
     "ServiceError",
     "ProtocolError",
@@ -211,6 +212,16 @@ class MethodSpec:
 
 _NUMBER = (int, float)
 
+#: The ``ExecutionOptions`` fields a client may set over the wire.  ``root``
+#: needs an in-process Edge object, and ``decode`` is the service's own
+#: choice, not the client's: it owns the result boundary, defers the decode
+#: of every query (``"block"``) and serialises the answer straight from the
+#: id block — so neither is reachable remotely.
+WIRE_OPTION_FIELDS = frozenset({
+    "adaptive", "check_reduction", "cluster_row_bound", "force_cyclic",
+    "column_backend", "deadline_seconds",
+})
+
 METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
     MethodSpec(
         name="prepare",
@@ -221,10 +232,9 @@ METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
             Param("outputs", (list,), "projection attribute names, in order"),
             Param("name", (str,), "the answer relation's name"),
             Param("options", (dict,), "ExecutionOptions field overrides: "
-                  "adaptive, check_reduction, cluster_row_bound, "
-                  "force_cyclic, column_backend, trace, deadline_seconds; "
-                  "any other field is an invalid-param error that lists "
-                  "the allowed ones"),
+                  + ", ".join(sorted(WIRE_OPTION_FIELDS))
+                  + "; any other field is an invalid-param error that "
+                  "lists the allowed ones"),
         )),
     MethodSpec(
         name="execute",

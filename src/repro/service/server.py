@@ -69,7 +69,7 @@ from urllib.parse import parse_qs, urlparse
 from ..engine.columnar.block import WirePayload
 from ..engine.deadline import check_deadline, deadline_scope, valid_budget
 from ..engine.planner import fingerprint_digest
-from ..engine.session import EngineSession, ExecutionOptions
+from ..engine.session import EngineSession
 from ..relational.database import Database
 from ..telemetry.tracing import current_tracer, use_span_tags
 from .admission import AdmissionConfig, AdmissionController, ClientRegistry
@@ -80,6 +80,7 @@ from .protocol import (
     ProtocolError,
     ServiceRequest,
     UnknownDatabaseError,
+    WIRE_OPTION_FIELDS,
     _FramingError,
     allowed_methods,
     error_response,
@@ -88,7 +89,7 @@ from .protocol import (
     read_message,
 )
 
-__all__ = ["QueryService", "ServiceServer", "WIRE_OPTION_FIELDS"]
+__all__ = ["QueryService", "ServiceServer"]
 
 #: The content type Prometheus scrapers expect for the text format.
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -106,16 +107,6 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Content Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable", 504: "Gateway Timeout"}
-
-#: The ``ExecutionOptions`` fields a client may set over the wire.  ``root``
-#: needs an in-process Edge object, and ``decode`` is the service's own
-#: choice, not the client's: it owns the result boundary, defers the decode
-#: of every query (``"block"``) and serialises the answer straight from the
-#: id block — so neither is reachable remotely.
-WIRE_OPTION_FIELDS = frozenset({
-    "adaptive", "check_reduction", "cluster_row_bound", "force_cyclic",
-    "column_backend", "trace", "deadline_seconds",
-})
 
 
 def _statistics_payload(statistics: object) -> Dict[str, Any]:

@@ -69,6 +69,18 @@ def skew_database(database, seed):
     return current
 
 
+def fresh_block(block):
+    """The block of a value-equal new relation: same name, columns and rows.
+
+    Its storage is new, so no kernel, memo or decode has touched it yet.
+    """
+    from repro.engine.columnar import block_for
+    from repro.relational import Relation, RelationSchema
+
+    return block_for(Relation.from_tuples(
+        RelationSchema.of(block.name, block.attributes), block.iter_rows()))
+
+
 @st.composite
 def skewed_acyclic_databases(draw):
     """A random acyclic database whose relations have wildly different sizes."""

@@ -41,7 +41,6 @@ both column backends, adaptive and static, with random output subsets:
 
 from __future__ import annotations
 
-import pickle
 import random
 import sys
 import threading
@@ -51,7 +50,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from properties.strategies import skewed_acyclic_databases, skewed_cyclic_databases
+from properties.strategies import (
+    fresh_block,
+    skewed_acyclic_databases,
+    skewed_cyclic_databases,
+)
 
 from repro import Hypergraph
 from repro.core.nodes import format_node_set, sorted_nodes
@@ -166,8 +169,7 @@ def renamed_copy(database: Database) -> Database:
 
 def fresh_storages(blocks):
     """The same vertex blocks over storages no kernel has touched yet."""
-    return {vertex: pickle.loads(pickle.dumps(block))
-            for vertex, block in blocks.items()}
+    return {vertex: fresh_block(block) for vertex, block in blocks.items()}
 
 
 def counter_delta(before, after):

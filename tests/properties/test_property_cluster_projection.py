@@ -41,6 +41,7 @@ from repro.generators import (
     triangle_core_chain,
 )
 from repro.relational import DatabaseSchema, naive_join
+from repro.telemetry import Tracer, use_tracer
 
 from .strategies import skew_database, skewed_cyclic_databases
 
@@ -182,15 +183,17 @@ def test_benchmark_instance_count_guard():
     database = generate_database(
         DatabaseSchema.from_hypergraph(triangle_core_chain(4)),
         universe_rows=2000, domain_size=40, dangling_fraction=0.5, seed=4)
-    session = EngineSession(adaptive=True, trace=True)
-    result = session.prepare(database, ("C0", "C5")).execute(database)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = EngineSession(adaptive=True).prepare(
+            database, ("C0", "C5")).execute(database)
     statistics = result.statistics
     assert statistics.cluster_sizes == (2955, 40, 2949, 2970, 2958)
     assert statistics.intermediate_sizes == (1600, 40, 4212, 8512, 1600, 1600)
     assert len(statistics.estimated_intermediate_sizes) == 6
     assert statistics.semijoin_steps == 8
     assert statistics.output_size == 1600
-    span = next(record for record in session.tracer.records
+    span = next(record for record in tracer.records
                 if record["name"] == "materialise")["attributes"]
     assert span["probe_rows"][0] == 32538
     assert span["kept"][1] == ["C0"]

@@ -26,7 +26,6 @@ swaps two columns must fail all three.
 from __future__ import annotations
 
 import json
-import pickle
 import random
 
 import pytest
@@ -47,7 +46,11 @@ from repro.relational import (
 )
 from repro.service import QueryService
 
-from .strategies import skewed_acyclic_databases, skewed_cyclic_databases
+from .strategies import (
+    fresh_block,
+    skewed_acyclic_databases,
+    skewed_cyclic_databases,
+)
 
 COMMON_SETTINGS = settings(max_examples=20, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -250,6 +253,9 @@ def test_a_column_swapping_gather_fails_all_three(monkeypatch):
     check_wire_document(database, outputs, answer)
     check_to_relation(block, "decoded")
     check_iter_rows(block)
+    # ``block`` has its relation memoised by now; the block of a value-equal
+    # new relation is a fresh storage, so its decode runs the gather.
+    unmemoised = fresh_block(block)
 
     gather = ColumnBlock._gathered_values
     monkeypatch.setattr(
@@ -261,9 +267,6 @@ def test_a_column_swapping_gather_fails_all_three(monkeypatch):
                                   seed=1)
     with pytest.raises(AssertionError):
         check_wire_document(fresh, outputs, answer)
-    # ``block`` has its relation memoised by now; a pickled copy is a fresh
-    # storage, so its decode runs the (mutant) gather.
-    unmemoised = pickle.loads(pickle.dumps(block))
     assert unmemoised.peek_relation("decoded") is None
     with pytest.raises(AssertionError):
         check_to_relation(unmemoised, "decoded")

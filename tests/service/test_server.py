@@ -25,8 +25,11 @@ from repro.service import (
     ServiceClient,
     ServiceServer,
 )
-from repro.service.protocol import PROTOCOL_VERSION
-from repro.service.server import WIRE_OPTION_FIELDS
+from repro.service.protocol import (
+    METHOD_REGISTRY,
+    PROTOCOL_VERSION,
+    WIRE_OPTION_FIELDS,
+)
 from repro.telemetry import validate_query_log
 
 
@@ -177,6 +180,25 @@ def test_stats_reports_the_service_shape(service):
                for s in result["clients"]["sessions"])
 
 
+def _prepared_queries(service, client):
+    _, envelope = _rpc(service, "stats")
+    (session,) = [s for s in envelope["result"]["clients"]["sessions"]
+                  if s["client"] == client]
+    return session["prepared_queries"]
+
+
+def test_re_preparing_a_query_keeps_its_handle(service):
+    """The prepare cache returns one query, so the client table holds it once."""
+    handles = {_prepare(service, client="repeater") for _ in range(50)}
+    assert len(handles) == 1
+    assert _prepared_queries(service, "repeater") == 1
+    endpoints = [str(a) for a in skewed_chain_endpoints(3)]
+    other = _prepare(service, client="repeater", outputs=endpoints)
+    assert other not in handles
+    assert _prepare(service, client="repeater", outputs=endpoints) == other
+    assert _prepared_queries(service, "repeater") == 2
+
+
 # --------------------------------------------------------------------------- #
 # The result boundary: rows are serialised from the id block
 # --------------------------------------------------------------------------- #
@@ -215,7 +237,8 @@ def test_a_columnar_query_builds_no_rows_for_the_wire(service, database,
 
 @pytest.mark.parametrize("option, value", [
     ("execution_mode", "row"), ("shards", 2), ("shard_executor", "process"),
-], ids=["execution_mode", "shards", "shard_executor"])
+    ("trace", True),
+], ids=["execution_mode", "shards", "shard_executor", "trace"])
 def test_execution_mode_is_not_a_wire_option(service, option, value):
     """Options the engine no longer has are a typed 400 for an old client."""
     status, envelope = _rpc(service, "prepare", {
@@ -225,6 +248,7 @@ def test_execution_mode_is_not_a_wire_option(service, option, value):
     message = envelope["error"]["message"]
     assert option in message
     assert all(field in message for field in WIRE_OPTION_FIELDS)
+    assert str(sorted(WIRE_OPTION_FIELDS)) in message
 
 
 def test_the_wire_whitelist_tracks_the_execution_options(service):
@@ -238,6 +262,13 @@ def test_the_wire_whitelist_tracks_the_execution_options(service):
     status, envelope = _rpc(service, "prepare", {"database": "chain"})
     assert status == 200, envelope
     assert set(envelope["result"]["options"]) == WIRE_OPTION_FIELDS
+
+
+def test_the_options_doc_names_exactly_the_wire_whitelist():
+    (options,) = [param for param in METHOD_REGISTRY["prepare"].optional
+                  if param.name == "options"]
+    listed = options.doc.split(": ", 1)[1].split(";", 1)[0]
+    assert set(listed.split(", ")) == WIRE_OPTION_FIELDS
 
 
 def test_a_removed_option_is_a_type_error_naming_the_known_ones(chain_database):

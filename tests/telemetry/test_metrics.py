@@ -167,15 +167,26 @@ class TestSessionMetrics:
     def test_executions_record_into_the_session_registry(self):
         database = skewed_chain_database(3, heads=6, fanout=3,
                                          junction_values=2, seed=1)
-        session = EngineSession(metrics=MetricsRegistry())
+        session = EngineSession(metrics=MetricsRegistry(), monitor=True)
         prepared = session.prepare(database)
         prepared.execute(database)
+        planned = session.monitor.collect()
         prepared.execute(database)
         snapshot = session.metrics.snapshot()
         assert snapshot["engine_queries_total{kind=acyclic}"] == 2
         assert snapshot["engine_query_seconds"]["count"] == 2
         assert snapshot["engine_rows_output_total"] > 0
-        assert "engine_plan_cache_requests_total{outcome=hit}" in snapshot
+        # Plan-cache outcomes are the planner's own lookups, published at
+        # the scrape: the prepare planned (a miss), a warm execute looks up
+        # nothing.
+        assert not any(key.startswith("engine_plan_cache_requests_total")
+                       for key in snapshot)
+        collected = session.monitor.collect()
+        planner = dict(session.cache_reports())["planner"]
+        for outcome in ("hits", "misses"):
+            key = f"engine_cache_{outcome}_total{{cache=planner}}"
+            assert collected[key] == planned[key] == planner[outcome]
+        assert planner["misses"] >= 1
 
     @staticmethod
     def _databases():
