@@ -76,8 +76,8 @@ def test_tuple_count_comparison(triangle_chain_db):
     """The acceptance table: cyclic engine ≥ 5× below naive on max intermediates."""
     naive_result, naive_stats = execute_plan(naive_join_plan(triangle_chain_db),
                                              plan_name="naive")
-    fast = EngineSession(adaptive=False).execute(triangle_chain_db,
-                                                 triangle_chain_db, ENDPOINTS)
+    fast = EngineSession(adaptive=False).prepare(triangle_chain_db, ENDPOINTS) \
+        .execute(triangle_chain_db)
     engine_stats = fast.statistics
 
     print(banner("E-CYC: chain with a triangle core, endpoints query"))
@@ -101,7 +101,7 @@ def test_workload_families_round_trip():
                                      dangling_fraction=0.4, seed=7)
         naive_result, naive_stats = execute_plan(naive_join_plan(database),
                                                  plan_name=f"naive:{name}")
-        fast = session.execute(database, database)
+        fast = session.prepare(database).execute(database)
         assert frozenset(fast.relation.rows) == frozenset(naive_result.rows), name
         assert fast.statistics.max_intermediate <= naive_stats.max_intermediate, name
         rows.append(fast.statistics)

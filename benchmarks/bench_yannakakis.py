@@ -95,8 +95,8 @@ def test_tuple_count_comparison(adversarial_chain_db):
     slow, naive_stats = naive_join(adversarial_chain_db, ENDPOINTS)
     tree_result, tree_stats = execute_plan(join_tree_plan(adversarial_chain_db),
                                            plan_name="join-tree")
-    fast = EngineSession(adaptive=False).execute(adversarial_chain_db,
-                                                 adversarial_chain_db, ENDPOINTS)
+    fast = EngineSession(adaptive=False).prepare(adversarial_chain_db, ENDPOINTS) \
+        .execute(adversarial_chain_db)
     engine_stats = fast.statistics
 
     print(statistics_table([naive_stats, tree_stats, engine_stats],
@@ -114,8 +114,8 @@ def test_tuple_count_comparison(adversarial_chain_db):
 def test_random_acyclic_bound(random_acyclic_db):
     """On a generated acyclic instance the engine honours the input+output bound."""
     assert all(len(r) >= 1 for r in random_acyclic_db.relations())
-    result = EngineSession(adaptive=False).execute(random_acyclic_db,
-                                                   random_acyclic_db)
+    result = EngineSession(adaptive=False).prepare(random_acyclic_db) \
+        .execute(random_acyclic_db)
     stats = result.statistics
     naive_result, naive_stats = execute_plan(naive_join_plan(random_acyclic_db),
                                              plan_name="naive")

@@ -49,7 +49,8 @@ def main() -> None:
     # Phase composition, spelled out: the structure plan is fingerprint-
     # cached; the annotation is per-database and picks the root + fold order.
     planner = QueryPlanner()
-    plan = planner.plan_for(database, output_attributes=endpoints)
+    plan = planner.annotate(database.schema.to_hypergraph(), catalog,
+                            output_attributes=endpoints)
     print(plan.annotation.describe())
     print(f"annotation moved the root to: "
           f"{sorted(plan.annotation.root) if plan.annotation.root else 'default'}")

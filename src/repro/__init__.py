@@ -61,7 +61,6 @@ from .core import (
     tableau_reduction,
 )
 from .exceptions import (
-    AcyclicHypergraphError,
     CyclicHypergraphError,
     HypergraphError,
     ReproError,
@@ -87,5 +86,5 @@ __all__ = [
     "find_independent_path", "independent_path_exists", "is_independent_path",
     "check_theorem_3_5", "check_theorem_6_1", "check_all",
     # exceptions
-    "ReproError", "HypergraphError", "CyclicHypergraphError", "AcyclicHypergraphError",
+    "ReproError", "HypergraphError", "CyclicHypergraphError",
 ]

@@ -7,7 +7,6 @@ from .reports import (
     plan_quality_table,
     query_log_table,
     statistics_table,
-    trace_table,
     trace_tree,
 )
 from .statistics import HypergraphStatistics, cyclicity_diagnostics, describe_hypergraph
@@ -20,7 +19,6 @@ __all__ = [
     "format_mapping",
     "banner",
     "statistics_table",
-    "trace_table",
     "trace_tree",
     "query_log_table",
     "plan_quality_table",

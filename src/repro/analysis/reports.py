@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = ["format_table", "format_mapping", "banner", "statistics_table",
-           "trace_table", "trace_tree", "query_log_table",
-           "plan_quality_table"]
+           "trace_tree", "query_log_table", "plan_quality_table"]
 
 
 def format_table(rows: Sequence[Mapping[str, object]], *,
@@ -144,28 +143,6 @@ def _interesting_attributes(attributes: Mapping[str, object]) -> str:
         if key in attributes:
             parts.append(f"{key}={attributes[key]}")
     return " ".join(parts)
-
-
-def trace_table(records: Sequence[Mapping[str, object]], *,
-                title: Optional[str] = None) -> str:
-    """Render trace records (``Tracer.records`` or a read-back JSONL) as a table.
-
-    One row per span, in completion order: name, wall-time, parent and the
-    common cardinality attributes.  Use :func:`trace_tree` for the nested
-    view.
-    """
-    rows: List[Dict[str, object]] = []
-    for record in records:
-        attributes = record.get("attributes", {}) or {}
-        rows.append({
-            "span": record.get("span_id", "-"),
-            "parent": record.get("parent_id") or "-",
-            "name": record.get("name", "-"),
-            "ms": f"{float(record.get('duration', 0.0)) * 1000:.3f}",
-            "attributes": _interesting_attributes(attributes),
-        })
-    return format_table(rows, columns=("span", "parent", "name", "ms",
-                                       "attributes"), title=title)
 
 
 def trace_tree(records: Sequence[Mapping[str, object]]) -> str:

@@ -11,7 +11,7 @@ Layers (bottom-up):
 
 * :mod:`~repro.engine.columnar` — the physical layer:
   :class:`ColumnBlock` id arrays with zero-copy selection vectors, grouped
-  key encoding, whole-block semijoin/antijoin/join kernels with fused
+  key encoding, whole-block semijoin/join kernels with fused
   projection, and the reduce → fold pipeline; relations are decoded only
   at the result boundary;
 * :mod:`~repro.engine.reducer` — full-reducer semijoin programs compiled off
@@ -26,8 +26,8 @@ Layers (bottom-up):
   queries;
 * :mod:`~repro.engine.planner` — data-independent :class:`ExecutionPlan`
   objects in an LRU cache keyed by a canonical schema fingerprint (with
-  disk persistence via ``save_cache``/``load_cache``), composed with
-  annotations into :class:`AnnotatedPlan` by ``plan_for(db)``, plus
+  disk persistence via ``save_cache``/``load_cache``), composed with a
+  database's catalog into :class:`AnnotatedPlan` by ``planner.annotate``, plus
   :class:`EngineStatistics` (a :class:`~repro.relational.join_plans.JoinStatistics`
   extension) for cost accounting with estimated-vs-actual columns;
 * :mod:`~repro.engine.yannakakis` — the one evaluator a prepared query
@@ -64,13 +64,11 @@ from .catalog import (
 )
 from .columnar import (
     ColumnBlock,
-    antijoin_blocks,
     available_column_backends,
     block_for,
     clear_column_caches,
     column_cache_info,
     default_column_backend,
-    intersect_blocks,
     natural_join_blocks,
     semijoin_blocks,
     set_default_column_backend,
@@ -93,7 +91,6 @@ from .reducer import (
     ReductionError,
     ReductionStep,
     ReductionTrace,
-    verify_full_reduction_blocks,
 )
 from .yannakakis import EngineResult
 from .cyclic import (
@@ -102,8 +99,8 @@ from .cyclic import (
     CyclicEngineStatistics,
     CyclicExecutionPlan,
     EdgeCluster,
-    choose_cover,
     enumerate_covers,
+    select_cover,
 )
 from .session import (
     BatchStatistics,
@@ -117,12 +114,11 @@ from .session import (
 __all__ = [
     # columnar physical layer
     "ColumnBlock", "block_for", "column_cache_info", "clear_column_caches",
-    "semijoin_blocks", "antijoin_blocks", "natural_join_blocks", "intersect_blocks",
+    "semijoin_blocks", "natural_join_blocks",
     "available_column_backends", "default_column_backend",
     "set_default_column_backend", "use_column_backend",
     # reducer
     "FullReducer", "ReductionStep", "ReductionTrace", "ReductionError",
-    "verify_full_reduction_blocks",
     # statistics catalog / cost annotation
     "RelationStatistics", "StatisticsCatalog", "JoinEstimate", "CostAnnotation",
     "annotate_tree",
@@ -136,6 +132,6 @@ __all__ = [
     # results
     "EngineResult",
     # cyclic subsystem
-    "EdgeCluster", "ClusterCover", "choose_cover", "enumerate_covers",
+    "EdgeCluster", "ClusterCover", "enumerate_covers", "select_cover",
     "AcyclicQuotient", "CyclicExecutionPlan", "CyclicEngineStatistics",
 ]

@@ -86,6 +86,11 @@ class LRUCache(Generic[V]):
         with self._lock:
             return list(self._entries)
 
+    def values(self) -> List[V]:
+        """The resident values, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
+
     def clear(self) -> None:
         """Drop every entry; the hit, miss and eviction counts persist."""
         with self._lock:

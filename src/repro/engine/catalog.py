@@ -34,7 +34,7 @@ the annotation only needs the *ordering* of candidate plans to be right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -355,6 +355,9 @@ class CostAnnotation:
     reduced_estimates: Mapping[Edge, int]
     estimated_intermediate_sizes: Tuple[int, ...]
     estimated_output_size: int
+    #: The work that priced it: rootings compared and rooting states built.
+    root_candidates: int = field(default=0, compare=False)
+    rooting_states: int = field(default=0, compare=False)
 
     @property
     def estimated_max_intermediate(self) -> int:
@@ -534,12 +537,26 @@ class _RootingMemo:
         return tuple(sizes), result.rows
 
 
-def _annotate_tree(tree: JoinTree, catalog: StatisticsCatalog, *,
-                   output_attributes: Optional[Iterable[Attribute]] = None,
-                   candidate_roots: Optional[Sequence[Optional[Edge]]] = None,
-                   max_root_candidates: int = _MAX_ROOT_CANDIDATES
-                   ) -> Tuple[CostAnnotation, int, int]:
-    """:func:`annotate_tree` plus its work: (annotation, candidates, rooting states)."""
+def annotate_tree(tree: JoinTree, catalog: StatisticsCatalog, *,
+                  output_attributes: Optional[Iterable[Attribute]] = None,
+                  candidate_roots: Optional[Sequence[Optional[Edge]]] = None,
+                  max_root_candidates: int = _MAX_ROOT_CANDIDATES) -> CostAnnotation:
+    """Compile the cost annotation for a join tree against a catalog.
+
+    Every candidate rooting (all vertices by default, capped at
+    ``max_root_candidates``, plus the default rooting) is priced by the
+    bottom-up join it predicts, each vertex folding its children greedily
+    (see :func:`_fold_vertex`); the rooting with the smallest predicted
+    largest intermediate wins, ties broken towards the default rooting so an
+    annotation never forces a new plan compilation without a predicted
+    payoff.  ``candidate_roots`` pins the simulation to explicit rootings
+    (used when the caller has already fixed a root).
+
+    The rootings share one memo of rooting states (:class:`_RootingMemo`):
+    every vertex is folded once per neighbour it can hang from and once as a
+    root, and only the winning rooting is traversed, to list its sizes in
+    leaf-to-root order.
+    """
     wanted: Optional[FrozenSet[Attribute]] = (
         frozenset(output_attributes) if output_attributes is not None else None)
     base: Dict[Edge, JoinEstimate] = {
@@ -581,37 +598,14 @@ def _annotate_tree(tree: JoinTree, catalog: StatisticsCatalog, *,
         sizes.extend(steps)
         if chosen:
             order_map[vertex] = chosen
-    annotation = CostAnnotation(
+    return CostAnnotation(
         root=root,
         child_order=order_map,
         vertex_estimates={vertex: base[vertex].rows for vertex in tree.vertices},
         reduced_estimates={vertex: reduced[vertex].rows for vertex in tree.vertices},
         estimated_intermediate_sizes=tuple(sizes) + combined,
         estimated_output_size=output_estimate,
+        root_candidates=len(candidates),
+        rooting_states=len(memo.states),
     )
-    return annotation, len(candidates), len(memo.states)
 
-
-def annotate_tree(tree: JoinTree, catalog: StatisticsCatalog, *,
-                  output_attributes: Optional[Iterable[Attribute]] = None,
-                  candidate_roots: Optional[Sequence[Optional[Edge]]] = None,
-                  max_root_candidates: int = _MAX_ROOT_CANDIDATES) -> CostAnnotation:
-    """Compile the cost annotation for a join tree against a catalog.
-
-    Every candidate rooting (all vertices by default, capped at
-    ``max_root_candidates``, plus the default rooting) is priced by the
-    bottom-up join it predicts, each vertex folding its children greedily
-    (see :func:`_fold_vertex`); the rooting with the smallest predicted
-    largest intermediate wins, ties broken towards the default rooting so an
-    annotation never forces a new plan compilation without a predicted
-    payoff.  ``candidate_roots`` pins the simulation to explicit rootings
-    (used when the caller has already fixed a root).
-
-    The rootings share one memo of rooting states (:class:`_RootingMemo`):
-    every vertex is folded once per neighbour it can hang from and once as a
-    root, and only the winning rooting is traversed, to list its sizes in
-    leaf-to-root order.
-    """
-    return _annotate_tree(tree, catalog, output_attributes=output_attributes,
-                          candidate_roots=candidate_roots,
-                          max_root_candidates=max_root_candidates)[0]

@@ -11,7 +11,7 @@ back to relations only at the result boundary:
   arrays and position groups in canonical attribute order, so keys compare
   across blocks with no shared state), the one-walk transposed encode and
   the weak block cache keyed by relation identity (:func:`block_for`);
-* :mod:`~repro.engine.columnar.kernels` — whole-block semijoin / antijoin /
+* :mod:`~repro.engine.columnar.kernels` — whole-block semijoin and
   natural join with fused projection, plus scheme merging;
 * :mod:`~repro.engine.columnar.executor` — the end-to-end pipeline (replay
   the plan's bound program: the full reducer, then the bottom-up fold, over
@@ -42,8 +42,6 @@ from .block import (
     peek_block,
 )
 from .kernels import (
-    antijoin_blocks,
-    intersect_blocks,
     merge_blocks_by_scheme,
     natural_join_blocks,
     semijoin_blocks,
@@ -70,8 +68,8 @@ __all__ = [
     "default_column_backend", "set_default_column_backend",
     "resolve_column_backend", "active_column_backend", "use_column_backend",
     # kernels
-    "semijoin_blocks", "antijoin_blocks", "natural_join_blocks",
-    "intersect_blocks", "merge_blocks_by_scheme", "shared_block_attributes",
+    "semijoin_blocks", "natural_join_blocks",
+    "merge_blocks_by_scheme", "shared_block_attributes",
     # pipeline
     "vertex_blocks", "ReductionProgram", "FoldProgram", "BoundProgram",
     "bound_program", "run_columnar_plan",

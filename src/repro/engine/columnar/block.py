@@ -3,7 +3,7 @@
 A :class:`ColumnBlock` is the columnar physical representation of a relation:
 one ``array('q')`` of dictionary-encoded value ids per attribute plus an
 optional *selection vector* of storage positions.  Filtering a block
-(semijoin, antijoin) only replaces the selection vector; projecting or
+(a semijoin) only replaces the selection vector; projecting or
 renaming it only changes the visible column set — the underlying
 :class:`_ColumnStorage` (and everything cached on it: grouped key encodings,
 membership structures, join tables, memoised semijoin outcomes) is shared
@@ -440,10 +440,6 @@ class ColumnBlock:
         which returns the very block.
         """
         return self._storage.length
-
-    def is_empty(self) -> bool:
-        """``True`` when no rows are selected."""
-        return len(self) == 0
 
     def column(self, attribute: Attribute) -> array:
         """The *full-length* id array of one column (index by positions)."""

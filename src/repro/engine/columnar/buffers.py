@@ -320,14 +320,9 @@ class ArrayColumnBackend:
         return len(set(self._gathered(codes, positions)))
 
     def filter_membership(self, codes: IdArray, positions: Positions,
-                          prepared: FrozenSet[int], *,
-                          negate: bool = False) -> IdArray:
-        """The positions whose code is (not) in the :meth:`key_set` structure."""
-        gathered = self._gathered(codes, positions)
-        if negate:
-            flags = [code not in prepared for code in gathered]
-        else:
-            flags = map(prepared.__contains__, gathered)
+                          prepared: FrozenSet[int]) -> IdArray:
+        """The positions whose code is in the :meth:`key_set` structure."""
+        flags = map(prepared.__contains__, self._gathered(codes, positions))
         return array("q", compress(positions, flags))
 
     def build_table(self, codes: IdArray, positions: Positions) -> Dict[int, IdArray]:
@@ -543,11 +538,9 @@ class NumpyColumnBackend:
         return prepared[slots] == values
 
     def filter_membership(self, codes: IdArray, positions: Positions,
-                          prepared: "Any", *, negate: bool = False) -> IdArray:
+                          prepared: "Any") -> IdArray:
         selected = self._positions(positions)
         mask = self._member_mask(prepared, self._view(codes)[selected])
-        if negate:
-            mask = ~mask
         return self._to_q(selected[mask])
 
     def build_table(self, codes: IdArray, positions: Positions) -> Tuple["Any", "Any"]:

@@ -1,10 +1,10 @@
-"""Batched semijoin / antijoin / natural-join kernels over typed column blocks.
+"""Batched semijoin / natural-join kernels over typed column blocks.
 
 These are the engine's physical operators.  They compute the same relations
-as :func:`repro.relational.algebra.semijoin` / ``antijoin`` /
-``natural_join`` but move whole typed position vectors per call through the
-active :mod:`column-buffer backend <repro.engine.columnar.buffers>` instead
-of probing rows one at a time:
+as :func:`repro.relational.algebra.semijoin` / ``natural_join`` but move
+whole typed position vectors per call through the active
+:mod:`column-buffer backend <repro.engine.columnar.buffers>` instead of
+probing rows one at a time:
 
 * a **semijoin** is one batched membership pass — the left position
   vector filtered by its id codes' membership in the right side's cached
@@ -20,10 +20,10 @@ of probing rows one at a time:
 * **fused projection** drops dead columns before the gather and
   deduplicates positionally, keeping set semantics.
 
-A semijoin/antijoin that filters nothing returns the *left block itself*,
-so reducer fixpoints allocate nothing and the proof-of-reduction check can
-test stability with ``is``.  Every kernel span
-records the active backend and its batch size.
+A semijoin that filters nothing returns the *left block itself*, so
+reducer fixpoints allocate nothing and the proof-of-reduction check can
+test stability with ``is``.  Every kernel span records the active backend
+and its batch size.
 
 **One memo, two callers.**  Each kernel is split into what it derives from
 its operands' layouts — the canonical separator, and for a join
@@ -57,9 +57,7 @@ from .buffers import active_column_backend
 __all__ = [
     "shared_block_attributes",
     "semijoin_blocks",
-    "antijoin_blocks",
     "natural_join_blocks",
-    "intersect_blocks",
     "merge_blocks_by_scheme",
 ]
 
@@ -123,7 +121,7 @@ def join_layout(left_name: str, left_attributes: Tuple[Attribute, ...],
 
 
 # --------------------------------------------------------------------------- #
-# Semijoin / antijoin
+# Semijoin
 # --------------------------------------------------------------------------- #
 def semijoin_blocks(left: ColumnBlock, right: ColumnBlock,
                     on: Optional[Iterable[Attribute]] = None) -> ColumnBlock:
@@ -131,33 +129,20 @@ def semijoin_blocks(left: ColumnBlock, right: ColumnBlock,
 
     Returns ``left`` itself when nothing is filtered out.
     """
-    return _membership_filter(left, right, on, negate=False)
-
-
-def antijoin_blocks(left: ColumnBlock, right: ColumnBlock,
-                    on: Optional[Iterable[Attribute]] = None) -> ColumnBlock:
-    """``left ▷ right`` — the selected rows of ``left`` with no partner in ``right``."""
-    return _membership_filter(left, right, on, negate=True)
-
-
-def _membership_filter(left: ColumnBlock, right: ColumnBlock,
-                       on: Optional[Iterable[Attribute]], *,
-                       negate: bool) -> ColumnBlock:
-    """The (anti)semijoin kernel: ``left``'s rows with (``negate``: without) a partner."""
     separator = _separator(left, right, on)
     if separator:
         check_one_generation((left, right))
     result, memo_hit = traced_membership_step(left, right, separator,
-                                              active_column_backend(), negate)
+                                              active_column_backend())
     if memo_hit:
         count_keyset(hit=True)
     return result
 
 
 def membership_step(left: ColumnBlock, right: ColumnBlock,
-                    separator: Tuple[Attribute, ...], backend,
-                    negate: bool = False) -> Tuple[ColumnBlock, Optional[bool]]:
-    """One (anti)semijoin on a canonical separator: ``(result, memo hit)``.
+                    separator: Tuple[Attribute, ...],
+                    backend) -> Tuple[ColumnBlock, Optional[bool]]:
+    """One semijoin on a canonical separator: ``(result, memo hit)``.
 
     With no separator every row has a partner iff ``right`` has a row (no
     memo: ``None``).  Otherwise the outcome is looked up on ``left``'s
@@ -168,23 +153,23 @@ def membership_step(left: ColumnBlock, right: ColumnBlock,
     counted here: the kernel counts its one, a program adds up its run's.
     """
     if not separator:
-        return (left if (len(right) > 0) != negate else left.empty()), None
-    key = ("semi", negate, backend.name, separator, left.selection_bytes(),
+        return (left if len(right) > 0 else left.empty()), None
+    key = ("semi", backend.name, separator, left.selection_bytes(),
            right.storage_token(), right.selection_bytes())
     outcome = left.derived_get(key)
     memo_hit = outcome is not None
     if not memo_hit:
-        outcome = _filtered_selection(left, right, separator, backend, key, negate)
+        outcome = _filtered_selection(left, right, separator, backend, key)
     return (left if outcome is True else left.select(*outcome)), memo_hit
 
 
 def traced_membership_step(left: ColumnBlock, right: ColumnBlock,
-                           separator: Tuple[Attribute, ...], backend,
-                           negate: bool = False) -> Tuple[ColumnBlock, Optional[bool]]:
-    """:func:`membership_step` inside a ``kernel:semijoin`` / ``kernel:antijoin`` span."""
-    span = current_tracer().span("kernel:antijoin" if negate else "kernel:semijoin")
+                           separator: Tuple[Attribute, ...],
+                           backend) -> Tuple[ColumnBlock, Optional[bool]]:
+    """:func:`membership_step` inside a ``kernel:semijoin`` span."""
+    span = current_tracer().span("kernel:semijoin")
     with span:
-        result, memo_hit = membership_step(left, right, separator, backend, negate)
+        result, memo_hit = membership_step(left, right, separator, backend)
         if span.is_recording:
             span.set("backend", backend.name)
             span.set("batch", len(left))
@@ -199,9 +184,9 @@ def traced_membership_step(left: ColumnBlock, right: ColumnBlock,
 
 
 def _filtered_selection(left: ColumnBlock, right: ColumnBlock,
-                        separator: Tuple[Attribute, ...], backend, key: Tuple,
-                        negate: bool) -> Union[bool, Tuple["array", bytes]]:
-    """Compute and memoise one (anti)semijoin's outcome (the memo-miss path).
+                        separator: Tuple[Attribute, ...], backend,
+                        key: Tuple) -> Union[bool, Tuple["array", bytes]]:
+    """Compute and memoise one semijoin's outcome (the memo-miss path).
 
     All three outcomes are recorded under ``key``: ``True`` for a fixpoint
     (every row kept — the caller hands ``left`` itself back), otherwise the
@@ -218,7 +203,7 @@ def _filtered_selection(left: ColumnBlock, right: ColumnBlock,
     """
     keep = backend.filter_membership(
         left.key_codes(separator), left.positions,
-        right.prepared_key_set(separator, backend), negate=negate)
+        right.prepared_key_set(separator, backend))
     outcome = True if len(keep) == len(left) else (keep, selection_key(keep))
     return left.derived_put(key, outcome)
 
@@ -320,11 +305,6 @@ def _joined_block(left: ColumnBlock, right: ColumnBlock,
     return block
 
 
-def intersect_blocks(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
-    """The intersection of two same-scheme blocks (keeps ``left``'s name/order)."""
-    return semijoin_blocks(left, right, on=left.attribute_set)
-
-
 def merge_blocks_by_scheme(relations: Iterable[Relation],
                            schemes: Optional[Sequence[Edge]] = None,
                            lookups: Optional[List[int]] = None
@@ -336,9 +316,10 @@ def merge_blocks_by_scheme(relations: Iterable[Relation],
     This feeds the evaluator's vertex mapping and the cluster
     materialisation.  A scheme
     with a single relation — the overwhelmingly common case — passes its
-    cached block through untouched, and the intersect path's fixpoint
-    contract returns the existing block itself when the second relation
-    filters nothing, so no position vectors are re-materialised for identities.
+    cached block through untouched.  Two blocks over one scheme intersect
+    as a semijoin on the whole scheme, whose fixpoint contract returns the
+    existing block itself when the second relation filters nothing, so no
+    position vectors are re-materialised for identities.
 
     ``schemes`` (position-aligned with ``relations``) names each block's
     scheme where it is not the block's own attribute set: a projected
@@ -354,5 +335,6 @@ def merge_blocks_by_scheme(relations: Iterable[Relation],
         if existing is None:
             grouped[edge] = block
         else:
-            grouped[edge] = intersect_blocks(existing, block)
+            grouped[edge] = semijoin_blocks(existing, block,
+                                            on=existing.attribute_set)
     return grouped

@@ -34,10 +34,9 @@ remains as an explicit opt-in only).
 from .covers import (
     ClusterCover,
     EdgeCluster,
-    choose_cover,
-    core_periphery_cover,
     cover_score,
     enumerate_covers,
+    select_cover,
 )
 from .plans import CyclicEngineStatistics, CyclicExecutionPlan
 from .quotient import (
@@ -48,8 +47,8 @@ from .quotient import (
 
 __all__ = [
     # cover search
-    "EdgeCluster", "ClusterCover", "core_periphery_cover", "enumerate_covers",
-    "cover_score", "choose_cover",
+    "EdgeCluster", "ClusterCover", "enumerate_covers", "select_cover",
+    "cover_score",
     # quotient construction
     "AcyclicQuotient", "ClusterBlockMaterialisation", "materialise_cluster_blocks",
     # compilation

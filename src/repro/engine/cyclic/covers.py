@@ -50,11 +50,9 @@ from ...telemetry.tracing import current_tracer
 __all__ = [
     "EdgeCluster",
     "ClusterCover",
-    "core_periphery_cover",
     "enumerate_covers",
     "cover_score",
     "select_cover",
-    "choose_cover",
 ]
 
 #: Stuck components larger than this are not refined (set partitions are exponential).
@@ -256,20 +254,6 @@ def _baseline_groups(proper: List[Edge], ears: List[Edge],
     return [[edge] for edge in ears] + [list(component) for component in components]
 
 
-def core_periphery_cover(hypergraph: Hypergraph) -> ClusterCover:
-    """The baseline cover: singleton ears, one cluster per stuck-core component.
-
-    Acyclic hypergraphs get the all-singleton (trivial) cover.  For cyclic
-    ones the ears the GYO kernel eliminates stay singletons and each
-    connected component of the stuck residual becomes one cluster; the
-    resulting quotient is acyclic by construction (collapsing a component to
-    the union of its nodes makes every peeled ear an ear again).
-    """
-    proper, empty, ears, components = _core_decomposition(hypergraph)
-    return ClusterCover.of(
-        _attach_empty_edges(_baseline_groups(proper, ears, components), empty))
-
-
 def _set_partitions(items: List[Edge]) -> Iterator[List[List[Edge]]]:
     """All set partitions of ``items`` (callers cap ``len(items)``)."""
     if not items:
@@ -298,8 +282,10 @@ def enumerate_covers(hypergraph: Hypergraph, *,
     cluster schemes pass the GYO acyclicity test (ears and the other
     components cannot change that verdict, see the module docstring), and the
     candidates are the combinations of valid partitions, at most
-    ``max_candidates`` of them.  The baseline :func:`core_periphery_cover` is
-    always the first candidate, so the enumeration is never empty.
+    ``max_candidates`` of them.  Candidate 0 is always the baseline cover —
+    singleton ears, one cluster per stuck-core component (an acyclic
+    hypergraph gets the all-singleton, trivial cover) — so the enumeration
+    is never empty.
 
     A core component *beyond* the cap, where exhaustive set partition would
     blow up (Bell numbers), keeps only its greedy collapsed-component
@@ -396,16 +382,3 @@ def select_cover(candidates: Iterable[ClusterCover],
     tied = [cover for score, cover in scored if score == best]
     return tied[0] if len(tied) == 1 else min(tied, key=_rendering)
 
-
-def choose_cover(hypergraph: Hypergraph, *,
-                 max_component_edges: int = _REFINEMENT_EDGE_LIMIT,
-                 max_candidates: int = _CANDIDATE_LIMIT,
-                 catalog: Optional["StatisticsCatalog"] = None) -> ClusterCover:
-    """The minimal-score cover of ``hypergraph`` among the enumerated candidates.
-
-    With a ``catalog`` the candidates are compared by the cardinality-aware
-    score (see :func:`cover_score`).
-    """
-    candidates = enumerate_covers(hypergraph, max_component_edges=max_component_edges,
-                                  max_candidates=max_candidates)
-    return select_cover(candidates, catalog)

@@ -61,10 +61,6 @@ class CyclicExecutionPlan:
         """``True`` when every cluster is a singleton (the schema was acyclic)."""
         return self.cover.is_trivial
 
-    def estimated_semijoin_steps(self) -> int:
-        """How many semijoin steps one quotient reducer run performs."""
-        return self.inner.estimated_semijoin_steps()
-
     def describe(self) -> str:
         """A multi-line rendering: fingerprint, cover, quotient and inner plan."""
         lines = [f"CyclicExecutionPlan {fingerprint_digest(self.fingerprint)} "

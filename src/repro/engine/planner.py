@@ -9,10 +9,9 @@ keyed by a canonical **schema fingerprint**, so repeated queries over the
 same hypergraph skip the whole analysis.
 
 Planning is two-phase.  The fingerprint-cached :class:`ExecutionPlan` is the
-**structure plan**; handing it a per-database
-:class:`~repro.engine.catalog.StatisticsCatalog` (see :meth:`QueryPlanner.annotate`
-or the :meth:`QueryPlanner.plan_for` entry point with a
-:class:`~repro.relational.database.Database`) yields an :class:`AnnotatedPlan`
+**structure plan** (:meth:`QueryPlanner.plan_for`); handing it a
+per-database :class:`~repro.engine.catalog.StatisticsCatalog` through
+:meth:`QueryPlanner.annotate` yields an :class:`AnnotatedPlan`
 — the same structure plus a data-dependent
 :class:`~repro.engine.catalog.CostAnnotation`: a cardinality-chosen root, a
 per-parent fold order and a cost-ordered reducer.  Annotations are cheap and
@@ -40,12 +39,11 @@ from ..core.hypergraph import Edge, Hypergraph
 from ..core.join_tree import JoinTree, RootedJoinTree, build_join_tree
 from ..core.nodes import edge_sort_key, sorted_nodes
 from ..exceptions import CyclicHypergraphError
-from ..relational.database import Database
 from ..relational.join_plans import JoinStatistics
 from ..relational.schema import DatabaseSchema
 from ..telemetry.tracing import current_tracer
 from .cache import LRUCache, PlanCacheInfo
-from .catalog import CostAnnotation, StatisticsCatalog, _annotate_tree
+from .catalog import CostAnnotation, StatisticsCatalog, annotate_tree
 from .reducer import FullReducer
 
 __all__ = [
@@ -195,10 +193,6 @@ class ExecutionPlan:
         """The join-tree vertices (hypergraph edges), in tree-vertex order."""
         return self.join_tree.vertices
 
-    def estimated_semijoin_steps(self) -> int:
-        """How many semijoin steps one reducer run performs."""
-        return len(self.reducer)
-
     def describe(self) -> str:
         """A multi-line plan rendering: fingerprint, tree and reducer program."""
         lines = [f"ExecutionPlan {fingerprint_digest(self.fingerprint)} "
@@ -251,10 +245,6 @@ class AnnotatedPlan:
         """The structure plan's requested root."""
         return self.structure.root
 
-    def estimated_semijoin_steps(self) -> int:
-        """How many semijoin steps one reducer run performs."""
-        return len(self.reducer)
-
     def order_children(self, vertex: Edge,
                        children: Sequence[Edge]) -> Tuple[Edge, ...]:
         """The annotation's fold order for one vertex's children."""
@@ -288,15 +278,15 @@ def annotate_plan(structure: ExecutionPlan, catalog: StatisticsCatalog, *,
     span = current_tracer().span("annotate")
     with span:
         roots = structure.rooted.roots
-        annotation, candidates, states = _annotate_tree(
+        annotation = annotate_tree(
             structure.join_tree, catalog, output_attributes=output_attributes,
             candidate_roots=[roots[0] if roots else None])
         reducer = structure.reducer.with_cost_order(annotation.reduced_estimates)
         if span.is_recording:
             span.set("vertices", len(structure.vertices))
             span.set("pinned_root", True)
-            span.set("root_candidates", candidates)
-            span.set("rooting_states", states)
+            span.set("root_candidates", annotation.root_candidates)
+            span.set("rooting_states", annotation.rooting_states)
         return AnnotatedPlan(structure=structure, catalog=catalog,
                              annotation=annotation, reducer=reducer)
 
@@ -326,32 +316,17 @@ class QueryPlanner:
         """The maximum number of cached plans."""
         return self._cache.capacity
 
-    def plan_for(self, hypergraph: Union[Hypergraph, Database], *,
-                 root: Optional[Edge] = None,
-                 catalog: Optional[StatisticsCatalog] = None,
-                 output_attributes: Optional[Iterable[object]] = None
-                 ) -> Union[ExecutionPlan, "AnnotatedPlan"]:
-        """The execution plan for ``hypergraph`` (compiled or from cache).
+    def plan_for(self, hypergraph: Hypergraph, *,
+                 root: Optional[Edge] = None) -> ExecutionPlan:
+        """The data-independent execution plan for ``hypergraph`` (compiled or from cache).
 
-        Passing a :class:`~repro.relational.database.Database` (or any
-        hypergraph together with a ``catalog``) composes the two planning
-        phases and returns an :class:`AnnotatedPlan`: the fingerprint-cached
-        structure plan plus a cost annotation computed from the database's
-        statistics catalog — the adaptive entry point.  Without a catalog the
-        data-independent :class:`ExecutionPlan` is returned as before.
+        :meth:`annotate` composes it with a database's statistics catalog —
+        the adaptive entry point.
 
         Raises :class:`CyclicHypergraphError` when the hypergraph admits no
         join tree — cyclic schemas have no full reducer, so the engine cannot
         plan them (callers dispatch to :meth:`cyclic_plan_for` instead).
         """
-        if isinstance(hypergraph, Database):
-            database = hypergraph
-            if catalog is None:
-                catalog = database.statistics_catalog()
-            hypergraph = database.schema.to_hypergraph()
-        if catalog is not None:
-            return self.annotate(hypergraph, catalog, root=root,
-                                 output_attributes=output_attributes)
         fingerprint = schema_fingerprint(hypergraph)
 
         def compile_plan() -> ExecutionPlan:
@@ -363,11 +338,6 @@ class QueryPlanner:
             return _compile(fingerprint, tree, root)
 
         return self._cache.get_or_build((fingerprint, root), compile_plan)
-
-    def plan_for_schema(self, schema: DatabaseSchema, *, root: Optional[Edge] = None
-                        ) -> ExecutionPlan:
-        """The execution plan for a database schema (via its hypergraph)."""
-        return self.plan_for(schema.to_hypergraph(), root=root)
 
     def annotate(self, hypergraph: Hypergraph, catalog: StatisticsCatalog, *,
                  output_attributes: Optional[Iterable[object]] = None,
@@ -385,8 +355,8 @@ class QueryPlanner:
             return annotate_plan(base, catalog, output_attributes=output_attributes)
         span = current_tracer().span("annotate")
         with span:
-            annotation, candidates, states = _annotate_tree(
-                base.join_tree, catalog, output_attributes=output_attributes)
+            annotation = annotate_tree(base.join_tree, catalog,
+                                       output_attributes=output_attributes)
             rooted_at = annotation.root
             # A re-rooted structure shares the base plan's validated join
             # tree: the schema is not analysed a second time.
@@ -398,8 +368,8 @@ class QueryPlanner:
                 span.set("vertices", len(structure.vertices))
                 span.set("pinned_root", False)
                 span.set("rerooted", rooted_at is not None)
-                span.set("root_candidates", candidates)
-                span.set("rooting_states", states)
+                span.set("root_candidates", annotation.root_candidates)
+                span.set("rooting_states", annotation.rooting_states)
             return AnnotatedPlan(structure=structure, catalog=catalog,
                                  annotation=annotation, reducer=reducer)
 

@@ -24,10 +24,9 @@ reducer part alone.
 
 ``check_hook`` is the proof-of-reduction hook: after the two passes the hook
 is called with the reduced vertex map and the rooted tree, and must return
-``True``; without one, the program's own pairs
-(:func:`verify_full_reduction_blocks`) re-verify semijoin-stability of every
-tree edge in both directions, which is exactly the fixpoint condition full
-reduction guarantees.
+``True``; without one, the program's own proof pairs re-verify
+semijoin-stability of every tree edge in both directions, which is exactly
+the fixpoint condition full reduction guarantees.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "ReductionTrace",
     "ReductionError",
     "FullReducer",
-    "verify_full_reduction_blocks",
 ]
 
 VertexMap = Dict[Edge, "ColumnBlock"]
@@ -195,28 +193,3 @@ class FullReducer:
         reduced.update(zip(program.vertices, current))
         return reduced
 
-
-def verify_full_reduction_blocks(blocks: Mapping[Edge, "ColumnBlock"],
-                                 rooted: RootedJoinTree) -> bool:
-    """The default proof-of-reduction check: semijoin-stability on every tree edge.
-
-    For every tree edge (child, parent), both ``parent ⋉ child`` and
-    ``child ⋉ parent`` must be fixpoints — a whole-block semijoin that
-    filters nothing returns its left block unchanged.  On a join tree this
-    local condition implies global consistency (no dangling tuples), which
-    is the paper-level guarantee the engine's join phase relies on.  These
-    are the pairs a bound program runs under ``check_reduction``.
-    """
-    # Deferred: the columnar layer imports this module.
-    from .columnar.block import count_keyset
-    from .columnar.buffers import active_column_backend
-    from .columnar.executor import ReductionProgram, _stable
-    from .columnar.kernels import check_one_generation, traced_membership_step
-
-    program = ReductionProgram(rooted, ())
-    current = [blocks[vertex] for vertex in program.vertices]
-    check_one_generation(current)
-    stable, hits = _stable(program.checks, current, active_column_backend(),
-                           traced_membership_step)
-    count_keyset(True, hits)
-    return stable

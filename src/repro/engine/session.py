@@ -1000,37 +1000,8 @@ class EngineSession:
         return "cyclic", self._planner.cyclic_plan_for(hypergraph)
 
     # ------------------------------------------------------------------ #
-    # One-shot execution conveniences
+    # Relation sequences
     # ------------------------------------------------------------------ #
-    def execute(self, source: PreparedSource, database: Database,
-                output_attributes: Optional[Iterable[Attribute]] = None,
-                **prepare_kwargs: object):
-        """``prepare(source, …).execute(database)`` in one call.
-
-        Preparation is cached, so repeated ``execute`` calls with the same
-        source/outputs/options hit the warm path exactly like a held
-        :class:`PreparedQuery`.
-        """
-        return self.prepare(source, output_attributes,
-                            **prepare_kwargs).execute(database)
-
-    def execute_many(self, source: PreparedSource,
-                     databases: Iterable[Database],
-                     output_attributes: Optional[Iterable[Attribute]] = None, *,
-                     labels: Optional[Sequence[str]] = None,
-                     max_workers: Optional[int] = None,
-                     pool: Optional[object] = None,
-                     **prepare_kwargs: object) -> ExecutionBatch:
-        """``prepare(source, …).execute_many(databases, …)`` in one call.
-
-        ``max_workers`` (or a shared ``pool=``) overlaps the per-database
-        runs on a thread pool — see :meth:`PreparedQuery.execute_many` for
-        the concurrency contract.
-        """
-        prepared = self.prepare(source, output_attributes, **prepare_kwargs)
-        return prepared.execute_many(databases, labels=labels,
-                                     max_workers=max_workers, pool=pool)
-
     def execute_join(self, relations: Sequence[Relation],
                      output_attributes: Optional[Iterable[Attribute]] = None, *,
                      name: Optional[str] = None, **prepare_kwargs: object):
@@ -1044,14 +1015,6 @@ class EngineSession:
         prepared = self.prepare(relations, output_attributes, name=name,
                                 **prepare_kwargs)
         return prepared.execute_relations(relations)
-
-    def explain(self, source: PreparedSource,
-                database: Optional[Database] = None,
-                output_attributes: Optional[Iterable[Attribute]] = None,
-                **prepare_kwargs: object) -> str:
-        """The prepared plan's explanation (see :meth:`PreparedQuery.explain`)."""
-        return self.prepare(source, output_attributes,
-                            **prepare_kwargs).explain(database)
 
     # ------------------------------------------------------------------ #
     # Telemetry

@@ -33,14 +33,6 @@ class UnknownEdgeError(HypergraphError):
         self.edge = edge
 
 
-class NotReducedError(HypergraphError):
-    """An algorithm that requires a reduced hypergraph received a non-reduced one."""
-
-
-class DisconnectedHypergraphError(HypergraphError):
-    """An algorithm that requires a connected hypergraph received a disconnected one."""
-
-
 class TableauError(ReproError):
     """A tableau was constructed or manipulated inconsistently."""
 
@@ -53,13 +45,6 @@ class CyclicHypergraphError(ReproError):
     """An algorithm that only applies to acyclic hypergraphs received a cyclic one."""
 
     def __init__(self, message: str = "the hypergraph is cyclic") -> None:
-        super().__init__(message)
-
-
-class AcyclicHypergraphError(ReproError):
-    """An algorithm that only applies to cyclic hypergraphs received an acyclic one."""
-
-    def __init__(self, message: str = "the hypergraph is acyclic") -> None:
         super().__init__(message)
 
 

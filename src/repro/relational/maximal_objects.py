@@ -65,10 +65,6 @@ class MaximalObject:
         return f"maximal object {{{rendered}}}"
 
 
-def _is_connected_edge_set(edges: Sequence[Edge]) -> bool:
-    return Hypergraph(edges).is_connected() if edges else True
-
-
 #: Exhaustive subset enumeration is used, so cap the edge count it accepts.
 _MAXIMAL_OBJECT_EDGE_LIMIT = 16
 

@@ -18,7 +18,9 @@ The service's backpressure story in one place:
 * :class:`ClientRegistry` / :class:`ClientSession` — the per-client state:
   prepared-query handles (namespaced per client, so tenants cannot execute
   each other's handles), admission counters and first/last-seen bookkeeping,
-  all surfaced through ``stats`` and ``/health``-style snapshots.
+  all surfaced through ``stats`` and ``/health``-style snapshots.  Both
+  tables are bounded: a handle holds its query weakly, and the registry
+  keeps the :data:`CLIENT_CAPACITY` most recently seen clients.
 """
 
 from __future__ import annotations
@@ -26,15 +28,21 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from contextlib import contextmanager
 
+from ..engine.cache import LRUCache
 from .protocol import OverloadedError, ShuttingDownError, UnknownQueryError
 
 __all__ = ["AdmissionConfig", "AdmissionController", "ClientSession",
-           "ClientRegistry"]
+           "ClientRegistry", "CLIENT_CAPACITY"]
+
+#: How many clients' sessions the service keeps; the least recently seen
+#: client is dropped first, and its handles with it.
+CLIENT_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -213,18 +221,27 @@ class AdmissionController:
 # Per-client sessions
 # --------------------------------------------------------------------------- #
 class ClientSession:
-    """One client's service-side state: prepared handles and counters."""
+    """One client's service-side state: prepared handles and counters.
 
-    def __init__(self, client_id: str) -> None:
+    Handles hold their queries weakly, so a handle lives exactly as long as
+    the engine session's prepared cache (or an in-flight request) holds its
+    query; after that it answers ``unknown-query``.  Handle numbers come
+    from the registry's one counter (``handle_ids``), so no handle string is
+    ever given out twice, not even to a client dropped and seen again.
+    """
+
+    def __init__(self, client_id: str, handle_ids: Iterator[int]) -> None:
         self.client_id = client_id
         self.created_at = time.time()
         self._lock = threading.Lock()
-        self._handles: Dict[str, Any] = {}
-        # A prepared query's handle, by identity (the table holds the query,
-        # so its id is not recycled): the session's prepare cache hands a
-        # repeated prepare the same object, which keeps its handle.
-        self._handle_of: Dict[int, str] = {}
-        self._handle_ids = itertools.count(1)
+        self._handles: "weakref.WeakValueDictionary[str, Any]" = \
+            weakref.WeakValueDictionary()
+        # A prepared query's handle, keyed by the query itself (an id could
+        # be reused once the query is freed): the session's prepare cache
+        # hands a repeated prepare the same object, which keeps its handle.
+        self._handle_of: "weakref.WeakKeyDictionary[Any, str]" = \
+            weakref.WeakKeyDictionary()
+        self._handle_ids = handle_ids
         self.requests = 0
         self.errors = 0
         self.last_seen = self.created_at
@@ -244,11 +261,11 @@ class ClientSession:
         does not grow the client's table.
         """
         with self._lock:
-            handle = self._handle_of.get(id(prepared))
+            handle = self._handle_of.get(prepared)
             if handle is None:
                 handle = f"q-{next(self._handle_ids)}"
                 self._handles[handle] = prepared
-                self._handle_of[id(prepared)] = handle
+                self._handle_of[prepared] = handle
             return handle
 
     def prepared(self, handle: str) -> Any:
@@ -270,23 +287,23 @@ class ClientSession:
 
 
 class ClientRegistry:
-    """The service's client table: sessions created on first contact."""
+    """The service's client table: sessions created on first contact.
+
+    At most :data:`CLIENT_CAPACITY` sessions are kept, least recently seen
+    evicted first.
+    """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._clients: Dict[str, ClientSession] = {}
+        self._clients: LRUCache[ClientSession] = LRUCache(CLIENT_CAPACITY)
+        self._handle_ids = itertools.count(1)
 
     def session(self, client_id: str) -> ClientSession:
         """The (created-on-demand) session for ``client_id``."""
-        with self._lock:
-            session = self._clients.get(client_id)
-            if session is None:
-                session = self._clients[client_id] = ClientSession(client_id)
-            return session
+        return self._clients.get_or_build(
+            client_id, lambda: ClientSession(client_id, self._handle_ids))
 
     def sessions(self) -> Tuple[ClientSession, ...]:
-        with self._lock:
-            return tuple(self._clients.values())
+        return tuple(self._clients.values())
 
     def snapshot(self) -> Dict[str, Any]:
         sessions = self.sessions()

@@ -112,7 +112,8 @@ class UnknownQueryError(ServiceError):
 
     def __init__(self, handle: object) -> None:
         super().__init__(f"no prepared query {handle!r} for this client "
-                         "(prepare it first — handles are per-client)")
+                         "(prepare it again: handles are per-client, and one "
+                         "expires once the server drops its query)")
         self.handle = handle
 
 

@@ -5,8 +5,8 @@ imports the engine; the engine's layers import *it*):
 
 * :mod:`~repro.telemetry.tracing` — nested context-manager **spans**
   (``prepare``, ``annotate``, ``cover_search``, ``reduce``, ``fold``,
-  ``kernel:semijoin`` / ``kernel:join`` / ``kernel:antijoin``, ``encode``,
-  ``materialise``, ``decode``, ``execute``) carrying wall-time and
+  ``kernel:semijoin`` / ``kernel:join``, ``encode``, ``materialise``,
+  ``decode``, ``execute``) carrying wall-time and
   cardinality attributes, a contextvar-ambient :func:`current_tracer`, a
   no-allocation null tracer for the disabled hot path, and pluggable sinks
   (:class:`JsonlTraceSink` streams JSONL);

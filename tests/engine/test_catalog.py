@@ -16,7 +16,7 @@ from repro.engine.catalog import (
 )
 from repro.engine.planner import AnnotatedPlan
 from repro.engine.columnar import block_for
-from repro.engine.reducer import ReductionTrace, verify_full_reduction_blocks
+from repro.engine.reducer import ReductionTrace
 from repro.generators import (
     generate_database,
     skewed_chain_database,
@@ -24,6 +24,8 @@ from repro.generators import (
     university_schema,
 )
 from repro.relational import DatabaseSchema, Relation, RelationSchema
+
+from properties.strategies import semijoin_stable
 
 
 def _relation(name, attributes, tuples):
@@ -201,8 +203,8 @@ class TestAnnotateTree:
 
     def test_estimates_are_exact_on_the_constructed_chain(self):
         database, tree = self._skewed_setup()
-        result = EngineSession(QueryPlanner(), adaptive=True).execute(
-            database, database, skewed_chain_endpoints(3))
+        result = EngineSession(QueryPlanner(), adaptive=True).prepare(
+            database, skewed_chain_endpoints(3)).execute(database)
         stats = result.statistics
         assert stats.adaptive
         assert stats.estimated_max_intermediate is not None
@@ -230,10 +232,11 @@ class TestAnnotateTree:
 
 
 class TestPlannerIntegration:
-    def test_plan_for_database_returns_annotated_plan(self):
+    def test_annotate_returns_an_annotated_plan(self):
         planner = QueryPlanner()
         database = skewed_chain_database(3, heads=10, fanout=5, seed=0)
-        plan = planner.plan_for(database,
+        plan = planner.annotate(database.schema.to_hypergraph(),
+                                database.statistics_catalog(),
                                 output_attributes=skewed_chain_endpoints(3))
         assert isinstance(plan, AnnotatedPlan)
         assert plan.fingerprint == plan.structure.fingerprint
@@ -264,7 +267,7 @@ class TestPlannerIntegration:
                       for relation in database.relations()}
         trace = ReductionTrace()
         reduced = annotated.reducer.run_blocks(vertex_map, trace=trace)
-        assert verify_full_reduction_blocks(reduced, annotated.reducer.rooted)
+        assert semijoin_stable(reduced, annotated.reducer.rooted)
 
     def test_explicit_root_pins_the_annotation(self):
         planner = QueryPlanner()
@@ -283,10 +286,10 @@ class TestPlannerIntegration:
         database = skewed_chain_database(3, heads=40, fanout=25,
                                          junction_values=4, seed=42)
         endpoints = skewed_chain_endpoints(3)
-        static = EngineSession(adaptive=False).execute(database, database,
-                                                       endpoints)
-        adaptive = EngineSession(adaptive=True).execute(database, database,
-                                                        endpoints)
+        static = EngineSession(adaptive=False).prepare(database, endpoints) \
+            .execute(database)
+        adaptive = EngineSession(adaptive=True).prepare(database, endpoints) \
+            .execute(database)
         assert frozenset(adaptive.relation.rows) == frozenset(static.relation.rows)
         assert 2 * adaptive.statistics.max_intermediate \
             <= static.statistics.max_intermediate
@@ -294,14 +297,15 @@ class TestPlannerIntegration:
     def test_annotated_plan_describe_mentions_annotation(self):
         planner = QueryPlanner()
         database = skewed_chain_database(3, heads=5, fanout=2, seed=0)
-        plan = planner.plan_for(database)
+        plan = planner.annotate(database.schema.to_hypergraph(),
+                                database.statistics_catalog())
         text = plan.describe()
         assert "ExecutionPlan" in text and "CostAnnotation" in text
 
 
 class TestAdaptiveCyclicCoverScore:
     def test_cover_score_with_catalog_breaks_ties_by_cardinality(self):
-        from repro.engine.cyclic.covers import choose_cover, cover_score
+        from repro.engine.cyclic.covers import cover_score, enumerate_covers, select_cover
 
         # Two triangles bridged: the static score splits the 7-edge core into
         # the two width-3 triangles either way; the catalog-aware score must
@@ -311,7 +315,7 @@ class TestAdaptiveCyclicCoverScore:
         schema = DatabaseSchema.from_hypergraph(first)
         database = generate_database(schema, universe_rows=9, domain_size=3, seed=1)
         catalog = database.statistics_catalog()
-        cover = choose_cover(first, catalog=catalog)
+        cover = select_cover(enumerate_covers(first), catalog)
         assert cover.covers(first)
         score = cover_score(cover, catalog=catalog)
         assert score[0] == cover.width

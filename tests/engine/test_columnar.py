@@ -12,21 +12,23 @@ import pytest
 from repro.engine import EngineSession
 from repro.engine.columnar import (
     ColumnBlock,
-    antijoin_blocks,
     block_for,
     clear_column_caches,
     column_cache_info,
     current_interner,
-    intersect_blocks,
     merge_blocks_by_scheme,
     natural_join_blocks,
     peek_block,
     semijoin_blocks,
 )
 from repro.engine.columnar import block as block_module
-from repro.engine.reducer import FullReducer, verify_full_reduction_blocks
+from repro.engine.reducer import FullReducer
 from repro.exceptions import SchemaError, UnknownAttributeError
-from repro.relational import Relation, RelationSchema, natural_join, project, semijoin
+from repro.relational import (
+    Relation, RelationSchema, intersection, natural_join, project, semijoin,
+)
+
+from properties.strategies import semijoin_stable
 
 
 @pytest.fixture
@@ -280,14 +282,7 @@ class TestKernels:
         with pytest.raises(UnknownAttributeError):
             semijoin_blocks(block_for(r_ab), block_for(s_bc), on=("C",))
         with pytest.raises(UnknownAttributeError):
-            antijoin_blocks(block_for(r_ab), block_for(s_bc), on=("A",))
-
-    def test_antijoin_is_the_complement(self, r_ab, s_bc):
-        left, right = block_for(r_ab), block_for(s_bc)
-        anti = antijoin_blocks(left, right)
-        semi = semijoin_blocks(left, right)
-        assert len(anti) + len(semi) == len(left)
-        assert {row["A"] for row in anti.to_relation().rows} == {2}
+            semijoin_blocks(block_for(r_ab), block_for(s_bc), on=("A",))
 
     def test_natural_join_matches_the_relational_join(self, r_ab, s_bc):
         block = natural_join_blocks(block_for(r_ab), block_for(s_bc))
@@ -327,8 +322,8 @@ class TestKernels:
         merged = merge_blocks_by_scheme([r_ab, same_scheme])
         (block,) = merged.values()
         assert {tuple(values) for values in block.iter_rows()} == {(1, "x")}
-        direct = intersect_blocks(block_for(r_ab), block_for(same_scheme))
-        assert {tuple(v) for v in direct.iter_rows()} == {(1, "x")}
+        assert frozenset(block.to_relation().rows) \
+            == frozenset(intersection(r_ab, same_scheme).rows)
 
 
 class TestReducerOnBlocks:
@@ -352,7 +347,7 @@ class TestReducerOnBlocks:
                 == frozenset(relation.rows)
         assert trace.rows_removed == len(r_ab) + len(s_bc) \
             - sum(len(relation) for relation in expected.values())
-        assert verify_full_reduction_blocks(reduced, reducer.rooted)
+        assert semijoin_stable(reduced, reducer.rooted)
 
 
 class TestEvaluation:

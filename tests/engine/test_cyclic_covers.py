@@ -8,8 +8,6 @@ from repro.engine.catalog import StatisticsCatalog
 from repro.engine.cyclic.covers import (
     ClusterCover,
     EdgeCluster,
-    choose_cover,
-    core_periphery_cover,
     cover_score,
     enumerate_covers,
     select_cover,
@@ -60,20 +58,20 @@ class TestClusterCover:
 class TestCorePeripheryCover:
     def test_acyclic_hypergraph_gets_trivial_cover(self):
         hypergraph = chain_hypergraph(4)
-        cover = core_periphery_cover(hypergraph)
+        cover = enumerate_covers(hypergraph)[0]
         assert cover.is_trivial
         assert cover.covers(hypergraph)
 
     def test_triangle_core_is_one_cluster(self):
         triangle = k_cycle_hypergraph(3)
-        cover = core_periphery_cover(triangle)
+        cover = enumerate_covers(triangle)[0]
         assert cover.covers(triangle)
         assert len(cover.clusters) == 1
         assert cover.clusters[0].fan_out == 3
 
     def test_chain_edges_stay_singletons(self):
         hypergraph = triangle_core_chain(4)
-        cover = core_periphery_cover(hypergraph)
+        cover = enumerate_covers(hypergraph)[0]
         assert cover.covers(hypergraph)
         chain_edges = [edge for edge in hypergraph.edges if len(edge) == 3]
         for edge in chain_edges:
@@ -83,7 +81,7 @@ class TestCorePeripheryCover:
     def test_quotient_always_acyclic(self):
         for hypergraph in (k_cycle_hypergraph(3), k_cycle_hypergraph(6),
                            triangle_core_chain(5), clique_augmented_chain(3)):
-            cover = core_periphery_cover(hypergraph)
+            cover = enumerate_covers(hypergraph)[0]
             assert is_acyclic(cover.quotient_hypergraph()), hypergraph.name
 
 
@@ -96,18 +94,17 @@ class TestEnumerateAndChoose:
 
     def test_enumeration_includes_baseline(self):
         hypergraph = k_cycle_hypergraph(4)
-        baseline = core_periphery_cover(hypergraph)
-        assert baseline.clusters in {cover.clusters
-                                     for cover in enumerate_covers(hypergraph)}
+        # The whole 4-cycle is stuck: the baseline is one cluster of it.
+        assert enumerate_covers(hypergraph)[0] == ClusterCover.of([hypergraph.edges])
 
     def test_chosen_cover_minimises_score(self):
         hypergraph = triangle_core_chain(4)
         candidates = enumerate_covers(hypergraph)
-        chosen = choose_cover(hypergraph)
+        chosen = select_cover(enumerate_covers(hypergraph))
         assert cover_score(chosen) == min(cover_score(c) for c in candidates)
 
     def test_choose_on_acyclic_is_trivial(self):
-        assert choose_cover(figure_1()).is_trivial
+        assert select_cover(enumerate_covers(figure_1())).is_trivial
 
     def test_large_core_skips_refinement_but_still_covers(self):
         ring = k_cycle_hypergraph(9)
@@ -123,9 +120,9 @@ class TestEnumerateAndChoose:
         second = k_cycle_hypergraph(3, prefix="Y")
         bridge = Hypergraph([frozenset({"X0", "Y0"})])
         hypergraph = first.union(second).union(bridge)
-        baseline = core_periphery_cover(hypergraph)
+        baseline = enumerate_covers(hypergraph)[0]
         assert baseline.width == 6
-        chosen = choose_cover(hypergraph)
+        chosen = select_cover(enumerate_covers(hypergraph))
         assert chosen.covers(hypergraph)
         assert chosen.width == 3
         assert is_acyclic(chosen.quotient_hypergraph())
@@ -134,7 +131,7 @@ class TestEnumerateAndChoose:
 
     def test_empty_edge_joins_an_existing_cluster(self):
         hypergraph = Hypergraph(list(k_cycle_hypergraph(3).edges) + [frozenset()])
-        cover = choose_cover(hypergraph)
+        cover = select_cover(enumerate_covers(hypergraph))
         assert cover.covers(hypergraph)
         assert is_acyclic(cover.quotient_hypergraph())
 
@@ -143,13 +140,13 @@ class TestSearchBudget:
     def test_over_cap_core_degrades_to_greedy_candidate_by_default(self):
         ring = k_cycle_hypergraph(9)
         covers = enumerate_covers(ring, max_component_edges=4)
-        assert covers == (core_periphery_cover(ring),)
+        assert covers == (ClusterCover.of([ring.edges]),)
         assert covers[0].covers(ring)
 
-    def test_choose_cover_degrades_an_over_cap_core(self):
+    def test_selection_degrades_an_over_cap_core(self):
         ring = k_cycle_hypergraph(9)
-        degraded = choose_cover(ring, max_component_edges=4)
-        assert degraded == core_periphery_cover(ring)
+        degraded = select_cover(enumerate_covers(ring, max_component_edges=4))
+        assert degraded == ClusterCover.of([ring.edges])
         assert degraded.covers(ring)
 
     def test_within_cap_cores_are_refined_in_full(self):
@@ -159,7 +156,7 @@ class TestSearchBudget:
             ring = k_cycle_hypergraph(size)
             covers = enumerate_covers(ring, max_component_edges=size)
             assert len(covers) > 1
-            assert core_periphery_cover(ring) in covers
+            assert ClusterCover.of([ring.edges]) in covers
             assert all(cover.covers(ring) for cover in covers)
 
     def test_candidate_limit_bounds_the_covers_built_not_just_admitted(self, monkeypatch):
@@ -176,7 +173,8 @@ class TestSearchBudget:
             lambda self, *args, **kwargs: built.append(1) or construct(self, *args, **kwargs))
         covers = enumerate_covers(two_cores, max_candidates=5)
         assert len(covers) == 5 == len(built)
-        assert covers[0] == core_periphery_cover(two_cores)
+        first, second = (k_cycle_hypergraph(6, prefix=prefix) for prefix in "XY")
+        assert covers[0] == ClusterCover.of([first.edges, second.edges])
         for cover in covers:
             assert cover.covers(two_cores)
             assert is_acyclic(cover.quotient_hypergraph())
@@ -211,7 +209,7 @@ class TestCatalogAwareScore:
     def test_estimated_rows_of_singleton_is_relation_cardinality(self):
         hypergraph = chain_hypergraph(3)
         catalog = self._catalog_for(hypergraph)
-        cover = core_periphery_cover(hypergraph)
+        cover = enumerate_covers(hypergraph)[0]
         assert cover.is_trivial
         for cluster in cover.clusters:
             assert cluster.estimated_rows(catalog) \
@@ -221,7 +219,7 @@ class TestCatalogAwareScore:
         hypergraph = triangle_core_chain(4)
         catalog = self._catalog_for(hypergraph)
         candidates = enumerate_covers(hypergraph)
-        chosen = choose_cover(hypergraph, catalog=catalog)
+        chosen = select_cover(enumerate_covers(hypergraph), catalog)
         assert cover_score(chosen, catalog=catalog) \
             == min(cover_score(c, catalog=catalog) for c in candidates)
 

@@ -30,7 +30,7 @@ def cyclic_join(database, outputs=None, *, planner=None, name=None, **options):
     """A cyclic-subsystem run over ``database`` (static unless ``adaptive=True``)."""
     options.setdefault("adaptive", False)
     session = EngineSession(planner, force_cyclic=True, **options)
-    return session.execute(database, database, outputs, name=name)
+    return session.prepare(database, outputs, name=name).execute(database)
 
 
 @pytest.fixture(scope="module")

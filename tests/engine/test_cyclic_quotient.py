@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.acyclicity import is_acyclic
 from repro.core.hypergraph import Hypergraph
-from repro.engine.cyclic.covers import ClusterCover, choose_cover
+from repro.engine.cyclic.covers import ClusterCover, enumerate_covers, select_cover
 from repro.engine.cyclic.quotient import AcyclicQuotient, materialise_cluster_blocks
 from repro.exceptions import ClusterBoundExceededError, CyclicHypergraphError, SchemaError
 from repro.generators import generate_database, k_cycle_hypergraph, triangle_core_chain
@@ -27,7 +27,7 @@ def triangle_db(triangle):
 
 class TestAcyclicQuotient:
     def test_build_validates_and_names_quotient(self, triangle):
-        quotient = AcyclicQuotient.build(triangle, choose_cover(triangle))
+        quotient = AcyclicQuotient.build(triangle, select_cover(enumerate_covers(triangle)))
         assert is_acyclic(quotient.hypergraph)
         assert quotient.original is triangle
         assert "clusters" in (quotient.hypergraph.name or "")
@@ -49,14 +49,14 @@ class TestAcyclicQuotient:
             AcyclicQuotient.build(triangle, trivial)
 
     def test_describe_lists_cover_and_quotient(self, triangle):
-        quotient = AcyclicQuotient.build(triangle, choose_cover(triangle))
+        quotient = AcyclicQuotient.build(triangle, select_cover(enumerate_covers(triangle)))
         text = quotient.describe()
         assert "ClusterCover" in text and "quotient:" in text
 
 
 class TestMaterialiseClusters:
     def test_cluster_relation_equals_member_join(self, triangle, triangle_db):
-        cover = choose_cover(triangle)
+        cover = select_cover(enumerate_covers(triangle))
         materialised = materialise_cluster_blocks(cover, triangle_db.relations())
         for cluster, block in zip(cover.clusters, materialised.blocks):
             members = []
@@ -68,7 +68,7 @@ class TestMaterialiseClusters:
             assert frozenset(relation.rows) == frozenset(expected.rows)
 
     def test_sizes_recorded(self, triangle, triangle_db):
-        cover = choose_cover(triangle)
+        cover = select_cover(enumerate_covers(triangle))
         materialised = materialise_cluster_blocks(cover, triangle_db.relations())
         assert len(materialised.cluster_sizes) == len(cover.clusters)
         assert all(size == len(block) for size, block in
@@ -86,17 +86,17 @@ class TestMaterialiseClusters:
         assert materialised.cluster_sizes == (1,)
 
     def test_missing_relation_rejected(self, triangle, triangle_db):
-        cover = choose_cover(triangle)
+        cover = select_cover(enumerate_covers(triangle))
         with pytest.raises(SchemaError):
             materialise_cluster_blocks(cover, triangle_db.relations()[:1])
 
     def test_row_bound_enforced(self, triangle, triangle_db):
-        cover = choose_cover(triangle)
+        cover = select_cover(enumerate_covers(triangle))
         with pytest.raises(ClusterBoundExceededError):
             materialise_cluster_blocks(cover, triangle_db.relations(), row_bound=1)
 
     def test_generous_bound_passes(self, triangle, triangle_db):
-        cover = choose_cover(triangle)
+        cover = select_cover(enumerate_covers(triangle))
         materialised = materialise_cluster_blocks(cover, triangle_db.relations(),
                                                   row_bound=10 ** 6)
         assert materialised.blocks

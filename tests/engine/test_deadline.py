@@ -113,16 +113,16 @@ def test_options_validate_the_deadline():
 
 def test_generous_deadline_does_not_disturb_execution(chain_database):
     session = EngineSession()
-    baseline = session.execute(chain_database, chain_database)
-    timed = EngineSession(deadline_seconds=60.0).execute(
-        chain_database, chain_database)
+    baseline = session.prepare(chain_database).execute(chain_database)
+    timed = EngineSession(deadline_seconds=60.0).prepare(chain_database) \
+        .execute(chain_database)
     assert frozenset(timed.relation.rows) == frozenset(baseline.relation.rows)
 
 
 def test_tiny_deadline_times_out_acyclic(chain_database):
     session = EngineSession(deadline_seconds=1e-9)
     with pytest.raises(ExecutionTimeoutError) as caught:
-        session.execute(chain_database, chain_database)
+        session.prepare(chain_database).execute(chain_database)
     # The breach is observed at a phase boundary, so the phase is named.
     # The option's budget also covers a never-seen database's ingest.
     assert caught.value.phase in ("ingest", "encode", "reduce", "fold",
@@ -132,7 +132,7 @@ def test_tiny_deadline_times_out_acyclic(chain_database):
 def test_tiny_deadline_times_out_cyclic(cycle_database):
     session = EngineSession(deadline_seconds=1e-9)
     with pytest.raises(ExecutionTimeoutError) as caught:
-        session.execute(cycle_database, cycle_database)
+        session.prepare(cycle_database).execute(cycle_database)
     assert caught.value.phase in ("ingest", "materialise", "encode",
                                   "reduce", "fold", "decode")
 
@@ -218,7 +218,7 @@ def test_an_option_budget_covers_ingest_of_a_never_seen_database(
 def test_deadline_failures_reach_the_monitor(chain_database):
     session = EngineSession(monitor=True, deadline_seconds=1e-9)
     with pytest.raises(ExecutionTimeoutError):
-        session.execute(chain_database, chain_database)
+        session.prepare(chain_database).execute(chain_database)
     entries = session.monitor.log.errors()
     assert entries, "the timeout must land in the query log"
     assert "ExecutionTimeoutError" in (entries[-1].error or "")

@@ -21,7 +21,7 @@ from repro.relational import DatabaseSchema
 def worked_planner():
     """A planner that has served one acyclic and one cyclic workload."""
     planner = QueryPlanner()
-    planner.plan_for_schema(university_schema())
+    planner.plan_for(university_schema().to_hypergraph())
     planner.cyclic_plan_for(triangle_core_chain(3))
     return planner
 
@@ -62,7 +62,7 @@ class TestWarmUp:
         # Default dispatch: the acyclic planner's failed join-tree lookup on
         # the cyclic schema compiles nothing, so it must count no miss.
         for database in (acyclic_db, cyclic_db):
-            EngineSession(fresh, adaptive=False).execute(database, database)
+            EngineSession(fresh, adaptive=False).prepare(database).execute(database)
         assert fresh.cache_info().misses == misses_before
 
     def test_warm_up_is_idempotent(self, worked_planner):
@@ -112,7 +112,7 @@ class TestWarmUp:
         # Default dispatch: the acyclic planner's failed join-tree lookup on
         # the cyclic schema compiles nothing, so it must count no miss.
         for database in (acyclic_db, cyclic_db):
-            EngineSession(fresh, adaptive=False).execute(database, database)
+            EngineSession(fresh, adaptive=False).prepare(database).execute(database)
         assert fresh.cache_info().misses == misses_before
 
     def test_save_cache_replaces_atomically(self, worked_planner, tmp_path):

@@ -82,7 +82,7 @@ class TestPlanner:
     def test_cyclic_schema_cannot_be_planned(self):
         planner = QueryPlanner()
         with pytest.raises(CyclicHypergraphError):
-            planner.plan_for_schema(cyclic_supplier_schema())
+            planner.plan_for(cyclic_supplier_schema().to_hypergraph())
 
     def test_roots_are_cached_separately(self):
         planner = QueryPlanner()
@@ -94,19 +94,19 @@ class TestPlanner:
 
     def test_plan_describe_mentions_fingerprint_and_steps(self):
         planner = QueryPlanner()
-        plan = planner.plan_for_schema(university_schema())
+        plan = planner.plan_for(university_schema().to_hypergraph())
         text = plan.describe()
         assert "ExecutionPlan" in text and "semijoin steps" in text
 
     def test_clear_drops_plans_and_keeps_counts(self):
         planner = QueryPlanner()
-        planner.plan_for_schema(university_schema())
+        planner.plan_for(university_schema().to_hypergraph())
         before = planner.cache_info()
         planner.clear()
         info = planner.cache_info()
         assert info.size == 0 and before.size > 0
         assert (info.hits, info.misses) == (before.hits, before.misses)
-        planner.plan_for_schema(university_schema())
+        planner.plan_for(university_schema().to_hypergraph())
         assert planner.cache_info().misses == before.misses + 1
 
     def test_capacity_must_be_positive(self):

@@ -6,13 +6,10 @@ import pytest
 
 from repro.core.join_tree import build_join_tree
 from repro.engine.columnar import block_for
-from repro.engine.reducer import (
-    FullReducer,
-    ReductionError,
-    ReductionTrace,
-    verify_full_reduction_blocks,
-)
+from repro.engine.reducer import FullReducer, ReductionError, ReductionTrace
 from repro.generators import generate_database, university_schema
+
+from properties.strategies import semijoin_stable
 
 
 @pytest.fixture
@@ -82,10 +79,14 @@ class TestRun:
 
     def test_default_check_hook_passes_after_reduction(self, dirty_db, reducer):
         reduced = reducer.run_blocks(vertex_map(dirty_db))
-        assert verify_full_reduction_blocks(reduced, reducer.rooted)
+        assert semijoin_stable(reduced, reducer.rooted)
 
     def test_unreduced_input_fails_the_check(self, dirty_db, reducer):
-        assert not verify_full_reduction_blocks(vertex_map(dirty_db), reducer.rooted)
+        assert not semijoin_stable(vertex_map(dirty_db), reducer.rooted)
+        # A program with no steps leaves the input as it is: the default
+        # check's proof pairs must reject it.
+        with pytest.raises(ReductionError):
+            FullReducer(rooted=reducer.rooted, steps=()).run_blocks(vertex_map(dirty_db))
 
     def test_rejecting_hook_raises(self, dirty_db, reducer):
         with pytest.raises(ReductionError):
@@ -144,7 +145,7 @@ class TestCostOrder:
                      for index, vertex in enumerate(reducer.rooted.tree.vertices)}
         reordered = reducer.with_cost_order(estimates)
         reduced = reordered.run_blocks(vertex_map(dirty_db))
-        assert verify_full_reduction_blocks(reduced, reordered.rooted)
+        assert semijoin_stable(reduced, reordered.rooted)
 
     def test_missing_estimates_fall_back_to_canonical_order(self, reducer):
         reordered = reducer.with_cost_order({})

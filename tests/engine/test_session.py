@@ -366,11 +366,11 @@ class TestExplain:
         assert "cost annotation" in text or "rows" in text
 
     def test_explain_cyclic(self, cyclic_db):
-        text = EngineSession().explain(cyclic_db, cyclic_db)
+        text = EngineSession().prepare(cyclic_db).explain(cyclic_db)
         assert "cyclic dispatch" in text
 
-    def test_session_explain_convenience(self, acyclic_db):
-        assert "PreparedQuery" in EngineSession().explain(acyclic_db)
+    def test_explain_without_a_database_names_the_prepared_query(self, acyclic_db):
+        assert "PreparedQuery" in EngineSession().prepare(acyclic_db).explain()
 
 
 class TestOptionsPrecedence:
@@ -500,7 +500,7 @@ class TestErrors:
                 lambda: session.prepare(database, ("C0", "NOPE")),
                 lambda: session.prepare(database.schema, ("NOPE",)),
                 lambda: session.prepare(relations, ("NOPE",)),
-                lambda: session.execute(database, database, ("NOPE",)),
+                lambda: session.prepare(database, ("NOPE",)).execute(database),
                 lambda: session.execute_join(relations, ("NOPE",)),
                 lambda: session.execute_join(relations, ("NOPE",),
                                              force_cyclic=True),

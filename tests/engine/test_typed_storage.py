@@ -19,7 +19,6 @@ from repro.engine.columnar import (
     clear_column_caches,
     column_cache_info,
     default_column_backend,
-    intersect_blocks,
     merge_blocks_by_scheme,
     resolve_column_backend,
     semijoin_blocks,
@@ -108,11 +107,11 @@ class TestIdentityFastPaths:
 
     def test_intersect_subset_fast_path_reuses_the_block(self, r_ab):
         subset = Relation.from_tuples(r_ab.schema, [(1, "x"), (3, "z")])
-        narrowed = intersect_blocks(block_for(r_ab), block_for(subset))
+        scheme = r_ab.schema.attribute_set
+        narrowed = merge_blocks_by_scheme([r_ab, subset])[scheme]
         assert frozenset(narrowed.to_relation().rows) == frozenset(subset.rows)
         # And intersecting with a superset filters nothing — same block back.
-        assert intersect_blocks(block_for(subset), block_for(r_ab)) \
-            is block_for(subset)
+        assert merge_blocks_by_scheme([subset, r_ab])[scheme] is block_for(subset)
 
     def test_select_on_own_selection_is_self(self, r_ab):
         base = block_for(r_ab)

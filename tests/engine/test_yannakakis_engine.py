@@ -24,8 +24,8 @@ from repro.relational.join_plans import JoinStatistics, execute_plan, naive_join
 
 def engine_join(database, outputs=None, planner=None):
     """A static (non-adaptive) engine run over ``database``'s universal join."""
-    return EngineSession(planner, adaptive=False).execute(database, database,
-                                                          outputs)
+    return EngineSession(planner, adaptive=False).prepare(database, outputs) \
+        .execute(database)
 
 
 @pytest.fixture

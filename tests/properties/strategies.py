@@ -81,6 +81,22 @@ def fresh_block(block):
         RelationSchema.of(block.name, block.attributes), block.iter_rows()))
 
 
+def semijoin_stable(blocks, rooted) -> bool:
+    """Whether every tree edge's decoded relations are mutual semijoin fixpoints.
+
+    The ``repro.relational`` reading of full reduction: for each edge
+    ``(child, parent)`` of ``rooted``, ``parent ⋉ child`` and ``child ⋉
+    parent`` (:func:`repro.relational.algebra.semijoin`) keep every row.
+    """
+    from repro.relational.algebra import semijoin
+
+    relations = {vertex: block.to_relation() for vertex, block in blocks.items()}
+    return all(
+        len(semijoin(relations[left], relations[right])) == len(relations[left])
+        for vertex, parent in rooted.leaf_to_root() if parent is not None
+        for left, right in ((parent, vertex), (vertex, parent)))
+
+
 @st.composite
 def skewed_acyclic_databases(draw):
     """A random acyclic database whose relations have wildly different sizes."""

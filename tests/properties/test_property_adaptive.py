@@ -29,7 +29,7 @@ def _run(database, outputs=None, *, adaptive=False, force_cyclic=False):
     """One engine run on a fresh planner, static unless ``adaptive``."""
     session = EngineSession(QueryPlanner(), adaptive=adaptive,
                             force_cyclic=force_cyclic)
-    return session.execute(database, database, outputs)
+    return session.prepare(database, outputs).execute(database)
 
 
 def _assert_identical(left: Relation, right: Relation):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.acyclicity import is_acyclic
 from repro.core.nodes import sorted_nodes
-from repro.engine import EngineSession, choose_cover
+from repro.engine import EngineSession, enumerate_covers, select_cover
 from repro.generators import generate_database, random_cyclic_hypergraph
 from repro.relational import DatabaseSchema, execute_plan, naive_join_plan, project
 
@@ -39,8 +39,8 @@ def cyclic_databases(draw):
 @COMMON_SETTINGS
 @given(database=cyclic_databases())
 def test_cyclic_engine_matches_naive_full_join(database):
-    engine_result = EngineSession(adaptive=False, force_cyclic=True).execute(
-        database, database)
+    engine_result = EngineSession(adaptive=False, force_cyclic=True).prepare(
+        database).execute(database)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     assert frozenset(engine_result.relation.rows) == frozenset(naive_result.rows)
 
@@ -52,8 +52,8 @@ def test_cyclic_engine_matches_naive_projection(database, selector):
     attributes = sorted_nodes(database.schema.attributes)
     size = 1 + selector % len(attributes)
     wanted = attributes[:size]
-    engine_result = EngineSession(adaptive=False, force_cyclic=True).execute(
-        database, database, wanted)
+    engine_result = EngineSession(adaptive=False, force_cyclic=True).prepare(
+        database, wanted).execute(database)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     expected = project(naive_result, wanted)
     assert frozenset(engine_result.relation.rows) == frozenset(expected.rows)
@@ -65,7 +65,7 @@ def test_cyclic_engine_matches_naive_projection(database, selector):
        num_edges=st.integers(min_value=3, max_value=7))
 def test_chosen_cover_quotient_is_always_acyclic(seed, num_edges):
     hypergraph = random_cyclic_hypergraph(num_edges, max_arity=3, seed=seed)
-    cover = choose_cover(hypergraph)
+    cover = select_cover(enumerate_covers(hypergraph))
     assert cover.covers(hypergraph)
     assert not cover.is_trivial
     assert is_acyclic(cover.quotient_hypergraph())

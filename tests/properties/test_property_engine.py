@@ -38,7 +38,7 @@ def acyclic_databases(draw):
 @COMMON_SETTINGS
 @given(database=acyclic_databases())
 def test_engine_matches_naive_full_join(database):
-    engine_result = EngineSession(adaptive=False).execute(database, database)
+    engine_result = EngineSession(adaptive=False).prepare(database).execute(database)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     assert frozenset(engine_result.relation.rows) == frozenset(naive_result.rows)
 
@@ -50,8 +50,8 @@ def test_engine_matches_naive_projection(database, selector):
     attributes = sorted_nodes(database.schema.attributes)
     size = 1 + selector % len(attributes)
     wanted = attributes[:size]
-    engine_result = EngineSession(adaptive=False).execute(database, database,
-                                                          wanted)
+    engine_result = EngineSession(adaptive=False).prepare(database, wanted) \
+        .execute(database)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     expected = project(naive_result, wanted)
     assert frozenset(engine_result.relation.rows) == frozenset(expected.rows)
@@ -61,5 +61,6 @@ def test_engine_matches_naive_projection(database, selector):
 @COMMON_SETTINGS
 @given(database=acyclic_databases())
 def test_engine_intermediates_respect_the_bound(database):
-    stats = EngineSession(adaptive=False).execute(database, database).statistics
+    stats = EngineSession(adaptive=False).prepare(database).execute(database) \
+        .statistics
     assert stats.max_intermediate <= stats.output_size + stats.max_reduced_input

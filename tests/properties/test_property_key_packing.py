@@ -30,11 +30,10 @@ from hypothesis import strategies as st
 
 from repro.engine.columnar import (
     ColumnBlock,
-    antijoin_blocks,
     available_column_backends,
     clear_column_caches,
     current_interner,
-    intersect_blocks,
+    merge_blocks_by_scheme,
     natural_join_blocks,
     resolve_column_backend,
     semijoin_blocks,
@@ -44,7 +43,6 @@ from repro.engine.columnar.buffers import ValueInterner, key_radix
 from repro.relational import (
     Relation,
     RelationSchema,
-    antijoin,
     intersection,
     natural_join,
     project,
@@ -163,10 +161,7 @@ def test_kernels_on_id_blocks_match_tuple_membership(blocks, backend, data):
     present = set(fitting)
     with use_column_backend(resolve_column_backend(backend)):
         kept = semijoin_blocks(left, right)
-        dropped = antijoin_blocks(left, right)
     assert list(kept.positions) == [p for p in selection if mixed[p] in present]
-    assert list(dropped.positions) == \
-        [p for p in selection if mixed[p] not in present]
 
 
 @COMMON_SETTINGS
@@ -256,9 +251,7 @@ def test_kernels_match_the_relational_operators_on_hostile_values(case, backend)
     with use_column_backend(resolve_column_backend(backend)):
         assert _rows(semijoin_blocks(blocks[0], blocks[1])) == \
             _rows(semijoin(left, right))
-        assert _rows(antijoin_blocks(blocks[0], blocks[1])) == \
-            _rows(antijoin(left, right))
         assert _rows(natural_join_blocks(blocks[0], blocks[1])) == \
             _rows(natural_join(left, right))
-        assert _rows(intersect_blocks(blocks[2], blocks[3])) == \
-            _rows(intersection(left_keys, right_keys))
+        (merged,) = merge_blocks_by_scheme(blocks[2:]).values()
+        assert _rows(merged) == _rows(intersection(left_keys, right_keys))

@@ -2,8 +2,8 @@
 
 Five claims, each held against something that shares no code with it:
 
-* **answers** — ``semijoin_blocks`` / ``antijoin_blocks`` return exactly what
-  the :mod:`repro.relational` operators return, on both column backends, on
+* **answers** — ``semijoin_blocks`` returns exactly what the
+  :mod:`repro.relational` operator returns, on both column backends, on
   base blocks and selected views, over separators of one to four attributes
   with overflow (negative-code) rows on neither side, either or both;
 * **the three outcomes** — a fixpoint hands ``left`` *itself* back cold and
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.engine import EngineSession
 from repro.engine.columnar import (
     ColumnBlock,
-    antijoin_blocks,
     available_column_backends,
     block_for,
     clear_column_caches,
@@ -58,7 +57,6 @@ from repro.relational import (
     Relation,
     RelationSchema,
     Row,
-    antijoin,
     semijoin,
 )
 from repro.telemetry.tracing import Tracer, use_tracer
@@ -69,9 +67,6 @@ BACKENDS = available_column_backends()
 
 needs_numpy = pytest.mark.skipif("numpy" not in BACKENDS,
                                  reason="numpy backend not installed")
-
-KERNELS = ((semijoin_blocks, semijoin), (antijoin_blocks, antijoin))
-
 
 # --------------------------------------------------------------------------- #
 # Answers: the kernels against the relational operators
@@ -151,15 +146,14 @@ def test_kernels_match_the_relational_operators(relations, backend, data):
     (left, left_rows), (right, right_rows) = (_view(data.draw, relation)
                                               for relation in relations)
     with use_column_backend(resolve_column_backend(backend)):
-        for kernel, operator in KERNELS:
-            expected = _rows(operator(left_rows, right_rows))
-            kept = kernel(left, right)
-            assert _rows(kept) == expected
-            # Selection order survives the filter, and the memo answers alike.
-            assert list(kept.positions) == \
-                [p for p in left.positions if _row_at(left, p) in expected]
-            again = kernel(left, right)
-            assert again is left if kept is left else _rows(again) == expected
+        expected = _rows(semijoin(left_rows, right_rows))
+        kept = semijoin_blocks(left, right)
+        assert _rows(kept) == expected
+        # Selection order survives the filter, and the memo answers alike.
+        assert list(kept.positions) == \
+            [p for p in left.positions if _row_at(left, p) in expected]
+        again = semijoin_blocks(left, right)
+        assert again is left if kept is left else _rows(again) == expected
 
 
 @COMMON_SETTINGS
@@ -174,9 +168,8 @@ def test_views_of_one_storage_are_answered_per_view(relations, backend, data):
             (left, left_rows), (right, right_rows) = (
                 _drawn_view(data.draw, base, relation)
                 for base, relation in zip(bases, relations))
-            for kernel, operator in KERNELS:
-                assert _rows(kernel(left, right)) == \
-                    _rows(operator(left_rows, right_rows))
+            assert _rows(semijoin_blocks(left, right)) == \
+                _rows(semijoin(left_rows, right_rows))
 
 
 # --------------------------------------------------------------------------- #
@@ -204,11 +197,6 @@ def test_a_fixpoint_returns_left_itself_cold_and_memoised(backend):
             result, attributes = _traced(semijoin_blocks, left, right)
             assert result is left
             assert (attributes["outcome"], attributes["memo"]) == ("fixpoint", memo)
-        disjoint = _keyed("elsewhere", range(20, 25), "R")
-        for memo in ("miss", "hit"):
-            result, attributes = _traced(antijoin_blocks, left, disjoint)
-            assert result is left
-            assert (attributes["outcome"], attributes["memo"]) == ("fixpoint", memo)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -220,24 +208,17 @@ def test_a_dead_end_returns_an_empty_block(backend):
             assert result is not left and len(result) == 0
             assert result.attributes == left.attributes
             assert (attributes["outcome"], attributes["memo"]) == ("empty", memo)
-        covering = _keyed("covering", range(9), "R")
-        for memo in ("miss", "hit"):
-            result, attributes = _traced(antijoin_blocks, left, covering)
-            assert len(result) == 0
-            assert (attributes["outcome"], attributes["memo"]) == ("empty", memo)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_partial_overlap_returns_equal_blocks_twice(backend):
     left, right = _keyed("left", range(6), "L"), _keyed("right", range(3, 9), "R")
     with use_column_backend(resolve_column_backend(backend)):
-        for kernel, kept_keys in ((semijoin_blocks, {3, 4, 5}),
-                                  (antijoin_blocks, {0, 1, 2})):
-            for memo in ("miss", "hit"):
-                result, attributes = _traced(kernel, left, right)
-                assert result is not left
-                assert {row["K"] for row in result.to_relation().rows} == kept_keys
-                assert (attributes["outcome"], attributes["memo"]) == ("partial", memo)
+        for memo in ("miss", "hit"):
+            result, attributes = _traced(semijoin_blocks, left, right)
+            assert result is not left
+            assert {row["K"] for row in result.to_relation().rows} == {3, 4, 5}
+            assert (attributes["outcome"], attributes["memo"]) == ("partial", memo)
 
 
 def test_a_semijoin_without_shared_attributes_has_no_memo():
@@ -247,8 +228,9 @@ def test_a_semijoin_without_shared_attributes_has_no_memo():
     result, attributes = _traced(semijoin_blocks, left, other)
     assert result is left and attributes["outcome"] == "fixpoint"
     assert "memo" not in attributes
-    result, attributes = _traced(antijoin_blocks, left, other)
+    result, attributes = _traced(semijoin_blocks, left, other.empty())
     assert len(result) == 0 and attributes["outcome"] == "empty"
+    assert "memo" not in attributes
 
 
 # --------------------------------------------------------------------------- #
@@ -262,11 +244,11 @@ RIM = (INT64_MIN, INT64_MIN + 1, -(1 << 62) - 1, -(1 << 62), -(1 << 62) + 1,
        INT64_MAX - 1, INT64_MAX)
 
 
-def _kept(backend, build, build_positions, probes, probe_positions, negate):
+def _kept(backend, build, build_positions, probes, probe_positions):
     backend = resolve_column_backend(backend)
     structure = backend.key_set(array("q", build), build_positions)
     return structure, backend.filter_membership(
-        array("q", probes), probe_positions, structure, negate=negate)
+        array("q", probes), probe_positions, structure)
 
 
 def _assert_backends_agree(build, probes, build_positions=None,
@@ -277,14 +259,13 @@ def _assert_backends_agree(build, probes, build_positions=None,
         else array("q", probe_positions)
     present = {build[position] for position in build_positions}
     structure = None
-    for negate in (False, True):
-        expected = array("q", (position for position in probe_positions
-                               if (probes[position] in present) != negate))
-        for backend in BACKENDS:
-            structure, kept = _kept(backend, build, build_positions, probes,
-                                    probe_positions, negate)
-            assert type(kept) is array and kept.typecode == "q"
-            assert kept == expected, (backend, negate)
+    expected = array("q", (position for position in probe_positions
+                           if probes[position] in present))
+    for backend in BACKENDS:
+        structure, kept = _kept(backend, build, build_positions, probes,
+                                probe_positions)
+        assert type(kept) is array and kept.typecode == "q"
+        assert kept == expected, backend
     return structure  # the last backend's: numpy's when it is installed
 
 

@@ -63,8 +63,8 @@ def test_concurrent_cyclic_batches_are_byte_identical(database):
 @COMMON_SETTINGS
 @given(database=skewed_acyclic_databases(),
        adaptive=st.booleans())
-def test_session_level_execute_many_matches_prepared(database, adaptive):
-    session = EngineSession(adaptive=adaptive)
-    serial = session.execute_many(database, [database] * 3)
-    parallel = session.execute_many(database, [database] * 3, max_workers=4)
+def test_adaptive_or_static_batches_are_byte_identical(database, adaptive):
+    prepared = EngineSession(adaptive=adaptive).prepare(database)
+    serial = prepared.execute_many([database] * 3)
+    parallel = prepared.execute_many([database] * 3, max_workers=4)
     _assert_batches_identical(serial, parallel)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -173,14 +174,44 @@ def test_registry_creates_sessions_on_first_contact():
     assert registry.snapshot()["clients"] == 2
 
 
+class _Query:
+    """A stand-in prepared query (a handle holds its query weakly)."""
+
+
 def test_handles_are_per_client():
     registry = ClientRegistry()
-    marker = object()
+    marker = _Query()
     handle = registry.session("a").register(marker)
     assert registry.session("a").prepared(handle) is marker
     # The same handle string means nothing to another client.
     with pytest.raises(UnknownQueryError):
         registry.session("b").prepared(handle)
+
+
+def test_concurrent_registers_never_give_out_one_handle_twice():
+    registry = ClientRegistry()
+    workers = 8
+    queries = [_Query() for _ in range(workers * 200)]
+    handles = [None] * len(queries)
+
+    def register(worker):
+        session = registry.session(f"client-{worker % 3}")
+        for index in range(worker, len(queries), workers):
+            handles[index] = session.register(queries[index])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=register, args=(worker,))
+                   for worker in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(handles)) == len(queries)
 
 
 def test_touch_accumulates_counters():

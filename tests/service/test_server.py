@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import threading
@@ -25,6 +26,7 @@ from repro.service import (
     ServiceClient,
     ServiceServer,
 )
+from repro.service.admission import CLIENT_CAPACITY
 from repro.service.protocol import (
     METHOD_REGISTRY,
     PROTOCOL_VERSION,
@@ -90,7 +92,7 @@ def test_execute_round_trip_matches_the_engine(service, chain_database):
                             {"query": handle, "database": "chain"})
     assert status == 200
     result = envelope["result"]
-    direct = EngineSession().execute(chain_database, chain_database)
+    direct = EngineSession().prepare(chain_database).execute(chain_database)
     assert result["row_count"] == len(direct.relation.rows)
     assert len(result["relation"]["rows"]) == result["row_count"]
     assert result["statistics"]["plan_cache_hit"] in (True, False)
@@ -197,6 +199,55 @@ def test_re_preparing_a_query_keeps_its_handle(service):
     assert other not in handles
     assert _prepare(service, client="repeater", outputs=endpoints) == other
     assert _prepared_queries(service, "repeater") == 2
+
+
+def test_a_handle_does_not_pin_an_evicted_query(service):
+    """A handle lives as long as the session's prepared cache holds its query."""
+    handles = [_prepare(service, client="hoarder", name=f"n{index}")
+               for index in range(600)]
+    gc.collect()
+    assert _prepared_queries(service, "hoarder") <= 128
+    status, envelope = _rpc(service, "execute",
+                            {"query": handles[0], "database": "chain"},
+                            client="hoarder")
+    assert status == 404
+    assert envelope["error"]["code"] == "unknown-query"
+    assert "prepare it again" in envelope["error"]["message"]
+    again = _prepare(service, client="hoarder", name="n0")
+    assert again not in handles
+    status, envelope = _rpc(service, "execute",
+                            {"query": again, "database": "chain"},
+                            client="hoarder")
+    assert status == 200 and envelope["result"]["row_count"] > 0
+
+
+def _contact(service, client):
+    """One cheap request from ``client`` (its handle is unknown: a 404)."""
+    status, _ = _rpc(service, "execute", {"query": "q-0", "database": "chain"},
+                     client=client)
+    assert status == 404
+
+
+def test_the_client_table_is_bounded(service):
+    for index in range(5000):
+        _contact(service, f"client-{index}")
+    _, envelope = _rpc(service, "stats", client="client-4999")
+    clients = envelope["result"]["clients"]
+    assert clients["clients"] == len(clients["sessions"]) <= CLIENT_CAPACITY
+
+
+def test_an_evicted_clients_handle_names_no_other_query(service):
+    """Handle numbers are service-wide: a client seen again never gets an old one back."""
+    old = _prepare(service, client="early")
+    for index in range(CLIENT_CAPACITY):
+        _contact(service, f"client-{index}")
+    # "early" was the least recently seen client: its session is gone.
+    fresh = _prepare(service, "cycle", client="early")
+    assert fresh != old
+    status, envelope = _rpc(service, "execute",
+                            {"query": old, "database": "chain"}, client="early")
+    assert status == 404
+    assert envelope["error"]["code"] == "unknown-query"
 
 
 # --------------------------------------------------------------------------- #
@@ -496,8 +547,8 @@ def test_http_execute_round_trip(server, chain_database):
     handle = client.prepare(
         "chain", outputs=[str(a) for a in skewed_chain_endpoints(3)])
     answer = client.execute(handle, "chain")
-    direct = EngineSession().execute(chain_database, chain_database,
-                                     skewed_chain_endpoints(3))
+    direct = EngineSession().prepare(chain_database, skewed_chain_endpoints(3)) \
+        .execute(chain_database)
     assert answer["row_count"] == len(direct.relation.rows)
     batch = client.execute_many(handle, ["chain", "chain"], max_workers=2)
     assert batch["row_counts"] == [answer["row_count"]] * 2
