@@ -7,7 +7,7 @@ formatting so every experiment's output looks the same.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["format_table", "format_mapping", "banner", "statistics_table",
            "trace_tree", "query_log_table", "plan_quality_table"]

@@ -41,10 +41,16 @@ def valid_budget(seconds: object) -> bool:
     """Whether ``seconds`` is a usable deadline budget: a finite number above 0.
 
     NaN and infinity are not: a NaN expiry compares false against every
-    clock reading, so such a deadline would never fire.
+    clock reading, so such a deadline would never fire.  Nor is an integer
+    too large for a float (JSON accepts ``10**400``), which no clock reading
+    can be added to.
     """
-    return isinstance(seconds, (int, float)) and not isinstance(seconds, bool) \
-        and math.isfinite(seconds) and seconds > 0
+    try:
+        return isinstance(seconds, (int, float)) \
+            and not isinstance(seconds, bool) \
+            and math.isfinite(seconds) and seconds > 0
+    except OverflowError:
+        return False
 
 
 @contextmanager

@@ -29,8 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cyclic imports planner)
     from .cyclic.plans import CyclicExecutionPlan

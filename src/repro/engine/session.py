@@ -64,7 +64,6 @@ from .columnar.executor import FoldLink
 from .planner import (
     DEFAULT_PLANNER,
     AnnotatedPlan,
-    ExecutionPlan,
     QueryPlanner,
     fingerprint_digest,
     schema_fingerprint,
@@ -73,7 +72,6 @@ from .yannakakis import EngineResult, _evaluate_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from ..queries.conjunctive import ConjunctiveQuery
-    from .cyclic.plans import CyclicExecutionPlan
 
 __all__ = [
     "ExecutionOptions",
@@ -147,7 +145,7 @@ class ExecutionOptions:
     deadline_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        from .columnar import COLUMN_BACKENDS
+        from .columnar import resolve_column_backend
         from .yannakakis import DECODE_MODES
 
         for name in ("adaptive", "check_reduction", "force_cyclic"):
@@ -165,10 +163,9 @@ class ExecutionOptions:
             raise ValueError("deadline_seconds must be a finite positive "
                              f"number (or None for no deadline), not "
                              f"{self.deadline_seconds!r}")
-        if self.column_backend is not None \
-                and self.column_backend not in COLUMN_BACKENDS:
-            raise ValueError(f"unknown column backend {self.column_backend!r}; "
-                             f"expected one of {COLUMN_BACKENDS} or None")
+        if self.column_backend is not None:
+            # Unknown, or known but not installed (numpy): a ValueError.
+            resolve_column_backend(self.column_backend)
         if self.decode not in DECODE_MODES:
             raise ValueError(f"unknown decode mode {self.decode!r}; "
                              f"expected one of {DECODE_MODES}")
@@ -499,7 +496,6 @@ class PreparedQuery:
 
     def execute_many(self, databases: Iterable[Database], *,
                      labels: Optional[Sequence[str]] = None,
-                     max_workers: Optional[int] = None,
                      pool: Optional[object] = None) -> ExecutionBatch:
         """Evaluate against many databases; aggregate the accounting.
 
@@ -510,31 +506,19 @@ class PreparedQuery:
         :func:`repro.analysis.reports.statistics_table` renders as a
         per-database breakdown plus a totals row.
 
-        ``max_workers`` (or an explicit
-        :class:`~repro.service.pool.ExecutionPool` via ``pool=``) runs the
-        per-database executions on a thread pool — the runs are independent
-        once prepared (the planner LRU, prepared caches and columnar caches
-        are all safe under concurrent executes), results come back in batch
-        order, and ambient context (tracer, deadline, span tags) propagates
-        into the workers.  The default stays serial: for CPU-bound pure
-        Python work the GIL serialises the runs anyway, so threads pay off
-        when the caller overlaps execution with I/O or other native work
-        (the query service's case), not in a tight in-process loop.
+        An :class:`~repro.service.pool.ExecutionPool` passed as ``pool=``
+        runs the per-database executions on its threads — the runs are
+        independent once prepared (the planner LRU, prepared caches and
+        columnar caches are all safe under concurrent executes), results
+        come back in batch order, and ambient context (tracer, deadline,
+        span tags) propagates into the workers.  Without one the batch runs
+        serially: for CPU-bound pure Python work the GIL serialises the runs
+        anyway, so threads pay off when the caller overlaps execution with
+        I/O or other native work (the query service's case), not in a tight
+        in-process loop.
         """
-        databases = tuple(databases)
-        if pool is not None or (max_workers is not None and max_workers > 1
-                                and len(databases) > 1):
-            # Imported lazily: the service package sits above the engine
-            # (its server imports this module), so the engine only touches
-            # it when a caller asks for the parallel path.
-            from ..service.pool import ExecutionPool
-
-            if pool is None:
-                with ExecutionPool(max_workers=max_workers) as transient:
-                    results = tuple(transient.map_ordered(self.execute,
-                                                          databases))
-            else:
-                results = tuple(pool.map_ordered(self.execute, databases))
+        if pool is not None:
+            results = tuple(pool.map_ordered(self.execute, databases))
         else:
             results = tuple(self.execute(database) for database in databases)
         statistics = BatchStatistics.from_runs(

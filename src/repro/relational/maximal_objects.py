@@ -24,7 +24,7 @@ This module implements that extension on top of the reproduction's core:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.acyclicity import is_acyclic
 from ..core.canonical import canonical_connection_result

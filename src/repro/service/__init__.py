@@ -4,14 +4,14 @@ The engine's session layer (PR 4) made repeated traffic cheap for *one*
 caller; this package makes it a long-lived multi-tenant service:
 
 * :mod:`~repro.service.pool` — the thread-pool execution layer under
-  ``PreparedQuery.execute_many(max_workers=…)`` and the service's
+  ``PreparedQuery.execute_many(pool=…)`` and so the service's
   ``execute_many`` batches, propagating ambient context (tracer, deadline,
   span tags) into workers;
 * :mod:`~repro.service.protocol` — the versioned JSON request/response
   schema (prepare / execute / execute_many / explain / stats) with a
-  declared method registry and per-method parameter validation, mirroring
-  the MAAS handler allowlist idiom, plus the HTTP/1.1 message reader both
-  ends share;
+  declared method registry, whose entries are the one declaration of each
+  parameter's type and value rule, mirroring the MAAS handler allowlist
+  idiom, plus the HTTP/1.1 message reader both ends share;
 * :mod:`~repro.service.admission` — the per-client session registry and
   admission control: per-client and global in-flight caps, a bounded wait
   queue with timeout, explicit 429-style overload responses and graceful

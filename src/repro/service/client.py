@@ -24,8 +24,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import (Any, BinaryIO, Dict, Iterable, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, BinaryIO, Dict, Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 from .protocol import _FramingError, read_message
@@ -144,14 +143,17 @@ class ServiceClient:
              ) -> Dict[str, Any]:
         """POST one protocol request; return the ``result`` document.
 
-        Raises :class:`ServiceCallError` with the protocol error code on any
-        non-ok envelope.
+        A ``None``-valued param is left out, so the server applies the
+        default its method registry declares.  Raises
+        :class:`ServiceCallError` with the protocol error code on any non-ok
+        envelope.
         """
         document = {"version": 1,
                     "method": method,
                     "client": self.client_id,
                     "id": f"{self.client_id}-{next(self._request_ids)}",
-                    "params": dict(params or {})}
+                    "params": {name: value for name, value
+                               in (params or {}).items() if value is not None}}
         body = json.dumps(document).encode("utf-8")
         status, _, payload = self._request("POST", "/v1", body)
         try:
@@ -170,49 +172,38 @@ class ServiceClient:
                          if key not in ("code", "message")})
         return envelope.get("result", {})
 
+    # One stub per METHOD_REGISTRY entry; the registry declares each param.
     def prepare(self, database: str, *,
-                outputs: Optional[Iterable[str]] = None,
+                outputs: Optional[Sequence[str]] = None,
                 options: Optional[Mapping[str, Any]] = None,
                 name: Optional[str] = None) -> str:
         """Prepare a query server-side; return its handle (``q-N``)."""
-        params: Dict[str, Any] = {"database": database}
-        if outputs is not None:
-            params["outputs"] = list(outputs)
-        if options:
-            params["options"] = dict(options)
-        if name is not None:
-            params["name"] = name
-        return self.call("prepare", params=params)["query"]
+        return self.call("prepare", params={
+            "database": database, "outputs": outputs, "options": options,
+            "name": name})["query"]
 
     def execute(self, query: str, database: str, *,
-                include_rows: bool = True,
+                include_rows: Optional[bool] = None,
                 deadline_seconds: Optional[float] = None) -> Dict[str, Any]:
-        params: Dict[str, Any] = {"query": query, "database": database,
-                                  "include_rows": include_rows}
-        if deadline_seconds is not None:
-            params["deadline_seconds"] = deadline_seconds
-        return self.call("execute", params=params)
+        return self.call("execute", params={
+            "query": query, "database": database, "include_rows": include_rows,
+            "deadline_seconds": deadline_seconds})
 
     def execute_many(self, query: str, databases: Sequence[str], *,
-                     include_rows: bool = False,
+                     include_rows: Optional[bool] = None,
                      max_workers: Optional[int] = None,
                      deadline_seconds: Optional[float] = None
                      ) -> Dict[str, Any]:
-        params: Dict[str, Any] = {"query": query,
-                                  "databases": list(databases),
-                                  "include_rows": include_rows}
-        if max_workers is not None:
-            params["max_workers"] = max_workers
-        if deadline_seconds is not None:
-            params["deadline_seconds"] = deadline_seconds
-        return self.call("execute_many", params=params)
+        return self.call("execute_many", params={
+            "query": query, "databases": databases,
+            "include_rows": include_rows, "max_workers": max_workers,
+            "deadline_seconds": deadline_seconds})
 
     def explain(self, query: str, *, database: Optional[str] = None,
-                analyze: bool = False) -> str:
-        params: Dict[str, Any] = {"query": query, "analyze": analyze}
-        if database is not None:
-            params["database"] = database
-        return self.call("explain", params=params)["explain"]
+                analyze: Optional[bool] = None) -> str:
+        return self.call("explain", params={
+            "query": query, "database": database,
+            "analyze": analyze})["explain"]
 
     def stats(self) -> Dict[str, Any]:
         return self.call("stats")

@@ -47,8 +47,7 @@ class ExecutionPool:
 
     Usable as a context manager (shuts down on exit, waiting for running
     jobs) and shareable: the query service owns one and passes it to every
-    ``execute_many``, while a bare ``execute_many(max_workers=…)`` spins up
-    a transient pool for the call.
+    ``execute_many`` as ``pool=``, the one way to run a batch in parallel.
     """
 
     def __init__(self, max_workers: Optional[int] = None, *,

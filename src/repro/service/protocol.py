@@ -11,14 +11,16 @@ and every reply is one JSON document::
     {"version": 1, "id": "req-42", "ok": false, "error": {"code": …, …}}
 
 The callable surface is *declared*, not discovered: :data:`METHOD_REGISTRY`
-lists the five methods (prepare / execute / execute_many / explain / stats)
-with their required and optional parameters and types, and
-:func:`parse_request` rejects anything outside that contract — unknown
-methods, unsupported versions, missing/unknown/mistyped parameters — before
-a handler ever runs.  This mirrors the MAAS websocket-handler idiom of an
-explicit ``allowed_methods`` allowlist per handler: the registry is the
-single source of truth the server dispatches from, so there is no way to
-reach an undeclared method.
+lists the five methods (prepare / execute / execute_many / explain / stats),
+and a method's entry is the one declaration of each parameter's type and
+value rule (:attr:`Param.check`).  :func:`parse_request` rejects anything
+outside that contract — unknown methods, unsupported versions,
+missing/unknown/mistyped parameters, bad values — before a handler runs, so
+a bad value is a 400 before any handle or database lookup; handlers keep
+only the rules that need server state or two parameters.  This mirrors the
+MAAS websocket-handler idiom of an explicit ``allowed_methods`` allowlist
+per handler: the registry is the single source of truth the server
+dispatches from, so there is no way to reach an undeclared method.
 
 Errors are a typed hierarchy carrying a stable machine ``code`` and an HTTP
 status: protocol violations are 400s, unknown handles/databases 404s,
@@ -37,8 +39,9 @@ server's requests only, a body of at most 64 MiB.  Anything else raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..engine.deadline import valid_budget
 from ..exceptions import ExecutionTimeoutError, ReproError
 
 __all__ = [
@@ -159,11 +162,15 @@ class ShuttingDownError(ServiceError):
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class Param:
-    """One declared parameter: name, accepted JSON types, a doc string."""
+    """One declared parameter: name, JSON types, doc and value rule.
+
+    ``check`` gets a value of the right type: an error message, or ``None``.
+    """
 
     name: str
     types: Tuple[type, ...]
     doc: str
+    check: Optional[Callable[[Any], Optional[str]]] = None
 
     def type_names(self) -> str:
         return " or ".join(t.__name__ for t in self.types)
@@ -208,6 +215,9 @@ class MethodSpec:
                     f"parameter {name!r} of {self.name!r} must be "
                     f"{param.type_names()}, not {type(value).__name__}",
                     code="invalid-param")
+            problem = param.check(value) if param.check else None
+            if problem is not None:
+                raise ProtocolError(problem, code="invalid-param")
         return dict(params)
 
 
@@ -223,6 +233,26 @@ WIRE_OPTION_FIELDS = frozenset({
     "column_backend", "deadline_seconds",
 })
 
+
+def _rule(holds: Callable[[Any], bool],
+          message: str) -> Callable[[Any], Optional[str]]:
+    """A :attr:`Param.check`: ``message`` when ``holds(value)`` is false."""
+    return lambda value: None if holds(value) else message
+
+
+def _all_strings(values: List[Any]) -> bool:
+    return all(isinstance(value, str) for value in values)
+
+
+def _wire_options(options: Dict[str, Any]) -> Optional[str]:
+    unknown = sorted(set(options) - WIRE_OPTION_FIELDS)
+    return (f"unknown or non-wire option(s) {unknown}; expected a subset of "
+            f"{sorted(WIRE_OPTION_FIELDS)}") if unknown else None
+
+
+_BUDGET = _rule(valid_budget, "deadline_seconds must be a finite positive "
+                "number")
+
 METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
     MethodSpec(
         name="prepare",
@@ -230,12 +260,14 @@ METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
             "returns a per-client query handle.",
         required=(Param("database", (str,), "the registered database name"),),
         optional=(
-            Param("outputs", (list,), "projection attribute names, in order"),
+            Param("outputs", (list,), "projection attribute names, in order",
+                  _rule(_all_strings, "'outputs' must be a list of attribute "
+                        "names (strings)")),
             Param("name", (str,), "the answer relation's name"),
             Param("options", (dict,), "ExecutionOptions field overrides: "
                   + ", ".join(sorted(WIRE_OPTION_FIELDS))
                   + "; any other field is an invalid-param error that "
-                  "lists the allowed ones"),
+                  "lists the allowed ones", _wire_options),
         )),
     MethodSpec(
         name="execute",
@@ -248,7 +280,7 @@ METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
             Param("include_rows", (bool,), "return the answer rows "
                   "(default true)"),
             Param("deadline_seconds", _NUMBER, "per-call wall-clock budget "
-                  "overriding the prepared options"),
+                  "overriding the prepared options", _BUDGET),
         )),
     MethodSpec(
         name="execute_many",
@@ -257,15 +289,21 @@ METHOD_REGISTRY: Dict[str, MethodSpec] = {spec.name: spec for spec in (
         required=(
             Param("query", (str,), "a handle returned by prepare"),
             Param("databases", (list,), "registered database names, in "
-                  "batch order"),
+                  "batch order",
+                  _rule(lambda names: names and _all_strings(names),
+                        "'databases' must be a non-empty list of registered "
+                        "database names")),
         ),
         optional=(
             Param("include_rows", (bool,), "return per-database rows "
                   "(default false — batches are usually accounting traffic)"),
             Param("max_workers", (int,), "1 runs the batch serially in "
                   "the request thread; any other value runs it on the "
-                  "service's batch pool, whose size bounds concurrency"),
-            Param("deadline_seconds", _NUMBER, "per-run wall-clock budget"),
+                  "service's batch pool, whose size bounds concurrency",
+                  _rule(lambda workers: workers >= 1,
+                        "max_workers must be at least 1")),
+            Param("deadline_seconds", _NUMBER, "per-run wall-clock budget",
+                  _BUDGET),
         )),
     MethodSpec(
         name="explain",

@@ -67,18 +67,18 @@ from typing import (Any, BinaryIO, Callable, Dict, List, Mapping, NamedTuple,
 from urllib.parse import parse_qs, urlparse
 
 from ..engine.columnar.block import WirePayload
-from ..engine.deadline import check_deadline, deadline_scope, valid_budget
+from ..engine.deadline import check_deadline, deadline_scope
 from ..engine.planner import fingerprint_digest
 from ..engine.session import EngineSession
 from ..relational.database import Database
 from ..telemetry.tracing import current_tracer, use_span_tags
-from .admission import AdmissionConfig, AdmissionController, ClientRegistry
+from .admission import (AdmissionConfig, AdmissionController, ClientRegistry,
+                        ClientSession)
 from .pool import ExecutionPool
 from .protocol import (
     PROTOCOL_VERSION,
     OverloadedError,
     ProtocolError,
-    ServiceRequest,
     UnknownDatabaseError,
     WIRE_OPTION_FIELDS,
     _FramingError,
@@ -207,9 +207,10 @@ class QueryService:
     """The transport-free protocol engine: session + tenants + admission.
 
     Dispatch is registry-driven: ``handle`` validates against
-    :data:`~repro.service.protocol.METHOD_REGISTRY` and routes to
-    ``_method_<name>`` — only declared methods have handlers, and only
-    admission-gated ones pass through the gate.
+    :data:`~repro.service.protocol.METHOD_REGISTRY` (every parameter rule)
+    and hands the params and the client's session to ``_method_<name>`` —
+    only declared methods have handlers, and only admission-gated ones pass
+    through the gate.
     """
 
     def __init__(self, session: Optional[EngineSession] = None, *,
@@ -275,9 +276,9 @@ class QueryService:
                                request_id=request.request_id):
                 if request.spec.admitted:
                     with self.admission.admit(request.client):
-                        result = handler(request)
+                        result = handler(request.params, client)
                 else:
-                    result = handler(request)
+                    result = handler(request.params, client)
         except Exception as error:  # noqa: BLE001 - mapped to an envelope
             client.touch(error=True)
             return error_response(request.request_id, error)
@@ -287,32 +288,20 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Method handlers (one per METHOD_REGISTRY entry)
     # ------------------------------------------------------------------ #
-    def _method_prepare(self, request: ServiceRequest) -> Dict[str, Any]:
-        params = request.params
+    def _method_prepare(self, params: Dict[str, Any],
+                        client: ClientSession) -> Dict[str, Any]:
         database = self.database(params["database"])
-        outputs = params.get("outputs")
-        if outputs is not None:
-            if not all(isinstance(item, str) for item in outputs):
-                raise ProtocolError("'outputs' must be a list of attribute "
-                                    "names (strings)", code="invalid-param")
-            outputs = tuple(outputs)
-        overrides = dict(params.get("options", {}))
-        unknown = set(overrides) - WIRE_OPTION_FIELDS
-        if unknown:
-            raise ProtocolError(
-                f"unknown or non-wire option(s) {sorted(unknown)}; expected "
-                f"a subset of {sorted(WIRE_OPTION_FIELDS)}",
-                code="invalid-param")
         try:
             # The service owns the result boundary: an answer is serialised
             # straight from its id block, so its decode is deferred.
-            options = self.session.options.merged(**overrides, decode="block")
+            options = self.session.options.merged(**params.get("options", {}),
+                                                  decode="block")
         except (TypeError, ValueError) as error:
             raise ProtocolError(f"invalid options: {error}",
                                 code="invalid-param")
-        prepared = self.session.prepare(database, outputs, options=options,
-                                        name=params.get("name"))
-        handle = self.clients.session(request.client).register(prepared)
+        prepared = self.session.prepare(database, params.get("outputs"),
+                                        options=options, name=params.get("name"))
+        handle = client.register(prepared)
         return {"query": handle,
                 "kind": prepared.kind,
                 "name": prepared.name,
@@ -320,15 +309,11 @@ class QueryService:
                 "options": {field: getattr(prepared.options, field)
                             for field in sorted(WIRE_OPTION_FIELDS)}}
 
-    def _method_execute(self, request: ServiceRequest) -> Dict[str, Any]:
-        params = request.params
-        prepared = self.clients.session(request.client).prepared(params["query"])
+    def _method_execute(self, params: Dict[str, Any],
+                        client: ClientSession) -> Dict[str, Any]:
+        prepared = client.prepared(params["query"])
         database = self.database(params["database"])
-        deadline = params.get("deadline_seconds")
-        if deadline is not None and not valid_budget(deadline):
-            raise ProtocolError("deadline_seconds must be a finite positive "
-                                "number", code="invalid-param")
-        with deadline_scope(deadline):
+        with deadline_scope(params.get("deadline_seconds")):
             result = prepared.execute(database)
             payload: Dict[str, Any] = {
                 "database": params["database"],
@@ -340,28 +325,16 @@ class QueryService:
                     (result,), payload["statistics"])[0]
         return payload
 
-    def _method_execute_many(self, request: ServiceRequest) -> Dict[str, Any]:
-        params = request.params
-        prepared = self.clients.session(request.client).prepared(params["query"])
+    def _method_execute_many(self, params: Dict[str, Any],
+                             client: ClientSession) -> Dict[str, Any]:
+        prepared = client.prepared(params["query"])
         names = params["databases"]
-        if not names or not all(isinstance(name, str) for name in names):
-            raise ProtocolError("'databases' must be a non-empty list of "
-                                "registered database names",
-                                code="invalid-param")
         databases = [self.database(name) for name in names]
-        deadline = params.get("deadline_seconds")
-        if deadline is not None and not valid_budget(deadline):
-            raise ProtocolError("deadline_seconds must be a finite positive "
-                                "number", code="invalid-param")
-        max_workers = params.get("max_workers")
-        if max_workers is not None and max_workers < 1:
-            raise ProtocolError("max_workers must be at least 1",
-                                code="invalid-param")
-        run_options = {"labels": tuple(names)}
-        if max_workers is None or max_workers > 1:
-            run_options["pool"] = self.pool
-        with deadline_scope(deadline):
-            batch = prepared.execute_many(databases, **run_options)
+        # 1 runs the batch serially in this thread; anything else on the pool.
+        pool = None if params.get("max_workers") == 1 else self.pool
+        with deadline_scope(params.get("deadline_seconds")):
+            batch = prepared.execute_many(databases, labels=tuple(names),
+                                          pool=pool)
             payload: Dict[str, Any] = {
                 "databases": list(names),
                 "row_counts": [result.statistics.output_size
@@ -373,12 +346,11 @@ class QueryService:
                     batch.results, payload["statistics"])
         return payload
 
-    def _method_explain(self, request: ServiceRequest) -> Dict[str, Any]:
-        params = request.params
-        prepared = self.clients.session(request.client).prepared(params["query"])
-        database = None
-        if params.get("database") is not None:
-            database = self.database(params["database"])
+    def _method_explain(self, params: Dict[str, Any],
+                        client: ClientSession) -> Dict[str, Any]:
+        prepared = client.prepared(params["query"])
+        name = params.get("database")
+        database = None if name is None else self.database(name)
         analyze = params.get("analyze", False)
         if analyze and database is None:
             raise ProtocolError("explain with analyze=true executes the "
@@ -387,7 +359,8 @@ class QueryService:
         return {"kind": prepared.kind,
                 "explain": prepared.explain(database, analyze=analyze)}
 
-    def _method_stats(self, request: ServiceRequest) -> Dict[str, Any]:
+    def _method_stats(self, params: Dict[str, Any],
+                      client: ClientSession) -> Dict[str, Any]:
         return self.stats_payload()
 
     # ------------------------------------------------------------------ #

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.core.acyclicity import is_acyclic
 from repro.core.hypergraph import Hypergraph
-from repro.engine.catalog import StatisticsCatalog
 from repro.engine.cyclic.covers import (
     ClusterCover,
     EdgeCluster,

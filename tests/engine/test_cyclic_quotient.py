@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.acyclicity import is_acyclic
-from repro.core.hypergraph import Hypergraph
 from repro.engine.cyclic.covers import ClusterCover, enumerate_covers, select_cover
 from repro.engine.cyclic.quotient import AcyclicQuotient, materialise_cluster_blocks
 from repro.exceptions import ClusterBoundExceededError, CyclicHypergraphError, SchemaError
-from repro.generators import generate_database, k_cycle_hypergraph, triangle_core_chain
+from repro.generators import generate_database, k_cycle_hypergraph
 from repro.relational import DatabaseSchema, Relation, RelationSchema, join_all
 
 

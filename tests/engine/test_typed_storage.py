@@ -26,7 +26,6 @@ from repro.engine.columnar import (
     use_column_backend,
 )
 from repro.engine.columnar.block import _ColumnStorage
-from repro.exceptions import SchemaError
 from repro.generators import chain_hypergraph, generate_database
 from repro.relational import DatabaseSchema, Relation, RelationSchema
 
@@ -164,6 +163,12 @@ class TestExecutionOptionsValidation:
         with pytest.raises(ValueError, match="column backend"):
             ExecutionOptions(column_backend="bogus")
 
+    @pytest.mark.skipif(NUMPY_INSTALLED, reason="numpy is installed")
+    def test_a_backend_that_is_not_installed_is_rejected(self):
+        # Over the service this is a 400 at prepare, not a 500 at execute.
+        with pytest.raises(ValueError, match="not available"):
+            ExecutionOptions(column_backend="numpy")
+
     def test_unknown_decode_mode_is_rejected(self):
         with pytest.raises(ValueError, match="decode"):
             ExecutionOptions(decode="bogus")
@@ -178,6 +183,8 @@ class TestExecutionOptionsValidation:
         ("deadline_seconds", float("nan"), ValueError),
         ("deadline_seconds", float("inf"), ValueError),
         ("deadline_seconds", True, ValueError),
+        # JSON accepts an integer no float can hold.
+        ("deadline_seconds", 10 ** 400, ValueError),
     ])
     def test_a_bad_value_is_rejected_when_the_options_are_built(
             self, field, value, error):

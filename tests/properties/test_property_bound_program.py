@@ -90,6 +90,7 @@ from repro.engine.cyclic.quotient import materialise_cluster_blocks
 from repro.generators import generate_database
 from repro.relational import (Database, DatabaseSchema, Relation, RelationSchema,
                               naive_join, yannakakis_join)
+from repro.service.pool import ExecutionPool
 from repro.telemetry import Tracer, use_tracer
 from repro.telemetry.tracing import current_tracer
 
@@ -651,12 +652,13 @@ def test_concurrent_executes_count_only_their_own_block_lookups(query, adaptive)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (None, 3):
-            batch = prepared.execute_many([copy_of(database) for _ in range(3)],
-                                          max_workers=workers)
-            counts.append([(result.statistics.index_cache_hits,
-                            result.statistics.index_cache_misses)
-                           for result in batch.results])
+        with ExecutionPool(max_workers=3) as threads:
+            for pool in (None, threads):
+                batch = prepared.execute_many(
+                    [copy_of(database) for _ in range(3)], pool=pool)
+                counts.append([(result.statistics.index_cache_hits,
+                                result.statistics.index_cache_misses)
+                               for result in batch.results])
     finally:
         sys.setswitchinterval(interval)
     serial, threaded = counts

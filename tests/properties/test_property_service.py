@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineSession
+from repro.service.pool import ExecutionPool
 
 from .strategies import skewed_acyclic_databases, skewed_cyclic_databases
 
@@ -43,7 +44,8 @@ def test_concurrent_acyclic_batches_are_byte_identical(database):
     prepared = session.prepare(database)
     databases = [database] * REPEATS
     serial = prepared.execute_many(databases)
-    parallel = prepared.execute_many(databases, max_workers=WORKERS)
+    with ExecutionPool(max_workers=WORKERS) as pool:
+        parallel = prepared.execute_many(databases, pool=pool)
     _assert_batches_identical(serial, parallel)
 
 
@@ -55,7 +57,8 @@ def test_concurrent_cyclic_batches_are_byte_identical(database):
     prepared = session.prepare(database)
     databases = [database] * REPEATS
     serial = prepared.execute_many(databases)
-    parallel = prepared.execute_many(databases, max_workers=WORKERS)
+    with ExecutionPool(max_workers=WORKERS) as pool:
+        parallel = prepared.execute_many(databases, pool=pool)
     _assert_batches_identical(serial, parallel)
 
 
@@ -66,5 +69,6 @@ def test_concurrent_cyclic_batches_are_byte_identical(database):
 def test_adaptive_or_static_batches_are_byte_identical(database, adaptive):
     prepared = EngineSession(adaptive=adaptive).prepare(database)
     serial = prepared.execute_many([database] * 3)
-    parallel = prepared.execute_many([database] * 3, max_workers=4)
+    with ExecutionPool(max_workers=4) as pool:
+        parallel = prepared.execute_many([database] * 3, pool=pool)
     _assert_batches_identical(serial, parallel)

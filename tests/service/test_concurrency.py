@@ -274,7 +274,8 @@ def test_parallel_execute_many_matches_serial(chain_database, cycle_database):
     prepared = session.prepare(chain_database)
     databases = [chain_database] * 6
     serial = prepared.execute_many(databases)
-    parallel = prepared.execute_many(databases, max_workers=THREADS)
+    with ExecutionPool(max_workers=THREADS) as pool:
+        parallel = prepared.execute_many(databases, pool=pool)
     for left, right in zip(serial.relations, parallel.relations):
         assert frozenset(left.rows) == frozenset(right.rows)
     assert [r.statistics.output_size for r in serial.results] \

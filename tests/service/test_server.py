@@ -457,12 +457,17 @@ def test_invalid_option_values_are_rejected(service):
     ("execute", {"deadline_seconds": float("inf")}),
     ("execute_many", {"deadline_seconds": float("nan")}),
     ("execute_many", {"deadline_seconds": float("inf")}),
+    ("prepare", {"options": {"deadline_seconds": 10 ** 400}}),
+    ("execute", {"deadline_seconds": 10 ** 400}),
+    ("execute_many", {"deadline_seconds": 10 ** 400}),
 ], ids=["prepare-deadline-nan", "prepare-deadline-inf", "prepare-sample-limit-0",
         "prepare-row-bound-negative", "prepare-adaptive-str", "prepare-trace-int",
         "execute-deadline-nan", "execute-deadline-inf",
-        "execute-many-deadline-nan", "execute-many-deadline-inf"])
+        "execute-many-deadline-nan", "execute-many-deadline-inf",
+        "prepare-deadline-huge-int", "execute-deadline-huge-int",
+        "execute-many-deadline-huge-int"])
 def test_a_bad_option_is_a_400_before_anything_runs(service, method, params):
-    """``json.loads`` accepts NaN and Infinity; neither is a usable budget."""
+    """``json.loads`` accepts NaN, Infinity and ``10**400``; none is a usable budget."""
     if method == "prepare":
         params = {"database": "chain", **params}
     elif method == "execute":
