@@ -230,10 +230,12 @@ def join_step(left: ColumnBlock, right: ColumnBlock, layout: JoinLayout,
               backend) -> ColumnBlock:
     """One natural join, answered from the whole-result memo when it can be.
 
-    A warm re-execution joins fresh but byte-identical selections of the
-    same cached storages, and because hits return the *same* output block
-    (same storage identity), every downstream join over that output hits
-    too — the warm fold becomes cache lookups all the way up the join tree.
+    A re-execution over the same relations (a new database binding; a warm
+    execute on the same binding runs no join at all) joins fresh but
+    byte-identical selections of the same cached storages, and because hits
+    return the *same* output block (same storage identity), every downstream
+    join over that output hits too — that fold becomes cache lookups all
+    the way up the join tree.
     """
     out_name, left_attributes, right_attributes, kept, joined, separator = layout
     key = ("join", backend.name, out_name, left_attributes, right_attributes,

@@ -10,10 +10,12 @@ Every engine test runs once per leg:
   under an ambient recording :class:`~repro.telemetry.tracing.Tracer`.  The
   instrumentation builds its span attributes only when a span records, so
   these legs run code the untraced legs never reach, and every answer the
-  test checks must come out the same.  After the test the fixture checks the
-  recorded spans form a well-nested forest: ids unique, every parent
-  recorded, every child inside its parent's interval and no span left open —
-  also when the test drove the engine into an error.
+  test checks must come out the same.  After the test the fixture checks no
+  span was left open and the records pass
+  :func:`~repro.telemetry.schema.validate_trace_records`' structural checks
+  (fields and types, monotonic completion, unique ids, every parent
+  recorded, every child inside its parent's interval) — also when the test
+  drove the engine into an error.
 
 Answers are checked against :mod:`repro.relational`, which shares no code
 with the engine.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.columnar import available_column_backends, set_default_column_backend
+from repro.telemetry.schema import load_trace_schema, validate_trace_records
 from repro.telemetry.tracing import Tracer, use_tracer
 
 _BACKEND_LEGS = ["columnar"]
@@ -33,22 +36,18 @@ if "numpy" in available_column_backends():
 _LEGS = _BACKEND_LEGS + [f"{leg}-traced" for leg in _BACKEND_LEGS]
 
 
+#: The trace contract's structural part.  Its required span names stay a
+#: check on a cold run's trace (the CI trace smoke's): a run served from its
+#: binding's memo opens no ``kernel:*`` span.
+_STRUCTURE = {**load_trace_schema(), "required_span_names": [],
+              "cyclic_span_names": []}
+
+
 def assert_well_nested(tracer: Tracer) -> None:
-    """Every span closed, every parent recorded, every child inside its parent."""
+    """Every span closed, and the records valid against the trace schema's structure."""
     assert tracer._stack() == [], "a span was entered and never exited"
-    by_id = {}
-    for record in tracer.records:
-        assert record["span_id"] not in by_id, f"span id reused: {record}"
-        assert record["start"] <= record["end"], f"span ends before it starts: {record}"
-        by_id[record["span_id"]] = record
-    for record in tracer.records:
-        parent_id = record["parent_id"]
-        if parent_id is None:
-            continue
-        assert parent_id in by_id, f"parent never recorded: {record}"
-        parent = by_id[parent_id]
-        assert parent["start"] <= record["start"] <= record["end"] <= parent["end"], \
-            f"span {record['name']!r} escapes its parent {parent['name']!r}"
+    if tracer.records:
+        validate_trace_records(tracer.records, _STRUCTURE)
 
 
 @pytest.fixture(params=_LEGS, autouse=True)

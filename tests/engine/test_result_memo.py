@@ -2,11 +2,14 @@
 
 :meth:`ColumnBlock.to_relation` files the relation it decodes in the block
 storage's derived cache under ``("relation", name, attributes, selection
-bytes)``.  A warm re-execution over the same database ends on the same result
-storage and selection, so it is handed the very ``Relation`` decoded before;
-anything that changes the key — another name, column order or selection, a
-fresh database, a new interner generation, an evicted cache — decodes again
-and must still equal the ``repro.relational`` answer.
+bytes)``.  A re-execution over the same relations ends on the same result
+storage and selection, so it is handed the very ``Relation`` decoded before.
+A warm execute on the same binding is served from the binding's memo and
+decodes nothing, so a second database over the same relation objects
+(:func:`~properties.strategies.rebound`, a new binding) is what meets the
+storage memo.  Anything that changes the key — another name, column order or
+selection, a fresh database, a new interner generation, an evicted cache —
+decodes again and must still equal the ``repro.relational`` answer.
 
 The memo lives on column blocks, and every engine answer ends on one.
 """
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from properties.strategies import (
     fresh_block,
+    rebound,
     skewed_acyclic_databases,
     skewed_cyclic_databases,
 )
@@ -79,6 +83,9 @@ def test_a_warm_execute_returns_the_same_relation(case):
     hits, misses = relation_counts()
     second = prepared.execute(database)
     assert second.relation is first.relation
+    assert relation_counts() == (hits, misses)  # served by the binding
+    third = prepared.execute(rebound(database))
+    assert third.relation is first.relation
     assert relation_counts() == (hits + 1, misses)
     assert_answer(first.relation, oracle(database, outputs), prepared.name)
 
@@ -154,11 +161,13 @@ def test_the_answer_survives_a_flooded_derived_cache(case):
         result.block.derived_put(("flood", index), index)
     assert result.block.peek_relation(prepared.name) is None
     hits, misses = relation_counts()
-    again = prepared.execute(database).relation
+    second = rebound(database)
+    again = prepared.execute(second).relation
     assert relation_counts() == (hits, misses + 1)
     assert again is not result.relation
     assert_answer(again, oracle(database, outputs), prepared.name)
-    assert prepared.execute(database).relation is again
+    assert prepared.execute(second).relation is again
+    assert prepared.execute(rebound(database)).relation is again
 
 
 @CASES
@@ -168,12 +177,15 @@ def test_eight_threads_on_one_prepared_query_agree(case):
     expected = oracle(database, outputs)
     barrier = threading.Barrier(8)
     answers, errors = [None] * 8, []
+    # One new binding per execute, over the same relations: every execute
+    # decodes through the result storage's memo.
+    databases = [[rebound(database) for _ in range(5)] for _ in range(8)]
 
     def run(slot: int) -> None:
         try:
             barrier.wait()
-            for _ in range(5):
-                answers[slot] = prepared.execute(database).relation
+            for each in databases[slot]:
+                answers[slot] = prepared.execute(each).relation
         except BaseException as error:  # surfaced below
             errors.append(error)
 

@@ -34,6 +34,8 @@ from repro.queries import ConjunctiveQuery
 from repro.relational import DatabaseSchema, naive_join, yannakakis_join
 from repro.telemetry import Tracer, use_tracer
 
+from properties.strategies import rebound
+
 
 @pytest.fixture()
 def acyclic_db():
@@ -199,10 +201,14 @@ class TestOneRun:
         assert prepared.kind == "cyclic"
         cold = prepared.execute(four_cycle_db).statistics
         warm = prepared.execute(four_cycle_db).statistics
+        again = prepared.execute(rebound(four_cycle_db)).statistics
         # The cold run encodes the four relations inside the window
-        # (materialise included); the warm run reuses the memoised clusters.
+        # (materialise included); the warm run is served from the binding's
+        # memo and looks up no block; a new binding over the same relations
+        # materialises again, finding all four blocks cached.
         assert (cold.index_cache_hits, cold.index_cache_misses) == (0, 4)
         assert (warm.index_cache_hits, warm.index_cache_misses) == (0, 0)
+        assert (again.index_cache_hits, again.index_cache_misses) == (4, 0)
 
     def test_prepared_backend_covers_the_whole_cyclic_run(self, four_cycle_db,
                                                           monkeypatch):

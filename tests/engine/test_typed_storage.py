@@ -29,6 +29,8 @@ from repro.engine.columnar.block import _ColumnStorage
 from repro.generators import chain_hypergraph, generate_database
 from repro.relational import DatabaseSchema, Relation, RelationSchema
 
+from properties.strategies import rebound
+
 NUMPY_INSTALLED = "numpy" in available_column_backends()
 
 #: Allocation counts read off ``gc.get_count()`` are CPython's.
@@ -126,10 +128,17 @@ class TestKeysetCacheCounters:
         prepared.execute(acyclic_db)
         cold = column_cache_info()
         assert cold["keyset_misses"] > 0
-        prepared.execute(acyclic_db)
+        # A new binding over the same relations runs every semijoin again,
+        # each answered from its storage's memo.
+        prepared.execute(rebound(acyclic_db))
         warm = column_cache_info()
         assert warm["keyset_hits"] > cold["keyset_hits"]
         assert warm["keyset_misses"] == cold["keyset_misses"]
+        # A warm execute on the first binding runs none.
+        prepared.execute(acyclic_db)
+        served = column_cache_info()
+        assert (served["keyset_hits"], served["keyset_misses"]) == \
+            (warm["keyset_hits"], warm["keyset_misses"])
 
     def test_monitor_exports_keyset_counters(self, acyclic_db):
         session = EngineSession(monitor=True)

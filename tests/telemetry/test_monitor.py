@@ -50,6 +50,8 @@ from repro.telemetry import (
 )
 from repro.telemetry import monitor as monitor_module
 
+from properties.strategies import rebound
+
 CHAIN = 4
 
 
@@ -358,8 +360,11 @@ class TestCollector:
             tracer = Tracer()
             with use_tracer(tracer):
                 first = prepared.execute(database).relation
-                second = prepared.execute(database).relation
-            assert first is second
+                # A new binding over the same relations decodes through the
+                # result memo; a warm execute is served by its binding.
+                second = prepared.execute(rebound(database)).relation
+                third = prepared.execute(database).relation
+            assert first is second is third
             values = session.monitor.collect()
             assert values[misses] == before[misses] + 1
             assert values[hits] == before[hits] + 1
@@ -368,10 +373,42 @@ class TestCollector:
                     info["relation_hits"] - start["relation_hits"]) == (1, 1)
             decodes = [record["attributes"] for record in tracer.records
                        if record["name"] == "decode"]
-            assert [span["memo_hit"] for span in decodes] == [False, True]
-            assert [span["output_rows"] for span in decodes] == [len(first)] * 2
+            assert [span["memo_hit"] for span in decodes] == [False, True, True]
+            assert [span.get("cached", False) for span in decodes] == \
+                [False, False, True]
+            assert [span["output_rows"] for span in decodes] == [len(first)] * 3
         finally:
             clear_column_caches()
+
+    def test_collect_exports_the_binding_outcome_memo(self):
+        database = chain_db()
+        session = EngineSession(monitor=MonitorConfig())
+        prepared = session.prepare(database, skewed_chain_endpoints(CHAIN))
+        hits, misses = ("engine_cache_hits_total{cache=binding_outcome}",
+                        "engine_cache_misses_total{cache=binding_outcome}")
+        before = session.monitor.collect()
+        start = column_cache_info()
+        assert (before[hits], before[misses]) == \
+            (start["binding_outcome_hits"], start["binding_outcome_misses"])
+        tracer = Tracer()
+        with use_tracer(tracer):
+            first = prepared.execute(database)      # binds and runs: a miss
+            warm = [prepared.execute(database) for _ in range(3)]  # served
+        values = session.monitor.collect()
+        assert (values[hits] - before[hits], values[misses] - before[misses]) == \
+            (3, 1)
+        info = column_cache_info()
+        assert (info["binding_outcome_hits"], info["binding_outcome_misses"]) == \
+            (values[hits], values[misses])
+        assert all(result.relation is first.relation for result in warm)
+        prepares = [record["attributes"]["cached"] for record in tracer.records
+                    if record["name"] == "prepare"]
+        assert prepares == [False, True, True, True]
+        # A never-seen database binds anew, and misses.
+        prepared.execute(chain_db(seed=1))
+        assert session.monitor.collect()[misses] == values[misses] + 1
+        assert "engine_cache_hits_total{cache=\"binding_outcome\"}" in \
+            session.metrics.render_prometheus()
 
     def test_collect_exports_the_payload_memo_and_the_payload_span_reports_it(
             self):
