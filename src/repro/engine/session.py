@@ -1008,17 +1008,21 @@ class EngineSession:
                           elapsed_seconds: float) -> None:
         """Fold one execution's accounting into the session's counters and histograms.
 
-        Nothing here reads a cache: cache counts and sizes (the planner
-        LRU, the block cache) are published at scrape time by
+        Four counter increments, the query latency and one latency per
+        phase go to the registry in one :meth:`MetricsRegistry.record` call,
+        which takes the series lock once.  Nothing here reads a cache:
+        cache counts and sizes (the planner LRU, the block cache) are
+        published at scrape time by
         :meth:`~repro.telemetry.monitor.SessionMonitor.collect`.
         """
         series = self._execution_series(kind)
-        series["queries"].inc()
-        series["semijoins"].inc(getattr(statistics, "semijoin_steps", 0) or 0)
-        series["removed"].inc(
-            getattr(statistics, "rows_removed_by_reduction", 0) or 0)
-        series["output"].inc(getattr(statistics, "output_size", 0) or 0)
-        series["latency"].observe(elapsed_seconds)
+        increments = [
+            (series["queries"], 1),
+            (series["semijoins"], getattr(statistics, "semijoin_steps", 0) or 0),
+            (series["removed"],
+             getattr(statistics, "rows_removed_by_reduction", 0) or 0),
+            (series["output"], getattr(statistics, "output_size", 0) or 0)]
+        observations = [(series["latency"], elapsed_seconds)]
         for phase, seconds in getattr(statistics, "phase_times", ()) or ():
             histogram = self._phase_series_cache.get(phase)
             if histogram is None:
@@ -1026,7 +1030,8 @@ class EngineSession:
                     self._metrics.histogram("engine_phase_seconds",
                                             "Per-phase latency.",
                                             labels={"phase": phase})
-            histogram.observe(seconds)
+            observations.append((histogram, seconds))
+        self._metrics.record(increments, observations)
 
     def _execution_series(self, kind: str) -> Dict[str, object]:
         """The resolved metric series the per-execution path records into.

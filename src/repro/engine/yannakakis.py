@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, FrozenSet, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..core.hypergraph import Edge
 from ..relational.relation import Relation
@@ -138,7 +138,12 @@ class EngineResult:
 
 
 class _RunOutcome(NamedTuple):
-    """One bound run's outcome, as its binding memoises it (:class:`_WarmPrepare`)."""
+    """One bound run's outcome, as its binding memoises it (:class:`_WarmPrepare`).
+
+    An outcome with a ``result`` also holds ``statistics_arguments``, from
+    which :func:`_served_run` builds each served statistics object with one
+    constructor call.
+    """
 
     #: The interner generation the run's blocks were encoded in.
     interner: Any
@@ -153,6 +158,9 @@ class _RunOutcome(NamedTuple):
     sizes_before: Tuple[int, ...] = ()
     #: The fold's own intermediate sizes.
     fold_intermediates: Tuple[int, ...] = ()
+    #: The served statistics' constructor arguments: the run's own, with
+    #: the index lookups zeroed, and all but ``phase_times``.
+    statistics_arguments: Optional[Dict[str, Any]] = None
 
 
 class _WarmPrepare:
@@ -324,7 +332,7 @@ def _evaluate_bound(relations: Sequence[Relation],
                     ("reduce", physical_seconds["reduce"]),
                     ("fold", physical_seconds["fold"]),
                     ("decode", decode_seconds)]
-    statistics = statistics_type(
+    arguments = dict(
         plan_name=f"{plan_name}-adaptive" if adaptive else plan_name,
         input_sizes=tuple(len(relation_) for relation_ in relations),
         intermediate_sizes=intermediates,
@@ -333,24 +341,26 @@ def _evaluate_bound(relations: Sequence[Relation],
         rows_removed_by_reduction=trace.rows_removed,
         reduced_sizes=trace.sizes_after,
         plan_cache_hit=True,
-        index_cache_hits=lookups[0],
-        index_cache_misses=lookups[1],
         column_backend=backend.name,
         adaptive=adaptive,
         estimated_intermediate_sizes=estimated,
         estimated_output_size=(annotated.annotation.estimated_output_size
                                if annotated is not None else None),
-        phase_times=tuple(phase_times),
         **cluster_fields,
     )
+    statistics = statistics_type(**arguments, index_cache_hits=lookups[0],
+                                 index_cache_misses=lookups[1],
+                                 phase_times=tuple(phase_times))
     result = EngineResult(relation=relation, plan=plan, statistics=statistics,
                           annotated=annotated, block=result_block,
                           result_name=name)
     program = bound_program(annotated if annotated is not None else tree_plan,
                             wanted)
+    # A served run looks no block up.
+    arguments.update(index_cache_hits=0, index_cache_misses=0)
     warm.outcome = _RunOutcome(interner, backend, clusters, result,
                                program.reduction.vertices, trace.sizes_before,
-                               fold_intermediates)
+                               fold_intermediates, arguments)
     return result
 
 
@@ -361,9 +371,12 @@ def _served_run(outcome: _RunOutcome, tracer, prepare_seconds: float) -> EngineR
     carrying the attributes EXPLAIN ANALYZE reads, and none of them runs a
     kernel.  The statistics are the outcome's run's accounting with this
     call's own phase times; no block is looked up, so none is counted.
+    Both the statistics and the result are built by one constructor call
+    each, from the outcome's resolved ``statistics_arguments``: a fresh,
+    mutable statistics object per call, which shares only immutable values
+    with the stored one.
     """
     result = outcome.result
-    statistics = result.statistics
     phase_times = [("prepare", prepare_seconds)]
     phases = ("encode", "reduce", "fold", "decode")
     if outcome.clusters is not None:
@@ -376,9 +389,12 @@ def _served_run(outcome: _RunOutcome, tracer, prepare_seconds: float) -> EngineR
                 span.set("cached", True)
                 _describe_served(span, phase, outcome)
         phase_times.append((phase, perf_counter() - started))
-    return replace(result, statistics=replace(
-        statistics, index_cache_hits=0, index_cache_misses=0,
-        phase_times=tuple(phase_times)))
+    statistics = type(result.statistics)(**outcome.statistics_arguments,
+                                         phase_times=tuple(phase_times))
+    return EngineResult(relation=result.relation, plan=result.plan,
+                        statistics=statistics, block=result.block,
+                        annotated=result.annotated,
+                        result_name=result.result_name)
 
 
 def _describe_served(span, phase: str, outcome: _RunOutcome) -> None:

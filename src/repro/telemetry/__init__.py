@@ -12,9 +12,10 @@ imports the engine; the engine's layers import *it*):
   (:class:`JsonlTraceSink` streams JSONL);
 * :mod:`~repro.telemetry.metrics` — counter/gauge/histogram families with
   labels in one registry per :class:`~repro.engine.session.EngineSession`
-  (counters and histograms written once per execution; cache counts and
-  sizes published at scrape time by the monitor's ``collect()``), a
-  ``snapshot()`` dict and a Prometheus text exposition;
+  (an execution's counters and histograms written by one batch call under
+  the registry's one series lock; cache counts and sizes published at
+  scrape time by the monitor's ``collect()``), a ``snapshot()`` dict and a
+  Prometheus text exposition;
 * :mod:`~repro.telemetry.explain` — ``EXPLAIN ANALYZE``: estimated-vs-actual
   rows per vertex / join step / cluster, with the actuals sourced from the
   span attributes of a recorded run;

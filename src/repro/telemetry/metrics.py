@@ -1,18 +1,25 @@
 """Counters, gauges and histograms with a Prometheus text exposition.
 
 Each :class:`~repro.engine.session.EngineSession` owns one registry, and it
-is the only place an execution is counted: the session writes its counters
-and histograms once per execution, and everything polled from live state
-(counts as counters, sizes as gauges) is published at scrape time by
+is the only place an execution is counted: the session writes an
+execution's counters and histograms with one :meth:`MetricsRegistry.record`
+call, and everything polled from live state (counts as counters, sizes as
+gauges) is published at scrape time by
 :meth:`~repro.telemetry.monitor.SessionMonitor.collect` through
 :meth:`MetricsRegistry.publish`.
 
 Everything is plain stdlib: families are created on first use
 (``registry.counter("engine_queries_total", labels={"kind": "acyclic"})``),
-label sets address independent series within a family, and two read-outs
-exist — :meth:`MetricsRegistry.snapshot` (a flat dict for tests and JSON
-payloads) and :meth:`MetricsRegistry.render_prometheus` (the ``# HELP`` /
-``# TYPE`` text format with cumulative histogram buckets).
+label sets address independent series within a family, and every series of
+one registry shares one lock, so :meth:`MetricsRegistry.record` applies an
+execution's counter increments and histogram observations under a single
+acquisition.  A NaN amount, or a negative increment, raises ``ValueError``
+and is never applied: a NaN would poison its series for good.  Two
+read-outs exist — :meth:`MetricsRegistry.snapshot` (a flat dict for tests
+and JSON payloads) and :meth:`MetricsRegistry.render_prometheus` (the
+``# HELP`` / ``# TYPE`` text format with cumulative histogram buckets) —
+and each reads every series under one acquisition of the same lock, so a
+scrape never sees half of an execution.
 """
 
 from __future__ import annotations
@@ -90,19 +97,53 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
+def _cumulative(buckets: Sequence[float],
+                counts: Sequence[int]) -> Tuple[Tuple[str, int], ...]:
+    """Prometheus-style cumulative ``(le, count)`` pairs, ``+Inf`` last."""
+    out: List[Tuple[str, int]] = []
+    running = 0
+    for bound, count in zip(buckets, counts):
+        running += count
+        out.append((_format_value(bound), running))
+    out.append(("+Inf", running + counts[-1]))
+    return tuple(out)
+
+
+def _increment_error(amount: float) -> ValueError:
+    """Why ``amount`` cannot be added to a counter (it is negative or NaN)."""
+    if amount < 0:
+        return ValueError("counters only go up")
+    return ValueError(f"a counter cannot count {amount!r}")
+
+
+def _observation_error(value: float) -> ValueError:
+    """Why ``value`` (NaN: it has no bucket) cannot be observed."""
+    return ValueError(f"a histogram cannot observe {value!r}")
+
+
+def _foreign_series_error() -> ValueError:
+    """Why a batch refuses a series: another lock than its registry's guards it."""
+    return ValueError("a batch records only its own registry's series")
+
+
 class Counter:
-    """A monotonically increasing count (also what a published series holds)."""
+    """A monotonically increasing count (also what a published series holds).
+
+    ``lock`` is the series lock it is updated under: its registry's, shared
+    by every series there; a counter built alone gets its own.
+    """
 
     __slots__ = ("_lock", "_value")
 
-    def __init__(self, value: float = 0.0) -> None:
-        self._lock = threading.Lock()
+    def __init__(self, value: float = 0.0,
+                 lock: Optional[threading.Lock] = None) -> None:
+        self._lock = lock if lock is not None else threading.Lock()
         self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative)."""
-        if amount < 0:
-            raise ValueError("counters only go up")
+        """Add ``amount`` (must be non-negative, and not NaN)."""
+        if not amount >= 0:
+            raise _increment_error(amount)
         with self._lock:
             self._value += amount
 
@@ -110,6 +151,10 @@ class Counter:
     def value(self) -> float:
         with self._lock:
             return self._value
+
+    def _state(self) -> float:
+        """The value, for a caller that holds the series lock."""
+        return self._value
 
 
 class _HistogramTimer:
@@ -139,12 +184,13 @@ class _HistogramTimer:
 
 
 class Histogram:
-    """Fixed-bucket distribution."""
+    """Fixed-bucket distribution (``lock`` as for :class:`Counter`)."""
 
     __slots__ = ("_lock", "_buckets", "_counts", "_sum", "_count")
 
-    def __init__(self, buckets: Sequence[float]) -> None:
-        self._lock = threading.Lock()
+    def __init__(self, buckets: Sequence[float],
+                 lock: Optional[threading.Lock] = None) -> None:
+        self._lock = lock if lock is not None else threading.Lock()
         self._buckets = tuple(sorted(buckets))
         self._counts = [0] * (len(self._buckets) + 1)  # last slot is +Inf
         self._sum = 0.0
@@ -155,7 +201,9 @@ class Histogram:
         return _HistogramTimer(self)
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation (NaN raises ``ValueError``)."""
+        if value != value:
+            raise _observation_error(value)
         index = bisect_left(self._buckets, value)
         with self._lock:
             self._counts[index] += 1
@@ -179,14 +227,12 @@ class Histogram:
     def cumulative_counts(self) -> Tuple[Tuple[str, int], ...]:
         """Prometheus-style cumulative ``(le, count)`` pairs, ``+Inf`` last."""
         with self._lock:
-            counts = list(self._counts)
-        out: List[Tuple[str, int]] = []
-        running = 0
-        for bound, count in zip(self._buckets, counts):
-            running += count
-            out.append((_format_value(bound), running))
-        out.append(("+Inf", running + counts[-1]))
-        return tuple(out)
+            counts = tuple(self._counts)
+        return _cumulative(self._buckets, counts)
+
+    def _state(self) -> Tuple[Tuple[int, ...], float, int]:
+        """``(bucket counts, sum, count)``, for a caller that holds the series lock."""
+        return tuple(self._counts), self._sum, self._count
 
 
 class _Family:
@@ -206,11 +252,13 @@ class MetricsRegistry:
     """Get-or-create metric families keyed by name.
 
     A name keeps the kind it was first created with; re-requesting it as a
-    different kind raises ``ValueError``.
+    different kind raises ``ValueError``.  ``_lock`` guards the families;
+    every series is updated and read under the one ``_series_lock``.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._series_lock = threading.Lock()
         self._families: "Dict[str, _Family]" = {}
 
     def _family(self, name: str, kind: str, help: str,
@@ -233,7 +281,7 @@ class MetricsRegistry:
         with self._lock:
             series = family.series.get(key)
             if series is None:
-                series = family.series[key] = Counter()
+                series = family.series[key] = Counter(lock=self._series_lock)
         return series  # type: ignore[return-value]
 
     def histogram(self, name: str, help: str = "",
@@ -246,7 +294,8 @@ class MetricsRegistry:
         with self._lock:
             series = family.series.get(key)
             if series is None:
-                series = family.series[key] = Histogram(family.buckets)
+                series = family.series[key] = Histogram(family.buckets,
+                                                        self._series_lock)
         return series  # type: ignore[return-value]
 
     def publish(self, name: str, kind: str, help: str,
@@ -263,9 +312,39 @@ class MetricsRegistry:
             raise ValueError(f"a published family is a counter or a gauge, not {kind!r}")
         family = self._family(name, kind, help)
         replacement: "Dict[LabelValues, object]" = {
-            _label_key(labels): Counter(value) for labels, value in series}
+            _label_key(labels): Counter(value, self._series_lock)
+            for labels, value in series}
         with self._lock:
             family.series = replacement
+
+    def record(self, increments: Sequence[Tuple[Counter, float]] = (),
+               observations: Sequence[Tuple[Histogram, float]] = ()) -> None:
+        """Apply ``(counter, amount)`` increments and ``(histogram, value)``
+        observations under one acquisition of the series lock.
+
+        The values are those :meth:`Counter.inc` and :meth:`Histogram.observe`
+        would record.  Every amount, and every series' registry, is checked
+        before any is applied: a failing batch raises ``ValueError`` and
+        changes nothing.
+        """
+        lock = self._series_lock
+        for counter, amount in increments:
+            if not amount >= 0:
+                raise _increment_error(amount)
+            if counter._lock is not lock:
+                raise _foreign_series_error()
+        for histogram, value in observations:
+            if value != value:
+                raise _observation_error(value)
+            if histogram._lock is not lock:
+                raise _foreign_series_error()
+        with lock:
+            for counter, amount in increments:
+                counter._value += amount
+            for histogram, value in observations:
+                histogram._counts[bisect_left(histogram._buckets, value)] += 1
+                histogram._sum += value
+                histogram._count += 1
 
     def snapshot(self) -> Dict[str, object]:
         """A flat dict of every series: scalars for counters/gauges, dicts for histograms.
@@ -273,48 +352,59 @@ class MetricsRegistry:
         Keys are ``name`` or ``name{k=v,…}``; histogram values carry
         ``count``/``sum`` plus cumulative ``buckets``.
         """
-        with self._lock:
-            families = [(name, family, dict(family.series))
-                        for name, family in sorted(self._families.items())]
         out: Dict[str, object] = {}
-        for name, family, series_map in families:
-            for key, series in sorted(series_map.items()):
+        for name, family, states in self._read_out():
+            for key, series, state in states:
                 label_text = ",".join(f"{k}={v}" for k, v in key)
                 full = f"{name}{{{label_text}}}" if label_text else name
                 if family.kind == "histogram":
+                    counts, total, count = state
                     out[full] = {
-                        "count": series.count,
-                        "sum": series.sum,
-                        "buckets": dict(series.cumulative_counts()),
+                        "count": count,
+                        "sum": total,
+                        "buckets": dict(_cumulative(series.buckets, counts)),
                     }
                 else:
-                    out[full] = series.value
+                    out[full] = state
         return out
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition of every family, name-sorted."""
-        with self._lock:
-            families = [(name, family, dict(family.series))
-                        for name, family in sorted(self._families.items())]
         lines: List[str] = []
-        for name, family, series_map in families:
+        for name, family, states in self._read_out():
             if family.help:
                 lines.append(f"# HELP {name} {_escape_help(family.help)}")
             lines.append(f"# TYPE {name} {family.kind}")
-            for key, series in sorted(series_map.items()):
+            for key, series, state in states:
                 suffix = _format_labels(key)
                 if family.kind == "histogram":
-                    for le, count in series.cumulative_counts():
+                    counts, total, count = state
+                    for le, running in _cumulative(series.buckets, counts):
                         bucket_labels = key + (("le", le),)
                         lines.append(f"{name}_bucket"
-                                     f"{_format_labels(bucket_labels)} {count}")
-                    lines.append(f"{name}_sum{suffix} "
-                                 f"{_format_value(series.sum)}")
-                    lines.append(f"{name}_count{suffix} {series.count}")
+                                     f"{_format_labels(bucket_labels)} {running}")
+                    lines.append(f"{name}_sum{suffix} {_format_value(total)}")
+                    lines.append(f"{name}_count{suffix} {count}")
                 else:
-                    lines.append(f"{name}{suffix} "
-                                 f"{_format_value(series.value)}")
+                    lines.append(f"{name}{suffix} {_format_value(state)}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+    def _read_out(self) -> List[Tuple[str, _Family, List[Tuple[LabelValues,
+                                                              object, object]]]]:
+        """Every family, name-sorted, with its label-sorted ``(labels, series, state)``.
+
+        A state is what the series' ``_state()`` returns.  All of them are
+        read under one acquisition of the series lock, so a read-out is one
+        cut through the recorded executions: none is half-counted, and a
+        histogram's count equals its ``+Inf`` bucket.
+        """
+        with self._lock:
+            families = [(name, family, sorted(family.series.items()))
+                        for name, family in sorted(self._families.items())]
+        with self._series_lock:
+            return [(name, family, [(key, series, series._state())
+                                    for key, series in items])
+                    for name, family, items in families]
 
     def clear(self) -> None:
         """Drop every family and series (tests)."""

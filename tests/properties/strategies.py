@@ -150,6 +150,20 @@ def benchmark_instance(kind):
     return Database(database.schema, relations), outputs
 
 
+def small_instance(kind):
+    """A small acyclic chain or triangle-core chain, and its endpoint outputs."""
+    from repro.generators import (generate_database, skewed_chain_database,
+                                  skewed_chain_endpoints, triangle_core_chain)
+    from repro.relational import DatabaseSchema
+
+    if kind == "acyclic":
+        return skewed_chain_database(5, heads=6, fanout=4, seed=2), \
+            skewed_chain_endpoints(5)
+    schema = DatabaseSchema.from_hypergraph(triangle_core_chain(3))
+    return generate_database(schema, universe_rows=60, domain_size=6,
+                             dangling_fraction=0.4, seed=5), ("C0", "C4")
+
+
 def semijoin_stable(blocks, rooted) -> bool:
     """Whether every tree edge's decoded relations are mutual semijoin fixpoints.
 

@@ -42,6 +42,7 @@ from properties.strategies import (
     rebound,
     skewed_acyclic_databases,
     skewed_cyclic_databases,
+    small_instance,
 )
 
 from repro.core.nodes import sorted_nodes
@@ -57,12 +58,7 @@ from repro.engine.columnar import kernels as kernels_module
 from repro.engine.cyclic import executor as cyclic_executor_module
 from repro.engine.deadline import deadline_scope
 from repro.exceptions import ExecutionTimeoutError
-from repro.generators import (
-    generate_database,
-    skewed_chain_database,
-    skewed_chain_endpoints,
-    triangle_core_chain,
-)
+from repro.generators import generate_database, triangle_core_chain
 from repro.relational import DatabaseSchema, naive_join, yannakakis_join
 from repro.telemetry import Tracer, use_tracer
 
@@ -253,7 +249,7 @@ def test_a_cache_clear_misses_once_then_hits(query, adaptive):
 
 @pytest.mark.parametrize("kind", ["acyclic", "cyclic"])
 def test_a_cache_clear_frees_the_generation_a_memo_held(kind):
-    database, outputs = _small_instance(kind)
+    database, outputs = small_instance(kind)
     prepared = EngineSession().prepare(database, outputs)
     try:
         # A generation of this test's own, so nothing else holds its blocks.
@@ -354,7 +350,7 @@ def test_a_retry_after_a_timeout_in_reduce_materialises_nothing(query, adaptive)
 
 @pytest.mark.parametrize("kind", ["acyclic", "cyclic"])
 def test_eight_threads_on_one_binding_agree(kind):
-    database, outputs = _small_instance(kind)
+    database, outputs = small_instance(kind)
     prepared = EngineSession().prepare(database, outputs)
     first = prepared.execute(database)
     assert_oracle(first.relation, database, outputs, prepared.name)
@@ -382,15 +378,6 @@ def test_eight_threads_on_one_binding_agree(kind):
     for relation, figures in (answer for slot in answers for answer in slot):
         assert relation is first.relation
         assert figures == accounting(first)
-
-
-def _small_instance(kind):
-    if kind == "acyclic":
-        return skewed_chain_database(5, heads=6, fanout=4, seed=2), \
-            skewed_chain_endpoints(5)
-    schema = DatabaseSchema.from_hypergraph(triangle_core_chain(3))
-    return generate_database(schema, universe_rows=60, domain_size=6,
-                             dangling_fraction=0.4, seed=5), ("C0", "C4")
 
 
 # --------------------------------------------------------------------------- #

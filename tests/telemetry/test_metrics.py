@@ -35,6 +35,14 @@ class TestCounter:
         with pytest.raises(ValueError):
             MetricsRegistry().counter("queries").inc(-1)
 
+    def test_a_nan_increment_is_rejected_and_the_counter_keeps_counting(self):
+        counter = MetricsRegistry().counter("queries")
+        counter.inc(2)
+        with pytest.raises(ValueError):
+            counter.inc(float("nan"))
+        counter.inc()
+        assert counter.value == 3
+
 
 class TestPublish:
     def test_a_republished_family_holds_the_latest_values(self):
@@ -72,6 +80,17 @@ class TestHistogram:
     def test_default_buckets_are_the_engine_latency_range(self):
         histogram = MetricsRegistry().histogram("latency")
         assert histogram.buckets == DEFAULT_LATENCY_BUCKETS
+
+    def test_a_nan_observation_is_rejected_and_lands_in_no_bucket(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency", buckets=(0.1, 1.0))
+        histogram.observe(0.5)
+        with pytest.raises(ValueError):
+            histogram.observe(float("nan"))
+        assert histogram.count == 1 and histogram.sum == 0.5
+        assert histogram.cumulative_counts() == (("0.1", 0), ("1", 1),
+                                                 ("+Inf", 1))
+        assert "latency_sum 0.5" in registry.render_prometheus().splitlines()
 
 
 class TestRegistry:
