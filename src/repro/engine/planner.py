@@ -126,9 +126,14 @@ class EngineStatistics(JoinStatistics):
     #: Measured per-phase wall-times of the run, as ``(phase name, seconds)``
     #: pairs in execution order — e.g. ``prepare``/``encode``/``reduce``/
     #: ``fold``/``decode`` for an acyclic plan, with ``materialise`` after
-    #: ``prepare`` for a cyclic one.  Empty for results
-    #: produced before timing existed, so reports must treat it as optional.
+    #: ``prepare`` for a cyclic one, and only ``prepare`` for a served run.
+    #: Empty for results produced before timing existed, so reports must
+    #: treat it as optional.
     phase_times: Tuple[Tuple[str, float], ...] = ()
+    #: ``True`` when the call was served from its database binding's
+    #: memoised outcome: no phase ran, and every other field is the
+    #: accounting of the run that stored the outcome.
+    served: bool = False
 
     @property
     def elapsed_seconds(self) -> Optional[float]:
@@ -164,6 +169,8 @@ class EngineStatistics(JoinStatistics):
                    f"reduced={list(self.reduced_sizes)} "
                    f"plan_cache={'hit' if self.plan_cache_hit else 'miss'} "
                    f"index_cache={self.index_cache_hits}h/{self.index_cache_misses}m")
+        if self.served:
+            summary += " served"
         if self.adaptive:
             summary += (f" adaptive est_max={self.estimated_max_intermediate} "
                         f"est_output={self.estimated_output_size}")

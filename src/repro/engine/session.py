@@ -66,7 +66,8 @@ from .planner import (
     fingerprint_digest,
     schema_fingerprint,
 )
-from .yannakakis import EngineResult, _WarmPrepare, _evaluate_bound
+from .yannakakis import (EngineResult, _WarmPrepare, _evaluate_bound,
+                         _served_phase_attributes)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from ..queries.conjunctive import ConjunctiveQuery
@@ -473,12 +474,14 @@ class PreparedQuery:
         re-derivation either: no hypergraph, no fingerprint.  The binding
         fixes the answer, so it memoises its run's outcome, and a warm
         execute on the same interner generation and column backend runs no
-        kernel at all: it checks the deadline once, opens the phase spans
-        marked ``cached`` and reports the first run's accounting with its
-        own times.  After :func:`~repro.engine.columnar.clear_column_caches`
-        or under another backend the run replays the plan's compiled
-        program once more.  A ``deadline_seconds`` budget covers the
-        binding (ingest) too.
+        kernel at all: it checks the deadline once, opens no phase span and
+        reports the first run's accounting marked ``served``, with only its
+        own ``prepare`` time.  The session's metrics count it as one query
+        and its rows, with no semijoin step and no phase time, and a
+        monitor logs it without folding its estimates again.  After
+        :func:`~repro.engine.columnar.clear_column_caches` or under another
+        backend the run replays the plan's compiled program once more.  A
+        ``deadline_seconds`` budget covers the binding (ingest) too.
         """
         seconds = self._options.deadline_seconds
         if seconds is None:
@@ -585,12 +588,23 @@ class PreparedQuery:
         the annotation's *estimates* with the *actual* cardinalities sourced
         from the trace's span attributes (not copied from the statistics
         object — the trace is an independent witness), plus the measured
-        per-phase wall-times.  ``.render()`` gives the textual report.
+        per-phase wall-times.  A warm binding's execute is served and opens
+        no phase span, so its actuals come from the memoised outcome: the
+        phases of the run that stored it.  ``.render()`` gives the textual
+        report.
         """
         tracer = Tracer()
         with use_tracer(tracer):
             result = self.execute(database)
         binding = self._binding_for(database)
+        phase_attributes = None
+        if result.statistics.served:
+            outcome = binding.warm.outcome
+            if outcome is None or outcome.result is None:
+                # A cache clear dropped the outcome that served the run; the
+                # next execute runs the plan again.
+                return self.explain_analyze(database)
+            phase_attributes = _served_phase_attributes(outcome)
         vertex_estimates: Dict[str, float] = {}
         if isinstance(binding.plan, AnnotatedPlan):
             from ..core.nodes import format_node_set
@@ -603,7 +617,8 @@ class PreparedQuery:
         return build_explain_analysis(
             name=self._name, kind=self._kind, statistics=result.statistics,
             records=tuple(tracer.records), vertex_estimates=vertex_estimates,
-            plan_description=self._structure.describe())
+            plan_description=self._structure.describe(),
+            phase_attributes=phase_attributes)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -1008,21 +1023,29 @@ class EngineSession:
                           elapsed_seconds: float) -> None:
         """Fold one execution's accounting into the session's counters and histograms.
 
-        Four counter increments, the query latency and one latency per
-        phase go to the registry in one :meth:`MetricsRegistry.record` call,
-        which takes the series lock once.  Nothing here reads a cache:
-        cache counts and sizes (the planner LRU, the block cache) are
-        published at scrape time by
+        A run's four counter increments, the query latency and one latency
+        per phase go to the registry in one :meth:`MetricsRegistry.record`
+        call, which takes the series lock once.  A served execute ran no
+        phase, so its call counts only the query, its output rows and its
+        latency; ``engine_cache_hits_total{cache="binding_outcome"}`` counts
+        it as served.  Nothing here reads a cache: cache counts and sizes
+        (the planner LRU, the block cache) are published at scrape time by
         :meth:`~repro.telemetry.monitor.SessionMonitor.collect`.
         """
         series = self._execution_series(kind)
+        queried = (series["queries"], 1)
+        output = (series["output"], getattr(statistics, "output_size", 0) or 0)
+        latency = (series["latency"], elapsed_seconds)
+        if getattr(statistics, "served", False):
+            self._metrics.record((queried, output), (latency,))
+            return
         increments = [
-            (series["queries"], 1),
+            queried,
             (series["semijoins"], getattr(statistics, "semijoin_steps", 0) or 0),
             (series["removed"],
              getattr(statistics, "rows_removed_by_reduction", 0) or 0),
-            (series["output"], getattr(statistics, "output_size", 0) or 0)]
-        observations = [(series["latency"], elapsed_seconds)]
+            output]
+        observations = [latency]
         for phase, seconds in getattr(statistics, "phase_times", ()) or ():
             histogram = self._phase_series_cache.get(phase)
             if histogram is None:

@@ -25,7 +25,8 @@ relations, catalog, outputs and options — so on an acyclic schema the
 answer, the one connection among the outputs, is the binding's alone.  The
 binding memoises its run's outcome (:class:`_WarmPrepare`), and a warm run
 that finds it valid for the current interner generation and column backend
-serves it: the phase spans open, marked ``cached``, and no kernel runs.
+serves it: no phase span opens, no kernel runs, and the statistics say
+``served``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .columnar import (
 )
 from .columnar.block import _CLEAR_HOOKS, count_binding_outcome
 from .columnar.executor import (
-    _describe_encode,
     _describe_fold,
     _describe_reduce,
     bound_program,
@@ -142,7 +142,8 @@ class _RunOutcome(NamedTuple):
 
     An outcome with a ``result`` also holds ``statistics_arguments``, from
     which :func:`_served_run` builds each served statistics object with one
-    constructor call.
+    constructor call, and what EXPLAIN ANALYZE renders of a served run
+    (:func:`_served_phase_attributes`).
     """
 
     #: The interner generation the run's blocks were encoded in.
@@ -159,7 +160,8 @@ class _RunOutcome(NamedTuple):
     #: The fold's own intermediate sizes.
     fold_intermediates: Tuple[int, ...] = ()
     #: The served statistics' constructor arguments: the run's own, with
-    #: the index lookups zeroed, and all but ``phase_times``.
+    #: the index lookups zeroed and ``served`` set, and all but
+    #: ``phase_times``.
     statistics_arguments: Optional[Dict[str, Any]] = None
 
 
@@ -266,7 +268,7 @@ def _evaluate_bound(relations: Sequence[Relation],
     check_deadline("encode" if cyclic is None else "materialise")
     count_binding_outcome(outcome is not None)
     if outcome is not None:
-        return _served_run(outcome, tracer, prepare_seconds)
+        return _served_run(outcome, prepare_seconds)
 
     # Encode once (cached per relation) — or take the materialised cluster
     # blocks as they are, with no decode / re-encode round trip — reduce and
@@ -357,63 +359,57 @@ def _evaluate_bound(relations: Sequence[Relation],
     program = bound_program(annotated if annotated is not None else tree_plan,
                             wanted)
     # A served run looks no block up.
-    arguments.update(index_cache_hits=0, index_cache_misses=0)
+    arguments.update(index_cache_hits=0, index_cache_misses=0, served=True)
     warm.outcome = _RunOutcome(interner, backend, clusters, result,
                                program.reduction.vertices, trace.sizes_before,
                                fold_intermediates, arguments)
     return result
 
 
-def _served_run(outcome: _RunOutcome, tracer, prepare_seconds: float) -> EngineResult:
+def _served_run(outcome: _RunOutcome, prepare_seconds: float) -> EngineResult:
     """Serve a bound run from its binding's memoised outcome.
 
-    The run's phase spans open as a run's do, each marked ``cached`` and
-    carrying the attributes EXPLAIN ANALYZE reads, and none of them runs a
-    kernel.  The statistics are the outcome's run's accounting with this
-    call's own phase times; no block is looked up, so none is counted.
-    Both the statistics and the result are built by one constructor call
-    each, from the outcome's resolved ``statistics_arguments``: a fresh,
-    mutable statistics object per call, which shares only immutable values
-    with the stored one.
+    Nothing runs, so no phase span opens and the statistics' ``phase_times``
+    hold only the ``prepare`` time this call measured.  The statistics are
+    otherwise the outcome's run's accounting, marked ``served``, with no
+    block lookup counted.  Both the statistics and the result are built by
+    one constructor call each, from the outcome's resolved
+    ``statistics_arguments``: a fresh, mutable statistics object per call,
+    which shares only immutable values with the stored one.
     """
     result = outcome.result
-    phase_times = [("prepare", prepare_seconds)]
-    phases = ("encode", "reduce", "fold", "decode")
-    if outcome.clusters is not None:
-        phases = ("materialise",) + phases
-    for phase in phases:
-        span = tracer.span(phase)
-        started = perf_counter()
-        with span:
-            if span.is_recording:
-                span.set("cached", True)
-                _describe_served(span, phase, outcome)
-        phase_times.append((phase, perf_counter() - started))
     statistics = type(result.statistics)(**outcome.statistics_arguments,
-                                         phase_times=tuple(phase_times))
+                                         phase_times=(("prepare", prepare_seconds),))
     return EngineResult(relation=result.relation, plan=result.plan,
                         statistics=statistics, block=result.block,
                         annotated=result.annotated,
                         result_name=result.result_name)
 
 
-def _describe_served(span, phase: str, outcome: _RunOutcome) -> None:
-    """Set a served phase's span attributes: what the outcome's run recorded there."""
+class _Attributes(dict):
+    """A span stand-in for the ``_describe_*`` helpers: keeps what they set."""
+
+    set = dict.__setitem__
+
+
+def _served_phase_attributes(outcome: _RunOutcome) -> Dict[str, Dict[str, Any]]:
+    """The phase spans' attributes EXPLAIN ANALYZE reads, from the stored run.
+
+    A served run opened no phase span, so its analysis reads them here.
+    """
     result = outcome.result
     statistics = result.statistics
-    if phase == "materialise":
-        _describe_materialise(span, result.plan, outcome.clusters.materialised,
+    phases = {phase: _Attributes() for phase in ("reduce", "fold", "decode")}
+    if outcome.clusters is not None:
+        phases["materialise"] = _Attributes()
+        _describe_materialise(phases["materialise"], result.plan,
+                              outcome.clusters.materialised,
                               statistics.column_backend, cached=True)
-    elif phase == "encode":
-        _describe_encode(span, outcome.sizes_before)
-    elif phase == "reduce":
-        _describe_reduce(span, outcome.vertices, outcome.sizes_before,
-                         statistics.reduced_sizes,
-                         statistics.rows_removed_by_reduction,
-                         statistics.semijoin_steps)
-    elif phase == "fold":
-        _describe_fold(span, outcome.fold_intermediates, len(result.block))
-    else:
-        _describe_decode(span, statistics.column_backend, statistics.output_size,
-                         result.relation is not None,
-                         deferred=result.relation is None)
+    _describe_reduce(phases["reduce"], outcome.vertices, outcome.sizes_before,
+                     statistics.reduced_sizes, statistics.rows_removed_by_reduction,
+                     statistics.semijoin_steps)
+    _describe_fold(phases["fold"], outcome.fold_intermediates, len(result.block))
+    _describe_decode(phases["decode"], statistics.column_backend,
+                     statistics.output_size, result.relation is not None,
+                     deferred=result.relation is None)
+    return phases

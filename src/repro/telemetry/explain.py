@@ -9,7 +9,9 @@ reduce span's per-vertex sizes, the materialise/fold spans' intermediates
 and the decode span's output count.  The property suite asserts they match
 ``EngineStatistics`` exactly, which makes the trace a genuine independent
 witness of the engine's accounting (and the estimated column the feedback
-signal re-optimisation needs).
+signal re-optimisation needs).  A run served from its binding's memo opens
+no phase span; its caller passes the attributes the stored run's phases
+recorded as ``phase_attributes`` instead.
 
 This module is duck-typed on purpose — it never imports the engine, so the
 telemetry package stays dependency-free and import-cycle-free.
@@ -42,21 +44,13 @@ class ExplainEntry:
         return f"{line}  {self.note}" if self.note else line
 
 
-def _last_span(records: Sequence[Mapping[str, object]],
-               name: str) -> Optional[Mapping[str, object]]:
-    """The last record with ``name`` (one engine run emits each phase once)."""
-    for record in reversed(records):
-        if record.get("name") == name:
-            return record
-    return None
+#: Span name → that span's attributes (the last such span's: one engine run
+#: emits each phase once).
+_PhaseAttributes = Mapping[str, Mapping[str, object]]
 
 
-def _span_attr(records: Sequence[Mapping[str, object]], name: str,
-               attribute: str) -> object:
-    record = _last_span(records, name)
-    if record is None:
-        return None
-    return record.get("attributes", {}).get(attribute)  # type: ignore[union-attr]
+def _attr(phases: _PhaseAttributes, name: str, attribute: str) -> object:
+    return phases.get(name, {}).get(attribute)
 
 
 def _paired(labels: Sequence[str], estimates: Sequence[Optional[float]],
@@ -77,7 +71,7 @@ def _braced(attributes: Sequence[object]) -> str:
     return "{" + ", ".join(str(attribute) for attribute in attributes) + "}"
 
 
-def _cluster_notes(records: Sequence[Mapping[str, object]],
+def _cluster_notes(phases: _PhaseAttributes,
                    cluster_actuals: Sequence[int]) -> List[str]:
     """Per cluster, what a projected cluster kept of its scheme and what it probed.
 
@@ -88,10 +82,10 @@ def _cluster_notes(records: Sequence[Mapping[str, object]],
     whole scheme, and for runs whose ``materialise`` span carries no
     ``kept`` / ``probe_rows``.
     """
-    schemes = _span_attr(records, "materialise", "schemes") or ()
-    kept = _span_attr(records, "materialise", "kept") or ()
-    steps = iter(_span_attr(records, "materialise", "probe_rows") or ())
-    fan_out = _span_attr(records, "materialise", "fan_out") or ()
+    schemes = _attr(phases, "materialise", "schemes") or ()
+    kept = _attr(phases, "materialise", "kept") or ()
+    steps = iter(_attr(phases, "materialise", "probe_rows") or ())
+    fan_out = _attr(phases, "materialise", "fan_out") or ()
     notes: List[str] = []
     for scheme, keeps, members, rows in zip(schemes, kept, fan_out, cluster_actuals):
         probed = max((int(step) for step in islice(steps, members - 1)), default=rows)
@@ -167,7 +161,9 @@ class ExplainAnalysis:
 def build_explain_analysis(*, name: str, kind: str, statistics: object,
                            records: Sequence[Mapping[str, object]],
                            vertex_estimates: Optional[Mapping[str, float]] = None,
-                           plan_description: str = "") -> ExplainAnalysis:
+                           plan_description: str = "",
+                           phase_attributes: Optional[_PhaseAttributes] = None
+                           ) -> ExplainAnalysis:
     """Assemble an :class:`ExplainAnalysis` from one traced execution.
 
     ``statistics`` is the run's (duck-typed) ``EngineStatistics`` — it
@@ -184,12 +180,18 @@ def build_explain_analysis(*, name: str, kind: str, statistics: object,
 
     ``vertex_estimates`` maps vertex labels (as the reduce span records
     them) to estimated reduced cardinalities; omitted labels render "-".
+    ``phase_attributes`` (span name → attributes) stands in for the phase
+    spans of a run that opened none: one served from its binding's memo,
+    described by the run that stored it.
     """
     records = tuple(records)
+    phases: Dict[str, Mapping[str, object]] = {
+        record.get("name"): record.get("attributes", {}) for record in records}
+    phases.update(phase_attributes or {})
     vertex_labels = [str(label) for label
-                     in (_span_attr(records, "reduce", "vertices") or ())]
+                     in (_attr(phases, "reduce", "vertices") or ())]
     vertex_actuals = [int(size) for size
-                      in (_span_attr(records, "reduce", "sizes_after") or ())]
+                      in (_attr(phases, "reduce", "sizes_after") or ())]
     estimates_by_label = dict(vertex_estimates or {})
     vertices = _paired(
         vertex_labels,
@@ -197,23 +199,21 @@ def build_explain_analysis(*, name: str, kind: str, statistics: object,
         vertex_actuals)
 
     cluster_actuals = [int(size) for size
-                       in (_span_attr(records, "materialise", "cluster_sizes")
-                           or ())]
+                       in (_attr(phases, "materialise", "cluster_sizes") or ())]
     cluster_estimates = list(getattr(statistics, "estimated_cluster_sizes",
                                      ()) or ())
     clusters = _paired(
         [f"cluster[{index}]" for index in range(
             max(len(cluster_actuals), len(cluster_estimates)))],
         cluster_estimates, cluster_actuals)
-    notes = _cluster_notes(records, cluster_actuals)
+    notes = _cluster_notes(phases, cluster_actuals)
     clusters = tuple(replace(entry, note=note)
                      for entry, note in zip(clusters, notes)) + clusters[len(notes):]
 
     step_actuals = ([int(size) for size
-                     in (_span_attr(records, "materialise", "intermediates")
-                         or ())]
+                     in (_attr(phases, "materialise", "intermediates") or ())]
                     + [int(size) for size
-                       in (_span_attr(records, "fold", "intermediates") or ())])
+                       in (_attr(phases, "fold", "intermediates") or ())])
     adaptive = bool(getattr(statistics, "adaptive", False))
     step_estimates = list(getattr(statistics, "estimated_intermediate_sizes",
                                   ()) or ()) if adaptive else []
@@ -222,7 +222,7 @@ def build_explain_analysis(*, name: str, kind: str, statistics: object,
             max(len(step_actuals), len(step_estimates)))],
         step_estimates, step_actuals)
 
-    output_actual = _span_attr(records, "decode", "output_rows")
+    output_actual = _attr(phases, "decode", "output_rows")
     estimated_output = getattr(statistics, "estimated_output_size", None) \
         if adaptive else None
     output = ExplainEntry(

@@ -13,12 +13,12 @@ Everything is plain stdlib: families are created on first use
 label sets address independent series within a family, and every series of
 one registry shares one lock, so :meth:`MetricsRegistry.record` applies an
 execution's counter increments and histogram observations under a single
-acquisition.  A NaN amount, or a negative increment, raises ``ValueError``
-and is never applied: a NaN would poison its series for good.  Two
-read-outs exist — :meth:`MetricsRegistry.snapshot` (a flat dict for tests
-and JSON payloads) and :meth:`MetricsRegistry.render_prometheus` (the
-``# HELP`` / ``# TYPE`` text format with cumulative histogram buckets) —
-and each reads every series under one acquisition of the same lock, so a
+acquisition.  A NaN or infinite amount, or a negative increment, raises
+``ValueError`` and is never applied: either would poison its series for
+good.  Two read-outs exist — :meth:`MetricsRegistry.snapshot` (a flat dict
+for tests and JSON payloads) and :meth:`MetricsRegistry.render_prometheus`
+(the ``# HELP`` / ``# TYPE`` text format with cumulative histogram buckets)
+— and each reads every series under one acquisition of the same lock, so a
 scrape never sees half of an execution.
 """
 
@@ -48,6 +48,10 @@ LabelValues = Tuple[Tuple[str, str], ...]
 #: Integral floats below this magnitude print exactly as integers; larger
 #: ones keep ``repr``'s exponent form (``1e+300``, not 301 digits).
 _EXACT_INTEGERS = 2.0 ** 53
+
+#: Amounts are recorded only strictly inside ``(-_INF, _INF)``, which
+#: refuses NaN too.
+_INF = math.inf
 
 
 def _label_key(labels: Optional[Mapping[str, object]]) -> LabelValues:
@@ -110,14 +114,14 @@ def _cumulative(buckets: Sequence[float],
 
 
 def _increment_error(amount: float) -> ValueError:
-    """Why ``amount`` cannot be added to a counter (it is negative or NaN)."""
+    """Why ``amount`` cannot be added to a counter (negative, NaN or infinite)."""
     if amount < 0:
         return ValueError("counters only go up")
     return ValueError(f"a counter cannot count {amount!r}")
 
 
 def _observation_error(value: float) -> ValueError:
-    """Why ``value`` (NaN: it has no bucket) cannot be observed."""
+    """Why ``value`` (NaN or infinite: it would poison the sum) cannot be observed."""
     return ValueError(f"a histogram cannot observe {value!r}")
 
 
@@ -141,8 +145,8 @@ class Counter:
         self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative, and not NaN)."""
-        if not amount >= 0:
+        """Add ``amount`` (must be non-negative and finite)."""
+        if not 0 <= amount < _INF:
             raise _increment_error(amount)
         with self._lock:
             self._value += amount
@@ -201,8 +205,8 @@ class Histogram:
         return _HistogramTimer(self)
 
     def observe(self, value: float) -> None:
-        """Record one observation (NaN raises ``ValueError``)."""
-        if value != value:
+        """Record one observation (NaN or an infinity raises ``ValueError``)."""
+        if not -_INF < value < _INF:
             raise _observation_error(value)
         index = bisect_left(self._buckets, value)
         with self._lock:
@@ -329,12 +333,12 @@ class MetricsRegistry:
         """
         lock = self._series_lock
         for counter, amount in increments:
-            if not amount >= 0:
+            if not 0 <= amount < _INF:
                 raise _increment_error(amount)
             if counter._lock is not lock:
                 raise _foreign_series_error()
         for histogram, value in observations:
-            if value != value:
+            if not -_INF < value < _INF:
                 raise _observation_error(value)
             if histogram._lock is not lock:
                 raise _foreign_series_error()

@@ -4,11 +4,12 @@ The adaptive planner predicts cardinalities (``estimated_intermediate_sizes``,
 ``estimated_output_size``) and the engine measures them
 (``intermediate_sizes``, ``output_size``); EXPLAIN ANALYZE already renders
 the two side by side for *one* run.  This module folds the comparison over
-*every* run: each execution contributes the **q-error** of its estimates —
-the standard symmetric ratio ``max(est/actual, actual/est)`` (with +1
-smoothing so empty relations stay finite; a perfect estimate scores 1.0) —
-into a per-fingerprint :class:`QualityRecord` holding a power-of-two q-error
-histogram, the running mean/max and a bounded window of recent values.
+*every* run: each execution that ran its plan contributes the **q-error**
+of its estimates — the standard symmetric ratio ``max(est/actual,
+actual/est)`` (with +1 smoothing so empty relations stay finite; a perfect
+estimate scores 1.0) — into a per-fingerprint :class:`QualityRecord`
+holding a power-of-two q-error histogram, the running mean/max and a
+bounded window of recent values.
 
 A fingerprint whose *recent* mean q-error exceeds the drift threshold is
 flagged by :meth:`PlanQualityTracker.drifted_fingerprints` — the signal the
@@ -17,7 +18,8 @@ describing the data it runs against; re-measure the catalog and re-annotate".
 
 Like the rest of the telemetry package this module is duck-typed and never
 imports the engine: any statistics object carrying the adaptive estimate
-fields feeds it.
+fields feeds it.  A run served from its binding's memo (``served``) feeds
+nothing: it repeats the stored run's estimates and actuals.
 """
 
 from __future__ import annotations
@@ -160,8 +162,9 @@ class PlanQualityTracker:
 
     @staticmethod
     def _q_errors_from(statistics: object) -> Optional[List[float]]:
-        """One run's q-errors as a plain list (``None`` when static/empty)."""
-        if not getattr(statistics, "adaptive", False):
+        """One run's q-errors as a plain list (``None`` when static/empty/served)."""
+        if not getattr(statistics, "adaptive", False) \
+                or getattr(statistics, "served", False):
             return None
         estimates = getattr(statistics, "estimated_intermediate_sizes",
                             None) or ()

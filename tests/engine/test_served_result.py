@@ -10,7 +10,8 @@ outcome was stored, and the session records its metrics with one
   schemas, adaptive and static, under both decode modes, every dataclass
   field of a served ``EngineResult`` and of its statistics equals
   ``dataclasses.replace(stored, index_cache_hits=0, index_cache_misses=0,
-  phase_times=served.phase_times)``;
+  served=True, phase_times=served.phase_times)``, and those phase times
+  are the one ``prepare`` the served call timed;
 * **isolation** — a caller that mutates its served statistics changes
   neither the next served result nor the stored outcome;
 * **exact work** — per warm execute on the benchmark's hot shapes: no
@@ -58,7 +59,7 @@ def replaced_copy(stored, served):
     """What a served execute returned before: the stored result, copied."""
     return dataclasses.replace(stored, statistics=dataclasses.replace(
         stored.statistics, index_cache_hits=0, index_cache_misses=0,
-        phase_times=served.statistics.phase_times))
+        served=True, phase_times=served.statistics.phase_times))
 
 
 # --------------------------------------------------------------------------- #
@@ -80,8 +81,9 @@ def test_a_served_result_equals_the_replaced_copy(kind, adaptive, decode):
         assert served is not stored and served.statistics is not stored.statistics
         assert_same_fields(served, replaced_copy(stored, served))
         assert (served.relation is None) == (decode == "block")
+        assert served.statistics.served and not stored.statistics.served
         assert [phase for phase, _ in served.statistics.phase_times] == \
-            [phase for phase, _ in stored.statistics.phase_times]
+            ["prepare"]
 
 
 @pytest.mark.parametrize("kind", ["acyclic", "cyclic"])

@@ -247,12 +247,15 @@ class TestOneRun:
         prepared = EngineSession(adaptive=adaptive).prepare(database,
                                                            ("C0", "C4"))
         assert prepared.kind == shape
-        for _ in range(2):
+        # The second execute is served from the binding's outcome: it runs
+        # no phase, so it times and opens only ``prepare``.
+        for served, timed in ((False, phases), (True, ("prepare",))):
             tracer = Tracer()
             with use_tracer(tracer):
                 result = prepared.execute(database)
+            assert result.statistics.served is served
             assert tuple(name for name, _ in result.statistics.phase_times) \
-                == phases
+                == timed
             (root,) = [record for record in tracer.records
                        if record["name"] == "execute"]
             children = [record["name"] for record in tracer.records
@@ -260,10 +263,14 @@ class TestOneRun:
             # An adaptive cyclic run's first execute annotates its quotient
             # between materialise and encode; nothing else joins the phases.
             assert tuple(name for name in children if name != "annotate") \
-                == phases
+                == timed
+            if served:
+                assert [record["name"] for record in tracer.records] == \
+                    ["prepare", "execute"]
             (prepare,) = [record for record in tracer.records
                           if record["name"] == "prepare"]
             attributes = prepare["attributes"]
+            assert attributes["cached"] is served
             assert attributes["kind"] == shape
             assert attributes["adaptive"] is adaptive
             if shape == "cyclic":

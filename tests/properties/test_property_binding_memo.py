@@ -93,7 +93,11 @@ def assert_oracle(relation, database, outputs, name: str) -> None:
 
 
 def accounting(result):
-    """What a served run reports of its binding's run (all but times and lookups)."""
+    """What a served run reports of its binding's run.
+
+    All but lookups, ``served`` and the phases: a served run times only
+    ``prepare`` (:func:`timed_phases`).
+    """
     statistics = result.statistics
     return (statistics.plan_name, statistics.input_sizes,
             statistics.intermediate_sizes, statistics.output_size,
@@ -102,8 +106,11 @@ def accounting(result):
             statistics.adaptive, statistics.estimated_intermediate_sizes,
             statistics.estimated_output_size,
             getattr(statistics, "cluster_sizes", None),
-            getattr(statistics, "estimated_cluster_sizes", None),
-            tuple(phase for phase, _ in statistics.phase_times))
+            getattr(statistics, "estimated_cluster_sizes", None))
+
+
+def timed_phases(result):
+    return tuple(phase for phase, _ in result.statistics.phase_times)
 
 
 def counter_delta(before, after):
@@ -210,10 +217,14 @@ def test_a_hit_answers_and_accounts_like_the_first_run(query, decode, check, ada
         assert warm.plan is first.plan and warm.annotated is first.annotated
         assert accounting(warm) == accounting(first)
         assert warm.statistics is not first.statistics  # its own times
+        assert warm.statistics.served and not first.statistics.served
+        assert timed_phases(warm) == ("prepare",)
         assert_oracle(warm.decoded(), database, outputs, prepared.name)
     # A new binding over the same relations runs and agrees.
     again = prepared.execute(rebound(database))
     assert accounting(again) == accounting(first)
+    assert timed_phases(again) == timed_phases(first)
+    assert not again.statistics.served
     assert again.decoded() == first.decoded()
 
 
@@ -239,6 +250,7 @@ def test_a_cache_clear_misses_once_then_hits(query, adaptive):
         assert outcome_counts() == (hits, misses + 1)
         assert cleared.relation is not first.relation
         assert accounting(cleared) == accounting(first)
+        assert timed_phases(cleared) == timed_phases(first)
         warm = prepared.execute(database)
         assert outcome_counts() == (hits + 1, misses + 1)
         assert warm.relation is cleared.relation
@@ -344,6 +356,7 @@ def test_a_retry_after_a_timeout_in_reduce_materialises_nothing(query, adaptive)
     uninterrupted = EngineSession(adaptive=adaptive).prepare(database, outputs) \
         .execute(rebound(database))
     assert accounting(retry) == accounting(uninterrupted)
+    assert timed_phases(retry) == timed_phases(uninterrupted)
     assert_oracle(retry.relation, database, outputs, prepared.name)
     assert prepared.execute(database).relation is retry.relation
 
@@ -362,7 +375,9 @@ def test_eight_threads_on_one_binding_agree(kind):
             barrier.wait()
             for _ in range(25):
                 result = prepared.execute(database)
-                answers[slot].append((result.relation, accounting(result)))
+                answers[slot].append((result.relation, accounting(result),
+                                      result.statistics.served,
+                                      timed_phases(result)))
         except BaseException as error:  # surfaced below
             errors.append(error)
 
@@ -375,9 +390,11 @@ def test_eight_threads_on_one_binding_agree(kind):
         assert not thread.is_alive()
     assert not errors
     assert outcome_counts() == (hits + 200, misses)
-    for relation, figures in (answer for slot in answers for answer in slot):
+    for relation, figures, served, phases in (answer for slot in answers
+                                              for answer in slot):
         assert relation is first.relation
         assert figures == accounting(first)
+        assert served and phases == ("prepare",)
 
 
 # --------------------------------------------------------------------------- #
@@ -402,13 +419,11 @@ def test_explain_analyze_on_a_warm_binding_renders_the_cold_actuals(query, adapt
     assert warm.actual_step_sizes == cold.actual_step_sizes
     assert warm.actual_cluster_sizes == cold.actual_cluster_sizes
     assert warm.output == cold.output
-    names = [record["name"] for record in warm.records]
-    assert not any(name.startswith("kernel:") for name in names)
-    phases = [record for record in warm.records
-              if record["name"] in ("prepare", "materialise", "encode", "reduce",
-                                    "fold", "decode")]
-    assert [record["name"] for record in phases] == \
-        [phase for phase, _ in warm.statistics.phase_times]
-    assert all(record["attributes"]["cached"] for record in phases)
+    # The warm execute was served: it opened no phase span, and its actuals
+    # are the stored run's, read from the binding's outcome.
+    assert warm.statistics.served and not cold.statistics.served
+    assert [record["name"] for record in warm.records] == ["prepare", "execute"]
+    assert warm.records[0]["attributes"]["cached"] is True
+    assert [phase for phase, _ in warm.phase_seconds] == ["prepare"]
     assert_oracle(prepared.execute(database).decoded(), database, outputs,
                   prepared.name)

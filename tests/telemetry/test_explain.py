@@ -169,7 +169,10 @@ class TestProjectedClusters:
                 database).statistics
             assert len(statistics.estimated_intermediate_sizes) \
                 == len(statistics.intermediate_sizes)
+        # The binding is warm, so the analysis renders the stored run's steps.
         analysis = session.prepare(database, outputs).explain_analyze(database)
+        assert analysis.statistics.served
+        assert analysis.actual_step_sizes == statistics.intermediate_sizes
         assert all(entry.estimated is not None and entry.actual is not None
                    for entry in analysis.steps)
 
@@ -198,3 +201,20 @@ class TestBuildExplainAnalysis:
             name="Q", kind="acyclic", statistics=Stats(), records=records)
         assert [entry.label for entry in analysis.vertices] == ["{A}", "{B}"]
         assert analysis.actual_vertex_sizes == (3, None)
+
+    def test_phase_attributes_stand_in_for_the_phase_spans(self):
+        class Stats:
+            adaptive = False
+            phase_times = (("prepare", 0.001),)
+
+        records = ({"name": "prepare", "attributes": {"cached": True}},)
+        analysis = build_explain_analysis(
+            name="Q", kind="acyclic", statistics=Stats(), records=records,
+            phase_attributes={
+                "reduce": {"vertices": ["{A}"], "sizes_after": [2]},
+                "fold": {"intermediates": [2, 1]},
+                "decode": {"output_rows": 1}})
+        assert analysis.actual_vertex_sizes == (2,)
+        assert analysis.actual_step_sizes == (2, 1)
+        assert analysis.output.actual == 1
+        assert analysis.records == records

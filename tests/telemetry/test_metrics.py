@@ -43,6 +43,15 @@ class TestCounter:
         counter.inc()
         assert counter.value == 3
 
+    def test_an_infinite_increment_is_rejected_and_the_counter_stays_finite(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("queries")
+        with pytest.raises(ValueError):
+            counter.inc(float("inf"))
+        counter.inc(5)
+        assert counter.value == 5
+        assert "queries 5" in registry.render_prometheus().splitlines()
+
 
 class TestPublish:
     def test_a_republished_family_holds_the_latest_values(self):
@@ -87,6 +96,19 @@ class TestHistogram:
         histogram.observe(0.5)
         with pytest.raises(ValueError):
             histogram.observe(float("nan"))
+        assert histogram.count == 1 and histogram.sum == 0.5
+        assert histogram.cumulative_counts() == (("0.1", 0), ("1", 1),
+                                                 ("+Inf", 1))
+        assert "latency_sum 0.5" in registry.render_prometheus().splitlines()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_an_infinite_observation_is_rejected_and_the_sum_stays_finite(self,
+                                                                          value):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency", buckets=(0.1, 1.0))
+        with pytest.raises(ValueError):
+            histogram.observe(value)
+        histogram.observe(0.5)
         assert histogram.count == 1 and histogram.sum == 0.5
         assert histogram.cumulative_counts() == (("0.1", 0), ("1", 1),
                                                  ("+Inf", 1))

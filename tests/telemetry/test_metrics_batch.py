@@ -8,12 +8,15 @@ per-execution write.  The claims:
 * **same exposition** — an execution recorded through the batch renders,
   in ``render_prometheus()`` and ``snapshot()``, byte for byte what the
   per-series ``Counter.inc`` / ``Histogram.observe`` calls render;
-* **all or nothing** — a batch holding a NaN amount, a negative increment
-  or another registry's series raises ``ValueError`` and applies nothing;
+* **all or nothing** — a batch holding a NaN or infinite amount, a negative
+  increment or another registry's series raises ``ValueError`` and applies
+  nothing;
 * **exact under threads** — 8 threads × 250 warm executes on one prepared
   query, while another thread increments an unrelated counter of the same
   registry and a third renders it, leave every total exact, and every
-  concurrent render reads whole executions (one count in every series).
+  concurrent render reads whole executions (one count in the query counter
+  and the latency histogram).  The executes are served, so the phase
+  histograms keep the one count of the run that stored the outcome.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.engine.planner import EngineStatistics
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.metrics import Counter
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 def record_per_series(registry, kind, statistics, elapsed_seconds):
@@ -120,6 +123,12 @@ def _registry():
                  id="negative-increment"),
     pytest.param([("counter", 1)], [("histogram", 0.2), ("histogram", NAN)],
                  id="nan-observation"),
+    pytest.param([("counter", 1), ("counter", INF)], [("histogram", 0.2)],
+                 id="infinite-increment"),
+    pytest.param([("counter", 1)], [("histogram", 0.2), ("histogram", INF)],
+                 id="infinite-observation"),
+    pytest.param([("counter", 1)], [("histogram", 0.2), ("histogram", -INF)],
+                 id="negative-infinite-observation"),
     pytest.param([("counter", 1), ("foreign", 1)], [("histogram", 0.2)],
                  id="foreign-counter"),
     pytest.param([("counter", 1)], [("histogram", 0.2), ("foreign-histogram", 0.2)],
@@ -163,17 +172,15 @@ def counted_executions(text, kind):
     """The distinct execution counts one exposition reports.
 
     Each execution adds one to its kind's query counter and one to the
-    count and the ``+Inf`` bucket of every latency histogram, so a scrape
-    that reads whole executions reports a single number.
+    count and the ``+Inf`` bucket of the query latency histogram, so a
+    scrape that reads whole executions reports a single number.
     """
     values = dict(line.rsplit(" ", 1) for line in text.splitlines()
                   if not line.startswith("#"))
     return {int(float(value)) for sample, value in values.items()
             if sample == f'engine_queries_total{{kind="{kind}"}}'
-            or sample.startswith(("engine_query_seconds_count",
-                                  "engine_phase_seconds_count"))
-            or (sample.startswith(("engine_query_seconds_bucket",
-                                   "engine_phase_seconds_bucket"))
+            or sample.startswith("engine_query_seconds_count")
+            or (sample.startswith("engine_query_seconds_bucket")
                 and 'le="+Inf"' in sample)}
 
 
@@ -242,5 +249,6 @@ def test_threaded_executes_and_an_unrelated_counter_stay_exact(kind):
     assert {key: after[key] - before[key] for key in after} == {
         "queries": total, "latency": total,
         "output": total * first.statistics.output_size,
-        **dict.fromkeys(phases, total)}
+        **dict.fromkeys(phases, 0)}
+    assert all(after[phase] == 1 for phase in phases)
     assert unrelated.value == bumps[0]

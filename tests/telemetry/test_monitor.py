@@ -361,10 +361,13 @@ class TestCollector:
             with use_tracer(tracer):
                 first = prepared.execute(database).relation
                 # A new binding over the same relations decodes through the
-                # result memo; a warm execute is served by its binding.
+                # result memo; a warm execute is served by its binding and
+                # decodes nothing.
                 second = prepared.execute(rebound(database)).relation
-                third = prepared.execute(database).relation
+                served = prepared.execute(database)
+                third = served.relation
             assert first is second is third
+            assert served.statistics.served
             values = session.monitor.collect()
             assert values[misses] == before[misses] + 1
             assert values[hits] == before[hits] + 1
@@ -373,10 +376,8 @@ class TestCollector:
                     info["relation_hits"] - start["relation_hits"]) == (1, 1)
             decodes = [record["attributes"] for record in tracer.records
                        if record["name"] == "decode"]
-            assert [span["memo_hit"] for span in decodes] == [False, True, True]
-            assert [span.get("cached", False) for span in decodes] == \
-                [False, False, True]
-            assert [span["output_rows"] for span in decodes] == [len(first)] * 3
+            assert [span["memo_hit"] for span in decodes] == [False, True]
+            assert [span["output_rows"] for span in decodes] == [len(first)] * 2
         finally:
             clear_column_caches()
 
