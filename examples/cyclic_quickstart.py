@@ -63,17 +63,6 @@ def main() -> None:
     print(f"planner cache: {session.cache_info()}")
     print()
 
-    # Plan-cache warm-up: a restarted service pre-compiles its workload from
-    # the previous session's dump (cover search included).
-    dump = session.planner.dump_fingerprints()
-    restarted = EngineSession(adaptive=False)
-    compiled = restarted.planner.warm_up(dump)
-    warmed = restarted.prepare(database, endpoints).execute(database)
-    print(f"warm-up compiled {compiled} plans; "
-          f"first query after restart hit the cache: "
-          f"{warmed.statistics.plan_cache_hit}")
-    print()
-
     # The same machinery behind the query layer: cyclic conjunctive queries
     # dispatch to the cyclic subsystem automatically (naive is opt-in only).
     query = ConjunctiveQuery.from_strings(

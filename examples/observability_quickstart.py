@@ -28,6 +28,7 @@ from pathlib import Path
 from repro.analysis import trace_tree
 from repro.engine import EngineSession
 from repro.generators import skewed_chain_database, skewed_chain_endpoints
+from repro.relational import Database
 from repro.telemetry import (
     JsonlTraceSink,
     Tracer,
@@ -61,13 +62,19 @@ def main() -> None:
     print()
 
     # --- JSONL export + schema validation --------------------------------- #
+    # A second execute on ``database`` would be served from the prepared
+    # query's stored outcome and open only ``prepare`` and ``execute``.  A
+    # second Database over the same relations is bound anew, so its first
+    # execute is a real run with every phase and kernel span.
+    rebound = Database(database.schema, {relation.name: relation
+                                         for relation in database.relations()})
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "trace.jsonl"
         jsonl_tracer = Tracer()
         with JsonlTraceSink(path) as sink:
             jsonl_tracer.add_sink(sink)
             with use_tracer(jsonl_tracer):
-                prepared.execute(database)
+                prepared.execute(rebound)
         records = read_jsonl(path)
         summary = validate_trace_records(records)
         print(f"JSONL trace: {summary['records']} records, "

@@ -1,8 +1,8 @@
 """Quickstart for the unified engine facade (``repro.engine.session``).
 
 One ``EngineSession`` owns everything the previous entry points scattered:
-the planner and its LRU plan cache, per-database statistics catalogs,
-disk persistence, and execution options.  ``session.prepare(...)`` resolves
+the planner and its LRU plan cache, per-database statistics catalogs
+and execution options.  ``session.prepare(...)`` resolves
 acyclic-vs-cyclic dispatch and structure planning exactly once; the returned
 ``PreparedQuery`` then executes against one database (``execute``) or a
 whole batch (``execute_many``) with **zero** planning work on the warm path
@@ -80,23 +80,6 @@ def main() -> None:
         name="Endpoints")
     answers = query.evaluate(database)  # routed through the default session
     print(f"{query.render()} → {len(answers)} answers")
-    print()
-
-    # --- persistence: warm restarts -------------------------------------- #
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "session_plans.json"
-        saved = session.save(path)
-        restarted = EngineSession()
-        compiled = restarted.load(path)
-        fresh = restarted.prepare(database, endpoints)
-        misses_before = restarted.cache_info().misses
-        fresh.execute(database)
-        print(f"saved {saved} plans; restart compiled {compiled}; "
-              f"first query re-planned nothing: "
-              f"{restarted.cache_info().misses == misses_before}")
 
 
 if __name__ == "__main__":

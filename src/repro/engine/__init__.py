@@ -25,9 +25,8 @@ Layers (bottom-up):
   :class:`~repro.engine.cache.LRUCache` that holds plans and prepared
   queries;
 * :mod:`~repro.engine.planner` — data-independent :class:`ExecutionPlan`
-  objects in an LRU cache keyed by a canonical schema fingerprint (with
-  disk persistence via ``save_cache``/``load_cache``), composed with a
-  database's catalog into :class:`AnnotatedPlan` by ``planner.annotate``, plus
+  objects in an LRU cache keyed by a canonical schema fingerprint,
+  composed with a database's catalog into :class:`AnnotatedPlan` by ``planner.annotate``, plus
   :class:`EngineStatistics` (a :class:`~repro.relational.join_plans.JoinStatistics`
   extension) for cost accounting with estimated-vs-actual columns;
 * :mod:`~repro.engine.yannakakis` — the one evaluator a prepared query
@@ -39,7 +38,7 @@ Layers (bottom-up):
 
 * :mod:`~repro.engine.session` — the unified facade: an
   :class:`EngineSession` owning the planner, the per-database statistics
-  catalogs and cache persistence, and :class:`PreparedQuery` objects that
+  catalogs and the prepared-query cache, and :class:`PreparedQuery` objects that
   resolve dispatch + planning once and then execute many times (singly or
   batched via ``execute_many``).
 

@@ -81,11 +81,6 @@ class LRUCache(Generic[V]):
                 self._evictions += 1
             return stored
 
-    def keys(self) -> List[Hashable]:
-        """The resident keys, least recently used first."""
-        with self._lock:
-            return list(self._entries)
-
     def values(self) -> List[V]:
         """The resident values, least recently used first."""
         with self._lock:

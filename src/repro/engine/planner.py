@@ -27,10 +27,8 @@ reduction, cache and estimated-vs-actual counters.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cyclic imports planner)
     from .cyclic.plans import CyclicExecutionPlan
@@ -84,18 +82,6 @@ def schema_fingerprint(source: Union[Hypergraph, DatabaseSchema, Iterable[Iterab
 def fingerprint_digest(fingerprint: SchemaFingerprint) -> str:
     """A short hex digest of a fingerprint, for logs and plan descriptions."""
     return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()[:12]
-
-
-def _node_from_json(node: object) -> object:
-    """Undo JSON's tuple→list coercion when rebuilding dumped fingerprints.
-
-    Nodes are hashable, so a list in the decoded document can only have been
-    a tuple before ``json.dumps``; strings, numbers and booleans round-trip
-    unchanged.
-    """
-    if isinstance(node, list):
-        return tuple(_node_from_json(item) for item in node)
-    return node
 
 
 @dataclass
@@ -428,111 +414,6 @@ class QueryPlanner:
         return self._cache.get_or_build(
             (_CYCLIC_KIND, fingerprint, best),
             lambda: compile_plan(best, plan.candidates))
-
-    def dump_fingerprints(self) -> str:
-        """The cached plans' fingerprints as a JSON document (LRU → MRU order).
-
-        The dump carries no compiled plans — plans are data-independent and
-        cheap to rebuild relative to a service's lifetime — only what is
-        needed to re-plan: each entry's kind (``acyclic``/``cyclic``), its
-        edge lists and, for acyclic plans, the requested root.  Feed the
-        document to :meth:`warm_up` after a restart to pre-compile the whole
-        workload.  Nodes must be JSON-serialisable (strings, numbers,
-        booleans, or tuples of those — tuples are restored on the way back
-        in); exotic node types raise ``TypeError`` here rather than
-        producing a dump that cannot round-trip.
-        """
-        entries: List[Dict[str, object]] = []
-        for key in self._cache.keys():
-            if key[0] == _CYCLIC_KIND:
-                if len(key) == 3:
-                    # Catalog-chosen cover variants are derived per database;
-                    # warming the base cyclic entry is enough to rebuild them.
-                    continue
-                kind, fingerprint, root = _CYCLIC_KIND, key[1], None
-            else:
-                kind = "acyclic"
-                fingerprint, root = key
-            entries.append({
-                "kind": kind,
-                "edges": [list(edge) for edge in fingerprint],
-                "root": sorted_nodes(root) if root is not None else None,
-            })
-        return json.dumps(entries)
-
-    def warm_up(self, source: Union[str, Iterable[object]]) -> int:
-        """Pre-compile plans for a known workload; return how many were newly compiled.
-
-        ``source`` is a JSON document from :meth:`dump_fingerprints` (or its
-        parsed entry list), or any iterable mixing such entries with
-        :class:`Hypergraph` / :class:`DatabaseSchema` objects.  Entries
-        already cached are refreshed, not recompiled, so warm-up is
-        idempotent.  The count includes the quotient plans cyclic entries
-        compile internally; a planner whose ``capacity`` is smaller than the
-        workload evicts the earliest warmed plans again, so size the planner
-        to the dump before warming.
-        """
-        from ..core.acyclicity import is_acyclic
-
-        if isinstance(source, str):
-            entries: Iterable[object] = json.loads(source)
-        else:
-            entries = source
-        misses_before = self._cache.info().misses
-        for entry in entries:
-            if isinstance(entry, DatabaseSchema):
-                entry = entry.to_hypergraph()
-            if isinstance(entry, Hypergraph):
-                if is_acyclic(entry):
-                    self.plan_for(entry)
-                else:
-                    self.cyclic_plan_for(entry)
-                continue
-            if not isinstance(entry, dict):
-                raise ValueError(f"cannot warm up from entry {entry!r}; expected a "
-                                 "dump_fingerprints entry, Hypergraph or DatabaseSchema")
-            hypergraph = Hypergraph(
-                frozenset(_node_from_json(node) for node in edge)
-                for edge in entry["edges"])
-            if entry.get("kind") == _CYCLIC_KIND:
-                self.cyclic_plan_for(hypergraph)
-            else:
-                root = entry.get("root")
-                self.plan_for(
-                    hypergraph,
-                    root=frozenset(_node_from_json(node) for node in root)
-                    if root is not None else None)
-        return self._cache.info().misses - misses_before
-
-    def save_cache(self, path: Union[str, "os.PathLike[str]"]) -> int:
-        """Persist :meth:`dump_fingerprints` to a JSON file; return the entry count.
-
-        The write goes through a same-directory temp file and ``os.replace``,
-        so a service crashing mid-save never truncates the previous dump.
-        """
-        document = self.dump_fingerprints()
-        count = len(json.loads(document))
-        path = os.fspath(path)
-        temp_path = f"{path}.tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(document)
-        os.replace(temp_path, path)
-        return count
-
-    def load_cache(self, path: Union[str, "os.PathLike[str]"], *,
-                   missing_ok: bool = False) -> int:
-        """Warm the planner from a :meth:`save_cache` file; return plans compiled.
-
-        Loading on service start makes every known workload schema a plan
-        cache hit from the first query — zero re-planning on warm start.
-        ``missing_ok=True`` turns a missing file into a no-op (first boot).
-        """
-        path = os.fspath(path)
-        if missing_ok and not os.path.exists(path):
-            return 0
-        with open(path, "r", encoding="utf-8") as handle:
-            document = handle.read()
-        return self.warm_up(document)
 
     def cache_info(self) -> PlanCacheInfo:
         """The plan cache's counts, size and capacity."""

@@ -10,9 +10,8 @@ runs acyclic and cyclic plans alike, has no public entry of its own: a
   scattered keyword arguments, merged along a clear precedence chain
   (session defaults < an explicit ``options=`` object < keyword overrides);
 * :class:`EngineSession` — owns a (thread-safe) :class:`QueryPlanner`, the
-  per-database :class:`~repro.engine.catalog.StatisticsCatalog` lifecycle,
-  and plan-cache persistence (:meth:`~EngineSession.save` /
-  :meth:`~EngineSession.load`);
+  per-database :class:`~repro.engine.catalog.StatisticsCatalog` lifecycle
+  and the prepared-query cache;
 * :class:`PreparedQuery` — ``session.prepare(source)`` resolves the
   acyclic-vs-cyclic dispatch, the structure plan and (per database) the cost
   annotation **exactly once**; warm :meth:`~PreparedQuery.execute` calls do
@@ -108,7 +107,8 @@ class ExecutionOptions:
     * ``root`` — pin the acyclic rooting instead of letting the annotation
       (or the structure default) choose;
     * ``check_reduction`` — run the reducer's proof-of-reduction hook
-      (debug/audit; two extra semijoin scans per tree edge);
+      (debug/audit; two extra semijoin scans per tree edge; in-process only,
+      not a wire option);
     * ``cluster_row_bound`` — cap intra-cluster intermediates on the cyclic
       path (:class:`~repro.exceptions.ClusterBoundExceededError` beyond it);
     * ``force_cyclic`` — dispatch through the cyclic subsystem even for
@@ -783,7 +783,7 @@ class EngineSession:
     """The engine's single intelligent entry point.
 
     A session owns a thread-safe :class:`QueryPlanner` (structure plans,
-    cover search, LRU + disk persistence), the per-database statistics
+    cover search, LRU), the per-database statistics
     catalogs, and a prepared-query cache, so heavy repeated traffic compiles
     each query once and executes it many times::
 
@@ -1088,14 +1088,6 @@ class EngineSession:
     # ------------------------------------------------------------------ #
     # Cache lifecycle
     # ------------------------------------------------------------------ #
-    def save(self, path) -> int:
-        """Persist the planner's plan cache to ``path`` (atomic JSON file)."""
-        return self._planner.save_cache(path)
-
-    def load(self, path, *, missing_ok: bool = False) -> int:
-        """Warm the planner from a :meth:`save` file; return plans compiled."""
-        return self._planner.load_cache(path, missing_ok=missing_ok)
-
     def cache_info(self) -> PlanCacheInfo:
         """The planner's counts, size and capacity."""
         return self._planner.cache_info()

@@ -224,13 +224,14 @@ class MethodSpec:
 _NUMBER = (int, float)
 
 #: The ``ExecutionOptions`` fields a client may set over the wire.  ``root``
-#: needs an in-process Edge object, and ``decode`` is the service's own
-#: choice, not the client's: it owns the result boundary, defers the decode
-#: of every query (``"block"``) and serialises the answer straight from the
-#: id block — so neither is reachable remotely.
+#: needs an in-process Edge object; ``decode`` is the service's own choice,
+#: not the client's: it owns the result boundary, defers the decode of every
+#: query (``"block"``) and serialises the answer straight from the id block;
+#: and ``check_reduction`` is an in-process debug audit that adds two
+#: semijoin scans per tree edge — so none of the three is reachable remotely.
 WIRE_OPTION_FIELDS = frozenset({
-    "adaptive", "check_reduction", "cluster_row_bound", "force_cyclic",
-    "column_backend", "deadline_seconds",
+    "adaptive", "cluster_row_bound", "force_cyclic", "column_backend",
+    "deadline_seconds",
 })
 
 

@@ -110,15 +110,21 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 
 def _statistics_payload(statistics: object) -> Dict[str, Any]:
-    """The JSON view of one run's engine statistics (duck-typed, tolerant)."""
+    """The JSON view of one run's engine statistics (duck-typed, tolerant).
+
+    A served execute ran no semijoin, so it reports 0 steps and 0 removed
+    rows where its statistics carry the stored run's.
+    """
+    served = getattr(statistics, "served", False)
     payload: Dict[str, Any] = {
         "plan_name": getattr(statistics, "plan_name", None),
         "output_size": getattr(statistics, "output_size", None),
         "max_intermediate": getattr(statistics, "max_intermediate", None),
         "total_intermediate": getattr(statistics, "total_intermediate", None),
-        "semijoin_steps": getattr(statistics, "semijoin_steps", None),
-        "rows_removed_by_reduction": getattr(
-            statistics, "rows_removed_by_reduction", None),
+        "semijoin_steps": 0 if served
+        else getattr(statistics, "semijoin_steps", None),
+        "rows_removed_by_reduction": 0 if served
+        else getattr(statistics, "rows_removed_by_reduction", None),
         "plan_cache_hit": getattr(statistics, "plan_cache_hit", None),
     }
     phases = getattr(statistics, "phase_times", ()) or ()
@@ -486,10 +492,6 @@ class ServiceServer:
     @property
     def service(self) -> QueryService:
         return self._service
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._bound
 
     @property
     def port(self) -> int:

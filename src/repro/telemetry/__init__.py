@@ -67,7 +67,6 @@ from .schema import (
 from .tracing import (
     NULL_TRACER,
     JsonlTraceSink,
-    ListTraceSink,
     NullTracer,
     Span,
     TraceSink,
@@ -82,7 +81,7 @@ __all__ = [
     # tracing
     "Tracer", "NullTracer", "NULL_TRACER", "Span",
     "current_tracer", "use_tracer",
-    "TraceSink", "ListTraceSink", "JsonlTraceSink",
+    "TraceSink", "JsonlTraceSink",
     "span_totals", "merge_phase_times",
     # metrics
     "MetricsRegistry", "Counter", "Histogram",

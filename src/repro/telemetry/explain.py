@@ -117,21 +117,6 @@ class ExplainAnalysis:
     records: Tuple[Mapping[str, object], ...]
     plan_description: str = ""
 
-    @property
-    def actual_vertex_sizes(self) -> Tuple[Optional[int], ...]:
-        """The trace-sourced per-vertex reduced sizes, in rooted order."""
-        return tuple(entry.actual for entry in self.vertices)
-
-    @property
-    def actual_step_sizes(self) -> Tuple[Optional[int], ...]:
-        """The trace-sourced intermediate sizes, in execution order."""
-        return tuple(entry.actual for entry in self.steps)
-
-    @property
-    def actual_cluster_sizes(self) -> Tuple[Optional[int], ...]:
-        """The trace-sourced materialised cluster sizes (cyclic runs)."""
-        return tuple(entry.actual for entry in self.clusters)
-
     def render(self) -> str:
         """The multi-line EXPLAIN ANALYZE report."""
         adaptive = "adaptive" if self.adaptive else "static"

@@ -228,12 +228,6 @@ class Histogram:
         with self._lock:
             return self._count
 
-    def cumulative_counts(self) -> Tuple[Tuple[str, int], ...]:
-        """Prometheus-style cumulative ``(le, count)`` pairs, ``+Inf`` last."""
-        with self._lock:
-            counts = tuple(self._counts)
-        return _cumulative(self._buckets, counts)
-
     def _state(self) -> Tuple[Tuple[int, ...], float, int]:
         """``(bucket counts, sum, count)``, for a caller that holds the series lock."""
         return tuple(self._counts), self._sum, self._count

@@ -152,12 +152,17 @@ class QueryLogEntry:
     def max_intermediate(self) -> int:
         return getattr(self._statistics, "max_intermediate", 0) or 0
 
+    # A served execute ran no semijoin: its statistics are the stored run's.
     @property
     def semijoin_steps(self) -> int:
+        if getattr(self._statistics, "served", False):
+            return 0
         return getattr(self._statistics, "semijoin_steps", 0) or 0
 
     @property
     def rows_removed(self) -> int:
+        if getattr(self._statistics, "served", False):
+            return 0
         return getattr(self._statistics, "rows_removed_by_reduction", 0) or 0
 
     @property

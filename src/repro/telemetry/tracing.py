@@ -42,7 +42,6 @@ __all__ = [
     "current_span_tags",
     "use_span_tags",
     "TraceSink",
-    "ListTraceSink",
     "JsonlTraceSink",
     "span_totals",
     "merge_phase_times",
@@ -220,12 +219,6 @@ class Tracer:
         with self._lock:
             self.records.clear()
 
-    def span_totals(self) -> Dict[str, float]:
-        """Total recorded seconds per span name (see :func:`span_totals`)."""
-        with self._lock:
-            records = tuple(self.records)
-        return span_totals(records)
-
     # -- internals used by Span ------------------------------------------- #
     def _next_id(self) -> int:
         return next(self._counter)
@@ -262,16 +255,6 @@ class TraceSink:
 
     def close(self) -> None:
         """Release any resources; the default is a no-op."""
-
-
-class ListTraceSink(TraceSink):
-    """Collect records in a plain list (tests, ad-hoc inspection)."""
-
-    def __init__(self) -> None:
-        self.records: List[TraceRecord] = []
-
-    def emit(self, record: TraceRecord) -> None:
-        self.records.append(record)
 
 
 class JsonlTraceSink(TraceSink):

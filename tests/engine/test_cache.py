@@ -24,17 +24,17 @@ class TestLRUOrder:
         lookup("b")
         lookup("a")  # "a" is now the most recent
         lookup("c")  # evicts "b"
-        assert cache.keys() == ["a", "c"]
+        assert cache.values() == ["a", "c"]
         lookup("b")
         assert built == ["a", "b", "c", "b"]
-        assert cache.keys() == ["c", "b"]
+        assert cache.values() == ["c", "b"]
 
     def test_size_never_exceeds_capacity(self):
         cache = LRUCache(3)
         for key in range(10):
             cache.get_or_build(key, lambda key=key: key)
         assert cache.info().size == 3
-        assert cache.keys() == [7, 8, 9]
+        assert cache.values() == [7, 8, 9]
 
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_capacity_below_one_raises(self, capacity):
@@ -82,7 +82,7 @@ class TestCounters:
         with pytest.raises(RuntimeError):
             cache.get_or_build("k", failing)
         assert cache.info() == PlanCacheInfo(hits=0, misses=0, size=0, capacity=4)
-        assert cache.keys() == []
+        assert cache.values() == []
         assert cache.get_or_build("k", lambda: "built") == "built"
         assert cache.info().misses == 1
 
@@ -95,7 +95,8 @@ class TestBuilds:
         outer = cache.get_or_build(
             "outer", lambda: ("outer", cache.get_or_build("inner", lambda: "inner")))
         assert outer == ("outer", "inner")
-        assert set(cache.keys()) == {"outer", "inner"}
+        # The nested build finishes, and so is stored, first.
+        assert cache.values() == ["inner", outer]
         assert cache.info().misses == 2
 
     def test_racing_threads_get_one_object(self):

@@ -140,3 +140,24 @@ def test_the_monitor_logs_served_executes_but_folds_only_the_run(hot):
     entries = [entry for entry in monitor.log.entries()
                if entry.query == prepared.name]
     assert len(entries) == 51
+
+
+#: The semijoin steps one run of each hot shape makes.
+SEMIJOIN_STEPS = {"acyclic": 14, "cyclic": 8}
+
+
+def test_the_query_log_counts_no_semijoin_for_a_served_execute(hot):
+    kind, database, outputs = hot
+    prepared, first = warm_query(database, outputs, monitor=True)
+    for _ in range(2):
+        prepared.execute(database)
+    monitor = prepared._session.monitor
+    logged = [entry.to_dict() for entry in monitor.log.entries()]
+    assert [entry["semijoin_steps"] for entry in logged] == \
+        [SEMIJOIN_STEPS[kind], 0, 0]
+    assert [entry["rows_removed"] for entry in logged] == \
+        [first.statistics.rows_removed_by_reduction, 0, 0]
+    snapshot = prepared._session.metrics.snapshot()
+    assert snapshot["engine_semijoin_steps_total"] == SEMIJOIN_STEPS[kind]
+    assert snapshot["engine_rows_removed_total"] == \
+        first.statistics.rows_removed_by_reduction

@@ -59,7 +59,7 @@ from repro.generators import (
     skewed_chain_endpoints,
 )
 from repro.relational import DatabaseSchema
-from repro.telemetry.tracing import ListTraceSink, Tracer, use_tracer
+from repro.telemetry.tracing import Tracer, use_tracer
 
 
 # --------------------------------------------------------------------------- #
@@ -340,11 +340,11 @@ def test_the_annotate_span_reports_candidates_and_states():
     for length in (4, 8):
         database = skewed_chain_database(length, heads=6, fanout=3,
                                          junction_values=2, seed=1)
-        sink = ListTraceSink()
-        with use_tracer(Tracer(sinks=[sink])):
+        tracer = Tracer()
+        with use_tracer(tracer):
             EngineSession(QueryPlanner()).prepare(
                 database, skewed_chain_endpoints(length)).execute(database)
-        (annotate,) = [record for record in sink.records if record["name"] == "annotate"]
+        (annotate,) = [record for record in tracer.records if record["name"] == "annotate"]
         attributes = annotate["attributes"]
         assert attributes["root_candidates"] == length + 1
         assert attributes["rooting_states"] == 3 * length - 2

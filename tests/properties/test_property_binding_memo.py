@@ -406,6 +406,11 @@ def _actuals(analysis):
             if not line.lstrip().startswith("phases:")]
 
 
+def _actual_sizes(entries):
+    """The trace-sourced ``actual`` of each report entry, in report order."""
+    return tuple(entry.actual for entry in entries)
+
+
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(query=queries(), adaptive=st.booleans())
@@ -415,9 +420,9 @@ def test_explain_analyze_on_a_warm_binding_renders_the_cold_actuals(query, adapt
     cold = prepared.explain_analyze(database)
     warm = prepared.explain_analyze(database)
     assert _actuals(warm) == _actuals(cold)
-    assert warm.actual_vertex_sizes == cold.actual_vertex_sizes
-    assert warm.actual_step_sizes == cold.actual_step_sizes
-    assert warm.actual_cluster_sizes == cold.actual_cluster_sizes
+    assert _actual_sizes(warm.vertices) == _actual_sizes(cold.vertices)
+    assert _actual_sizes(warm.steps) == _actual_sizes(cold.steps)
+    assert _actual_sizes(warm.clusters) == _actual_sizes(cold.clusters)
     assert warm.output == cold.output
     # The warm execute was served: it opened no phase span, and its actuals
     # are the stored run's, read from the binding's outcome.

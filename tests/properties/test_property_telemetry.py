@@ -23,10 +23,15 @@ COMMON_SETTINGS = settings(max_examples=20, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 
 
+def _actual_sizes(entries):
+    """The trace-sourced ``actual`` of each report entry, in report order."""
+    return tuple(entry.actual for entry in entries)
+
+
 def _assert_actuals_match(analysis):
     statistics = analysis.statistics
-    assert analysis.actual_vertex_sizes == tuple(statistics.reduced_sizes)
-    assert analysis.actual_step_sizes == tuple(statistics.intermediate_sizes)
+    assert _actual_sizes(analysis.vertices) == tuple(statistics.reduced_sizes)
+    assert _actual_sizes(analysis.steps) == tuple(statistics.intermediate_sizes)
     assert analysis.output.actual == statistics.output_size
 
 
@@ -50,7 +55,7 @@ def test_cyclic_explain_actuals_equal_statistics(database):
     prepared = session.prepare(database)
     analysis = prepared.explain_analyze(database)
     assert analysis.kind == "cyclic"
-    assert analysis.actual_cluster_sizes == tuple(
+    assert _actual_sizes(analysis.clusters) == tuple(
         analysis.statistics.cluster_sizes)
     _assert_actuals_match(analysis)
 
@@ -66,7 +71,7 @@ def test_cyclic_adaptive_runs_estimate_every_join_step(database, projected):
     statistics = analysis.statistics
     assert len(statistics.estimated_intermediate_sizes) \
         == len(statistics.intermediate_sizes)
-    assert analysis.actual_cluster_sizes == tuple(statistics.cluster_sizes)
+    assert _actual_sizes(analysis.clusters) == tuple(statistics.cluster_sizes)
     _assert_actuals_match(analysis)
 
 

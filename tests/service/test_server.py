@@ -302,14 +302,47 @@ def test_execution_mode_is_not_a_wire_option(service, option, value):
     assert str(sorted(WIRE_OPTION_FIELDS)) in message
 
 
+def test_a_served_execute_reports_no_semijoin_work(service):
+    """The stored run's steps are on the first execute's statistics only."""
+    handle = _prepare(service)
+    statistics = [
+        _rpc(service, "execute", {"query": handle, "database": "chain",
+                                  "include_rows": False})[1]["result"]["statistics"]
+        for _ in range(3)]
+    steps = [entry["semijoin_steps"] for entry in statistics]
+    assert steps[0] > 0 and steps[1:] == [0, 0]
+    assert [entry["rows_removed_by_reduction"] for entry in statistics][1:] == [0, 0]
+    logged = [entry["semijoin_steps"] for entry
+              in service.session.monitor.querylog_payload()["entries"]]
+    assert logged == steps
+
+
+def test_check_reduction_is_an_in_process_option_only(service, chain_database):
+    """The debug audit is a typed 400 on the wire and unchanged in-process."""
+    status, envelope = _rpc(service, "prepare", {
+        "database": "chain", "options": {"check_reduction": True}})
+    assert (status, envelope["error"]["code"]) == (400, "invalid-param")
+    assert "check_reduction" in envelope["error"]["message"]
+    status, envelope = _rpc(service, "execute", {
+        "query": _prepare(service), "database": "chain",
+        "options": {"check_reduction": True}})
+    # execute takes no options at all: any options there are an unknown param.
+    assert (status, envelope["error"]["code"]) == (400, "unknown-param")
+    prepared = EngineSession(check_reduction=True).prepare(chain_database)
+    assert prepared.options.check_reduction is True
+    assert prepared.execute(chain_database).relation \
+        == EngineSession().prepare(chain_database).execute(chain_database).relation
+
+
 def test_the_wire_whitelist_tracks_the_execution_options(service):
-    """Every option but the in-process ``root`` and the service's own ``decode``.
+    """Every option but ``root``, ``decode`` and the ``check_reduction`` audit.
 
     The prepare echo reads each whitelisted name off the resolved options,
     so a name the options no longer have would crash every prepare.
     """
     assert WIRE_OPTION_FIELDS == \
-        {field.name for field in fields(ExecutionOptions)} - {"root", "decode"}
+        {field.name for field in fields(ExecutionOptions)} \
+        - {"root", "decode", "check_reduction"}
     status, envelope = _rpc(service, "prepare", {"database": "chain"})
     assert status == 200, envelope
     assert set(envelope["result"]["options"]) == WIRE_OPTION_FIELDS
@@ -580,7 +613,7 @@ def test_http_rejects_non_json_bodies(server):
 
 def _raw_exchange(server, request: bytes) -> bytes:
     """Send raw bytes, read until the server closes the connection."""
-    with socket.create_connection(server.address, timeout=10) as sock:
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
         sock.sendall(request)
         received = b""
         while True:

@@ -270,7 +270,7 @@ def test_eight_clients_on_threads_get_the_serial_bytes(chain_database):
 def test_an_idle_or_stalled_connection_does_not_delay_another(chain_database):
     with ServiceServer(_service(chain_database)) as server, \
             ServiceClient(server.url) as idle, \
-            socket.create_connection(server.address, timeout=10) as stalled:
+            socket.create_connection(("127.0.0.1", server.port), timeout=10) as stalled:
         idle.stats()                                  # now parked, idle
         stalled.sendall(b"POST /v1 HTTP/1.1\r\nHost: x\r\n")  # half a head
         with ServiceClient(server.url, timeout_seconds=2.0) as other:
@@ -302,8 +302,8 @@ def test_only_a_started_request_has_a_read_timeout(chain_database,
     monkeypatch.setattr(server_module, "_READ_TIMEOUT_SECONDS", 0.2)
     request = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
     with ServiceServer(_service(chain_database)) as server, \
-            socket.create_connection(server.address, timeout=10) as idle, \
-            socket.create_connection(server.address, timeout=10) as stalled:
+            socket.create_connection(("127.0.0.1", server.port), timeout=10) as idle, \
+            socket.create_connection(("127.0.0.1", server.port), timeout=10) as stalled:
         stalled.sendall(request[:20])                 # half a head
         idle.sendall(request)
         with idle.makefile("rb") as stream:
@@ -344,7 +344,7 @@ def test_idle_keep_alives_at_the_cap_make_room_for_a_new_client(
 def test_stalled_half_requests_at_the_cap_do_not_lock_out_a_client(
         chain_database):
     with ServiceServer(_small_cap_service(chain_database)) as server:
-        stalled = [socket.create_connection(server.address, timeout=10)
+        stalled = [socket.create_connection(("127.0.0.1", server.port), timeout=10)
                    for _ in range(CAP)]
         for sock in stalled:
             sock.sendall(b"POST /v1 HTTP/1.1\r\nHost: x\r\n")  # half a head
@@ -385,7 +385,7 @@ def test_connections_past_a_busy_cap_get_the_overloaded_envelope(
             assert entered.acquire(timeout=10)
         refused = []
         for _ in range(3):                            # cap + 3 connections
-            with socket.create_connection(server.address,
+            with socket.create_connection(("127.0.0.1", server.port),
                                           timeout=10) as extra:
                 extra.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
                 with extra.makefile("rb") as stream:

@@ -16,6 +16,11 @@ from repro.relational import DatabaseSchema
 from repro.telemetry import ExplainAnalysis, build_explain_analysis
 
 
+def _actual_sizes(entries):
+    """The trace-sourced ``actual`` of each report entry, in report order."""
+    return tuple(entry.actual for entry in entries)
+
+
 @pytest.fixture
 def acyclic_database():
     return skewed_chain_database(3, heads=6, fanout=3, junction_values=2,
@@ -37,8 +42,8 @@ class TestExplainAnalyze:
         analysis = prepared.explain_analyze(acyclic_database)
         statistics = analysis.statistics
         assert analysis.kind == "acyclic"
-        assert analysis.actual_vertex_sizes == tuple(statistics.reduced_sizes)
-        assert analysis.actual_step_sizes == tuple(
+        assert _actual_sizes(analysis.vertices) == tuple(statistics.reduced_sizes)
+        assert _actual_sizes(analysis.steps) == tuple(
             statistics.intermediate_sizes)
         assert analysis.output.actual == statistics.output_size
         assert analysis.clusters == ()
@@ -50,10 +55,10 @@ class TestExplainAnalyze:
         analysis = prepared.explain_analyze(cyclic_database)
         statistics = analysis.statistics
         assert analysis.kind == "cyclic"
-        assert analysis.actual_cluster_sizes == tuple(
+        assert _actual_sizes(analysis.clusters) == tuple(
             statistics.cluster_sizes)
-        assert analysis.actual_vertex_sizes == tuple(statistics.reduced_sizes)
-        assert analysis.actual_step_sizes == tuple(
+        assert _actual_sizes(analysis.vertices) == tuple(statistics.reduced_sizes)
+        assert _actual_sizes(analysis.steps) == tuple(
             statistics.intermediate_sizes)
         assert analysis.output.actual == statistics.output_size
 
@@ -172,7 +177,7 @@ class TestProjectedClusters:
         # The binding is warm, so the analysis renders the stored run's steps.
         analysis = session.prepare(database, outputs).explain_analyze(database)
         assert analysis.statistics.served
-        assert analysis.actual_step_sizes == statistics.intermediate_sizes
+        assert _actual_sizes(analysis.steps) == statistics.intermediate_sizes
         assert all(entry.estimated is not None and entry.actual is not None
                    for entry in analysis.steps)
 
@@ -200,7 +205,7 @@ class TestBuildExplainAnalysis:
         analysis = build_explain_analysis(
             name="Q", kind="acyclic", statistics=Stats(), records=records)
         assert [entry.label for entry in analysis.vertices] == ["{A}", "{B}"]
-        assert analysis.actual_vertex_sizes == (3, None)
+        assert _actual_sizes(analysis.vertices) == (3, None)
 
     def test_phase_attributes_stand_in_for_the_phase_spans(self):
         class Stats:
@@ -214,7 +219,7 @@ class TestBuildExplainAnalysis:
                 "reduce": {"vertices": ["{A}"], "sizes_after": [2]},
                 "fold": {"intermediates": [2, 1]},
                 "decode": {"output_rows": 1}})
-        assert analysis.actual_vertex_sizes == (2,)
-        assert analysis.actual_step_sizes == (2, 1)
+        assert _actual_sizes(analysis.vertices) == (2,)
+        assert _actual_sizes(analysis.steps) == (2, 1)
         assert analysis.output.actual == 1
         assert analysis.records == records

@@ -1,10 +1,12 @@
-"""Every public engine name has a caller outside the tests, or a stated reason.
+"""Every public engine, service and telemetry name has a caller outside the tests.
 
-The engine offers one way into each step.  A public top-level function or
-class under ``src/repro/engine/``, or a public method of such a class, that
-nothing in ``src/`` or ``benchmarks/e2e/`` references is a second way only
-the tests walk: delete it, or list it in :data:`ALLOWED` with the reason it
-stays.
+The system offers one way into each step.  A public top-level function or
+class under ``src/repro/engine/``, ``src/repro/service/`` or
+``src/repro/telemetry/``, or a public method of such a class, that nothing
+in ``src/`` or ``benchmarks/e2e/`` references is a second way only the tests
+walk: delete it, or list it in :data:`ALLOWED` with the reason it stays.
+The paper-reproduction packages (``core``, ``relational``, ``queries`` and
+the rest) are not scanned: their callers are the paper benches and readers.
 
 A reference is matched by name: a ``Name``, an attribute, or a string that
 is exactly the name (``benchmarks/e2e`` resolves its entry points by name),
@@ -22,54 +24,56 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
-ENGINE = ROOT / "src" / "repro" / "engine"
+PACKAGES = tuple(ROOT / "src" / "repro" / name
+                 for name in ("engine", "service", "telemetry"))
 SCANNED = (ROOT / "src", ROOT / "benchmarks" / "e2e")
 
-#: Public engine names nothing outside the tests references, and why each stays.
+#: Public names nothing outside the tests references, and why each stays.
+#: Keys are dotted from ``src/repro`` so that the three packages cannot collide.
 ALLOWED: Dict[str, str] = {
-    "catalog.StatisticsCatalog.statistics_for":
+    "engine.catalog.StatisticsCatalog.statistics_for":
         "the tests' identity check of a remeasured catalog's entries",
-    "columnar.block.ColumnBlock.from_columns":
+    "engine.columnar.block.ColumnBlock.from_columns":
         "builds block shapes a Relation cannot hold: duplicate rows, "
         "0-ary blocks of n rows",
-    "columnar.block.ColumnBlock.value_at":
+    "engine.columnar.block.ColumnBlock.value_at":
         "the per-position oracle the bulk gather is tested against",
-    "columnar.block.ColumnBlock.row_values":
+    "engine.columnar.block.ColumnBlock.row_values":
         "the per-position oracle the bulk gather is tested against",
-    "columnar.block.peek_block":
+    "engine.columnar.block.peek_block":
         "reads the block cache without counting a lookup",
-    "columnar.buffers.available_column_backends":
+    "engine.columnar.buffers.available_column_backends":
         "goes with the backend registry (ROADMAP item 2)",
-    "columnar.buffers.set_default_column_backend":
+    "engine.columnar.buffers.set_default_column_backend":
         "goes with the backend registry (ROADMAP item 2)",
-    "cyclic.covers.cover_score":
+    "engine.cyclic.covers.cover_score":
         "the tests' reference for select_cover",
-    "cyclic.plans.CyclicExecutionPlan.is_trivial":
+    "engine.cyclic.plans.CyclicExecutionPlan.is_trivial":
         "a reading of the plan, not a way into a step",
-    "cyclic.plans.CyclicEngineStatistics.max_cluster_size":
+    "engine.cyclic.plans.CyclicEngineStatistics.max_cluster_size":
         "a reading of the run's accounting; the benches print it",
-    "cyclic.plans.CyclicEngineStatistics.reduction_ratio":
+    "engine.cyclic.plans.CyclicEngineStatistics.reduction_ratio":
         "a reading of the run's accounting, not a way into a step",
-    "cyclic.plans.CyclicEngineStatistics.savings_versus":
+    "engine.cyclic.plans.CyclicEngineStatistics.savings_versus":
         "the paper-reproduction benches' engine-versus-naive figure",
-    "deadline.active_deadline":
+    "engine.deadline.active_deadline":
         "the only exact way to observe a scope's expiry",
-    "deadline.remaining_seconds":
+    "engine.deadline.remaining_seconds":
         "the only exact way to observe a scope's expiry",
-    "planner.EngineStatistics.max_reduced_input":
+    "engine.planner.EngineStatistics.max_reduced_input":
         "a reading of the run's accounting; the benches print it",
-    "planner.EngineStatistics.reduction_ratio":
+    "engine.planner.EngineStatistics.reduction_ratio":
         "a reading of the run's accounting, not a way into a step",
-    "reducer.ReductionTrace.reduction_ratio":
+    "engine.reducer.ReductionTrace.reduction_ratio":
         "a reading of the run's accounting, not a way into a step",
-    "session.EngineSession.save":
-        "plan persistence: a capability, not a second path to one",
+    "telemetry.tracing.span_totals":
+        "the per-name roll-up examples/observability_quickstart.py prints",
 }
 
 
 def _public_definitions(path: Path) -> Iterator[Tuple[str, ast.AST]]:
     """``(dotted name, node)`` for each public top-level def and public method."""
-    module = ".".join(path.relative_to(ENGINE).with_suffix("").parts)
+    module = ".".join(path.relative_to(PACKAGES[0].parent).with_suffix("").parts)
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 or node.name.startswith("_"):
@@ -110,10 +114,10 @@ def _references() -> Dict[str, List[Tuple[Path, int]]]:
 
 @lru_cache(maxsize=None)
 def _uncalled() -> FrozenSet[str]:
-    """The public engine names with no reference outside their own definition."""
+    """The public scanned names with no reference outside their own definition."""
     references = _references()
     uncalled = set()
-    for path in sorted(ENGINE.rglob("*.py")):
+    for path in sorted(path for package in PACKAGES for path in package.rglob("*.py")):
         for dotted, node in _public_definitions(path):
             name = dotted.rsplit(".", 1)[-1]
             if not any(where != path or not node.lineno <= line <= node.end_lineno
@@ -122,13 +126,13 @@ def _uncalled() -> FrozenSet[str]:
     return frozenset(uncalled)
 
 
-def test_every_public_engine_name_has_a_caller_outside_the_tests():
+def test_every_public_name_has_a_caller_outside_the_tests():
     unexplained = sorted(_uncalled() - set(ALLOWED))
     assert not unexplained, (
-        "public engine names only tests call; delete them or add them to "
+        "public names only tests call; delete them or add them to "
         f"ALLOWED with a reason: {unexplained}")
 
 
-def test_every_allowlist_entry_is_an_uncalled_public_engine_name():
+def test_every_allowlist_entry_is_an_uncalled_public_name():
     # A name that gained a caller, or is gone, leaves the list.
     assert sorted(set(ALLOWED) - _uncalled()) == []
