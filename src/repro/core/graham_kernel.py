@@ -15,16 +15,23 @@ fixed: node removal runs eagerly, then the first edge — in the order given —
 whose trimmed node set lies inside another live edge's is removed.  That is
 the edge-level "ear removal" formulation of GYO, which makes the survivors
 reproducible and lets cover search read ears and cyclic core off one call.
+
+:func:`masks_acyclic` is the verdict alone, bit-parallel: each edge is an
+integer whose set bits are its nodes, node removal clears every bit set in
+exactly one live mask (two running ORs find them) and ear removal drops a
+mask ``m`` inside another live ``n`` (``m & ~n == 0``).  Cover search asks it
+once per candidate partition of a cyclic core, where only the verdict
+matters, so by Lemma 2.1 the removals may fire in any order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .hypergraph import Edge
 from .nodes import Node
 
-__all__ = ["graham_survivors"]
+__all__ = ["graham_survivors", "masks_acyclic"]
 
 
 def graham_survivors(edges: Sequence[Edge]) -> Tuple[Edge, ...]:
@@ -67,3 +74,34 @@ def graham_survivors(edges: Sequence[Edge]) -> Tuple[Edge, ...]:
         # among the edges already passed over.
         start = min(position, live.index(witness))
     return tuple(edges[index] for index in live)
+
+
+def masks_acyclic(masks: Iterable[int]) -> bool:
+    """``True`` when the edges given as node bitmasks reduce to at most one edge.
+
+    The same verdict as ``len(graham_survivors(edges)) <= 1`` for the edges
+    the masks encode (any bit numbering of the nodes): empty, duplicate and
+    nested masks are ears like any other.
+    """
+    # Equal masks absorb each other, so each is kept once.
+    live = set(masks)
+    while len(live) > 1:
+        once = twice = 0
+        for mask in live:
+            twice |= once & mask
+            once |= mask
+        # Node removal keeps only the bits two or more live masks share;
+        # ear removal then keeps only the maximal masks.  Widest first, a
+        # mask inside any other lies inside one already kept.
+        kept: List[int] = []
+        for mask in sorted({mask & twice for mask in live},
+                           key=int.bit_count, reverse=True):
+            for other in kept:
+                if mask & ~other == 0:
+                    break
+            else:
+                kept.append(mask)
+        if len(kept) == len(live):
+            return False
+        live = kept
+    return True

@@ -30,19 +30,35 @@ The search has two stages:
    product of the valid partitions only.  Candidates are scored by cluster
    *width* (attributes a cluster materialises) and *fan-out* (edges joined
    inside one cluster), and the minimal-width cover wins.
+
+**Cost model.**  A search is one kernel run over all E edges, then, for each
+core component of k ≤ 7 edges, Bell(k) − 1 partitions (202 for the six-edge
+clique), each judged by the bit-parallel
+:func:`~repro.core.graham_kernel.masks_acyclic` on its group masks: the
+component's nodes are numbered locally, and a group's mask is the OR of its
+edges', built as the partition is enumerated, so no cluster scheme is built
+as a set to be rejected.  Each valid partition's clusters are built and
+keyed once; a candidate merges the ears' keyed clusters with those of its
+partitions, at most ``max_candidates`` (256) of them, all valid.
+:func:`select_cover` scores in one pass: each distinct cluster's width,
+fan-out, materialised width and — with a catalog — estimated rows are
+computed once, the estimates folded through shared canonical-order member
+prefixes, and only candidates tied on the numbers are rendered, each
+cluster once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..catalog import StatisticsCatalog
+    from ..catalog import JoinEstimate, StatisticsCatalog
 
 from ...core.components import edge_components
-from ...core.graham_kernel import graham_survivors
+from ...core.graham_kernel import graham_survivors, masks_acyclic
 from ...core.hypergraph import Edge, Hypergraph
 from ...core.nodes import edge_sort_key, format_node_set
 from ...telemetry.tracing import current_tracer
@@ -69,7 +85,8 @@ class EdgeCluster:
     """One cluster: a set of hypergraph edges materialised as a single virtual relation.
 
     The scheme is the union of the members, taken once when the cluster is
-    built: a search scores each cluster in many candidate covers.
+    built, and the members' canonical order once when first asked for: a
+    search scores each cluster in many candidate covers.
     """
 
     edges: FrozenSet[Edge]
@@ -77,6 +94,7 @@ class EdgeCluster:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_attributes",
                            frozenset().union(*self.edges) if self.edges else frozenset())
+        object.__setattr__(self, "_sorted_edges", None)
 
     @property
     def attributes(self) -> FrozenSet:
@@ -100,7 +118,10 @@ class EdgeCluster:
 
     def sorted_edges(self) -> Tuple[Edge, ...]:
         """The member edges in canonical order (used by deterministic execution)."""
-        return tuple(sorted(self.edges, key=edge_sort_key))
+        if self._sorted_edges is None:
+            object.__setattr__(self, "_sorted_edges",
+                               tuple(sorted(self.edges, key=edge_sort_key)))
+        return self._sorted_edges
 
     def estimated_rows(self, catalog: "StatisticsCatalog") -> int:
         """The estimated cardinality of the cluster's intra-cluster join.
@@ -177,6 +198,10 @@ class ClusterCover:
         return "\n".join(lines)
 
 
+#: A cluster with its canonical sort key, as one search builds it.
+_Keyed = Tuple[Tuple, EdgeCluster]
+
+
 class _ClusterShapes:
     """The clusters of one search, each built and keyed once.
 
@@ -189,7 +214,7 @@ class _ClusterShapes:
 
     def __init__(self) -> None:
         self._edge_keys: Dict[Edge, Tuple] = {}
-        self._clusters: Dict[FrozenSet[Edge], Tuple[Tuple, EdgeCluster]] = {}
+        self._clusters: Dict[FrozenSet[Edge], _Keyed] = {}
 
     def edge_key(self, edge: Edge) -> Tuple:
         """The canonical key of ``edge``, computed once per search."""
@@ -198,78 +223,99 @@ class _ClusterShapes:
             key = self._edge_keys[edge] = edge_sort_key(edge)
         return key
 
-    def _keyed(self, members: FrozenSet[Edge]) -> Tuple[Tuple, EdgeCluster]:
+    def keyed(self, group: Iterable[Edge]) -> _Keyed:
+        """The ``(sort key, cluster)`` of ``group``, built on its first request."""
+        members = frozenset(group)
         keyed = self._clusters.get(members)
         if keyed is None:
             cluster = EdgeCluster(edges=members)
+            # The canonical member order, from this search's edge keys.
+            ordered = tuple(sorted(members, key=self.edge_key))
+            object.__setattr__(cluster, "_sorted_edges", ordered)
             key = (edge_sort_key(cluster.attributes),
-                   tuple(sorted(map(self.edge_key, members))))
+                   tuple(map(self.edge_key, ordered)))
             keyed = self._clusters[members] = (key, cluster)
         return keyed
 
-    def cover(self, groups: Iterable[Iterable[Edge]]) -> ClusterCover:
-        """The cover of ``groups`` (empty groups dropped), clusters in canonical order."""
-        keyed = [self._keyed(frozenset(group)) for group in groups]
-        keyed.sort(key=lambda entry: entry[0])
+    @staticmethod
+    def assemble(keyed: List[_Keyed]) -> ClusterCover:
+        """The cover of already-keyed clusters (empty ones dropped), in canonical order."""
+        keyed.sort(key=itemgetter(0))
         return ClusterCover(clusters=tuple(cluster for _, cluster in keyed
                                            if cluster.edges))
 
-
-def _attach_empty_edges(groups: List[List[Edge]], empty_edges: List[Edge]) -> List[List[Edge]]:
-    """Fold empty edges (0-ary atoms) into the first cluster; they never widen it."""
-    if not empty_edges:
-        return groups
-    if not groups:
-        return [list(empty_edges)]
-    merged = [list(group) for group in groups]
-    merged[0] = merged[0] + list(empty_edges)
-    return merged
+    def cover(self, groups: Iterable[Iterable[Edge]]) -> ClusterCover:
+        """The cover of ``groups`` (empty groups dropped), clusters in canonical order."""
+        return self.assemble([self.keyed(group) for group in groups])
 
 
 def _core_decomposition(hypergraph: Hypergraph
-                        ) -> Tuple[List[Edge], List[Edge], List[Edge], List[List[Edge]]]:
-    """One GYO kernel run: (proper edges, empty edges, ears, core components).
+                        ) -> Tuple[List[Edge], List[Edge], List[List[Edge]]]:
+    """One GYO kernel run: (empty edges, ears, core components).
 
     The kernel's survivors are the cyclic core and every other proper edge is
-    an ear.  ``ears`` and the component list are empty for acyclic
-    hypergraphs; cover search and the baseline cover both build on this
-    single decomposition, so one reduction runs per search.
+    an ear; an acyclic hypergraph is all ears and no component.  Cover
+    search builds every candidate, the baseline included, on this single
+    decomposition, so one reduction runs per search.
     """
     proper = [edge for edge in hypergraph.edges if edge]
     empty = [edge for edge in hypergraph.edges if not edge]
     core = graham_survivors(proper)
     if len(core) <= 1:
-        return proper, empty, [], []
+        return empty, proper, []
     stuck = frozenset(core)
     ears = [edge for edge in proper if edge not in stuck]
     components = [list(component) for component in edge_components(Hypergraph(core))]
-    return proper, empty, ears, components
+    return empty, ears, components
 
 
-def _baseline_groups(proper: List[Edge], ears: List[Edge],
-                     components: List[List[Edge]]) -> List[List[Edge]]:
-    """Baseline grouping: singleton ears, one group per stuck-core component."""
-    if not components:
-        return [[edge] for edge in proper]
-    return [[edge] for edge in ears] + [list(component) for component in components]
+def _set_partitions(masks: List[int]) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    """All set partitions of the items whose node masks are ``masks``.
 
-
-def _set_partitions(items: List[Edge]) -> Iterator[List[List[Edge]]]:
-    """All set partitions of ``items`` (callers cap ``len(items)``)."""
-    if not items:
-        yield []
+    Each partition comes as (the group index of every item, every group's
+    mask — the OR of its items' masks), in the order of the recursion "a
+    partition of the items after the first, then the first item joined to
+    each of its groups in turn, then in a group of its own".
+    """
+    if not masks:
+        yield (), []
         return
-    first, rest = items[0], items[1:]
-    for partition in _set_partitions(rest):
-        for index in range(len(partition)):
-            yield partition[:index] + [[first] + partition[index]] + partition[index + 1:]
-        yield partition + [[first]]
+    first = masks[0]
+    for labels, unions in _set_partitions(masks[1:]):
+        for index in range(len(unions)):
+            joined = unions.copy()
+            joined[index] |= first
+            yield (index,) + labels, joined
+        yield (len(unions),) + labels, unions + [first]
 
 
-def _schemes_acyclic(partition: List[List[Edge]]) -> bool:
-    """``True`` when the partition's cluster schemes form an acyclic hypergraph."""
-    schemes = [frozenset().union(*group) for group in partition]
-    return len(graham_survivors(schemes)) <= 1
+def _valid_partitions(component: List[Edge]) -> Tuple[List[List[List[Edge]]], int]:
+    """The partitions of ``component`` into two or more groups whose cluster
+    schemes are acyclic, in enumeration order, and how many were examined.
+
+    Nodes are numbered locally to the component, so each edge is a small
+    bitmask and a partition's cluster schemes are its group masks, built as
+    the partition is enumerated and judged by :func:`masks_acyclic`.
+    """
+    bits: Dict[object, int] = {}
+    masks = []
+    for edge in component:
+        mask = 0
+        for node in edge:
+            mask |= bits.setdefault(node, 1 << len(bits))
+        masks.append(mask)
+    valid: List[List[List[Edge]]] = []
+    examined = 0
+    for labels, unions in _set_partitions(masks):
+        if len(unions) == 1:
+            continue  # the collapsed component: the baseline option
+        examined += 1
+        if masks_acyclic(unions):
+            groups: List[List[Edge]] = [[] for _ in unions]
+            for edge, label in zip(component, labels):
+                groups[label].append(edge)
+            valid.append(groups)
+    return valid, examined
 
 
 def enumerate_covers(hypergraph: Hypergraph, *,
@@ -293,58 +339,41 @@ def enumerate_covers(hypergraph: Hypergraph, *,
     """
     span = current_tracer().span("cover_search")
     with span:
-        proper, empty, ears, components = _core_decomposition(hypergraph)
+        empty, ears, components = _core_decomposition(hypergraph)
         shapes = _ClusterShapes()
-        covers = [shapes.cover(
-            _attach_empty_edges(_baseline_groups(proper, ears, components), empty))]
+
+        def keyed(groups: List[List[Edge]], with_empty: bool) -> List[_Keyed]:
+            # Empty edges (0-ary atoms) join the first group of a cover and
+            # never widen it: the first ear's, else the first component's.
+            if with_empty and empty:
+                groups = [groups[0] + empty] + groups[1:] if groups else [empty]
+            return [shapes.keyed(group) for group in groups]
+
+        ear_clusters = keyed([[edge] for edge in ears], bool(ears) or not components)
         partitions_examined = 0
-        per_component: List[List[List[List[Edge]]]] = []
-        for component in components:
-            options: List[List[List[Edge]]] = [[list(component)]]
+        per_component: List[List[List[_Keyed]]] = []
+        for index, component in enumerate(components):
+            options = [[list(component)]]
             if len(component) <= max_component_edges:
-                for partition in _set_partitions(sorted(component, key=shapes.edge_key)):
-                    if len(partition) == 1:
-                        continue  # already present as the collapsed baseline option
-                    partitions_examined += 1
-                    if _schemes_acyclic(partition):
-                        options.append(partition)
-            per_component.append(options)
-        refinements = product(*per_component)
-        next(refinements)  # every component collapsed: the baseline again
-        for combination in islice(refinements, max(max_candidates - 1, 0)):
-            groups: List[List[Edge]] = [[edge] for edge in ears]
-            for partition in combination:
-                groups.extend(partition)
-            covers.append(shapes.cover(_attach_empty_edges(groups, empty)))
+                valid, examined = _valid_partitions(
+                    sorted(component, key=shapes.edge_key))
+                options.extend(valid)
+                partitions_examined += examined
+            with_empty = index == 0 and not ears
+            per_component.append([keyed(option, with_empty) for option in options])
+        # The first combination collapses every component: the baseline.
+        covers = []
+        for combination in islice(product(*per_component), max(max_candidates, 1)):
+            clusters = list(ear_clusters)
+            for option in combination:
+                clusters.extend(option)
+            covers.append(shapes.assemble(clusters))
         if span.is_recording:
             span.set("edges", len(hypergraph.edges))
             span.set("core_edges", sum(len(component) for component in components))
             span.set("partitions_examined", partitions_examined)
             span.set("candidates", len(covers))
         return tuple(covers)
-
-
-def _numeric_score(cover: ClusterCover, catalog: Optional["StatisticsCatalog"],
-                   estimated_rows: Dict[EdgeCluster, int]) -> Tuple[int, ...]:
-    """:func:`cover_score` without its rendering; cluster estimates memoised in ``estimated_rows``."""
-    materialised = sum(cluster.width for cluster in cover.clusters
-                       if not cluster.is_singleton)
-    if catalog is None:
-        return (cover.width, cover.fan_out, materialised)
-    estimates = []
-    for cluster in cover.clusters:
-        if cluster.is_singleton:
-            continue
-        if cluster not in estimated_rows:
-            estimated_rows[cluster] = cluster.estimated_rows(catalog)
-        estimates.append(estimated_rows[cluster])
-    return (cover.width, max(estimates, default=0), sum(estimates),
-            cover.fan_out, materialised)
-
-
-def _rendering(cover: ClusterCover) -> Tuple[str, ...]:
-    """The deterministic last tie-break of :func:`cover_score`."""
-    return tuple(cluster.describe() for cluster in cover.clusters)
 
 
 def cover_score(cover: ClusterCover,
@@ -363,22 +392,86 @@ def cover_score(cover: ClusterCover,
     separated by how many rows their cores would actually produce on this
     database — the adaptive half of cover selection.
     """
-    return _numeric_score(cover, catalog, {}) + (_rendering(cover),)
+    materialised = sum(cluster.width for cluster in cover.clusters
+                       if not cluster.is_singleton)
+    rendering = tuple(cluster.describe() for cluster in cover.clusters)
+    if catalog is None:
+        return (cover.width, cover.fan_out, materialised, rendering)
+    estimates = [cluster.estimated_rows(catalog) for cluster in cover.clusters
+                 if not cluster.is_singleton]
+    return (cover.width, max(estimates, default=0), sum(estimates),
+            cover.fan_out, materialised, rendering)
+
+
+def _prefix_estimate(members: Tuple[Edge, ...], catalog: "StatisticsCatalog",
+                     prefixes: Dict[Tuple[Edge, ...], "JoinEstimate"]) -> "JoinEstimate":
+    """:meth:`EdgeCluster.estimated_rows`'s fold of ``members``, each prefix folded once.
+
+    The estimate of a prefix is its shorter prefix's joined with its last
+    member's: the same ``join`` calls on equal operands, in the same order,
+    as the fold — so the same floats.  Each edge's catalog estimate is the
+    memoised one-member prefix.
+    """
+    estimate = prefixes.get(members)
+    if estimate is None:
+        if len(members) == 1:
+            estimate = catalog.estimate_for(members[0])
+        else:
+            estimate = _prefix_estimate(members[:-1], catalog, prefixes).join(
+                _prefix_estimate(members[-1:], catalog, prefixes))
+        prefixes[members] = estimate
+    return estimate
 
 
 def select_cover(candidates: Iterable[ClusterCover],
                  catalog: Optional["StatisticsCatalog"] = None) -> ClusterCover:
-    """The minimal-:func:`cover_score` candidate, computed without scoring each in full.
+    """The minimal-:func:`cover_score` candidate, in one scoring pass.
 
-    Only the candidates tied on the numeric part of the score are rendered,
-    and with a ``catalog`` each distinct cluster's cardinality is estimated
-    once for the whole selection: the candidates of one search share most of
-    their clusters.
+    The candidates of one search share most of their clusters, so each
+    distinct cluster's part of the score — width, fan-out, materialised
+    width and, with a ``catalog``, estimated rows — is computed once, and
+    the clusters' joins are estimated through shared canonical-order member
+    prefixes.  Only the candidates tied on the numeric part of the score
+    are compared by rendering, each cluster rendered once.
     """
-    estimated_rows: Dict[EdgeCluster, int] = {}
-    scored = [(_numeric_score(cover, catalog, estimated_rows), cover)
-              for cover in candidates]
+    # Keyed by identity: the scored candidates keep every cluster alive.
+    terms: Dict[int, Tuple[int, int, int, int]] = {}
+    prefixes: Dict[Tuple[Edge, ...], "JoinEstimate"] = {}
+    scored = []
+    for cover in candidates:
+        width = fan_out = materialised = largest = total = 0
+        for cluster in cover.clusters:
+            term = terms.get(id(cluster))
+            if term is None:
+                rows = 0
+                if catalog is not None and not cluster.is_singleton:
+                    rows = _prefix_estimate(cluster.sorted_edges(), catalog,
+                                            prefixes).rows
+                term = terms[id(cluster)] = (
+                    cluster.width, cluster.fan_out,
+                    0 if cluster.is_singleton else cluster.width, rows)
+            cluster_width, cluster_fan_out, cluster_materialised, rows = term
+            if cluster_width > width:
+                width = cluster_width
+            if cluster_fan_out > fan_out:
+                fan_out = cluster_fan_out
+            if rows > largest:
+                largest = rows
+            materialised += cluster_materialised
+            total += rows
+        score = (width, fan_out, materialised) if catalog is None else \
+            (width, largest, total, fan_out, materialised)
+        scored.append((score, cover))
     best = min(score for score, _ in scored)
     tied = [cover for score, cover in scored if score == best]
-    return tied[0] if len(tied) == 1 else min(tied, key=_rendering)
+    if len(tied) == 1:
+        return tied[0]
+    renderings: Dict[int, str] = {}
 
+    def rendering(cover: ClusterCover) -> Tuple[str, ...]:
+        for cluster in cover.clusters:
+            if id(cluster) not in renderings:
+                renderings[id(cluster)] = cluster.describe()
+        return tuple(renderings[id(cluster)] for cluster in cover.clusters)
+
+    return min(tied, key=rendering)

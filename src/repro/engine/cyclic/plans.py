@@ -2,9 +2,9 @@
 
 A :class:`CyclicExecutionPlan` is the cyclic analogue of
 :class:`~repro.engine.planner.ExecutionPlan`: data-independent (it depends
-only on the schema hypergraph), compiled once per schema fingerprint, and
-cached in the planner's existing LRU under an extended key so that cover
-search — the expensive part — runs once per schema.  It embeds the quotient's
+only on the schema hypergraph), compiled once per chosen cover, and
+cached in the planner's existing LRU under an extended key beside the
+schema's cover search, which runs once per schema.  It embeds the quotient's
 ordinary :class:`ExecutionPlan`, so reduction and the bottom-up join reuse the
 acyclic machinery verbatim.
 
@@ -31,9 +31,8 @@ __all__ = ["CyclicExecutionPlan", "CyclicEngineStatistics"]
 class CyclicExecutionPlan:
     """A compiled plan for one cyclic schema fingerprint: cover, quotient, inner plan.
 
-    ``candidates`` records every valid cover the search enumerated; it is
-    what the planner re-scores against a per-database statistics catalog to
-    pick a cardinality-aware cover without re-running the search (see
+    The cover is the static choice or a per-database catalog's; the
+    candidates it was chosen from stay with the planner's cover search (see
     :meth:`QueryPlanner.cyclic_plan_for
     <repro.engine.planner.QueryPlanner.cyclic_plan_for>`).
     """
@@ -42,7 +41,6 @@ class CyclicExecutionPlan:
     cover: ClusterCover
     quotient: AcyclicQuotient
     inner: ExecutionPlan
-    candidates: Tuple[ClusterCover, ...] = ()
     #: Each cluster's width, computed once with the plan (every run's
     #: :class:`CyclicEngineStatistics` reports them).
     cluster_widths: Tuple[int, ...] = field(init=False, repr=False, compare=False)

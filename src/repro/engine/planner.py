@@ -27,10 +27,12 @@ reduction, cache and estimated-vs-actual counters.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cyclic imports planner)
+    from .cyclic.covers import ClusterCover
     from .cyclic.plans import CyclicExecutionPlan
 
 from ..core.hypergraph import Edge, Hypergraph
@@ -188,11 +190,7 @@ class ExecutionPlan:
 
     def describe(self) -> str:
         """A multi-line plan rendering: fingerprint, tree and reducer program."""
-        lines = [f"ExecutionPlan {fingerprint_digest(self.fingerprint)} "
-                 f"({len(self.vertices)} vertices, {len(self.reducer)} semijoin steps)",
-                 self.join_tree.describe(),
-                 self.reducer.describe()]
-        return "\n".join(lines)
+        return _describe_plan(self, self.reducer)
 
 
 @dataclass(frozen=True)
@@ -244,8 +242,19 @@ class AnnotatedPlan:
         return self.annotation.order_children(vertex, children)
 
     def describe(self) -> str:
-        """The structure plan's rendering plus the annotation summary."""
-        return "\n".join([self.structure.describe(), self.annotation.describe()])
+        """The plan that runs: the (re-rooted) structure with the cost-ordered
+        reducer, plus the annotation summary."""
+        return "\n".join([_describe_plan(self.structure, self.reducer),
+                          self.annotation.describe()])
+
+
+def _describe_plan(structure: ExecutionPlan, reducer: FullReducer) -> str:
+    """A structure plan's fingerprint and tree, with ``reducer`` as its program."""
+    return "\n".join([f"ExecutionPlan {fingerprint_digest(structure.fingerprint)} "
+                      f"({len(structure.vertices)} vertices, "
+                      f"{len(reducer)} semijoin steps)",
+                      structure.join_tree.describe(),
+                      reducer.describe()])
 
 
 def _compile(fingerprint: SchemaFingerprint, tree: JoinTree,
@@ -284,6 +293,25 @@ def annotate_plan(structure: ExecutionPlan, catalog: StatisticsCatalog, *,
                              annotation=annotation, reducer=reducer)
 
 
+class _CoverSearch:
+    """A cyclic schema's planner entry: its candidate covers and, once compiled, its static plan."""
+
+    __slots__ = ("candidates", "static", "_lock")
+
+    def __init__(self, candidates: Tuple["ClusterCover", ...]) -> None:
+        self.candidates = candidates
+        self.static: Optional["CyclicExecutionPlan"] = None
+        self._lock = threading.Lock()
+
+    def static_plan(self, compile_plan: Callable[[], "CyclicExecutionPlan"]
+                    ) -> "CyclicExecutionPlan":
+        """The static plan, compiled by ``compile_plan`` on the first request only."""
+        with self._lock:
+            if self.static is None:
+                self.static = compile_plan()
+            return self.static
+
+
 class QueryPlanner:
     """Compiles and caches execution plans, LRU-evicted by schema fingerprint.
 
@@ -299,9 +327,10 @@ class QueryPlanner:
     """
 
     def __init__(self, capacity: int = 128) -> None:
-        # Keys are (fingerprint, root) for acyclic plans and
-        # (_CYCLIC_KIND, fingerprint[, cover]) for cyclic ones — one LRU
-        # serves both.
+        # Keys are (fingerprint, root) for acyclic plans,
+        # (_CYCLIC_KIND, fingerprint) for a cyclic schema's cover search and
+        # static plan, and (_CYCLIC_KIND, fingerprint, cover) for a plan a
+        # catalog chose — one LRU serves them all.
         self._cache: LRUCache[object] = LRUCache(capacity)
 
     @property
@@ -366,54 +395,86 @@ class QueryPlanner:
             return AnnotatedPlan(structure=structure, catalog=catalog,
                                  annotation=annotation, reducer=reducer)
 
+    def search_covers(self, hypergraph: Hypergraph) -> SchemaFingerprint:
+        """Run the schema's cover search (or find it cached); compile no plan.
+
+        Returns the fingerprint the search is cached under.  An adaptive
+        session's cyclic ``prepare`` stops here: each database's binding
+        picks its cover from the cached candidates and compiles only that
+        cover's plan (:meth:`cyclic_plan_for` with a ``catalog``).
+        """
+        fingerprint = schema_fingerprint(hypergraph)
+        self._cover_search(hypergraph, fingerprint, compile_static=False)
+        return fingerprint
+
     def cyclic_plan_for(self, hypergraph: Hypergraph, *,
                         catalog: Optional[StatisticsCatalog] = None
                         ) -> "CyclicExecutionPlan":
         """The cyclic execution plan for ``hypergraph`` (compiled or from cache).
 
         Works for acyclic hypergraphs too (the cover is trivially all
-        singletons).  The plan — cover, validated acyclic quotient, and the
-        quotient's embedded :class:`ExecutionPlan` — is cached in the same
-        LRU as the acyclic plans under an extended fingerprint key, so cover
-        search runs once per schema.
+        singletons).  A cyclic schema holds one entry of the shared LRU,
+        under ``(_CYCLIC_KIND, fingerprint)``: its candidate covers, searched
+        once per schema, and the static plan — the statically chosen cover,
+        its validated acyclic quotient and the quotient's embedded
+        :class:`ExecutionPlan` (itself an ordinary ``(fingerprint, root)``
+        entry) — compiled on the first call without a ``catalog``.
 
-        With a ``catalog``, the cached plan's candidate covers are re-scored
-        by estimated cluster-join cardinality (the data-dependent tie-break
-        of :func:`repro.engine.cyclic.covers.cover_score`); when a different
-        candidate wins, a per-database plan is assembled around it — its
-        quotient's inner plan still comes from the fingerprint cache, and the
-        static plan stays cached untouched.
+        With a ``catalog``, the candidates are scored once by estimated
+        cluster-join cardinality (the data-dependent tie-break of
+        :func:`repro.engine.cyclic.covers.cover_score`) and only the winner
+        is compiled: the static plan when it is compiled already and chose
+        the same cover, else a plan cached under ``(_CYCLIC_KIND,
+        fingerprint, cover)``, so any catalog picking the same cover gets the
+        same plan.
+        """
+        from .cyclic.covers import select_cover
+
+        fingerprint = schema_fingerprint(hypergraph)
+        search = self._cover_search(hypergraph, fingerprint,
+                                    compile_static=catalog is None)
+        if catalog is None:
+            return search.static
+        best = select_cover(search.candidates, catalog)
+        static = search.static
+        if static is not None and static.cover == best:
+            return static
+        return self._cache.get_or_build(
+            (_CYCLIC_KIND, fingerprint, best),
+            lambda: self._compile_cyclic(hypergraph, fingerprint, best))
+
+    def _cover_search(self, hypergraph: Hypergraph, fingerprint: SchemaFingerprint,
+                      *, compile_static: bool) -> "_CoverSearch":
+        """The schema's LRU entry, searched on a miss; its static plan compiled if asked.
+
+        A static plan asked for on a miss is compiled inside the entry's
+        build, so the entry is stored after the quotient's inner plan: a
+        capacity-1 LRU serving one static cyclic workload keeps the entry
+        and hits it from then on.
         """
         from .cyclic.covers import enumerate_covers, select_cover
+
+        def with_static(entry: _CoverSearch) -> _CoverSearch:
+            if compile_static:
+                entry.static_plan(lambda: self._compile_cyclic(
+                    hypergraph, fingerprint, select_cover(entry.candidates)))
+            return entry
+
+        entry = self._cache.get_or_build(
+            (_CYCLIC_KIND, fingerprint),
+            lambda: with_static(_CoverSearch(enumerate_covers(hypergraph))))
+        return with_static(entry)
+
+    def _compile_cyclic(self, hypergraph: Hypergraph, fingerprint: SchemaFingerprint,
+                        cover: "ClusterCover") -> "CyclicExecutionPlan":
+        """The plan running ``cover``: its quotient, and the quotient's inner plan from the LRU."""
         from .cyclic.plans import CyclicExecutionPlan
         from .cyclic.quotient import AcyclicQuotient
 
-        fingerprint = schema_fingerprint(hypergraph)
-
-        def compile_plan(cover, candidates) -> CyclicExecutionPlan:
-            # The quotient's inner plan is a nested lookup in the same LRU.
-            quotient = AcyclicQuotient.build(hypergraph, cover)
-            return CyclicExecutionPlan(fingerprint=fingerprint, cover=cover,
-                                       quotient=quotient,
-                                       inner=self.plan_for(quotient.hypergraph),
-                                       candidates=candidates)
-
-        def compile_static() -> CyclicExecutionPlan:
-            candidates = enumerate_covers(hypergraph)
-            return compile_plan(select_cover(candidates), tuple(candidates))
-
-        plan = self._cache.get_or_build((_CYCLIC_KIND, fingerprint), compile_static)
-        if catalog is None:
-            return plan
-        best = select_cover(plan.candidates or (plan.cover,), catalog)
-        if best == plan.cover:
-            return plan
-        # The adaptive variant is keyed by the *chosen cover*, not by the
-        # catalog: any catalog picking the same cover gets the same plan, so
-        # repeated adaptive queries over one schema build the quotient once.
-        return self._cache.get_or_build(
-            (_CYCLIC_KIND, fingerprint, best),
-            lambda: compile_plan(best, plan.candidates))
+        quotient = AcyclicQuotient.build(hypergraph, cover)
+        return CyclicExecutionPlan(fingerprint=fingerprint, cover=cover,
+                                   quotient=quotient,
+                                   inner=self.plan_for(quotient.hypergraph))
 
     def cache_info(self) -> PlanCacheInfo:
         """The plan cache's counts, size and capacity."""

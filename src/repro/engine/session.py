@@ -62,6 +62,7 @@ from .planner import (
     DEFAULT_PLANNER,
     AnnotatedPlan,
     QueryPlanner,
+    SchemaFingerprint,
     fingerprint_digest,
     schema_fingerprint,
 )
@@ -245,15 +246,19 @@ class BatchStatistics:
         return sum(run.total_intermediate for run in self.runs)
 
     # -- engine-statistics surface ----------------------------------------- #
+    # A served run carries the accounting of the run that stored its
+    # outcome but ran no semijoin itself, so the work totals skip it.
     @property
     def semijoin_steps(self) -> int:
-        """Total semijoin steps across the batch."""
-        return sum(getattr(run, "semijoin_steps", 0) for run in self.runs)
+        """Total semijoin steps the batch ran (served runs ran none)."""
+        return sum(getattr(run, "semijoin_steps", 0) for run in self.runs
+                   if not getattr(run, "served", False))
 
     @property
     def rows_removed_by_reduction(self) -> int:
-        """Total dangling rows removed across the batch."""
-        return sum(getattr(run, "rows_removed_by_reduction", 0) for run in self.runs)
+        """Total dangling rows the batch removed (served runs removed none)."""
+        return sum(getattr(run, "rows_removed_by_reduction", 0) for run in self.runs
+                   if not getattr(run, "served", False))
 
     @property
     def plan_cache_hit(self) -> bool:
@@ -400,16 +405,24 @@ class PreparedQuery:
     choice) is resolved once per database on first :meth:`execute` and then
     memoized (weakly, keyed by database identity), so warm executions do no
     planning work of any kind.
+
+    An adaptive cyclic query is prepared with its cover search only
+    (``structure=None`` and the schema's ``fingerprint``): each binding
+    compiles the cover its catalog chooses, and the static plan is compiled
+    on the first read of :attr:`structure` (or :meth:`explain`).
     """
 
     def __init__(self, session: "EngineSession", *, kind: str,
-                 structure: object, hypergraph: Hypergraph,
+                 structure: Optional[object], hypergraph: Hypergraph,
                  output_attributes: Optional[Tuple[Attribute, ...]],
                  options: ExecutionOptions, name: str,
-                 query: Optional["ConjunctiveQuery"] = None) -> None:
+                 query: Optional["ConjunctiveQuery"] = None,
+                 fingerprint: Optional[SchemaFingerprint] = None) -> None:
         self._session = session
         self._kind = kind
         self._structure = structure
+        self._fingerprint = fingerprint if fingerprint is not None \
+            else structure.fingerprint
         self._hypergraph = hypergraph
         self._output = output_attributes
         self._wanted: Optional[FrozenSet[Attribute]] = (
@@ -419,7 +432,7 @@ class PreparedQuery:
         self._query = query
         # The digest is hashed once here — the monitor stamps it on every
         # query-log entry, so the execute path must not re-hash per run.
-        self._digest = fingerprint_digest(structure.fingerprint)
+        self._digest = fingerprint_digest(self._fingerprint)
         self._bindings: "weakref.WeakKeyDictionary[Database, _DatabaseBinding]" = \
             weakref.WeakKeyDictionary()
 
@@ -432,9 +445,9 @@ class PreparedQuery:
         return self._kind
 
     @property
-    def fingerprint(self):
-        """The schema fingerprint the structure plan was compiled for."""
-        return self._structure.fingerprint
+    def fingerprint(self) -> SchemaFingerprint:
+        """The schema fingerprint the query was prepared for."""
+        return self._fingerprint
 
     @property
     def options(self) -> ExecutionOptions:
@@ -453,7 +466,13 @@ class PreparedQuery:
 
     @property
     def structure(self) -> object:
-        """The data-independent structure plan (acyclic or cyclic)."""
+        """The data-independent structure plan (acyclic or cyclic).
+
+        An adaptive cyclic query compiles its static plan here, on the first
+        read; the planner keeps it with the schema's cover search.
+        """
+        if self._structure is None:
+            self._structure = self._session.planner.cyclic_plan_for(self._hypergraph)
         return self._structure
 
     # ------------------------------------------------------------------ #
@@ -569,12 +588,14 @@ class PreparedQuery:
                  f"fingerprint {fingerprint_digest(self.fingerprint)}",
                  f"  outputs: {wanted}",
                  f"  options: {self._options}"]
-        lines.append(self._structure.describe())
+        structure = self.structure
+        lines.append(structure.describe())
         if database is not None:
             binding = self._binding_for(database)
             if isinstance(binding.plan, AnnotatedPlan):
                 lines.append(binding.plan.annotation.describe())
-            elif binding.plan is not self._structure:
+            elif binding.plan is not structure \
+                    and binding.plan.cover != structure.cover:
                 lines.append("catalog-chosen cyclic plan:")
                 lines.append(binding.plan.describe())
             if binding.catalog is not None:
@@ -617,7 +638,7 @@ class PreparedQuery:
         return build_explain_analysis(
             name=self._name, kind=self._kind, statistics=result.statistics,
             records=tuple(tracer.records), vertex_estimates=vertex_estimates,
-            plan_description=self._structure.describe(),
+            plan_description=binding.plan.describe(),
             phase_attributes=phase_attributes)
 
     # ------------------------------------------------------------------ #
@@ -755,7 +776,7 @@ class PreparedQuery:
     def _plan_with(self, catalog: Optional[StatisticsCatalog]) -> object:
         """Compose the structure plan with a catalog (static plans pass through)."""
         if catalog is None:
-            return self._structure
+            return self.structure
         planner = self._session.planner
         if self._kind == "acyclic":
             return planner.annotate(self._hypergraph, catalog,
@@ -930,11 +951,13 @@ class EngineSession:
 
         def build() -> PreparedQuery:
             graph = hypergraph if hypergraph is not None else query.hypergraph()
-            kind, structure = self._dispatch_traced(graph, query, resolved)
+            kind, structure, fingerprint = self._dispatch_traced(graph, query,
+                                                                 resolved)
             return PreparedQuery(self, kind=kind, structure=structure,
                                  hypergraph=graph,
                                  output_attributes=wanted, options=resolved,
-                                 name=final_name, query=query)
+                                 name=final_name, query=query,
+                                 fingerprint=fingerprint)
 
         return self._prepared.get_or_build(key, build)
 
@@ -973,31 +996,39 @@ class EngineSession:
 
     def _dispatch_traced(self, hypergraph: Hypergraph,
                          query: Optional["ConjunctiveQuery"],
-                         options: ExecutionOptions) -> Tuple[str, object]:
+                         options: ExecutionOptions
+                         ) -> Tuple[str, Optional[object], SchemaFingerprint]:
         """Dispatch under a ``prepare`` span (cover search traces beneath it)."""
         span = current_tracer().span("prepare")
         with span:
-            kind, structure = self._dispatch(hypergraph, query, options)
+            kind, structure, fingerprint = self._dispatch(hypergraph, query, options)
             if span.is_recording:
                 span.set("kind", kind)
-                span.set("fingerprint",
-                         fingerprint_digest(structure.fingerprint))
-            return kind, structure
+                span.set("fingerprint", fingerprint_digest(fingerprint))
+            return kind, structure, fingerprint
 
     def _dispatch(self, hypergraph: Hypergraph,
                   query: Optional["ConjunctiveQuery"],
-                  options: ExecutionOptions) -> Tuple[str, object]:
-        """Resolve acyclic-vs-cyclic dispatch and compile the structure plan."""
+                  options: ExecutionOptions
+                  ) -> Tuple[str, Optional[object], SchemaFingerprint]:
+        """Resolve acyclic-vs-cyclic dispatch: (kind, structure plan, fingerprint).
+
+        An adaptive cyclic query gets no structure plan here, only its cover
+        search: every binding compiles the cover its own catalog picks.
+        """
         if not options.force_cyclic and (query is None or query.is_acyclic()):
             try:
-                return "acyclic", self._planner.plan_for(hypergraph,
-                                                         root=options.root)
+                plan = self._planner.plan_for(hypergraph, root=options.root)
+                return "acyclic", plan, plan.fingerprint
             except CyclicHypergraphError:
                 # GYO and the join-tree construction can disagree on
                 # degenerate hypergraphs (e.g. empty edges from all-constant
                 # atoms); the cyclic subsystem folds those into a cluster.
                 pass
-        return "cyclic", self._planner.cyclic_plan_for(hypergraph)
+        if options.adaptive:
+            return "cyclic", None, self._planner.search_covers(hypergraph)
+        plan = self._planner.cyclic_plan_for(hypergraph)
+        return "cyclic", plan, plan.fingerprint
 
     # ------------------------------------------------------------------ #
     # Relation sequences

@@ -235,17 +235,24 @@ class TestCatalogAwareScore:
         assert len(rendered) == sum(len(cover.clusters) for cover in tied)
         assert cover_score(chosen) == min(cover_score(cover) for cover in candidates)
 
-    def test_selection_estimates_each_distinct_cluster_once(self, monkeypatch):
+    def test_selection_folds_each_distinct_member_prefix_once(self, monkeypatch):
+        from repro.engine.catalog import JoinEstimate
+
         hypergraph = clique_augmented_chain(3)
         catalog = self._catalog_for(hypergraph)
         candidates = enumerate_covers(hypergraph)
-        estimated = []
-        estimate = EdgeCluster.estimated_rows
-        monkeypatch.setattr(
-            EdgeCluster, "estimated_rows",
-            lambda cluster, catalog: estimated.append(cluster) or estimate(cluster, catalog))
-        select_cover(candidates, catalog)
-        joined = [cluster for cover in candidates for cluster in cover.clusters
-                  if not cluster.is_singleton]
-        assert len(estimated) == len(set(joined)) < len(joined)
-        assert set(estimated) == set(joined)
+        joined = []
+        join = JoinEstimate.join
+        monkeypatch.setattr(JoinEstimate, "join",
+                            lambda left, right: joined.append(right) or join(left, right))
+        chosen = select_cover(candidates, catalog)
+        monkeypatch.undo()
+        # Each distinct cluster is estimated once, and clusters sharing a
+        # canonical-order member prefix share its fold.
+        orders = {cluster.sorted_edges() for cover in candidates
+                  for cluster in cover.clusters if not cluster.is_singleton}
+        prefixes = {order[:length] for order in orders
+                    for length in range(2, len(order) + 1)}
+        assert len(joined) == len(prefixes) < sum(len(order) - 1 for order in orders)
+        assert cover_score(chosen, catalog) \
+            == min(cover_score(cover, catalog) for cover in candidates)

@@ -161,3 +161,49 @@ def test_the_query_log_counts_no_semijoin_for_a_served_execute(hot):
     assert snapshot["engine_semijoin_steps_total"] == SEMIJOIN_STEPS[kind]
     assert snapshot["engine_rows_removed_total"] == \
         first.statistics.rows_removed_by_reduction
+
+
+def test_a_batch_counts_the_work_its_runs_did(hot):
+    """A batch's totals move with the session's counters, not with the stored runs."""
+    kind, database, outputs = hot
+    prepared = EngineSession().prepare(database, outputs)
+    metrics = prepared._session.metrics
+    for expected_steps in (SEMIJOIN_STEPS[kind], 0):
+        before = metrics.snapshot()
+        batch = prepared.execute_many([database, database])
+        after = metrics.snapshot()
+
+        def moved(series):
+            return after.get(series, 0) - before.get(series, 0)
+
+        assert [result.statistics.served for result in batch] \
+            == [expected_steps == 0, True]
+        assert batch.statistics.semijoin_steps == expected_steps \
+            == moved("engine_semijoin_steps_total")
+        assert batch.statistics.rows_removed_by_reduction \
+            == moved("engine_rows_removed_total")
+
+
+def test_a_wire_batch_counts_the_work_its_runs_did(hot):
+    from repro.service import PROTOCOL_VERSION, QueryService
+
+    kind, database, outputs = hot
+    service = QueryService(EngineSession())
+    service.add_database("db", database)
+
+    def call(method, **params):
+        status, envelope = service.handle({"version": PROTOCOL_VERSION,
+                                           "method": method, "client": "batch",
+                                           "id": method, "params": params})
+        assert status == 200, envelope
+        return envelope["result"]
+
+    try:
+        handle = call("prepare", database="db",
+                      outputs=[str(attribute) for attribute in outputs])["query"]
+        cold, warm = (call("execute_many", query=handle, databases=["db", "db"],
+                           max_workers=1)["statistics"] for _ in range(2))
+    finally:
+        service.pool.shutdown(wait=True)
+    assert cold["semijoin_steps"] == SEMIJOIN_STEPS[kind]
+    assert (warm["semijoin_steps"], warm["rows_removed_by_reduction"]) == (0, 0)

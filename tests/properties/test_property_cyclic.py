@@ -2,7 +2,8 @@
 
 For randomly generated *cyclic* hypergraphs (planted-ring construction) and
 synthetic databases with dangling tuples, the cyclic engine's answer must be
-bit-identical to the naive plan — full join and projected alike — and the
+bit-identical to the naive plan — full join and projected alike, with the
+static cover and with the one each database's catalog chooses — and the
 chosen cover must always produce an acyclic quotient.
 """
 
@@ -35,25 +36,33 @@ def cyclic_databases(draw):
                              dangling_fraction=dangling, seed=data_seed)
 
 
+def _cyclic_run(database, wanted, adaptive):
+    """One cyclic-subsystem run; its plan's quotient must be acyclic."""
+    result = EngineSession(adaptive=adaptive, force_cyclic=True).prepare(
+        database, wanted).execute(database)
+    assert is_acyclic(result.plan.quotient.hypergraph)
+    return result
+
+
 @pytest.mark.slow
+@pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
 @COMMON_SETTINGS
 @given(database=cyclic_databases())
-def test_cyclic_engine_matches_naive_full_join(database):
-    engine_result = EngineSession(adaptive=False, force_cyclic=True).prepare(
-        database).execute(database)
+def test_cyclic_engine_matches_naive_full_join(database, adaptive):
+    engine_result = _cyclic_run(database, None, adaptive)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     assert frozenset(engine_result.relation.rows) == frozenset(naive_result.rows)
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
 @COMMON_SETTINGS
 @given(database=cyclic_databases(), selector=st.integers(min_value=0, max_value=10 ** 6))
-def test_cyclic_engine_matches_naive_projection(database, selector):
+def test_cyclic_engine_matches_naive_projection(database, selector, adaptive):
     attributes = sorted_nodes(database.schema.attributes)
     size = 1 + selector % len(attributes)
     wanted = attributes[:size]
-    engine_result = EngineSession(adaptive=False, force_cyclic=True).prepare(
-        database, wanted).execute(database)
+    engine_result = _cyclic_run(database, wanted, adaptive)
     naive_result, _ = execute_plan(naive_join_plan(database), plan_name="naive")
     expected = project(naive_result, wanted)
     assert frozenset(engine_result.relation.rows) == frozenset(expected.rows)

@@ -5,7 +5,8 @@
 original edges) and must return exactly the residual of the ear-removal scan
 cover search used before the kernel existed — that scan is kept here, verbatim,
 as the oracle, because which *original* edge stands for a trimmed set depends
-on the schedule and cover search's candidates depend on it.
+on the schedule and cover search's candidates depend on it.  The bit-parallel
+``masks_acyclic`` gives the verdict alone and must agree with both.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from repro import Hypergraph
 from repro.core.acyclicity import is_acyclic, is_acyclic_gyo
 from repro.core.graham import graham_reduction, reduces_to_nothing
-from repro.core.graham_kernel import graham_survivors
+from repro.core.graham_kernel import graham_survivors, masks_acyclic
 from repro.core.hypergraph import Edge
 
 from .strategies import edges
@@ -93,3 +94,20 @@ def test_survivors_equal_the_ear_removal_residual(hypergraph):
 def test_duplicate_edges_absorb_each_other(hypergraph):
     doubled = list(hypergraph.edges) * 2
     assert (len(graham_survivors(doubled)) <= 1) == is_acyclic_gyo(hypergraph)
+
+
+def _masks(edge_list: Sequence[Edge]) -> List[int]:
+    """The edges as bitmasks over one numbering of their nodes."""
+    bits: dict = {}
+    return [sum(bits.setdefault(node, 1 << len(bits)) for node in edge)
+            for edge in edge_list]
+
+
+@COMMON_SETTINGS
+@given(hypergraph=raw_hypergraphs())
+def test_mask_verdict_matches_the_reference_and_the_kernel(hypergraph):
+    verdict = masks_acyclic(_masks(hypergraph.edges))
+    assert verdict == reduces_to_nothing(graham_reduction(hypergraph).hypergraph)
+    assert verdict == (len(graham_survivors(hypergraph.edges)) <= 1)
+    # Duplicates and any node numbering leave the verdict alone.
+    assert masks_acyclic(_masks(list(reversed(hypergraph.edges))) * 2) == verdict

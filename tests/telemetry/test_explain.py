@@ -8,6 +8,7 @@ from repro.engine import EngineSession
 from repro.generators import (
     cyclic_workload_families,
     generate_database,
+    k_cycle_hypergraph,
     skewed_chain_database,
     skewed_chain_endpoints,
     triangle_core_chain,
@@ -120,6 +121,41 @@ class TestExplainAnalyze:
     def test_plain_explain_needs_no_database(self, acyclic_database):
         prepared = EngineSession().prepare(acyclic_database)
         assert prepared.explain()  # the static plan description still renders
+
+
+class TestExplainRendersThePlanThatRan:
+    """The plan section of EXPLAIN ANALYZE is the binding's plan, not the static one."""
+
+    def test_a_rerooted_chain_renders_its_cost_ordered_reducer(
+            self, acyclic_database):
+        session = EngineSession()
+        outputs = skewed_chain_endpoints(3)
+        prepared = session.prepare(acyclic_database, outputs)
+        analysis = prepared.explain_analyze(acyclic_database)
+        annotated = session.planner.annotate(
+            acyclic_database.schema.to_hypergraph(),
+            acyclic_database.statistics_catalog(), output_attributes=outputs)
+        assert annotated.structure is not prepared.structure  # re-rooted
+        assert annotated.reducer.describe() != prepared.structure.reducer.describe()
+        assert analysis.plan_description == annotated.describe()
+        assert annotated.reducer.describe() in analysis.plan_description
+        assert prepared.structure.reducer.describe() not in analysis.plan_description
+        assert "    CostAnnotation root=" in analysis.render()
+
+    def test_a_cold_cycle_renders_the_catalog_chosen_cover(self):
+        hypergraph = k_cycle_hypergraph(3)
+        database = generate_database(DatabaseSchema.from_hypergraph(hypergraph),
+                                     universe_rows=100, domain_size=8,
+                                     dangling_fraction=0.5, seed=4)
+        session = EngineSession()
+        prepared = session.prepare(database, ("R0", "R2"))
+        analysis = prepared.explain_analyze(database)
+        chosen = session.planner.cyclic_plan_for(
+            hypergraph, catalog=database.statistics_catalog())
+        assert analysis.plan_description == chosen.describe()
+        static = prepared.structure
+        assert static.cover != chosen.cover
+        assert static.describe() != analysis.plan_description
 
 
 class TestProjectedClusters:
